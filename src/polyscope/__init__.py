@@ -52,7 +52,6 @@ from .signals import (
     TimeSeries,
     WelchConfig,
     coherence_function,
-    detrend_seasonal,
     spectral_matrix,
     welch_cross_spectrum,
 )
@@ -130,7 +129,6 @@ __all__ = [
     "coherence_function",
     "collect",
     "correlation_distance_matrix",
-    "detrend_seasonal",
     "distance_matrix",
     "edge_list_rows",
     "export_dot",

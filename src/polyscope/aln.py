@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InsufficientDataError, InvalidParameterError
 from .metric import causal_distance_matrix, distance_matrix
@@ -351,15 +352,18 @@ def _source_transfers(spec: ALNSpec, grid: FrequencyGrid) -> np.ndarray:
     return H
 
 
+def _cross_spectra(H: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """``Phi_ab = sum_i conj(H_ai) H_bi phi_i`` from transfers and noise spectra."""
+    return np.einsum("aik,bik,ik->abk", np.conj(H), H, phi, optimize=True)
+
+
 def analytic_spectra(spec: ALNSpec, grid: FrequencyGrid) -> SpectralMatrix:
     """Exact spectral matrix of the network on a grid.
 
     Positive semi-definite at every frequency by construction (it is a
     noise-weighted Gram matrix of the source transfer rows).
     """
-    H = _source_transfers(spec, grid)
-    phi = _noise_spectra(spec, grid)
-    values = np.einsum("aik,bik,ik->abk", np.conj(H), H, phi, optimize=True)
+    values = _cross_spectra(_source_transfers(spec, grid), _noise_spectra(spec, grid))
     return SpectralMatrix(list(spec.labels), grid, values)
 
 
@@ -376,37 +380,24 @@ def check_identifiability(spec: ALNSpec, grid: FrequencyGrid | None = None
     A dead noise fails every tuple that names it.
     """
     grid = grid or FrequencyGrid(1024)
-    S = analytic_spectra(spec, grid)
     H = _source_transfers(spec, grid)
     phi = _noise_spectra(spec, grid)
+    cross = np.abs(_cross_spectra(H, phi))
     shares = (np.max(np.abs(H), axis=2) > 0.0).astype(int)
     related = (shares @ shares.T) > 0    # [a, b]: common noise source exists
     violations = []
     exempt = 0
-    n = spec.n
-    for i in range(n):
-        for j in range(i, n):
-            if not related[i, j]:
-                exempt += 1
-                continue
-            cross = np.abs(S.values[i, j])
-            for k in range(n):
-                product = cross * phi[k]
-                top = float(np.max(product))
-                threshold = IDENTIFIABILITY_RTOL * top
-                alive = product > threshold
-                run = _longest_run(alive)
-                if top == 0.0 or run < IDENTIFIABILITY_RUN:
-                    violations.append((i, j, k))
+    for i in range(spec.n):
+        js = i + np.flatnonzero(related[i, i:])
+        exempt += spec.n - i - js.size
+        product = cross[i, js, None, :] * phi          # (pair, noise, K)
+        top = np.max(product, axis=-1)
+        alive = product > IDENTIFIABILITY_RTOL * top[..., None]
+        lasting = sliding_window_view(alive, IDENTIFIABILITY_RUN, axis=-1) \
+            .all(axis=-1).any(axis=-1)
+        violations += [(i, int(js[p]), int(k))
+                       for p, k in np.argwhere((top == 0.0) | ~lasting)]
     return IdentifiabilityReport(not violations, violations, exempt)
-
-
-def _longest_run(mask: np.ndarray) -> int:
-    best = current = 0
-    for flag in mask:
-        current = current + 1 if flag else 0
-        best = max(best, current)
-    return best
 
 
 def _score(true_tree: Polytree, undirected: set[frozenset],

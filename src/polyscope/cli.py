@@ -54,6 +54,7 @@ from .errors import (
 )
 from .metric import (
     DistanceMatrix,
+    _windowed_average,
     causal_distance_matrix,
     correlation_distance_matrix,
     distance_matrix,
@@ -158,23 +159,9 @@ class RunConfig:
         return path
 
 
-_CONVERTERS = {
-    "input": str,
-    "out": str,
-    "grid_size": int,
-    "segments": int,
-    "overlap": float,
-    "window": str,
-    "window_length": int,
-    "pipeline": str,
-    "budget": int,
-    "min_gain": float,
-    "trials": int,
-    "nodes": str,
-    "length": int,
-    "seed": int,
-    "mode": str,
-}
+#: Config-file parsers by field annotation; every other field is a string.
+_CONVERTERS = {field.name: {"int": int, "float": float}.get(field.type, str)
+               for field in dataclasses.fields(RunConfig)}
 
 
 def load_config_file(path: str) -> dict:
@@ -573,20 +560,6 @@ def cmd_sparse(cfg: RunConfig, emitter: _Emitter) -> int:
     return 0
 
 
-def _windowed_correlation(ens: Ensemble, window_length: int) -> DistanceMatrix:
-    count = ens.length // window_length
-    if count < 1:
-        raise InsufficientDataError(
-            f"window_length {window_length} exceeds the {ens.length} samples")
-    acc = np.zeros((ens.n, ens.n))
-    for w in range(count):
-        chunk = slice(w * window_length, (w + 1) * window_length)
-        sub = Ensemble([TimeSeries(s.label, s.samples[chunk])
-                        for s in ens.series], demean=True)
-        acc += correlation_distance_matrix(sub).values
-    return DistanceMatrix(list(ens.labels), acc / count, "correlation")
-
-
 def cmd_compare(cfg: RunConfig, emitter: _Emitter) -> int:
     source = cfg.require_input()
     emitter.note_input(source)
@@ -596,7 +569,8 @@ def cmd_compare(cfg: RunConfig, emitter: _Emitter) -> int:
     with emitter.stage("distances"):
         if cfg.window_length:
             D_coh = windowed_average_distance(ens, cfg.window_length, wcfg)
-            D_corr = _windowed_correlation(ens, cfg.window_length)
+            D_corr = _windowed_average(ens, cfg.window_length,
+                                       correlation_distance_matrix)
         else:
             D_coh = distance_matrix(spectral_matrix(ens, wcfg))
             D_corr = correlation_distance_matrix(ens)

@@ -10,7 +10,7 @@ symmetric distance of the same pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -24,13 +24,12 @@ from .errors import (
 from .signals import (
     Ensemble,
     SpectralMatrix,
-    Spectrum,
     TimeSeries,
     WelchConfig,
-    coherence_function,
+    _coherence_row,
     spectral_matrix,
 )
-from .wiener import _causal_core, causal_wiener, spectral_factorize
+from .wiener import _causal_pair, _spectral_factors, _wiener_hopf
 
 SYMMETRIC_KINDS = ("noncausal", "correlation", "causal-min")
 KINDS = SYMMETRIC_KINDS + ("causal",)
@@ -102,25 +101,36 @@ class DirectionMatrix:
             raise InvalidParameterError("direction diagonal must be zero")
 
 
+def _check_pair(S: SpectralMatrix, i: int, j: int) -> None:
+    for idx in (i, j):
+        if not 0 <= idx < S.n:
+            raise InvalidParameterError(f"index {idx} out of range for n={S.n}")
+
+
+def _coherence_distances(S: SpectralMatrix, i: int, cols) -> np.ndarray:
+    """``sqrt(mean(1 - C))`` of series ``i`` with each series in ``cols``."""
+    mean = np.mean(1.0 - _coherence_row(S, i, cols), axis=-1)
+    return np.sqrt(np.maximum(mean, 0.0))
+
+
 def coherence_distance(S: SpectralMatrix, i: int, j: int) -> float:
     """Coherence pseudo-distance of one pair, ``sqrt(mean(1 - C))``.
 
     Symmetric in its arguments; exactly zero when ``i == j``.
     """
+    _check_pair(S, i, j)
     if i == j:
-        if not 0 <= i < S.n:
-            raise InvalidParameterError(f"index {i} out of range")
         return 0.0
-    curve = coherence_function(S, i, j)
-    return float(np.sqrt(max(np.mean(1.0 - curve.values), 0.0)))
+    return float(_coherence_distances(S, i, [j])[0])
 
 
 def _log_triangle_breaches(labels, values: np.ndarray, tol: float) -> None:
     n = values.shape[0]
-    if n < 3 or n > 256:
+    if n < 3:
         return
-    sums = values[:, :, None] + values[None, :, :]   # [i, j, k] = d(i,j)+d(j,k)
-    worst = float(np.max(values[:, None, :] - sums))
+    # worst of d(i,k) - (d(i,j) + d(j,k)), one i at a time: O(n^2) memory
+    worst = max(float(np.max(row[None, :] - (row[:, None] + values)))
+                for row in values)
     if worst > tol:
         record("triangle-breach",
                f"triangle inequality violated by {worst:.4f} "
@@ -136,15 +146,14 @@ def distance_matrix(S: SpectralMatrix) -> DistanceMatrix:
     diagnostics; on analytic spectra neither occurs.
     """
     n = S.n
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = coherence_distance(S, i, j)
-            out[i, j] = out[j, i] = d
-            if d < 1e-9:
-                record("degenerate-pair",
-                       f"{S.labels[i]!r} and {S.labels[j]!r} are at distance "
-                       f"{d:.3e}; duplicated series?")
+    upper = np.zeros((n, n))
+    for i in range(n - 1):
+        upper[i, i + 1:] = _coherence_distances(S, i, slice(i + 1, None))
+    out = upper + upper.T
+    for i, j in np.argwhere(np.triu(out < 1e-9, 1)):
+        record("degenerate-pair",
+               f"{S.labels[i]!r} and {S.labels[j]!r} are at distance "
+               f"{out[i, j]:.3e}; duplicated series?")
     _log_triangle_breaches(S.labels, out, TRIANGLE_TOL)
     return DistanceMatrix(list(S.labels), out, "noncausal")
 
@@ -157,30 +166,25 @@ def causal_distance(S: SpectralMatrix, target: int, input_: int) -> float:
     tolerance because the zero filter already costs 1.
     """
     if target == input_:
-        if not 0 <= target < S.n:
-            raise InvalidParameterError(f"index {target} out of range")
+        _check_pair(S, target, input_)
         return 0.0
-    return float(np.sqrt(max(causal_wiener(S, target, input_).cost, 0.0)))
+    _, _, cost = _causal_pair(S, target, input_)
+    return float(np.sqrt(max(cost[0], 0.0)))
 
 
 def causal_distance_matrix(S: SpectralMatrix) -> DistanceMatrix:
     """All pairwise one-sided distances; rows are targets, columns inputs.
 
-    Spectral factors are computed once per series and shared across the
-    ``n*(n-1)`` solves.
+    Spectral factors are computed once per series; each target row is one
+    Wiener--Hopf solve against every input at once.
     """
     n = S.n
-    factors = [
-        spectral_factorize(Spectrum(S.grid, S.floored_autospectrum(i))).response
-        for i in range(n)
-    ]
+    factors = _spectral_factors(S._floored)[0]
     out = np.zeros((n, n))
     for j in range(n):
-        for i in range(n):
-            if i == j:
-                continue
-            sol = _causal_core(S, j, i, factors[j], factors[i])
-            out[j, i] = np.sqrt(max(sol.cost, 0.0))
+        _, _, cost = _wiener_hopf(S, j, slice(None), factors[j], factors)
+        out[j] = np.sqrt(np.maximum(cost, 0.0))
+        out[j, j] = 0.0
     return DistanceMatrix(list(S.labels), out, "causal")
 
 
@@ -194,25 +198,16 @@ def causal_edge_weights(DC: DistanceMatrix) -> tuple[DistanceMatrix, DirectionMa
     """
     if DC.kind != "causal":
         raise InvalidParameterError("causal_edge_weights needs a causal matrix")
-    n = DC.n
-    weights = np.zeros((n, n))
-    direction = np.zeros((n, n), dtype=int)
-    ties = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        for b in range(a + 1, n):
-            d_ab, d_ba = DC.values[a, b], DC.values[b, a]
-            weights[a, b] = weights[b, a] = min(d_ab, d_ba)
-            if d_ab == d_ba:
-                direction[a, b], direction[b, a] = 1, -1
-                ties[a, b] = ties[b, a] = True
-                record("tie", f"causal tie between {DC.labels[a]!r} and "
-                              f"{DC.labels[b]!r} at {d_ab:.6f}")
-            elif d_ab < d_ba:
-                direction[a, b], direction[b, a] = 1, -1
-            else:
-                direction[a, b], direction[b, a] = -1, 1
+    d = DC.values
+    weights = np.minimum(d, d.T)
+    upper = np.triu(np.where(d <= d.T, 1, -1), 1)
+    direction = upper - upper.T
+    tied = np.triu(d == d.T, 1)
+    for a, b in np.argwhere(tied):
+        record("tie", f"causal tie between {DC.labels[a]!r} and "
+                      f"{DC.labels[b]!r} at {d[a, b]:.6f}")
     return (DistanceMatrix(list(DC.labels), weights, "causal-min"),
-            DirectionMatrix(list(DC.labels), direction, ties))
+            DirectionMatrix(list(DC.labels), direction, tied | tied.T))
 
 
 def correlation_distance_matrix(ens: Ensemble) -> DistanceMatrix:
@@ -256,14 +251,12 @@ def spearman_index(A: DistanceMatrix, B: DistanceMatrix) -> float | None:
     return float(result.statistic)
 
 
-def windowed_average_distance(ens: Ensemble, window_length: int,
-                              cfg: WelchConfig) -> DistanceMatrix:
-    """Average coherence distances over consecutive non-overlapping windows.
+def _windowed_average(ens: Ensemble, window_length: int,
+                      distances) -> DistanceMatrix:
+    """Entrywise mean of ``distances(window)`` over consecutive windows.
 
-    The record is cut into ``floor(length / window_length)`` windows; each
-    window is re-ingested as its own ensemble (fresh mean removal), measured
-    with :func:`distance_matrix`, and the matrices are averaged entrywise.
-    A trailing partial window is discarded.
+    Each window of ``window_length`` samples is re-ingested as its own
+    ensemble (fresh mean removal); a trailing partial window is discarded.
     """
     if window_length < 2:
         raise InvalidParameterError("window_length must be >= 2")
@@ -276,7 +269,20 @@ def windowed_average_distance(ens: Ensemble, window_length: int,
     total = np.zeros((ens.n, ens.n))
     for w in range(count):
         chunk = data[:, w * window_length:(w + 1) * window_length]
-        sub = Ensemble([TimeSeries(label, row)
-                        for label, row in zip(ens.labels, chunk)])
-        total += distance_matrix(spectral_matrix(sub, cfg)).values
-    return DistanceMatrix(list(ens.labels), total / count, "noncausal")
+        window = distances(Ensemble([TimeSeries(label, row)
+                                     for label, row in zip(ens.labels, chunk)]))
+        total += window.values
+    return DistanceMatrix(list(ens.labels), total / count, window.kind)
+
+
+def windowed_average_distance(ens: Ensemble, window_length: int,
+                              cfg: WelchConfig) -> DistanceMatrix:
+    """Average coherence distances over consecutive non-overlapping windows.
+
+    The record is cut into ``floor(length / window_length)`` windows; each
+    window is re-ingested as its own ensemble (fresh mean removal), measured
+    with :func:`distance_matrix`, and the matrices are averaged entrywise.
+    A trailing partial window is discarded.
+    """
+    return _windowed_average(
+        ens, window_length, lambda sub: distance_matrix(spectral_matrix(sub, cfg)))

@@ -10,7 +10,8 @@ y(t+tau)] exp(-1j*omega*tau)``, which the Welch estimator realises as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.signal import get_window
@@ -167,7 +168,9 @@ class SpectralMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
+        # C order keeps last-axis reductions in the same summation order
+        # whatever layout the caller's array had
+        self.values = np.ascontiguousarray(self.values, dtype=complex)
         n = len(self.labels)
         if self.values.shape != (n, n, self.grid.size):
             raise InvalidParameterError(
@@ -192,16 +195,23 @@ class SpectralMatrix:
         top = float(np.max(diag)) if diag.size else 0.0
         return PSD_FLOOR_RATIO * max(top, 0.0)
 
-    def floored_autospectrum(self, i: int) -> np.ndarray:
-        """Real auto-spectrum of series ``i``, clipped from below at the floor."""
-        phi = np.real(self.values[i, i])
-        floor = self.psd_floor()
-        if floor == 0.0:
-            floor = np.finfo(float).tiny
-        if np.any(phi < floor):
+    @cached_property
+    def _floored(self) -> np.ndarray:
+        """``(n, K)`` real auto-spectra clipped from below at the floor.
+
+        Computed on first use; each series that needed the floor is recorded
+        once, as a ``spectral-floor`` event.
+        """
+        phi = np.real(np.einsum("iik->ik", self.values))
+        floor = self.psd_floor() or np.finfo(float).tiny
+        for i in np.flatnonzero(np.any(phi < floor, axis=1)):
             record("spectral-floor",
                    f"auto-spectrum of {self.labels[i]!r} floored at {floor:.3e}")
         return np.maximum(phi, floor)
+
+    def floored_autospectrum(self, i: int) -> np.ndarray:
+        """Real auto-spectrum of series ``i``, clipped from below at the floor."""
+        return self._floored[i].copy()
 
 
 @dataclass
@@ -237,8 +247,7 @@ class WelchConfig:
     window: str = "hann"
 
     def __post_init__(self):
-        if self.grid_size < 8 or self.grid_size % 2 != 0:
-            raise InvalidParameterError("grid_size must be even and >= 8")
+        FrequencyGrid(self.grid_size)      # raises unless even and >= 8
         if self.segment_count < 1:
             raise InvalidParameterError("segment_count must be >= 1")
         if not 0.0 <= self.overlap < 1.0:
@@ -262,42 +271,6 @@ class WelchConfig:
         if n_samples < self.effective_segment_length:
             return 0
         return (n_samples - self.effective_segment_length) // self.hop + 1
-
-
-def detrend_seasonal(ts: TimeSeries, window: int = 24) -> TimeSeries:
-    """Remove a sliding seasonal mean from a series.
-
-    The seasonal component at sample ``n`` is the mean of
-    ``ts.samples[n - window//2 : n + window - window//2]`` with samples
-    outside the record treated as zero; the detrended series is the input
-    minus that component.  With the default window of 24 this strips a daily
-    cycle from hourly data.
-
-    Parameters
-    ----------
-    ts : TimeSeries
-        Input series; must be at least ``window`` samples long.
-    window : int
-        Averaging length, at least 2.
-
-    Returns
-    -------
-    TimeSeries
-        Same label, same length, seasonal mean removed.
-    """
-    if window < 2:
-        raise InvalidParameterError("window must be >= 2")
-    if ts.length < window:
-        raise InsufficientDataError(
-            f"series {ts.label!r} shorter than the {window}-sample window")
-    kernel = np.full(window, 1.0 / window)
-    full = np.convolve(ts.samples, kernel, mode="full")
-    lead = window // 2
-    # full[j] averages samples [j-window+1, j]; the window centred at n
-    # spans [n-lead, n+window-1-lead], i.e. j = n + window - 1 - lead.
-    start = window - 1 - lead
-    seasonal = full[start:start + ts.length]
-    return TimeSeries(ts.label, ts.samples - seasonal)
 
 
 def _hann_segment_ffts(values: np.ndarray, cfg: WelchConfig) -> tuple[np.ndarray, float]:
@@ -324,6 +297,23 @@ def _hann_segment_ffts(values: np.ndarray, cfg: WelchConfig) -> tuple[np.ndarray
     return ffts, float(np.sum(win ** 2))
 
 
+def _welch_matrix(values: np.ndarray, cfg: WelchConfig) -> np.ndarray:
+    """Welch cross spectra of every pair of rows of ``values``, ``(n, n, K)``.
+
+    Row ``i`` is averaged against rows ``i..n-1`` in one product; the lower
+    triangle is the conjugate of the upper one, so the result is exactly
+    Hermitian.
+    """
+    ffts, norm = _hann_segment_ffts(values, cfg)
+    n, k = values.shape[0], cfg.grid_size
+    out = np.empty((n, n, k), dtype=complex)
+    for i in range(n):
+        cross = np.mean(np.conj(ffts[i]) * ffts[i:], axis=1) / norm
+        out[i, i:] = np.fft.fftshift(cross, axes=-1)
+        out[i + 1:, i] = np.conj(out[i, i + 1:])
+    return out
+
+
 def welch_cross_spectrum(x: TimeSeries, y: TimeSeries, cfg: WelchConfig) -> Spectrum:
     """Welch estimate of the cross power spectrum ``Phi_xy``.
 
@@ -347,30 +337,19 @@ def welch_cross_spectrum(x: TimeSeries, y: TimeSeries, cfg: WelchConfig) -> Spec
         raise InvalidParameterError(
             f"length mismatch: {x.label!r} has {x.length}, "
             f"{y.label!r} has {y.length}")
-    stacked = np.stack([x.samples, y.samples])
-    ffts, norm = _hann_segment_ffts(stacked, cfg)
-    pxy = np.mean(np.conj(ffts[0]) * ffts[1], axis=0) / norm
-    return Spectrum(FrequencyGrid(cfg.grid_size), np.fft.fftshift(pxy))
+    pairs = _welch_matrix(np.stack([x.samples, y.samples]), cfg)
+    return Spectrum(FrequencyGrid(cfg.grid_size), pairs[0, 1])
 
 
 def spectral_matrix(ens: Ensemble, cfg: WelchConfig) -> SpectralMatrix:
     """Estimate the full matrix of cross spectra for an ensemble.
 
-    Segment DFTs are computed once per series and combined pairwise, so the
-    result is Hermitian by construction: entries with ``i <= j`` are
-    computed and the rest conjugate-filled.
+    Segment DFTs are computed once per series, and each series is averaged
+    against every later one in one product; the remaining entries are
+    conjugate-filled, so the result is Hermitian by construction.
     """
-    ffts, norm = _hann_segment_ffts(ens.values(), cfg)
-    n = ens.n
-    k = cfg.grid_size
-    out = np.empty((n, n, k), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            pij = np.mean(np.conj(ffts[i]) * ffts[j], axis=0) / norm
-            out[i, j] = np.fft.fftshift(pij)
-            if i != j:
-                out[j, i] = np.conj(out[i, j])
-    return SpectralMatrix(list(ens.labels), FrequencyGrid(k), out)
+    return SpectralMatrix(list(ens.labels), FrequencyGrid(cfg.grid_size),
+                          _welch_matrix(ens.values(), cfg))
 
 
 def coherence_function(S: SpectralMatrix, i: int, j: int) -> CoherenceCurve:
@@ -383,11 +362,21 @@ def coherence_function(S: SpectralMatrix, i: int, j: int) -> CoherenceCurve:
     n = S.n
     if not (0 <= i < n and 0 <= j < n):
         raise InvalidParameterError(f"pair ({i}, {j}) out of range for n={n}")
-    num = np.abs(S.values[i, j]) ** 2
-    den = S.floored_autospectrum(i) * S.floored_autospectrum(j)
-    raw = num / den
-    if np.max(raw) > 1.0 + 1e-6:
+    return CoherenceCurve(S.grid, _coherence_row(S, i, [j])[0])
+
+
+def _coherence_row(S: SpectralMatrix, i: int, cols) -> np.ndarray:
+    """Clamped coherence of series ``i`` with each series in ``cols``.
+
+    ``cols`` is an index array or slice; the result has one row per column
+    series.  Overshoot beyond ``1 + 1e-6`` is recorded per pair.
+    """
+    floored = S._floored
+    raw = np.abs(S.values[i, cols]) ** 2 / (floored[i] * floored[cols])
+    peaks = np.max(raw, axis=-1)
+    over = peaks > 1.0 + 1e-6
+    for j, peak in zip(np.arange(S.n)[cols][over], peaks[over]):
         record("coherence-overshoot",
                f"coherence of ({S.labels[i]!r}, {S.labels[j]!r}) "
-               f"peaks at {np.max(raw):.6f} before clamping")
-    return CoherenceCurve(S.grid, np.clip(raw, 0.0, 1.0))
+               f"peaks at {peak:.6f} before clamping")
+    return np.clip(raw, 0.0, 1.0)

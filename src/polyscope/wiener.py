@@ -231,33 +231,45 @@ def spectral_factorize(phi: Spectrum) -> TransferFunction:
         raise InvalidSpectrumError("cannot factorize an identically zero spectrum")
     if np.max(np.abs(values.imag)) > 1e-10 * scale:
         raise InvalidSpectrumError("auto-spectrum has a non-real part")
-    real = values.real
-    if np.min(real) < -1e-10 * scale:
+    if np.min(values.real) < -1e-10 * scale:
         raise InvalidSpectrumError("auto-spectrum is negative")
-    floor = PSD_FLOOR_RATIO * scale
-    if np.any(real < floor):
-        record("spectral-floor",
-               f"factorization input floored at {floor:.3e}")
-        real = np.maximum(real, floor)
+    responses, taps = _spectral_factors(values.real[None, :])
+    return TransferFunction(phi.grid, responses[0], taps[0], 0)
 
-    k = phi.grid.size
-    log_std = np.log(np.fft.ifftshift(real))
+
+def _spectral_factors(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cepstral factors of each row of a real ``(m, K)`` array of spectra.
+
+    Returns the grid responses ``(m, K)`` and the first K/2 taps ``(m, K/2)``.
+    Each row is floored at ``PSD_FLOOR_RATIO`` times its own maximum, and a
+    floored row or one whose discarded tail holds more than
+    :data:`TRUNCATION_ENERGY_TOL` of its energy is recorded.
+    """
+    k = phi.shape[-1]
+    floor = PSD_FLOOR_RATIO * np.max(np.abs(phi), axis=-1)
+    floored = np.any(phi < floor[:, None], axis=-1)
+    real = np.maximum(phi, floor[:, None])
+    log_std = np.log(np.fft.ifftshift(real, axes=-1))
     cepstrum = np.fft.ifft(log_std).real
-    folded = np.zeros(k)
-    folded[0] = 0.5 * cepstrum[0]
-    folded[1:k // 2] = cepstrum[1:k // 2]
-    folded[k // 2] = 0.5 * cepstrum[k // 2]
+    folded = np.zeros_like(cepstrum)
+    folded[:, 0] = 0.5 * cepstrum[:, 0]
+    folded[:, 1:k // 2] = cepstrum[:, 1:k // 2]
+    folded[:, k // 2] = 0.5 * cepstrum[:, k // 2]
     response_std = np.exp(np.fft.fft(folded))
-    response = np.fft.fftshift(response_std)
+    responses = np.fft.fftshift(response_std, axes=-1)
 
     taps_full = np.fft.ifft(response_std).real
-    taps = taps_full[:k // 2]
-    tail = float(np.sum(taps_full[k // 2:] ** 2))
-    total = float(np.sum(taps_full ** 2))
-    if total > 0 and tail > TRUNCATION_ENERGY_TOL * total:
-        record("truncation-energy",
-               f"spectral factor tail holds {tail / total:.2e} of the energy")
-    return TransferFunction(phi.grid, response, taps, 0)
+    tail = np.sum(taps_full[:, k // 2:] ** 2, axis=-1)
+    total = np.sum(taps_full ** 2, axis=-1)
+    for row in range(phi.shape[0]):
+        if floored[row]:
+            record("spectral-floor",
+                   f"factorization input floored at {floor[row]:.3e}")
+        if total[row] > 0 and tail[row] > TRUNCATION_ENERGY_TOL * total[row]:
+            record("truncation-energy",
+                   f"spectral factor tail holds {tail[row] / total[row]:.2e} "
+                   f"of the energy")
+    return responses, taps_full[:, :k // 2]
 
 
 def causal_truncate(h: TransferFunction) -> TransferFunction:
@@ -282,32 +294,41 @@ def causal_truncate(h: TransferFunction) -> TransferFunction:
     return TransferFunction.from_taps(h.grid, kept, 0)
 
 
-def _causal_part(grid: FrequencyGrid, response: np.ndarray) -> np.ndarray:
-    """Response of the causal part: zero taps at negative times, keep t=0."""
-    seq = np.fft.ifft(np.fft.ifftshift(response))
-    seq[grid.size // 2:] = 0.0
-    return np.fft.fftshift(np.fft.fft(seq))
+def _causal_part(response: np.ndarray) -> np.ndarray:
+    """Responses of the causal parts: zero taps at negative times, keep t=0."""
+    seq = np.fft.ifft(np.fft.ifftshift(response, axes=-1))
+    seq[..., response.shape[-1] // 2:] = 0.0
+    return np.fft.fftshift(np.fft.fft(seq), axes=-1)
 
 
-def _causal_core(S: SpectralMatrix, target: int, input_: int,
-                 target_factor: np.ndarray, input_factor: np.ndarray) -> WienerSolution:
-    """Wiener--Hopf solution given precomputed spectral factors."""
-    grid = S.grid
-    phi_i = S.floored_autospectrum(input_)
-    phi_j = S.floored_autospectrum(target)
-    cross = S.values[input_, target]
-    whiten = 1.0 / target_factor                    # F_j
-    bracket = whiten * cross / np.conj(input_factor)
-    causal = _causal_part(grid, bracket)
-    response = causal / input_factor * target_factor
-    tf = TransferFunction(grid, response).with_impulse("causal")
+def _wiener_hopf(S: SpectralMatrix, target: int, inputs, target_factor: np.ndarray,
+                 input_factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One-sided Wiener filters of ``target`` on each single input in ``inputs``.
 
-    err = phi_j + np.abs(response) ** 2 * phi_i \
+    ``inputs`` is an index array or slice, ``input_factors`` the spectral
+    factors of those inputs.  Returns, one row per input, the filter
+    response, the whitened error spectrum and its grid mean (the cost).
+    """
+    phi = S._floored
+    cross = S.values[inputs, target]
+    bracket = (1.0 / target_factor) * cross / np.conj(input_factors)
+    response = _causal_part(bracket) / input_factors * target_factor
+    err = phi[target] + np.abs(response) ** 2 * phi[inputs] \
         - 2.0 * np.real(np.conj(response) * cross)
-    weighted = np.maximum(err, 0.0) / phi_j
-    return WienerSolution(target, (input_,), {input_: tf},
-                          float(np.mean(weighted)),
-                          Spectrum(grid, weighted))
+    weighted = np.maximum(err, 0.0) / phi[target]
+    return response, weighted, np.mean(weighted, axis=-1)
+
+
+def _causal_pair(S: SpectralMatrix, target: int, input_: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_wiener_hopf` of one validated pair, factoring only its two series."""
+    if target == input_:
+        raise InvalidParameterError("target and input must differ")
+    for idx in (target, input_):
+        if not 0 <= idx < S.n:
+            raise InvalidParameterError(f"index {idx} out of range for n={S.n}")
+    factors = _spectral_factors(S._floored[[target, input_]])[0]
+    return _wiener_hopf(S, target, [input_], factors[0], factors[1:])
 
 
 def causal_wiener(S: SpectralMatrix, target: int, input_: int) -> WienerSolution:
@@ -331,14 +352,10 @@ def causal_wiener(S: SpectralMatrix, target: int, input_: int) -> WienerSolution
         ``residual_spectrum`` is the whitened error spectrum; ``cost`` is
         its grid mean.
     """
-    if target == input_:
-        raise InvalidParameterError("target and input must differ")
-    for idx in (target, input_):
-        if not 0 <= idx < S.n:
-            raise InvalidParameterError(f"index {idx} out of range for n={S.n}")
-    f_target = spectral_factorize(Spectrum(S.grid, S.floored_autospectrum(target)))
-    f_input = spectral_factorize(Spectrum(S.grid, S.floored_autospectrum(input_)))
-    return _causal_core(S, target, input_, f_target.response, f_input.response)
+    response, weighted, cost = _causal_pair(S, target, input_)
+    tf = TransferFunction(S.grid, response[0]).with_impulse("causal")
+    return WienerSolution(target, (input_,), {input_: tf}, float(cost[0]),
+                          Spectrum(S.grid, weighted[0]))
 
 
 def apply_filter(h: TransferFunction, x: TimeSeries) -> TimeSeries:

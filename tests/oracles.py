@@ -150,13 +150,8 @@ def blanket_reference(directed_edges, node: int) -> set[int]:
     return parents | children | coparents
 
 
-def path_transfer_spectra(spec, grid: FrequencyGrid) -> np.ndarray:
-    """Analytic spectral matrix via explicit path products.
-
-    Walks, for every noise source, the unique directed paths outward
-    through the link filters, multiplying responses edge by edge; no
-    topological-order recursion is shared with the library implementation.
-    """
+def _path_transfers(spec, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Source transfers ``H[a, i]`` by explicit path products, noise spectra."""
     n, K = spec.n, grid.size
     resp = {(l.source, l.target): grid.response_from_taps(l.taps, l.delay)
             for l in spec.links}
@@ -175,11 +170,58 @@ def path_transfer_spectra(spec, grid: FrequencyGrid) -> np.ndarray:
         for i, shaping in enumerate(spec.noise_shaping):
             if shaping is not None:
                 phi_e[i] = phi_e[i] * np.abs(grid.response_from_taps(shaping)) ** 2
-    out = np.zeros((n, n, K), dtype=complex)
+    return H, phi_e
+
+
+def path_transfer_spectra(spec, grid: FrequencyGrid) -> np.ndarray:
+    """Analytic spectral matrix via explicit path products.
+
+    Walks, for every noise source, the unique directed paths outward
+    through the link filters, multiplying responses edge by edge; no
+    topological-order recursion is shared with the library implementation.
+    """
+    H, phi_e = _path_transfers(spec, grid)
+    n = spec.n
+    out = np.zeros((n, n, grid.size), dtype=complex)
     for a in range(n):
         for b in range(n):
             out[a, b] = np.sum(np.conj(H[a]) * H[b] * phi_e, axis=0)
     return out
+
+
+def _longest_run(mask: np.ndarray) -> int:
+    best = current = 0
+    for flag in mask:
+        current = current + 1 if flag else 0
+        best = max(best, current)
+    return best
+
+
+def identifiability_reference(spec, grid: FrequencyGrid, rtol: float,
+                              run: int) -> tuple[list[tuple[int, int, int]], int]:
+    """Violations and exempt-pair count of the identifiability scan.
+
+    Pair by pair and noise by noise on path-product spectra: a related pair
+    ``i <= j`` (some noise reaches both) fails with noise ``k`` unless
+    ``|Phi_ij| * phi_k`` stays above ``rtol`` times its maximum on ``run``
+    consecutive grid points.
+    """
+    H, phi_e = _path_transfers(spec, grid)
+    S = path_transfer_spectra(spec, grid)
+    n = spec.n
+    violations, exempt = [], 0
+    for i in range(n):
+        for j in range(i, n):
+            if not any(np.any(H[i, s] != 0) and np.any(H[j, s] != 0)
+                       for s in range(n)):
+                exempt += 1
+                continue
+            for k in range(n):
+                product = np.abs(S[i, j]) * phi_e[k]
+                top = float(np.max(product))
+                if top == 0.0 or _longest_run(product > rtol * top) < run:
+                    violations.append((i, j, k))
+    return violations, exempt
 
 
 def random_psd_matrix(rng: np.random.Generator, n: int, grid: FrequencyGrid,

@@ -19,7 +19,9 @@ from polyscope import (
     spectral_matrix,
 )
 
-from oracles import path_transfer_spectra
+from oracles import identifiability_reference, path_transfer_spectra
+from polyscope import aln
+from polyscope.aln import IDENTIFIABILITY_RTOL, IDENTIFIABILITY_RUN
 
 
 def chain_spec(taps_a=(0.9, 0.4), taps_b=(0.7, -0.5)):
@@ -259,6 +261,29 @@ class TestIdentifiability:
         report = check_identifiability(collider_spec(), FrequencyGrid(128))
         assert report.passed
         assert report.exempt_pairs == 1
+
+    @pytest.mark.parametrize("n", [4, 10, 16])
+    def test_matches_loop_oracle(self, n, monkeypatch):
+        # each network as drawn; with one noise switched off; and under a
+        # strict level and run, where short alive runs decide the verdict
+        grid = FrequencyGrid(64)
+        for seed in range(20):
+            spec = generate_polytree_aln(n, seed=seed)
+            dead = spec.noise_variances.copy()
+            dead[seed % n] = 0.0
+            cases = [(spec, IDENTIFIABILITY_RTOL, IDENTIFIABILITY_RUN),
+                     (ALNSpec(spec.labels, spec.links, dead),
+                      IDENTIFIABILITY_RTOL, IDENTIFIABILITY_RUN),
+                     (spec, 0.9, 4)]
+            for case, rtol, run in cases:
+                monkeypatch.setattr(aln, "IDENTIFIABILITY_RTOL", rtol)
+                monkeypatch.setattr(aln, "IDENTIFIABILITY_RUN", run)
+                report = check_identifiability(case, grid)
+                violations, exempt = identifiability_reference(
+                    case, grid, rtol, run)
+                assert report.violations == violations
+                assert report.exempt_pairs == exempt
+                assert report.passed == (not violations)
 
 
 class TestRunRecovery:

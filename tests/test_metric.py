@@ -22,7 +22,9 @@ from polyscope import (
     spectral_matrix,
     windowed_average_distance,
 )
+from polyscope import analytic_spectra, generate_polytree_aln
 from polyscope.diagnostics import collect
+from polyscope.metric import TRIANGLE_TOL, _log_triangle_breaches
 
 from oracles import random_psd_matrix
 
@@ -89,6 +91,36 @@ class TestCoherenceDistance:
             assert np.all(np.diag(D.values) == 0.0)
             assert np.all(D.values >= 0.0)
             assert np.all(D.values <= 1.0 + 1e-9)
+
+    def test_matrix_equals_per_pair_loop_bit_for_bit(self):
+        # analytic spectra come out of einsum in a strided layout; the
+        # matrix must still sum each pair's coherence in the per-pair order
+        for n, seed in [(4, 0), (7, 1), (10, 2), (13, 3), (16, 4)]:
+            S = analytic_spectra(generate_polytree_aln(n, seed),
+                                 FrequencyGrid(256))
+            phi = [S.floored_autospectrum(i) for i in range(n)]
+            ref = np.zeros((n, n))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    c = np.clip(np.abs(S.values[i, j]) ** 2
+                                / (phi[i] * phi[j]), 0.0, 1.0)
+                    ref[i, j] = ref[j, i] = np.sqrt(max(np.mean(1.0 - c), 0.0))
+            assert np.array_equal(distance_matrix(S).values, ref)
+
+    def test_triangle_breach_checked_on_large_ensembles(self):
+        n = 300
+        values = np.ones((n, n))
+        np.fill_diagonal(values, 0.0)
+        values[0, 1] = values[1, 0] = 2.5        # 2.5 > 1 + 1 via any third node
+        labels = [f"s{i}" for i in range(n)]
+        with collect() as events:
+            _log_triangle_breaches(labels, values, TRIANGLE_TOL)
+        breaches = [e for e in events if e.category == "triangle-breach"]
+        assert len(breaches) == 1
+        assert "0.5000" in breaches[0].message
+        with collect() as events:
+            _log_triangle_breaches(labels, np.minimum(values, 1.0), TRIANGLE_TOL)
+        assert not events
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(4)
