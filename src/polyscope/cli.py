@@ -29,8 +29,8 @@ import io
 import json
 import os
 import re
+import secrets
 import sys
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -259,7 +259,10 @@ def _fmt(x: float) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
+    # mode 0o666 less the umask, as open(path, "w") would give; mkstemp
+    # would leave every artifact at 0600 whatever the umask
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(4)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -203,9 +203,6 @@ def causal_edge_weights(DC: DistanceMatrix) -> tuple[DistanceMatrix, DirectionMa
     upper = np.triu(np.where(d <= d.T, 1, -1), 1)
     direction = upper - upper.T
     tied = np.triu(d == d.T, 1)
-    for a, b in np.argwhere(tied):
-        record("tie", f"causal tie between {DC.labels[a]!r} and "
-                      f"{DC.labels[b]!r} at {d[a, b]:.6f}")
     return (DistanceMatrix(list(DC.labels), weights, "causal-min"),
             DirectionMatrix(list(DC.labels), direction, tied | tied.T))
 

@@ -189,8 +189,12 @@ class SpectralMatrix:
     def entry(self, i: int, j: int) -> Spectrum:
         return Spectrum(self.grid, self.values[i, j].copy())
 
+    @cached_property
     def psd_floor(self) -> float:
-        """Floor value: ``PSD_FLOOR_RATIO`` times the largest diagonal value."""
+        """Floor value: ``PSD_FLOOR_RATIO`` times the largest diagonal value.
+
+        Computed on first use.
+        """
         diag = np.real(np.einsum("iik->ik", self.values))
         top = float(np.max(diag)) if diag.size else 0.0
         return PSD_FLOOR_RATIO * max(top, 0.0)
@@ -203,7 +207,7 @@ class SpectralMatrix:
         once, as a ``spectral-floor`` event.
         """
         phi = np.real(np.einsum("iik->ik", self.values))
-        floor = self.psd_floor() or np.finfo(float).tiny
+        floor = self.psd_floor or np.finfo(float).tiny
         for i in np.flatnonzero(np.any(phi < floor, axis=1)):
             record("spectral-floor",
                    f"auto-spectrum of {self.labels[i]!r} floored at {floor:.3e}")

@@ -31,7 +31,7 @@ from .errors import (
     InvalidSpectrumError,
 )
 from .signals import SpectralMatrix
-from .wiener import TransferFunction, _input_blocks, noncausal_wiener
+from .wiener import TransferFunction, _check_inputs, _filters, _joint_fits
 
 #: Hard cap on the number of subsets the exhaustive solver will score.
 EXHAUSTIVE_LIMIT = 100_000
@@ -83,24 +83,6 @@ def inner_product(S: SpectralMatrix, a: int, b: int) -> float:
     return mean.real
 
 
-def _verify_projection(S: SpectralMatrix, target: int, inputs,
-                       filters: dict[int, TransferFunction]) -> None:
-    """Check the normal equations hold: residual orthogonal to every input."""
-    A, c = _input_blocks(S, target, list(inputs))
-    W = np.stack([filters[b].response for b in inputs], axis=1)
-    lhs = np.einsum("kab,kb->ka", A, W)
-    scale = max(
-        float(np.max(np.abs(c))),
-        float(np.max(np.abs(A))) * max(float(np.max(np.abs(W))), 1.0),
-        np.finfo(float).tiny,
-    )
-    worst = float(np.max(np.abs(c - lhs)))
-    if worst > 1e-8 * scale:
-        raise InvalidSpectrumError(
-            f"projection for target {target} violates orthogonality by "
-            f"{worst:.3e} (scale {scale:.3e})")
-
-
 def project(S: SpectralMatrix, target: int, support
             ) -> tuple[dict[int, TransferFunction], float]:
     """Joint least-squares fit of ``target`` on a fixed input set.
@@ -111,9 +93,9 @@ def project(S: SpectralMatrix, target: int, support
     support = tuple(sorted(support))
     if not support:
         return {}, max(inner_product(S, target, target), 0.0)
-    sol = noncausal_wiener(S, target, support)
-    _verify_projection(S, target, support, sol.filters)
-    return sol.filters, sol.cost
+    _check_inputs(S, target, support)
+    W, _, cost = _joint_fits(S, target, [support], verify=True)
+    return _filters(S.grid, support, W[0]), float(cost[0])
 
 
 def _candidates(S: SpectralMatrix, target: int) -> list[int]:
@@ -218,9 +200,10 @@ def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
     """Greedy selection where each candidate is scored by a joint refit.
 
     Equivalent to matching pursuit for the first atom; afterwards each step
-    re-solves the full filter bank for every candidate extension and keeps
-    the best, so filters are always jointly optimal for the reported
-    support.  Stopping rules match :func:`matching_pursuit`.
+    re-solves the full filter bank for every candidate extension, all
+    extensions in one batched solve, and keeps the best, so filters are
+    always jointly optimal for the reported support.  Stopping rules match
+    :func:`matching_pursuit`.
     """
     if max_inputs < 0:
         raise InvalidParameterError("max_inputs must be >= 0")
@@ -235,21 +218,18 @@ def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
         if len(support) >= min(max_inputs, len(pool)):
             stop_reason = "budget" if len(support) == max_inputs else "exhausted"
             break
-        trials = {}
-        for b in pool:
-            if b in support:
-                continue
-            trials[b] = project(S, target, support + [b])
-        best = min(trials, key=lambda b: (trials[b][1], b))
-        best_filters, best_cost = trials[best]
-        gain = cost - best_cost
+        extensions = [sorted(support + [b]) for b in pool if b not in support]
+        W, _, costs = _joint_fits(S, target, extensions, verify=True)
+        # the first minimum adds the lowest index, as the pool is sorted
+        best = int(np.argmin(costs))
+        gain = cost - float(costs[best])
         if gain <= NEGLIGIBLE_RTOL * initial:
             stop_reason = "negligible-gain"
             break
         if support and gain < min_gain * max(cost, np.finfo(float).tiny):
             stop_reason = "min-gain"
             break
-        support.append(best)
-        filters, cost = best_filters, best_cost
+        support = extensions[best]
+        filters, cost = _filters(S.grid, support, W[best]), float(costs[best])
     return SparseModel(target, tuple(support), filters, cost,
                        solver="ols", stop_reason=stop_reason)

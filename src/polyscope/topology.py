@@ -182,7 +182,8 @@ def build_polytree(DC: DistanceMatrix) -> Polytree:
 
     The tree is grown on the pairwise-minimum causal weights; each tree edge
     then points along its cheaper modelling direction (ties keep their
-    deterministic orientation and are flagged on the edge).
+    deterministic orientation, are flagged on the edge and are recorded as
+    ``tie`` events).
     """
     weights, directions = causal_edge_weights(DC)
     tree = minimum_spanning_tree(weights)
@@ -197,6 +198,8 @@ def build_polytree(DC: DistanceMatrix) -> Polytree:
         edges[key] = w
         if directions.ties[a, b]:
             ties.add(key)
+            record("tie", f"causal tie between {DC.labels[a]!r} and "
+                          f"{DC.labels[b]!r} at {DC.values[a, b]:.6f}")
     return Polytree(list(DC.labels), edges, ties)
 
 
@@ -243,11 +246,13 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
         if top == 0.0:
             continue
         candidates = [i for i in inputs if rms[i] > rtol * top]
+        to_target = D.values[candidates, j]
+        # [i, c]: candidate c explains candidate i away
+        routes = np.maximum(D.values[np.ix_(candidates, candidates)],
+                            to_target[None, :]) < to_target[:, None]
+        np.fill_diagonal(routes, False)
         kept = []
-        for i in candidates:
-            explained = any(
-                max(D.values[i, c], D.values[c, j]) < D.values[i, j]
-                for c in candidates if c != i)
+        for i, explained in zip(candidates, routes.any(axis=1)):
             if explained:
                 record("blanket-purge",
                        f"candidate {S.labels[i]!r} of target {S.labels[j]!r} "

@@ -142,35 +142,82 @@ class WienerSolution:
                 "cost is not the grid mean of the residual spectrum")
 
 
-def _input_blocks(S: SpectralMatrix, target: int, inputs) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frequency normal equation blocks ``A (K,k,k)`` and ``c (K,k)``."""
-    inputs = list(inputs)
+def _check_inputs(S: SpectralMatrix, target: int, inputs: tuple) -> None:
+    """Reject an empty, repeated, out-of-range or target-including input set."""
     if not inputs:
         raise InvalidParameterError("at least one input is required")
     if len(set(inputs)) != len(inputs):
         raise InvalidParameterError("duplicate inputs")
     if target in inputs:
         raise InvalidParameterError("target cannot be one of its inputs")
-    for idx in inputs + [target]:
+    for idx in inputs + (target,):
         if not 0 <= idx < S.n:
             raise InvalidParameterError(f"index {idx} out of range for n={S.n}")
-    A = S.values[np.ix_(inputs, inputs)].transpose(2, 0, 1).copy()
-    floor = S.psd_floor() or np.finfo(float).tiny
-    d = np.arange(len(inputs))
-    A[:, d, d] = np.maximum(A[:, d, d].real, floor)
-    c = S.values[inputs, target].T.copy()
-    return A, c
 
 
-def _check_conditioning(S: SpectralMatrix, A: np.ndarray) -> None:
+def _joint_fits(S: SpectralMatrix, target: int, idx, verify: bool = False
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Joint least-squares fits of ``target`` on each row of an ``(m, q)`` index array.
+
+    Builds the per-frequency normal equations ``A (m, K, q, q)``, with
+    diagonals clipped at the spectral floor, and ``c (m, K, q)`` once, and
+    solves all of them in one batched call.  Every fit is checked for
+    conditioning before any is solved; with ``verify`` each solution is also
+    checked against its normal equations (residual orthogonal to every
+    input).  The first failing fit in row order raises, as if the fits ran
+    one after another.  Rows must be valid input sets (see
+    :func:`_check_inputs`).
+
+    Returns the filter responses ``W (m, K, q)`` (column ``p`` belongs to
+    input ``idx[:, p]``), the raw residual spectra ``(m, K)`` and their grid
+    means ``(m,)``.
+    """
+    idx = np.asarray(idx)
+    A = S.values[idx[:, :, None], idx[:, None, :]].transpose(0, 3, 1, 2).copy()
+    d = np.arange(idx.shape[1])
+    A[..., d, d] = np.maximum(A[..., d, d].real, S.psd_floor or np.finfo(float).tiny)
+    c = S.values[idx, target].transpose(0, 2, 1).copy()
     eigs = np.linalg.eigvalsh(A)
-    worst = np.argmin(eigs[:, 0] / eigs[:, -1])
-    if eigs[worst, 0] < CONDITION_RTOL * eigs[worst, -1]:
-        omega = S.grid.omegas[worst]
+    ratio = eigs[..., 0] / eigs[..., -1]
+    worst = np.argmin(ratio, axis=-1)
+    fits = np.arange(len(idx))
+    singular = eigs[fits, worst, 0] < CONDITION_RTOL * eigs[fits, worst, -1]
+    ok = int(np.argmax(singular)) if singular.any() else len(idx)
+    W = np.linalg.solve(A[:ok], c[:ok, :, :, None])[..., 0]
+    if verify:
+        _check_orthogonality(target, A[:ok], c[:ok], W)
+    if ok < len(idx):
         raise IllConditionedSpectrumError(
             f"input spectral matrix singular beyond the floor at "
-            f"omega={omega:.6f} (eigenvalue ratio "
-            f"{eigs[worst, 0] / eigs[worst, -1]:.3e})")
+            f"omega={S.grid.omegas[worst[ok]]:.6f} (eigenvalue ratio "
+            f"{ratio[ok, worst[ok]]:.3e})")
+    explained = np.real(np.sum(np.conj(c) * W, axis=-1))
+    # C-contiguous, so each row's mean sums in the order of a 1-d mean
+    residual = np.maximum(np.real(S.values[target, target]) - explained, 0.0)
+    return W, residual, np.mean(residual, axis=-1)
+
+
+def _check_orthogonality(target: int, A: np.ndarray, c: np.ndarray,
+                         W: np.ndarray) -> None:
+    """Check each fit's normal equations hold: residual orthogonal to every input."""
+    lhs = np.einsum("mkab,mkb->mka", A, W)
+    scale = np.maximum(
+        np.max(np.abs(c), axis=(1, 2)),
+        np.max(np.abs(A), axis=(1, 2, 3))
+        * np.maximum(np.max(np.abs(W), axis=(1, 2)), 1.0))
+    scale = np.maximum(scale, np.finfo(float).tiny)
+    worst = np.max(np.abs(c - lhs), axis=(1, 2))
+    failed = np.flatnonzero(worst > 1e-8 * scale)
+    if failed.size:
+        f = failed[0]
+        raise InvalidSpectrumError(
+            f"projection for target {target} violates orthogonality by "
+            f"{worst[f]:.3e} (scale {scale[f]:.3e})")
+
+
+def _filters(grid: FrequencyGrid, inputs, W: np.ndarray) -> dict[int, TransferFunction]:
+    """One fit's filter columns ``W (K, q)`` as transfer functions keyed by input."""
+    return {a: TransferFunction(grid, W[:, pos].copy()) for pos, a in enumerate(inputs)}
 
 
 def noncausal_wiener(S: SpectralMatrix, target: int, inputs,
@@ -201,17 +248,12 @@ def noncausal_wiener(S: SpectralMatrix, target: int, inputs,
         whitened counterpart), always within ``[0, var(y)]``.
     """
     inputs = tuple(inputs)
-    A, c = _input_blocks(S, target, inputs)
-    _check_conditioning(S, A)
-    W = np.linalg.solve(A, c[..., None])[..., 0]    # (K, k)
-    phi_t = np.real(S.values[target, target])
-    explained = np.real(np.sum(np.conj(c) * W, axis=-1))
-    residual = np.maximum(phi_t - explained, 0.0)
+    _check_inputs(S, target, inputs)
+    W, residual, _ = _joint_fits(S, target, [inputs])
+    residual = residual[0]
     if normalize:
         residual = residual / S.floored_autospectrum(target)
-    filters = {a: TransferFunction(S.grid, W[:, pos].copy())
-               for pos, a in enumerate(inputs)}
-    return WienerSolution(target, inputs, filters,
+    return WienerSolution(target, inputs, _filters(S.grid, inputs, W[0]),
                           float(np.mean(residual)),
                           Spectrum(S.grid, residual))
 

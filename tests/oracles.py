@@ -5,6 +5,9 @@ scipy's Welch estimator instead of our segment bookkeeping, polynomial
 rooting instead of the cepstrum, per-frequency least squares instead of the
 normal-equation solve, Prüfer enumeration instead of Kruskal, and raw
 path-product transfer algebra instead of the topological-order recursion.
+The one exception is the per-fit Wiener solve and the per-candidate greedy
+loop that the batched joint-fit kernel replaced; they are kept as they were,
+so that tests can require bit-identical results from the batched code.
 """
 
 from __future__ import annotations
@@ -16,10 +19,17 @@ from scipy import signal as sps
 
 from polyscope import (
     FrequencyGrid,
+    IllConditionedSpectrumError,
+    InvalidSpectrumError,
+    SparseModel,
     SpectralMatrix,
+    TransferFunction,
     WelchConfig,
     generate_polytree_aln,
+    inner_product,
 )
+from polyscope.sparse import DEFAULT_MIN_GAIN, NEGLIGIBLE_RTOL
+from polyscope.wiener import CONDITION_RTOL
 from polyscope.aln import _noise_spectra, _source_transfers
 
 
@@ -92,6 +102,92 @@ def dense_wiener(S: SpectralMatrix, target: int, inputs) -> tuple[np.ndarray, fl
     cross = 2.0 * np.real(np.einsum("ka,ka->k", np.conj(c), W))
     residual = phi_t + quad - cross
     return W, float(np.mean(np.maximum(residual, 0.0)))
+
+
+def wiener_reference(S: SpectralMatrix, target: int, inputs, normalize: bool = False
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """One joint fit as the per-fit solver computed it, one call per input set.
+
+    Returns the floored normal-equation blocks ``A (K, k, k)`` and
+    ``c (K, k)``, the filters ``W (K, k)``, the residual spectrum and its
+    grid mean.
+    """
+    inputs = list(inputs)
+    A = S.values[np.ix_(inputs, inputs)].transpose(2, 0, 1).copy()
+    floor = S.psd_floor or np.finfo(float).tiny
+    d = np.arange(len(inputs))
+    A[:, d, d] = np.maximum(A[:, d, d].real, floor)
+    c = S.values[inputs, target].T.copy()
+    eigs = np.linalg.eigvalsh(A)
+    worst = np.argmin(eigs[:, 0] / eigs[:, -1])
+    if eigs[worst, 0] < CONDITION_RTOL * eigs[worst, -1]:
+        omega = S.grid.omegas[worst]
+        raise IllConditionedSpectrumError(
+            f"input spectral matrix singular beyond the floor at "
+            f"omega={omega:.6f} (eigenvalue ratio "
+            f"{eigs[worst, 0] / eigs[worst, -1]:.3e})")
+    W = np.linalg.solve(A, c[..., None])[..., 0]
+    phi_t = np.real(S.values[target, target])
+    explained = np.real(np.sum(np.conj(c) * W, axis=-1))
+    residual = np.maximum(phi_t - explained, 0.0)
+    if normalize:
+        residual = residual / S.floored_autospectrum(target)
+    return A, c, W, residual, float(np.mean(residual))
+
+
+def project_reference(S: SpectralMatrix, target: int, support
+                      ) -> tuple[dict[int, TransferFunction], float]:
+    """``sparse.project`` as one fit plus one orthogonality check per call."""
+    support = tuple(sorted(support))
+    if not support:
+        return {}, max(inner_product(S, target, target), 0.0)
+    A, c, W, _, cost = wiener_reference(S, target, support)
+    lhs = np.einsum("kab,kb->ka", A, W)
+    scale = max(
+        float(np.max(np.abs(c))),
+        float(np.max(np.abs(A))) * max(float(np.max(np.abs(W))), 1.0),
+        np.finfo(float).tiny,
+    )
+    worst = float(np.max(np.abs(c - lhs)))
+    if worst > 1e-8 * scale:
+        raise InvalidSpectrumError(
+            f"projection for target {target} violates orthogonality by "
+            f"{worst:.3e} (scale {scale:.3e})")
+    filters = {b: TransferFunction(S.grid, W[:, pos].copy())
+               for pos, b in enumerate(support)}
+    return filters, cost
+
+
+def ols_reference(S: SpectralMatrix, target: int, max_inputs: int,
+                  min_gain: float = DEFAULT_MIN_GAIN) -> SparseModel:
+    """Orthogonal least squares scoring each candidate extension by its own fit."""
+    pool = [b for b in range(S.n) if b != target]
+    support: list[int] = []
+    filters, cost = project_reference(S, target, ())
+    initial = max(cost, np.finfo(float).tiny)
+    stop_reason = "budget"
+    while True:
+        if len(support) >= min(max_inputs, len(pool)):
+            stop_reason = "budget" if len(support) == max_inputs else "exhausted"
+            break
+        trials = {}
+        for b in pool:
+            if b in support:
+                continue
+            trials[b] = project_reference(S, target, support + [b])
+        best = min(trials, key=lambda b: (trials[b][1], b))
+        best_filters, best_cost = trials[best]
+        gain = cost - best_cost
+        if gain <= NEGLIGIBLE_RTOL * initial:
+            stop_reason = "negligible-gain"
+            break
+        if support and gain < min_gain * max(cost, np.finfo(float).tiny):
+            stop_reason = "min-gain"
+            break
+        support.append(best)
+        filters, cost = best_filters, best_cost
+    return SparseModel(target, tuple(support), filters, cost,
+                       solver="ols", stop_reason=stop_reason)
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> frozenset:

@@ -1,5 +1,7 @@
 import json
 import hashlib
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -28,6 +30,20 @@ def write_chain_csv(path, length=4096, seed=5):
 def write_csv(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def current_umask() -> int:
+    """The process umask, read from /proc where possible so it is never set."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("Umask:"):
+                    return int(line.split()[1], 8)
+    except OSError:
+        pass
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
 
 
 class TestReadEnsembleCsv:
@@ -289,6 +305,15 @@ class TestSimulateCommand:
         manifest = json.loads((out_a / "manifest.json").read_text("utf-8"))
         assert manifest["summary"]["nodes"] == 2
         assert manifest["summary"]["length"] == 2048
+
+    def test_artifacts_take_their_mode_from_the_umask(self, tmp_path):
+        argv = ["simulate", "--nodes", "2", "--length", "2048", "--seed", "3"]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["aln_spec.json", "ensemble.csv", "manifest.json"]
+        expected = 0o666 & ~current_umask()
+        for name in names:
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == expected
 
     def test_range_rejected(self, tmp_path):
         assert cli.main(["simulate", "--nodes", "4-8",

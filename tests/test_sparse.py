@@ -5,19 +5,32 @@ from polyscope import (
     ALNSpec,
     CombinatorialLimitError,
     FrequencyGrid,
+    IllConditionedSpectrumError,
     InvalidParameterError,
     InvalidSpectrumError,
     Link,
     SpectralMatrix,
+    WelchConfig,
     analytic_spectra,
+    generate_polytree_aln,
     inner_product,
     matching_pursuit,
+    noncausal_wiener,
     orthogonal_least_squares,
     project,
+    simulate,
     sparse_exhaustive,
+    spectral_matrix,
 )
+from polyscope.sparse import DEFAULT_MIN_GAIN
 
-from oracles import make_two_sparse_instance, random_psd_matrix
+from oracles import (
+    make_two_sparse_instance,
+    ols_reference,
+    project_reference,
+    random_psd_matrix,
+    wiener_reference,
+)
 
 
 def white_mixture(grid=None, gains=(0.8, 0.3, 0.0), noise_var=0.1):
@@ -68,6 +81,31 @@ class TestProject:
         np.testing.assert_allclose(filters[0].response, 0.8, atol=1e-9)
         np.testing.assert_allclose(filters[1].response, 0.3, atol=1e-9)
         np.testing.assert_allclose(filters[2].response, 0.0, atol=1e-9)
+
+    def test_matches_per_fit_reference(self):
+        fixtures = [(white_mixture(), 3),
+                    (random_psd_matrix(np.random.default_rng(2), 5, FrequencyGrid(64)), 1)]
+        fixtures += [make_two_sparse_instance(seed, correlated)[:2]
+                     for seed in range(5) for correlated in (False, True)]
+        for S, target in fixtures:
+            others = [b for b in range(S.n) if b != target]
+            for inputs in ([others[0]], others[:2][::-1], others):
+                filters, cost = project(S, target, inputs)
+                ref_filters, ref_cost = project_reference(S, target, inputs)
+                assert cost == ref_cost
+                assert list(filters) == list(ref_filters)
+                for b in filters:
+                    assert np.array_equal(filters[b].response,
+                                          ref_filters[b].response)
+                for normalize in (False, True):
+                    sol = noncausal_wiener(S, target, inputs, normalize=normalize)
+                    _, _, W, residual, ref_cost = wiener_reference(
+                        S, target, inputs, normalize)
+                    assert sol.cost == ref_cost
+                    assert np.array_equal(sol.residual_spectrum.values, residual)
+                    assert list(sol.filters) == list(inputs)
+                    for pos, b in enumerate(inputs):
+                        assert np.array_equal(sol.filters[b].response, W[:, pos])
 
 
 class TestExhaustive:
@@ -192,6 +230,60 @@ class TestOrthogonalLeastSquares:
         assert orthogonal_least_squares(two, 2, max_inputs=5,
                                         min_gain=0.0).stop_reason \
             == "exhausted"
+
+
+def assert_same_model(model, ref):
+    assert model.support == ref.support
+    assert model.cost == ref.cost
+    assert model.stop_reason == ref.stop_reason
+    assert list(model.filters) == list(ref.filters)
+    for b in ref.filters:
+        assert np.array_equal(model.filters[b].response, ref.filters[b].response)
+
+
+def assert_ols_matches_loop(S, targets):
+    for target in targets:
+        for budget in range(4):
+            for min_gain in (0.0, DEFAULT_MIN_GAIN):
+                assert_same_model(
+                    orthogonal_least_squares(S, target, budget, min_gain),
+                    ols_reference(S, target, budget, min_gain))
+
+
+class TestOLSMatchesPerCandidateLoop:
+    """The batched step against the loop that fitted one candidate at a time."""
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_analytic_networks(self, n):
+        grid = FrequencyGrid(64)
+        for seed in range(20):
+            S = analytic_spectra(generate_polytree_aln(n, seed), grid)
+            assert_ols_matches_loop(S, range(n))
+
+    def test_simulated_record(self):
+        sim = simulate(generate_polytree_aln(8, 3), 2 ** 12, seed=5)
+        S = spectral_matrix(sim.ensemble, WelchConfig(grid_size=64))
+        assert_ols_matches_loop(S, range(S.n))
+
+    def test_first_singular_extension_raises_like_the_loop(self):
+        base = random_psd_matrix(np.random.default_rng(4), 5, FrequencyGrid(64))
+        target = 4
+        x = orthogonal_least_squares(base, target, 1).support[0]
+        # series 5 is x plus faint white noise, series 6 an exact copy of x:
+        # x still wins the first step, and at the second both extensions
+        # pairing x with them are singular, the later one far more so
+        idx = list(range(5)) + [x, x]
+        values = base.values[np.ix_(idx, idx)]
+        values[5, 5] += 1e-12 * np.max(values[x, x].real)
+        S = SpectralMatrix([f"s{i}" for i in range(7)], base.grid, values)
+        with pytest.raises(IllConditionedSpectrumError, match="omega=") as batched:
+            orthogonal_least_squares(S, target, 2, min_gain=0.0)
+        with pytest.raises(IllConditionedSpectrumError) as looped:
+            ols_reference(S, target, 2, min_gain=0.0)
+        assert str(batched.value) == str(looped.value)
+        with pytest.raises(IllConditionedSpectrumError) as near_copy:
+            project_reference(S, target, (x, 5))
+        assert str(batched.value) == str(near_copy.value)
 
 
 class TestSolverOrdering:

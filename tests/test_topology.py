@@ -133,9 +133,24 @@ class TestBuildPolytree:
     def test_tie_parent_is_higher_index(self):
         DC = DistanceMatrix(["a", "b"], np.array([[0.0, 0.5], [0.5, 0.0]]),
                             "causal")
-        pt = build_polytree(DC)
+        with collect() as events:
+            pt = build_polytree(DC)
         assert set(pt.edges) == {(1, 0)}
         assert pt.ties == {(1, 0)}
+        assert [(e.category, e.message) for e in events] == [
+            ("tie", "causal tie between 'a' and 'b' at 0.500000")]
+
+    def test_tie_off_the_tree_is_not_recorded(self):
+        # (a, c) costs 0.9 both ways but is not a tree edge
+        DC = DistanceMatrix(["a", "b", "c"], np.array([[0.0, 0.2, 0.9],
+                                                       [0.3, 0.0, 0.4],
+                                                       [0.9, 0.5, 0.0]]),
+                            "causal")
+        with collect() as events:
+            pt = build_polytree(DC)
+        assert set(pt.edges) == {(1, 0), (2, 1)}
+        assert pt.ties == set()
+        assert events == []
 
     def test_chain_orientation(self):
         DC = causal_distance_matrix(chain_spectra(FrequencyGrid(512)))
@@ -172,7 +187,11 @@ class TestMisoBlanketTopology:
         with collect() as events:
             g = miso_blanket_topology(S, D)
         assert set(g.edges) == {(0, 2), (1, 2)}
-        assert any(e.category == "blanket-purge" for e in events)
+        assert [(e.category, e.message) for e in events] == [
+            ("blanket-purge",
+             "candidate 'X2' of target 'X1' explained by an indirect route"),
+            ("blanket-purge",
+             "candidate 'X1' of target 'X2' explained by an indirect route")]
 
     def test_chain_skeleton(self):
         S = chain_spectra()
