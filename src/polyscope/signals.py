@@ -199,6 +199,14 @@ class SpectralMatrix:
         top = float(np.max(diag)) if diag.size else 0.0
         return PSD_FLOOR_RATIO * max(top, 0.0)
 
+    def _floor_auto(self, auto: np.ndarray) -> np.ndarray:
+        """Real parts of auto-spectral values clipped from below at the floor.
+
+        The floor is :attr:`psd_floor`, or the smallest normal float when
+        that is 0, so every clipped value is positive.  Records nothing.
+        """
+        return np.maximum(np.real(auto), self.psd_floor or np.finfo(float).tiny)
+
     @cached_property
     def _floored(self) -> np.ndarray:
         """``(n, K)`` real auto-spectra clipped from below at the floor.
@@ -207,11 +215,28 @@ class SpectralMatrix:
         once, as a ``spectral-floor`` event.
         """
         phi = np.real(np.einsum("iik->ik", self.values))
-        floor = self.psd_floor or np.finfo(float).tiny
-        for i in np.flatnonzero(np.any(phi < floor, axis=1)):
-            record("spectral-floor",
-                   f"auto-spectrum of {self.labels[i]!r} floored at {floor:.3e}")
-        return np.maximum(phi, floor)
+        floored = self._floor_auto(phi)
+        for i in np.flatnonzero(np.any(floored > phi, axis=1)):
+            # a clipped row's smallest value is the floor itself
+            record("spectral-floor", f"auto-spectrum of {self.labels[i]!r} "
+                                     f"floored at {np.min(floored[i]):.3e}")
+        return floored
+
+    @cached_property
+    def _eigenvalue_ratio(self) -> float:
+        """Least over greatest eigenvalue of the floored matrix, worst grid point.
+
+        The matrix is ``values`` with its diagonal clipped by
+        :meth:`_floor_auto`, read from its lower triangle as ``eigvalsh``
+        reads it.  Each floored block on ascending indices is a principal
+        submatrix of it, so by Cauchy interlacing its ratio is no smaller
+        when this one is positive.  Computed on first use; records nothing.
+        """
+        A = self.values.transpose(2, 0, 1).copy()
+        d = np.arange(self.n)
+        A[:, d, d] = self._floor_auto(A[:, d, d])
+        eigs = np.linalg.eigvalsh(A)
+        return float(np.min(eigs[:, 0] / eigs[:, -1]))
 
     def floored_autospectrum(self, i: int) -> np.ndarray:
         """Real auto-spectrum of series ``i``, clipped from below at the floor."""

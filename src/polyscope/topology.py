@@ -18,7 +18,7 @@ from .diagnostics import record
 from .errors import InvalidParameterError
 from .metric import DistanceMatrix, causal_edge_weights
 from .signals import SpectralMatrix
-from .wiener import noncausal_wiener
+from .wiener import _joint_fits
 
 #: Relative filter magnitude below which a MISO input does not count as a
 #: blanket candidate.
@@ -228,6 +228,10 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
     ``max(D(i,c), D(c,j)) < D(i,j)``.  In a tree this removes exactly the
     co-parents, which sit at maximal distance from the target.  Surviving
     links are symmetrised by union over targets.
+
+    The filters are the ones :func:`noncausal_wiener` returns, read straight
+    from the joint solve; conditioning is decided once for the whole matrix
+    when its eigenvalue ratio allows, and per target otherwise.
     """
     if D.kind not in ("noncausal", "correlation", "causal-min"):
         raise InvalidParameterError("need a symmetric distance matrix")
@@ -237,15 +241,18 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
     if rtol <= 0:
         raise InvalidParameterError("threshold must be positive")
     n = S.n
+    if n < 2:
+        raise InvalidParameterError("need at least two nodes")
     edges: dict[tuple[int, int], float] = {}
     for j in range(n):
         inputs = [i for i in range(n) if i != j]
-        sol = noncausal_wiener(S, j, inputs)
-        rms = {i: sol.filters[i].rms() for i in inputs}
-        top = max(rms.values())
+        W = _joint_fits(S, j, [inputs])[0][0]
+        # one contiguous row per input, so each mean sums as TransferFunction.rms does
+        rms = np.sqrt(np.mean(np.abs(W.T.copy()) ** 2, axis=-1)).tolist()
+        top = max(rms)
         if top == 0.0:
             continue
-        candidates = [i for i in inputs if rms[i] > rtol * top]
+        candidates = [i for i, r in zip(inputs, rms) if r > rtol * top]
         to_target = D.values[candidates, j]
         # [i, c]: candidate c explains candidate i away
         routes = np.maximum(D.values[np.ix_(candidates, candidates)],

@@ -35,7 +35,11 @@ from .signals import FrequencyGrid, PSD_FLOOR_RATIO, SpectralMatrix, Spectrum, T
 TRUNCATION_ENERGY_TOL = 1e-6
 
 #: Relative eigenvalue ratio below which an input spectral matrix is
-#: declared singular beyond the floor.
+#: declared singular beyond the floor.  Fits are checked one by one only
+#: when the whole floored spectral matrix's ratio is below twice this: every
+#: input block's ratio is at least the whole matrix's, and the factor 2
+#: leaves ``CONDITION_RTOL`` of the largest eigenvalue for rounding, far
+#: above ``eigvalsh``'s error of a few ``n * eps``.
 CONDITION_RTOL = 1e-10
 
 
@@ -162,11 +166,15 @@ def _joint_fits(S: SpectralMatrix, target: int, idx, verify: bool = False
     Builds the per-frequency normal equations ``A (m, K, q, q)``, with
     diagonals clipped at the spectral floor, and ``c (m, K, q)`` once, and
     solves all of them in one batched call.  Every fit is checked for
-    conditioning before any is solved; with ``verify`` each solution is also
-    checked against its normal equations (residual orthogonal to every
-    input).  The first failing fit in row order raises, as if the fits ran
-    one after another.  Rows must be valid input sets (see
-    :func:`_check_inputs`).
+    conditioning before any is solved.  When every row ascends, each ``A``
+    is a principal submatrix of the floored spectral matrix, and a whole
+    matrix whose eigenvalue ratio clears twice :data:`CONDITION_RTOL`
+    (``S._eigenvalue_ratio``, computed once per matrix) clears every fit;
+    otherwise each fit's blocks are checked with their own eigenvalues.
+    With ``verify`` each solution is also checked against its normal
+    equations (residual orthogonal to every input).  The first failing fit
+    in row order raises, as if the fits ran one after another.  Rows must be
+    valid input sets (see :func:`_check_inputs`).
 
     Returns the filter responses ``W (m, K, q)`` (column ``p`` belongs to
     input ``idx[:, p]``), the raw residual spectra ``(m, K)`` and their grid
@@ -175,14 +183,17 @@ def _joint_fits(S: SpectralMatrix, target: int, idx, verify: bool = False
     idx = np.asarray(idx)
     A = S.values[idx[:, :, None], idx[:, None, :]].transpose(0, 3, 1, 2).copy()
     d = np.arange(idx.shape[1])
-    A[..., d, d] = np.maximum(A[..., d, d].real, S.psd_floor or np.finfo(float).tiny)
+    A[..., d, d] = S._floor_auto(A[..., d, d])
     c = S.values[idx, target].transpose(0, 2, 1).copy()
-    eigs = np.linalg.eigvalsh(A)
-    ratio = eigs[..., 0] / eigs[..., -1]
-    worst = np.argmin(ratio, axis=-1)
-    fits = np.arange(len(idx))
-    singular = eigs[fits, worst, 0] < CONDITION_RTOL * eigs[fits, worst, -1]
-    ok = int(np.argmax(singular)) if singular.any() else len(idx)
+    ok = len(idx)
+    if not (np.all(np.diff(idx, axis=1) > 0)
+            and S._eigenvalue_ratio >= 2 * CONDITION_RTOL):
+        eigs = np.linalg.eigvalsh(A)
+        ratio = eigs[..., 0] / eigs[..., -1]
+        worst = np.argmin(ratio, axis=-1)
+        fits = np.arange(len(idx))
+        singular = eigs[fits, worst, 0] < CONDITION_RTOL * eigs[fits, worst, -1]
+        ok = int(np.argmax(singular)) if singular.any() else len(idx)
     W = np.linalg.solve(A[:ok], c[:ok, :, :, None])[..., 0]
     if verify:
         _check_orthogonality(target, A[:ok], c[:ok], W)

@@ -5,9 +5,10 @@ scipy's Welch estimator instead of our segment bookkeeping, polynomial
 rooting instead of the cepstrum, per-frequency least squares instead of the
 normal-equation solve, Prüfer enumeration instead of Kruskal, and raw
 path-product transfer algebra instead of the topological-order recursion.
-The one exception is the per-fit Wiener solve and the per-candidate greedy
-loop that the batched joint-fit kernel replaced; they are kept as they were,
-so that tests can require bit-identical results from the batched code.
+The one exception is the per-fit Wiener solve, the per-candidate greedy
+loop and the per-target blanket loop that the batched joint-fit kernel
+replaced; they are kept as they were, so that tests can require
+bit-identical results from the batched code.
 """
 
 from __future__ import annotations
@@ -24,11 +25,14 @@ from polyscope import (
     SparseModel,
     SpectralMatrix,
     TransferFunction,
+    UndirectedGraph,
     WelchConfig,
     generate_polytree_aln,
     inner_product,
 )
+from polyscope.diagnostics import record
 from polyscope.sparse import DEFAULT_MIN_GAIN, NEGLIGIBLE_RTOL
+from polyscope.topology import BLANKET_RMS_RTOL
 from polyscope.wiener import CONDITION_RTOL
 from polyscope.aln import _noise_spectra, _source_transfers
 
@@ -188,6 +192,40 @@ def ols_reference(S: SpectralMatrix, target: int, max_inputs: int,
         filters, cost = best_filters, best_cost
     return SparseModel(target, tuple(support), filters, cost,
                        solver="ols", stop_reason=stop_reason)
+
+
+def miso_reference(S: SpectralMatrix, D, threshold: float | None = None
+                   ) -> UndirectedGraph:
+    """``topology.miso_blanket_topology`` with one per-fit solve per target.
+
+    Each target's filters come from :func:`wiener_reference`, which checks
+    its own blocks' conditioning, and each input's RMS from
+    ``TransferFunction.rms``; purges are recorded as the library records them.
+    """
+    rtol = BLANKET_RMS_RTOL if threshold is None else float(threshold)
+    n = S.n
+    edges: dict[tuple[int, int], float] = {}
+    for j in range(n):
+        inputs = [i for i in range(n) if i != j]
+        W = wiener_reference(S, j, inputs)[2]
+        rms = {i: TransferFunction(S.grid, W[:, pos].copy()).rms()
+               for pos, i in enumerate(inputs)}
+        top = max(rms.values())
+        if top == 0.0:
+            continue
+        candidates = [i for i in inputs if rms[i] > rtol * top]
+        kept = []
+        for i in candidates:
+            if any(max(D.values[i, c], D.values[c, j]) < D.values[i, j]
+                   for c in candidates if c != i):
+                record("blanket-purge",
+                       f"candidate {S.labels[i]!r} of target {S.labels[j]!r} "
+                       f"explained by an indirect route")
+            else:
+                kept.append(i)
+        for i in kept:
+            edges.setdefault((min(i, j), max(i, j)), float(D.values[i, j]))
+    return UndirectedGraph(list(S.labels), edges)
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> frozenset:

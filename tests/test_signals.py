@@ -190,6 +190,28 @@ class TestSpectralMatrix:
         with pytest.raises(InvalidParameterError):
             SpectralMatrix(["a", "b"], grid, values)
 
+    def test_floored_autospectra_record_each_floored_series_once(self):
+        grid = FrequencyGrid(8)
+        values = np.zeros((3, 3, 8), dtype=complex)
+        values[0, 0] = 2.0
+        values[1, 1, :4] = 1.0            # half the grid below the floor
+        with collect() as events:
+            S = SpectralMatrix(["a", "b", "c"], grid, values)
+            floored = [S.floored_autospectrum(i) for i in range(3)]
+            S.floored_autospectrum(1)
+        assert [(e.category, e.message) for e in events] == [
+            ("spectral-floor", "auto-spectrum of 'b' floored at 2.000e-12"),
+            ("spectral-floor", "auto-spectrum of 'c' floored at 2.000e-12")]
+        assert np.array_equal(floored[1], np.maximum(values[1, 1].real, 2e-12))
+        assert np.array_equal(floored[2], np.full(8, 2e-12))
+        with collect() as events:
+            S = SpectralMatrix(["a", "b"], grid, np.zeros((2, 2, 8)))
+            assert np.array_equal(S.floored_autospectrum(0),
+                                  np.full(8, np.finfo(float).tiny))
+        assert [e.message for e in events] == [
+            "auto-spectrum of 'a' floored at 2.225e-308",
+            "auto-spectrum of 'b' floored at 2.225e-308"]
+
     def test_duplicated_series_off_diagonal_equals_diagonal(self):
         rng = np.random.default_rng(17)
         x = rng.standard_normal(1 << 12)

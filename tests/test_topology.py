@@ -8,6 +8,7 @@ from polyscope import (
     InvalidParameterError,
     Link,
     Polytree,
+    SpectralMatrix,
     Tree,
     UndirectedGraph,
     analytic_spectra,
@@ -23,7 +24,7 @@ from polyscope import (
 )
 from polyscope.diagnostics import collect
 
-from oracles import blanket_reference, min_tree_bruteforce
+from oracles import blanket_reference, miso_reference, min_tree_bruteforce
 
 
 def collider_spectra(grid=None):
@@ -221,6 +222,28 @@ class TestMisoBlanketTopology:
         S = collider_spectra()
         with pytest.raises(InvalidParameterError):
             miso_blanket_topology(S, distance_matrix(S), threshold=0.0)
+
+    def test_single_node_raises(self):
+        grid = FrequencyGrid(64)
+        S = SpectralMatrix(["a"], grid, np.ones((1, 1, grid.size)))
+        D = DistanceMatrix(["a"], np.zeros((1, 1)), "noncausal")
+        with pytest.raises(InvalidParameterError, match="need at least two nodes"):
+            miso_blanket_topology(S, D)
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_matches_per_target_loop(self, n):
+        grid = FrequencyGrid(128)
+        for seed in range(10):
+            S = analytic_spectra(generate_polytree_aln(n, seed), grid)
+            D = distance_matrix(S)
+            for threshold in (None, 1e-2, 0.3):
+                with collect() as events:
+                    g = miso_blanket_topology(S, D, threshold)
+                with collect() as ref_events:
+                    ref = miso_reference(S, D, threshold)
+                assert g.edges == ref.edges
+                assert [(e.category, e.message) for e in events] == \
+                    [(e.category, e.message) for e in ref_events]
 
 
 class TestExports:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,15 +12,31 @@ from polyscope import (
     Spectrum,
     TimeSeries,
     TransferFunction,
+    WelchConfig,
     apply_filter,
     causal_truncate,
     causal_wiener,
+    distance_matrix,
+    generate_polytree_aln,
+    miso_blanket_topology,
     noncausal_wiener,
+    orthogonal_least_squares,
+    project,
+    simulate,
     spectral_factorize,
+    spectral_matrix,
 )
 from polyscope.diagnostics import collect
+from polyscope.wiener import CONDITION_RTOL, _joint_fits
 
-from oracles import dense_wiener, rooting_spectral_factor
+from oracles import (
+    dense_wiener,
+    miso_reference,
+    ols_reference,
+    project_reference,
+    rooting_spectral_factor,
+    wiener_reference,
+)
 
 
 def pair_matrix(grid, phi_x, phi_y, cross, labels=("x", "y")):
@@ -157,6 +175,156 @@ class TestNoncausalWiener:
         S = SpectralMatrix(["a", "b", "t"], grid, values)
         with pytest.raises(IllConditionedSpectrumError, match="omega"):
             noncausal_wiener(S, target=2, inputs=[0, 1])
+
+
+def conditioned_matrix(seed: int, n: int, grid: FrequencyGrid,
+                       ratio: float) -> SpectralMatrix:
+    """Random Hermitian matrices whose worst eigenvalue ratio is ``ratio``.
+
+    At every grid point three eigenvalues lie in ``[r, 3r]`` and the rest in
+    ``[0.1, 1]``, with ``r = ratio`` at one point and up to ten times it
+    elsewhere, so the larger principal blocks sit near the same ratio and
+    the smaller ones far from it.
+    """
+    rng = np.random.default_rng(seed)
+    k = grid.size
+    low = ratio * np.ones(k)
+    low[np.arange(k) != rng.integers(k)] *= rng.uniform(1.0, 10.0, k - 1)
+    values = np.empty((k, n, n), dtype=complex)
+    for f in range(k):
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        lam = np.concatenate([[low[f], 1.0], low[f] * rng.uniform(1.0, 3.0, 2),
+                              rng.uniform(0.1, 1.0, n - 4)])
+        values[f] = (q * lam) @ q.conj().T
+    return SpectralMatrix([f"s{i}" for i in range(n)], grid,
+                          values.transpose(1, 2, 0))
+
+
+def outcome(fit, *args):
+    """``(error, result)``: the raised class and message, or None and the result."""
+    try:
+        return None, fit(*args)
+    except (IllConditionedSpectrumError, InvalidSpectrumError) as exc:
+        return (type(exc), str(exc)), None
+
+
+def count_eigvalsh(monkeypatch) -> list:
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+class TestConditioningScreen:
+    """One whole-matrix eigenvalue ratio stands in for every fit's own check."""
+
+    @pytest.mark.parametrize("ratio", [1e-11, 1e-10, 1.5e-10, 2e-10, 3e-10, 1e-6])
+    def test_screen_and_fallback_match_per_fit_oracle(self, ratio):
+        S = conditioned_matrix(int(ratio * 1e12), 6, FrequencyGrid(16), ratio)
+        assert S._eigenvalue_ratio == pytest.approx(ratio, rel=1e-3)
+        raised = 0
+        for target in range(S.n):
+            others = [b for b in range(S.n) if b != target]
+            for q in range(1, S.n):
+                rows = list(itertools.combinations(others, q))
+                refs = [outcome(wiener_reference, S, target, row) for row in rows]
+                failed = [error for error, _ in refs if error]
+                raised += len(failed)
+                error, got = outcome(_joint_fits, S, target, rows)
+                if failed:
+                    assert error == failed[0]
+                else:
+                    W, residual, cost = got
+                    for m, (_, (_, _, ref_W, ref_residual, ref_cost)) in enumerate(refs):
+                        assert np.array_equal(W[m], ref_W)
+                        assert np.array_equal(residual[m], ref_residual)
+                        assert cost[m] == ref_cost
+                for row in rows:
+                    error, got = outcome(project, S, target, row)
+                    ref_error, ref = outcome(project_reference, S, target, row)
+                    assert error == ref_error
+                    if not ref_error:
+                        assert got[1] == ref[1]
+                        for b in row:
+                            assert np.array_equal(got[0][b].response,
+                                                  ref[0][b].response)
+                    # descending, a block's lower triangle is the matrix's upper one
+                    error, got = outcome(noncausal_wiener, S, target, row[::-1])
+                    ref_error, ref = outcome(wiener_reference, S, target, row[::-1])
+                    assert error == ref_error
+                    if not ref_error:
+                        assert got.cost == ref[4]
+                        for pos, b in enumerate(row[::-1]):
+                            assert np.array_equal(got.filters[b].response,
+                                                  ref[2][:, pos])
+        # interlacing: no block is worse conditioned than the whole matrix
+        if ratio > CONDITION_RTOL:
+            assert raised == 0
+        elif ratio < CONDITION_RTOL:
+            assert raised > 0
+
+    def test_descending_inputs_keep_their_own_check(self):
+        # Hermitian within the constructor's tolerance only: the lower
+        # triangle gives the eigenvalue ratio 3e-10, the upper one 5e-11
+        grid = FrequencyGrid(8)
+        values = np.zeros((3, 3, grid.size), dtype=complex)
+        values[[0, 1, 2], [0, 1, 2]] = 1.0
+        values[0, 1] = 1.0 - 1e-10
+        values[1, 0] = 1.0 - 6e-10
+        S = SpectralMatrix(["a", "b", "t"], grid, values)
+        assert S._eigenvalue_ratio >= 2 * CONDITION_RTOL
+        noncausal_wiener(S, 2, [0, 1])
+        with pytest.raises(IllConditionedSpectrumError) as descending:
+            noncausal_wiener(S, 2, [1, 0])
+        with pytest.raises(IllConditionedSpectrumError) as looped:
+            wiener_reference(S, 2, [1, 0])
+        assert str(descending.value) == str(looped.value)
+
+    def test_well_conditioned_matrix_takes_one_eigensolve(self, monkeypatch):
+        sim = simulate(generate_polytree_aln(12, 1), 2 ** 13, seed=2)
+        S = spectral_matrix(sim.ensemble, WelchConfig(grid_size=64))
+        D = distance_matrix(S)
+        calls = count_eigvalsh(monkeypatch)
+        miso_blanket_topology(S, D)
+        for target in range(S.n):
+            orthogonal_least_squares(S, target, S.n - 1, min_gain=0.0)
+        assert calls == [(64, 12, 12)]
+        assert S._eigenvalue_ratio >= 2 * CONDITION_RTOL
+
+    def test_screen_records_no_event(self):
+        S = conditioned_matrix(3, 6, FrequencyGrid(16), 1e-6)
+        with collect() as events:
+            assert S._eigenvalue_ratio == pytest.approx(1e-6, rel=1e-3)
+        assert events == []
+
+    def test_duplicate_series_falls_back_to_per_fit_checks(self, monkeypatch):
+        sim = simulate(generate_polytree_aln(8, 3), 2 ** 12, seed=5)
+        base = spectral_matrix(sim.ensemble, WelchConfig(grid_size=64))
+        idx = list(range(base.n)) + [0]
+        S = SpectralMatrix(base.labels + ["copy"], base.grid,
+                           base.values[np.ix_(idx, idx)])
+        assert not S._eigenvalue_ratio >= 2 * CONDITION_RTOL
+        calls = count_eigvalsh(monkeypatch)
+        for target in range(S.n):
+            got = orthogonal_least_squares(S, target, 1)
+            ref = ols_reference(S, target, 1)
+            assert (got.support, got.cost, got.stop_reason) == \
+                (ref.support, ref.cost, ref.stop_reason)
+            for b in ref.filters:
+                assert np.array_equal(got.filters[b].response,
+                                      ref.filters[b].response)
+        assert len(calls) > 1
+        D = distance_matrix(S)
+        with pytest.raises(IllConditionedSpectrumError, match="omega=") as batched:
+            miso_blanket_topology(S, D)
+        with pytest.raises(IllConditionedSpectrumError) as looped:
+            miso_reference(S, D)
+        assert str(batched.value) == str(looped.value)
 
 
 class TestSpectralFactorize:
