@@ -35,6 +35,15 @@ from .topology import Polytree, build_polytree, minimum_spanning_tree, miso_blan
 #: Tap magnitude every generated link must reach somewhere in its FIR.
 MIN_LINK_TAP = 0.2
 
+#: Most taps a generated link FIR has; each link draws 1..this many.
+MAX_LINK_ORDER = 4
+
+#: Range the generated white-noise variances are drawn uniformly from.
+NOISE_VARIANCE_RANGE = (0.5, 2.0)
+
+#: Probability that a generated link carries a one-sample delay.
+DELAY_PROB = 0.5
+
 #: Relative level defining "alive" in the identifiability scan.
 IDENTIFIABILITY_RTOL = 1e-9
 
@@ -244,38 +253,31 @@ def _prufer_tree(rng: np.random.Generator, n: int) -> list[tuple[int, int]]:
     return edges
 
 
-def generate_polytree_aln(n: int, seed: int, link_order_range: int = 4,
-                          noise_variance_range: tuple[float, float] = (0.5, 2.0),
-                          delay_prob: float = 0.5) -> ALNSpec:
+def generate_polytree_aln(n: int, seed: int) -> ALNSpec:
     """Draw a random identifiable network on a uniform random polytree.
 
     Tree shape comes from a uniform Prüfer sequence; each edge gets a fair
-    coin orientation, a FIR with 1..``link_order_range`` uniform [-1, 1]
-    taps (redrawn until some tap reaches ``MIN_LINK_TAP`` in magnitude), and
-    with probability ``delay_prob`` a one-sample delay so causal structure
-    is exercised.  Noise variances are uniform in ``noise_variance_range``.
-    Deterministic for a fixed argument tuple.
+    coin orientation, a FIR with 1..``MAX_LINK_ORDER`` uniform [-1, 1] taps
+    (redrawn until some tap reaches ``MIN_LINK_TAP`` in magnitude), and with
+    probability ``DELAY_PROB`` a one-sample delay so causal structure is
+    exercised.  Noise variances are uniform in ``NOISE_VARIANCE_RANGE``.
+    Deterministic for a fixed ``(n, seed)``.
     """
     if n < 2:
         raise InvalidParameterError("need at least 2 nodes")
-    if link_order_range < 1:
-        raise InvalidParameterError("link_order_range must be >= 1")
-    lo, hi = noise_variance_range
-    if not 0 < lo <= hi:
-        raise InvalidParameterError("noise variance range must be positive")
     rng = np.random.default_rng(seed)
     links = []
     for a, b in _prufer_tree(rng, n):
         if rng.random() < 0.5:
             a, b = b, a
-        order = int(rng.integers(1, link_order_range + 1))
+        order = int(rng.integers(1, MAX_LINK_ORDER + 1))
         while True:
             taps = rng.uniform(-1.0, 1.0, size=order)
             if np.max(np.abs(taps)) >= MIN_LINK_TAP:
                 break
-        delay = 1 if rng.random() < delay_prob else 0
+        delay = 1 if rng.random() < DELAY_PROB else 0
         links.append(Link(a, b, taps, delay))
-    variances = rng.uniform(lo, hi, size=n)
+    variances = rng.uniform(*NOISE_VARIANCE_RANGE, size=n)
     labels = [f"X{i + 1}" for i in range(n)]
     return ALNSpec(labels, links, variances, seed=seed)
 

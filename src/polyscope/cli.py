@@ -126,6 +126,8 @@ class RunConfig:
             raise InvalidParameterError("trials must be >= 1")
         if self.length < 2:
             raise InvalidParameterError("length must be >= 2")
+        if self.seed < 0:
+            raise InvalidParameterError("seed must be >= 0")
         if self.mode not in ("analytic", "simulated"):
             raise InvalidParameterError("mode must be analytic or simulated")
         self.node_range()   # validates the syntax eagerly
@@ -169,8 +171,12 @@ def load_config_file(path: str) -> dict:
     source = Path(path)
     if not source.is_file():
         raise InputFormatError(f"config file not found: {source}")
+    try:
+        text = source.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{source}: not UTF-8 text ({exc.reason})") from None
     values: dict = {}
-    for line_no, raw in enumerate(source.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -204,58 +210,57 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**merged)
 
 
-def read_ensemble_csv(path: Path, demean: bool = True) -> Ensemble:
+def read_ensemble_csv(path: Path) -> Ensemble:
     """Load a label-headed CSV of series columns; reject anything malformed.
 
     The first row names the series; every later row must supply one decimal
     number per column.  Errors carry the line and column (and label) of the
-    offending cell.
+    offending cell.  Each series is demeaned.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [cell.strip() for cell in next(reader)]
-        except StopIteration:
-            raise InputFormatError(f"{path}: file is empty") from None
-        if len(header) < 2:
-            raise InputFormatError(
-                f"{path}: need at least 2 series columns, found {len(header)}")
-        if any(not cell for cell in header):
-            raise InputFormatError(f"{path}: line 1: blank series label")
-        columns: list[list[float]] = [[] for _ in header]
-        for line_no, row in enumerate(reader, 2):
-            if not row:
-                continue
-            if len(row) != len(header):
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = [cell.strip() for cell in next(reader)]
+            except StopIteration:
+                raise InputFormatError(f"{path}: file is empty") from None
+            if len(header) < 2:
                 raise InputFormatError(
-                    f"{path}: line {line_no}: expected {len(header)} values, "
-                    f"found {len(row)}")
-            for col, cell in enumerate(row):
-                cell = cell.strip()
-                if not cell:
+                    f"{path}: need at least 2 series columns, found {len(header)}")
+            if any(not cell for cell in header):
+                raise InputFormatError(f"{path}: line 1: blank series label")
+            columns: list[list[float]] = [[] for _ in header]
+            for line_no, row in enumerate(reader, 2):
+                if not row:
+                    continue
+                if len(row) != len(header):
                     raise InputFormatError(
-                        f"{path}: line {line_no}, column {col + 1} "
-                        f"({header[col]!r}): missing value")
-                try:
-                    columns[col].append(float(cell))
-                except ValueError:
-                    raise InputFormatError(
-                        f"{path}: line {line_no}, column {col + 1} "
-                        f"({header[col]!r}): cannot parse {cell!r} as a "
-                        f"number") from None
+                        f"{path}: line {line_no}: expected {len(header)} values, "
+                        f"found {len(row)}")
+                for col, cell in enumerate(row):
+                    cell = cell.strip()
+                    if not cell:
+                        raise InputFormatError(
+                            f"{path}: line {line_no}, column {col + 1} "
+                            f"({header[col]!r}): missing value")
+                    try:
+                        columns[col].append(float(cell))
+                    except ValueError:
+                        raise InputFormatError(
+                            f"{path}: line {line_no}, column {col + 1} "
+                            f"({header[col]!r}): cannot parse {cell!r} as a "
+                            f"number") from None
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not columns[0]:
         raise InputFormatError(f"{path}: no data rows")
     series = [TimeSeries(label, np.asarray(col, dtype=float))
               for label, col in zip(header, columns)]
-    return Ensemble(series, demean=demean)
+    return Ensemble(series)
 
 
 # ---------------------------------------------------------------------------
 # artifact writers
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -281,8 +286,8 @@ def matrix_csv_text(labels: list[str], values: np.ndarray) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["label"] + list(labels))
-    for label, row in zip(labels, np.asarray(values)):
-        writer.writerow([label] + [_fmt(v) for v in row])
+    for label, row in zip(labels, np.asarray(values, dtype=float).tolist()):
+        writer.writerow([label] + row)
     return buf.getvalue()
 
 
@@ -291,7 +296,7 @@ def edges_csv_text(graph) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["node_a", "node_b", "weight", "direction", "tie_flag"])
     for row in edge_list_rows(graph):
-        writer.writerow([row["node_a"], row["node_b"], _fmt(row["weight"]),
+        writer.writerow([row["node_a"], row["node_b"], float(row["weight"]),
                          row["direction"], row["tie_flag"]])
     return buf.getvalue()
 
@@ -300,8 +305,9 @@ def ensemble_csv_text(ens: Ensemble) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ens.labels)
+    # one row at a time: a whole-matrix tolist() holds every sample as a float object
     for row in ens.values().T:
-        writer.writerow([_fmt(v) for v in row])
+        writer.writerow(row.tolist())
     return buf.getvalue()
 
 
@@ -379,14 +385,19 @@ def _events_to_warnings(events) -> list[str]:
 # subcommands
 
 
-def cmd_analyze(cfg: RunConfig, emitter: _Emitter) -> int:
+def _ingest(cfg: RunConfig, emitter: _Emitter) -> Ensemble:
+    """Read the ``--input`` CSV, noting its SHA-256 and timing the read."""
     source = cfg.require_input()
     emitter.note_input(source)
+    with emitter.stage("ingest"):
+        return read_ensemble_csv(source)
+
+
+def cmd_analyze(cfg: RunConfig, emitter: _Emitter) -> int:
     if cfg.window_length and cfg.pipeline != "mst":
         raise InvalidParameterError(
             "window_length averaging applies only to the mst pipeline")
-    with emitter.stage("ingest"):
-        ens = read_ensemble_csv(source)
+    ens = _ingest(cfg, emitter)
     wcfg = cfg.welch()
     windowed = cfg.pipeline == "mst" and cfg.window_length > 0
     with emitter.stage("spectra"):
@@ -532,10 +543,7 @@ def _safe_name(label: str) -> str:
 
 
 def cmd_sparse(cfg: RunConfig, emitter: _Emitter) -> int:
-    source = cfg.require_input()
-    emitter.note_input(source)
-    with emitter.stage("ingest"):
-        ens = read_ensemble_csv(source)
+    ens = _ingest(cfg, emitter)
     with emitter.stage("spectra"):
         S = spectral_matrix(ens, cfg.welch())
     supports = {}
@@ -564,10 +572,7 @@ def cmd_sparse(cfg: RunConfig, emitter: _Emitter) -> int:
 
 
 def cmd_compare(cfg: RunConfig, emitter: _Emitter) -> int:
-    source = cfg.require_input()
-    emitter.note_input(source)
-    with emitter.stage("ingest"):
-        ens = read_ensemble_csv(source)
+    ens = _ingest(cfg, emitter)
     wcfg = cfg.welch()
     with emitter.stage("distances"):
         if cfg.window_length:

@@ -22,9 +22,6 @@ class Event:
     category: str
     message: str
 
-    def as_dict(self) -> dict:
-        return {"category": self.category, "message": self.message}
-
 
 def record(category: str, message: str) -> None:
     """Record a diagnostic event on every active collector."""

@@ -101,12 +101,6 @@ class DirectionMatrix:
             raise InvalidParameterError("direction diagonal must be zero")
 
 
-def _check_pair(S: SpectralMatrix, i: int, j: int) -> None:
-    for idx in (i, j):
-        if not 0 <= idx < S.n:
-            raise InvalidParameterError(f"index {idx} out of range for n={S.n}")
-
-
 def _coherence_distances(S: SpectralMatrix, i: int, cols) -> np.ndarray:
     """``sqrt(mean(1 - C))`` of series ``i`` with each series in ``cols``."""
     mean = np.mean(1.0 - _coherence_row(S, i, cols), axis=-1)
@@ -118,7 +112,7 @@ def coherence_distance(S: SpectralMatrix, i: int, j: int) -> float:
 
     Symmetric in its arguments; exactly zero when ``i == j``.
     """
-    _check_pair(S, i, j)
+    S.check_index(i, j)
     if i == j:
         return 0.0
     return float(_coherence_distances(S, i, [j])[0])
@@ -166,7 +160,7 @@ def causal_distance(S: SpectralMatrix, target: int, input_: int) -> float:
     tolerance because the zero filter already costs 1.
     """
     if target == input_:
-        _check_pair(S, target, input_)
+        S.check_index(target)
         return 0.0
     _, _, cost = _causal_pair(S, target, input_)
     return float(np.sqrt(max(cost[0], 0.0)))

@@ -10,7 +10,7 @@ y(t+tau)] exp(-1j*omega*tau)``, which the Welch estimator realises as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -186,8 +186,11 @@ class SpectralMatrix:
     def n(self) -> int:
         return len(self.labels)
 
-    def entry(self, i: int, j: int) -> Spectrum:
-        return Spectrum(self.grid, self.values[i, j].copy())
+    def check_index(self, *indices: int) -> None:
+        """Raise unless every index names a series of the matrix."""
+        for i in indices:
+            if not 0 <= i < self.n:
+                raise InvalidParameterError(f"index {i} out of range for n={self.n}")
 
     @cached_property
     def psd_floor(self) -> float:
@@ -240,6 +243,7 @@ class SpectralMatrix:
 
     def floored_autospectrum(self, i: int) -> np.ndarray:
         """Real auto-spectrum of series ``i``, clipped from below at the floor."""
+        self.check_index(i)
         return self._floored[i].copy()
 
 
@@ -274,6 +278,8 @@ class WelchConfig:
     segment_count: int = 8
     overlap: float = 0.5
     window: str = "hann"
+    #: The window's samples, built once from ``window``; read-only.
+    window_taps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         FrequencyGrid(self.grid_size)      # raises unless even and >= 8
@@ -286,6 +292,14 @@ class WelchConfig:
                 "segment_length cannot exceed grid_size")
         if self.effective_segment_length < 8:
             raise InvalidParameterError("segment_length must be >= 8")
+        try:
+            taps = get_window(self.window, self.effective_segment_length,
+                              fftbins=True)
+        except ValueError as exc:
+            raise InvalidParameterError(
+                f"cannot build window {self.window!r}: {exc}") from None
+        taps.flags.writeable = False
+        object.__setattr__(self, "window_taps", taps)
 
     @property
     def effective_segment_length(self) -> int:
@@ -318,7 +332,7 @@ def _hann_segment_ffts(values: np.ndarray, cfg: WelchConfig) -> tuple[np.ndarray
     if available < cfg.segment_count:
         record("welch-segments",
                f"only {available} segments fit, {cfg.segment_count} planned")
-    win = get_window(cfg.window, seg, fftbins=True)
+    win = cfg.window_taps
     starts = np.arange(available) * cfg.hop
     idx = starts[:, None] + np.arange(seg)[None, :]
     segments = values[..., idx] * win          # (..., n_seg, seg)
@@ -388,9 +402,7 @@ def coherence_function(S: SpectralMatrix, i: int, j: int) -> CoherenceCurve:
     clamped into [0, 1].  Estimator overshoot beyond ``1 + 1e-6`` is recorded
     as a diagnostic rather than raised; identical series give exactly 1.
     """
-    n = S.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise InvalidParameterError(f"pair ({i}, {j}) out of range for n={n}")
+    S.check_index(i, j)
     return CoherenceCurve(S.grid, _coherence_row(S, i, [j])[0])
 
 

@@ -72,6 +72,7 @@ def inner_product(S: SpectralMatrix, a: int, b: int) -> float:
     Real processes give conjugate-symmetric cross spectra, so the mean must
     be real; a material imaginary part means the matrix is corrupt.
     """
+    S.check_index(a, b)
     values = S.values[a, b]
     mean = complex(np.mean(values))
     scale = max(float(np.max(np.abs(values))), np.finfo(float).tiny)
@@ -98,9 +99,15 @@ def project(S: SpectralMatrix, target: int, support
     return _filters(S.grid, support, W[0]), float(cost[0])
 
 
+def _check_solver_args(max_inputs: int, min_gain: float) -> None:
+    if max_inputs < 0:
+        raise InvalidParameterError("max_inputs must be >= 0")
+    if not 0 <= min_gain < 1:
+        raise InvalidParameterError("min_gain must be in [0, 1)")
+
+
 def _candidates(S: SpectralMatrix, target: int) -> list[int]:
-    if not 0 <= target < S.n:
-        raise InvalidParameterError(f"target {target} out of range for n={S.n}")
+    S.check_index(target)
     return [b for b in range(S.n) if b != target]
 
 
@@ -113,8 +120,7 @@ def sparse_exhaustive(S: SpectralMatrix, target: int, max_inputs: int
     incumbent, so ties resolve to the smallest then lexicographically
     first support.
     """
-    if max_inputs < 0:
-        raise InvalidParameterError("max_inputs must be >= 0")
+    _check_solver_args(max_inputs, 0.0)     # no gain rule: every subset is scored
     pool = _candidates(S, target)
     top = min(max_inputs, len(pool))
     total = sum(math.comb(len(pool), s) for s in range(top + 1))
@@ -146,10 +152,7 @@ def matching_pursuit(S: SpectralMatrix, target: int, max_inputs: int,
     every atom after the first; gains that are numerical noise relative to
     the initial power stop the pursuit regardless.
     """
-    if max_inputs < 0:
-        raise InvalidParameterError("max_inputs must be >= 0")
-    if not 0 <= min_gain < 1:
-        raise InvalidParameterError("min_gain must be in [0, 1)")
+    _check_solver_args(max_inputs, min_gain)
     pool = _candidates(S, target)
     floored = {b: S.floored_autospectrum(b) for b in pool}
     cross = {b: S.values[b, target].copy() for b in pool}
@@ -205,10 +208,7 @@ def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
     always jointly optimal for the reported support.  Stopping rules match
     :func:`matching_pursuit`.
     """
-    if max_inputs < 0:
-        raise InvalidParameterError("max_inputs must be >= 0")
-    if not 0 <= min_gain < 1:
-        raise InvalidParameterError("min_gain must be in [0, 1)")
+    _check_solver_args(max_inputs, min_gain)
     pool = _candidates(S, target)
     support: list[int] = []
     filters, cost = project(S, target, ())

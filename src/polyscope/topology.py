@@ -16,7 +16,7 @@ import numpy as np
 
 from .diagnostics import record
 from .errors import InvalidParameterError
-from .metric import DistanceMatrix, causal_edge_weights
+from .metric import SYMMETRIC_KINDS, DistanceMatrix, causal_edge_weights
 from .signals import SpectralMatrix
 from .wiener import _joint_fits
 
@@ -79,15 +79,9 @@ class Tree(UndirectedGraph):
             raise InvalidParameterError(
                 f"a tree on {self.n} nodes needs {self.n - 1} edges, "
                 f"got {len(self.edges)}")
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for u in self.neighbors(v):
-                if u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        if len(seen) != self.n:
+        # n - 1 edges connect n nodes exactly when none of them closes a cycle
+        uf = _UnionFind(self.n)
+        if not all(uf.union(a, b) for a, b in self.edges):
             raise InvalidParameterError("tree is not connected")
 
 
@@ -233,7 +227,7 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
     from the joint solve; conditioning is decided once for the whole matrix
     when its eigenvalue ratio allows, and per target otherwise.
     """
-    if D.kind not in ("noncausal", "correlation", "causal-min"):
+    if D.kind not in SYMMETRIC_KINDS:
         raise InvalidParameterError("need a symmetric distance matrix")
     if D.labels != S.labels:
         raise InvalidParameterError("distance labels do not match the spectra")
@@ -276,13 +270,12 @@ def _quote(label: str) -> str:
     return '"' + label.replace('"', r'\"') + '"'
 
 
-def export_dot(graph, sink=None) -> str:
+def export_dot(graph) -> str:
     """Render a graph in DOT syntax with 4-decimal weight labels.
 
     Accepts :class:`UndirectedGraph`/:class:`Tree` (rendered as ``graph``)
     or :class:`Polytree` (rendered as ``digraph``).  Node and edge order is
-    deterministic.  When ``sink`` is given the text is also written there
-    (a path or a file-like object).
+    deterministic.
     """
     directed = isinstance(graph, Polytree)
     lines = ["digraph topology {" if directed else "graph topology {"]
@@ -293,14 +286,7 @@ def export_dot(graph, sink=None) -> str:
         lines.append(f"    {_quote(graph.nodes[a])} {connector} "
                      f"{_quote(graph.nodes[b])} [label=\"{w:.4f}\"];")
     lines.append("}")
-    text = "\n".join(lines) + "\n"
-    if sink is not None:
-        if hasattr(sink, "write"):
-            sink.write(text)
-        else:
-            with open(sink, "w", encoding="utf-8") as fh:
-                fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 def edge_list_rows(graph) -> list[dict]:
@@ -309,29 +295,15 @@ def edge_list_rows(graph) -> list[dict]:
     Undirected edges carry direction "none"; polytree edges state which
     endpoint is the source.  Rows are sorted by node indices.
     """
+    directed = isinstance(graph, Polytree)
     rows = []
-    if isinstance(graph, Polytree):
-        for (p, c), w in graph.edges.items():
-            a, b = min(p, c), max(p, c)
-            rows.append({
-                "node_a": graph.nodes[a],
-                "node_b": graph.nodes[b],
-                "weight": w,
-                "direction": "a_to_b" if p == a else "b_to_a",
-                "tie_flag": 1 if (p, c) in graph.ties else 0,
-                "_key": (a, b),
-            })
-    else:
-        for (a, b), w in graph.edges.items():
-            rows.append({
-                "node_a": graph.nodes[a],
-                "node_b": graph.nodes[b],
-                "weight": w,
-                "direction": "none",
-                "tie_flag": 0,
-                "_key": (a, b),
-            })
-    rows.sort(key=lambda r: r["_key"])
-    for r in rows:
-        del r["_key"]
+    for (p, c), w in sorted(graph.edges.items(), key=lambda e: sorted(e[0])):
+        a, b = min(p, c), max(p, c)
+        rows.append({
+            "node_a": graph.nodes[a],
+            "node_b": graph.nodes[b],
+            "weight": w,
+            "direction": ("a_to_b" if p == a else "b_to_a") if directed else "none",
+            "tie_flag": 1 if directed and (p, c) in graph.ties else 0,
+        })
     return rows

@@ -154,9 +154,7 @@ def _check_inputs(S: SpectralMatrix, target: int, inputs: tuple) -> None:
         raise InvalidParameterError("duplicate inputs")
     if target in inputs:
         raise InvalidParameterError("target cannot be one of its inputs")
-    for idx in inputs + (target,):
-        if not 0 <= idx < S.n:
-            raise InvalidParameterError(f"index {idx} out of range for n={S.n}")
+    S.check_index(*inputs, target)
 
 
 def _joint_fits(S: SpectralMatrix, target: int, idx, verify: bool = False
@@ -377,9 +375,7 @@ def _causal_pair(S: SpectralMatrix, target: int, input_: int
     """:func:`_wiener_hopf` of one validated pair, factoring only its two series."""
     if target == input_:
         raise InvalidParameterError("target and input must differ")
-    for idx in (target, input_):
-        if not 0 <= idx < S.n:
-            raise InvalidParameterError(f"index {idx} out of range for n={S.n}")
+    S.check_index(target, input_)
     factors = _spectral_factors(S._floored[[target, input_]])[0]
     return _wiener_hopf(S, target, [input_], factors[0], factors[1:])
 

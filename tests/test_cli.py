@@ -96,6 +96,15 @@ class TestReadEnsembleCsv:
         with pytest.raises(InputFormatError, match="no data rows"):
             cli.read_ensemble_csv(p)
 
+    def test_bytes_that_are_not_utf8_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"a,b\n1,2\n3,\xff\n")
+        with pytest.raises(InputFormatError, match="d.csv: not UTF-8 text"):
+            cli.read_ensemble_csv(p)
+        assert cli.main(["analyze", "--input", str(p),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {p}: not UTF-8")
+
 
 class TestRunConfig:
     def test_defaults(self):
@@ -124,6 +133,7 @@ class TestRunConfig:
         {"nodes": "1"},
         {"nodes": "16-4"},
         {"nodes": "lots"},
+        {"seed": -1},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidParameterError):
@@ -156,6 +166,15 @@ class TestConfigFile:
     def test_missing_file(self):
         with pytest.raises(InputFormatError, match="not found"):
             cli.load_config_file("/nonexistent/run.cfg")
+
+    def test_bytes_that_are_not_utf8_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(b"seed = 1\n# \xff\n")
+        with pytest.raises(InputFormatError, match="run.cfg: not UTF-8 text"):
+            cli.load_config_file(str(p))
+        assert cli.main(["simulate", "--config", str(p),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {p}: not UTF-8")
 
     def test_flag_beats_file_beats_default(self, tmp_path):
         p = write_csv(tmp_path / "run.cfg", "seed = 5\ngrid_size = 256\n")
@@ -278,6 +297,14 @@ class TestAnalyzeCommand:
 
     def test_usage_error_exits_2(self, tmp_path):
         assert cli.main(["analyze", "--pipeline", "bogus"]) == 2
+
+    @pytest.mark.parametrize("window", ["nosuch", "kaiser"])
+    def test_unusable_window_exits_2(self, tmp_path, capsys, window):
+        data = write_chain_csv(tmp_path / "chain.csv")
+        assert cli.main(["analyze", "--input", str(data), "--window", window,
+                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot build window {window!r}")
 
     def test_version_flag(self, capsys):
         assert cli.main(["--version"]) == 0

@@ -9,13 +9,55 @@ from polyscope import (
     SpectralMatrix,
     TimeSeries,
     WelchConfig,
+    causal_distance,
+    causal_wiener,
+    coherence_distance,
     coherence_function,
+    inner_product,
+    matching_pursuit,
+    noncausal_wiener,
+    orthogonal_least_squares,
+    project,
+    sparse_exhaustive,
     spectral_matrix,
     welch_cross_spectrum,
 )
 from polyscope.diagnostics import collect
 
-from oracles import csd_reference
+from oracles import csd_reference, random_psd_matrix
+
+#: Every public function that takes a series index, given index ``b`` in
+#: each position it can take.
+INDEXED = {
+    "floored_autospectrum": lambda S, b: S.floored_autospectrum(b),
+    "coherence_function-i": lambda S, b: coherence_function(S, b, 0),
+    "coherence_function-j": lambda S, b: coherence_function(S, 0, b),
+    "coherence_distance-i": lambda S, b: coherence_distance(S, b, 0),
+    "coherence_distance-j": lambda S, b: coherence_distance(S, 0, b),
+    "causal_distance-target": lambda S, b: causal_distance(S, b, 0),
+    "causal_distance-input": lambda S, b: causal_distance(S, 0, b),
+    "causal_distance-both": lambda S, b: causal_distance(S, b, b),
+    "causal_wiener-target": lambda S, b: causal_wiener(S, b, 0),
+    "causal_wiener-input": lambda S, b: causal_wiener(S, 0, b),
+    "noncausal_wiener-target": lambda S, b: noncausal_wiener(S, b, [0]),
+    "noncausal_wiener-input": lambda S, b: noncausal_wiener(S, 0, [b]),
+    "inner_product": lambda S, b: inner_product(S, b, 0),
+    "project-empty": lambda S, b: project(S, b, []),
+    "project-target": lambda S, b: project(S, b, [0]),
+    "project-input": lambda S, b: project(S, 0, [b]),
+    "sparse_exhaustive": lambda S, b: sparse_exhaustive(S, b, 1),
+    "matching_pursuit": lambda S, b: matching_pursuit(S, b, 1),
+    "orthogonal_least_squares": lambda S, b: orthogonal_least_squares(S, b, 1),
+}
+
+
+@pytest.mark.parametrize("bad", [3, -1])
+@pytest.mark.parametrize("call", INDEXED.values(), ids=INDEXED.keys())
+def test_series_index_out_of_range(call, bad):
+    S = random_psd_matrix(np.random.default_rng(0), 3, FrequencyGrid(16))
+    with pytest.raises(InvalidParameterError,
+                       match=rf"^index {bad} out of range for n=3$"):
+        call(S, bad)
 
 
 class TestFrequencyGrid:
@@ -94,6 +136,12 @@ class TestWelchConfig:
             WelchConfig(segment_length=2048, grid_size=1024)
         with pytest.raises(InvalidParameterError):
             WelchConfig(segment_length=4)
+
+    @pytest.mark.parametrize("window", ["nosuch", "kaiser"])
+    def test_window_that_cannot_be_built(self, window):
+        with pytest.raises(InvalidParameterError,
+                           match=f"cannot build window '{window}'"):
+            WelchConfig(window=window)
 
     def test_segments_available(self):
         cfg = WelchConfig(grid_size=256, segment_length=256, overlap=0.5)

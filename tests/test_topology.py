@@ -260,12 +260,6 @@ class TestExports:
         assert "digraph topology {" in text
         assert '"b" -> "a" [label="0.5000"];' in text
 
-    def test_dot_writes_to_path(self, tmp_path):
-        g = UndirectedGraph(["a", "b"], {(0, 1): 1.0})
-        out = tmp_path / "g.dot"
-        text = export_dot(g, sink=out)
-        assert out.read_text(encoding="utf-8") == text
-
     def test_edge_rows_directions(self):
         pt = Polytree(["a", "b", "c"], {(1, 0): 0.5, (1, 2): 0.25},
                       ties={(1, 2)})
