@@ -218,7 +218,8 @@ def read_ensemble_csv(path: Path) -> Ensemble:
     offending cell.  Each series is demeaned.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark spreadsheet exports often write
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = [cell.strip() for cell in next(reader)]
@@ -397,8 +398,8 @@ def cmd_analyze(cfg: RunConfig, emitter: _Emitter) -> int:
     if cfg.window_length and cfg.pipeline != "mst":
         raise InvalidParameterError(
             "window_length averaging applies only to the mst pipeline")
-    ens = _ingest(cfg, emitter)
     wcfg = cfg.welch()
+    ens = _ingest(cfg, emitter)
     windowed = cfg.pipeline == "mst" and cfg.window_length > 0
     with emitter.stage("spectra"):
         S = None if windowed else spectral_matrix(ens, wcfg)
@@ -543,9 +544,10 @@ def _safe_name(label: str) -> str:
 
 
 def cmd_sparse(cfg: RunConfig, emitter: _Emitter) -> int:
+    wcfg = cfg.welch()
     ens = _ingest(cfg, emitter)
     with emitter.stage("spectra"):
-        S = spectral_matrix(ens, cfg.welch())
+        S = spectral_matrix(ens, wcfg)
     supports = {}
     with emitter.stage("select"):
         for idx, label in enumerate(S.labels):
@@ -572,8 +574,8 @@ def cmd_sparse(cfg: RunConfig, emitter: _Emitter) -> int:
 
 
 def cmd_compare(cfg: RunConfig, emitter: _Emitter) -> int:
-    ens = _ingest(cfg, emitter)
     wcfg = cfg.welch()
+    ens = _ingest(cfg, emitter)
     with emitter.stage("distances"):
         if cfg.window_length:
             D_coh = windowed_average_distance(ens, cfg.window_length, wcfg)

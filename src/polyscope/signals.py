@@ -26,6 +26,10 @@ from .errors import (
 #: this ratio times the largest diagonal spectral value of the matrix.
 PSD_FLOOR_RATIO = 1e-12
 
+#: Segments transformed and accumulated per step of the Welch estimator; it
+#: bounds the segment DFTs held at once, whatever the record length.
+WELCH_CHUNK_SEGMENTS = 64
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -226,19 +230,29 @@ class SpectralMatrix:
         return floored
 
     @cached_property
-    def _eigenvalue_ratio(self) -> float:
-        """Least over greatest eigenvalue of the floored matrix, worst grid point.
+    def _floored_stack(self) -> np.ndarray:
+        """``(K, n, n)`` read-only stack of ``values`` per grid point, diagonal
+        clipped by :meth:`_floor_auto`.
 
-        The matrix is ``values`` with its diagonal clipped by
-        :meth:`_floor_auto`, read from its lower triangle as ``eigvalsh``
-        reads it.  Each floored block on ascending indices is a principal
-        submatrix of it, so by Cauchy interlacing its ratio is no smaller
-        when this one is positive.  Computed on first use; records nothing.
+        Computed on first use; records nothing.
         """
         A = self.values.transpose(2, 0, 1).copy()
         d = np.arange(self.n)
         A[:, d, d] = self._floor_auto(A[:, d, d])
-        eigs = np.linalg.eigvalsh(A)
+        A.flags.writeable = False
+        return A
+
+    @cached_property
+    def _eigenvalue_ratio(self) -> float:
+        """Least over greatest eigenvalue of the floored matrix, worst grid point.
+
+        The matrix is :attr:`_floored_stack`, read from its lower triangle
+        as ``eigvalsh`` reads it.  Each floored block on ascending indices is
+        a principal submatrix of it, so by Cauchy interlacing its ratio is no
+        smaller when this one is positive.  Computed on first use; records
+        nothing.
+        """
+        eigs = np.linalg.eigvalsh(self._floored_stack)
         return float(np.min(eigs[:, 0] / eigs[:, -1]))
 
     def floored_autospectrum(self, i: int) -> np.ndarray:
@@ -316,12 +330,19 @@ class WelchConfig:
         return (n_samples - self.effective_segment_length) // self.hop + 1
 
 
-def _hann_segment_ffts(values: np.ndarray, cfg: WelchConfig) -> tuple[np.ndarray, float]:
-    """Windowed segment DFTs for each row of ``values``.
+def _welch_matrix(values: np.ndarray, cfg: WelchConfig) -> np.ndarray:
+    """Welch cross spectra of every pair of rows of ``values``, ``(n, n, K)``.
 
-    Returns ``(X, norm)`` where ``X[s, m]`` is the DFT of windowed segment
-    ``m`` of series ``s`` evaluated on the standard FFT ordering, and
-    ``norm`` is the window energy ``sum(w**2)`` used for density scaling.
+    A streamed Gram product: the windowed segments are real-transformed
+    (``rfft``) :data:`WELCH_CHUNK_SEGMENTS` at a time, and each chunk adds
+    its per-frequency ``X^H X`` to one ``(K/2+1, n, n)`` accumulator, so the
+    segment DFTs held at once do not grow with the record.  The bins above
+    K/2 are the conjugates of the bins below it (real input).  The upper
+    triangle is copied onto the lower one and the diagonal made real, so the
+    result is exactly Hermitian.
+
+    Raises :class:`InsufficientDataError` when not one segment fits, and
+    records a ``welch-segments`` event when fewer segments fit than planned.
     """
     n_samples = values.shape[-1]
     seg = cfg.effective_segment_length
@@ -333,36 +354,35 @@ def _hann_segment_ffts(values: np.ndarray, cfg: WelchConfig) -> tuple[np.ndarray
         record("welch-segments",
                f"only {available} segments fit, {cfg.segment_count} planned")
     win = cfg.window_taps
-    starts = np.arange(available) * cfg.hop
-    idx = starts[:, None] + np.arange(seg)[None, :]
-    segments = values[..., idx] * win          # (..., n_seg, seg)
-    ffts = np.fft.fft(segments, n=cfg.grid_size, axis=-1)
-    return ffts, float(np.sum(win ** 2))
-
-
-def _welch_matrix(values: np.ndarray, cfg: WelchConfig) -> np.ndarray:
-    """Welch cross spectra of every pair of rows of ``values``, ``(n, n, K)``.
-
-    Row ``i`` is averaged against rows ``i..n-1`` in one product; the lower
-    triangle is the conjugate of the upper one, so the result is exactly
-    Hermitian.
-    """
-    ffts, norm = _hann_segment_ffts(values, cfg)
     n, k = values.shape[0], cfg.grid_size
-    out = np.empty((n, n, k), dtype=complex)
-    for i in range(n):
-        cross = np.mean(np.conj(ffts[i]) * ffts[i:], axis=1) / norm
-        out[i, i:] = np.fft.fftshift(cross, axes=-1)
-        out[i + 1:, i] = np.conj(out[i, i + 1:])
-    return out
+    half = k // 2
+    offsets = np.arange(seg)
+    gram = np.zeros((half + 1, n, n), dtype=complex)
+    for first in range(0, available, WELCH_CHUNK_SEGMENTS):
+        last = min(first + WELCH_CHUNK_SEGMENTS, available)
+        starts = np.arange(first, last) * cfg.hop
+        segments = values[:, starts[:, None] + offsets] * win    # (n, m, seg)
+        # (K/2+1, m, n): one matrix of segment DFTs per frequency
+        X = np.fft.rfft(segments, n=k, axis=-1).transpose(2, 1, 0)
+        gram += np.conj(X.transpose(0, 2, 1)) @ X
+    gram /= available * float(np.sum(win ** 2))
+    upper = np.triu_indices(n, 1)
+    gram[:, upper[1], upper[0]] = np.conj(gram[:, upper[0], upper[1]])
+    diag = np.arange(n)
+    gram[:, diag, diag] = gram[:, diag, diag].real
+    full = np.empty((k, n, n), dtype=complex)
+    full[:half + 1] = gram
+    full[half + 1:] = np.conj(gram[half - 1:0:-1])
+    return np.ascontiguousarray(np.fft.fftshift(full, axes=0).transpose(1, 2, 0))
 
 
 def welch_cross_spectrum(x: TimeSeries, y: TimeSeries, cfg: WelchConfig) -> Spectrum:
     """Welch estimate of the cross power spectrum ``Phi_xy``.
 
-    Segments are Hann-windowed, overlapped by ``cfg.overlap``, and averaged
-    as ``conj(X_seg) * Y_seg / sum(w**2)``, giving a two-sided density whose
-    grid mean approximates the zero-lag cross covariance ``E[x(t) y(t)]``.
+    Segments are windowed by ``cfg.window``, overlapped by ``cfg.overlap``,
+    and averaged as ``conj(X_seg) * Y_seg / sum(w**2)``, giving a two-sided
+    density whose grid mean approximates the zero-lag cross covariance
+    ``E[x(t) y(t)]``.  This is the two-row case of :func:`spectral_matrix`.
 
     Parameters
     ----------
@@ -387,9 +407,10 @@ def welch_cross_spectrum(x: TimeSeries, y: TimeSeries, cfg: WelchConfig) -> Spec
 def spectral_matrix(ens: Ensemble, cfg: WelchConfig) -> SpectralMatrix:
     """Estimate the full matrix of cross spectra for an ensemble.
 
-    Segment DFTs are computed once per series, and each series is averaged
-    against every later one in one product; the remaining entries are
-    conjugate-filled, so the result is Hermitian by construction.
+    One streamed Gram product over chunks of real segment DFTs gives every
+    pair at once (see :func:`_welch_matrix`); memory beyond the stacked
+    samples does not grow with the record length, and the result is exactly
+    Hermitian.
     """
     return SpectralMatrix(list(ens.labels), FrequencyGrid(cfg.grid_size),
                           _welch_matrix(ens.values(), cfg))

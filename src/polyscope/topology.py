@@ -5,7 +5,9 @@ of a tree-shaped network; orienting its edges by the cheaper causal
 modelling direction yields a polytree.  The alternative route goes through
 multi-input Wiener filters: the support of the filter of one target is its
 Markov blanket (parents, children, co-parents), and co-parents are pruned
-by an indirect-path test on the distances.
+by an indirect-path test on the distances.  Every target's filter over all
+other series is a column of the inverse spectral matrix, so a
+well-conditioned matrix yields all of them from one batched inverse.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .diagnostics import record
 from .errors import InvalidParameterError
 from .metric import SYMMETRIC_KINDS, DistanceMatrix, causal_edge_weights
 from .signals import SpectralMatrix
-from .wiener import _joint_fits
+from .wiener import CONDITION_RTOL, _joint_fits
 
 #: Relative filter magnitude below which a MISO input does not count as a
 #: blanket candidate.
@@ -223,9 +225,14 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
     co-parents, which sit at maximal distance from the target.  Surviving
     links are symmetrised by union over targets.
 
-    The filters are the ones :func:`noncausal_wiener` returns, read straight
-    from the joint solve; conditioning is decided once for the whole matrix
-    when its eigenvalue ratio allows, and per target otherwise.
+    The filters are the ones :func:`noncausal_wiener` returns.  When the
+    floored spectral matrix clears the conditioning screen of
+    :func:`~polyscope.wiener._joint_fits` (eigenvalue ratio at least twice
+    ``CONDITION_RTOL``), all of them are read from one batched inverse
+    ``P`` of ``S._floored_stack``: the filter of target ``j`` on input ``i``
+    is ``-P[i, j] / P[j, j]``.  Otherwise each target's filters come from
+    its own joint solve, which checks its blocks' conditioning and raises on
+    the first singular one as :func:`noncausal_wiener` would.
     """
     if D.kind not in SYMMETRIC_KINDS:
         raise InvalidParameterError("need a symmetric distance matrix")
@@ -237,12 +244,18 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
     n = S.n
     if n < 2:
         raise InvalidParameterError("need at least two nodes")
+    rms_all = _precision_filter_rms(S) \
+        if S._eigenvalue_ratio >= 2 * CONDITION_RTOL else None
     edges: dict[tuple[int, int], float] = {}
     for j in range(n):
         inputs = [i for i in range(n) if i != j]
-        W = _joint_fits(S, j, [inputs])[0][0]
-        # one contiguous row per input, so each mean sums as TransferFunction.rms does
-        rms = np.sqrt(np.mean(np.abs(W.T.copy()) ** 2, axis=-1)).tolist()
+        if rms_all is not None:
+            rms = rms_all[j, inputs].tolist()
+        else:
+            W = _joint_fits(S, j, [inputs])[0][0]
+            # one contiguous row per input, so each mean sums as
+            # TransferFunction.rms does
+            rms = np.sqrt(np.mean(np.abs(W.T.copy()) ** 2, axis=-1)).tolist()
         top = max(rms)
         if top == 0.0:
             continue
@@ -264,6 +277,19 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
             key = (min(i, j), max(i, j))
             edges.setdefault(key, float(D.values[i, j]))
     return UndirectedGraph(list(S.labels), edges)
+
+
+def _precision_filter_rms(S: SpectralMatrix) -> np.ndarray:
+    """``(n, n)`` filter RMS: ``[j, i]`` for input ``i`` of target ``j``'s
+    filter over all other series, from one inverse of the floored stack.
+
+    The diagonal is 1 (the target's own entry) and means nothing.
+    """
+    P = np.linalg.inv(S._floored_stack)
+    d = np.arange(S.n)
+    # [j, i, k], copied C-contiguous so each mean sums as a 1-d mean does
+    power = (np.abs(P / P[:, d, d][:, None, :]) ** 2).transpose(2, 1, 0).copy()
+    return np.sqrt(np.mean(power, axis=-1))
 
 
 def _quote(label: str) -> str:

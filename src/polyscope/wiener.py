@@ -161,14 +161,15 @@ def _joint_fits(S: SpectralMatrix, target: int, idx, verify: bool = False
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Joint least-squares fits of ``target`` on each row of an ``(m, q)`` index array.
 
-    Builds the per-frequency normal equations ``A (m, K, q, q)``, with
-    diagonals clipped at the spectral floor, and ``c (m, K, q)`` once, and
-    solves all of them in one batched call.  Every fit is checked for
-    conditioning before any is solved.  When every row ascends, each ``A``
-    is a principal submatrix of the floored spectral matrix, and a whole
-    matrix whose eigenvalue ratio clears twice :data:`CONDITION_RTOL`
-    (``S._eigenvalue_ratio``, computed once per matrix) clears every fit;
-    otherwise each fit's blocks are checked with their own eigenvalues.
+    Gathers the per-frequency normal equations ``A (m, K, q, q)`` from
+    ``S._floored_stack`` (diagonals clipped at the spectral floor) and
+    ``c (m, K, q)`` once, and solves all of them in one batched call.
+    Every fit is checked for conditioning before any is solved.  When every
+    row ascends, each ``A`` is a principal submatrix of the floored spectral
+    matrix, and a whole matrix whose eigenvalue ratio clears twice
+    :data:`CONDITION_RTOL` (``S._eigenvalue_ratio``, computed once per
+    matrix) clears every fit; otherwise each fit's blocks are checked with
+    their own eigenvalues.
     With ``verify`` each solution is also checked against its normal
     equations (residual orthogonal to every input).  The first failing fit
     in row order raises, as if the fits ran one after another.  Rows must be
@@ -179,9 +180,7 @@ def _joint_fits(S: SpectralMatrix, target: int, idx, verify: bool = False
     means ``(m,)``.
     """
     idx = np.asarray(idx)
-    A = S.values[idx[:, :, None], idx[:, None, :]].transpose(0, 3, 1, 2).copy()
-    d = np.arange(idx.shape[1])
-    A[..., d, d] = S._floor_auto(A[..., d, d])
+    A = S._floored_stack[:, idx[:, :, None], idx[:, None, :]].swapaxes(0, 1)
     c = S.values[idx, target].transpose(0, 2, 1).copy()
     ok = len(idx)
     if not (np.all(np.diff(idx, axis=1) > 0)

@@ -5,10 +5,12 @@ scipy's Welch estimator instead of our segment bookkeeping, polynomial
 rooting instead of the cepstrum, per-frequency least squares instead of the
 normal-equation solve, Prüfer enumeration instead of Kruskal, and raw
 path-product transfer algebra instead of the topological-order recursion.
-The one exception is the per-fit Wiener solve, the per-candidate greedy
-loop and the per-target blanket loop that the batched joint-fit kernel
-replaced; they are kept as they were, so that tests can require
-bit-identical results from the batched code.
+The exceptions are the kernels that whole-matrix code replaced, kept as
+they were: the per-row Welch average that the streamed Gram product
+replaced, which tests compare at a tolerance; and the per-fit Wiener
+solve, the per-candidate greedy loop and the per-target blanket loop that
+the batched joint fits and the precision-matrix read-out replaced, against
+which tests require bit-identical solutions, or equal supports and events.
 """
 
 from __future__ import annotations
@@ -44,6 +46,27 @@ def csd_reference(x: np.ndarray, y: np.ndarray, cfg: WelchConfig) -> np.ndarray:
                      noverlap=seg - cfg.hop, nfft=cfg.grid_size,
                      detrend=False, return_onesided=False, scaling="density")
     return np.fft.fftshift(pxy)
+
+
+def welch_reference(values: np.ndarray, cfg: WelchConfig) -> np.ndarray:
+    """Welch matrix ``(n, n, K)`` as the per-row kernel computed it.
+
+    Holds every full-``fft`` segment DFT at once and averages row ``i``
+    against rows ``i..n-1``; the lower triangle is conjugate-filled.
+    """
+    seg = cfg.effective_segment_length
+    available = cfg.segments_available(values.shape[-1])
+    win = cfg.window_taps
+    idx = (np.arange(available) * cfg.hop)[:, None] + np.arange(seg)[None, :]
+    ffts = np.fft.fft(values[..., idx] * win, n=cfg.grid_size, axis=-1)
+    norm = float(np.sum(win ** 2))
+    n, k = values.shape[0], cfg.grid_size
+    out = np.empty((n, n, k), dtype=complex)
+    for i in range(n):
+        cross = np.mean(np.conj(ffts[i]) * ffts[i:], axis=1) / norm
+        out[i, i:] = np.fft.fftshift(cross, axes=-1)
+        out[i + 1:, i] = np.conj(out[i, i + 1:])
+    return out
 
 
 def covariance_sequence(phi: np.ndarray, grid: FrequencyGrid, order: int) -> np.ndarray:

@@ -96,6 +96,11 @@ class TestReadEnsembleCsv:
         with pytest.raises(InputFormatError, match="no data rows"):
             cli.read_ensemble_csv(p)
 
+    def test_byte_order_mark_is_not_part_of_the_first_label(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,4\n")
+        assert cli.read_ensemble_csv(p).labels == ["a", "b"]
+
     def test_bytes_that_are_not_utf8_exit_2(self, tmp_path, capsys):
         p = tmp_path / "d.csv"
         p.write_bytes(b"a,b\n1,2\n3,\xff\n")
@@ -305,6 +310,15 @@ class TestAnalyzeCommand:
                          "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(
             f"error: cannot build window {window!r}")
+
+    @pytest.mark.parametrize("command", ["analyze", "sparse", "compare"])
+    def test_window_is_checked_before_the_input_is_read(self, tmp_path, capsys,
+                                                        command):
+        data = write_csv(tmp_path / "bad.csv", "a,b\n1,2\n3,x\n")
+        assert cli.main([command, "--input", str(data), "--window", "nosuch",
+                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: cannot build window 'nosuch'")
 
     def test_version_flag(self, capsys):
         assert cli.main(["--version"]) == 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from polyscope import (
 )
 from polyscope.diagnostics import collect
 
-from oracles import csd_reference, random_psd_matrix
+from oracles import csd_reference, random_psd_matrix, welch_reference
 
 #: Every public function that takes a series index, given index ``b`` in
 #: each position it can take.
@@ -227,9 +229,10 @@ class TestSpectralMatrix:
                                            atol=1e-12 * scale)
 
     def test_hermitian(self):
-        _, S = self._matrix()
-        np.testing.assert_allclose(
-            S.values, np.conj(S.values.transpose(1, 0, 2)), atol=1e-12)
+        ens, S = self._matrix()
+        assert np.array_equal(S.values, np.conj(S.values.transpose(1, 0, 2)))
+        again = spectral_matrix(ens, WelchConfig(grid_size=256))
+        assert np.array_equal(again.values, S.values)
 
     def test_rejects_non_hermitian(self):
         grid = FrequencyGrid(8)
@@ -277,6 +280,52 @@ class TestSpectralMatrix:
         off = np.mean([np.mean(np.abs(S.values[i, j]))
                        for i in range(3) for j in range(3) if i != j])
         assert off / diag < 0.2
+
+
+class TestWelchKernel:
+    """The streamed Gram kernel against the per-row kernel it replaced and scipy."""
+
+    @pytest.mark.parametrize("window", ["hann", "hamming"])
+    @pytest.mark.parametrize("segment_length", [128, 96])
+    @pytest.mark.parametrize("segments", [1, 63, 64, 65, 255])
+    def test_matches_per_row_kernel_and_scipy(self, segments, segment_length,
+                                              window):
+        cfg = WelchConfig(grid_size=128, segment_length=segment_length,
+                          window=window)
+        length = segment_length + (segments - 1) * cfg.hop
+        assert cfg.segments_available(length) == segments
+        rng = np.random.default_rng(segments)
+        base = rng.standard_normal(length)
+        ens = Ensemble([
+            TimeSeries(f"s{i}", 0.7 * base + rng.standard_normal(length))
+            for i in range(3)])
+        values = spectral_matrix(ens, cfg).values
+        ref = welch_reference(ens.values(), cfg)
+        scale = np.max(np.abs(ref))
+        np.testing.assert_allclose(values, ref, rtol=0, atol=1e-12 * scale)
+        for i, x in enumerate(ens.series):
+            for j, y in enumerate(ens.series):
+                np.testing.assert_allclose(
+                    values[i, j], csd_reference(x.samples, y.samples, cfg),
+                    rtol=0, atol=1e-12 * scale)
+
+    def test_memory_does_not_grow_with_record_length(self):
+        # segment DFTs are streamed in chunks, so beyond the stacked input the
+        # peak is the same for a record twice as long
+        cfg = WelchConfig(grid_size=1024)
+        extra = []
+        for length in (1 << 17, 1 << 18):
+            rng = np.random.default_rng(3)
+            ens = Ensemble([TimeSeries(f"s{i}", rng.standard_normal(length))
+                            for i in range(8)])
+            tracemalloc.start()
+            try:
+                spectral_matrix(ens, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - ens.values().nbytes)
+        assert abs(extra[1] - extra[0]) < 2e6
 
 
 def _analytic_pair(grid, phi_x, phi_y, cross):

@@ -4,13 +4,17 @@ import pytest
 from polyscope import (
     ALNSpec,
     DistanceMatrix,
+    Ensemble,
     FrequencyGrid,
+    IllConditionedSpectrumError,
     InvalidParameterError,
     Link,
     Polytree,
     SpectralMatrix,
+    TimeSeries,
     Tree,
     UndirectedGraph,
+    WelchConfig,
     analytic_spectra,
     build_polytree,
     causal_distance_matrix,
@@ -21,8 +25,11 @@ from polyscope import (
     markov_blanket,
     minimum_spanning_tree,
     miso_blanket_topology,
+    simulate,
+    spectral_matrix,
 )
 from polyscope.diagnostics import collect
+from polyscope.wiener import CONDITION_RTOL
 
 from oracles import blanket_reference, miso_reference, min_tree_bruteforce
 
@@ -244,6 +251,36 @@ class TestMisoBlanketTopology:
                 assert g.edges == ref.edges
                 assert [(e.category, e.message) for e in events] == \
                     [(e.category, e.message) for e in ref_events]
+
+
+    def test_matches_per_target_loop_on_a_simulated_wide_record(self):
+        spec = generate_polytree_aln(32, 4)
+        S = spectral_matrix(simulate(spec, 1 << 13, 4).ensemble,
+                            WelchConfig(grid_size=64))
+        assert S._eigenvalue_ratio >= 2 * CONDITION_RTOL   # the inverse read-out
+        D = distance_matrix(S)
+        for threshold in (None, 1e-2, 0.3):
+            with collect() as events:
+                g = miso_blanket_topology(S, D, threshold)
+            with collect() as ref_events:
+                ref = miso_reference(S, D, threshold)
+            assert g.edges == ref.edges
+            assert [(e.category, e.message) for e in events] == \
+                [(e.category, e.message) for e in ref_events]
+
+    def test_singular_matrix_raises_as_the_per_target_loop(self):
+        rng = np.random.default_rng(9)
+        x, y = rng.standard_normal((2, 1 << 12))
+        S = spectral_matrix(Ensemble([TimeSeries("a", x), TimeSeries("b", y),
+                                      TimeSeries("c", x.copy())]),
+                            WelchConfig(grid_size=64))
+        assert S._eigenvalue_ratio < 2 * CONDITION_RTOL     # the per-target loop
+        D = distance_matrix(S)
+        with pytest.raises(IllConditionedSpectrumError) as ours:
+            miso_blanket_topology(S, D)
+        with pytest.raises(IllConditionedSpectrumError) as ref:
+            miso_reference(S, D)
+        assert str(ours.value) == str(ref.value)
 
 
 class TestExports:
