@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InsufficientDataError, InvalidParameterError
 from .metric import causal_distance_matrix, distance_matrix
@@ -374,11 +375,14 @@ def check_identifiability(spec: ALNSpec, grid: FrequencyGrid | None = None
 
     For every structurally related pair ``(i, j)`` (sharing at least one
     noise source; this includes ``i == j``) and every noise ``k``, the
-    product ``|Phi_ij| * phi_k`` must exceed a relative floor on at least
-    ``IDENTIFIABILITY_RUN`` consecutive grid points.  Pairs that are exactly
+    product ``|Phi_ij| * phi_k`` must exceed ``IDENTIFIABILITY_RTOL`` times
+    its maximum on ``IDENTIFIABILITY_RUN`` consecutive grid points, tested
+    per noise by a window sliding along the ``(pairs, K)`` array of related
+    spectra, never wrapping around the grid.  Pairs that are exactly
     independent by the graph structure are exempt (their distance is
-    maximal, which cannot corrupt a spanning tree) and only counted.
-    A dead noise fails every tuple that names it.
+    maximal, which cannot corrupt a spanning tree) and only counted.  A dead
+    noise fails every tuple that names it.  Violations are ordered by pair
+    ``(i, j)``, then by noise.
     """
     grid = grid or FrequencyGrid(1024)
     H = _source_transfers(spec, grid)
@@ -386,31 +390,23 @@ def check_identifiability(spec: ALNSpec, grid: FrequencyGrid | None = None
     cross = np.abs(_cross_spectra(H, phi))
     shares = (np.max(np.abs(H), axis=2) > 0.0).astype(int)
     related = (shares @ shares.T) > 0    # [a, b]: common noise source exists
-    violations = []
-    exempt = 0
-    # per pair and noise on purpose: the array form of this scan waits for
-    # the benchmark's probe to track numpy-bound work (ROADMAP items 3 and 6)
-    n = spec.n
-    for i in range(n):
-        for j in range(i, n):
-            if not related[i, j]:
-                exempt += 1
-                continue
-            for k in range(n):
-                product = cross[i, j] * phi[k]
-                top = float(np.max(product))
-                alive = product > IDENTIFIABILITY_RTOL * top
-                if top == 0.0 or _longest_run(alive) < IDENTIFIABILITY_RUN:
-                    violations.append((i, j, k))
+    rows, cols = np.nonzero(np.triu(related))
+    pairs = cross[rows, cols]
+    failed = np.empty((rows.size, spec.n), dtype=bool)
+    for k, noise in enumerate(phi):
+        product = pairs * noise
+        top = np.max(product, axis=-1, keepdims=True)
+        failed[:, k] = ~_has_run(product > IDENTIFIABILITY_RTOL * top,
+                                 IDENTIFIABILITY_RUN)
+    violations = [(int(rows[p]), int(cols[p]), int(k))
+                  for p, k in zip(*np.nonzero(failed))]
+    exempt = spec.n * (spec.n + 1) // 2 - rows.size
     return IdentifiabilityReport(not violations, violations, exempt)
 
 
-def _longest_run(mask: np.ndarray) -> int:
-    best = current = 0
-    for flag in mask:
-        current = current + 1 if flag else 0
-        best = max(best, current)
-    return best
+def _has_run(alive: np.ndarray, run: int) -> np.ndarray:
+    """Rows of ``alive`` holding ``run`` consecutive true points, unwrapped."""
+    return sliding_window_view(alive, run, axis=-1).all(axis=-1).any(axis=-1)
 
 
 def _score(true_tree: Polytree, undirected: set[frozenset],

@@ -22,6 +22,7 @@ Exit codes: 0 success, 2 input/usage error, 3 insufficient data,
 from __future__ import annotations
 
 import argparse
+import contextvars
 import csv
 import dataclasses
 import hashlib
@@ -172,7 +173,7 @@ def load_config_file(path: str) -> dict:
     if not source.is_file():
         raise InputFormatError(f"config file not found: {source}")
     try:
-        text = source.read_text(encoding="utf-8")
+        text = source.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{source}: not UTF-8 text ({exc.reason})") from None
     values: dict = {}
@@ -500,7 +501,10 @@ def cmd_validate(cfg: RunConfig, emitter: _Emitter) -> int:
 
     with emitter.stage("trials"):
         with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-            reports = list(pool.map(one_trial, range(cfg.trials)))
+            # each trial runs in a copy of this context, with its collectors
+            futures = [pool.submit(contextvars.copy_context().run, one_trial, t)
+                       for t in range(cfg.trials)]
+            reports = [f.result() for f in futures]
 
     rows = []
     for trial, rep in enumerate(reports):

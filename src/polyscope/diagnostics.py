@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import logging
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 logger = logging.getLogger("polyscope")
 
-_sinks: list[list["Event"]] = []
+_sinks: ContextVar[tuple[list["Event"], ...]] = ContextVar("sinks", default=())
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,7 @@ def record(category: str, message: str) -> None:
     """Record a diagnostic event on every active collector."""
     event = Event(category, message)
     logger.debug("%s: %s", category, message)
-    for sink in _sinks:
+    for sink in _sinks.get():
         sink.append(event)
 
 
@@ -37,11 +38,11 @@ def collect():
 
     Yields a list that fills up as events are recorded. Collectors nest; an
     event lands in every collector active at the time of recording.
+    Collectors are context-local: other threads see them in a copied context.
     """
     sink: list[Event] = []
-    _sinks.append(sink)
+    token = _sinks.set(_sinks.get() + (sink,))
     try:
         yield sink
     finally:
-        # by identity: two empty collectors compare equal
-        del _sinks[next(i for i, s in enumerate(_sinks) if s is sink)]
+        _sinks.reset(token)

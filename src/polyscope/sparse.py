@@ -153,26 +153,26 @@ def matching_pursuit(S: SpectralMatrix, target: int, max_inputs: int,
     the initial power stop the pursuit regardless.
     """
     _check_solver_args(max_inputs, min_gain)
-    pool = _candidates(S, target)
-    floored = {b: S.floored_autospectrum(b) for b in pool}
-    cross = {b: S.values[b, target].copy() for b in pool}
+    pool = np.array(_candidates(S, target), dtype=int)
+    floored = S._floored[pool]
+    cross = S.values[pool, target]
+    unused = np.ones(pool.size, dtype=bool)
     phi_r = np.maximum(np.real(S.values[target, target]).copy(), 0.0)
     initial = max(float(np.mean(phi_r)), np.finfo(float).tiny)
     cost = float(np.mean(phi_r))
-    raw_filters: dict[int, np.ndarray] = {}
+    raw_filters: dict[int, TransferFunction] = {}
     stop_reason = "budget"
     while True:
         if len(raw_filters) >= max_inputs:
-            stop_reason = "budget"
             break
-        unused = [b for b in pool if b not in raw_filters]
-        if not unused:
+        if not unused.any():
             stop_reason = "exhausted"
             break
-        gains = {b: float(np.mean(np.abs(cross[b]) ** 2 / floored[b]))
-                 for b in unused}
-        best = min(unused, key=lambda b: (-gains[b], b))
-        gain = gains[best]
+        gains = np.where(unused, np.mean(np.abs(cross) ** 2 / floored, axis=-1),
+                         -np.inf)
+        # the first maximum picks the lowest index, as the pool is sorted
+        best = int(np.argmax(gains))
+        gain = float(gains[best])
         if gain <= NEGLIGIBLE_RTOL * initial:
             stop_reason = "negligible-gain"
             break
@@ -181,10 +181,9 @@ def matching_pursuit(S: SpectralMatrix, target: int, max_inputs: int,
             break
         V = cross[best] / floored[best]
         phi_r = np.maximum(phi_r - np.abs(cross[best]) ** 2 / floored[best], 0.0)
-        for b in unused:
-            if b != best:
-                cross[b] = cross[b] - V * S.values[b, best]
-        raw_filters[best] = V
+        unused[best] = False
+        cross[unused] -= V * S.values[pool[unused], pool[best]]
+        raw_filters[int(pool[best])] = TransferFunction(S.grid, V)
         cost = float(np.mean(phi_r))
     support = tuple(sorted(raw_filters))
     refit_filters, refit_cost = project(S, target, support)
@@ -192,10 +191,9 @@ def matching_pursuit(S: SpectralMatrix, target: int, max_inputs: int,
         record("sparse-refit",
                f"joint refit cost {refit_cost:.6e} above greedy bookkeeping "
                f"{cost:.6e} for target {target}")
-    raw = {b: TransferFunction(S.grid, resp) for b, resp in raw_filters.items()}
     return SparseModel(target, support, refit_filters, refit_cost,
                        solver="mp", stop_reason=stop_reason,
-                       raw_filters=raw, raw_cost=cost)
+                       raw_filters=raw_filters, raw_cost=cost)
 
 
 def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,

@@ -8,9 +8,9 @@ path-product transfer algebra instead of the topological-order recursion.
 The exceptions are the kernels that whole-matrix code replaced, kept as
 they were: the per-row Welch average that the streamed Gram product
 replaced, which tests compare at a tolerance; and the per-fit Wiener
-solve, the per-candidate greedy loop and the per-target blanket loop that
-the batched joint fits and the precision-matrix read-out replaced, against
-which tests require bit-identical solutions, or equal supports and events.
+solve, the per-candidate greedy loops, the per-target blanket loop and the
+per-pair identifiability run test that array code replaced, against which
+tests require bit-identical solutions, or equal supports and events.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from polyscope import (
     WelchConfig,
     generate_polytree_aln,
     inner_product,
+    project,
 )
 from polyscope.diagnostics import record
 from polyscope.sparse import DEFAULT_MIN_GAIN, NEGLIGIBLE_RTOL
@@ -215,6 +216,58 @@ def ols_reference(S: SpectralMatrix, target: int, max_inputs: int,
         filters, cost = best_filters, best_cost
     return SparseModel(target, tuple(support), filters, cost,
                        solver="ols", stop_reason=stop_reason)
+
+
+def mp_reference(S: SpectralMatrix, target: int, max_inputs: int,
+                 min_gain: float = DEFAULT_MIN_GAIN) -> SparseModel:
+    """``sparse.matching_pursuit`` with one dict entry per candidate.
+
+    Gains are scored and cross spectra updated candidate by candidate; the
+    refit and the ``sparse-refit`` event are the library's.
+    """
+    pool = [b for b in range(S.n) if b != target]
+    floored = {b: S.floored_autospectrum(b) for b in pool}
+    cross = {b: S.values[b, target].copy() for b in pool}
+    phi_r = np.maximum(np.real(S.values[target, target]).copy(), 0.0)
+    initial = max(float(np.mean(phi_r)), np.finfo(float).tiny)
+    cost = float(np.mean(phi_r))
+    raw_filters: dict[int, np.ndarray] = {}
+    stop_reason = "budget"
+    while True:
+        if len(raw_filters) >= max_inputs:
+            stop_reason = "budget"
+            break
+        unused = [b for b in pool if b not in raw_filters]
+        if not unused:
+            stop_reason = "exhausted"
+            break
+        gains = {b: float(np.mean(np.abs(cross[b]) ** 2 / floored[b]))
+                 for b in unused}
+        best = min(unused, key=lambda b: (-gains[b], b))
+        gain = gains[best]
+        if gain <= NEGLIGIBLE_RTOL * initial:
+            stop_reason = "negligible-gain"
+            break
+        if raw_filters and gain < min_gain * max(cost, np.finfo(float).tiny):
+            stop_reason = "min-gain"
+            break
+        V = cross[best] / floored[best]
+        phi_r = np.maximum(phi_r - np.abs(cross[best]) ** 2 / floored[best], 0.0)
+        for b in unused:
+            if b != best:
+                cross[b] = cross[b] - V * S.values[b, best]
+        raw_filters[best] = V
+        cost = float(np.mean(phi_r))
+    support = tuple(sorted(raw_filters))
+    refit_filters, refit_cost = project(S, target, support)
+    if refit_cost > cost + 1e-8 * max(1.0, cost):
+        record("sparse-refit",
+               f"joint refit cost {refit_cost:.6e} above greedy bookkeeping "
+               f"{cost:.6e} for target {target}")
+    raw = {b: TransferFunction(S.grid, resp) for b, resp in raw_filters.items()}
+    return SparseModel(target, support, refit_filters, refit_cost,
+                       solver="mp", stop_reason=stop_reason,
+                       raw_filters=raw, raw_cost=cost)
 
 
 def miso_reference(S: SpectralMatrix, D, threshold: float | None = None

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from polyscope import (
     ALNSpec,
@@ -19,7 +20,7 @@ from polyscope import (
     spectral_matrix,
 )
 
-from oracles import identifiability_reference, path_transfer_spectra
+from oracles import _longest_run, identifiability_reference, path_transfer_spectra
 from polyscope import aln
 from polyscope.aln import IDENTIFIABILITY_RTOL, IDENTIFIABILITY_RUN
 
@@ -262,11 +263,16 @@ class TestIdentifiability:
         assert report.passed
         assert report.exempt_pairs == 1
 
-    @pytest.mark.parametrize("n", [4, 10, 16])
-    def test_matches_loop_oracle(self, n, monkeypatch):
+    @pytest.mark.parametrize("n, size", [
+        pytest.param(4, 64, id="4"),
+        pytest.param(10, 64, id="10"),
+        pytest.param(16, 64, id="16"),
+        pytest.param(10, 256, id="10-K256"),     # the benchmark's grid
+    ])
+    def test_matches_loop_oracle(self, n, size, monkeypatch):
         # each network as drawn; with one noise switched off; and under a
         # strict level and run, where short alive runs decide the verdict
-        grid = FrequencyGrid(64)
+        grid = FrequencyGrid(size)
         for seed in range(20):
             spec = generate_polytree_aln(n, seed=seed)
             dead = spec.noise_variances.copy()
@@ -284,6 +290,45 @@ class TestIdentifiability:
                 assert report.violations == violations
                 assert report.exempt_pairs == exempt
                 assert report.passed == (not violations)
+
+
+@st.composite
+def alive_masks(draw):
+    """A run length and boolean rows of one width, at least that long.
+
+    Besides random rows: rows alive only at both ends, whose wrapped join
+    would make a run, and rows whose only run is ``run`` or ``run - 1``
+    points long.
+    """
+    run = draw(st.integers(1, 6))
+    size = draw(st.integers(run, 24))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["random", "ends", "run"]),
+                              min_size=1, max_size=6)):
+        if kind == "random":
+            rows.append(draw(st.lists(st.booleans(), min_size=size,
+                                      max_size=size)))
+            continue
+        if kind == "ends":
+            head = draw(st.integers(0, min(run - 1, size)))
+            tail = draw(st.integers(0, min(run - 1, size - head)))
+            alive = [(0, head), (size - tail, size)]
+        else:
+            length = draw(st.sampled_from([run - 1, run]))
+            start = draw(st.integers(0, size - length))
+            alive = [(start, start + length)]
+        row = [False] * size
+        for lo, hi in alive:
+            row[lo:hi] = [True] * (hi - lo)
+        rows.append(row)
+    return run, np.array(rows, dtype=bool)
+
+
+@given(alive_masks())
+def test_run_check_matches_longest_run(case):
+    run, mask = case
+    expected = [_longest_run(row) >= run for row in mask]
+    assert aln._has_run(mask, run).tolist() == expected
 
 
 class TestRunRecovery:

@@ -172,6 +172,11 @@ class TestConfigFile:
         with pytest.raises(InputFormatError, match="not found"):
             cli.load_config_file("/nonexistent/run.cfg")
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(b"\xef\xbb\xbfgrid_size = 256\n")
+        assert cli.load_config_file(str(p)) == {"grid_size": 256}
+
     def test_bytes_that_are_not_utf8_exit_2(self, tmp_path, capsys):
         p = tmp_path / "run.cfg"
         p.write_bytes(b"seed = 1\n# \xff\n")
@@ -421,6 +426,22 @@ class TestValidateCommand:
             assert code == 0
             outs.append((out / "validation_report.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_thread_count_does_not_change_warnings(self, tmp_path, monkeypatch):
+        # events recorded in worker threads must reach the manifest
+        warnings = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            monkeypatch.setenv("POLYSCOPE_THREADS", threads)
+            code = cli.main(["validate", "--trials", "4", "--nodes", "4-6",
+                             "--grid-size", "128", "--seed", "9",
+                             "--mode", "analytic", "--pipeline", "miso-blanket",
+                             "--out", str(out)])
+            assert code == 0
+            manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+            warnings.append(manifest["warnings"])
+        assert warnings[0]
+        assert warnings[0] == warnings[1]
 
     def test_bad_thread_env_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv("POLYSCOPE_THREADS", "many")

@@ -22,10 +22,12 @@ from polyscope import (
     sparse_exhaustive,
     spectral_matrix,
 )
+from polyscope.diagnostics import collect
 from polyscope.sparse import DEFAULT_MIN_GAIN
 
 from oracles import (
     make_two_sparse_instance,
+    mp_reference,
     ols_reference,
     project_reference,
     random_psd_matrix,
@@ -284,6 +286,46 @@ class TestOLSMatchesPerCandidateLoop:
         with pytest.raises(IllConditionedSpectrumError) as near_copy:
             project_reference(S, target, (x, 5))
         assert str(batched.value) == str(near_copy.value)
+
+
+def assert_mp_matches_loop(S, targets):
+    S._floored          # its first use records the spectral-floor events
+    for target in targets:
+        for budget in (0, 1, 2, 3, 5):
+            for min_gain in (0.0, DEFAULT_MIN_GAIN):
+                with collect() as events:
+                    model = matching_pursuit(S, target, budget, min_gain)
+                with collect() as ref_events:
+                    ref = mp_reference(S, target, budget, min_gain)
+                assert_same_model(model, ref)
+                assert model.raw_cost == ref.raw_cost
+                assert list(model.raw_filters) == list(ref.raw_filters)
+                for b in ref.raw_filters:
+                    assert np.array_equal(model.raw_filters[b].response,
+                                          ref.raw_filters[b].response)
+                assert events == ref_events
+
+
+class TestMPMatchesPerCandidateLoop:
+    """The array pursuit against the loop that kept one entry per candidate."""
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_analytic_networks(self, n):
+        grid = FrequencyGrid(64)
+        for seed in range(20):
+            S = analytic_spectra(generate_polytree_aln(n, seed), grid)
+            assert_mp_matches_loop(S, range(n))
+
+    def test_hand_built_mixtures(self):
+        # equal gains, a useless candidate and a tiny atom
+        for S in (white_mixture(), white_mixture(gains=(0.5, 0.5)),
+                  white_mixture(gains=(1.0, 0.5, 0.02))):
+            assert_mp_matches_loop(S, range(S.n))
+
+    def test_simulated_record(self):
+        sim = simulate(generate_polytree_aln(8, 3), 2 ** 12, seed=5)
+        S = spectral_matrix(sim.ensemble, WelchConfig(grid_size=64))
+        assert_mp_matches_loop(S, range(S.n))
 
 
 class TestSolverOrdering:
