@@ -27,6 +27,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -218,61 +219,128 @@ def read_ensemble_csv(path: Path) -> Ensemble:
     number per column.  Errors carry the line and column (and label) of the
     offending cell.  Each series is demeaned.
     """
+    return _parse_ensemble_csv(path, Path(path).read_bytes())
+
+
+def _parse_ensemble_csv(path: Path, data: bytes) -> Ensemble:
+    """:func:`read_ensemble_csv` of ``data``, the bytes read from ``path``.
+
+    One ``np.loadtxt`` parses the body.  Where it fails, or its result could
+    differ, the per-cell loop reads the bytes again and decides: it raises
+    its line/column message, or returns what ``csv`` and ``float()`` accept
+    but loadtxt does not, such as quoted numbers, ``1_0`` and non-ASCII
+    digits.
+    """
     try:
-        # utf-8-sig drops the byte-order mark spreadsheet exports often write
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = [cell.strip() for cell in next(reader)]
-            except StopIteration:
-                raise InputFormatError(f"{path}: file is empty") from None
-            if len(header) < 2:
-                raise InputFormatError(
-                    f"{path}: need at least 2 series columns, found {len(header)}")
-            if any(not cell for cell in header):
-                raise InputFormatError(f"{path}: line 1: blank series label")
-            columns: list[list[float]] = [[] for _ in header]
-            for line_no, row in enumerate(reader, 2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise InputFormatError(
-                        f"{path}: line {line_no}: expected {len(header)} values, "
-                        f"found {len(row)}")
-                for col, cell in enumerate(row):
-                    cell = cell.strip()
-                    if not cell:
-                        raise InputFormatError(
-                            f"{path}: line {line_no}, column {col + 1} "
-                            f"({header[col]!r}): missing value")
-                    try:
-                        columns[col].append(float(cell))
-                    except ValueError:
-                        raise InputFormatError(
-                            f"{path}: line {line_no}, column {col + 1} "
-                            f"({header[col]!r}): cannot parse {cell!r} as a "
-                            f"number") from None
+        header, table = _csv_table(path, data, whole_body=True)
+        if table is None:
+            header, table = _csv_table(path, data, whole_body=False)
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return Ensemble([TimeSeries(label, samples)
+                     for label, samples in zip(header, table)])
+
+
+def _csv_table(path: Path, data: bytes, whole_body: bool):
+    """The header and the ``(series, samples)`` values of a CSV's bytes.
+
+    With ``whole_body`` the values come from :func:`_loadtxt_body`, or are
+    None where it cannot vouch for them; otherwise from the per-cell loop.
+    """
+    # utf-8-sig drops the byte-order mark spreadsheet exports often write
+    fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    reader = csv.reader(fh)
+    try:
+        try:
+            header = [cell.strip() for cell in next(reader)]
+        except StopIteration:
+            raise InputFormatError(f"{path}: file is empty") from None
+        if len(header) < 2:
+            raise InputFormatError(
+                f"{path}: need at least 2 series columns, found {len(header)}")
+        if any(not cell for cell in header):
+            raise InputFormatError(f"{path}: line 1: blank series label")
+        if whole_body:
+            return header, _loadtxt_body(fh, len(header), data)
+        columns: list[list[float]] = [[] for _ in header]
+        for line_no, row in enumerate(reader, 2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise InputFormatError(
+                    f"{path}: line {line_no}: expected {len(header)} values, "
+                    f"found {len(row)}")
+            for col, cell in enumerate(row):
+                cell = cell.strip()
+                if not cell:
+                    raise InputFormatError(
+                        f"{path}: line {line_no}, column {col + 1} "
+                        f"({header[col]!r}): missing value")
+                try:
+                    columns[col].append(float(cell))
+                except ValueError:
+                    raise InputFormatError(
+                        f"{path}: line {line_no}, column {col + 1} "
+                        f"({header[col]!r}): cannot parse {cell!r} as a "
+                        f"number") from None
+    except csv.Error as exc:
+        raise InputFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not columns[0]:
         raise InputFormatError(f"{path}: no data rows")
-    series = [TimeSeries(label, np.asarray(col, dtype=float))
-              for label, col in zip(header, columns)]
-    return Ensemble(series)
+    return header, np.array(columns, dtype=float)
+
+
+def _loadtxt_body(fh, width: int, data: bytes) -> np.ndarray | None:
+    """The rest of ``fh`` as ``(width, rows)`` values from one ``np.loadtxt``,
+    or None where the per-cell loop must decide.
+
+    loadtxt accepts no cell the loop refuses (it takes no quotes, underscores
+    or non-ASCII digits, and splits lines where ``csv`` does), except a cell
+    longer than the ``csv`` field limit, which :func:`_may_hold_long_field`
+    screens out.
+    """
+    if _may_hold_long_field(data):
+        return None
+    lines = iter(fh)
+    try:
+        # a body of blank lines makes loadtxt warn; the loop reports it instead
+        first = next(line for line in lines if line.strip("\r\n"))
+        values = np.loadtxt(itertools.chain((first,), lines), delimiter=",",
+                            comments=None, dtype=float, ndmin=2)
+    except (StopIteration, ValueError):     # UnicodeDecodeError is a ValueError
+        return None
+    # a body whose every row has one cell too many parses cleanly
+    if len(values) == 0 or values.shape[1] != width:
+        return None
+    # contiguous series, as the loop builds them: numpy may sum a strided
+    # column in another order and move its mean by an ulp
+    return np.ascontiguousarray(values.T)
+
+
+def _may_hold_long_field(data: bytes) -> bool:
+    """Whether a cell of ``data`` may be longer than the ``csv`` field limit.
+
+    Such a cell lies on a line of more than ``limit`` bytes, and every run of
+    ``limit + 1`` bytes without a newline covers one of the whole blocks of
+    ``limit // 2 + 1`` bytes tested here, so a False answer is certain.
+    """
+    block = csv.field_size_limit() // 2 + 1
+    return any(data.find(b"\n", at, at + block) < 0
+               for at in range(0, len(data) - block + 1, block))
 
 
 # ---------------------------------------------------------------------------
 # artifact writers
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, data: bytes) -> None:
     # mode 0o666 less the umask, as open(path, "w") would give; mkstemp
     # would leave every artifact at 0600 whatever the umask
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(4)}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -280,16 +348,25 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _number_line(row: list[float]) -> str:
+    """One CSV line of floats as ``csv.writer`` writes it: each cell's repr."""
+    return ",".join(map(repr, row)) + "\n"
+
+
+def _label_cell(label: str) -> str:
+    """``label`` and its delimiter as the first cell of a ``csv.writer`` row."""
+    buf = io.StringIO()
+    # the writer quotes by its line terminator, so it must be the real one;
+    # the empty cell after the label stops an empty label being quoted
+    csv.writer(buf, lineterminator="\n").writerow([label, ""])
+    return buf.getvalue()[:-1]
 
 
 def matrix_csv_text(labels: list[str], values: np.ndarray) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label"] + list(labels))
+    csv.writer(buf, lineterminator="\n").writerow(["label"] + list(labels))
     for label, row in zip(labels, np.asarray(values, dtype=float).tolist()):
-        writer.writerow([label] + row)
+        buf.write(_label_cell(label) + _number_line(row))
     return buf.getvalue()
 
 
@@ -305,11 +382,10 @@ def edges_csv_text(graph) -> str:
 
 def ensemble_csv_text(ens: Ensemble) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ens.labels)
+    csv.writer(buf, lineterminator="\n").writerow(ens.labels)
     # one row at a time: a whole-matrix tolist() holds every sample as a float object
     for row in ens.values().T:
-        writer.writerow(row.tolist())
+        buf.write(_number_line(row.tolist()))
     return buf.getvalue()
 
 
@@ -325,19 +401,20 @@ class _Emitter:
         self.out_dir = out_dir
         self.command = command
         self.cfg = cfg
-        self.outputs: list[str] = []
+        self.outputs: dict[str, str] = {}      # file name -> SHA-256
         self.matrices: dict[str, str] = {}
         self.inputs: dict[str, str] = {}
         self.timings: dict[str, float] = {}
         self.summary: dict = {}
 
-    def note_input(self, path: Path) -> None:
-        self.inputs[str(path)] = _sha256(path)
+    def note_input(self, path: Path, data: bytes) -> None:
+        self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
 
     def emit(self, name: str, text: str, kind: str | None = None) -> Path:
         path = self.out_dir / name
-        _atomic_write(path, text)
-        self.outputs.append(name)
+        data = text.encode("utf-8")
+        _atomic_write(path, data)
+        self.outputs[name] = hashlib.sha256(data).hexdigest()
         if kind is not None:
             self.matrices[name] = kind
         return path
@@ -358,8 +435,8 @@ class _Emitter:
             "config": dataclasses.asdict(self.cfg),
             "inputs": self.inputs,
             "outputs": [
-                {"file": name, "sha256": _sha256(self.out_dir / name)}
-                for name in sorted(self.outputs)
+                {"file": name, "sha256": digest}
+                for name, digest in sorted(self.outputs.items())
             ],
             "matrices": self.matrices,
             "warnings": sorted(set(warnings)),
@@ -370,7 +447,7 @@ class _Emitter:
             },
         }
         path = self.out_dir / "manifest.json"
-        _atomic_write(path, _json_text(manifest))
+        _atomic_write(path, _json_text(manifest).encode("utf-8"))
         return path
 
 
@@ -388,11 +465,14 @@ def _events_to_warnings(events) -> list[str]:
 
 
 def _ingest(cfg: RunConfig, emitter: _Emitter) -> Ensemble:
-    """Read the ``--input`` CSV, noting its SHA-256 and timing the read."""
+    """Read the ``--input`` CSV once, timing the read and noting the SHA-256
+    of the bytes parsed."""
     source = cfg.require_input()
-    emitter.note_input(source)
     with emitter.stage("ingest"):
-        return read_ensemble_csv(source)
+        data = source.read_bytes()
+        ens = _parse_ensemble_csv(source, data)
+    emitter.note_input(source, data)
+    return ens
 
 
 def cmd_analyze(cfg: RunConfig, emitter: _Emitter) -> int:
@@ -552,11 +632,11 @@ def cmd_sparse(cfg: RunConfig, emitter: _Emitter) -> int:
     ens = _ingest(cfg, emitter)
     with emitter.stage("spectra"):
         S = spectral_matrix(ens, wcfg)
-    supports = {}
+    payloads = []
     with emitter.stage("select"):
         for idx, label in enumerate(S.labels):
             model = orthogonal_least_squares(S, idx, cfg.budget, cfg.min_gain)
-            payload = {
+            payloads.append({
                 "target": label,
                 "support": [S.labels[b] for b in model.support],
                 "cost": model.cost,
@@ -564,15 +644,16 @@ def cmd_sparse(cfg: RunConfig, emitter: _Emitter) -> int:
                 "stop_reason": model.stop_reason,
                 "filter_rms": {S.labels[b]: model.filters[b].rms()
                                for b in model.support},
-            }
+            })
+    with emitter.stage("emit"):
+        for idx, (label, payload) in enumerate(zip(S.labels, payloads)):
             emitter.emit(f"sparse_{idx:02d}_{_safe_name(label)}.json",
                          _json_text(payload))
-            supports[label] = payload["support"]
     emitter.summary = {
         "targets": len(S.labels),
         "budget": cfg.budget,
         "min_gain": cfg.min_gain,
-        "supports": supports,
+        "supports": {p["target"]: p["support"] for p in payloads},
     }
     return 0
 

@@ -7,25 +7,34 @@ normal-equation solve, Prüfer enumeration instead of Kruskal, and raw
 path-product transfer algebra instead of the topological-order recursion.
 The exceptions are the kernels that whole-matrix code replaced, kept as
 they were: the per-row Welch average that the streamed Gram product
-replaced, which tests compare at a tolerance; and the per-fit Wiener
+replaced, which tests compare at a tolerance; the per-fit Wiener
 solve, the per-candidate greedy loops, the per-target blanket loop and the
 per-pair identifiability run test that array code replaced, against which
-tests require bit-identical solutions, or equal supports and events.
+tests require bit-identical solutions, or equal supports and events; and
+the per-cell CSV reader and ``csv.writer`` text builders that whole-body
+parsing and joined ``repr`` rows replaced, against which tests require the
+same series, messages and bytes.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+from pathlib import Path
 
 import numpy as np
 from scipy import signal as sps
 
 from polyscope import (
+    Ensemble,
     FrequencyGrid,
     IllConditionedSpectrumError,
+    InputFormatError,
     InvalidSpectrumError,
     SparseModel,
     SpectralMatrix,
+    TimeSeries,
     TransferFunction,
     UndirectedGraph,
     WelchConfig,
@@ -495,3 +504,65 @@ def make_two_sparse_instance(seed: int, correlated: bool):
     values = np.einsum("aik,bik,ik->abk", np.conj(H), H, phi, optimize=True)
     labels = [f"c{i}" for i in range(m)] + ["t"]
     return SpectralMatrix(labels, grid, values), m, (a, b)
+
+
+def read_csv_reference(path: Path) -> Ensemble:
+    """``cli.read_ensemble_csv`` as it was: ``csv.reader`` and ``float()``
+    cell by cell.  A ``csv.Error`` (a cell over the field limit) escapes."""
+    try:
+        # utf-8-sig drops the byte-order mark spreadsheet exports often write
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = [cell.strip() for cell in next(reader)]
+            except StopIteration:
+                raise InputFormatError(f"{path}: file is empty") from None
+            if len(header) < 2:
+                raise InputFormatError(
+                    f"{path}: need at least 2 series columns, found {len(header)}")
+            if any(not cell for cell in header):
+                raise InputFormatError(f"{path}: line 1: blank series label")
+            columns: list[list[float]] = [[] for _ in header]
+            for line_no, row in enumerate(reader, 2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise InputFormatError(
+                        f"{path}: line {line_no}: expected {len(header)} values, "
+                        f"found {len(row)}")
+                for col, cell in enumerate(row):
+                    cell = cell.strip()
+                    if not cell:
+                        raise InputFormatError(
+                            f"{path}: line {line_no}, column {col + 1} "
+                            f"({header[col]!r}): missing value")
+                    try:
+                        columns[col].append(float(cell))
+                    except ValueError:
+                        raise InputFormatError(
+                            f"{path}: line {line_no}, column {col + 1} "
+                            f"({header[col]!r}): cannot parse {cell!r} as a "
+                            f"number") from None
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not columns[0]:
+        raise InputFormatError(f"{path}: no data rows")
+    series = [TimeSeries(label, np.asarray(col, dtype=float))
+              for label, col in zip(header, columns)]
+    return Ensemble(series)
+
+
+def csv_text_reference(header: list, rows) -> str:
+    """CSV text as ``cli.matrix_csv_text`` and ``cli.ensemble_csv_text`` built
+    it: every row, Python floats included, through ``csv.writer``.
+
+    ``ensemble_csv_text(ens)`` was ``csv_text_reference(ens.labels,
+    ens.values().T.tolist())``; ``matrix_csv_text(labels, values)`` was
+    ``csv_text_reference(["label"] + labels, [[label] + row ...])``.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue()

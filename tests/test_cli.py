@@ -1,20 +1,29 @@
+import csv
 import json
 import hashlib
 import os
+import re
 import stat
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyscope import (
     ALNSpec,
+    Ensemble,
     InputFormatError,
     InvalidParameterError,
     Link,
     RecoveryReport,
+    TimeSeries,
     simulate,
 )
 from polyscope import cli
+
+import oracles
 
 
 def write_chain_csv(path, length=4096, seed=5):
@@ -109,6 +118,174 @@ class TestReadEnsembleCsv:
         assert cli.main(["analyze", "--input", str(p),
                          "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {p}: not UTF-8")
+
+    @pytest.mark.parametrize("text, line", [
+        ("a,b\n1,2\n3," + "4" * 131073 + "\n", 3),
+        ("a," + "b" * 131073 + "\n1,2\n", 1),
+    ], ids=["body", "header"])
+    def test_cell_over_the_field_limit_exits_2(self, tmp_path, capsys, text, line):
+        p = write_csv(tmp_path / "d.csv", text)
+        message = f"{p}: line {line}: field larger than field limit (131072)"
+        with pytest.raises(InputFormatError, match=re.escape(message)):
+            cli.read_ensemble_csv(p)
+        assert cli.main(["analyze", "--input", str(p),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_loadtxt_reads_plain_numbers_without_the_per_cell_loop(
+            self, tmp_path, monkeypatch):
+        passes = []
+        table = cli._csv_table
+
+        def spy(path, data, whole_body):
+            passes.append(whole_body)
+            return table(path, data, whole_body)
+
+        monkeypatch.setattr(cli, "_csv_table", spy)
+        plain = write_chain_csv(tmp_path / "chain.csv", length=1024)
+        cli.read_ensemble_csv(plain)
+        assert passes == [True]
+        passes.clear()
+        quoted = write_csv(tmp_path / "quoted.csv", 'a,b\n"1",2\n3,4\n')
+        cli.read_ensemble_csv(quoted)
+        assert passes == [True, False]
+
+
+def _read_outcome(read, path):
+    """Labels and exact sample bytes, or the exception class and message."""
+    try:
+        ens = read(path)
+    except (InputFormatError, InvalidParameterError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return ens.labels, [s.samples.tobytes() for s in ens.series]
+
+
+def assert_reads_as_reference(path):
+    new = _read_outcome(cli.read_ensemble_csv, path)
+    old = _read_outcome(oracles.read_csv_reference, path)
+    if old[0] is csv.Error:
+        # the reference let csv.Error escape; now it names the line
+        assert new[0] is InputFormatError
+        assert re.fullmatch(rf"{re.escape(str(path))}: line \d+: "
+                            rf"{re.escape(old[1])}", new[1]), new[1]
+    else:
+        assert new == old
+
+
+#: One character over the csv module's default field limit.
+_LONG = 131073
+
+#: Input bytes the reader must treat exactly as the per-cell reader did.
+INGEST_CORPUS = {
+    "plain": b"a,b\n1.5,2\n-3,4e-2\n",
+    "quoted-numbers": b'a,b\n"1.5","2"\n"3",4\n',
+    "quoted-labels": b'"x,1","say ""hi""","two\nlines"\n1,2,3\n4,5,6\n',
+    "hash-in-cell": b"a,b\n1,#2\n",
+    "hash-after-number": b"a,b\n1,2 # note\n",
+    "underscore": b"a,b\n1_0,2\n3,4_5.5\n",
+    "full-width-digits": "a,b\n\uff11,2\n3,\uff14.\uff15\n".encode(),
+    "leading-plus": b"a,b\n+1,+2.5e+3\n",
+    "spaces-and-tabs": b"a,b\n 1 ,\t2\t\n  3,4  \n",
+    "unicode-spaces": "a,b\n\u30001,2\xa0\n".encode(),
+    "cr-only": b"a,b\r1,2\r3,4\r",
+    "cr-only-no-final": b"a,b\r1,2\r3,4",
+    "crlf": b"a,b\r\n1,2\r\n3,4\r\n",
+    "cr-cr-lf": b"a,b\n1,2\r\r\n3,4\n",
+    "blank-lines": b"a,b\n\n1,2\n\n\n3,4\n\n",
+    "whitespace-only-line": b"a,b\n1,2\n \n3,4\n",
+    "tab-only-line": b"a,b\n1,2\n\t\n",
+    "trailing-comma": b"a,b\n1,2,\n",
+    "hex": b"a,b\n0x1,2\n",
+    "fortran-exponent": b"a,b\n1d3,2\n",
+    "nul": b"a,b\n1\x00,2\n",
+    "short-row": b"a,b\n1,2\n3\n",
+    "long-row": b"a,b\n1,2\n3,4,5\n",
+    "every-row-one-too-long": b"a,b\n1,2,3\n4,5,6\n",
+    "every-row-one-too-short": b"a,b,c\n1,2\n4,5\n",
+    "missing-value": b"a,b\n1,\n",
+    "header-only": b"a,b\n",
+    "header-then-blank-lines": b"a,b\n\n\r\n\r",
+    "empty": b"",
+    "one-column": b"a\n1\n",
+    "blank-label": b"a,,c\n1,2,3\n",
+    "duplicate-labels": b"a,a\n1,2\n",
+    "nan": b"a,b\nnan,1\n2,3\n",
+    "inf": b"a,b\ninf,1\n",
+    "overflow": b"a,b\n1e999,1\n",
+    "byte-order-mark": b"\xef\xbb\xbfa,b\n1,2\n3,4\n",
+    "long-number": b"a,b\n1,2\n3," + b"4" * _LONG + b"\n",
+    "long-padding": b"a,b\n1,2\n3," + b" " * _LONG + b"5\n",
+    "long-text": b"a,b\n1,2\nx" + b"y" * _LONG + b",3\n",
+    "long-label": b"a," + b"b" * _LONG + b"\n1,2\n",
+    "not-utf8-header": b"a\xff,b\n1,2\n",
+    "not-utf8-body": b"a,b\n1,2\n3,\xff\n",
+    "not-utf8-cut-off": b"a,b\n1,2\n3,4\xe2\x82",
+    "not-utf8-late": b"a,b\n" + b"1.25,2.5\n" * 2000 + b"3,\xff\n",
+    "bad-cell-before-bad-bytes": b"a,b\n1,x\n" + b"1.25,2.5\n" * 2000 + b"\xff\n",
+    "bad-cell-then-bad-byte": b"a,b\n1,x\n3,\xff\n",
+}
+
+
+class TestCsvParity:
+    """The reader and writers against the per-cell code they replaced."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", sorted(INGEST_CORPUS))
+    def test_ingest_corpus(self, tmp_path, name):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(INGEST_CORPUS[name])
+        assert_reads_as_reference(path)
+
+    @pytest.mark.filterwarnings("error")
+    def test_simulated_record_and_its_rewrites(self, tmp_path):
+        text = write_chain_csv(tmp_path / "chain.csv", length=2048).read_text()
+        rewrites = {
+            "plain": text,
+            "crlf": text.replace("\n", "\r\n"),
+            "cr-only": text.replace("\n", "\r"),
+            "quoted": re.sub(r"([^,\n]+)", r'"\1"', text),
+            "padded": text.replace(",", " ,\t"),
+        }
+        for name, variant in rewrites.items():
+            path = write_csv(tmp_path / f"{name}.csv", variant)
+            assert_reads_as_reference(path)
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300)
+    @given(header=st.sampled_from(["a,b\n", "a,b\r\n", "a,b\r", '"a,x",b\n',
+                                   "a,b,c\n", "a\n", "\ufeffa,b\n"]),
+           cells=st.lists(st.sampled_from(
+               ["1", "-2.5", "+3e2", " 4", "5 ", "\t6", "nan", "1_0", '"7"',
+                "\uff18", "", "0x1", "1d3", "#", "x", "\x00", "\xa0", "\u3000",
+                ",", "\n", "\r", "\r\n", " \n", "\x0b", "\x85", '"']),
+               max_size=24),
+           tail=st.sampled_from([b"", b"\xff", b"\xe2\x82"]))
+    def test_random_inputs(self, header, cells, tail):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_bytes((header + "".join(cells)).encode() + tail)
+            assert_reads_as_reference(path)
+
+    LABELS = ["plain", "a,b", 'say "hi"', "two\nlines", " padded ", "cr\r", ""]
+    VALUES = [-0.0, 5e-324, 1e+16, 1e22, 1.2345678901234568e+17, 0.1, -1.5,
+              1e-7, 123456789.0]
+
+    def test_ensemble_text(self):
+        rng = np.random.default_rng(0)
+        series = [TimeSeries(label, rng.permutation(self.VALUES))
+                  for label in self.LABELS]
+        ens = Ensemble(series, demean=False)
+        assert cli.ensemble_csv_text(ens) == oracles.csv_text_reference(
+            ens.labels, ens.values().T.tolist())
+
+    def test_matrix_text(self):
+        rng = np.random.default_rng(1)
+        n = len(self.LABELS)
+        values = rng.choice(self.VALUES + [np.nan, np.inf, -np.inf], size=(n, n))
+        expected = oracles.csv_text_reference(
+            ["label"] + self.LABELS,
+            [[label] + row for label, row in zip(self.LABELS, values.tolist())])
+        assert cli.matrix_csv_text(self.LABELS, values) == expected
 
 
 class TestRunConfig:
@@ -222,11 +399,31 @@ class TestAnalyzeCommand:
             digest = hashlib.sha256(
                 (out / entry["file"]).read_bytes()).hexdigest()
             assert digest == entry["sha256"]
-        assert str(data) in manifest["inputs"]
+        assert manifest["inputs"] == {
+            str(data): hashlib.sha256(data.read_bytes()).hexdigest()}
         assert manifest["matrices"]["distance_noncausal.csv"] == "noncausal"
         assert manifest["matrices"]["coherence_heatmap.csv"] == \
             "mean-coherence"
         assert set(manifest["volatile"]) == {"timestamp", "timings_ms"}
+
+    def test_input_is_hashed_as_parsed(self, tmp_path, monkeypatch):
+        data = write_chain_csv(tmp_path / "chain.csv")
+        original = data.read_bytes()
+        parse = cli._parse_ensemble_csv
+
+        def rewrite_then_parse(path, read):
+            # the file changes after it was read: the bytes read still rule
+            data.write_text("a,b\n1,2\n", encoding="utf-8")
+            return parse(path, read)
+
+        monkeypatch.setattr(cli, "_parse_ensemble_csv", rewrite_then_parse)
+        out = tmp_path / "run"
+        assert cli.main(["analyze", "--input", str(data), "--out", str(out),
+                         "--grid-size", "128"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+        assert manifest["inputs"] == {
+            str(data): hashlib.sha256(original).hexdigest()}
+        assert manifest["summary"]["samples"] == 4096
 
     def test_duplicated_column_warns_and_still_runs(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -470,6 +667,9 @@ class TestSparseCommand:
         assert "X2" in x3["support"]
         manifest = json.loads((out / "manifest.json").read_text("utf-8"))
         assert manifest["summary"]["supports"]["X3"] == x3["support"]
+        # the per-target files are written in the emit stage, not in select
+        assert set(manifest["volatile"]["timings_ms"]) == {
+            "ingest", "spectra", "select", "emit"}
 
     def test_duplicate_columns_exit_4(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -523,6 +723,20 @@ class TestCompareCommand:
         assert manifest["matrices"]["distance_coherence.csv"] == "noncausal"
         assert manifest["matrices"]["distance_correlation.csv"] == \
             "correlation"
+
+
+class TestEmitter:
+    def test_manifest_hashes_the_bytes_written(self, tmp_path):
+        emitter = cli._Emitter(tmp_path, "simulate", cli.RunConfig())
+        emitter.emit("b.txt", "\u00e9\n")
+        emitter.emit("a.csv", "x,y\r\n", kind="noncausal")
+        (tmp_path / "b.txt").write_text("changed later", encoding="utf-8")
+        manifest = json.loads(emitter.finish([], {}).read_text("utf-8"))
+        assert manifest["outputs"] == [
+            {"file": "a.csv", "sha256": hashlib.sha256(b"x,y\r\n").hexdigest()},
+            {"file": "b.txt",
+             "sha256": hashlib.sha256("\u00e9\n".encode()).hexdigest()}]
+        assert (tmp_path / "a.csv").read_bytes() == b"x,y\r\n"
 
 
 class TestReproducibility:

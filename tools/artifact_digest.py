@@ -4,9 +4,13 @@ Runs every subcommand in process, at fixed seeds, into a temporary
 directory, and prints one JSON document: for each run its exit code, its
 stderr, the SHA-256 of every artifact it wrote, and its manifest without the
 run-dependent ``volatile`` block.  The temporary directory is written as
-``$OUT`` wherever it appears.  Two checkouts that print the same document
-wrote the same bytes, so a refactor that must keep artifacts byte-identical
-is checked with::
+``$OUT`` wherever it appears.  Besides the simulated records, ``analyze``
+reads inputs written into that directory: rewrites of the first record
+that must read as the record itself (every cell quoted, CR-only line ends)
+and malformed CSVs that must exit 2, so the document pins the reader's exit
+codes and stderr too.  Two checkouts that print the same document wrote the
+same bytes, so a refactor that must keep artifacts byte-identical is
+checked with::
 
     PYTHONPATH=/path/to/parent/src python3 tools/artifact_digest.py > before.json
     PYTHONPATH=src python3 tools/artifact_digest.py > after.json
@@ -54,6 +58,20 @@ RECORDS = (
     ("n12", ["--nodes", "12", "--length", "8192", "--seed", "5"]),
 )
 
+#: Rewrites of the first record's CSV text that ``analyze`` reads unchanged.
+REWRITES = (
+    ("quoted", lambda text: re.sub(r"([^,\n]+)", r'"\1"', text)),
+    ("cr-only", lambda text: text.replace("\n", "\r")),
+)
+
+#: CSVs ``analyze`` refuses, by name.
+MALFORMED = (
+    ("bad-cell", b"a,b\n1,2\n3,x\n"),
+    ("short-row", b"a,b\n1,2\n3\n"),
+    ("missing-value", b"a,b\n1,2\n3, \n"),
+    ("not-utf8", b"a,b\n1,2\n3,\xff\n"),
+)
+
 #: Relative tolerance of compare mode on every float.
 RTOL = 1e-12
 
@@ -77,6 +95,16 @@ def _runs(root: Path):
         for budget in ("0", "2", "3"):
             yield f"sparse-{budget}-{record}", [
                 "sparse", "--input", data, "--budget", budget, "--min-gain", "0"]
+    first = root / f"simulate-{RECORDS[0][0]}" / "ensemble.csv"
+    for name, rewrite in REWRITES:
+        data = root / f"{name}.csv"
+        data.write_text(rewrite(first.read_text(encoding="utf-8")),
+                        encoding="utf-8", newline="")
+        yield f"analyze-{name}", ["analyze", "--input", str(data)]
+    for name, content in MALFORMED:
+        data = root / f"{name}.csv"
+        data.write_bytes(content)
+        yield f"analyze-{name}", ["analyze", "--input", str(data)]
     for pipeline in ("polytree", "miso-blanket"):
         yield f"validate-{pipeline}", [
             "validate", "--pipeline", pipeline, "--mode", "analytic",
