@@ -22,7 +22,6 @@ Exit codes: 0 success, 2 input/usage error, 3 insufficient data,
 from __future__ import annotations
 
 import argparse
-import contextvars
 import csv
 import dataclasses
 import hashlib
@@ -34,7 +33,6 @@ import re
 import secrets
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -173,10 +171,7 @@ def load_config_file(path: str) -> dict:
     source = Path(path)
     if not source.is_file():
         raise InputFormatError(f"config file not found: {source}")
-    try:
-        text = source.read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise InputFormatError(f"{source}: not UTF-8 text ({exc.reason})") from None
+    text = _utf8_text(source, source.read_bytes())
     values: dict = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -197,6 +192,15 @@ def load_config_file(path: str) -> dict:
                 f"{source}: line {line_no}: cannot parse {value!r} "
                 f"for key {key!r}") from None
     return values
+
+
+def _utf8_text(path: Path, data: bytes) -> str:
+    """``data``, the bytes read from ``path``, decoded as UTF-8 less a leading
+    byte-order mark, which spreadsheet exports often write."""
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def merge_config(args: argparse.Namespace) -> RunConfig:
@@ -229,25 +233,26 @@ def _parse_ensemble_csv(path: Path, data: bytes) -> Ensemble:
     differ, the per-cell loop reads the bytes again and decides: it raises
     its line/column message, or returns what ``csv`` and ``float()`` accept
     but loadtxt does not, such as quoted numbers, ``1_0`` and non-ASCII
-    digits.
+    digits.  The whole input is decoded first, so a byte that is not UTF-8
+    is reported wherever it lies.
     """
-    try:
-        header, table = _csv_table(path, data, whole_body=True)
-        if table is None:
-            header, table = _csv_table(path, data, whole_body=False)
-    except UnicodeDecodeError as exc:
-        raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    _utf8_text(path, data)
+    header, table = _csv_table(path, data, whole_body=True)
+    if table is None:
+        header, table = _csv_table(path, data, whole_body=False)
     return Ensemble([TimeSeries(label, samples)
                      for label, samples in zip(header, table)])
 
 
 def _csv_table(path: Path, data: bytes, whole_body: bool):
-    """The header and the ``(series, samples)`` values of a CSV's bytes.
+    """The header and the ``(series, samples)`` values of a CSV's bytes,
+    which :func:`_utf8_text` has accepted.
 
     With ``whole_body`` the values come from :func:`_loadtxt_body`, or are
     None where it cannot vouch for them; otherwise from the per-cell loop.
     """
-    # utf-8-sig drops the byte-order mark spreadsheet exports often write
+    # decoded again as _utf8_text decodes: loadtxt reads the lines of this
+    # wrapper faster than those of a StringIO of the decoded text
     fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
     reader = csv.reader(fh)
     try:
@@ -307,7 +312,7 @@ def _loadtxt_body(fh, width: int, data: bytes) -> np.ndarray | None:
         first = next(line for line in lines if line.strip("\r\n"))
         values = np.loadtxt(itertools.chain((first,), lines), delimiter=",",
                             comments=None, dtype=float, ndmin=2)
-    except (StopIteration, ValueError):     # UnicodeDecodeError is a ValueError
+    except (StopIteration, ValueError):
         return None
     # a body whose every row has one cell too many parses cleanly
     if len(values) == 0 or values.shape[1] != width:
@@ -554,37 +559,18 @@ def _draw_identifiable(seed: int, trial: int, lo: int, hi: int,
         f"trial {trial}: no identifiable network after {_DRAW_ATTEMPTS} draws")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("POLYSCOPE_THREADS", "").strip()
-    if raw:
-        try:
-            count = int(raw)
-        except ValueError:
-            raise InvalidParameterError(
-                f"POLYSCOPE_THREADS must be an integer, got {raw!r}") from None
-        if count < 1:
-            raise InvalidParameterError("POLYSCOPE_THREADS must be >= 1")
-        return count
-    return min(8, os.cpu_count() or 1)
-
-
 def cmd_validate(cfg: RunConfig, emitter: _Emitter) -> int:
     lo, hi = cfg.node_range()
     grid = FrequencyGrid(cfg.grid_size)
     wcfg = cfg.welch()
     pipeline = _RECOVERY_PIPELINES[cfg.pipeline]
-
-    def one_trial(trial: int):
-        spec, sim_seed = _draw_identifiable(cfg.seed, trial, lo, hi, grid)
-        return run_recovery(spec, mode=cfg.mode, pipeline=pipeline,
-                            length=cfg.length, seed=sim_seed, cfg=wcfg)
-
+    reports = []
     with emitter.stage("trials"):
-        with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-            # each trial runs in a copy of this context, with its collectors
-            futures = [pool.submit(contextvars.copy_context().run, one_trial, t)
-                       for t in range(cfg.trials)]
-            reports = [f.result() for f in futures]
+        for trial in range(cfg.trials):
+            spec, sim_seed = _draw_identifiable(cfg.seed, trial, lo, hi, grid)
+            reports.append(run_recovery(spec, mode=cfg.mode, pipeline=pipeline,
+                                        length=cfg.length, seed=sim_seed,
+                                        cfg=wcfg))
 
     rows = []
     for trial, rep in enumerate(reports):

@@ -247,10 +247,8 @@ class SpectralMatrix:
         """Least over greatest eigenvalue of the floored matrix, worst grid point.
 
         The matrix is :attr:`_floored_stack`, read from its lower triangle
-        as ``eigvalsh`` reads it.  Each floored block on ascending indices is
-        a principal submatrix of it, so by Cauchy interlacing its ratio is no
-        smaller when this one is positive.  Computed on first use; records
-        nothing.
+        as ``eigvalsh`` reads it; ``wiener._clears_screen`` tests it.
+        Computed on first use; records nothing.
         """
         eigs = np.linalg.eigvalsh(self._floored_stack)
         return float(np.min(eigs[:, 0] / eigs[:, -1]))

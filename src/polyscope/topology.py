@@ -20,7 +20,7 @@ from .diagnostics import record
 from .errors import InvalidParameterError
 from .metric import SYMMETRIC_KINDS, DistanceMatrix, causal_edge_weights
 from .signals import SpectralMatrix
-from .wiener import CONDITION_RTOL, _joint_fits
+from .wiener import _clears_screen, _joint_fits, _rms
 
 #: Relative filter magnitude below which a MISO input does not count as a
 #: blanket candidate.
@@ -226,11 +226,10 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
     links are symmetrised by union over targets.
 
     The filters are the ones :func:`noncausal_wiener` returns.  When the
-    floored spectral matrix clears the conditioning screen of
-    :func:`~polyscope.wiener._joint_fits` (eigenvalue ratio at least twice
-    ``CONDITION_RTOL``), all of them are read from one batched inverse
-    ``P`` of ``S._floored_stack``: the filter of target ``j`` on input ``i``
-    is ``-P[i, j] / P[j, j]``.  Otherwise each target's filters come from
+    floored spectral matrix clears the conditioning screen
+    (:func:`~polyscope.wiener._clears_screen`), all of them are read from
+    one batched inverse ``P`` of ``S._floored_stack``: the filter of target
+    ``j`` on input ``i`` is ``-P[i, j] / P[j, j]``.  Otherwise each target's filters come from
     its own joint solve, which checks its blocks' conditioning and raises on
     the first singular one as :func:`noncausal_wiener` would.
     """
@@ -244,18 +243,14 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
     n = S.n
     if n < 2:
         raise InvalidParameterError("need at least two nodes")
-    rms_all = _precision_filter_rms(S) \
-        if S._eigenvalue_ratio >= 2 * CONDITION_RTOL else None
+    rms_all = _precision_filter_rms(S) if _clears_screen(S) else None
     edges: dict[tuple[int, int], float] = {}
     for j in range(n):
         inputs = [i for i in range(n) if i != j]
         if rms_all is not None:
             rms = rms_all[j, inputs].tolist()
         else:
-            W = _joint_fits(S, j, [inputs])[0][0]
-            # one contiguous row per input, so each mean sums as
-            # TransferFunction.rms does
-            rms = np.sqrt(np.mean(np.abs(W.T.copy()) ** 2, axis=-1)).tolist()
+            rms = _rms(_joint_fits(S, j, [inputs])[0][0].T).tolist()
         top = max(rms)
         if top == 0.0:
             continue
@@ -287,9 +282,7 @@ def _precision_filter_rms(S: SpectralMatrix) -> np.ndarray:
     """
     P = np.linalg.inv(S._floored_stack)
     d = np.arange(S.n)
-    # [j, i, k], copied C-contiguous so each mean sums as a 1-d mean does
-    power = (np.abs(P / P[:, d, d][:, None, :]) ** 2).transpose(2, 1, 0).copy()
-    return np.sqrt(np.mean(power, axis=-1))
+    return _rms((P / P[:, d, d][:, None, :]).transpose(2, 1, 0))   # [j, i, k]
 
 
 def _quote(label: str) -> str:

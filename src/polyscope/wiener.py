@@ -35,12 +35,17 @@ from .signals import FrequencyGrid, PSD_FLOOR_RATIO, SpectralMatrix, Spectrum, T
 TRUNCATION_ENERGY_TOL = 1e-6
 
 #: Relative eigenvalue ratio below which an input spectral matrix is
-#: declared singular beyond the floor.  Fits are checked one by one only
-#: when the whole floored spectral matrix's ratio is below twice this: every
-#: input block's ratio is at least the whole matrix's, and the factor 2
-#: leaves ``CONDITION_RTOL`` of the largest eigenvalue for rounding, far
-#: above ``eigvalsh``'s error of a few ``n * eps``.
+#: declared singular beyond the floor.
 CONDITION_RTOL = 1e-10
+
+
+def _rms(responses: np.ndarray) -> np.ndarray:
+    """Root mean square magnitude of each response, along the last axis.
+
+    The responses are copied C-contiguous first, so each mean sums in the
+    order of a 1-d mean whatever their layout.
+    """
+    return np.sqrt(np.mean(np.abs(np.ascontiguousarray(responses)) ** 2, axis=-1))
 
 
 @dataclass
@@ -80,7 +85,7 @@ class TransferFunction:
 
     def rms(self) -> float:
         """Root mean square response magnitude over the grid."""
-        return float(np.sqrt(np.mean(np.abs(self.response) ** 2)))
+        return float(_rms(self.response))
 
     def with_impulse(self, support: str = "centered") -> "TransferFunction":
         """Materialise an impulse response of length K/2 from the response.
@@ -157,6 +162,19 @@ def _check_inputs(S: SpectralMatrix, target: int, inputs: tuple) -> None:
     S.check_index(*inputs, target)
 
 
+def _clears_screen(S: SpectralMatrix) -> bool:
+    """Whether every fit on ascending inputs of ``S`` is conditioned well
+    enough to need no check of its own.
+
+    Such a fit's blocks are principal submatrices of the floored spectral
+    matrix, so by Cauchy interlacing their eigenvalue ratios are no smaller
+    than the whole matrix's, ``S._eigenvalue_ratio``, when that is positive.
+    The factor 2 leaves :data:`CONDITION_RTOL` of the largest eigenvalue for
+    rounding, far above ``eigvalsh``'s error of a few ``n * eps``.
+    """
+    return S._eigenvalue_ratio >= 2 * CONDITION_RTOL
+
+
 def _joint_fits(S: SpectralMatrix, target: int, idx, verify: bool = False
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Joint least-squares fits of ``target`` on each row of an ``(m, q)`` index array.
@@ -164,12 +182,9 @@ def _joint_fits(S: SpectralMatrix, target: int, idx, verify: bool = False
     Gathers the per-frequency normal equations ``A (m, K, q, q)`` from
     ``S._floored_stack`` (diagonals clipped at the spectral floor) and
     ``c (m, K, q)`` once, and solves all of them in one batched call.
-    Every fit is checked for conditioning before any is solved.  When every
-    row ascends, each ``A`` is a principal submatrix of the floored spectral
-    matrix, and a whole matrix whose eigenvalue ratio clears twice
-    :data:`CONDITION_RTOL` (``S._eigenvalue_ratio``, computed once per
-    matrix) clears every fit; otherwise each fit's blocks are checked with
-    their own eigenvalues.
+    Every fit is checked for conditioning before any is solved: at once by
+    :func:`_clears_screen` when every row ascends, otherwise each fit's
+    blocks with their own eigenvalues against :data:`CONDITION_RTOL`.
     With ``verify`` each solution is also checked against its normal
     equations (residual orthogonal to every input).  The first failing fit
     in row order raises, as if the fits ran one after another.  Rows must be
@@ -183,8 +198,7 @@ def _joint_fits(S: SpectralMatrix, target: int, idx, verify: bool = False
     A = S._floored_stack[:, idx[:, :, None], idx[:, None, :]].swapaxes(0, 1)
     c = S.values[idx, target].transpose(0, 2, 1).copy()
     ok = len(idx)
-    if not (np.all(np.diff(idx, axis=1) > 0)
-            and S._eigenvalue_ratio >= 2 * CONDITION_RTOL):
+    if not (np.all(np.diff(idx, axis=1) > 0) and _clears_screen(S)):
         eigs = np.linalg.eigvalsh(A)
         ratio = eigs[..., 0] / eigs[..., -1]
         worst = np.argmin(ratio, axis=-1)

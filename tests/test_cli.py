@@ -5,6 +5,7 @@ import os
 import re
 import stat
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,13 @@ from hypothesis import given, settings, strategies as st
 from polyscope import (
     ALNSpec,
     Ensemble,
+    FrequencyGrid,
     InputFormatError,
     InvalidParameterError,
     Link,
     RecoveryReport,
     TimeSeries,
+    collect,
     simulate,
 )
 from polyscope import cli
@@ -119,6 +122,15 @@ class TestReadEnsembleCsv:
                          "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {p}: not UTF-8")
 
+    def test_a_bad_byte_after_the_first_chunk_beats_an_earlier_bad_cell(
+            self, tmp_path):
+        # the bad cell lies in the first 8 KB of the file, the bad byte after it
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"a,b\n1,x\n" + b"1.25,2.5\n" * 2000 + b"\xff\n")
+        with pytest.raises(InputFormatError,
+                           match=r"d.csv: not UTF-8 text \(invalid start byte\)"):
+            cli.read_ensemble_csv(p)
+
     @pytest.mark.parametrize("text, line", [
         ("a,b\n1,2\n3," + "4" * 131073 + "\n", 3),
         ("a," + "b" * 131073 + "\n1,2\n", 1),
@@ -162,6 +174,13 @@ def _read_outcome(read, path):
 
 def assert_reads_as_reference(path):
     new = _read_outcome(cli.read_ensemble_csv, path)
+    try:
+        path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the whole input is decoded before any cell is read
+        assert new == (InputFormatError,
+                       f"{path}: not UTF-8 text ({exc.reason})")
+        return
     old = _read_outcome(oracles.read_csv_reference, path)
     if old[0] is csv.Error:
         # the reference let csv.Error escape; now it names the line
@@ -612,39 +631,37 @@ class TestValidateCommand:
         manifest = json.loads((out / "manifest.json").read_text("utf-8"))
         assert manifest["summary"]["all_exact"] is False
 
-    def test_thread_count_does_not_change_results(self, tmp_path, monkeypatch):
-        outs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"t{threads}"
-            monkeypatch.setenv("POLYSCOPE_THREADS", threads)
-            code = cli.main(["validate", "--trials", "4", "--nodes", "4-6",
-                             "--grid-size", "128", "--seed", "9",
-                             "--out", str(out)])
-            assert code == 0
-            outs.append((out / "validation_report.json").read_bytes())
-        assert outs[0] == outs[1]
+    def test_warnings_are_the_trials_distinct_events(self, tmp_path):
+        out = tmp_path / "v"
+        code = cli.main(["validate", "--trials", "4", "--nodes", "4-6",
+                         "--grid-size", "128", "--seed", "9",
+                         "--mode", "analytic", "--pipeline", "miso-blanket",
+                         "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+        with collect() as events:
+            for trial in range(4):
+                spec, seed = cli._draw_identifiable(9, trial, 4, 6,
+                                                    FrequencyGrid(128))
+                cli.run_recovery(spec, mode="analytic", pipeline="miso-blanket",
+                                 length=131072, seed=seed,
+                                 cfg=cli.RunConfig(grid_size=128).welch())
+        expected = sorted({f"{e.category}: {e.message}" for e in events})
+        assert expected
+        assert manifest["warnings"] == expected
 
-    def test_thread_count_does_not_change_warnings(self, tmp_path, monkeypatch):
-        # events recorded in worker threads must reach the manifest
-        warnings = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"t{threads}"
-            monkeypatch.setenv("POLYSCOPE_THREADS", threads)
-            code = cli.main(["validate", "--trials", "4", "--nodes", "4-6",
-                             "--grid-size", "128", "--seed", "9",
-                             "--mode", "analytic", "--pipeline", "miso-blanket",
-                             "--out", str(out)])
-            assert code == 0
-            manifest = json.loads((out / "manifest.json").read_text("utf-8"))
-            warnings.append(manifest["warnings"])
-        assert warnings[0]
-        assert warnings[0] == warnings[1]
+    def test_trials_run_on_the_calling_thread(self, tmp_path, monkeypatch):
+        threads = []
+        recover = cli.run_recovery
 
-    def test_bad_thread_env_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("POLYSCOPE_THREADS", "many")
-        assert cli.main(["validate", "--trials", "1", "--nodes", "4",
-                         "--grid-size", "128",
-                         "--out", str(tmp_path / "v")]) == 2
+        def spy(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return recover(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_recovery", spy)
+        assert cli.main(["validate", "--trials", "3", "--nodes", "4",
+                         "--grid-size", "128", "--out", str(tmp_path / "v")]) == 0
+        assert threads == [threading.get_ident()] * 3
 
     def test_zero_trials_exit_2(self, tmp_path):
         assert cli.main(["validate", "--trials", "0", "--nodes", "4",

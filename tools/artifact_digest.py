@@ -8,9 +8,9 @@ run-dependent ``volatile`` block.  The temporary directory is written as
 reads inputs written into that directory: rewrites of the first record
 that must read as the record itself (every cell quoted, CR-only line ends)
 and malformed CSVs that must exit 2, so the document pins the reader's exit
-codes and stderr too.  Two checkouts that print the same document wrote the
-same bytes, so a refactor that must keep artifacts byte-identical is
-checked with::
+codes and stderr too.  ``validate`` runs in both trial modes.  Two
+checkouts that print the same document wrote the same bytes, so a refactor
+that must keep artifacts byte-identical is checked with::
 
     PYTHONPATH=/path/to/parent/src python3 tools/artifact_digest.py > before.json
     PYTHONPATH=src python3 tools/artifact_digest.py > after.json
@@ -70,6 +70,8 @@ MALFORMED = (
     ("short-row", b"a,b\n1,2\n3\n"),
     ("missing-value", b"a,b\n1,2\n3, \n"),
     ("not-utf8", b"a,b\n1,2\n3,\xff\n"),
+    ("bad-cell-before-bad-byte",
+     b"a,b\n1,x\n" + b"1.25,2.5\n" * 2000 + b"\xff\n"),
 )
 
 #: Relative tolerance of compare mode on every float.
@@ -109,6 +111,9 @@ def _runs(root: Path):
         yield f"validate-{pipeline}", [
             "validate", "--pipeline", pipeline, "--mode", "analytic",
             "--trials", "3", "--nodes", "6-8", "--seed", "1"]
+    yield "validate-simulated", [
+        "validate", "--mode", "simulated", "--trials", "2", "--nodes", "5",
+        "--length", "4096", "--grid-size", "256", "--seed", "1"]
 
 
 def _number(text: str):
