@@ -432,7 +432,7 @@ class _Emitter:
         finally:
             self.timings[name] = round((time.perf_counter() - start) * 1e3, 3)
 
-    def finish(self, warnings: list[str], summary: dict) -> Path:
+    def finish(self, warnings: list[str]) -> Path:
         manifest = {
             "tool": "polyscope",
             "version": __version__,
@@ -445,7 +445,7 @@ class _Emitter:
             ],
             "matrices": self.matrices,
             "warnings": sorted(set(warnings)),
-            "summary": summary,
+            "summary": self.summary,
             "volatile": {
                 "timestamp": datetime.now(timezone.utc).isoformat(),
                 "timings_ms": self.timings,
@@ -764,7 +764,7 @@ def main(argv=None) -> int:
         emitter = _Emitter(Path(cfg.out), args.command, cfg)
         with collect() as events:
             status = _COMMANDS[args.command](cfg, emitter)
-        emitter.finish(_events_to_warnings(events), emitter.summary)
+        emitter.finish(_events_to_warnings(events))
         return status
     except (InputFormatError, InvalidParameterError, DegenerateSeriesError,
             CombinatorialLimitError, OSError) as exc:

@@ -118,17 +118,17 @@ def coherence_distance(S: SpectralMatrix, i: int, j: int) -> float:
     return float(_coherence_distances(S, i, [j])[0])
 
 
-def _log_triangle_breaches(labels, values: np.ndarray, tol: float) -> None:
+def _log_triangle_breaches(values: np.ndarray) -> None:
     n = values.shape[0]
     if n < 3:
         return
     # worst of d(i,k) - (d(i,j) + d(j,k)), one i at a time: O(n^2) memory
     worst = max(float(np.max(row[None, :] - (row[:, None] + values)))
                 for row in values)
-    if worst > tol:
+    if worst > TRIANGLE_TOL:
         record("triangle-breach",
                f"triangle inequality violated by {worst:.4f} "
-               f"(tolerance {tol})")
+               f"(tolerance {TRIANGLE_TOL})")
 
 
 def distance_matrix(S: SpectralMatrix) -> DistanceMatrix:
@@ -148,7 +148,7 @@ def distance_matrix(S: SpectralMatrix) -> DistanceMatrix:
         record("degenerate-pair",
                f"{S.labels[i]!r} and {S.labels[j]!r} are at distance "
                f"{out[i, j]:.3e}; duplicated series?")
-    _log_triangle_breaches(S.labels, out, TRIANGLE_TOL)
+    _log_triangle_breaches(out)
     return DistanceMatrix(list(S.labels), out, "noncausal")
 
 

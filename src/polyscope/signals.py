@@ -176,6 +176,8 @@ class SpectralMatrix:
         # whatever layout the caller's array had
         self.values = np.ascontiguousarray(self.values, dtype=complex)
         n = len(self.labels)
+        if n == 0:
+            raise InvalidParameterError("spectral matrix needs at least one series")
         if self.values.shape != (n, n, self.grid.size):
             raise InvalidParameterError(
                 f"spectral matrix shape {self.values.shape} does not match "
@@ -197,48 +199,36 @@ class SpectralMatrix:
                 raise InvalidParameterError(f"index {i} out of range for n={self.n}")
 
     @cached_property
-    def psd_floor(self) -> float:
-        """Floor value: ``PSD_FLOOR_RATIO`` times the largest diagonal value.
-
-        Computed on first use.
-        """
-        diag = np.real(np.einsum("iik->ik", self.values))
-        top = float(np.max(diag)) if diag.size else 0.0
-        return PSD_FLOOR_RATIO * max(top, 0.0)
-
-    def _floor_auto(self, auto: np.ndarray) -> np.ndarray:
-        """Real parts of auto-spectral values clipped from below at the floor.
-
-        The floor is :attr:`psd_floor`, or the smallest normal float when
-        that is 0, so every clipped value is positive.  Records nothing.
-        """
-        return np.maximum(np.real(auto), self.psd_floor or np.finfo(float).tiny)
-
-    @cached_property
     def _floored(self) -> np.ndarray:
-        """``(n, K)`` real auto-spectra clipped from below at the floor.
+        """``(n, K)`` read-only real auto-spectra clipped from below at the floor.
 
-        Computed on first use; each series that needed the floor is recorded
-        once, as a ``spectral-floor`` event.
+        The floor is ``PSD_FLOOR_RATIO`` times the largest diagonal value, or
+        the smallest normal float when that is not positive, so every clipped
+        value is positive.  This is the only place the floor is applied to a
+        matrix: computed on first use, it records each series that needed
+        the floor once, as a ``spectral-floor`` event.
         """
         phi = np.real(np.einsum("iik->ik", self.values))
-        floored = self._floor_auto(phi)
+        floor = PSD_FLOOR_RATIO * max(float(np.max(phi)), 0.0)
+        floored = np.maximum(phi, floor or np.finfo(float).tiny)
         for i in np.flatnonzero(np.any(floored > phi, axis=1)):
             # a clipped row's smallest value is the floor itself
             record("spectral-floor", f"auto-spectrum of {self.labels[i]!r} "
                                      f"floored at {np.min(floored[i]):.3e}")
+        floored.flags.writeable = False
         return floored
 
     @cached_property
     def _floored_stack(self) -> np.ndarray:
-        """``(K, n, n)`` read-only stack of ``values`` per grid point, diagonal
-        clipped by :meth:`_floor_auto`.
+        """``(K, n, n)`` read-only stack of ``values`` per grid point, with
+        :attr:`_floored` on its diagonal.
 
-        Computed on first use; records nothing.
+        Computed on first use.  The floor events are :attr:`_floored`'s,
+        recorded once whichever of the two is used first.
         """
         A = self.values.transpose(2, 0, 1).copy()
         d = np.arange(self.n)
-        A[:, d, d] = self._floor_auto(A[:, d, d])
+        A[:, d, d] = self._floored.T
         A.flags.writeable = False
         return A
 
@@ -248,7 +238,7 @@ class SpectralMatrix:
 
         The matrix is :attr:`_floored_stack`, read from its lower triangle
         as ``eigvalsh`` reads it; ``wiener._clears_screen`` tests it.
-        Computed on first use; records nothing.
+        Computed on first use.
         """
         eigs = np.linalg.eigvalsh(self._floored_stack)
         return float(np.min(eigs[:, 0] / eigs[:, -1]))

@@ -180,8 +180,9 @@ def _joint_fits(S: SpectralMatrix, target: int, idx, verify: bool = False
     """Joint least-squares fits of ``target`` on each row of an ``(m, q)`` index array.
 
     Gathers the per-frequency normal equations ``A (m, K, q, q)`` from
-    ``S._floored_stack`` (diagonals clipped at the spectral floor) and
-    ``c (m, K, q)`` once, and solves all of them in one batched call.
+    ``S._floored_stack`` (``S._floored`` on the diagonals, so a first use
+    here records the floor events) and ``c (m, K, q)`` once, and solves all
+    of them in one batched call.
     Every fit is checked for conditioning before any is solved: at once by
     :func:`_clears_screen` when every row ascends, otherwise each fit's
     blocks with their own eigenvalues against :data:`CONDITION_RTOL`.
@@ -287,7 +288,9 @@ def spectral_factorize(phi: Spectrum) -> TransferFunction:
     inverse DFT onto causal support, exponentiate the DFT back.  The
     returned filter ``F`` is causal with a positive leading tap and satisfies
     ``|F(omega)|^2 == phi(omega)`` exactly on the grid (in its analytic
-    response; the stored impulse keeps the first K/2 taps).
+    response; the stored impulse keeps the first K/2 taps).  Values below
+    ``PSD_FLOOR_RATIO`` times the largest are raised to that floor, and a
+    ``spectral-floor`` event is recorded when any is.
     """
     values = phi.values
     scale = float(np.max(np.abs(values)))
@@ -297,23 +300,24 @@ def spectral_factorize(phi: Spectrum) -> TransferFunction:
         raise InvalidSpectrumError("auto-spectrum has a non-real part")
     if np.min(values.real) < -1e-10 * scale:
         raise InvalidSpectrumError("auto-spectrum is negative")
-    responses, taps = _spectral_factors(values.real[None, :])
+    floor = PSD_FLOOR_RATIO * float(np.max(np.abs(values.real)))
+    if np.min(values.real) < floor:
+        record("spectral-floor", f"factorization input floored at {floor:.3e}")
+    responses, taps = _spectral_factors(np.maximum(values.real, floor)[None, :])
     return TransferFunction(phi.grid, responses[0], taps[0], 0)
 
 
 def _spectral_factors(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cepstral factors of each row of a real ``(m, K)`` array of spectra.
+    """Cepstral factors of each row of a positive real ``(m, K)`` array of spectra.
 
-    Returns the grid responses ``(m, K)`` and the first K/2 taps ``(m, K/2)``.
-    Each row is floored at ``PSD_FLOOR_RATIO`` times its own maximum, and a
-    floored row or one whose discarded tail holds more than
-    :data:`TRUNCATION_ENERGY_TOL` of its energy is recorded.
+    The rows must already be floored: a matrix's come from
+    ``SpectralMatrix._floored``, a single spectrum's from
+    :func:`spectral_factorize`.  Returns the grid responses ``(m, K)`` and
+    the first K/2 taps ``(m, K/2)``; a row whose discarded tail holds more
+    than :data:`TRUNCATION_ENERGY_TOL` of its energy is recorded.
     """
     k = phi.shape[-1]
-    floor = PSD_FLOOR_RATIO * np.max(np.abs(phi), axis=-1)
-    floored = np.any(phi < floor[:, None], axis=-1)
-    real = np.maximum(phi, floor[:, None])
-    log_std = np.log(np.fft.ifftshift(real, axes=-1))
+    log_std = np.log(np.fft.ifftshift(phi, axes=-1))
     cepstrum = np.fft.ifft(log_std).real
     folded = np.zeros_like(cepstrum)
     folded[:, 0] = 0.5 * cepstrum[:, 0]
@@ -326,9 +330,6 @@ def _spectral_factors(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tail = np.sum(taps_full[:, k // 2:] ** 2, axis=-1)
     total = np.sum(taps_full ** 2, axis=-1)
     for row in range(phi.shape[0]):
-        if floored[row]:
-            record("spectral-floor",
-                   f"factorization input floored at {floor[row]:.3e}")
         if total[row] > 0 and tail[row] > TRUNCATION_ENERGY_TOL * total[row]:
             record("truncation-energy",
                    f"spectral factor tail holds {tail[row] / total[row]:.2e} "

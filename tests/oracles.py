@@ -151,9 +151,8 @@ def wiener_reference(S: SpectralMatrix, target: int, inputs, normalize: bool = F
     """
     inputs = list(inputs)
     A = S.values[np.ix_(inputs, inputs)].transpose(2, 0, 1).copy()
-    floor = S.psd_floor or np.finfo(float).tiny
     d = np.arange(len(inputs))
-    A[:, d, d] = np.maximum(A[:, d, d].real, floor)
+    A[:, d, d] = np.array([S.floored_autospectrum(a) for a in inputs]).T
     c = S.values[inputs, target].T.copy()
     eigs = np.linalg.eigvalsh(A)
     worst = np.argmin(eigs[:, 0] / eigs[:, -1])
@@ -463,6 +462,19 @@ def random_psd_matrix(rng: np.random.Generator, n: int, grid: FrequencyGrid,
     values[idx, idx] = values[idx, idx].real + floor
     labels = [f"s{i}" for i in range(n)]
     return SpectralMatrix(labels, grid, values)
+
+
+def sinusoid_ensemble() -> Ensemble:
+    """Four series, each a sum of five low-frequency sinusoids.
+
+    Their Welch auto-spectra on a 256-point grid fall below the spectral
+    floor at high frequencies, so every series is floored.
+    """
+    t = np.arange(8192)
+    return Ensemble([
+        TimeSeries(label, sum(np.sin(2 * np.pi * (m + 1 + 0.37 * k) * t / 1024
+                                     + k + m) for m in range(5)))
+        for k, label in enumerate("abcd")])
 
 
 def make_two_sparse_instance(seed: int, correlated: bool):

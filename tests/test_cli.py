@@ -699,6 +699,21 @@ class TestSparseCommand:
                          "--out", str(tmp_path / "s"),
                          "--grid-size", "128"]) == 4
 
+    def test_floor_warnings_match_analyze(self, tmp_path):
+        data = tmp_path / "floored.csv"
+        data.write_text(cli.ensemble_csv_text(oracles.sinusoid_ensemble()),
+                        encoding="utf-8")
+        floors = {}
+        for command in ("analyze", "sparse"):
+            out = tmp_path / command
+            assert cli.main([command, "--input", str(data), "--out", str(out),
+                             "--grid-size", "256"]) == 0
+            manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+            floors[command] = [w for w in manifest["warnings"]
+                               if w.startswith("spectral-floor:")]
+        assert len(floors["sparse"]) == 4
+        assert floors["sparse"] == floors["analyze"]
+
 
 class TestCompareCommand:
     def test_two_series_spearman_undefined(self, tmp_path):
@@ -748,7 +763,7 @@ class TestEmitter:
         emitter.emit("b.txt", "\u00e9\n")
         emitter.emit("a.csv", "x,y\r\n", kind="noncausal")
         (tmp_path / "b.txt").write_text("changed later", encoding="utf-8")
-        manifest = json.loads(emitter.finish([], {}).read_text("utf-8"))
+        manifest = json.loads(emitter.finish([]).read_text("utf-8"))
         assert manifest["outputs"] == [
             {"file": "a.csv", "sha256": hashlib.sha256(b"x,y\r\n").hexdigest()},
             {"file": "b.txt",

@@ -9,6 +9,7 @@ from polyscope import (
     FrequencyGrid,
     InsufficientDataError,
     InvalidParameterError,
+    Spectrum,
     TimeSeries,
     WelchConfig,
     causal_distance,
@@ -19,14 +20,15 @@ from polyscope import (
     correlation_distance_matrix,
     distance_matrix,
     spearman_index,
+    spectral_factorize,
     spectral_matrix,
     windowed_average_distance,
 )
-from polyscope import analytic_spectra, generate_polytree_aln
+from polyscope import analytic_spectra, generate_polytree_aln, metric
 from polyscope.diagnostics import collect
-from polyscope.metric import TRIANGLE_TOL, _log_triangle_breaches
+from polyscope.metric import _log_triangle_breaches
 
-from oracles import random_psd_matrix
+from oracles import random_psd_matrix, sinusoid_ensemble
 
 
 def delayed_pair_spectra(grid, delay=1):
@@ -112,14 +114,13 @@ class TestCoherenceDistance:
         values = np.ones((n, n))
         np.fill_diagonal(values, 0.0)
         values[0, 1] = values[1, 0] = 2.5        # 2.5 > 1 + 1 via any third node
-        labels = [f"s{i}" for i in range(n)]
         with collect() as events:
-            _log_triangle_breaches(labels, values, TRIANGLE_TOL)
+            _log_triangle_breaches(values)
         breaches = [e for e in events if e.category == "triangle-breach"]
         assert len(breaches) == 1
         assert "0.5000" in breaches[0].message
         with collect() as events:
-            _log_triangle_breaches(labels, np.minimum(values, 1.0), TRIANGLE_TOL)
+            _log_triangle_breaches(np.minimum(values, 1.0))
         assert not events
 
     def test_triangle_inequality(self):
@@ -165,6 +166,27 @@ class TestCausalDistance:
                 else:
                     ref = np.sqrt(max(causal_wiener(S, j, i).cost, 0.0))
                     assert DC.values[j, i] == ref
+
+    def test_factors_are_those_of_the_floored_autospectra(self, monkeypatch):
+        S = spectral_matrix(sinusoid_ensemble(), WelchConfig(grid_size=256))
+        factor, factored = metric._spectral_factors, []
+
+        def spy(phi):
+            factored.append(factor(phi))
+            return factored[-1]
+
+        monkeypatch.setattr(metric, "_spectral_factors", spy)
+        with collect() as events:
+            causal_distance_matrix(S)
+        assert [e.message for e in events
+                if e.category == "spectral-floor"] == [
+            f"auto-spectrum of {label!r} floored at {S._floored.min():.3e}"
+            for label in S.labels]
+        responses = factored[0][0]
+        assert len(responses) == S.n
+        for i, response in enumerate(responses):
+            F = spectral_factorize(Spectrum(S.grid, S.floored_autospectrum(i)))
+            assert np.array_equal(response, F.response)
 
     def test_causal_dominates_coherence(self):
         rng = np.random.default_rng(12)

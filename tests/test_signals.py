@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polyscope import (
+    DistanceMatrix,
     Ensemble,
     FrequencyGrid,
     InsufficientDataError,
@@ -17,6 +18,7 @@ from polyscope import (
     coherence_function,
     inner_product,
     matching_pursuit,
+    miso_blanket_topology,
     noncausal_wiener,
     orthogonal_least_squares,
     project,
@@ -50,6 +52,16 @@ INDEXED = {
     "sparse_exhaustive": lambda S, b: sparse_exhaustive(S, b, 1),
     "matching_pursuit": lambda S, b: matching_pursuit(S, b, 1),
     "orthogonal_least_squares": lambda S, b: orthogonal_least_squares(S, b, 1),
+}
+
+#: Every consumer whose first use of a matrix reads its floored auto-spectra.
+FIRST_FLOOR_USES = {
+    "floored_autospectrum": lambda S: S.floored_autospectrum(0),
+    "orthogonal_least_squares": lambda S: orthogonal_least_squares(S, 0, 1),
+    "noncausal_wiener": lambda S: noncausal_wiener(S, 0, [1, 2]),
+    "sparse_exhaustive": lambda S: sparse_exhaustive(S, 0, 2),
+    "miso_blanket_topology": lambda S: miso_blanket_topology(
+        S, DistanceMatrix(S.labels, 1.0 - np.eye(S.n), "noncausal")),
 }
 
 
@@ -244,17 +256,25 @@ class TestSpectralMatrix:
     def test_floored_autospectra_record_each_floored_series_once(self):
         grid = FrequencyGrid(8)
         values = np.zeros((3, 3, 8), dtype=complex)
-        values[0, 0] = 2.0
+        values[0, 0] = [2.0] * 4 + [1e-3] * 4
         values[1, 1, :4] = 1.0            # half the grid below the floor
-        with collect() as events:
-            S = SpectralMatrix(["a", "b", "c"], grid, values)
-            floored = [S.floored_autospectrum(i) for i in range(3)]
-            S.floored_autospectrum(1)
-        assert [(e.category, e.message) for e in events] == [
-            ("spectral-floor", "auto-spectrum of 'b' floored at 2.000e-12"),
-            ("spectral-floor", "auto-spectrum of 'c' floored at 2.000e-12")]
+        values[2, 2, :4] = 0.5            # floored where 'b' is
+        for name, first_use in FIRST_FLOOR_USES.items():
+            with collect() as events:
+                S = SpectralMatrix(["a", "b", "c"], grid, values)
+                first_use(S)
+            with collect() as later:
+                floored = [S.floored_autospectrum(i) for i in range(3)]
+                S.floored_autospectrum(1)
+                S._floored_stack
+            assert [(e.category, e.message) for e in events] == [
+                ("spectral-floor", "auto-spectrum of 'b' floored at 2.000e-12"),
+                ("spectral-floor", "auto-spectrum of 'c' floored at 2.000e-12")
+            ], name
+            assert not later, name
         assert np.array_equal(floored[1], np.maximum(values[1, 1].real, 2e-12))
-        assert np.array_equal(floored[2], np.full(8, 2e-12))
+        assert np.array_equal(floored[2], np.maximum(values[2, 2].real, 2e-12))
+        assert not S._floored.flags.writeable
         with collect() as events:
             S = SpectralMatrix(["a", "b"], grid, np.zeros((2, 2, 8)))
             assert np.array_equal(S.floored_autospectrum(0),
@@ -262,6 +282,10 @@ class TestSpectralMatrix:
         assert [e.message for e in events] == [
             "auto-spectrum of 'a' floored at 2.225e-308",
             "auto-spectrum of 'b' floored at 2.225e-308"]
+
+    def test_rejects_empty_labels(self):
+        with pytest.raises(InvalidParameterError, match="at least one series"):
+            SpectralMatrix([], FrequencyGrid(8), np.zeros((0, 0, 8)))
 
     def test_duplicated_series_off_diagonal_equals_diagonal(self):
         rng = np.random.default_rng(17)

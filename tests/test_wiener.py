@@ -375,6 +375,17 @@ class TestSpectralFactorize:
         F = spectral_factorize(Spectrum(grid, phi))
         assert F.impulse[0] > 0
 
+    def test_spectrum_with_zeros_is_floored_and_recorded(self):
+        grid = FrequencyGrid(32)
+        phi = np.where(np.abs(grid.omegas) < np.pi / 2, 4.0, 0.0)
+        with collect() as events:
+            F = spectral_factorize(Spectrum(grid, phi))
+        assert [(e.category, e.message) for e in events
+                if e.category == "spectral-floor"] == [
+            ("spectral-floor", "factorization input floored at 4.000e-12")]
+        np.testing.assert_allclose(np.abs(F.response) ** 2,
+                                   np.maximum(phi, 4e-12), rtol=1e-9)
+
     def test_rejects_negative_spectrum(self):
         grid = FrequencyGrid(32)
         with pytest.raises(InvalidSpectrumError):

@@ -8,7 +8,10 @@ run-dependent ``volatile`` block.  The temporary directory is written as
 reads inputs written into that directory: rewrites of the first record
 that must read as the record itself (every cell quoted, CR-only line ends)
 and malformed CSVs that must exit 2, so the document pins the reader's exit
-codes and stderr too.  ``validate`` runs in both trial modes.  Two
+codes and stderr too.  ``analyze``, ``sparse`` and ``compare`` also read a
+record of low-frequency sinusoids whose every auto-spectrum needs the
+spectral floor, so the document pins each command's floor warnings.
+``validate`` runs in both trial modes.  Two
 checkouts that print the same document wrote the same bytes, so a refactor
 that must keep artifacts byte-identical is checked with::
 
@@ -81,6 +84,18 @@ RTOL = 1e-12
 _NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
+def _floored_csv() -> str:
+    """Four series, each a sum of five low-frequency sinusoids: their Welch
+    auto-spectra fall below the spectral floor at high frequencies."""
+    rows = ["a,b,c,d"]
+    for t in range(8192):
+        rows.append(",".join(
+            repr(sum(math.sin(2 * math.pi * (m + 1 + 0.37 * k) * t / 1024 + k + m)
+                     for m in range(5)))
+            for k in range(4)))
+    return "\n".join(rows) + "\n"
+
+
 def _runs(root: Path):
     """Yield ``(name, argv)`` in run order; inputs are written before use."""
     for record, flags in RECORDS:
@@ -107,6 +122,11 @@ def _runs(root: Path):
         data = root / f"{name}.csv"
         data.write_bytes(content)
         yield f"analyze-{name}", ["analyze", "--input", str(data)]
+    data = root / "floored.csv"
+    data.write_text(_floored_csv(), encoding="utf-8")
+    for command in ("analyze", "sparse", "compare"):
+        yield f"{command}-floored", [
+            command, "--input", str(data), "--grid-size", "256"]
     for pipeline in ("polytree", "miso-blanket"):
         yield f"validate-{pipeline}", [
             "validate", "--pipeline", pipeline, "--mode", "analytic",
