@@ -409,21 +409,20 @@ def _has_run(alive: np.ndarray, run: int) -> np.ndarray:
     return sliding_window_view(alive, run, axis=-1).all(axis=-1).any(axis=-1)
 
 
-def _score(true_tree: Polytree, undirected: set[frozenset],
-           directed: dict[frozenset, tuple[int, int]] | None,
-           tie_count: int, mode: str, pipeline: str, seed: int | None
-           ) -> RecoveryReport:
+def _score(true_tree: Polytree, graph, mode: str, pipeline: str,
+           seed: int | None) -> RecoveryReport:
+    """Score a recovered graph's edges against the true polytree; a
+    :class:`Polytree` is also scored on its directions and counts its ties."""
     truth = {frozenset(e) for e in true_tree.edges}
+    undirected = {frozenset(e) for e in graph.edges}
     hits = truth & undirected
     precision = len(hits) / len(undirected) if undirected else 1.0
     recall = len(hits) / len(truth) if truth else 1.0
-    accuracy = None
-    if directed is not None:
-        correct = sum(
-            1 for pair in hits
-            if directed.get(pair) in true_tree.edges
-        )
+    accuracy, tie_count = None, 0
+    if isinstance(graph, Polytree):
+        correct = sum(edge in true_tree.edges for edge in graph.edges)
         accuracy = correct / len(hits) if hits else 1.0
+        tie_count = len(graph.ties)
     return RecoveryReport(
         mode=mode, pipeline=pipeline, n=true_tree.n, seed=seed,
         true_edges=sorted((min(p, c), max(p, c)) for p, c in true_tree.edges),
@@ -458,18 +457,10 @@ def run_recovery(spec: ALNSpec, mode: str = "analytic",
             raise InvalidParameterError("simulated mode needs a seed")
         sim = simulate(spec, length, seed)
         S = spectral_matrix(sim.ensemble, cfg)
-    true_tree = spec.to_polytree()
-
     if pipeline == "mst-coherence":
-        tree = minimum_spanning_tree(distance_matrix(S))
-        undirected = {frozenset(e) for e in tree.edges}
-        return _score(true_tree, undirected, None, 0, mode, pipeline, seed)
-    if pipeline == "polytree-causal":
-        poly = build_polytree(causal_distance_matrix(S))
-        undirected = {frozenset(e) for e in poly.edges}
-        directed = {frozenset(e): e for e in poly.edges}
-        return _score(true_tree, undirected, directed, len(poly.ties),
-                      mode, pipeline, seed)
-    graph = miso_blanket_topology(S, distance_matrix(S))
-    undirected = {frozenset(e) for e in graph.edges}
-    return _score(true_tree, undirected, None, 0, mode, pipeline, seed)
+        graph = minimum_spanning_tree(distance_matrix(S))
+    elif pipeline == "polytree-causal":
+        graph = build_polytree(causal_distance_matrix(S))
+    else:
+        graph = miso_blanket_topology(S, distance_matrix(S))
+    return _score(spec.to_polytree(), graph, mode, pipeline, seed)

@@ -486,7 +486,7 @@ def cmd_analyze(cfg: RunConfig, emitter: _Emitter) -> int:
             "window_length averaging applies only to the mst pipeline")
     wcfg = cfg.welch()
     ens = _ingest(cfg, emitter)
-    windowed = cfg.pipeline == "mst" and cfg.window_length > 0
+    windowed = cfg.window_length > 0
     with emitter.stage("spectra"):
         S = None if windowed else spectral_matrix(ens, wcfg)
     with emitter.stage("distances"):

@@ -22,7 +22,7 @@ class InsufficientDataError(PolyscopeError):
 
 
 class InvalidSpectrumError(PolyscopeError):
-    """A spectrum fails a structural requirement (realness, positivity)."""
+    """A spectrum fails a structural requirement (realness, positivity, evenness)."""
 
 
 class IllConditionedSpectrumError(PolyscopeError):

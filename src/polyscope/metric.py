@@ -103,7 +103,7 @@ class DirectionMatrix:
 
 def _coherence_distances(S: SpectralMatrix, i: int, cols) -> np.ndarray:
     """``sqrt(mean(1 - C))`` of series ``i`` with each series in ``cols``."""
-    mean = np.mean(1.0 - _coherence_row(S, i, cols), axis=-1)
+    mean = S.grid.integrate(1.0 - _coherence_row(S, i, cols))
     return np.sqrt(np.maximum(mean, 0.0))
 
 

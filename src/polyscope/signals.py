@@ -46,9 +46,28 @@ class FrequencyGrid:
     def omegas(self) -> np.ndarray:
         return -np.pi + 2.0 * np.pi * np.arange(self.size) / self.size
 
+    @property
+    def half(self) -> np.ndarray:
+        """Indices of the ``rfft`` bins ``omega = 0 ... pi``: ``[K/2 ... K-1, 0]``."""
+        return np.r_[self.size // 2:self.size, 0]
+
     def integrate(self, values: np.ndarray):
-        """``(1/2pi) * sum(values) * (2pi/K)`` — the mean over grid points."""
-        return np.mean(values, axis=-1)
+        """``(1/2pi) * sum(values) * (2pi/K)`` — the grid mean along the last
+        axis, summed over a C-ordered copy so any layout gives the same bits."""
+        return np.mean(np.ascontiguousarray(values), axis=-1)
+
+    def mirror(self, half: np.ndarray, axis: int = -1) -> np.ndarray:
+        """Grid values of a conjugate-even ``f``, ``f(-omega) = conj(f(omega))``,
+        from its ``K/2 + 1`` ``rfft`` bins ``omega = 0 ... pi`` along ``axis``."""
+        half = np.moveaxis(np.asarray(half), axis, -1)
+        m = self.size // 2
+        if half.shape[-1] != m + 1:
+            raise InvalidParameterError(f"need {m + 1} rfft bins, got {half.shape[-1]}")
+        full = np.empty(half.shape[:-1] + (self.size,), dtype=half.dtype)
+        full[..., m:] = half[..., :m]
+        full[..., 0] = half[..., m]
+        full[..., 1:m] = np.conj(half[..., m - 1:0:-1])
+        return np.moveaxis(full, -1, axis)
 
     def response_from_taps(self, taps: np.ndarray, offset: int = 0) -> np.ndarray:
         """Evaluate ``sum_t a(t) exp(-1j*omega*t)`` on the grid.
@@ -324,8 +343,8 @@ def _welch_matrix(values: np.ndarray, cfg: WelchConfig) -> np.ndarray:
     A streamed Gram product: the windowed segments are real-transformed
     (``rfft``) :data:`WELCH_CHUNK_SEGMENTS` at a time, and each chunk adds
     its per-frequency ``X^H X`` to one ``(K/2+1, n, n)`` accumulator, so the
-    segment DFTs held at once do not grow with the record.  The bins above
-    K/2 are the conjugates of the bins below it (real input).  The upper
+    segment DFTs held at once do not grow with the record.  The negative
+    frequencies are :meth:`FrequencyGrid.mirror`'s (real input).  The upper
     triangle is copied onto the lower one and the diagonal made real, so the
     result is exactly Hermitian.
 
@@ -343,9 +362,8 @@ def _welch_matrix(values: np.ndarray, cfg: WelchConfig) -> np.ndarray:
                f"only {available} segments fit, {cfg.segment_count} planned")
     win = cfg.window_taps
     n, k = values.shape[0], cfg.grid_size
-    half = k // 2
     offsets = np.arange(seg)
-    gram = np.zeros((half + 1, n, n), dtype=complex)
+    gram = np.zeros((k // 2 + 1, n, n), dtype=complex)
     for first in range(0, available, WELCH_CHUNK_SEGMENTS):
         last = min(first + WELCH_CHUNK_SEGMENTS, available)
         starts = np.arange(first, last) * cfg.hop
@@ -358,10 +376,7 @@ def _welch_matrix(values: np.ndarray, cfg: WelchConfig) -> np.ndarray:
     gram[:, upper[1], upper[0]] = np.conj(gram[:, upper[0], upper[1]])
     diag = np.arange(n)
     gram[:, diag, diag] = gram[:, diag, diag].real
-    full = np.empty((k, n, n), dtype=complex)
-    full[:half + 1] = gram
-    full[half + 1:] = np.conj(gram[half - 1:0:-1])
-    return np.ascontiguousarray(np.fft.fftshift(full, axes=0).transpose(1, 2, 0))
+    return FrequencyGrid(k).mirror(gram.transpose(1, 2, 0))
 
 
 def welch_cross_spectrum(x: TimeSeries, y: TimeSeries, cfg: WelchConfig) -> Spectrum:

@@ -74,7 +74,7 @@ def inner_product(S: SpectralMatrix, a: int, b: int) -> float:
     """
     S.check_index(a, b)
     values = S.values[a, b]
-    mean = complex(np.mean(values))
+    mean = complex(S.grid.integrate(values))
     scale = max(float(np.max(np.abs(values))), np.finfo(float).tiny)
     if abs(mean.imag) > 1e-8 * scale:
         raise InvalidSpectrumError(
@@ -158,8 +158,8 @@ def matching_pursuit(S: SpectralMatrix, target: int, max_inputs: int,
     cross = S.values[pool, target]
     unused = np.ones(pool.size, dtype=bool)
     phi_r = np.maximum(np.real(S.values[target, target]).copy(), 0.0)
-    initial = max(float(np.mean(phi_r)), np.finfo(float).tiny)
-    cost = float(np.mean(phi_r))
+    cost = float(S.grid.integrate(phi_r))
+    initial = max(cost, np.finfo(float).tiny)
     raw_filters: dict[int, TransferFunction] = {}
     stop_reason = "budget"
     while True:
@@ -168,7 +168,7 @@ def matching_pursuit(S: SpectralMatrix, target: int, max_inputs: int,
         if not unused.any():
             stop_reason = "exhausted"
             break
-        gains = np.where(unused, np.mean(np.abs(cross) ** 2 / floored, axis=-1),
+        gains = np.where(unused, S.grid.integrate(np.abs(cross) ** 2 / floored),
                          -np.inf)
         # the first maximum picks the lowest index, as the pool is sorted
         best = int(np.argmax(gains))
@@ -184,7 +184,7 @@ def matching_pursuit(S: SpectralMatrix, target: int, max_inputs: int,
         unused[best] = False
         cross[unused] -= V * S.values[pool[unused], pool[best]]
         raw_filters[int(pool[best])] = TransferFunction(S.grid, V)
-        cost = float(np.mean(phi_r))
+        cost = float(S.grid.integrate(phi_r))
     support = tuple(sorted(raw_filters))
     refit_filters, refit_cost = project(S, target, support)
     if refit_cost > cost + 1e-8 * max(1.0, cost):

@@ -20,7 +20,7 @@ from .diagnostics import record
 from .errors import InvalidParameterError
 from .metric import SYMMETRIC_KINDS, DistanceMatrix, causal_edge_weights
 from .signals import SpectralMatrix
-from .wiener import _clears_screen, _joint_fits, _rms
+from .wiener import _clears_screen, _joint_fits
 
 #: Relative filter magnitude below which a MISO input does not count as a
 #: blanket candidate.
@@ -238,8 +238,8 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
     if D.labels != S.labels:
         raise InvalidParameterError("distance labels do not match the spectra")
     rtol = BLANKET_RMS_RTOL if threshold is None else float(threshold)
-    if rtol <= 0:
-        raise InvalidParameterError("threshold must be positive")
+    if not 0 < rtol < 1:
+        raise InvalidParameterError(f"threshold must lie in (0, 1), got {rtol}")
     n = S.n
     if n < 2:
         raise InvalidParameterError("need at least two nodes")
@@ -250,7 +250,8 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
         if rms_all is not None:
             rms = rms_all[j, inputs].tolist()
         else:
-            rms = _rms(_joint_fits(S, j, [inputs])[0][0].T).tolist()
+            W = _joint_fits(S, j, [inputs])[0][0].T
+            rms = np.sqrt(S.grid.integrate(np.abs(W) ** 2)).tolist()
         top = max(rms)
         if top == 0.0:
             continue
@@ -282,7 +283,8 @@ def _precision_filter_rms(S: SpectralMatrix) -> np.ndarray:
     """
     P = np.linalg.inv(S._floored_stack)
     d = np.arange(S.n)
-    return _rms((P / P[:, d, d][:, None, :]).transpose(2, 1, 0))   # [j, i, k]
+    W = (P / P[:, d, d][:, None, :]).transpose(2, 1, 0)   # [j, i, k]
+    return np.sqrt(S.grid.integrate(np.abs(W) ** 2))
 
 
 def _quote(label: str) -> str:

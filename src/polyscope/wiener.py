@@ -39,15 +39,6 @@ TRUNCATION_ENERGY_TOL = 1e-6
 CONDITION_RTOL = 1e-10
 
 
-def _rms(responses: np.ndarray) -> np.ndarray:
-    """Root mean square magnitude of each response, along the last axis.
-
-    The responses are copied C-contiguous first, so each mean sums in the
-    order of a 1-d mean whatever their layout.
-    """
-    return np.sqrt(np.mean(np.abs(np.ascontiguousarray(responses)) ** 2, axis=-1))
-
-
 @dataclass
 class TransferFunction:
     """A linear filter known by its grid response, optionally by its taps.
@@ -85,7 +76,7 @@ class TransferFunction:
 
     def rms(self) -> float:
         """Root mean square response magnitude over the grid."""
-        return float(_rms(self.response))
+        return float(np.sqrt(self.grid.integrate(np.abs(self.response) ** 2)))
 
     def with_impulse(self, support: str = "centered") -> "TransferFunction":
         """Materialise an impulse response of length K/2 from the response.
@@ -145,7 +136,8 @@ class WienerSolution:
     def __post_init__(self):
         if self.cost < 0:
             raise InvalidParameterError("cost must be non-negative")
-        mean = float(np.real(np.mean(self.residual_spectrum.values)))
+        spectrum = self.residual_spectrum
+        mean = float(np.real(spectrum.grid.integrate(spectrum.values)))
         if abs(mean - self.cost) > 1e-8 * max(1.0, abs(self.cost)):
             raise InvalidParameterError(
                 "cost is not the grid mean of the residual spectrum")
@@ -215,9 +207,8 @@ def _joint_fits(S: SpectralMatrix, target: int, idx, verify: bool = False
             f"omega={S.grid.omegas[worst[ok]]:.6f} (eigenvalue ratio "
             f"{ratio[ok, worst[ok]]:.3e})")
     explained = np.real(np.sum(np.conj(c) * W, axis=-1))
-    # C-contiguous, so each row's mean sums in the order of a 1-d mean
     residual = np.maximum(np.real(S.values[target, target]) - explained, 0.0)
-    return W, residual, np.mean(residual, axis=-1)
+    return W, residual, S.grid.integrate(residual)
 
 
 def _check_orthogonality(target: int, A: np.ndarray, c: np.ndarray,
@@ -277,7 +268,7 @@ def noncausal_wiener(S: SpectralMatrix, target: int, inputs,
     if normalize:
         residual = residual / S.floored_autospectrum(target)
     return WienerSolution(target, inputs, _filters(S.grid, inputs, W[0]),
-                          float(np.mean(residual)),
+                          float(S.grid.integrate(residual)),
                           Spectrum(S.grid, residual))
 
 
@@ -300,6 +291,8 @@ def spectral_factorize(phi: Spectrum) -> TransferFunction:
         raise InvalidSpectrumError("auto-spectrum has a non-real part")
     if np.min(values.real) < -1e-10 * scale:
         raise InvalidSpectrumError("auto-spectrum is negative")
+    if np.max(np.abs(values - phi.grid.mirror(values[phi.grid.half]))) > 1e-10 * scale:
+        raise InvalidSpectrumError("auto-spectrum is not even in frequency")
     floor = PSD_FLOOR_RATIO * float(np.max(np.abs(values.real)))
     if np.min(values.real) < floor:
         record("spectral-floor", f"factorization input floored at {floor:.3e}")
@@ -350,10 +343,8 @@ def causal_truncate(h: TransferFunction) -> TransferFunction:
     else:
         taps, offset = h.impulse, h.support_offset
     if offset >= 0:
-        return h if h.impulse is not None else TransferFunction.from_taps(
-            h.grid, taps, offset)
-    first = -offset
-    kept = taps[first:]
+        return h
+    kept = taps[-offset:]
     if kept.size == 0:
         kept = np.zeros(1)
     return TransferFunction.from_taps(h.grid, kept, 0)
@@ -381,7 +372,7 @@ def _wiener_hopf(S: SpectralMatrix, target: int, inputs, target_factor: np.ndarr
     err = phi[target] + np.abs(response) ** 2 * phi[inputs] \
         - 2.0 * np.real(np.conj(response) * cross)
     weighted = np.maximum(err, 0.0) / phi[target]
-    return response, weighted, np.mean(weighted, axis=-1)
+    return response, weighted, S.grid.integrate(weighted)
 
 
 def _causal_pair(S: SpectralMatrix, target: int, input_: int

@@ -87,6 +87,34 @@ class TestFrequencyGrid:
         # (1/2pi) int cos^2 = 1/2, exact on the grid for this harmonic
         assert grid.integrate(np.cos(grid.omegas) ** 2) == pytest.approx(0.5)
 
+    def test_integrate_sums_every_layout_in_c_order(self):
+        grid = FrequencyGrid(64)
+        values = np.random.default_rng(4).standard_normal((64, 5)).T
+        assert not values.flags.c_contiguous
+        assert np.array_equal(grid.integrate(values),
+                              grid.integrate(values.copy()))
+
+    def test_mirror_rebuilds_a_conjugate_even_grid_exactly(self):
+        grid = FrequencyGrid(16)
+        half = np.random.default_rng(5).standard_normal((3, 9)) * (1 + 2j)
+        half[:, [0, 8]] = half[:, [0, 8]].real
+        full = grid.mirror(half)
+        assert np.array_equal(full[:, grid.half], half)
+        assert np.array_equal(full[:, 1:8], np.conj(full[:, 15:8:-1]))
+        assert np.array_equal(grid.mirror(full[:, grid.half]), full)
+        assert np.array_equal(grid.mirror(half.T, axis=0), full.T)
+
+    def test_mirror_of_rfft_is_the_shifted_fft(self):
+        grid = FrequencyGrid(32)
+        x = np.random.default_rng(6).standard_normal(32)
+        np.testing.assert_allclose(grid.mirror(np.fft.rfft(x)),
+                                   np.fft.fftshift(np.fft.fft(x)),
+                                   rtol=0, atol=1e-12)
+
+    def test_mirror_rejects_a_wrong_length(self):
+        with pytest.raises(InvalidParameterError):
+            FrequencyGrid(16).mirror(np.ones(16))
+
     @pytest.mark.parametrize("size", [0, 7, 9, -4])
     def test_rejects_bad_sizes(self, size):
         with pytest.raises(InvalidParameterError):

@@ -227,8 +227,10 @@ class TestMisoBlanketTopology:
 
     def test_bad_threshold(self):
         S = collider_spectra()
-        with pytest.raises(InvalidParameterError):
-            miso_blanket_topology(S, distance_matrix(S), threshold=0.0)
+        D = distance_matrix(S)
+        for threshold in (0.0, np.nan, np.inf, 1.0, -1.0):
+            with pytest.raises(InvalidParameterError, match=r"lie in \(0, 1\)"):
+                miso_blanket_topology(S, D, threshold=threshold)
 
     def test_single_node_raises(self):
         grid = FrequencyGrid(64)

@@ -391,6 +391,14 @@ class TestSpectralFactorize:
         with pytest.raises(InvalidSpectrumError):
             spectral_factorize(Spectrum(grid, -np.ones(32)))
 
+    def test_rejects_uneven_spectrum(self):
+        # phi(omega) != phi(-omega): no real process has it, and the
+        # cepstral factor's |F|^2 would not be phi
+        grid = FrequencyGrid(32)
+        phi = np.where(grid.omegas < 0, 4.0, 0.0)
+        with pytest.raises(InvalidSpectrumError, match="not even in frequency"):
+            spectral_factorize(Spectrum(grid, phi))
+
 
 class TestCausalTruncate:
     def test_two_sided_example(self):

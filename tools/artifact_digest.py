@@ -113,6 +113,10 @@ def _runs(root: Path):
             yield f"sparse-{budget}-{record}", [
                 "sparse", "--input", data, "--budget", budget, "--min-gain", "0"]
     first = root / f"simulate-{RECORDS[0][0]}" / "ensemble.csv"
+    # a budget above the 7 candidates of every target stops each on
+    # ``exhausted`` and pins OLS costs past 3 inputs
+    yield f"sparse-8-{RECORDS[0][0]}", [
+        "sparse", "--input", str(first), "--budget", "8", "--min-gain", "0"]
     for name, rewrite in REWRITES:
         data = root / f"{name}.csv"
         data.write_text(rewrite(first.read_text(encoding="utf-8")),
