@@ -46,20 +46,20 @@ class FrequencyGrid:
     def omegas(self) -> np.ndarray:
         return -np.pi + 2.0 * np.pi * np.arange(self.size) / self.size
 
-    @property
-    def half(self) -> np.ndarray:
-        """Indices of the ``rfft`` bins ``omega = 0 ... pi``: ``[K/2 ... K-1, 0]``."""
-        return np.r_[self.size // 2:self.size, 0]
-
     def integrate(self, values: np.ndarray):
         """``(1/2pi) * sum(values) * (2pi/K)`` — the grid mean along the last
         axis, summed over a C-ordered copy so any layout gives the same bits."""
         return np.mean(np.ascontiguousarray(values), axis=-1)
 
-    def mirror(self, half: np.ndarray, axis: int = -1) -> np.ndarray:
+    def rms(self, values: np.ndarray):
+        """Root mean square magnitude along the last axis: ``sqrt`` of the
+        grid integral of ``|values|^2``."""
+        return np.sqrt(self.integrate(np.abs(values) ** 2))
+
+    def mirror(self, half: np.ndarray) -> np.ndarray:
         """Grid values of a conjugate-even ``f``, ``f(-omega) = conj(f(omega))``,
-        from its ``K/2 + 1`` ``rfft`` bins ``omega = 0 ... pi`` along ``axis``."""
-        half = np.moveaxis(np.asarray(half), axis, -1)
+        from its ``K/2 + 1`` ``rfft`` bins ``omega = 0 ... pi`` on the last axis."""
+        half = np.asarray(half)
         m = self.size // 2
         if half.shape[-1] != m + 1:
             raise InvalidParameterError(f"need {m + 1} rfft bins, got {half.shape[-1]}")
@@ -67,7 +67,7 @@ class FrequencyGrid:
         full[..., m:] = half[..., :m]
         full[..., 0] = half[..., m]
         full[..., 1:m] = np.conj(half[..., m - 1:0:-1])
-        return np.moveaxis(full, -1, axis)
+        return full
 
     def response_from_taps(self, taps: np.ndarray, offset: int = 0) -> np.ndarray:
         """Evaluate ``sum_t a(t) exp(-1j*omega*t)`` on the grid.

@@ -251,7 +251,7 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
             rms = rms_all[j, inputs].tolist()
         else:
             W = _joint_fits(S, j, [inputs])[0][0].T
-            rms = np.sqrt(S.grid.integrate(np.abs(W) ** 2)).tolist()
+            rms = S.grid.rms(W).tolist()
         top = max(rms)
         if top == 0.0:
             continue
@@ -284,7 +284,7 @@ def _precision_filter_rms(S: SpectralMatrix) -> np.ndarray:
     P = np.linalg.inv(S._floored_stack)
     d = np.arange(S.n)
     W = (P / P[:, d, d][:, None, :]).transpose(2, 1, 0)   # [j, i, k]
-    return np.sqrt(S.grid.integrate(np.abs(W) ** 2))
+    return S.grid.rms(W)
 
 
 def _quote(label: str) -> str:

@@ -76,7 +76,7 @@ class TransferFunction:
 
     def rms(self) -> float:
         """Root mean square response magnitude over the grid."""
-        return float(np.sqrt(self.grid.integrate(np.abs(self.response) ** 2)))
+        return float(self.grid.rms(self.response))
 
     def with_impulse(self, support: str = "centered") -> "TransferFunction":
         """Materialise an impulse response of length K/2 from the response.
@@ -291,7 +291,8 @@ def spectral_factorize(phi: Spectrum) -> TransferFunction:
         raise InvalidSpectrumError("auto-spectrum has a non-real part")
     if np.min(values.real) < -1e-10 * scale:
         raise InvalidSpectrumError("auto-spectrum is negative")
-    if np.max(np.abs(values - phi.grid.mirror(values[phi.grid.half]))) > 1e-10 * scale:
+    # grid point k mirrors K - k; only the real part is factorized
+    if np.max(np.abs(values.real[1:] - values.real[:0:-1])) > 1e-10 * scale:
         raise InvalidSpectrumError("auto-spectrum is not even in frequency")
     floor = PSD_FLOOR_RATIO * float(np.max(np.abs(values.real)))
     if np.min(values.real) < floor:

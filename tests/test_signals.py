@@ -99,10 +99,10 @@ class TestFrequencyGrid:
         half = np.random.default_rng(5).standard_normal((3, 9)) * (1 + 2j)
         half[:, [0, 8]] = half[:, [0, 8]].real
         full = grid.mirror(half)
-        assert np.array_equal(full[:, grid.half], half)
+        rfft_bins = np.r_[8:16, 0]
+        assert np.array_equal(full[:, rfft_bins], half)
         assert np.array_equal(full[:, 1:8], np.conj(full[:, 15:8:-1]))
-        assert np.array_equal(grid.mirror(full[:, grid.half]), full)
-        assert np.array_equal(grid.mirror(half.T, axis=0), full.T)
+        assert np.array_equal(grid.mirror(full[:, rfft_bins]), full)
 
     def test_mirror_of_rfft_is_the_shifted_fft(self):
         grid = FrequencyGrid(32)

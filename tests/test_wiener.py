@@ -399,6 +399,13 @@ class TestSpectralFactorize:
         with pytest.raises(InvalidSpectrumError, match="not even in frequency"):
             spectral_factorize(Spectrum(grid, phi))
 
+    def test_even_real_part_with_tolerated_imaginary_residue(self):
+        # an even imaginary residue within the non-real tolerance is not
+        # unevenness: only the real part is factorized
+        grid = FrequencyGrid(32)
+        F = spectral_factorize(Spectrum(grid, np.full(32, 1.0 + 0.8e-10j)))
+        np.testing.assert_allclose(np.abs(F.response) ** 2, 1.0, atol=1e-12)
+
 
 class TestCausalTruncate:
     def test_two_sided_example(self):
