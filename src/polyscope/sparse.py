@@ -12,14 +12,19 @@ Three solvers:
   guarded by a combination count limit),
 * :func:`matching_pursuit` is greedy on residual cross spectra without
   revisiting earlier filters (cheap, reported both raw and jointly refit),
-* :func:`orthogonal_least_squares` is greedy with a full joint refit when
-  scoring every candidate extension (the usual accuracy/cost middle ground).
+* :func:`orthogonal_least_squares` is greedy with every candidate extension
+  scored by its jointly optimal cost (the usual accuracy/cost middle ground).
+  When the conditioning screen clears, a step scores all extensions in
+  closed form from the current support's fit, one Schur complement per
+  candidate; otherwise it fits every extension in one batched solve.  Only
+  the winner is refit, so reported filters and costs are joint solves.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +36,14 @@ from .errors import (
     InvalidSpectrumError,
 )
 from .signals import SpectralMatrix
-from .wiener import TransferFunction, _check_inputs, _filters, _joint_fits
+from .wiener import (
+    TransferFunction,
+    _check_inputs,
+    _clears_screen,
+    _extension_costs,
+    _filters,
+    _joint_fits,
+)
 
 #: Hard cap on the number of subsets the exhaustive solver will score.
 EXHAUSTIVE_LIMIT = 100_000
@@ -99,11 +111,32 @@ def project(S: SpectralMatrix, target: int, support
     return _filters(S.grid, support, W[0]), float(cost[0])
 
 
-def _check_solver_args(max_inputs: int, min_gain: float) -> None:
+def _check_solver_args(max_inputs: int, min_gain: float) -> int:
+    """Validate the shared solver arguments; return ``max_inputs`` as an int."""
+    try:
+        max_inputs = operator.index(max_inputs)
+    except TypeError:
+        raise InvalidParameterError(
+            f"max_inputs must be an integer, not {max_inputs!r}") from None
     if max_inputs < 0:
         raise InvalidParameterError("max_inputs must be >= 0")
     if not 0 <= min_gain < 1:
         raise InvalidParameterError("min_gain must be in [0, 1)")
+    return max_inputs
+
+
+def _greedy_stop(gain: float, cost: float, initial: float, min_gain: float,
+                 first: bool) -> str | None:
+    """Why a greedy step of ``gain`` from ``cost`` stops, or None to take it.
+
+    Gains that are numerical noise relative to the ``initial`` cost always
+    stop; ``min_gain`` gates every step after the ``first``.
+    """
+    if gain <= NEGLIGIBLE_RTOL * initial:
+        return "negligible-gain"
+    if not first and gain < min_gain * max(cost, np.finfo(float).tiny):
+        return "min-gain"
+    return None
 
 
 def _candidates(S: SpectralMatrix, target: int) -> list[int]:
@@ -120,7 +153,8 @@ def sparse_exhaustive(S: SpectralMatrix, target: int, max_inputs: int
     incumbent, so ties resolve to the smallest then lexicographically
     first support.
     """
-    _check_solver_args(max_inputs, 0.0)     # no gain rule: every subset is scored
+    # no gain rule: every subset is scored
+    max_inputs = _check_solver_args(max_inputs, 0.0)
     pool = _candidates(S, target)
     top = min(max_inputs, len(pool))
     total = sum(math.comb(len(pool), s) for s in range(top + 1))
@@ -152,7 +186,7 @@ def matching_pursuit(S: SpectralMatrix, target: int, max_inputs: int,
     every atom after the first; gains that are numerical noise relative to
     the initial power stop the pursuit regardless.
     """
-    _check_solver_args(max_inputs, min_gain)
+    max_inputs = _check_solver_args(max_inputs, min_gain)
     pool = np.array(_candidates(S, target), dtype=int)
     floored = S._floored[pool]
     cross = S.values[pool, target]
@@ -172,12 +206,10 @@ def matching_pursuit(S: SpectralMatrix, target: int, max_inputs: int,
                          -np.inf)
         # the first maximum picks the lowest index, as the pool is sorted
         best = int(np.argmax(gains))
-        gain = float(gains[best])
-        if gain <= NEGLIGIBLE_RTOL * initial:
-            stop_reason = "negligible-gain"
-            break
-        if raw_filters and gain < min_gain * max(cost, np.finfo(float).tiny):
-            stop_reason = "min-gain"
+        stop = _greedy_stop(float(gains[best]), cost, initial, min_gain,
+                            first=not raw_filters)
+        if stop:
+            stop_reason = stop
             break
         V = cross[best] / floored[best]
         phi_r = np.maximum(phi_r - np.abs(cross[best]) ** 2 / floored[best], 0.0)
@@ -198,36 +230,44 @@ def matching_pursuit(S: SpectralMatrix, target: int, max_inputs: int,
 
 def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
                              min_gain: float = DEFAULT_MIN_GAIN) -> SparseModel:
-    """Greedy selection where each candidate is scored by a joint refit.
+    """Greedy selection where each candidate is scored by its joint fit.
 
     Equivalent to matching pursuit for the first atom; afterwards each step
-    re-solves the full filter bank for every candidate extension, all
-    extensions in one batched solve, and keeps the best, so filters are
-    always jointly optimal for the reported support.  Stopping rules match
-    :func:`matching_pursuit`.
+    scores every candidate extension by its jointly optimal cost and keeps
+    the best.  When :func:`~polyscope.wiener._clears_screen` holds, a step
+    scores all extensions in closed form from the current support's fit:
+    one Schur complement per candidate and one solve per step (see
+    :func:`~polyscope.wiener._extension_costs`).  Otherwise it fits every
+    extension in one batched solve, whose first ill-conditioned fit raises.
+    Either way every scored extension's filters are checked against their
+    normal equations, and the winner alone is refit, so its filters and
+    cost come from the same joint solve as :func:`project`.  Stopping rules
+    match :func:`matching_pursuit`.
     """
-    _check_solver_args(max_inputs, min_gain)
+    max_inputs = _check_solver_args(max_inputs, min_gain)
     pool = _candidates(S, target)
     support: list[int] = []
     filters, cost = project(S, target, ())
     initial = max(cost, np.finfo(float).tiny)
-    stop_reason = "budget"
     while True:
         if len(support) >= min(max_inputs, len(pool)):
             stop_reason = "budget" if len(support) == max_inputs else "exhausted"
             break
-        extensions = [sorted(support + [b]) for b in pool if b not in support]
-        W, _, costs = _joint_fits(S, target, extensions, verify=True)
+        free = [b for b in pool if b not in support]
+        if _clears_screen(S):
+            costs = _extension_costs(S, target, support, free)
+        else:
+            costs = _joint_fits(S, target, [sorted(support + [b]) for b in free],
+                                verify=True)[2]
         # the first minimum adds the lowest index, as the pool is sorted
-        best = int(np.argmin(costs))
-        gain = cost - float(costs[best])
-        if gain <= NEGLIGIBLE_RTOL * initial:
-            stop_reason = "negligible-gain"
+        chosen = sorted(support + [free[np.argmin(costs)]])
+        W, _, chosen_cost = _joint_fits(S, target, [chosen], verify=True)
+        stop = _greedy_stop(cost - float(chosen_cost[0]), cost, initial,
+                            min_gain, first=not support)
+        if stop:
+            stop_reason = stop
             break
-        if support and gain < min_gain * max(cost, np.finfo(float).tiny):
-            stop_reason = "min-gain"
-            break
-        support = extensions[best]
-        filters, cost = _filters(S.grid, support, W[best]), float(costs[best])
+        support = chosen
+        filters, cost = _filters(S.grid, support, W[0]), float(chosen_cost[0])
     return SparseModel(target, tuple(support), filters, cost,
                        solver="ols", stop_reason=stop_reason)

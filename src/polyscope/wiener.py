@@ -188,8 +188,7 @@ def _joint_fits(S: SpectralMatrix, target: int, idx, verify: bool = False
     means ``(m,)``.
     """
     idx = np.asarray(idx)
-    A = S._floored_stack[:, idx[:, :, None], idx[:, None, :]].swapaxes(0, 1)
-    c = S.values[idx, target].transpose(0, 2, 1).copy()
+    A, c = _normal_equations(S, target, idx)
     ok = len(idx)
     if not (np.all(np.diff(idx, axis=1) > 0) and _clears_screen(S)):
         eigs = np.linalg.eigvalsh(A)
@@ -209,6 +208,57 @@ def _joint_fits(S: SpectralMatrix, target: int, idx, verify: bool = False
     explained = np.real(np.sum(np.conj(c) * W, axis=-1))
     residual = np.maximum(np.real(S.values[target, target]) - explained, 0.0)
     return W, residual, S.grid.integrate(residual)
+
+
+def _normal_equations(S: SpectralMatrix, target: int, idx: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frequency normal equations ``A (m, K, q, q)`` and ``c (m, K, q)``
+    of ``target`` on each row of an ``(m, q)`` index array, with
+    ``S._floored`` on the diagonals."""
+    A = S._floored_stack[:, idx[:, :, None], idx[:, None, :]].swapaxes(0, 1)
+    c = S.values[idx, target].transpose(0, 2, 1).copy()
+    return A, c
+
+
+def _extension_costs(S: SpectralMatrix, target: int, support, free) -> np.ndarray:
+    """Costs of the joint fits of ``target`` on ``support + [b]``, one per
+    ``b`` in ``free``, from the fit on ``support`` alone.
+
+    This is the orthogonal least squares recursion (Chen, Billings & Luo,
+    Int. J. Control 50(5), 1989).  At each frequency, with ``A_SS W_S = c_S``
+    the support's fit, adding ``b`` lowers the residual spectrum by
+    ``|r_b|^2 / s_b``, where ``G_b = A_SS^{-1} A_Sb``, the Schur complement
+    is ``s_b = A_bb - A_bS G_b`` and ``r_b = c_b - A_bS W_S``.  One solve of
+    ``A_SS`` against ``[A_S,free | c_S]`` serves every candidate, and none
+    is needed for an empty support.  The residual is clipped at zero per
+    frequency as in :func:`_joint_fits`.
+
+    Every extension's filters, ``w_b = r_b / s_b`` for ``b`` and
+    ``W_S - G_b w_b`` for the support, are checked against their normal
+    equations like :func:`_joint_fits` with ``verify``.  The caller must
+    have :func:`_clears_screen` hold, which keeps every ``s_b`` away from
+    zero; ``support`` must be a valid input set and ``free`` the inputs
+    outside it.
+    """
+    support = np.asarray(support, dtype=int)
+    free = np.asarray(free, dtype=int)
+    q, m = support.size, free.size
+    A, c = _normal_equations(
+        S, target, np.column_stack([np.broadcast_to(support, (m, q)), free]))
+    rhs = np.concatenate([A[:, :, :q, q].transpose(1, 2, 0), c[0, :, :q, None]],
+                         axis=-1)
+    solved = np.linalg.solve(A[0, :, :q, :q], rhs) if q else rhs
+    G, W_S = solved[..., :m].transpose(2, 0, 1), solved[..., m]
+    A_bS = A[:, :, q, :q]
+    s = np.real(A[:, :, q, q]) - np.real(np.sum(A_bS * G, axis=-1))
+    r = c[:, :, q] - np.sum(A_bS * W_S, axis=-1)
+    w = r / s
+    W = np.concatenate([W_S - G * w[..., None], w[..., None]], axis=-1)
+    _check_orthogonality(target, A, c, W)
+    explained = np.real(np.sum(np.conj(c[0, :, :q]) * W_S, axis=-1))
+    residual = np.maximum(np.real(S.values[target, target]) - explained
+                          - np.abs(r) ** 2 / s, 0.0)
+    return S.grid.integrate(residual)
 
 
 def _check_orthogonality(target: int, A: np.ndarray, c: np.ndarray,

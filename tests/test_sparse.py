@@ -22,8 +22,10 @@ from polyscope import (
     sparse_exhaustive,
     spectral_matrix,
 )
+from polyscope import wiener
 from polyscope.diagnostics import collect
 from polyscope.sparse import DEFAULT_MIN_GAIN
+from polyscope.wiener import _clears_screen, _extension_costs, _joint_fits
 
 from oracles import (
     make_two_sparse_instance,
@@ -108,6 +110,21 @@ class TestProject:
                     assert list(sol.filters) == list(inputs)
                     for pos, b in enumerate(inputs):
                         assert np.array_equal(sol.filters[b].response, W[:, pos])
+
+
+@pytest.mark.parametrize("solver", [sparse_exhaustive, matching_pursuit,
+                                    orthogonal_least_squares])
+class TestMaxInputs:
+    def test_non_integral_budget_is_rejected(self, solver):
+        with pytest.raises(InvalidParameterError, match="integer"):
+            solver(white_mixture(), 3, 1.5)
+
+    def test_numpy_integer_budget_is_accepted(self, solver):
+        S = white_mixture()
+        model = solver(S, 3, np.int64(2))
+        expected = solver(S, 3, 2)
+        assert model.support == expected.support
+        assert model.stop_reason == expected.stop_reason
 
 
 class TestExhaustive:
@@ -286,6 +303,83 @@ class TestOLSMatchesPerCandidateLoop:
         with pytest.raises(IllConditionedSpectrumError) as near_copy:
             project_reference(S, target, (x, 5))
         assert str(batched.value) == str(near_copy.value)
+
+
+@pytest.fixture(scope="module")
+def wide_record():
+    """A 32-series simulated record whose spectral matrix clears the screen."""
+    sim = simulate(generate_polytree_aln(32, 7), 2 ** 13, seed=11)
+    S = spectral_matrix(sim.ensemble, WelchConfig(grid_size=64))
+    assert _clears_screen(S)
+    return S
+
+
+def step_supports(S, target, steps):
+    """The supports OLS scores its first ``steps`` steps from, in order."""
+    return [list(orthogonal_least_squares(S, target, q, 0.0).support)
+            for q in range(steps)]
+
+
+class TestOLSClosedFormSteps:
+    """Steps scored from the support's fit against fits of every extension."""
+
+    def test_wide_record_matches_the_loop(self, wide_record):
+        for target in range(wide_record.n):
+            for budget in range(6):
+                for min_gain in (0.0, DEFAULT_MIN_GAIN):
+                    assert_same_model(
+                        orthogonal_least_squares(wide_record, target, budget,
+                                                 min_gain),
+                        ols_reference(wide_record, target, budget, min_gain))
+
+    def test_scored_costs_match_the_joint_fits(self, wide_record):
+        S = wide_record
+        for target in range(S.n):
+            for support in step_supports(S, target, 3):
+                free = [b for b in range(S.n) if b != target and b not in support]
+                scored = _extension_costs(S, target, support, free)
+                fitted = _joint_fits(S, target,
+                                     [sorted(support + [b]) for b in free])[2]
+                np.testing.assert_allclose(scored, fitted, rtol=1e-12, atol=0)
+
+    def test_every_scored_extension_is_checked(self, wide_record, monkeypatch):
+        S = wide_record
+        checked = []
+        check = wiener._check_orthogonality
+
+        def recording(target, A, c, W):
+            checked.append(c)
+            check(target, A, c, W)
+
+        monkeypatch.setattr(wiener, "_check_orthogonality", recording)
+        for target in range(S.n):
+            steps = step_supports(S, target, 3)
+            checked.clear()
+            orthogonal_least_squares(S, target, 3, 0.0)
+            # each checked column is one input's cross spectrum to the target
+            crosses = S.values[:, target]
+            seen = set()
+            for c in checked:
+                match = np.all(c.transpose(0, 2, 1)[:, :, None, :]
+                               == crosses[None, None], axis=-1)
+                assert np.all(match.sum(axis=-1) == 1)
+                seen |= {frozenset(row) for row in np.argmax(match, axis=-1).tolist()}
+            for support in steps:
+                for b in range(S.n):
+                    if b != target and b not in support:
+                        assert frozenset(support + [b]) in seen
+
+    def test_exact_copy_takes_the_batched_steps(self):
+        sim = simulate(generate_polytree_aln(8, 3), 2 ** 12, seed=5)
+        base = spectral_matrix(sim.ensemble, WelchConfig(grid_size=64))
+        idx = list(range(base.n)) + [0]
+        S = SpectralMatrix(base.labels + ["copy"], base.grid,
+                           base.values[np.ix_(idx, idx)])
+        assert not _clears_screen(S)
+        for target in range(S.n):
+            for min_gain in (0.0, DEFAULT_MIN_GAIN):
+                assert_same_model(orthogonal_least_squares(S, target, 1, min_gain),
+                                  ols_reference(S, target, 1, min_gain))
 
 
 def assert_mp_matches_loop(S, targets):

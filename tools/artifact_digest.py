@@ -11,6 +11,10 @@ and malformed CSVs that must exit 2, so the document pins the reader's exit
 codes and stderr too.  ``analyze``, ``sparse`` and ``compare`` also read a
 record of low-frequency sinusoids whose every auto-spectrum needs the
 spectral floor, so the document pins each command's floor warnings.
+``sparse`` also reads the first record with its first series repeated
+under a new label: no matrix with an exact copy clears the conditioning
+screen, so these runs take the batched OLS steps, one through to its
+result and one to its singular fit (exit 4).
 ``validate`` runs in both trial modes.  Two
 checkouts that print the same document wrote the same bytes, so a refactor
 that must keep artifacts byte-identical is checked with::
@@ -96,6 +100,14 @@ def _floored_csv() -> str:
     return "\n".join(rows) + "\n"
 
 
+def _duplicated_first(text: str) -> str:
+    """The record's CSV text with its first series repeated as a last
+    column labelled ``copy``."""
+    header, *rows = text.splitlines()
+    return "\n".join([f"{header},copy"]
+                     + [f"{row},{row.split(',', 1)[0]}" for row in rows]) + "\n"
+
+
 def _runs(root: Path):
     """Yield ``(name, argv)`` in run order; inputs are written before use."""
     for record, flags in RECORDS:
@@ -117,6 +129,13 @@ def _runs(root: Path):
     # ``exhausted`` and pins OLS costs past 3 inputs
     yield f"sparse-8-{RECORDS[0][0]}", [
         "sparse", "--input", str(first), "--budget", "8", "--min-gain", "0"]
+    data = root / "duplicated.csv"
+    data.write_text(_duplicated_first(first.read_text(encoding="utf-8")),
+                    encoding="utf-8")
+    # budget 1 scores only single inputs; budget 2 pairs the copies
+    for budget in ("1", "2"):
+        yield f"sparse-{budget}-duplicated", [
+            "sparse", "--input", str(data), "--budget", budget, "--min-gain", "0"]
     for name, rewrite in REWRITES:
         data = root / f"{name}.csv"
         data.write_text(rewrite(first.read_text(encoding="utf-8")),
