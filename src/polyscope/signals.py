@@ -10,6 +10,7 @@ y(t+tau)] exp(-1j*omega*tau)``, which the Welch estimator realises as
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,6 +32,15 @@ PSD_FLOOR_RATIO = 1e-12
 WELCH_CHUNK_SEGMENTS = 64
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; any integer type passes, anything else raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(
+            f"{name} must be an integer, not {value!r}") from None
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform grid of ``size`` angular frequencies on [-pi, pi)."""
@@ -38,7 +48,7 @@ class FrequencyGrid:
     size: int
 
     def __post_init__(self):
-        if self.size < 8 or self.size % 2 != 0:
+        if _integer(self.size, "grid size") < 8 or self.size % 2 != 0:
             raise InvalidParameterError(
                 f"grid size must be even and >= 8, got {self.size}")
 
@@ -303,8 +313,10 @@ class WelchConfig:
     window_taps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        FrequencyGrid(self.grid_size)      # raises unless even and >= 8
-        if self.segment_count < 1:
+        FrequencyGrid(self.grid_size)      # raises unless an even integer >= 8
+        if self.segment_length is not None:
+            _integer(self.segment_length, "segment_length")
+        if _integer(self.segment_count, "segment_count") < 1:
             raise InvalidParameterError("segment_count must be >= 1")
         if not 0.0 <= self.overlap < 1.0:
             raise InvalidParameterError("overlap must lie in [0, 1)")

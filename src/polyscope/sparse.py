@@ -14,17 +14,16 @@ Three solvers:
   revisiting earlier filters (cheap, reported both raw and jointly refit),
 * :func:`orthogonal_least_squares` is greedy with every candidate extension
   scored by its jointly optimal cost (the usual accuracy/cost middle ground).
-  When the conditioning screen clears, a step scores all extensions in
-  closed form from the current support's fit, one Schur complement per
-  candidate; otherwise it fits every extension in one batched solve.  Only
-  the winner is refit, so reported filters and costs are joint solves.
+  :mod:`polyscope.wiener` decides how a step scores the extensions: in
+  closed form from the current support's fit when its conditioning screen
+  clears, else one fit per extension.  Only the winner is refit, so
+  reported filters and costs are joint solves.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,14 +34,13 @@ from .errors import (
     InvalidParameterError,
     InvalidSpectrumError,
 )
-from .signals import SpectralMatrix
+from .signals import SpectralMatrix, _integer
 from .wiener import (
     TransferFunction,
-    _check_inputs,
-    _clears_screen,
     _extension_costs,
     _filters,
     _joint_fits,
+    noncausal_wiener,
 )
 
 #: Hard cap on the number of subsets the exhaustive solver will score.
@@ -100,24 +98,20 @@ def project(S: SpectralMatrix, target: int, support
             ) -> tuple[dict[int, TransferFunction], float]:
     """Joint least-squares fit of ``target`` on a fixed input set.
 
-    Empty support returns no filters and the target's own power.  The
+    Empty support returns no filters and the target's own power.  Otherwise
+    the fit is :func:`noncausal_wiener`'s on the sorted support, and the
     returned cost is ``E[(x_t - sum W_b x_b)^2]``.
     """
     support = tuple(sorted(support))
     if not support:
         return {}, max(inner_product(S, target, target), 0.0)
-    _check_inputs(S, target, support)
-    W, _, cost = _joint_fits(S, target, [support], verify=True)
-    return _filters(S.grid, support, W[0]), float(cost[0])
+    fit = noncausal_wiener(S, target, support)
+    return fit.filters, fit.cost
 
 
 def _check_solver_args(max_inputs: int, min_gain: float) -> int:
     """Validate the shared solver arguments; return ``max_inputs`` as an int."""
-    try:
-        max_inputs = operator.index(max_inputs)
-    except TypeError:
-        raise InvalidParameterError(
-            f"max_inputs must be an integer, not {max_inputs!r}") from None
+    max_inputs = _integer(max_inputs, "max_inputs")
     if max_inputs < 0:
         raise InvalidParameterError("max_inputs must be >= 0")
     if not 0 <= min_gain < 1:
@@ -234,11 +228,10 @@ def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
 
     Equivalent to matching pursuit for the first atom; afterwards each step
     scores every candidate extension by its jointly optimal cost and keeps
-    the best.  When :func:`~polyscope.wiener._clears_screen` holds, a step
-    scores all extensions in closed form from the current support's fit:
-    one Schur complement per candidate and one solve per step (see
-    :func:`~polyscope.wiener._extension_costs`).  Otherwise it fits every
-    extension in one batched solve, whose first ill-conditioned fit raises.
+    the best.  :func:`~polyscope.wiener._extension_costs` scores a step:
+    in closed form from the current support's fit (one Schur complement per
+    candidate, one solve per step) when the conditioning screen clears,
+    else one fit per extension, whose first ill-conditioned fit raises.
     Either way every scored extension's filters are checked against their
     normal equations, and the winner alone is refit, so its filters and
     cost come from the same joint solve as :func:`project`.  Stopping rules
@@ -254,20 +247,15 @@ def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
             stop_reason = "budget" if len(support) == max_inputs else "exhausted"
             break
         free = [b for b in pool if b not in support]
-        if _clears_screen(S):
-            costs = _extension_costs(S, target, support, free)
-        else:
-            costs = _joint_fits(S, target, [sorted(support + [b]) for b in free],
-                                verify=True)[2]
+        costs = _extension_costs(S, target, support, free)
         # the first minimum adds the lowest index, as the pool is sorted
         chosen = sorted(support + [free[np.argmin(costs)]])
-        W, _, chosen_cost = _joint_fits(S, target, [chosen], verify=True)
-        stop = _greedy_stop(cost - float(chosen_cost[0]), cost, initial,
-                            min_gain, first=not support)
+        W, _, chosen_cost = _joint_fits(S, target, chosen)
+        stop = _greedy_stop(cost - chosen_cost, cost, initial, min_gain,
+                            first=not support)
         if stop:
             stop_reason = stop
             break
-        support = chosen
-        filters, cost = _filters(S.grid, support, W[0]), float(chosen_cost[0])
+        support, filters, cost = chosen, _filters(S.grid, chosen, W), chosen_cost
     return SparseModel(target, tuple(support), filters, cost,
                        solver="ols", stop_reason=stop_reason)

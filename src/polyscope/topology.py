@@ -5,9 +5,8 @@ of a tree-shaped network; orienting its edges by the cheaper causal
 modelling direction yields a polytree.  The alternative route goes through
 multi-input Wiener filters: the support of the filter of one target is its
 Markov blanket (parents, children, co-parents), and co-parents are pruned
-by an indirect-path test on the distances.  Every target's filter over all
-other series is a column of the inverse spectral matrix, so a
-well-conditioned matrix yields all of them from one batched inverse.
+by an indirect-path test on the distances; :mod:`polyscope.wiener` decides
+how the filters over all other series are computed.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from .diagnostics import record
 from .errors import InvalidParameterError
 from .metric import SYMMETRIC_KINDS, DistanceMatrix, causal_edge_weights
 from .signals import SpectralMatrix
-from .wiener import _clears_screen, _joint_fits
+from .wiener import _filter_rms
 
 #: Relative filter magnitude below which a MISO input does not count as a
 #: blanket candidate.
@@ -225,13 +224,11 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
     co-parents, which sit at maximal distance from the target.  Surviving
     links are symmetrised by union over targets.
 
-    The filters are the ones :func:`noncausal_wiener` returns.  When the
-    floored spectral matrix clears the conditioning screen
-    (:func:`~polyscope.wiener._clears_screen`), all of them are read from
-    one batched inverse ``P`` of ``S._floored_stack``: the filter of target
-    ``j`` on input ``i`` is ``-P[i, j] / P[j, j]``.  Otherwise each target's filters come from
-    its own joint solve, which checks its blocks' conditioning and raises on
-    the first singular one as :func:`noncausal_wiener` would.
+    The filters are the ones :func:`noncausal_wiener` returns, and their RMS
+    comes from :func:`~polyscope.wiener._filter_rms`: one inverse of the
+    floored matrix when it clears the conditioning screen, else one checked
+    fit per target, the first failing one raising as
+    :func:`noncausal_wiener` would.
     """
     if D.kind not in SYMMETRIC_KINDS:
         raise InvalidParameterError("need a symmetric distance matrix")
@@ -243,15 +240,11 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
     n = S.n
     if n < 2:
         raise InvalidParameterError("need at least two nodes")
-    rms_all = _precision_filter_rms(S) if _clears_screen(S) else None
+    rms_all = _filter_rms(S)
     edges: dict[tuple[int, int], float] = {}
     for j in range(n):
         inputs = [i for i in range(n) if i != j]
-        if rms_all is not None:
-            rms = rms_all[j, inputs].tolist()
-        else:
-            W = _joint_fits(S, j, [inputs])[0][0].T
-            rms = S.grid.rms(W).tolist()
+        rms = rms_all[j, inputs].tolist()
         top = max(rms)
         if top == 0.0:
             continue
@@ -273,18 +266,6 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
             key = (min(i, j), max(i, j))
             edges.setdefault(key, float(D.values[i, j]))
     return UndirectedGraph(list(S.labels), edges)
-
-
-def _precision_filter_rms(S: SpectralMatrix) -> np.ndarray:
-    """``(n, n)`` filter RMS: ``[j, i]`` for input ``i`` of target ``j``'s
-    filter over all other series, from one inverse of the floored stack.
-
-    The diagonal is 1 (the target's own entry) and means nothing.
-    """
-    P = np.linalg.inv(S._floored_stack)
-    d = np.arange(S.n)
-    W = (P / P[:, d, d][:, None, :]).transpose(2, 1, 0)   # [j, i, k]
-    return S.grid.rms(W)
 
 
 def _quote(label: str) -> str:

@@ -12,7 +12,9 @@ whitened cross spectrum, and undo the whitening,
 where ``Fj`` whitens the target so that the reported cost is the
 dimensionless error variance of the whitened residual (1 for the zero
 filter).  Spectral factorization uses the real-cepstrum construction, which
-is exact in magnitude on the grid by design.
+is exact in magnitude on the grid by design.  This module alone reads the
+conditioning screen (:func:`_clears_screen`), so it alone decides how a
+multi-input fit is computed.
 """
 
 from __future__ import annotations
@@ -167,47 +169,33 @@ def _clears_screen(S: SpectralMatrix) -> bool:
     return S._eigenvalue_ratio >= 2 * CONDITION_RTOL
 
 
-def _joint_fits(S: SpectralMatrix, target: int, idx, verify: bool = False
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Joint least-squares fits of ``target`` on each row of an ``(m, q)`` index array.
+def _joint_fits(S: SpectralMatrix, target: int, inputs
+                ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Joint least-squares fit of ``target`` on one valid input set (see
+    :func:`_check_inputs`).
 
-    Gathers the per-frequency normal equations ``A (m, K, q, q)`` from
-    ``S._floored_stack`` (``S._floored`` on the diagonals, so a first use
-    here records the floor events) and ``c (m, K, q)`` once, and solves all
-    of them in one batched call.
-    Every fit is checked for conditioning before any is solved: at once by
-    :func:`_clears_screen` when every row ascends, otherwise each fit's
-    blocks with their own eigenvalues against :data:`CONDITION_RTOL`.
-    With ``verify`` each solution is also checked against its normal
-    equations (residual orthogonal to every input).  The first failing fit
-    in row order raises, as if the fits ran one after another.  Rows must be
-    valid input sets (see :func:`_check_inputs`).
-
-    Returns the filter responses ``W (m, K, q)`` (column ``p`` belongs to
-    input ``idx[:, p]``), the raw residual spectra ``(m, K)`` and their grid
-    means ``(m,)``.
+    The fit is checked for conditioning before it is solved: at once by
+    :func:`_clears_screen` when the inputs ascend, otherwise its blocks with
+    their own eigenvalues against :data:`CONDITION_RTOL`.  The solution is
+    always checked against its normal equations (residual orthogonal to
+    every input).  Returns the filter responses ``W (K, q)`` (column ``p``
+    belongs to ``inputs[p]``), the raw residual spectrum and its grid mean.
     """
-    idx = np.asarray(idx)
-    A, c = _normal_equations(S, target, idx)
-    ok = len(idx)
-    if not (np.all(np.diff(idx, axis=1) > 0) and _clears_screen(S)):
-        eigs = np.linalg.eigvalsh(A)
-        ratio = eigs[..., 0] / eigs[..., -1]
-        worst = np.argmin(ratio, axis=-1)
-        fits = np.arange(len(idx))
-        singular = eigs[fits, worst, 0] < CONDITION_RTOL * eigs[fits, worst, -1]
-        ok = int(np.argmax(singular)) if singular.any() else len(idx)
-    W = np.linalg.solve(A[:ok], c[:ok, :, :, None])[..., 0]
-    if verify:
-        _check_orthogonality(target, A[:ok], c[:ok], W)
-    if ok < len(idx):
-        raise IllConditionedSpectrumError(
-            f"input spectral matrix singular beyond the floor at "
-            f"omega={S.grid.omegas[worst[ok]]:.6f} (eigenvalue ratio "
-            f"{ratio[ok, worst[ok]]:.3e})")
-    explained = np.real(np.sum(np.conj(c) * W, axis=-1))
+    A, c = _normal_equations(S, target, np.asarray([inputs]))
+    if not (np.all(np.diff(inputs) > 0) and _clears_screen(S)):
+        eigs = np.linalg.eigvalsh(A[0])
+        ratio = eigs[:, 0] / eigs[:, -1]
+        worst = np.argmin(ratio)
+        if eigs[worst, 0] < CONDITION_RTOL * eigs[worst, -1]:
+            raise IllConditionedSpectrumError(
+                f"input spectral matrix singular beyond the floor at "
+                f"omega={S.grid.omegas[worst]:.6f} (eigenvalue ratio "
+                f"{ratio[worst]:.3e})")
+    W = np.linalg.solve(A, c[..., None])[..., 0]
+    _check_orthogonality(target, A, c, W)
+    explained = np.real(np.sum(np.conj(c[0]) * W[0], axis=-1))
     residual = np.maximum(np.real(S.values[target, target]) - explained, 0.0)
-    return W, residual, S.grid.integrate(residual)
+    return W[0], residual, float(S.grid.integrate(residual))
 
 
 def _normal_equations(S: SpectralMatrix, target: int, idx: np.ndarray
@@ -235,11 +223,15 @@ def _extension_costs(S: SpectralMatrix, target: int, support, free) -> np.ndarra
 
     Every extension's filters, ``w_b = r_b / s_b`` for ``b`` and
     ``W_S - G_b w_b`` for the support, are checked against their normal
-    equations like :func:`_joint_fits` with ``verify``.  The caller must
-    have :func:`_clears_screen` hold, which keeps every ``s_b`` away from
-    zero; ``support`` must be a valid input set and ``free`` the inputs
-    outside it.
+    equations as :func:`_joint_fits` checks its own.  This path needs
+    :func:`_clears_screen` to hold, which keeps every ``s_b`` away from
+    zero; otherwise each extension is fitted by :func:`_joint_fits` in
+    ``free`` order, and the first failing fit raises.  ``support`` must be
+    a valid input set and ``free`` the inputs outside it.
     """
+    if not _clears_screen(S):
+        return np.array([_joint_fits(S, target, sorted([*support, b]))[2]
+                         for b in free])
     support = np.asarray(support, dtype=int)
     free = np.asarray(free, dtype=int)
     q, m = support.size, free.size
@@ -259,6 +251,27 @@ def _extension_costs(S: SpectralMatrix, target: int, support, free) -> np.ndarra
     residual = np.maximum(np.real(S.values[target, target]) - explained
                           - np.abs(r) ** 2 / s, 0.0)
     return S.grid.integrate(residual)
+
+
+def _filter_rms(S: SpectralMatrix) -> np.ndarray:
+    """``(n, n)`` filter RMS: ``[j, i]`` for input ``i`` of target ``j``'s
+    :func:`noncausal_wiener` filter over all other series.
+
+    When :func:`_clears_screen` holds, every filter is read from one inverse
+    ``P`` of ``S._floored_stack``: the filter of target ``j`` on input ``i``
+    is ``-P[i, j] / P[j, j]``.  Otherwise each target is fitted by
+    :func:`_joint_fits` in target order, and the first failing fit raises.
+    The diagonal is 1 and means nothing.
+    """
+    if _clears_screen(S):
+        P = np.linalg.inv(S._floored_stack)
+        d = np.arange(S.n)
+        return S.grid.rms((P / P[:, d, d][:, None, :]).transpose(2, 1, 0))
+    rms = np.ones((S.n, S.n))
+    for j in range(S.n):
+        inputs = [i for i in range(S.n) if i != j]
+        rms[j, inputs] = S.grid.rms(_joint_fits(S, j, inputs)[0].T)
+    return rms
 
 
 def _check_orthogonality(target: int, A: np.ndarray, c: np.ndarray,
@@ -313,11 +326,10 @@ def noncausal_wiener(S: SpectralMatrix, target: int, inputs,
     """
     inputs = tuple(inputs)
     _check_inputs(S, target, inputs)
-    W, residual, _ = _joint_fits(S, target, [inputs])
-    residual = residual[0]
+    W, residual, _ = _joint_fits(S, target, inputs)
     if normalize:
         residual = residual / S.floored_autospectrum(target)
-    return WienerSolution(target, inputs, _filters(S.grid, inputs, W[0]),
+    return WienerSolution(target, inputs, _filters(S.grid, inputs, W),
                           float(S.grid.integrate(residual)),
                           Spectrum(S.grid, residual))
 

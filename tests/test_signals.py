@@ -81,6 +81,13 @@ class TestFrequencyGrid:
         assert grid.omegas[4] == pytest.approx(0.0)
         assert grid.omegas[-1] == pytest.approx(np.pi - 2 * np.pi / 8)
 
+    def test_size_must_be_an_integer(self):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            FrequencyGrid(64.0)
+        half = np.arange(33.0)
+        assert np.array_equal(FrequencyGrid(np.int64(64)).mirror(half),
+                              FrequencyGrid(64).mirror(half))
+
     def test_integrate_is_grid_mean(self):
         grid = FrequencyGrid(16)
         assert grid.integrate(np.ones(16)) == pytest.approx(1.0)
@@ -178,6 +185,19 @@ class TestWelchConfig:
             WelchConfig(segment_length=2048, grid_size=1024)
         with pytest.raises(InvalidParameterError):
             WelchConfig(segment_length=4)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"grid_size": 64.0}, {"segment_count": 2.5}, {"segment_length": 64.0}])
+    def test_sizes_must_be_integers(self, kwargs):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            WelchConfig(**kwargs)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        cfg = WelchConfig(grid_size=np.int64(64), segment_length=np.int64(32),
+                          segment_count=np.int64(4))
+        assert (cfg.effective_segment_length, cfg.hop) == (32, 16)
+        assert np.array_equal(cfg.window_taps,
+                              WelchConfig(grid_size=64, segment_length=32).window_taps)
 
     @pytest.mark.parametrize("window", ["nosuch", "kaiser"])
     def test_window_that_cannot_be_built(self, window):

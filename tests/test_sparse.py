@@ -270,7 +270,7 @@ def assert_ols_matches_loop(S, targets):
 
 
 class TestOLSMatchesPerCandidateLoop:
-    """The batched step against the loop that fitted one candidate at a time."""
+    """Each scored step against the loop that refits every candidate by itself."""
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_analytic_networks(self, n):
@@ -295,14 +295,14 @@ class TestOLSMatchesPerCandidateLoop:
         values = base.values[np.ix_(idx, idx)]
         values[5, 5] += 1e-12 * np.max(values[x, x].real)
         S = SpectralMatrix([f"s{i}" for i in range(7)], base.grid, values)
-        with pytest.raises(IllConditionedSpectrumError, match="omega=") as batched:
+        with pytest.raises(IllConditionedSpectrumError, match="omega=") as ours:
             orthogonal_least_squares(S, target, 2, min_gain=0.0)
         with pytest.raises(IllConditionedSpectrumError) as looped:
             ols_reference(S, target, 2, min_gain=0.0)
-        assert str(batched.value) == str(looped.value)
+        assert str(ours.value) == str(looped.value)
         with pytest.raises(IllConditionedSpectrumError) as near_copy:
             project_reference(S, target, (x, 5))
-        assert str(batched.value) == str(near_copy.value)
+        assert str(ours.value) == str(near_copy.value)
 
 
 @pytest.fixture(scope="module")
@@ -338,8 +338,8 @@ class TestOLSClosedFormSteps:
             for support in step_supports(S, target, 3):
                 free = [b for b in range(S.n) if b != target and b not in support]
                 scored = _extension_costs(S, target, support, free)
-                fitted = _joint_fits(S, target,
-                                     [sorted(support + [b]) for b in free])[2]
+                fitted = [_joint_fits(S, target, sorted(support + [b]))[2]
+                          for b in free]
                 np.testing.assert_allclose(scored, fitted, rtol=1e-12, atol=0)
 
     def test_every_scored_extension_is_checked(self, wide_record, monkeypatch):
@@ -369,7 +369,7 @@ class TestOLSClosedFormSteps:
                     if b != target and b not in support:
                         assert frozenset(support + [b]) in seen
 
-    def test_exact_copy_takes_the_batched_steps(self):
+    def test_exact_copy_fits_each_extension_by_itself(self):
         sim = simulate(generate_polytree_aln(8, 3), 2 ** 12, seed=5)
         base = spectral_matrix(sim.ensemble, WelchConfig(grid_size=64))
         idx = list(range(base.n)) + [0]

@@ -29,7 +29,7 @@ from polyscope import (
     spectral_matrix,
 )
 from polyscope.diagnostics import collect
-from polyscope.wiener import CONDITION_RTOL
+from polyscope.wiener import CONDITION_RTOL, _clears_screen
 
 from oracles import blanket_reference, miso_reference, min_tree_bruteforce
 
@@ -283,6 +283,24 @@ class TestMisoBlanketTopology:
         with pytest.raises(IllConditionedSpectrumError) as ref:
             miso_reference(S, D)
         assert str(ours.value) == str(ref.value)
+
+    def test_screen_failing_matrix_with_solvable_fits_matches_the_loop(self):
+        # a + b makes the whole matrix singular, yet every target's two
+        # inputs are independent, so each per-target fit succeeds
+        rng = np.random.default_rng(9)
+        a, b = rng.standard_normal((2, 1 << 12))
+        S = spectral_matrix(Ensemble([TimeSeries("a", a), TimeSeries("b", b),
+                                      TimeSeries("sum", a + b)]),
+                            WelchConfig(grid_size=64))
+        assert not _clears_screen(S)
+        D = distance_matrix(S)
+        with collect() as events:
+            g = miso_blanket_topology(S, D)
+        with collect() as ref_events:
+            ref = miso_reference(S, D)
+        assert g.edges == ref.edges
+        assert [(e.category, e.message) for e in events] == \
+            [(e.category, e.message) for e in ref_events]
 
 
 class TestExports:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polyscope import (
+    Ensemble,
     FrequencyGrid,
     IllConditionedSpectrumError,
     InvalidSpectrumError,
@@ -26,8 +27,9 @@ from polyscope import (
     spectral_factorize,
     spectral_matrix,
 )
+from polyscope import wiener
 from polyscope.diagnostics import collect
-from polyscope.wiener import CONDITION_RTOL, _joint_fits
+from polyscope.wiener import CONDITION_RTOL, _clears_screen, _joint_fits
 
 from oracles import (
     dense_wiener,
@@ -231,20 +233,16 @@ class TestConditioningScreen:
         for target in range(S.n):
             others = [b for b in range(S.n) if b != target]
             for q in range(1, S.n):
-                rows = list(itertools.combinations(others, q))
-                refs = [outcome(wiener_reference, S, target, row) for row in rows]
-                failed = [error for error, _ in refs if error]
-                raised += len(failed)
-                error, got = outcome(_joint_fits, S, target, rows)
-                if failed:
-                    assert error == failed[0]
-                else:
-                    W, residual, cost = got
-                    for m, (_, (_, _, ref_W, ref_residual, ref_cost)) in enumerate(refs):
-                        assert np.array_equal(W[m], ref_W)
-                        assert np.array_equal(residual[m], ref_residual)
-                        assert cost[m] == ref_cost
-                for row in rows:
+                for row in itertools.combinations(others, q):
+                    error, got = outcome(_joint_fits, S, target, row)
+                    ref_error, ref = outcome(wiener_reference, S, target, row)
+                    assert error == ref_error
+                    raised += ref_error is not None
+                    if not ref_error:
+                        W, residual, cost = got
+                        assert np.array_equal(W, ref[2])
+                        assert np.array_equal(residual, ref[3])
+                        assert cost == ref[4]
                     error, got = outcome(project, S, target, row)
                     ref_error, ref = outcome(project_reference, S, target, row)
                     assert error == ref_error
@@ -320,11 +318,41 @@ class TestConditioningScreen:
                                       ref.filters[b].response)
         assert len(calls) > 1
         D = distance_matrix(S)
-        with pytest.raises(IllConditionedSpectrumError, match="omega=") as batched:
+        with pytest.raises(IllConditionedSpectrumError, match="omega=") as ours:
             miso_blanket_topology(S, D)
         with pytest.raises(IllConditionedSpectrumError) as looped:
             miso_reference(S, D)
-        assert str(batched.value) == str(looped.value)
+        assert str(ours.value) == str(looped.value)
+
+
+class TestEveryFitIsChecked:
+    """Each joint fit is checked against its normal equations."""
+
+    def test_noncausal_and_per_target_miso_fits(self, monkeypatch):
+        # a + b fails the screen, yet every target's two inputs are independent
+        rng = np.random.default_rng(9)
+        a, b = rng.standard_normal((2, 1 << 12))
+        S = spectral_matrix(Ensemble([TimeSeries("a", a), TimeSeries("b", b),
+                                      TimeSeries("sum", a + b)]),
+                            WelchConfig(grid_size=64))
+        assert not _clears_screen(S)
+        D = distance_matrix(S)
+        checked = []
+        check = wiener._check_orthogonality
+
+        def recording(target, A, c, W):
+            checked.append((target, c))
+            check(target, A, c, W)
+
+        monkeypatch.setattr(wiener, "_check_orthogonality", recording)
+        fits = [(2, [1, 0])] + [(j, [i for i in range(3) if i != j])
+                                for j in range(3)]
+        noncausal_wiener(S, *fits[0])
+        miso_blanket_topology(S, D)
+        assert len(checked) == len(fits)
+        for (target, c), (fit_target, inputs) in zip(checked, fits):
+            assert target == fit_target
+            assert np.array_equal(c, S.values[inputs, target].T[None])
 
 
 class TestSpectralFactorize:

@@ -13,8 +13,11 @@ record of low-frequency sinusoids whose every auto-spectrum needs the
 spectral floor, so the document pins each command's floor warnings.
 ``sparse`` also reads the first record with its first series repeated
 under a new label: no matrix with an exact copy clears the conditioning
-screen, so these runs take the batched OLS steps, one through to its
-result and one to its singular fit (exit 4).
+screen, so these runs fit each OLS extension by itself, one through to its
+result and one to its singular fit (exit 4).  The first record's first two
+series beside their sum fail the screen too, yet every fit on them is
+solvable: ``analyze --pipeline miso-blanket`` and ``sparse`` on them pin
+the fit of each MISO target and each OLS extension by itself.
 ``validate`` runs in both trial modes.  Two
 checkouts that print the same document wrote the same bytes, so a refactor
 that must keep artifacts byte-identical is checked with::
@@ -108,6 +111,16 @@ def _duplicated_first(text: str) -> str:
                      + [f"{row},{row.split(',', 1)[0]}" for row in rows]) + "\n"
 
 
+def _summed_first_two(text: str) -> str:
+    """The record's first two series and their float sum, as columns
+    ``X1``, ``X2`` and ``sum``."""
+    rows = ["X1,X2,sum"]
+    for row in text.splitlines()[1:]:
+        a, b = row.split(",")[:2]
+        rows.append(f"{a},{b},{float(a) + float(b)!r}")
+    return "\n".join(rows) + "\n"
+
+
 def _runs(root: Path):
     """Yield ``(name, argv)`` in run order; inputs are written before use."""
     for record, flags in RECORDS:
@@ -136,6 +149,13 @@ def _runs(root: Path):
     for budget in ("1", "2"):
         yield f"sparse-{budget}-duplicated", [
             "sparse", "--input", str(data), "--budget", budget, "--min-gain", "0"]
+    data = root / "sum.csv"
+    data.write_text(_summed_first_two(first.read_text(encoding="utf-8")),
+                    encoding="utf-8")
+    yield "analyze-miso-blanket-sum", [
+        "analyze", "--input", str(data), "--pipeline", "miso-blanket"]
+    yield "sparse-2-sum", [
+        "sparse", "--input", str(data), "--budget", "2", "--min-gain", "0"]
     for name, rewrite in REWRITES:
         data = root / f"{name}.csv"
         data.write_text(rewrite(first.read_text(encoding="utf-8")),
