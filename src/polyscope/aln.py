@@ -29,6 +29,7 @@ from .signals import (
     SpectralMatrix,
     TimeSeries,
     WelchConfig,
+    _integer,
     spectral_matrix,
 )
 from .topology import Polytree, build_polytree, minimum_spanning_tree, miso_blanket_topology
@@ -68,7 +69,7 @@ class Link:
         if not np.any(self.taps != 0.0):
             raise InvalidParameterError(
                 f"link {self.source}->{self.target} is identically zero")
-        if self.delay not in (0, 1):
+        if _integer(self.delay, "delay") not in (0, 1):
             raise InvalidParameterError("link delay must be 0 or 1 samples")
 
     @property
@@ -264,7 +265,7 @@ def generate_polytree_aln(n: int, seed: int) -> ALNSpec:
     exercised.  Noise variances are uniform in ``NOISE_VARIANCE_RANGE``.
     Deterministic for a fixed ``(n, seed)``.
     """
-    if n < 2:
+    if _integer(n, "n") < 2:
         raise InvalidParameterError("need at least 2 nodes")
     rng = np.random.default_rng(seed)
     links = []
@@ -301,7 +302,7 @@ def simulate(spec: ALNSpec, length: int, seed: int) -> SimResult:
     processes by construction and exact linear identities between series
     are preserved.
     """
-    if length < 1024:
+    if _integer(length, "length") < 1024:
         raise InsufficientDataError("simulation length must be >= 1024")
     burn = 4 * _path_supports(spec) + 16
     total = length + burn

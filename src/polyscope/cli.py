@@ -358,20 +358,12 @@ def _number_line(row: list[float]) -> str:
     return ",".join(map(repr, row)) + "\n"
 
 
-def _label_cell(label: str) -> str:
-    """``label`` and its delimiter as the first cell of a ``csv.writer`` row."""
-    buf = io.StringIO()
-    # the writer quotes by its line terminator, so it must be the real one;
-    # the empty cell after the label stops an empty label being quoted
-    csv.writer(buf, lineterminator="\n").writerow([label, ""])
-    return buf.getvalue()[:-1]
-
-
 def matrix_csv_text(labels: list[str], values: np.ndarray) -> str:
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(["label"] + list(labels))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["label"] + list(labels))
     for label, row in zip(labels, np.asarray(values, dtype=float).tolist()):
-        buf.write(_label_cell(label) + _number_line(row))
+        writer.writerow([label] + row)
     return buf.getvalue()
 
 

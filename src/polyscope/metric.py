@@ -27,6 +27,7 @@ from .signals import (
     TimeSeries,
     WelchConfig,
     _coherence_row,
+    _integer,
     spectral_matrix,
 )
 from .wiener import _causal_pair, _spectral_factors, _wiener_hopf
@@ -173,7 +174,7 @@ def causal_distance_matrix(S: SpectralMatrix) -> DistanceMatrix:
     Wiener--Hopf solve against every input at once.
     """
     n = S.n
-    factors = _spectral_factors(S._floored)[0]
+    factors = _spectral_factors(S.grid, S._floored)[0]
     out = np.zeros((n, n))
     for j in range(n):
         _, _, cost = _wiener_hopf(S, j, slice(None), factors[j], factors)
@@ -249,7 +250,7 @@ def _windowed_average(ens: Ensemble, window_length: int,
     Each window of ``window_length`` samples is re-ingested as its own
     ensemble (fresh mean removal); a trailing partial window is discarded.
     """
-    if window_length < 2:
+    if _integer(window_length, "window_length") < 2:
         raise InvalidParameterError("window_length must be >= 2")
     count = ens.length // window_length
     if count < 1:

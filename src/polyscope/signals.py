@@ -41,6 +41,14 @@ def _integer(value, name: str) -> int:
             f"{name} must be an integer, not {value!r}") from None
 
 
+def _floor(phi: np.ndarray) -> np.ndarray:
+    """Real spectra ``phi`` clipped from below at ``PSD_FLOOR_RATIO`` times
+    their largest value, or at the smallest normal float when that is not
+    positive: the one floor rule, for matrices and for single spectra."""
+    floor = PSD_FLOOR_RATIO * max(float(np.max(phi)), 0.0)
+    return np.maximum(phi, floor or np.finfo(float).tiny)
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform grid of ``size`` angular frequencies on [-pi, pi)."""
@@ -79,6 +87,16 @@ class FrequencyGrid:
         full[..., 1:m] = np.conj(half[..., m - 1:0:-1])
         return full
 
+    def to_time(self, values: np.ndarray) -> np.ndarray:
+        """Inverse DFT of grid values along the last axis: the sequence at
+        times ``0 ... K-1``, where ``t >= K/2`` stands for ``t - K``."""
+        return np.fft.ifft(np.fft.ifftshift(values, axes=-1))
+
+    def from_time(self, seq: np.ndarray) -> np.ndarray:
+        """Grid values of a sequence at times ``0 ... K-1`` along the last
+        axis; the inverse of :meth:`to_time`."""
+        return np.fft.fftshift(np.fft.fft(seq), axes=-1)
+
     def response_from_taps(self, taps: np.ndarray, offset: int = 0) -> np.ndarray:
         """Evaluate ``sum_t a(t) exp(-1j*omega*t)`` on the grid.
 
@@ -92,9 +110,9 @@ class FrequencyGrid:
             raise InvalidParameterError(
                 f"{taps.size} taps exceed the grid size {self.size}")
         buf = np.zeros(self.size)
-        idx = (offset + np.arange(taps.size)) % self.size
+        idx = (_integer(offset, "offset") + np.arange(taps.size)) % self.size
         np.add.at(buf, idx, taps)
-        return np.fft.fftshift(np.fft.fft(buf))
+        return self.from_time(buf)
 
     def taps_from_response(self, response: np.ndarray) -> tuple[np.ndarray, int]:
         """Invert :meth:`response_from_taps` onto the centred support.
@@ -107,7 +125,7 @@ class FrequencyGrid:
         response = np.asarray(response, dtype=complex)
         if response.shape != (self.size,):
             raise InvalidParameterError("response length must match the grid")
-        seq = np.fft.ifft(np.fft.ifftshift(response))
+        seq = self.to_time(response)
         scale = np.max(np.abs(seq))
         if scale > 0 and np.max(np.abs(seq.imag)) > 1e-8 * scale:
             record("non-real-impulse",
@@ -229,17 +247,11 @@ class SpectralMatrix:
 
     @cached_property
     def _floored(self) -> np.ndarray:
-        """``(n, K)`` read-only real auto-spectra clipped from below at the floor.
-
-        The floor is ``PSD_FLOOR_RATIO`` times the largest diagonal value, or
-        the smallest normal float when that is not positive, so every clipped
-        value is positive.  This is the only place the floor is applied to a
-        matrix: computed on first use, it records each series that needed
-        the floor once, as a ``spectral-floor`` event.
-        """
+        """``(n, K)`` read-only real auto-spectra floored by :func:`_floor`;
+        every solver reads them.  Computed on first use, it records each
+        series that needed the floor once, as a ``spectral-floor`` event."""
         phi = np.real(np.einsum("iik->ik", self.values))
-        floor = PSD_FLOOR_RATIO * max(float(np.max(phi)), 0.0)
-        floored = np.maximum(phi, floor or np.finfo(float).tiny)
+        floored = _floor(phi)
         for i in np.flatnonzero(np.any(floored > phi, axis=1)):
             # a clipped row's smallest value is the floor itself
             record("spectral-floor", f"auto-spectrum of {self.labels[i]!r} "

@@ -30,7 +30,7 @@ from .errors import (
     InvalidParameterError,
     InvalidSpectrumError,
 )
-from .signals import FrequencyGrid, PSD_FLOOR_RATIO, SpectralMatrix, Spectrum, TimeSeries
+from .signals import FrequencyGrid, SpectralMatrix, Spectrum, TimeSeries, _floor
 
 #: Fraction of total impulse energy that may be discarded by support
 #: truncation before a diagnostic event is recorded.
@@ -341,9 +341,9 @@ def spectral_factorize(phi: Spectrum) -> TransferFunction:
     inverse DFT onto causal support, exponentiate the DFT back.  The
     returned filter ``F`` is causal with a positive leading tap and satisfies
     ``|F(omega)|^2 == phi(omega)`` exactly on the grid (in its analytic
-    response; the stored impulse keeps the first K/2 taps).  Values below
-    ``PSD_FLOOR_RATIO`` times the largest are raised to that floor, and a
-    ``spectral-floor`` event is recorded when any is.
+    response; the stored impulse keeps the first K/2 taps).  The spectrum is
+    floored by ``signals._floor``, and a ``spectral-floor`` event is
+    recorded when any value is raised.
     """
     values = phi.values
     scale = float(np.max(np.abs(values)))
@@ -356,33 +356,33 @@ def spectral_factorize(phi: Spectrum) -> TransferFunction:
     # grid point k mirrors K - k; only the real part is factorized
     if np.max(np.abs(values.real[1:] - values.real[:0:-1])) > 1e-10 * scale:
         raise InvalidSpectrumError("auto-spectrum is not even in frequency")
-    floor = PSD_FLOOR_RATIO * float(np.max(np.abs(values.real)))
-    if np.min(values.real) < floor:
-        record("spectral-floor", f"factorization input floored at {floor:.3e}")
-    responses, taps = _spectral_factors(np.maximum(values.real, floor)[None, :])
+    floored = _floor(values.real)
+    if np.any(floored > values.real):          # its minimum is the floor
+        record("spectral-floor",
+               f"factorization input floored at {np.min(floored):.3e}")
+    responses, taps = _spectral_factors(phi.grid, floored[None, :])
     return TransferFunction(phi.grid, responses[0], taps[0], 0)
 
 
-def _spectral_factors(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cepstral factors of each row of a positive real ``(m, K)`` array of spectra.
+def _spectral_factors(grid: FrequencyGrid, phi: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Cepstral factors of each row of positive real spectra ``phi (m, K)``.
 
-    The rows must already be floored: a matrix's come from
-    ``SpectralMatrix._floored``, a single spectrum's from
+    The rows must already be floored by ``signals._floor``: a matrix's come
+    from ``SpectralMatrix._floored``, a single spectrum's from
     :func:`spectral_factorize`.  Returns the grid responses ``(m, K)`` and
     the first K/2 taps ``(m, K/2)``; a row whose discarded tail holds more
     than :data:`TRUNCATION_ENERGY_TOL` of its energy is recorded.
     """
-    k = phi.shape[-1]
-    log_std = np.log(np.fft.ifftshift(phi, axes=-1))
-    cepstrum = np.fft.ifft(log_std).real
+    k = grid.size
+    cepstrum = grid.to_time(np.log(phi)).real
     folded = np.zeros_like(cepstrum)
     folded[:, 0] = 0.5 * cepstrum[:, 0]
     folded[:, 1:k // 2] = cepstrum[:, 1:k // 2]
     folded[:, k // 2] = 0.5 * cepstrum[:, k // 2]
-    response_std = np.exp(np.fft.fft(folded))
-    responses = np.fft.fftshift(response_std, axes=-1)
+    responses = np.exp(grid.from_time(folded))
 
-    taps_full = np.fft.ifft(response_std).real
+    taps_full = grid.to_time(responses).real
     tail = np.sum(taps_full[:, k // 2:] ** 2, axis=-1)
     total = np.sum(taps_full ** 2, axis=-1)
     for row in range(phi.shape[0]):
@@ -413,13 +413,6 @@ def causal_truncate(h: TransferFunction) -> TransferFunction:
     return TransferFunction.from_taps(h.grid, kept, 0)
 
 
-def _causal_part(response: np.ndarray) -> np.ndarray:
-    """Responses of the causal parts: zero taps at negative times, keep t=0."""
-    seq = np.fft.ifft(np.fft.ifftshift(response, axes=-1))
-    seq[..., response.shape[-1] // 2:] = 0.0
-    return np.fft.fftshift(np.fft.fft(seq), axes=-1)
-
-
 def _wiener_hopf(S: SpectralMatrix, target: int, inputs, target_factor: np.ndarray,
                  input_factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-sided Wiener filters of ``target`` on each single input in ``inputs``.
@@ -430,8 +423,10 @@ def _wiener_hopf(S: SpectralMatrix, target: int, inputs, target_factor: np.ndarr
     """
     phi = S._floored
     cross = S.values[inputs, target]
-    bracket = (1.0 / target_factor) * cross / np.conj(input_factors)
-    response = _causal_part(bracket) / input_factors * target_factor
+    # the causal part of the whitened cross spectrum keeps t = 0, drops t < 0
+    causal = S.grid.to_time((1.0 / target_factor) * cross / np.conj(input_factors))
+    causal[..., S.grid.size // 2:] = 0.0
+    response = S.grid.from_time(causal) / input_factors * target_factor
     err = phi[target] + np.abs(response) ** 2 * phi[inputs] \
         - 2.0 * np.real(np.conj(response) * cross)
     weighted = np.maximum(err, 0.0) / phi[target]
@@ -444,7 +439,7 @@ def _causal_pair(S: SpectralMatrix, target: int, input_: int
     if target == input_:
         raise InvalidParameterError("target and input must differ")
     S.check_index(target, input_)
-    factors = _spectral_factors(S._floored[[target, input_]])[0]
+    factors = _spectral_factors(S.grid, S._floored[[target, input_]])[0]
     return _wiener_hopf(S, target, [input_], factors[0], factors[1:])
 
 

@@ -167,6 +167,15 @@ class TestSimulate:
                                    conv[support - 1:4096 - 1],
                                    rtol=0, atol=1e-12)
 
+    def test_noise_shaping_colours_the_node_noise(self):
+        # shaping taps [0, 1] delay the root's noise by one sample
+        plain = chain_spec()
+        shaped = ALNSpec(plain.labels, plain.links, plain.noise_variances,
+                         noise_shaping=[np.array([0.0, 1.0]), None, None])
+        plain, shaped = (simulate(spec, 2048, seed=4).ensemble.values()[0]
+                         for spec in (plain, shaped))
+        assert np.array_equal(shaped[1:], plain[:-1])
+
     def test_raw_samples_not_demeaned(self):
         spec = chain_spec()
         ens = simulate(spec, 2048, seed=3).ensemble

@@ -171,8 +171,8 @@ class TestCausalDistance:
         S = spectral_matrix(sinusoid_ensemble(), WelchConfig(grid_size=256))
         factor, factored = metric._spectral_factors, []
 
-        def spy(phi):
-            factored.append(factor(phi))
+        def spy(grid, phi):
+            factored.append(factor(grid, phi))
             return factored[-1]
 
         monkeypatch.setattr(metric, "_spectral_factors", spy)

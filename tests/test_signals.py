@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,22 +10,27 @@ from polyscope import (
     FrequencyGrid,
     InsufficientDataError,
     InvalidParameterError,
+    Link,
     SpectralMatrix,
     TimeSeries,
+    TransferFunction,
     WelchConfig,
     causal_distance,
     causal_wiener,
     coherence_distance,
     coherence_function,
+    generate_polytree_aln,
     inner_product,
     matching_pursuit,
     miso_blanket_topology,
     noncausal_wiener,
     orthogonal_least_squares,
     project,
+    simulate,
     sparse_exhaustive,
     spectral_matrix,
     welch_cross_spectrum,
+    windowed_average_distance,
 )
 from polyscope.diagnostics import collect
 
@@ -72,6 +78,36 @@ def test_series_index_out_of_range(call, bad):
     with pytest.raises(InvalidParameterError,
                        match=rf"^index {bad} out of range for n=3$"):
         call(S, bad)
+
+
+def _two_series(length: int) -> Ensemble:
+    rng = np.random.default_rng(4)
+    return Ensemble([TimeSeries(label, rng.standard_normal(length))
+                     for label in "ab"])
+
+
+#: Every size argument outside ``FrequencyGrid`` and ``WelchConfig`` that
+#: must be an integer: a call given that size, and a valid value of it.
+SIZED = {
+    "generate_polytree_aln-n": (lambda v: generate_polytree_aln(v, 1), 4),
+    "simulate-length": (
+        lambda v: simulate(generate_polytree_aln(3, 0), v, 0), 2048),
+    "windowed_average_distance-window_length": (
+        lambda v: windowed_average_distance(_two_series(2048), v,
+                                            WelchConfig(grid_size=64)), 1024),
+    "from_taps-offset": (
+        lambda v: TransferFunction.from_taps(FrequencyGrid(16), [1.0, 0.5], v), 1),
+    "Link-delay": (lambda v: Link(0, 1, np.array([1.0]), v), 1),
+}
+
+
+@pytest.mark.parametrize("call", SIZED)
+def test_sizes_are_integers_everywhere(call):
+    run, size = SIZED[call]
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape(f"must be an integer, not {float(size)!r}")):
+        run(float(size))
+    run(np.int64(size))
 
 
 class TestFrequencyGrid:
@@ -410,6 +446,17 @@ def _analytic_pair(grid, phi_x, phi_y, cross):
 
 
 class TestCoherence:
+    def test_overshoot_of_a_non_psd_matrix_is_recorded_and_clamped(self):
+        # Hermitian with |Phi_12|^2 = 4 > Phi_11 * Phi_22 = 1
+        values = np.ones((2, 2, 16), dtype=complex)
+        values[0, 1] = values[1, 0] = 2.0
+        S = SpectralMatrix(["a", "b"], FrequencyGrid(16), values)
+        with collect() as events:
+            curve = coherence_function(S, 0, 1)
+        assert [e.message for e in events] == [
+            "coherence of ('a', 'b') peaks at 4.000000 before clamping"]
+        assert np.array_equal(curve.values, np.ones(16))
+
     def test_self_coherence_is_one(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal(1 << 12)

@@ -8,6 +8,7 @@ from polyscope import (
     Ensemble,
     FrequencyGrid,
     IllConditionedSpectrumError,
+    InvalidParameterError,
     InvalidSpectrumError,
     SpectralMatrix,
     Spectrum,
@@ -94,6 +95,16 @@ class TestTransferFunction:
 
 
 class TestNoncausalWiener:
+    @pytest.mark.parametrize("inputs, message", [
+        ([], "at least one input is required"),
+        ([1, 1], "duplicate inputs"),
+        ([1, 0], "target cannot be one of its inputs"),
+    ])
+    def test_rejects_invalid_inputs(self, inputs, message):
+        S = ar1_pair_shifted(FrequencyGrid(16))
+        with pytest.raises(InvalidParameterError, match=message):
+            noncausal_wiener(S, 0, inputs)
+
     def test_static_gain(self):
         # y = 3 x: filter constant 3, zero residual
         grid = FrequencyGrid(128)
@@ -328,6 +339,15 @@ class TestConditioningScreen:
 class TestEveryFitIsChecked:
     """Each joint fit is checked against its normal equations."""
 
+    def test_a_fit_off_its_normal_equations_raises(self):
+        # A = I, c = 1 and W = 0 miss the normal equations by exactly 1
+        A = np.ones((1, 4, 1, 1), dtype=complex)
+        with pytest.raises(InvalidSpectrumError,
+                           match=r"projection for target 0 violates "
+                                 r"orthogonality by 1\.000e\+00 "):
+            wiener._check_orthogonality(0, A, np.ones((1, 4, 1), dtype=complex),
+                                        np.zeros((1, 4, 1), dtype=complex))
+
     def test_noncausal_and_per_target_miso_fits(self, monkeypatch):
         # a + b fails the screen, yet every target's two inputs are independent
         rng = np.random.default_rng(9)
@@ -356,6 +376,15 @@ class TestEveryFitIsChecked:
 
 
 class TestSpectralFactorize:
+    @pytest.mark.parametrize("value, message", [
+        (0.0, "cannot factorize an identically zero spectrum"),
+        (1.0 + 1.0j, "auto-spectrum has a non-real part"),
+    ])
+    def test_rejects_zero_and_complex_spectra(self, value, message):
+        grid = FrequencyGrid(16)
+        with pytest.raises(InvalidSpectrumError, match=message):
+            spectral_factorize(Spectrum(grid, np.full(16, value)))
+
     def test_constant_spectrum(self):
         grid = FrequencyGrid(64)
         F = spectral_factorize(Spectrum(grid, 4.0 * np.ones(64)))

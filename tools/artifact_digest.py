@@ -10,7 +10,9 @@ that must read as the record itself (every cell quoted, CR-only line ends)
 and malformed CSVs that must exit 2, so the document pins the reader's exit
 codes and stderr too.  ``analyze``, ``sparse`` and ``compare`` also read a
 record of low-frequency sinusoids whose every auto-spectrum needs the
-spectral floor, so the document pins each command's floor warnings.
+spectral floor, so the document pins each command's floor warnings;
+``analyze --pipeline polytree`` on it is the one run whose spectral
+factors and causal parts are taken of floored auto-spectra.
 ``sparse`` also reads the first record with its first series repeated
 under a new label: no matrix with an exact copy clears the conditioning
 screen, so these runs fit each OLS extension by itself, one through to its
@@ -170,6 +172,9 @@ def _runs(root: Path):
     for command in ("analyze", "sparse", "compare"):
         yield f"{command}-floored", [
             command, "--input", str(data), "--grid-size", "256"]
+    yield "analyze-polytree-floored", [
+        "analyze", "--input", str(data), "--pipeline", "polytree",
+        "--grid-size", "256"]
     for pipeline in ("polytree", "miso-blanket"):
         yield f"validate-{pipeline}", [
             "validate", "--pipeline", pipeline, "--mode", "analytic",
