@@ -212,28 +212,35 @@ class Spectrum:
 
 @dataclass
 class SpectralMatrix:
-    """Hermitian matrix of cross spectra, ``values[i, j, k] = Phi_{x_i x_j}(omega_k)``."""
+    """Hermitian matrix of cross spectra, ``values[i, j, k] = Phi_{x_i x_j}(omega_k)``.
+
+    Keeps its own C-ordered copy of ``values`` (so any layout sums in one
+    order), stored exactly Hermitian: lower triangle the conjugated upper,
+    diagonal real.  Rejects non-finite values and any
+    ``|v_ij - conj(v_ji)| > 1e-9 * max|v|``.
+    """
 
     labels: list[str]
     grid: FrequencyGrid
     values: np.ndarray
 
     def __post_init__(self):
-        # C order keeps last-axis reductions in the same summation order
-        # whatever layout the caller's array had
-        self.values = np.ascontiguousarray(self.values, dtype=complex)
+        self.values = v = np.array(self.values, dtype=complex, order="C")
         n = len(self.labels)
         if n == 0:
             raise InvalidParameterError("spectral matrix needs at least one series")
-        if self.values.shape != (n, n, self.grid.size):
+        if v.shape != (n, n, self.grid.size):
             raise InvalidParameterError(
-                f"spectral matrix shape {self.values.shape} does not match "
+                f"spectral matrix shape {v.shape} does not match "
                 f"{n} labels on a grid of {self.grid.size}")
-        scale = np.max(np.abs(self.values)) or 1.0
-        if not np.allclose(self.values,
-                           np.conj(self.values.transpose(1, 0, 2)),
-                           atol=1e-9 * scale, rtol=0):
+        if not np.all(np.isfinite(v)):
+            raise InvalidParameterError("spectral matrix has non-finite values")
+        scale = np.max(np.abs(v)) or 1.0
+        rows, cols = np.tril_indices(n)    # the upper entries mirror these
+        if np.any(np.abs(v[rows, cols] - np.conj(v[cols, rows])) > 1e-9 * scale):
             raise InvalidParameterError("spectral matrix is not Hermitian")
+        v[rows, cols] = np.conj(v[cols, rows])
+        v.imag[np.arange(n), np.arange(n)] = 0.0
 
     @property
     def n(self) -> int:
@@ -277,9 +284,8 @@ class SpectralMatrix:
     def _eigenvalue_ratio(self) -> float:
         """Least over greatest eigenvalue of the floored matrix, worst grid point.
 
-        The matrix is :attr:`_floored_stack`, read from its lower triangle
-        as ``eigvalsh`` reads it; ``wiener._clears_screen`` tests it.
-        Computed on first use.
+        The matrix is :attr:`_floored_stack`; ``wiener._clears_screen``
+        tests it.  Computed on first use.
         """
         eigs = np.linalg.eigvalsh(self._floored_stack)
         return float(np.min(eigs[:, 0] / eigs[:, -1]))
@@ -368,9 +374,9 @@ def _welch_matrix(values: np.ndarray, cfg: WelchConfig) -> np.ndarray:
     (``rfft``) :data:`WELCH_CHUNK_SEGMENTS` at a time, and each chunk adds
     its per-frequency ``X^H X`` to one ``(K/2+1, n, n)`` accumulator, so the
     segment DFTs held at once do not grow with the record.  The negative
-    frequencies are :meth:`FrequencyGrid.mirror`'s (real input).  The upper
-    triangle is copied onto the lower one and the diagonal made real, so the
-    result is exactly Hermitian.
+    frequencies are :meth:`FrequencyGrid.mirror`'s (real input).  The lower
+    triangle and imaginary diagonal keep their rounding: the
+    :class:`SpectralMatrix` built from the result overwrites them.
 
     Raises :class:`InsufficientDataError` when not one segment fits, and
     records a ``welch-segments`` event when fewer segments fit than planned.
@@ -396,10 +402,6 @@ def _welch_matrix(values: np.ndarray, cfg: WelchConfig) -> np.ndarray:
         X = np.fft.rfft(segments, n=k, axis=-1).transpose(2, 1, 0)
         gram += np.conj(X.transpose(0, 2, 1)) @ X
     gram /= available * float(np.sum(win ** 2))
-    upper = np.triu_indices(n, 1)
-    gram[:, upper[1], upper[0]] = np.conj(gram[:, upper[0], upper[1]])
-    diag = np.arange(n)
-    gram[:, diag, diag] = gram[:, diag, diag].real
     return FrequencyGrid(k).mirror(gram.transpose(1, 2, 0))
 
 
@@ -436,8 +438,8 @@ def spectral_matrix(ens: Ensemble, cfg: WelchConfig) -> SpectralMatrix:
 
     One streamed Gram product over chunks of real segment DFTs gives every
     pair at once (see :func:`_welch_matrix`); memory beyond the stacked
-    samples does not grow with the record length, and the result is exactly
-    Hermitian.
+    samples does not grow with the record length.  The result is exactly
+    Hermitian, as every :class:`SpectralMatrix` is.
     """
     return SpectralMatrix(list(ens.labels), FrequencyGrid(cfg.grid_size),
                           _welch_matrix(ens.values(), cfg))

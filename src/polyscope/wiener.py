@@ -157,10 +157,10 @@ def _check_inputs(S: SpectralMatrix, target: int, inputs: tuple) -> None:
 
 
 def _clears_screen(S: SpectralMatrix) -> bool:
-    """Whether every fit on ascending inputs of ``S`` is conditioned well
-    enough to need no check of its own.
+    """Whether every fit on ``S`` is conditioned well enough to need no
+    check of its own.
 
-    Such a fit's blocks are principal submatrices of the floored spectral
+    A fit's blocks are principal submatrices of the floored spectral
     matrix, so by Cauchy interlacing their eigenvalue ratios are no smaller
     than the whole matrix's, ``S._eigenvalue_ratio``, when that is positive.
     The factor 2 leaves :data:`CONDITION_RTOL` of the largest eigenvalue for
@@ -175,14 +175,14 @@ def _joint_fits(S: SpectralMatrix, target: int, inputs
     :func:`_check_inputs`).
 
     The fit is checked for conditioning before it is solved: at once by
-    :func:`_clears_screen` when the inputs ascend, otherwise its blocks with
-    their own eigenvalues against :data:`CONDITION_RTOL`.  The solution is
+    :func:`_clears_screen`, or when that fails, its blocks with their own
+    eigenvalues against :data:`CONDITION_RTOL`.  The solution is
     always checked against its normal equations (residual orthogonal to
     every input).  Returns the filter responses ``W (K, q)`` (column ``p``
     belongs to ``inputs[p]``), the raw residual spectrum and its grid mean.
     """
     A, c = _normal_equations(S, target, np.asarray([inputs]))
-    if not (np.all(np.diff(inputs) > 0) and _clears_screen(S)):
+    if not _clears_screen(S):
         eigs = np.linalg.eigvalsh(A[0])
         ratio = eigs[:, 0] / eigs[:, -1]
         worst = np.argmin(ratio)

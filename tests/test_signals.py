@@ -15,6 +15,7 @@ from polyscope import (
     TimeSeries,
     TransferFunction,
     WelchConfig,
+    analytic_spectra,
     causal_distance,
     causal_wiener,
     coherence_distance,
@@ -336,6 +337,70 @@ class TestSpectralMatrix:
         values[0, 1] = 2.0        # breaks conjugate symmetry
         with pytest.raises(InvalidParameterError):
             SpectralMatrix(["a", "b"], grid, values)
+
+    @pytest.mark.parametrize("entry,bad", [((0, 0, 3), np.inf),
+                                           ((1, 1, 0), -np.inf),
+                                           ((0, 1, 5), np.nan),
+                                           ((1, 0, 2), complex(0, np.nan))])
+    def test_rejects_non_finite_values(self, entry, bad):
+        values = np.ones((2, 2, 8), dtype=complex)
+        values[entry] = bad
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            SpectralMatrix(["a", "b"], FrequencyGrid(8), values)
+
+    def test_owns_its_values(self):
+        _, base = self._matrix()
+        values = base.values.copy()
+        S = SpectralMatrix(base.labels, base.grid, values)
+        assert S.values is not values
+        stored = S.values.copy()
+        floored, ratio = S._floored.copy(), S._eigenvalue_ratio
+        values *= 10.0
+        assert np.array_equal(S.values, stored)
+        assert np.array_equal(S._floored, floored)
+        assert S._eigenvalue_ratio == ratio
+
+    def test_every_producer_stores_an_exact_hermitian_matrix(self):
+        grid = FrequencyGrid(64)
+        matrices = [analytic_spectra(generate_polytree_aln(n, seed), grid)
+                    for n, seed in [(4, 0), (7, 1), (12, 2)]]
+        matrices.append(self._matrix(n=5)[1])
+        for S in matrices:
+            d = np.arange(S.n)
+            assert np.array_equal(S.values, np.conj(S.values.transpose(1, 0, 2)))
+            assert np.all(S.values[d, d].imag == 0.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 3.7e4])
+    def test_tolerance_boundary_matches_allclose(self, scale):
+        grid = FrequencyGrid(8)
+        base = np.zeros((3, 3, grid.size), dtype=complex)
+        base[[0, 1, 2], [0, 1, 2]] = scale
+        base[0, 1] = (0.3 - 0.4j) * scale
+        base[1, 0] = np.conj(base[0, 1])
+        tol = 1e-9 * scale
+        factors = [0.5, 1 - 1e-12, 1.0, 1 + 1e-12, 1 + 1e-6, 2.0]
+        cases = []
+        for f in factors:
+            for direction in (1.0, -1.0, 1j, (1 + 1j) / np.sqrt(2)):
+                for entry in ((1, 0, 3), (0, 1, 3)):
+                    cases.append((entry, f * tol * direction))
+            # a diagonal differs from its conjugate by twice its imaginary part
+            cases.append(((2, 2, 5), 0.5j * f * tol))
+            cases.append(((2, 2, 5), np.nextafter(0.5 * f * tol, 0.0) * 1j))
+        verdicts = set()
+        for entry, delta in cases:
+            values = base.copy()
+            values[entry] += delta
+            ref_scale = np.max(np.abs(values)) or 1.0
+            accepted = np.allclose(values, np.conj(values.transpose(1, 0, 2)),
+                                   atol=1e-9 * ref_scale, rtol=0)
+            verdicts.add(accepted)
+            if accepted:
+                SpectralMatrix(["a", "b", "c"], grid, values)
+            else:
+                with pytest.raises(InvalidParameterError, match="not Hermitian"):
+                    SpectralMatrix(["a", "b", "c"], grid, values)
+        assert verdicts == {True, False}
 
     def test_floored_autospectra_record_each_floored_series_once(self):
         grid = FrequencyGrid(8)

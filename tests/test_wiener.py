@@ -262,7 +262,8 @@ class TestConditioningScreen:
                         for b in row:
                             assert np.array_equal(got[0][b].response,
                                                   ref[0][b].response)
-                    # descending, a block's lower triangle is the matrix's upper one
+                    # descending, a block's lower triangle is the matrix's upper
+                    # one, which the screen covers because the matrix is exact
                     error, got = outcome(noncausal_wiener, S, target, row[::-1])
                     ref_error, ref = outcome(wiener_reference, S, target, row[::-1])
                     assert error == ref_error
@@ -277,22 +278,24 @@ class TestConditioningScreen:
         elif ratio < CONDITION_RTOL:
             assert raised > 0
 
-    def test_descending_inputs_keep_their_own_check(self):
+    def test_near_hermitian_input_is_stored_from_its_upper_triangle(self):
         # Hermitian within the constructor's tolerance only: the lower
-        # triangle gives the eigenvalue ratio 3e-10, the upper one 5e-11
+        # triangle alone would give the eigenvalue ratio 3e-10, the upper
+        # one gives 5e-11, and the stored matrix is the upper one's
         grid = FrequencyGrid(8)
         values = np.zeros((3, 3, grid.size), dtype=complex)
         values[[0, 1, 2], [0, 1, 2]] = 1.0
         values[0, 1] = 1.0 - 1e-10
         values[1, 0] = 1.0 - 6e-10
         S = SpectralMatrix(["a", "b", "t"], grid, values)
-        assert S._eigenvalue_ratio >= 2 * CONDITION_RTOL
-        noncausal_wiener(S, 2, [0, 1])
-        with pytest.raises(IllConditionedSpectrumError) as descending:
-            noncausal_wiener(S, 2, [1, 0])
-        with pytest.raises(IllConditionedSpectrumError) as looped:
-            wiener_reference(S, 2, [1, 0])
-        assert str(descending.value) == str(looped.value)
+        assert np.array_equal(S.values[1, 0], np.conj(S.values[0, 1]))
+        assert S._eigenvalue_ratio == pytest.approx(5e-11, rel=1e-3)
+        for inputs in ([0, 1], [1, 0]):
+            with pytest.raises(IllConditionedSpectrumError) as got:
+                noncausal_wiener(S, 2, inputs)
+            with pytest.raises(IllConditionedSpectrumError) as ref:
+                wiener_reference(S, 2, inputs)
+            assert str(got.value) == str(ref.value)
 
     def test_well_conditioned_matrix_takes_one_eigensolve(self, monkeypatch):
         sim = simulate(generate_polytree_aln(12, 1), 2 ** 13, seed=2)
