@@ -247,9 +247,9 @@ class SpectralMatrix:
         return len(self.labels)
 
     def check_index(self, *indices: int) -> None:
-        """Raise unless every index names a series of the matrix."""
+        """Raise unless every index is an integer naming a series of the matrix."""
         for i in indices:
-            if not 0 <= i < self.n:
+            if not 0 <= _integer(i, "series index") < self.n:
                 raise InvalidParameterError(f"index {i} out of range for n={self.n}")
 
     @cached_property

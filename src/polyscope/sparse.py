@@ -14,10 +14,10 @@ Three solvers:
   revisiting earlier filters (cheap, reported both raw and jointly refit),
 * :func:`orthogonal_least_squares` is greedy with every candidate extension
   scored by its jointly optimal cost (the usual accuracy/cost middle ground).
-  :mod:`polyscope.wiener` decides how a step scores the extensions: in
-  closed form from the current support's fit when its conditioning screen
-  clears, else one fit per extension.  Only the winner is refit, so
-  reported filters and costs are joint solves.
+  :mod:`polyscope.wiener` scores a step's extensions in closed form from
+  the current support's fit, and drops a candidate collinear with the
+  support from the rest of the run.  Only the winner is refit, so reported
+  filters and costs are joint solves.
 """
 
 from __future__ import annotations
@@ -228,14 +228,15 @@ def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
 
     Equivalent to matching pursuit for the first atom; afterwards each step
     scores every candidate extension by its jointly optimal cost and keeps
-    the best.  :func:`~polyscope.wiener._extension_costs` scores a step:
-    in closed form from the current support's fit (one Schur complement per
-    candidate, one solve per step) when the conditioning screen clears,
-    else one fit per extension, whose first ill-conditioned fit raises.
-    Either way every scored extension's filters are checked against their
-    normal equations, and the winner alone is refit, so its filters and
-    cost come from the same joint solve as :func:`project`.  Stopping rules
-    match :func:`matching_pursuit`.
+    the best.  :func:`~polyscope.wiener._extension_costs` scores a step in
+    closed form from the current support's fit (one Schur complement per
+    candidate, one solve per step) and checks every scored extension's
+    filters against their normal equations.  A candidate collinear with the
+    support is scored ``inf`` and leaves the pool for the rest of the run,
+    as in the classical rule of Chen, Billings & Luo (1989); a pool left
+    empty stops on ``exhausted``.  The winner alone is refit, so its filters
+    and cost come from the same joint solve as :func:`project`.  Stopping
+    rules match :func:`matching_pursuit`.
     """
     max_inputs = _check_solver_args(max_inputs, min_gain)
     pool = _candidates(S, target)
@@ -243,19 +244,27 @@ def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
     filters, cost = project(S, target, ())
     initial = max(cost, np.finfo(float).tiny)
     while True:
-        if len(support) >= min(max_inputs, len(pool)):
-            stop_reason = "budget" if len(support) == max_inputs else "exhausted"
+        if len(support) >= max_inputs:
+            stop_reason = "budget"
             break
-        free = [b for b in pool if b not in support]
-        costs = _extension_costs(S, target, support, free)
+        if pool:
+            costs = dict(zip(pool, _extension_costs(S, target, support, pool)
+                             .tolist()))
+            # a collinear candidate scores inf and leaves the pool for good
+            pool = [b for b in pool if costs[b] < math.inf]
+        if not pool:
+            stop_reason = "exhausted"
+            break
         # the first minimum adds the lowest index, as the pool is sorted
-        chosen = sorted(support + [free[np.argmin(costs)]])
+        best = min(pool, key=costs.get)
+        chosen = sorted(support + [best])
         W, _, chosen_cost = _joint_fits(S, target, chosen)
         stop = _greedy_stop(cost - chosen_cost, cost, initial, min_gain,
                             first=not support)
         if stop:
             stop_reason = stop
             break
+        pool.remove(best)
         support, filters, cost = chosen, _filters(S.grid, chosen, W), chosen_cost
     return SparseModel(target, tuple(support), filters, cost,
                        solver="ols", stop_reason=stop_reason)

@@ -18,7 +18,7 @@ import numpy as np
 from .diagnostics import record
 from .errors import InvalidParameterError
 from .metric import SYMMETRIC_KINDS, DistanceMatrix, causal_edge_weights
-from .signals import SpectralMatrix
+from .signals import SpectralMatrix, _integer
 from .wiener import _filter_rms
 
 #: Relative filter magnitude below which a MISO input does not count as a
@@ -200,7 +200,7 @@ def build_polytree(DC: DistanceMatrix) -> Polytree:
 
 def markov_blanket(tree: Polytree, node: int) -> set[int]:
     """Parents, children and co-parents of a node in a polytree."""
-    if not 0 <= node < tree.n:
+    if not 0 <= _integer(node, "node") < tree.n:
         raise InvalidParameterError(f"node {node} out of range")
     parents = tree.parents(node)
     children = tree.children(node)

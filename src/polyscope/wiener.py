@@ -221,17 +221,18 @@ def _extension_costs(S: SpectralMatrix, target: int, support, free) -> np.ndarra
     is needed for an empty support.  The residual is clipped at zero per
     frequency as in :func:`_joint_fits`.
 
-    Every extension's filters, ``w_b = r_b / s_b`` for ``b`` and
-    ``W_S - G_b w_b`` for the support, are checked against their normal
-    equations as :func:`_joint_fits` checks its own.  This path needs
-    :func:`_clears_screen` to hold, which keeps every ``s_b`` away from
-    zero; otherwise each extension is fitted by :func:`_joint_fits` in
-    ``free`` order, and the first failing fit raises.  ``support`` must be
-    a valid input set and ``free`` the inputs outside it.
+    A candidate whose ``s_b`` falls below :data:`CONDITION_RTOL` of its
+    floored ``A_bb`` at some frequency is collinear with the support: it
+    costs ``inf``, enters no division and no check, and is recorded as a
+    ``collinear-candidate`` event.  Its Schur complement can only shrink as
+    the support grows.  When :func:`_clears_screen` holds no candidate is
+    dropped, since interlacing keeps ``s_b / A_bb`` at or above the screen's
+    ratio.  Every other extension's filters, ``w_b = r_b / s_b`` for ``b``
+    and ``W_S - G_b w_b`` for the support, are checked against their normal
+    equations as :func:`_joint_fits` checks its own.  ``support`` must be a
+    valid input set whose own fit is solvable, and ``free`` a non-empty
+    list of inputs outside it.
     """
-    if not _clears_screen(S):
-        return np.array([_joint_fits(S, target, sorted([*support, b]))[2]
-                         for b in free])
     support = np.asarray(support, dtype=int)
     free = np.asarray(free, dtype=int)
     q, m = support.size, free.size
@@ -241,16 +242,26 @@ def _extension_costs(S: SpectralMatrix, target: int, support, free) -> np.ndarra
                          axis=-1)
     solved = np.linalg.solve(A[0, :, :q, :q], rhs) if q else rhs
     G, W_S = solved[..., :m].transpose(2, 0, 1), solved[..., m]
-    A_bS = A[:, :, q, :q]
-    s = np.real(A[:, :, q, q]) - np.real(np.sum(A_bS * G, axis=-1))
+    explained = np.real(np.sum(np.conj(c[0, :, :q]) * W_S, axis=-1))
+    A_bS, A_bb = A[:, :, q, :q], np.real(A[:, :, q, q])
+    s = A_bb - np.real(np.sum(A_bS * G, axis=-1))
+    ratio = (s / A_bb).min(axis=-1)
+    kept = ratio >= CONDITION_RTOL
+    if not kept.all():
+        for b, worst in zip(free[~kept], ratio[~kept]):
+            record("collinear-candidate",
+                   f"candidate {S.labels[b]!r} of target {S.labels[target]!r} "
+                   f"is collinear with its support (Schur ratio {worst:.3e})")
+        A, c, G, A_bS, s = A[kept], c[kept], G[kept], A_bS[kept], s[kept]
     r = c[:, :, q] - np.sum(A_bS * W_S, axis=-1)
     w = r / s
     W = np.concatenate([W_S - G * w[..., None], w[..., None]], axis=-1)
     _check_orthogonality(target, A, c, W)
-    explained = np.real(np.sum(np.conj(c[0, :, :q]) * W_S, axis=-1))
     residual = np.maximum(np.real(S.values[target, target]) - explained
                           - np.abs(r) ** 2 / s, 0.0)
-    return S.grid.integrate(residual)
+    costs = np.full(m, np.inf)
+    costs[kept] = S.grid.integrate(residual)
+    return costs
 
 
 def _filter_rms(S: SpectralMatrix) -> np.ndarray:

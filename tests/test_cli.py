@@ -688,16 +688,29 @@ class TestSparseCommand:
         assert set(manifest["volatile"]["timings_ms"]) == {
             "ingest", "spectra", "select", "emit"}
 
-    def test_duplicate_columns_exit_4(self, tmp_path):
+    def test_duplicate_columns_drop_the_copy(self, tmp_path):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(4096)
         y = x + 0.1 * rng.standard_normal(4096)
         rows = ["a,b,c"]
         rows += [f"{float(x[t])!r},{float(x[t])!r},{float(y[t])!r}" for t in range(4096)]
         data = write_csv(tmp_path / "dup.csv", "\n".join(rows) + "\n")
-        assert cli.main(["sparse", "--input", str(data),
-                         "--out", str(tmp_path / "s"),
-                         "--grid-size", "128"]) == 4
+        out = tmp_path / "s"
+        assert cli.main(["sparse", "--input", str(data), "--out", str(out),
+                         "--grid-size", "128"]) == 0
+        assert sorted(p.name for p in out.glob("sparse_*.json")) == [
+            "sparse_00_a.json", "sparse_01_b.json", "sparse_02_c.json"]
+        # c picks a, the lower of the two copies; b then leaves the pool
+        c = json.loads((out / "sparse_02_c.json").read_text("utf-8"))
+        assert (c["support"], c["stop_reason"]) == (["a"], "exhausted")
+        manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+        collinear = [w for w in manifest["warnings"]
+                     if w.startswith("collinear-candidate:")]
+        assert len(collinear) == 1
+        ratio = re.fullmatch(r"collinear-candidate: candidate 'b' of target 'c' "
+                             r"is collinear with its support "
+                             r"\(Schur ratio (\S+)\)", collinear[0]).group(1)
+        assert abs(float(ratio)) < 1e-14
 
     def test_floor_warnings_match_analyze(self, tmp_path):
         data = tmp_path / "floored.csv"

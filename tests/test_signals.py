@@ -81,6 +81,17 @@ def test_series_index_out_of_range(call, bad):
         call(S, bad)
 
 
+@pytest.mark.parametrize("bad", [1.0, 1.5])
+@pytest.mark.parametrize("call", INDEXED.values(), ids=INDEXED.keys())
+def test_series_index_is_an_integer(call, bad):
+    S = random_psd_matrix(np.random.default_rng(0), 3, FrequencyGrid(16))
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape(f"series index must be an integer, "
+                                       f"not {bad!r}")):
+        call(S, bad)
+    call(S, np.int64(1))
+
+
 def _two_series(length: int) -> Ensemble:
     rng = np.random.default_rng(4)
     return Ensemble([TimeSeries(label, rng.standard_normal(length))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from polyscope import (
     ALNSpec,
     CombinatorialLimitError,
     FrequencyGrid,
-    IllConditionedSpectrumError,
     InvalidParameterError,
     InvalidSpectrumError,
     Link,
@@ -284,25 +285,29 @@ class TestOLSMatchesPerCandidateLoop:
         S = spectral_matrix(sim.ensemble, WelchConfig(grid_size=64))
         assert_ols_matches_loop(S, range(S.n))
 
-    def test_first_singular_extension_raises_like_the_loop(self):
+    def test_copies_of_the_first_pick_leave_the_pool(self):
         base = random_psd_matrix(np.random.default_rng(4), 5, FrequencyGrid(64))
         target = 4
         x = orthogonal_least_squares(base, target, 1).support[0]
         # series 5 is x plus faint white noise, series 6 an exact copy of x:
-        # x still wins the first step, and at the second both extensions
-        # pairing x with them are singular, the later one far more so
+        # x still wins the first step, and at the second both are collinear
+        # with it, so they leave the pool once and the model is base's
         idx = list(range(5)) + [x, x]
         values = base.values[np.ix_(idx, idx)]
         values[5, 5] += 1e-12 * np.max(values[x, x].real)
         S = SpectralMatrix([f"s{i}" for i in range(7)], base.grid, values)
-        with pytest.raises(IllConditionedSpectrumError, match="omega=") as ours:
-            orthogonal_least_squares(S, target, 2, min_gain=0.0)
-        with pytest.raises(IllConditionedSpectrumError) as looped:
-            ols_reference(S, target, 2, min_gain=0.0)
-        assert str(ours.value) == str(looped.value)
-        with pytest.raises(IllConditionedSpectrumError) as near_copy:
-            project_reference(S, target, (x, 5))
-        assert str(ours.value) == str(near_copy.value)
+        for budget in (2, 3):
+            with collect() as events:
+                model = orthogonal_least_squares(S, target, budget, min_gain=0.0)
+            assert_same_model(model,
+                              ols_reference(base, target, budget, min_gain=0.0))
+            dropped = [re.fullmatch(r"candidate '(s\d)' of target 's4' is "
+                                    r"collinear with its support "
+                                    r"\(Schur ratio (\S+)\)", e.message).groups()
+                       for e in events if e.category == "collinear-candidate"]
+            assert [b for b, _ in dropped] == ["s5", "s6"]
+            assert float(dropped[0][1]) == pytest.approx(1e-12, rel=1e-3)
+            assert abs(float(dropped[1][1])) < 1e-14
 
 
 @pytest.fixture(scope="module")
@@ -369,7 +374,7 @@ class TestOLSClosedFormSteps:
                     if b != target and b not in support:
                         assert frozenset(support + [b]) in seen
 
-    def test_exact_copy_fits_each_extension_by_itself(self):
+    def test_exact_copy_leaves_the_pool(self):
         sim = simulate(generate_polytree_aln(8, 3), 2 ** 12, seed=5)
         base = spectral_matrix(sim.ensemble, WelchConfig(grid_size=64))
         idx = list(range(base.n)) + [0]
@@ -380,6 +385,14 @@ class TestOLSClosedFormSteps:
             for min_gain in (0.0, DEFAULT_MIN_GAIN):
                 assert_same_model(orthogonal_least_squares(S, target, 1, min_gain),
                                   ols_reference(S, target, 1, min_gain))
+        # past one input the copy never joins X1: it leaves the pool
+        # or loses the tie to it, so the model is the one without it
+        for target in range(1, base.n):
+            for budget in (2, 3):
+                for min_gain in (0.0, DEFAULT_MIN_GAIN):
+                    assert_same_model(
+                        orthogonal_least_squares(S, target, budget, min_gain),
+                        ols_reference(base, target, budget, min_gain))
 
 
 def assert_mp_matches_loop(S, targets):

@@ -25,6 +25,7 @@ from polyscope import (
     markov_blanket,
     minimum_spanning_tree,
     miso_blanket_topology,
+    orthogonal_least_squares,
     simulate,
     spectral_matrix,
 )
@@ -187,6 +188,14 @@ class TestMarkovBlanket:
         with pytest.raises(InvalidParameterError):
             markov_blanket(pt, 5)
 
+    @pytest.mark.parametrize("node", [1.0, 1.5])
+    def test_node_is_an_integer(self, node):
+        pt = Polytree(["a", "b"], {(0, 1): 1.0})
+        with pytest.raises(InvalidParameterError,
+                           match=f"node must be an integer, not {node!r}"):
+            markov_blanket(pt, node)
+        assert markov_blanket(pt, np.int64(1)) == {0}
+
 
 class TestMisoBlanketTopology:
     def test_collider_skeleton_and_purge(self):
@@ -301,6 +310,47 @@ class TestMisoBlanketTopology:
         assert g.edges == ref.edges
         assert [(e.category, e.message) for e in events] == \
             [(e.category, e.message) for e in ref_events]
+
+
+def permuted(S, perm):
+    """``S`` with its series reordered: series ``p`` of the result is series
+    ``perm[p]`` of ``S``."""
+    return SpectralMatrix([S.labels[i] for i in perm], S.grid,
+                          S.values[np.ix_(perm, perm)])
+
+
+def labelled_edges(graph):
+    return {frozenset((graph.nodes[a], graph.nodes[b])) for a, b in graph.edges}
+
+
+class TestPermutationEquivariance:
+    """Reordering the series only reorders every result."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_analytic_networks(self, seed):
+        n = 4 + seed % 9
+        S = analytic_spectra(generate_polytree_aln(n, seed), FrequencyGrid(64))
+        perm = np.random.default_rng(seed).permutation(n)
+        found = []
+        for M in (S, permuted(S, perm)):
+            D, DC = distance_matrix(M), causal_distance_matrix(M)
+            pt = build_polytree(DC)
+            found.append({
+                "D": D.values,
+                "DC": DC.values,
+                "mst": labelled_edges(minimum_spanning_tree(D)),
+                "skeleton": labelled_edges(pt.skeleton()),
+                "untied": {(pt.nodes[p], pt.nodes[c]) for p, c in pt.edges
+                           if (p, c) not in pt.ties},
+                "miso": labelled_edges(miso_blanket_topology(M, D)),
+                "ols": {M.labels[t]: {M.labels[b] for b in
+                                      orthogonal_least_squares(M, t, 2).support}
+                        for t in range(n)},
+            })
+        ours, theirs = found
+        for name in ("D", "DC"):
+            assert np.array_equal(theirs.pop(name), ours.pop(name)[np.ix_(perm, perm)])
+        assert theirs == ours
 
 
 class TestExports:

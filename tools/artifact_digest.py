@@ -15,14 +15,16 @@ spectral floor, so the document pins each command's floor warnings;
 factors and causal parts are taken of floored auto-spectra.
 ``sparse`` also reads the first record with its first series repeated
 under a new label: no matrix with an exact copy clears the conditioning
-screen, so these runs fit each OLS extension by itself, one through to its
-result and one to its singular fit (exit 4).  The first record's first two
-series beside their sum fail the screen too, yet every fit on them is
-solvable: ``analyze --pipeline miso-blanket`` and ``sparse`` on them pin
-the fit of each MISO target and each OLS extension by itself.
-``validate`` runs in both trial modes.  Two
-checkouts that print the same document wrote the same bytes, so a refactor
-that must keep artifacts byte-identical is checked with::
+screen.  At budget 1 no candidate is collinear with the empty support.
+At budget 2 each target whose first pick is ``X1`` drops the copy as a
+``collinear-candidate``, and budget 3 pins that the dropped copy stays out
+of the third step.  The first record's first two series beside their sum
+fail the screen too, yet every fit on them is solvable: ``analyze
+--pipeline miso-blanket`` and ``sparse`` on them pin the fit of each MISO
+target by itself and OLS steps on a matrix that fails the screen.
+``validate`` runs in both trial modes.  Two checkouts that print the same
+document wrote the same bytes, so a refactor that must keep artifacts
+byte-identical is checked with::
 
     PYTHONPATH=/path/to/parent/src python3 tools/artifact_digest.py > before.json
     PYTHONPATH=src python3 tools/artifact_digest.py > after.json
@@ -147,8 +149,9 @@ def _runs(root: Path):
     data = root / "duplicated.csv"
     data.write_text(_duplicated_first(first.read_text(encoding="utf-8")),
                     encoding="utf-8")
-    # budget 1 scores only single inputs; budget 2 pairs the copies
-    for budget in ("1", "2"):
+    # budget 1 scores only single inputs; budget 2 drops a copy once the
+    # other is picked, and budget 3 keeps it out of the next step
+    for budget in ("1", "2", "3"):
         yield f"sparse-{budget}-duplicated", [
             "sparse", "--input", str(data), "--budget", budget, "--min-gain", "0"]
     data = root / "sum.csv"
