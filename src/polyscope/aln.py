@@ -19,7 +19,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InsufficientDataError, InvalidParameterError
 from .metric import causal_distance_matrix, distance_matrix
@@ -327,13 +326,6 @@ def simulate(spec: ALNSpec, length: int, seed: int) -> SimResult:
     return SimResult(Ensemble(series, demean=False), spec, burn)
 
 
-def _link_responses(spec: ALNSpec, grid: FrequencyGrid) -> dict[tuple[int, int], np.ndarray]:
-    return {
-        (l.source, l.target): grid.response_from_taps(l.taps, l.delay)
-        for l in spec.links
-    }
-
-
 def _noise_spectra(spec: ALNSpec, grid: FrequencyGrid) -> np.ndarray:
     phi = np.repeat(spec.noise_variances[:, None], grid.size, axis=1)
     if spec.noise_shaping is not None:
@@ -345,19 +337,22 @@ def _noise_spectra(spec: ALNSpec, grid: FrequencyGrid) -> np.ndarray:
 
 def _source_transfers(spec: ALNSpec, grid: FrequencyGrid) -> np.ndarray:
     """``H[a, i]`` = transfer from noise ``e_i`` into signal ``x_a``."""
-    n, k = spec.n, grid.size
-    responses = _link_responses(spec, grid)
-    H = np.zeros((n, n, k), dtype=complex)
+    responses = grid.from_time(grid._place_taps([(l.taps, l.delay) for l in spec.links]))
+    parents = [[] for _ in spec.labels]
+    for response, link in zip(responses, spec.links):
+        parents[link.target].append((link.source, response))
+    H = np.zeros((spec.n, spec.n, grid.size), dtype=complex)
     for v in spec.topological_order():
         H[v, v] = 1.0
-        for link in spec.parents_of(v):
-            H[v] += responses[(link.source, v)] * H[link.source]
+        for source, response in parents[v]:
+            H[v] += response * H[source]
     return H
 
 
 def _cross_spectra(H: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """``Phi_ab = sum_i conj(H_ai) H_bi phi_i`` from transfers and noise spectra."""
-    return np.einsum("aik,bik,ik->abk", np.conj(H), H, phi, optimize=True)
+    """``Phi_ab = sum_i conj(H_ai) H_bi phi_i``, one matrix product per grid point."""
+    return np.matmul((np.conj(H) * phi).transpose(2, 0, 1),
+                     H.transpose(2, 1, 0)).transpose(1, 2, 0)
 
 
 def analytic_spectra(spec: ALNSpec, grid: FrequencyGrid) -> SpectralMatrix:
@@ -378,8 +373,8 @@ def check_identifiability(spec: ALNSpec, grid: FrequencyGrid | None = None
     noise source; this includes ``i == j``) and every noise ``k``, the
     product ``|Phi_ij| * phi_k`` must exceed ``IDENTIFIABILITY_RTOL`` times
     its maximum on ``IDENTIFIABILITY_RUN`` consecutive grid points, tested
-    per noise by a window sliding along the ``(pairs, K)`` array of related
-    spectra, never wrapping around the grid.  Pairs that are exactly
+    per noise on the ``(pairs, K)`` array of related spectra by
+    :func:`_has_run`, never wrapping around the grid.  Pairs that are exactly
     independent by the graph structure are exempt (their distance is
     maximal, which cannot corrupt a spanning tree) and only counted.  A dead
     noise fails every tuple that names it.  Violations are ordered by pair
@@ -406,8 +401,13 @@ def check_identifiability(spec: ALNSpec, grid: FrequencyGrid | None = None
 
 
 def _has_run(alive: np.ndarray, run: int) -> np.ndarray:
-    """Rows of ``alive`` holding ``run`` consecutive true points, unwrapped."""
-    return sliding_window_view(alive, run, axis=-1).all(axis=-1).any(axis=-1)
+    """Rows of ``alive`` holding ``run`` consecutive true points, unwrapped:
+    the AND of ``alive`` shifted by ``0 ... run-1`` points marks run starts."""
+    width = alive.shape[-1] - run + 1
+    starts = alive[..., :width]
+    for shift in range(1, run):
+        starts = starts & alive[..., shift:shift + width]
+    return starts.any(axis=-1)
 
 
 def _score(true_tree: Polytree, graph, mode: str, pipeline: str,

@@ -160,8 +160,8 @@ def causal_distance(S: SpectralMatrix, target: int, input_: int) -> float:
     series ``i`` explains series ``j``.  Lies in [0, 1] up to numerical
     tolerance because the zero filter already costs 1.
     """
+    S.check_index(target, input_)
     if target == input_:
-        S.check_index(target)
         return 0.0
     _, _, cost = _causal_pair(S, target, input_)
     return float(np.sqrt(max(cost[0], 0.0)))

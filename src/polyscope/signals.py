@@ -33,12 +33,14 @@ WELCH_CHUNK_SEGMENTS = 64
 
 
 def _integer(value, name: str) -> int:
-    """``value`` as an int; any integer type passes, anything else raises."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidParameterError(
-            f"{name} must be an integer, not {value!r}") from None
+    """``value`` as an int; any integer type but ``bool`` passes, anything
+    else raises (numpy reads a bool index as a mask)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParameterError(f"{name} must be an integer, not {value!r}")
 
 
 def _floor(phi: np.ndarray) -> np.ndarray:
@@ -103,16 +105,23 @@ class FrequencyGrid:
         ``taps[u]`` is the coefficient at time ``offset + u``.  Exact for any
         integer support because the grid points are K-th roots of unity.
         """
-        taps = np.asarray(taps, dtype=float)
-        if taps.ndim != 1:
-            raise InvalidParameterError("taps must be one-dimensional")
-        if taps.size > self.size:
-            raise InvalidParameterError(
-                f"{taps.size} taps exceed the grid size {self.size}")
-        buf = np.zeros(self.size)
-        idx = (_integer(offset, "offset") + np.arange(taps.size)) % self.size
-        np.add.at(buf, idx, taps)
-        return self.from_time(buf)
+        return self.from_time(self._place_taps([(taps, offset)])[0])
+
+    def _place_taps(self, rows) -> np.ndarray:
+        """Time buffer ``(len(rows), K)`` for :meth:`from_time`: for
+        ``rows[r] = (taps, offset)``, row ``r`` holds ``taps[u]`` at time
+        ``(offset + u) mod K``."""
+        buf = np.zeros((len(rows), self.size))
+        for row, (taps, offset) in zip(buf, rows):
+            taps = np.asarray(taps, dtype=float)
+            if taps.ndim != 1:
+                raise InvalidParameterError("taps must be one-dimensional")
+            if taps.size > self.size:
+                raise InvalidParameterError(
+                    f"{taps.size} taps exceed the grid size {self.size}")
+            idx = (_integer(offset, "offset") + np.arange(taps.size)) % self.size
+            row[idx] += taps
+        return buf
 
     def taps_from_response(self, response: np.ndarray) -> tuple[np.ndarray, int]:
         """Invert :meth:`response_from_taps` onto the centred support.

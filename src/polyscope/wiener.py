@@ -149,11 +149,11 @@ def _check_inputs(S: SpectralMatrix, target: int, inputs: tuple) -> None:
     """Reject an empty, repeated, out-of-range or target-including input set."""
     if not inputs:
         raise InvalidParameterError("at least one input is required")
+    S.check_index(*inputs, target)
     if len(set(inputs)) != len(inputs):
         raise InvalidParameterError("duplicate inputs")
     if target in inputs:
         raise InvalidParameterError("target cannot be one of its inputs")
-    S.check_index(*inputs, target)
 
 
 def _clears_screen(S: SpectralMatrix) -> bool:
@@ -447,9 +447,9 @@ def _wiener_hopf(S: SpectralMatrix, target: int, inputs, target_factor: np.ndarr
 def _causal_pair(S: SpectralMatrix, target: int, input_: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_wiener_hopf` of one validated pair, factoring only its two series."""
+    S.check_index(target, input_)
     if target == input_:
         raise InvalidParameterError("target and input must differ")
-    S.check_index(target, input_)
     factors = _spectral_factors(S.grid, S._floored[[target, input_]])[0]
     return _wiener_hopf(S, target, [input_], factors[0], factors[1:])
 

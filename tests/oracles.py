@@ -8,12 +8,13 @@ path-product transfer algebra instead of the topological-order recursion.
 The exceptions are the kernels that whole-matrix code replaced, kept as
 they were: the per-row Welch average that the streamed Gram product
 replaced, which tests compare at a tolerance; the per-fit Wiener
-solve, the per-candidate greedy loops, the per-target blanket loop and the
-per-pair identifiability run test that array code replaced, against which
-tests require bit-identical solutions, or equal supports and events; and
-the per-cell CSV reader and ``csv.writer`` text builders that whole-body
-parsing and joined ``repr`` rows replaced, against which tests require the
-same series, messages and bytes.
+solve, the per-candidate greedy loops, the per-target blanket loop, the
+per-pair identifiability run test, the per-link source-transfer loop and
+the ``einsum`` of the analytic cross spectra that array code replaced,
+against which tests require bit-identical solutions, or equal supports and
+events; and the per-cell CSV reader and ``csv.writer`` text builders that
+whole-body parsing and joined ``repr`` rows replaced, against which tests
+require the same series, messages and bytes.
 """
 
 from __future__ import annotations
@@ -389,6 +390,25 @@ def _path_transfers(spec, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
             if shaping is not None:
                 phi_e[i] = phi_e[i] * np.abs(grid.response_from_taps(shaping)) ** 2
     return H, phi_e
+
+
+def source_transfers_reference(spec, grid: FrequencyGrid) -> np.ndarray:
+    """Source transfers ``H[a, i]`` by the topological-order recursion, one
+    ``response_from_taps`` per link and ``parents_of`` per node."""
+    n, k = spec.n, grid.size
+    responses = {(l.source, l.target): grid.response_from_taps(l.taps, l.delay)
+                 for l in spec.links}
+    H = np.zeros((n, n, k), dtype=complex)
+    for v in spec.topological_order():
+        H[v, v] = 1.0
+        for link in spec.parents_of(v):
+            H[v] += responses[(link.source, v)] * H[link.source]
+    return H
+
+
+def cross_spectra_reference(H: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """``Phi_ab = sum_i conj(H_ai) H_bi phi_i`` as one optimised ``einsum``."""
+    return np.einsum("aik,bik,ik->abk", np.conj(H), H, phi, optimize=True)
 
 
 def path_transfer_spectra(spec, grid: FrequencyGrid) -> np.ndarray:

@@ -9,6 +9,7 @@ from polyscope import (
     InsufficientDataError,
     InvalidParameterError,
     Link,
+    SpectralMatrix,
     WelchConfig,
     analytic_spectra,
     check_identifiability,
@@ -20,9 +21,15 @@ from polyscope import (
     spectral_matrix,
 )
 
-from oracles import _longest_run, identifiability_reference, path_transfer_spectra
+from oracles import (
+    _longest_run,
+    cross_spectra_reference,
+    identifiability_reference,
+    path_transfer_spectra,
+    source_transfers_reference,
+)
 from polyscope import aln
-from polyscope.aln import IDENTIFIABILITY_RTOL, IDENTIFIABILITY_RUN
+from polyscope.aln import IDENTIFIABILITY_RTOL, IDENTIFIABILITY_RUN, _noise_spectra
 
 
 def chain_spec(taps_a=(0.9, 0.4), taps_b=(0.7, -0.5)):
@@ -205,6 +212,28 @@ class TestAnalyticSpectra:
         np.testing.assert_allclose(np.real(S.values[0, 0]), shaped,
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("size", [64, 256])
+    def test_kernels_match_the_replaced_forms_bit_for_bit(self, size):
+        # the batched link DFT against one DFT per link and the per-point
+        # matrix product against the optimised einsum, on networks of 2 to
+        # 16 nodes (about half the links delayed) and one shaped-noise spec
+        grid = FrequencyGrid(size)
+        specs = [generate_polytree_aln(n, seed=seed)
+                 for n in range(2, 17) for seed in range(3)]
+        base = generate_polytree_aln(9, seed=4)
+        specs.append(ALNSpec(base.labels, base.links, base.noise_variances,
+                             noise_shaping=[np.array([1.0, 0.5, -0.3])
+                                            if i % 2 else None for i in range(9)]))
+        assert any(link.delay for spec in specs for link in spec.links)
+        for spec in specs:
+            H = source_transfers_reference(spec, grid)
+            phi = _noise_spectra(spec, grid)
+            cross = cross_spectra_reference(H, phi)
+            assert np.array_equal(aln._source_transfers(spec, grid), H)
+            assert np.array_equal(aln._cross_spectra(H, phi), cross)
+            assert np.array_equal(analytic_spectra(spec, grid).values,
+                                  SpectralMatrix(spec.labels, grid, cross).values)
+
     def test_positive_semidefinite(self):
         grid = FrequencyGrid(64)
         spec = generate_polytree_aln(5, seed=11)
@@ -277,6 +306,7 @@ class TestIdentifiability:
         pytest.param(10, 64, id="10"),
         pytest.param(16, 64, id="16"),
         pytest.param(10, 256, id="10-K256"),     # the benchmark's grid
+        pytest.param(16, 256, id="16-K256"),     # and its largest network
     ])
     def test_matches_loop_oracle(self, n, size, monkeypatch):
         # each network as drawn; with one noise switched off; and under a

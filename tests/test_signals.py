@@ -81,7 +81,7 @@ def test_series_index_out_of_range(call, bad):
         call(S, bad)
 
 
-@pytest.mark.parametrize("bad", [1.0, 1.5])
+@pytest.mark.parametrize("bad", [1.0, 1.5, True, False])
 @pytest.mark.parametrize("call", INDEXED.values(), ids=INDEXED.keys())
 def test_series_index_is_an_integer(call, bad):
     S = random_psd_matrix(np.random.default_rng(0), 3, FrequencyGrid(16))

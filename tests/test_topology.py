@@ -188,7 +188,7 @@ class TestMarkovBlanket:
         with pytest.raises(InvalidParameterError):
             markov_blanket(pt, 5)
 
-    @pytest.mark.parametrize("node", [1.0, 1.5])
+    @pytest.mark.parametrize("node", [1.0, 1.5, True, False])
     def test_node_is_an_integer(self, node):
         pt = Polytree(["a", "b"], {(0, 1): 1.0})
         with pytest.raises(InvalidParameterError,

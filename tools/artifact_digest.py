@@ -22,9 +22,12 @@ of the third step.  The first record's first two series beside their sum
 fail the screen too, yet every fit on them is solvable: ``analyze
 --pipeline miso-blanket`` and ``sparse`` on them pin the fit of each MISO
 target by itself and OLS steps on a matrix that fails the screen.
-``validate`` runs in both trial modes.  Two checkouts that print the same
-document wrote the same bytes, so a refactor that must keep artifacts
-byte-identical is checked with::
+``validate`` runs in both trial modes; in analytic mode ``polytree`` and
+``miso-blanket`` recover networks of 6 to 8 nodes, and ``mst`` networks of
+14 to 16 nodes on a 256-point grid, the largest networks and the grid of
+the analytic benchmark.  Two checkouts that print the same document wrote
+the same bytes, so a refactor that must keep artifacts byte-identical is
+checked with::
 
     PYTHONPATH=/path/to/parent/src python3 tools/artifact_digest.py > before.json
     PYTHONPATH=src python3 tools/artifact_digest.py > after.json
@@ -182,6 +185,9 @@ def _runs(root: Path):
         yield f"validate-{pipeline}", [
             "validate", "--pipeline", pipeline, "--mode", "analytic",
             "--trials", "3", "--nodes", "6-8", "--seed", "1"]
+    yield "validate-mst", [
+        "validate", "--mode", "analytic", "--pipeline", "mst", "--trials", "3",
+        "--nodes", "14-16", "--grid-size", "256", "--seed", "1"]
     yield "validate-simulated", [
         "validate", "--mode", "simulated", "--trials", "2", "--nodes", "5",
         "--length", "4096", "--grid-size", "256", "--seed", "1"]
