@@ -359,9 +359,12 @@ def analytic_spectra(spec: ALNSpec, grid: FrequencyGrid) -> SpectralMatrix:
     """Exact spectral matrix of the network on a grid.
 
     Positive semi-definite at every frequency by construction (it is a
-    noise-weighted Gram matrix of the source transfer rows).
+    noise-weighted Gram matrix of the source transfer rows).  The cross
+    spectra are built on the :attr:`FrequencyGrid.half` grid only and
+    mirrored, as the spectra of real series are conjugate-even.
     """
-    values = _cross_spectra(_source_transfers(spec, grid), _noise_spectra(spec, grid))
+    values = grid.mirror(_cross_spectra(_source_transfers(spec, grid)[..., grid.half],
+                                        _noise_spectra(spec, grid)[:, grid.half]))
     return SpectralMatrix(list(spec.labels), grid, values)
 
 

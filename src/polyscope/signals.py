@@ -76,17 +76,27 @@ class FrequencyGrid:
         grid integral of ``|values|^2``."""
         return np.sqrt(self.integrate(np.abs(values) ** 2))
 
+    @property
+    def half(self) -> slice:
+        """The first ``K/2 + 1`` grid points, ``omega = -pi ... 0``: they
+        carry every conjugate-even ``f``, which :meth:`mirror` rebuilds."""
+        return slice(0, self.size // 2 + 1)
+
     def mirror(self, half: np.ndarray) -> np.ndarray:
         """Grid values of a conjugate-even ``f``, ``f(-omega) = conj(f(omega))``,
-        from its ``K/2 + 1`` ``rfft`` bins ``omega = 0 ... pi`` on the last axis."""
+        from its values at the :attr:`half` points on the last axis.
+
+        Those are copied as they are, ``omega = -pi`` and ``0`` included;
+        point ``K - k`` is the conjugate of point ``k``.  Real ``f`` is even.
+        """
         half = np.asarray(half)
         m = self.size // 2
         if half.shape[-1] != m + 1:
-            raise InvalidParameterError(f"need {m + 1} rfft bins, got {half.shape[-1]}")
+            raise InvalidParameterError(
+                f"need {m + 1} half-grid points, got {half.shape[-1]}")
         full = np.empty(half.shape[:-1] + (self.size,), dtype=half.dtype)
-        full[..., m:] = half[..., :m]
-        full[..., 0] = half[..., m]
-        full[..., 1:m] = np.conj(half[..., m - 1:0:-1])
+        full[..., :m + 1] = half
+        np.conjugate(half[..., m - 1:0:-1], out=full[..., m + 1:])
         return full
 
     def to_time(self, values: np.ndarray) -> np.ndarray:
@@ -224,9 +234,14 @@ class SpectralMatrix:
     """Hermitian matrix of cross spectra, ``values[i, j, k] = Phi_{x_i x_j}(omega_k)``.
 
     Keeps its own C-ordered copy of ``values`` (so any layout sums in one
-    order), stored exactly Hermitian: lower triangle the conjugated upper,
-    diagonal real.  Rejects non-finite values and any
-    ``|v_ij - conj(v_ji)| > 1e-9 * max|v|``.
+    order), stored exactly Hermitian and exactly conjugate-even in
+    frequency, as the spectra of real series are: lower triangle the
+    conjugated upper, diagonal real, grid point ``K - k`` the conjugate of
+    point ``k`` (see :meth:`FrequencyGrid.mirror`), values real at
+    ``omega = -pi`` and ``0``.  Rejects non-finite values, any
+    ``|v_ij - conj(v_ji)| > 1e-9 * max|v|`` and any
+    ``|v[..., K - k] - conj(v[..., k])| > 1e-9 * max|v|``.  Every solver
+    that reads :attr:`_floored_stack` therefore solves the half grid only.
     """
 
     labels: list[str]
@@ -234,7 +249,7 @@ class SpectralMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = v = np.array(self.values, dtype=complex, order="C")
+        v = np.asarray(self.values, dtype=complex)
         n = len(self.labels)
         if n == 0:
             raise InvalidParameterError("spectral matrix needs at least one series")
@@ -244,11 +259,21 @@ class SpectralMatrix:
                 f"{n} labels on a grid of {self.grid.size}")
         if not np.all(np.isfinite(v)):
             raise InvalidParameterError("spectral matrix has non-finite values")
-        scale = np.max(np.abs(v)) or 1.0
+        tol = 1e-9 * (np.max(np.abs(v)) or 1.0)
         rows, cols = np.tril_indices(n)    # the upper entries mirror these
-        if np.any(np.abs(v[rows, cols] - np.conj(v[cols, rows])) > 1e-9 * scale):
+        if np.any(np.abs(v[rows, cols] - np.conj(v[cols, rows])) > tol):
             raise InvalidParameterError("spectral matrix is not Hermitian")
-        v[rows, cols] = np.conj(v[cols, rows])
+        m = self.grid.size // 2
+        # point K - k (frequency -omega_k) is the twin of point k; -pi (k = 0)
+        # and 0 (k = K/2) are their own
+        if (np.any(np.abs(v[..., :m - 1:-1] - np.conj(v[..., 1:m + 1])) > tol)
+                or np.any(np.abs(v[..., 0] - np.conj(v[..., 0])) > tol)):
+            raise InvalidParameterError(
+                "spectral matrix is not conjugate-even in frequency")
+        half = v[..., :m + 1].copy()
+        half.imag[..., [0, m]] *= 0.0      # real; exact zeros keep their sign
+        half[rows, cols] = np.conj(half[cols, rows])
+        self.values = v = self.grid.mirror(half)
         v.imag[np.arange(n), np.arange(n)] = 0.0
 
     @property
@@ -277,15 +302,20 @@ class SpectralMatrix:
 
     @cached_property
     def _floored_stack(self) -> np.ndarray:
-        """``(K, n, n)`` read-only stack of ``values`` per grid point, with
-        :attr:`_floored` on its diagonal.
+        """``(K/2+1, n, n)`` read-only stack of ``values`` per grid point of
+        the :attr:`FrequencyGrid.half` grid, with :attr:`_floored` on its
+        diagonal.
 
+        The matrix at grid point ``K - k`` is the exact conjugate of the one
+        at ``k``, so every per-frequency solve of the stack stands for its
+        twin too; solvers mirror their results before any grid mean.
         Computed on first use.  The floor events are :attr:`_floored`'s,
         recorded once whichever of the two is used first.
         """
-        A = self.values.transpose(2, 0, 1).copy()
+        half = self.grid.half
+        A = self.values[..., half].transpose(2, 0, 1).copy()
         d = np.arange(self.n)
-        A[:, d, d] = self._floored.T
+        A[:, d, d] = self._floored[:, half].T
         A.flags.writeable = False
         return A
 
@@ -293,8 +323,9 @@ class SpectralMatrix:
     def _eigenvalue_ratio(self) -> float:
         """Least over greatest eigenvalue of the floored matrix, worst grid point.
 
-        The matrix is :attr:`_floored_stack`; ``wiener._clears_screen``
-        tests it.  Computed on first use.
+        The matrix is :attr:`_floored_stack`, the half grid: a conjugate
+        matrix has the same eigenvalues, so the other points add nothing.
+        ``wiener._clears_screen`` tests the ratio.  Computed on first use.
         """
         eigs = np.linalg.eigvalsh(self._floored_stack)
         return float(np.min(eigs[:, 0] / eigs[:, -1]))
@@ -382,10 +413,11 @@ def _welch_matrix(values: np.ndarray, cfg: WelchConfig) -> np.ndarray:
     A streamed Gram product: the windowed segments are real-transformed
     (``rfft``) :data:`WELCH_CHUNK_SEGMENTS` at a time, and each chunk adds
     its per-frequency ``X^H X`` to one ``(K/2+1, n, n)`` accumulator, so the
-    segment DFTs held at once do not grow with the record.  The negative
-    frequencies are :meth:`FrequencyGrid.mirror`'s (real input).  The lower
-    triangle and imaginary diagonal keep their rounding: the
-    :class:`SpectralMatrix` built from the result overwrites them.
+    segment DFTs held at once do not grow with the record.  The bins give
+    the :attr:`FrequencyGrid.half` points, conjugated where they stand for
+    negative frequencies, and :meth:`FrequencyGrid.mirror` the rest (real
+    input).  The lower triangle and imaginary diagonal keep their rounding:
+    the :class:`SpectralMatrix` built from the result overwrites them.
 
     Raises :class:`InsufficientDataError` when not one segment fits, and
     records a ``welch-segments`` event when fewer segments fit than planned.
@@ -411,7 +443,11 @@ def _welch_matrix(values: np.ndarray, cfg: WelchConfig) -> np.ndarray:
         X = np.fft.rfft(segments, n=k, axis=-1).transpose(2, 1, 0)
         gram += np.conj(X.transpose(0, 2, 1)) @ X
     gram /= available * float(np.sum(win ** 2))
-    return FrequencyGrid(k).mirror(gram.transpose(1, 2, 0))
+    # bin j is omega = 2*pi*j/K: bin K/2 is omega = -pi, bins K/2-1 ... 1 are
+    # the conjugates of the points after it, bin 0 is omega = 0
+    m = k // 2
+    half = np.concatenate([gram[m:], np.conj(gram[m - 1:0:-1]), gram[:1]])
+    return FrequencyGrid(k).mirror(half.transpose(1, 2, 0))
 
 
 def welch_cross_spectrum(x: TimeSeries, y: TimeSeries, cfg: WelchConfig) -> Spectrum:

@@ -32,7 +32,6 @@ from .diagnostics import record
 from .errors import (
     CombinatorialLimitError,
     InvalidParameterError,
-    InvalidSpectrumError,
 )
 from .signals import SpectralMatrix, _integer
 from .wiener import (
@@ -79,19 +78,12 @@ class SparseModel:
 def inner_product(S: SpectralMatrix, a: int, b: int) -> float:
     """Stationary inner product ``E[x_a(t) x_b(t)]`` as a grid mean.
 
-    Real processes give conjugate-symmetric cross spectra, so the mean must
-    be real; a material imaginary part means the matrix is corrupt.
+    Every :class:`SpectralMatrix` is exactly conjugate-even in frequency,
+    as the spectra of real processes are, so the mean is real: its
+    imaginary part is rounding and is dropped.
     """
     S.check_index(a, b)
-    values = S.values[a, b]
-    mean = complex(S.grid.integrate(values))
-    scale = max(float(np.max(np.abs(values))), np.finfo(float).tiny)
-    if abs(mean.imag) > 1e-8 * scale:
-        raise InvalidSpectrumError(
-            f"integrated cross spectrum ({a}, {b}) has imaginary part "
-            f"{mean.imag:.3e}; spectra of real series must be "
-            f"conjugate-symmetric in frequency")
-    return mean.real
+    return complex(S.grid.integrate(S.values[a, b])).real
 
 
 def project(S: SpectralMatrix, target: int, support

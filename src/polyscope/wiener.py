@@ -174,12 +174,14 @@ def _joint_fits(S: SpectralMatrix, target: int, inputs
     """Joint least-squares fit of ``target`` on one valid input set (see
     :func:`_check_inputs`).
 
-    The fit is checked for conditioning before it is solved: at once by
+    The fit is solved on the :attr:`FrequencyGrid.half` grid.  It is
+    checked for conditioning before it is solved: at once by
     :func:`_clears_screen`, or when that fails, its blocks with their own
     eigenvalues against :data:`CONDITION_RTOL`.  The solution is
     always checked against its normal equations (residual orthogonal to
-    every input).  Returns the filter responses ``W (K, q)`` (column ``p``
-    belongs to ``inputs[p]``), the raw residual spectrum and its grid mean.
+    every input).  Returns the half-grid filter responses ``W (K/2+1, q)``
+    (column ``p`` belongs to ``inputs[p]``; :func:`_filters` mirrors them),
+    the raw residual spectrum on the full grid and its grid mean.
     """
     A, c = _normal_equations(S, target, np.asarray([inputs]))
     if not _clears_screen(S):
@@ -194,17 +196,19 @@ def _joint_fits(S: SpectralMatrix, target: int, inputs
     W = np.linalg.solve(A, c[..., None])[..., 0]
     _check_orthogonality(target, A, c, W)
     explained = np.real(np.sum(np.conj(c[0]) * W[0], axis=-1))
-    residual = np.maximum(np.real(S.values[target, target]) - explained, 0.0)
+    residual = S.grid.mirror(np.maximum(
+        np.real(S.values[target, target, S.grid.half]) - explained, 0.0))
     return W[0], residual, float(S.grid.integrate(residual))
 
 
 def _normal_equations(S: SpectralMatrix, target: int, idx: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frequency normal equations ``A (m, K, q, q)`` and ``c (m, K, q)``
-    of ``target`` on each row of an ``(m, q)`` index array, with
-    ``S._floored`` on the diagonals."""
+    """Per-frequency normal equations ``A (m, K/2+1, q, q)`` and
+    ``c (m, K/2+1, q)`` on the :attr:`FrequencyGrid.half` grid, of ``target``
+    on each row of an ``(m, q)`` index array, with ``S._floored`` on the
+    diagonals."""
     A = S._floored_stack[:, idx[:, :, None], idx[:, None, :]].swapaxes(0, 1)
-    c = S.values[idx, target].transpose(0, 2, 1).copy()
+    c = S.values[idx, target, S.grid.half].transpose(0, 2, 1).copy()
     return A, c
 
 
@@ -218,8 +222,10 @@ def _extension_costs(S: SpectralMatrix, target: int, support, free) -> np.ndarra
     ``|r_b|^2 / s_b``, where ``G_b = A_SS^{-1} A_Sb``, the Schur complement
     is ``s_b = A_bb - A_bS G_b`` and ``r_b = c_b - A_bS W_S``.  One solve of
     ``A_SS`` against ``[A_S,free | c_S]`` serves every candidate, and none
-    is needed for an empty support.  The residual is clipped at zero per
-    frequency as in :func:`_joint_fits`.
+    is needed for an empty support.  Every frequency is solved on the
+    :attr:`FrequencyGrid.half` grid; the residual is clipped at zero per
+    frequency as in :func:`_joint_fits` and mirrored to the full grid before
+    its grid mean, so the costs sum as a full-grid solve's would.
 
     A candidate whose ``s_b`` falls below :data:`CONDITION_RTOL` of its
     floored ``A_bb`` at some frequency is collinear with the support: it
@@ -257,10 +263,10 @@ def _extension_costs(S: SpectralMatrix, target: int, support, free) -> np.ndarra
     w = r / s
     W = np.concatenate([W_S - G * w[..., None], w[..., None]], axis=-1)
     _check_orthogonality(target, A, c, W)
-    residual = np.maximum(np.real(S.values[target, target]) - explained
-                          - np.abs(r) ** 2 / s, 0.0)
+    residual = np.maximum(np.real(S.values[target, target, S.grid.half])
+                          - explained - np.abs(r) ** 2 / s, 0.0)
     costs = np.full(m, np.inf)
-    costs[kept] = S.grid.integrate(residual)
+    costs[kept] = S.grid.integrate(S.grid.mirror(residual))
     return costs
 
 
@@ -272,16 +278,19 @@ def _filter_rms(S: SpectralMatrix) -> np.ndarray:
     ``P`` of ``S._floored_stack``: the filter of target ``j`` on input ``i``
     is ``-P[i, j] / P[j, j]``.  Otherwise each target is fitted by
     :func:`_joint_fits` in target order, and the first failing fit raises.
-    The diagonal is 1 and means nothing.
+    Either way the filters are solved on the :attr:`FrequencyGrid.half`
+    grid and mirrored to the full grid for their RMS.  The diagonal is 1
+    and means nothing.
     """
     if _clears_screen(S):
         P = np.linalg.inv(S._floored_stack)
         d = np.arange(S.n)
-        return S.grid.rms((P / P[:, d, d][:, None, :]).transpose(2, 1, 0))
+        W = (P / P[:, d, d][:, None, :]).transpose(2, 1, 0)
+        return S.grid.rms(S.grid.mirror(W))
     rms = np.ones((S.n, S.n))
     for j in range(S.n):
         inputs = [i for i in range(S.n) if i != j]
-        rms[j, inputs] = S.grid.rms(_joint_fits(S, j, inputs)[0].T)
+        rms[j, inputs] = S.grid.rms(S.grid.mirror(_joint_fits(S, j, inputs)[0].T))
     return rms
 
 
@@ -304,8 +313,10 @@ def _check_orthogonality(target: int, A: np.ndarray, c: np.ndarray,
 
 
 def _filters(grid: FrequencyGrid, inputs, W: np.ndarray) -> dict[int, TransferFunction]:
-    """One fit's filter columns ``W (K, q)`` as transfer functions keyed by input."""
-    return {a: TransferFunction(grid, W[:, pos].copy()) for pos, a in enumerate(inputs)}
+    """One fit's half-grid filter columns ``W (K/2+1, q)`` as transfer
+    functions on the full grid, keyed by input."""
+    full = grid.mirror(W.T)
+    return {a: TransferFunction(grid, full[pos]) for pos, a in enumerate(inputs)}
 
 
 def noncausal_wiener(S: SpectralMatrix, target: int, inputs,

@@ -11,8 +11,9 @@ replaced, which tests compare at a tolerance; the per-fit Wiener
 solve, the per-candidate greedy loops, the per-target blanket loop, the
 per-pair identifiability run test, the per-link source-transfer loop and
 the ``einsum`` of the analytic cross spectra that array code replaced,
-against which tests require bit-identical solutions, or equal supports and
-events; and the per-cell CSV reader and ``csv.writer`` text builders that
+and the whole-grid floored stack, eigenvalue ratio and filter RMS that
+half-grid solvers replaced, against which tests require bit-identical
+solutions, or equal supports and events; and the per-cell CSV reader and ``csv.writer`` text builders that
 whole-body parsing and joined ``repr`` rows replaced, against which tests
 require the same series, messages and bytes.
 """
@@ -170,6 +171,40 @@ def wiener_reference(S: SpectralMatrix, target: int, inputs, normalize: bool = F
     if normalize:
         residual = residual / S.floored_autospectrum(target)
     return A, c, W, residual, float(np.mean(residual))
+
+
+def floored_stack_reference(S: SpectralMatrix) -> np.ndarray:
+    """``(K, n, n)`` stack of the whole grid, floored auto-spectra on its
+    diagonal, as solvers read it before they solved the half grid."""
+    A = S.values.transpose(2, 0, 1).copy()
+    d = np.arange(S.n)
+    A[:, d, d] = np.array([S.floored_autospectrum(i) for i in range(S.n)]).T
+    return A
+
+
+def eigenvalue_ratio_reference(S: SpectralMatrix) -> float:
+    """Least over greatest eigenvalue of :func:`floored_stack_reference`,
+    worst grid point of the whole grid."""
+    eigs = np.linalg.eigvalsh(floored_stack_reference(S))
+    return float(np.min(eigs[:, 0] / eigs[:, -1]))
+
+
+def filter_rms_reference(S: SpectralMatrix) -> np.ndarray:
+    """``wiener._filter_rms`` on the whole grid: one inverse of
+    :func:`floored_stack_reference` when its ratio clears the screen, else
+    one :func:`wiener_reference` fit per target and one
+    ``TransferFunction.rms`` per filter."""
+    if eigenvalue_ratio_reference(S) >= 2 * CONDITION_RTOL:
+        P = np.linalg.inv(floored_stack_reference(S))
+        d = np.arange(S.n)
+        return S.grid.rms((P / P[:, d, d][:, None, :]).transpose(2, 1, 0))
+    rms = np.ones((S.n, S.n))
+    for j in range(S.n):
+        inputs = [i for i in range(S.n) if i != j]
+        W = wiener_reference(S, j, inputs)[2]
+        rms[j, inputs] = [TransferFunction(S.grid, W[:, pos]).rms()
+                          for pos in range(len(inputs))]
+    return rms
 
 
 def project_reference(S: SpectralMatrix, target: int, support

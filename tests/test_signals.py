@@ -33,9 +33,15 @@ from polyscope import (
     welch_cross_spectrum,
     windowed_average_distance,
 )
+from polyscope import aln, signals
 from polyscope.diagnostics import collect
 
-from oracles import csd_reference, random_psd_matrix, welch_reference
+from oracles import (
+    cross_spectra_reference,
+    csd_reference,
+    random_psd_matrix,
+    welch_reference,
+)
 
 #: Every public function that takes a series index, given index ``b`` in
 #: each position it can take.
@@ -154,15 +160,21 @@ class TestFrequencyGrid:
         half = np.random.default_rng(5).standard_normal((3, 9)) * (1 + 2j)
         half[:, [0, 8]] = half[:, [0, 8]].real
         full = grid.mirror(half)
-        rfft_bins = np.r_[8:16, 0]
-        assert np.array_equal(full[:, rfft_bins], half)
-        assert np.array_equal(full[:, 1:8], np.conj(full[:, 15:8:-1]))
-        assert np.array_equal(grid.mirror(full[:, rfft_bins]), full)
+        assert np.array_equal(full[:, :9], half)
+        assert np.array_equal(full[:, 9:], np.conj(full[:, 7:0:-1]))
+        assert np.array_equal(grid.mirror(full[:, grid.half]), full)
+        real = grid.mirror(half.real)
+        assert real.dtype == float
+        assert np.array_equal(real, full.real)
 
     def test_mirror_of_rfft_is_the_shifted_fft(self):
         grid = FrequencyGrid(32)
         x = np.random.default_rng(6).standard_normal(32)
-        np.testing.assert_allclose(grid.mirror(np.fft.rfft(x)),
+        bins = np.fft.rfft(x)
+        # bin j is omega = 2*pi*j/32: the half grid runs bin 16 (-pi), the
+        # conjugates of bins 15 ... 1, then bin 0
+        half = np.concatenate([bins[16:], np.conj(bins[15:0:-1]), bins[:1]])
+        np.testing.assert_allclose(grid.mirror(half),
                                    np.fft.fftshift(np.fft.fft(x)),
                                    rtol=0, atol=1e-12)
 
@@ -315,6 +327,19 @@ class TestWelchEstimator:
         assert any(e.category == "welch-segments" for e in events)
 
 
+def conjugate_even_base(grid: FrequencyGrid, scale: float) -> np.ndarray:
+    """Values of three series, exactly Hermitian and conjugate-even: auto-
+    spectra ``scale``, pair ``(0, 1)`` the constant ``(0.3 - 0.4j) * scale``
+    off ``omega = -pi`` and ``0`` and ``0.3 * scale`` on them, pair ``(0, 2)``
+    zero."""
+    half = np.zeros((3, 3, grid.size // 2 + 1), dtype=complex)
+    half[[0, 1, 2], [0, 1, 2]] = scale
+    half[0, 1] = (0.3 - 0.4j) * scale
+    half[0, 1, [0, -1]] = 0.3 * scale
+    half[1, 0] = np.conj(half[0, 1])
+    return grid.mirror(half)
+
+
 class TestSpectralMatrix:
     def _matrix(self, n=3, length=1 << 13, seed=2):
         rng = np.random.default_rng(seed)
@@ -381,13 +406,102 @@ class TestSpectralMatrix:
             assert np.array_equal(S.values, np.conj(S.values.transpose(1, 0, 2)))
             assert np.all(S.values[d, d].imag == 0.0)
 
+    def test_every_producer_stores_an_exact_conjugate_even_matrix(self):
+        for size in (16, 64, 256):
+            grid = FrequencyGrid(size)
+            matrices = [analytic_spectra(generate_polytree_aln(n, seed), grid)
+                        for n, seed in [(4, 0), (7, 1), (12, 2)]]
+            rng = np.random.default_rng(size)
+            ens = Ensemble([TimeSeries(f"s{i}", x)
+                            for i, x in enumerate(rng.standard_normal((5, 4096)))])
+            for seg in (None, size // 2):
+                matrices.append(spectral_matrix(
+                    ens, WelchConfig(grid_size=size, segment_length=seg)))
+            m = size // 2
+            for S in matrices:
+                assert np.array_equal(S.values[..., m + 1:],
+                                      np.conj(S.values[..., m - 1:0:-1]))
+                assert np.all(S.values[..., [0, m]].imag == 0.0)
+
+    def test_welch_matrices_keep_their_bits(self):
+        # the rfft kernel is already conjugate-even and real at -pi and 0,
+        # signed zeros included: the constructor changes no upper entry
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal((6, 8192))
+        for size, seg in [(64, None), (256, None), (256, 200)]:
+            cfg = WelchConfig(grid_size=size, segment_length=seg)
+            raw = signals._welch_matrix(values, cfg)
+            S = SpectralMatrix([f"s{i}" for i in range(6)], FrequencyGrid(size), raw)
+            upper = np.triu_indices(6, 1)
+            assert S.values[upper].tobytes() == raw[upper].tobytes()
+            d = np.arange(6)
+            assert S.values[d, d].real.tobytes() == raw[d, d].real.tobytes()
+
+    def test_analytic_matrices_move_by_rounding_only(self):
+        # the full-grid product computes point K - k apart from point k
+        for size in (64, 256):
+            grid = FrequencyGrid(size)
+            for n, seed in [(4, 0), (9, 3), (16, 5)]:
+                spec = generate_polytree_aln(n, seed)
+                full = cross_spectra_reference(
+                    aln._source_transfers(spec, grid), aln._noise_spectra(spec, grid))
+                S = analytic_spectra(spec, grid)
+                assert np.max(np.abs(S.values - full)) \
+                    <= 8 * np.finfo(float).eps * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("scale", [1.0, 3.7e4])
+    def test_frequency_symmetry_boundary_matches_allclose(self, scale):
+        grid = FrequencyGrid(8)
+        base = conjugate_even_base(grid, scale)
+        tol = 1e-9 * scale
+        factors = [0.5, 1 - 1e-12, 1.0, 1 + 1e-12, 1 + 1e-6, 2.0]
+        cases = []
+        for f in factors:
+            for direction in (1.0, -1.0, 1j, (1 + 1j) / np.sqrt(2)):
+                # (0, 2) is zero, so its differences are exactly f * tol
+                for entry in ((0, 1, 3), (1, 0, 5), (0, 2, 6)):
+                    cases.append((entry, f * tol * direction))
+            # omega = -pi and 0 differ from their conjugates by twice the
+            # imaginary part
+            for point in (0, 4):
+                cases.append(((0, 2, point), 0.5j * f * tol))
+                cases.append(((0, 1, point), np.nextafter(0.5 * f * tol, 0.0) * 1j))
+        verdicts = set()
+        for (i, j, k), delta in cases:
+            values = base.copy()
+            values[i, j, k] += delta
+            values[j, i, k] += np.conj(delta)      # still exactly Hermitian
+            ref_scale = np.max(np.abs(values)) or 1.0
+            twins = values[..., -np.arange(grid.size)]    # omega -> -omega
+            accepted = np.allclose(twins, np.conj(values),
+                                   atol=1e-9 * ref_scale, rtol=0)
+            verdicts.add(accepted)
+            if accepted:
+                S = SpectralMatrix(["a", "b", "c"], grid, values)
+                assert np.array_equal(S.values[..., 5:], np.conj(S.values[..., 3:0:-1]))
+                assert np.all(S.values[..., [0, 4]].imag == 0.0)
+            else:
+                with pytest.raises(InvalidParameterError,
+                                   match="not conjugate-even in frequency"):
+                    SpectralMatrix(["a", "b", "c"], grid, values)
+        assert verdicts == {True, False}
+
+    def test_stores_the_half_grid_and_its_mirror(self):
+        # within the tolerance, point K - k is rebuilt from point k and the
+        # imaginary parts at -pi and 0 are dropped
+        grid = FrequencyGrid(8)
+        values = conjugate_even_base(grid, 1.0)
+        values[0, 1, 6] += 4e-10
+        values[1, 0, 6] += 4e-10
+        values[0, 1, 4] += 3e-10j
+        values[1, 0, 4] -= 3e-10j
+        S = SpectralMatrix(["a", "b", "c"], grid, values)
+        assert np.array_equal(S.values, conjugate_even_base(grid, 1.0))
+
     @pytest.mark.parametrize("scale", [1.0, 3.7e4])
     def test_tolerance_boundary_matches_allclose(self, scale):
         grid = FrequencyGrid(8)
-        base = np.zeros((3, 3, grid.size), dtype=complex)
-        base[[0, 1, 2], [0, 1, 2]] = scale
-        base[0, 1] = (0.3 - 0.4j) * scale
-        base[1, 0] = np.conj(base[0, 1])
+        base = conjugate_even_base(grid, scale)
         tol = 1e-9 * scale
         factors = [0.5, 1 - 1e-12, 1.0, 1 + 1e-12, 1 + 1e-6, 2.0]
         cases = []
@@ -415,10 +529,11 @@ class TestSpectralMatrix:
 
     def test_floored_autospectra_record_each_floored_series_once(self):
         grid = FrequencyGrid(8)
-        values = np.zeros((3, 3, 8), dtype=complex)
-        values[0, 0] = [2.0] * 4 + [1e-3] * 4
-        values[1, 1, :4] = 1.0            # half the grid below the floor
-        values[2, 2, :4] = 0.5            # floored where 'b' is
+        half = np.zeros((3, 3, 5), dtype=complex)
+        half[0, 0] = [2.0] * 2 + [1e-3] * 3
+        half[1, 1, :2] = 1.0              # most of the grid below the floor
+        half[2, 2, :2] = 0.5              # floored where 'b' is
+        values = grid.mirror(half)
         for name, first_use in FIRST_FLOOR_USES.items():
             with collect() as events:
                 S = SpectralMatrix(["a", "b", "c"], grid, values)

@@ -15,6 +15,7 @@ from polyscope import (
     TimeSeries,
     TransferFunction,
     WelchConfig,
+    analytic_spectra,
     apply_filter,
     causal_truncate,
     causal_wiener,
@@ -34,6 +35,8 @@ from polyscope.wiener import CONDITION_RTOL, _clears_screen, _joint_fits
 
 from oracles import (
     dense_wiener,
+    eigenvalue_ratio_reference,
+    filter_rms_reference,
     miso_reference,
     ols_reference,
     project_reference,
@@ -129,7 +132,7 @@ class TestNoncausalWiener:
         # X1 -> X2 -> X3 with unit noises: given X2, the X1 filter is zero
         # and the X2 filter equals the last link; cross-checked against an
         # independent per-frequency least-squares solver
-        from polyscope import ALNSpec, Link, analytic_spectra
+        from polyscope import ALNSpec, Link
         grid = FrequencyGrid(256)
         g21 = np.array([0.9, -0.3])
         g32 = np.array([0.7, 0.2, -0.4])
@@ -195,22 +198,26 @@ def conditioned_matrix(seed: int, n: int, grid: FrequencyGrid,
     """Random Hermitian matrices whose worst eigenvalue ratio is ``ratio``.
 
     At every grid point three eigenvalues lie in ``[r, 3r]`` and the rest in
-    ``[0.1, 1]``, with ``r = ratio`` at one point and up to ten times it
-    elsewhere, so the larger principal blocks sit near the same ratio and
-    the smaller ones far from it.
+    ``[0.1, 1]``, with ``r = ratio`` at one point of the half grid (and its
+    twin) and up to ten times it elsewhere, so the larger principal blocks
+    sit near the same ratio and the smaller ones far from it.  The half
+    grid is drawn and mirrored, real symmetric at ``omega = -pi`` and ``0``.
     """
     rng = np.random.default_rng(seed)
-    k = grid.size
-    low = ratio * np.ones(k)
-    low[np.arange(k) != rng.integers(k)] *= rng.uniform(1.0, 10.0, k - 1)
-    values = np.empty((k, n, n), dtype=complex)
-    for f in range(k):
-        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    m = grid.size // 2
+    low = ratio * np.ones(m + 1)
+    low[np.arange(m + 1) != rng.integers(m + 1)] *= rng.uniform(1.0, 10.0, m)
+    half = np.empty((m + 1, n, n), dtype=complex)
+    for f in range(m + 1):
+        z = rng.normal(size=(n, n))
+        if 0 < f < m:
+            z = z + 1j * rng.normal(size=(n, n))
+        q, _ = np.linalg.qr(z)
         lam = np.concatenate([[low[f], 1.0], low[f] * rng.uniform(1.0, 3.0, 2),
                               rng.uniform(0.1, 1.0, n - 4)])
-        values[f] = (q * lam) @ q.conj().T
+        half[f] = (q * lam) @ q.conj().T
     return SpectralMatrix([f"s{i}" for i in range(n)], grid,
-                          values.transpose(1, 2, 0))
+                          grid.mirror(half.transpose(1, 2, 0)))
 
 
 def outcome(fit, *args):
@@ -251,7 +258,7 @@ class TestConditioningScreen:
                     raised += ref_error is not None
                     if not ref_error:
                         W, residual, cost = got
-                        assert np.array_equal(W, ref[2])
+                        assert np.array_equal(S.grid.mirror(W.T).T, ref[2])
                         assert np.array_equal(residual, ref[3])
                         assert cost == ref[4]
                     error, got = outcome(project, S, target, row)
@@ -305,7 +312,7 @@ class TestConditioningScreen:
         miso_blanket_topology(S, D)
         for target in range(S.n):
             orthogonal_least_squares(S, target, S.n - 1, min_gain=0.0)
-        assert calls == [(64, 12, 12)]
+        assert calls == [(33, 12, 12)]      # the half grid
         assert S._eigenvalue_ratio >= 2 * CONDITION_RTOL
 
     def test_screen_records_no_event(self):
@@ -337,6 +344,104 @@ class TestConditioningScreen:
         with pytest.raises(IllConditionedSpectrumError) as looped:
             miso_reference(S, D)
         assert str(ours.value) == str(looped.value)
+
+
+def half_grid_matrix(producer: str, n: int, size: int) -> SpectralMatrix:
+    """An analytic or a Welch spectral matrix of an ``n``-node polytree."""
+    spec = generate_polytree_aln(n, seed=n)
+    if producer == "analytic":
+        return analytic_spectra(spec, FrequencyGrid(size))
+    return spectral_matrix(simulate(spec, 1 << 13, seed=n).ensemble,
+                           WelchConfig(grid_size=size))
+
+
+def assert_same_solution(S, target, inputs, normalize):
+    """``noncausal_wiener`` equals :func:`wiener_reference`, errors included."""
+    error, got = outcome(noncausal_wiener, S, target, inputs, normalize)
+    ref_error, ref = outcome(wiener_reference, S, target, inputs, normalize)
+    assert error == ref_error
+    if not ref_error:
+        _, _, W, residual, cost = ref
+        assert got.cost == cost
+        assert np.array_equal(got.residual_spectrum.values, residual)
+        for pos, b in enumerate(inputs):
+            assert np.array_equal(got.filters[b].response, W[:, pos])
+
+
+class TestHalfGridSolvers:
+    """Solvers read the half grid; the full-grid oracles must agree bit for bit."""
+
+    @pytest.mark.parametrize("size", [64, 256])
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    @pytest.mark.parametrize("producer", ["welch", "analytic"])
+    def test_match_the_full_grid_oracles(self, producer, n, size):
+        S = half_grid_matrix(producer, n, size)
+        assert S._floored_stack.shape == (size // 2 + 1, n, n)
+        assert S._eigenvalue_ratio == eigenvalue_ratio_reference(S)
+        assert np.array_equal(wiener._filter_rms(S), filter_rms_reference(S))
+        D = distance_matrix(S)
+        with collect() as events:
+            g = miso_blanket_topology(S, D)
+        with collect() as ref_events:
+            ref = miso_reference(S, D)
+        assert g.edges == ref.edges
+        assert [(e.category, e.message) for e in events] == \
+            [(e.category, e.message) for e in ref_events]
+        for target in (0, n - 1):
+            model = orthogonal_least_squares(S, target, 3, min_gain=0.0)
+            expected = ols_reference(S, target, 3, min_gain=0.0)
+            assert (model.support, model.cost, model.stop_reason) == \
+                (expected.support, expected.cost, expected.stop_reason)
+            for b in expected.filters:
+                assert np.array_equal(model.filters[b].response,
+                                      expected.filters[b].response)
+            others = [b for b in range(n) if b != target]
+            for inputs in (others, others[:2][::-1]):
+                for normalize in (False, True):
+                    assert_same_solution(S, target, inputs, normalize)
+
+    @pytest.mark.parametrize("producer", ["welch", "analytic"])
+    def test_screen_failing_duplicate_fails_as_the_oracles(self, producer):
+        base = half_grid_matrix(producer, 8, 64)
+        idx = list(range(base.n)) + [0]
+        S = SpectralMatrix(base.labels + ["copy"], base.grid,
+                           base.values[np.ix_(idx, idx)])
+        assert not _clears_screen(S)
+        assert S._eigenvalue_ratio == eigenvalue_ratio_reference(S)
+        D = distance_matrix(S)
+        with pytest.raises(IllConditionedSpectrumError, match="omega=") as ours:
+            miso_blanket_topology(S, D)
+        with pytest.raises(IllConditionedSpectrumError) as looped:
+            miso_reference(S, D)
+        assert str(ours.value) == str(looped.value)
+        with pytest.raises(IllConditionedSpectrumError) as ours:
+            wiener._filter_rms(S)
+        with pytest.raises(IllConditionedSpectrumError) as looped:
+            filter_rms_reference(S)
+        assert str(ours.value) == str(looped.value)
+        for target in (0, 3, base.n):
+            others = [b for b in range(S.n) if b != target]
+            assert_same_solution(S, target, others, False)
+            model = orthogonal_least_squares(S, target, 1)
+            expected = ols_reference(S, target, 1)
+            assert (model.support, model.cost, model.stop_reason) == \
+                (expected.support, expected.cost, expected.stop_reason)
+
+    def test_screen_failing_solvable_fits_match_the_oracles(self):
+        # a + b fails the screen, yet every target's two inputs are
+        # independent: each per-fit solve reads the half grid
+        rng = np.random.default_rng(9)
+        a, b = rng.standard_normal((2, 1 << 12))
+        S = spectral_matrix(Ensemble([TimeSeries("a", a), TimeSeries("b", b),
+                                      TimeSeries("sum", a + b)]),
+                            WelchConfig(grid_size=64))
+        assert not _clears_screen(S)
+        assert S._eigenvalue_ratio == eigenvalue_ratio_reference(S)
+        assert np.array_equal(wiener._filter_rms(S), filter_rms_reference(S))
+        for target in range(S.n):
+            others = [b for b in range(S.n) if b != target]
+            for normalize in (False, True):
+                assert_same_solution(S, target, others, normalize)
 
 
 class TestEveryFitIsChecked:
@@ -375,7 +480,7 @@ class TestEveryFitIsChecked:
         assert len(checked) == len(fits)
         for (target, c), (fit_target, inputs) in zip(checked, fits):
             assert target == fit_target
-            assert np.array_equal(c, S.values[inputs, target].T[None])
+            assert np.array_equal(c, S.values[inputs, target, S.grid.half].T[None])
 
 
 class TestSpectralFactorize:

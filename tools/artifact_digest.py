@@ -21,7 +21,12 @@ At budget 2 each target whose first pick is ``X1`` drops the copy as a
 of the third step.  The first record's first two series beside their sum
 fail the screen too, yet every fit on them is solvable: ``analyze
 --pipeline miso-blanket`` and ``sparse`` on them pin the fit of each MISO
-target by itself and OLS steps on a matrix that fails the screen.
+target by itself and OLS steps on a matrix that fails the screen, and
+``analyze --pipeline miso-blanket`` on the record with the copy pins the
+exit 4 of a singular fit and the frequency its message names.  A wide
+record of 24 series on a 64-point grid pins ``sparse`` at budget 2 and
+``analyze --pipeline miso-blanket`` at the shapes of the wide benchmark,
+where every MISO filter comes from one inverse of the spectral matrix.
 ``validate`` runs in both trial modes; in analytic mode ``polytree`` and
 ``miso-blanket`` recover networks of 6 to 8 nodes, and ``mst`` networks of
 14 to 16 nodes on a 256-point grid, the largest networks and the grid of
@@ -74,6 +79,9 @@ RECORDS = (
     ("n8", ["--nodes", "8", "--length", "16384", "--seed", "3"]),
     ("n12", ["--nodes", "12", "--length", "8192", "--seed", "5"]),
 )
+
+#: The wide record ``sparse`` and the MISO blanket read on a 64-point grid.
+WIDE = ("n24", ["--nodes", "24", "--length", "8192", "--seed", "7"])
 
 #: Rewrites of the first record's CSV text that ``analyze`` reads unchanged.
 REWRITES = (
@@ -157,6 +165,8 @@ def _runs(root: Path):
     for budget in ("1", "2", "3"):
         yield f"sparse-{budget}-duplicated", [
             "sparse", "--input", str(data), "--budget", budget, "--min-gain", "0"]
+    yield "analyze-miso-blanket-duplicated", [
+        "analyze", "--input", str(data), "--pipeline", "miso-blanket"]
     data = root / "sum.csv"
     data.write_text(_summed_first_two(first.read_text(encoding="utf-8")),
                     encoding="utf-8")
@@ -164,6 +174,14 @@ def _runs(root: Path):
         "analyze", "--input", str(data), "--pipeline", "miso-blanket"]
     yield "sparse-2-sum", [
         "sparse", "--input", str(data), "--budget", "2", "--min-gain", "0"]
+    record, flags = WIDE
+    yield f"simulate-{record}", ["simulate", *flags]
+    data = str(root / f"simulate-{record}" / "ensemble.csv")
+    yield f"sparse-2-{record}", [
+        "sparse", "--input", data, "--grid-size", "64", "--budget", "2"]
+    yield f"analyze-miso-blanket-{record}", [
+        "analyze", "--input", data, "--pipeline", "miso-blanket",
+        "--grid-size", "64"]
     for name, rewrite in REWRITES:
         data = root / f"{name}.csv"
         data.write_text(rewrite(first.read_text(encoding="utf-8")),
