@@ -336,12 +336,15 @@ def _noise_spectra(spec: ALNSpec, grid: FrequencyGrid) -> np.ndarray:
 
 
 def _source_transfers(spec: ALNSpec, grid: FrequencyGrid) -> np.ndarray:
-    """``H[a, i]`` = transfer from noise ``e_i`` into signal ``x_a``."""
-    responses = grid.from_time(grid._place_taps([(l.taps, l.delay) for l in spec.links]))
+    """``H[a, i]`` = transfer from noise ``e_i`` into signal ``x_a`` at the
+    :attr:`FrequencyGrid.half` points, ``(n, n, K/2+1)``: the taps are real,
+    so every link's response there comes from one ``rfft``."""
+    responses = grid.half_from_time(
+        grid._place_taps([(l.taps, l.delay) for l in spec.links]))
     parents = [[] for _ in spec.labels]
     for response, link in zip(responses, spec.links):
         parents[link.target].append((link.source, response))
-    H = np.zeros((spec.n, spec.n, grid.size), dtype=complex)
+    H = np.zeros((spec.n, spec.n, grid.size // 2 + 1), dtype=complex)
     for v in spec.topological_order():
         H[v, v] = 1.0
         for source, response in parents[v]:
@@ -360,11 +363,12 @@ def analytic_spectra(spec: ALNSpec, grid: FrequencyGrid) -> SpectralMatrix:
 
     Positive semi-definite at every frequency by construction (it is a
     noise-weighted Gram matrix of the source transfer rows).  The cross
-    spectra are built on the :attr:`FrequencyGrid.half` grid only and
-    mirrored, as the spectra of real series are conjugate-even.
+    spectra are built on the :attr:`FrequencyGrid.half` grid only, and the
+    :class:`SpectralMatrix` mirrors them, as the spectra of real series are
+    conjugate-even.
     """
-    values = grid.mirror(_cross_spectra(_source_transfers(spec, grid)[..., grid.half],
-                                        _noise_spectra(spec, grid)[:, grid.half]))
+    values = _cross_spectra(_source_transfers(spec, grid),
+                            _noise_spectra(spec, grid)[:, grid.half])
     return SpectralMatrix(list(spec.labels), grid, values)
 
 
@@ -376,21 +380,30 @@ def check_identifiability(spec: ALNSpec, grid: FrequencyGrid | None = None
     noise source; this includes ``i == j``) and every noise ``k``, the
     product ``|Phi_ij| * phi_k`` must exceed ``IDENTIFIABILITY_RTOL`` times
     its maximum on ``IDENTIFIABILITY_RUN`` consecutive grid points, tested
-    per noise on the ``(pairs, K)`` array of related spectra by
-    :func:`_has_run`, never wrapping around the grid.  Pairs that are exactly
-    independent by the graph structure are exempt (their distance is
-    maximal, which cannot corrupt a spanning tree) and only counted.  A dead
-    noise fails every tuple that names it.  Violations are ordered by pair
-    ``(i, j)``, then by noise.
+    per noise by :func:`_has_run`, never wrapping around the grid.  Pairs
+    that are exactly independent by the graph structure are exempt (their
+    distance is maximal, which cannot corrupt a spanning tree) and only
+    counted.  A dead noise fails every tuple that names it.  Violations are
+    ordered by pair ``(i, j)``, then by noise.
+
+    The products are even in frequency, so the scan reads only the
+    :attr:`FrequencyGrid.half` points ``omega = -pi ... 0`` followed by the
+    ``(IDENTIFIABILITY_RUN - 1) // 2`` points past ``0``, which repeat the
+    points before it.  The mirror image of a run of the whole grid is a run
+    too, and one of the two reaches no further past ``0`` than that, so
+    runs across ``omega = 0`` are found as well.
     """
     grid = grid or FrequencyGrid(1024)
     H = _source_transfers(spec, grid)
-    phi = _noise_spectra(spec, grid)
+    phi = _noise_spectra(spec, grid)[:, grid.half]
     cross = np.abs(_cross_spectra(H, phi))
     shares = (np.max(np.abs(H), axis=2) > 0.0).astype(int)
     related = (shares @ shares.T) > 0    # [a, b]: common noise source exists
     rows, cols = np.nonzero(np.triu(related))
-    pairs = cross[rows, cols]
+    # the points past omega = 0 are the twins of those before it
+    m, past = grid.size // 2, (IDENTIFIABILITY_RUN - 1) // 2
+    scan = np.r_[:m + 1, m - 1:m - 1 - past:-1]
+    pairs, phi = cross[rows, cols][:, scan], phi[:, scan]
     failed = np.empty((rows.size, spec.n), dtype=bool)
     for k, noise in enumerate(phi):
         product = pairs * noise

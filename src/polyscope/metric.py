@@ -39,6 +39,11 @@ KINDS = SYMMETRIC_KINDS + ("causal",)
 #: diagnostic event is recorded.
 TRIANGLE_TOL = 0.05
 
+#: Relative gap below which a pair's two causal directions count as tied:
+#: summation order alone moves causal costs by up to about 1e-14 of their
+#: size, while real orientation gaps of analytic networks start near 1e-9.
+TIE_RTOL = 1e-12
+
 
 @dataclass
 class DistanceMatrix:
@@ -104,7 +109,7 @@ class DirectionMatrix:
 
 def _coherence_distances(S: SpectralMatrix, i: int, cols) -> np.ndarray:
     """``sqrt(mean(1 - C))`` of series ``i`` with each series in ``cols``."""
-    mean = S.grid.integrate(1.0 - _coherence_row(S, i, cols))
+    mean = S.grid.integrate(S.grid.mirror(1.0 - _coherence_row(S, i, cols)))
     return np.sqrt(np.maximum(mean, 0.0))
 
 
@@ -174,7 +179,7 @@ def causal_distance_matrix(S: SpectralMatrix) -> DistanceMatrix:
     Wiener--Hopf solve against every input at once.
     """
     n = S.n
-    factors = _spectral_factors(S.grid, S._floored)[0]
+    factors = _spectral_factors(S.grid, S._floored[:, S.grid.half])[0]
     out = np.zeros((n, n))
     for j in range(n):
         _, _, cost = _wiener_hopf(S, j, slice(None), factors[j], factors)
@@ -188,16 +193,18 @@ def causal_edge_weights(DC: DistanceMatrix) -> tuple[DistanceMatrix, DirectionMa
 
     The weight of a pair is the cheaper of its two modelling directions; the
     direction matrix marks which direction won, ``+1`` at ``[j, i]`` meaning
-    i -> j.  Exact ties are broken toward ``+1`` on the upper triangle
+    i -> j.  A pair is tied when its two directions differ by at most
+    :data:`TIE_RTOL` times the larger, so a rounding-level gap never picks
+    an orientation; ties are broken toward ``+1`` on the upper triangle
     (the edge points from the higher to the lower index) and flagged.
     """
     if DC.kind != "causal":
         raise InvalidParameterError("causal_edge_weights needs a causal matrix")
     d = DC.values
     weights = np.minimum(d, d.T)
-    upper = np.triu(np.where(d <= d.T, 1, -1), 1)
+    tied = np.triu(np.abs(d - d.T) <= TIE_RTOL * np.maximum(d, d.T), 1)
+    upper = np.triu(np.where((d <= d.T) | tied, 1, -1), 1)
     direction = upper - upper.T
-    tied = np.triu(d == d.T, 1)
     return (DistanceMatrix(list(DC.labels), weights, "causal-min"),
             DirectionMatrix(list(DC.labels), direction, tied | tied.T))
 

@@ -109,6 +109,20 @@ class FrequencyGrid:
         axis; the inverse of :meth:`to_time`."""
         return np.fft.fftshift(np.fft.fft(seq), axes=-1)
 
+    def half_to_time(self, half: np.ndarray) -> np.ndarray:
+        """Real sequence of a conjugate-even ``f`` known at the :attr:`half`
+        points on the last axis: ``to_time(mirror(half)).real`` by an
+        ``irfft`` of the conjugated, reversed half (its bins are
+        ``omega = 0 ... pi``).  Only the real parts at ``-pi`` and ``0``
+        count."""
+        return np.fft.irfft(np.conj(half[..., ::-1]), n=self.size)
+
+    def half_from_time(self, seq: np.ndarray) -> np.ndarray:
+        """Values at the :attr:`half` points of a real sequence at times
+        ``0 ... K-1`` on the last axis: ``from_time(seq)[..., half]`` by the
+        conjugated, reversed ``rfft``; the inverse of :meth:`half_to_time`."""
+        return np.conj(np.fft.rfft(seq)[..., ::-1])
+
     def response_from_taps(self, taps: np.ndarray, offset: int = 0) -> np.ndarray:
         """Evaluate ``sum_t a(t) exp(-1j*omega*t)`` on the grid.
 
@@ -233,15 +247,19 @@ class Spectrum:
 class SpectralMatrix:
     """Hermitian matrix of cross spectra, ``values[i, j, k] = Phi_{x_i x_j}(omega_k)``.
 
-    Keeps its own C-ordered copy of ``values`` (so any layout sums in one
-    order), stored exactly Hermitian and exactly conjugate-even in
+    ``values`` may hold the whole grid, ``(n, n, K)``, or its
+    :attr:`FrequencyGrid.half`, ``(n, n, K/2 + 1)``; either way the matrix
+    keeps its own C-ordered copy of the whole grid (so any layout sums in
+    one order), stored exactly Hermitian and exactly conjugate-even in
     frequency, as the spectra of real series are: lower triangle the
     conjugated upper, diagonal real, grid point ``K - k`` the conjugate of
     point ``k`` (see :meth:`FrequencyGrid.mirror`), values real at
     ``omega = -pi`` and ``0``.  Rejects non-finite values, any
     ``|v_ij - conj(v_ji)| > 1e-9 * max|v|`` and any
-    ``|v[..., K - k] - conj(v[..., k])| > 1e-9 * max|v|``.  Every solver
-    that reads :attr:`_floored_stack` therefore solves the half grid only.
+    ``|v[..., K - k] - conj(v[..., k])| > 1e-9 * max|v|``; half-grid values
+    are conjugate-even by construction, so of the last rule only the end
+    points ``-pi`` and ``0`` are checked.  Every solver that reads
+    :attr:`_floored_stack` therefore solves the half grid only.
     """
 
     labels: list[str]
@@ -250,10 +268,10 @@ class SpectralMatrix:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
-        n = len(self.labels)
+        n, m = len(self.labels), self.grid.size // 2
         if n == 0:
             raise InvalidParameterError("spectral matrix needs at least one series")
-        if v.shape != (n, n, self.grid.size):
+        if v.shape not in ((n, n, self.grid.size), (n, n, m + 1)):
             raise InvalidParameterError(
                 f"spectral matrix shape {v.shape} does not match "
                 f"{n} labels on a grid of {self.grid.size}")
@@ -263,11 +281,12 @@ class SpectralMatrix:
         rows, cols = np.tril_indices(n)    # the upper entries mirror these
         if np.any(np.abs(v[rows, cols] - np.conj(v[cols, rows])) > tol):
             raise InvalidParameterError("spectral matrix is not Hermitian")
-        m = self.grid.size // 2
         # point K - k (frequency -omega_k) is the twin of point k; -pi (k = 0)
         # and 0 (k = K/2) are their own
-        if (np.any(np.abs(v[..., :m - 1:-1] - np.conj(v[..., 1:m + 1])) > tol)
-                or np.any(np.abs(v[..., 0] - np.conj(v[..., 0])) > tol)):
+        ends = v[..., [0, m]]
+        if (v.shape[-1] == self.grid.size and np.any(
+                np.abs(v[..., :m:-1] - np.conj(v[..., 1:m])) > tol)) \
+                or np.any(np.abs(ends - np.conj(ends)) > tol):
             raise InvalidParameterError(
                 "spectral matrix is not conjugate-even in frequency")
         half = v[..., :m + 1].copy()
@@ -408,16 +427,17 @@ class WelchConfig:
 
 
 def _welch_matrix(values: np.ndarray, cfg: WelchConfig) -> np.ndarray:
-    """Welch cross spectra of every pair of rows of ``values``, ``(n, n, K)``.
+    """Welch cross spectra of every pair of rows of ``values`` at the
+    :attr:`FrequencyGrid.half` points, ``(n, n, K/2+1)``.
 
     A streamed Gram product: the windowed segments are real-transformed
     (``rfft``) :data:`WELCH_CHUNK_SEGMENTS` at a time, and each chunk adds
     its per-frequency ``X^H X`` to one ``(K/2+1, n, n)`` accumulator, so the
     segment DFTs held at once do not grow with the record.  The bins give
-    the :attr:`FrequencyGrid.half` points, conjugated where they stand for
-    negative frequencies, and :meth:`FrequencyGrid.mirror` the rest (real
-    input).  The lower triangle and imaginary diagonal keep their rounding:
-    the :class:`SpectralMatrix` built from the result overwrites them.
+    the half-grid points, conjugated where they stand for negative
+    frequencies; the rest of the grid are their conjugates (real input).
+    The lower triangle and imaginary diagonal keep their rounding: the
+    :class:`SpectralMatrix` built from the result overwrites them.
 
     Raises :class:`InsufficientDataError` when not one segment fits, and
     records a ``welch-segments`` event when fewer segments fit than planned.
@@ -447,7 +467,7 @@ def _welch_matrix(values: np.ndarray, cfg: WelchConfig) -> np.ndarray:
     # the conjugates of the points after it, bin 0 is omega = 0
     m = k // 2
     half = np.concatenate([gram[m:], np.conj(gram[m - 1:0:-1]), gram[:1]])
-    return FrequencyGrid(k).mirror(half.transpose(1, 2, 0))
+    return half.transpose(1, 2, 0)
 
 
 def welch_cross_spectrum(x: TimeSeries, y: TimeSeries, cfg: WelchConfig) -> Spectrum:
@@ -474,8 +494,9 @@ def welch_cross_spectrum(x: TimeSeries, y: TimeSeries, cfg: WelchConfig) -> Spec
         raise InvalidParameterError(
             f"length mismatch: {x.label!r} has {x.length}, "
             f"{y.label!r} has {y.length}")
+    grid = FrequencyGrid(cfg.grid_size)
     pairs = _welch_matrix(np.stack([x.samples, y.samples]), cfg)
-    return Spectrum(FrequencyGrid(cfg.grid_size), pairs[0, 1])
+    return Spectrum(grid, grid.mirror(pairs[0, 1]))
 
 
 def spectral_matrix(ens: Ensemble, cfg: WelchConfig) -> SpectralMatrix:
@@ -498,17 +519,22 @@ def coherence_function(S: SpectralMatrix, i: int, j: int) -> CoherenceCurve:
     as a diagnostic rather than raised; identical series give exactly 1.
     """
     S.check_index(i, j)
-    return CoherenceCurve(S.grid, _coherence_row(S, i, [j])[0])
+    return CoherenceCurve(S.grid, S.grid.mirror(_coherence_row(S, i, [j])[0]))
 
 
 def _coherence_row(S: SpectralMatrix, i: int, cols) -> np.ndarray:
-    """Clamped coherence of series ``i`` with each series in ``cols``.
+    """Clamped coherence of series ``i`` with each series in ``cols``, at
+    the :attr:`FrequencyGrid.half` points.
 
     ``cols`` is an index array or slice; the result has one row per column
-    series.  Overshoot beyond ``1 + 1e-6`` is recorded per pair.
+    series.  Coherence is even in frequency, and each point is computed as
+    its twin would be (``|conj z| == |z|``), so the :meth:`FrequencyGrid.mirror`
+    of a row is the whole-grid coherence bit for bit; mirror it before any
+    grid mean.  Overshoot beyond ``1 + 1e-6`` is recorded per pair.
     """
-    floored = S._floored
-    raw = np.abs(S.values[i, cols]) ** 2 / (floored[i] * floored[cols])
+    half = S.grid.half
+    floored = S._floored[:, half]
+    raw = np.abs(S.values[i, cols, half]) ** 2 / (floored[i] * floored[cols])
     peaks = np.max(raw, axis=-1)
     over = peaks > 1.0 + 1e-6
     for j, peak in zip(np.arange(S.n)[cols][over], peaks[over]):

@@ -382,29 +382,34 @@ def spectral_factorize(phi: Spectrum) -> TransferFunction:
     if np.any(floored > values.real):          # its minimum is the floor
         record("spectral-floor",
                f"factorization input floored at {np.min(floored):.3e}")
-    responses, taps = _spectral_factors(phi.grid, floored[None, :])
-    return TransferFunction(phi.grid, responses[0], taps[0], 0)
+    responses, taps = _spectral_factors(phi.grid, floored[None, phi.grid.half])
+    return TransferFunction(phi.grid, phi.grid.mirror(responses[0]), taps[0], 0)
 
 
 def _spectral_factors(grid: FrequencyGrid, phi: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Cepstral factors of each row of positive real spectra ``phi (m, K)``.
+    """Cepstral factors of each row of positive real even spectra ``phi``,
+    given at the :attr:`FrequencyGrid.half` points, ``(m, K/2+1)``.
 
     The rows must already be floored by ``signals._floor``: a matrix's come
     from ``SpectralMatrix._floored``, a single spectrum's from
-    :func:`spectral_factorize`.  Returns the grid responses ``(m, K)`` and
-    the first K/2 taps ``(m, K/2)``; a row whose discarded tail holds more
-    than :data:`TRUNCATION_ENERGY_TOL` of its energy is recorded.
+    :func:`spectral_factorize`.  The cepstrum of ``log phi`` is real and
+    even, and the factor's response is conjugate-even, so every DFT is a
+    real-sequence kernel (:meth:`FrequencyGrid.half_to_time` and
+    :meth:`FrequencyGrid.half_from_time`).  Returns the half-grid responses
+    ``(m, K/2+1)`` and the first K/2 taps ``(m, K/2)``; a row whose
+    discarded tail holds more than :data:`TRUNCATION_ENERGY_TOL` of its
+    energy is recorded.
     """
     k = grid.size
-    cepstrum = grid.to_time(np.log(phi)).real
+    cepstrum = grid.half_to_time(np.log(phi))
     folded = np.zeros_like(cepstrum)
     folded[:, 0] = 0.5 * cepstrum[:, 0]
     folded[:, 1:k // 2] = cepstrum[:, 1:k // 2]
     folded[:, k // 2] = 0.5 * cepstrum[:, k // 2]
-    responses = np.exp(grid.from_time(folded))
+    responses = np.exp(grid.half_from_time(folded))
 
-    taps_full = grid.to_time(responses).real
+    taps_full = grid.half_to_time(responses)
     tail = np.sum(taps_full[:, k // 2:] ** 2, axis=-1)
     total = np.sum(taps_full ** 2, axis=-1)
     for row in range(phi.shape[0]):
@@ -439,20 +444,26 @@ def _wiener_hopf(S: SpectralMatrix, target: int, inputs, target_factor: np.ndarr
                  input_factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-sided Wiener filters of ``target`` on each single input in ``inputs``.
 
-    ``inputs`` is an index array or slice, ``input_factors`` the spectral
-    factors of those inputs.  Returns, one row per input, the filter
-    response, the whitened error spectrum and its grid mean (the cost).
+    ``inputs`` is an index array or slice, ``target_factor`` and
+    ``input_factors`` the half-grid responses of :func:`_spectral_factors`.
+    Everything is solved at the :attr:`FrequencyGrid.half` points: the
+    whitened cross spectrum is conjugate-even, so its causal part is taken
+    by the real-sequence kernels.  Returns, one row per input, the half-grid
+    filter response and whitened error spectrum, and the error's grid mean
+    (the cost), taken of its :meth:`FrequencyGrid.mirror`.
     """
-    phi = S._floored
-    cross = S.values[inputs, target]
+    half = S.grid.half
+    phi = S._floored[:, half]
+    cross = S.values[inputs, target, half]
     # the causal part of the whitened cross spectrum keeps t = 0, drops t < 0
-    causal = S.grid.to_time((1.0 / target_factor) * cross / np.conj(input_factors))
+    causal = S.grid.half_to_time(
+        (1.0 / target_factor) * cross / np.conj(input_factors))
     causal[..., S.grid.size // 2:] = 0.0
-    response = S.grid.from_time(causal) / input_factors * target_factor
+    response = S.grid.half_from_time(causal) / input_factors * target_factor
     err = phi[target] + np.abs(response) ** 2 * phi[inputs] \
         - 2.0 * np.real(np.conj(response) * cross)
     weighted = np.maximum(err, 0.0) / phi[target]
-    return response, weighted, S.grid.integrate(weighted)
+    return response, weighted, S.grid.integrate(S.grid.mirror(weighted))
 
 
 def _causal_pair(S: SpectralMatrix, target: int, input_: int
@@ -461,7 +472,7 @@ def _causal_pair(S: SpectralMatrix, target: int, input_: int
     S.check_index(target, input_)
     if target == input_:
         raise InvalidParameterError("target and input must differ")
-    factors = _spectral_factors(S.grid, S._floored[[target, input_]])[0]
+    factors = _spectral_factors(S.grid, S._floored[[target, input_], S.grid.half])[0]
     return _wiener_hopf(S, target, [input_], factors[0], factors[1:])
 
 
@@ -487,9 +498,9 @@ def causal_wiener(S: SpectralMatrix, target: int, input_: int) -> WienerSolution
         its grid mean.
     """
     response, weighted, cost = _causal_pair(S, target, input_)
-    tf = TransferFunction(S.grid, response[0]).with_impulse("causal")
+    tf = TransferFunction(S.grid, S.grid.mirror(response[0])).with_impulse("causal")
     return WienerSolution(target, (input_,), {input_: tf}, float(cost[0]),
-                          Spectrum(S.grid, weighted[0]))
+                          Spectrum(S.grid, S.grid.mirror(weighted[0])))
 
 
 def apply_filter(h: TransferFunction, x: TimeSeries) -> TimeSeries:

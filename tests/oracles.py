@@ -13,9 +13,12 @@ per-pair identifiability run test, the per-link source-transfer loop and
 the ``einsum`` of the analytic cross spectra that array code replaced,
 and the whole-grid floored stack, eigenvalue ratio and filter RMS that
 half-grid solvers replaced, against which tests require bit-identical
-solutions, or equal supports and events; and the per-cell CSV reader and ``csv.writer`` text builders that
-whole-body parsing and joined ``repr`` rows replaced, against which tests
-require the same series, messages and bytes.
+solutions, or equal supports and events; the whole-grid cepstral factors
+and Wiener--Hopf split that the half-grid causal layer replaced, against
+which tests require agreement to rounding and equal polytrees; and the
+per-cell CSV reader and ``csv.writer`` text builders that whole-body
+parsing and joined ``repr`` rows replaced, against which tests require the
+same series, messages and bytes.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ from polyscope import (
 from polyscope.diagnostics import record
 from polyscope.sparse import DEFAULT_MIN_GAIN, NEGLIGIBLE_RTOL
 from polyscope.topology import BLANKET_RMS_RTOL
-from polyscope.wiener import CONDITION_RTOL
-from polyscope.aln import _noise_spectra, _source_transfers
+from polyscope.wiener import CONDITION_RTOL, TRUNCATION_ENERGY_TOL
+from polyscope.aln import _noise_spectra
 
 
 def csd_reference(x: np.ndarray, y: np.ndarray, cfg: WelchConfig) -> np.ndarray:
@@ -205,6 +208,71 @@ def filter_rms_reference(S: SpectralMatrix) -> np.ndarray:
         rms[j, inputs] = [TransferFunction(S.grid, W[:, pos]).rms()
                           for pos in range(len(inputs))]
     return rms
+
+
+def spectral_factors_reference(grid: FrequencyGrid, phi: np.ndarray
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """``wiener._spectral_factors`` on the whole grid: cepstral factors of
+    each row of floored spectra ``phi (m, K)`` by complex DFTs.  Returns the
+    grid responses ``(m, K)`` and the first K/2 taps, recording the same
+    ``truncation-energy`` events."""
+    k = grid.size
+    cepstrum = grid.to_time(np.log(phi)).real
+    folded = np.zeros_like(cepstrum)
+    folded[:, 0] = 0.5 * cepstrum[:, 0]
+    folded[:, 1:k // 2] = cepstrum[:, 1:k // 2]
+    folded[:, k // 2] = 0.5 * cepstrum[:, k // 2]
+    responses = np.exp(grid.from_time(folded))
+    taps_full = grid.to_time(responses).real
+    tail = np.sum(taps_full[:, k // 2:] ** 2, axis=-1)
+    total = np.sum(taps_full ** 2, axis=-1)
+    for row in range(phi.shape[0]):
+        if total[row] > 0 and tail[row] > TRUNCATION_ENERGY_TOL * total[row]:
+            record("truncation-energy",
+                   f"spectral factor tail holds {tail[row] / total[row]:.2e} "
+                   f"of the energy")
+    return responses, taps_full[:, :k // 2]
+
+
+def wiener_hopf_reference(S: SpectralMatrix, target: int, inputs,
+                          target_factor: np.ndarray, input_factors: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``wiener._wiener_hopf`` on the whole grid, with the whole-grid
+    factors of :func:`spectral_factors_reference`: per input the filter
+    response, the whitened error spectrum and its grid mean."""
+    phi = np.array([S.floored_autospectrum(i) for i in range(S.n)])
+    cross = S.values[inputs, target]
+    causal = S.grid.to_time((1.0 / target_factor) * cross / np.conj(input_factors))
+    causal[..., S.grid.size // 2:] = 0.0
+    response = S.grid.from_time(causal) / input_factors * target_factor
+    err = phi[target] + np.abs(response) ** 2 * phi[inputs] \
+        - 2.0 * np.real(np.conj(response) * cross)
+    weighted = np.maximum(err, 0.0) / phi[target]
+    return response, weighted, np.mean(weighted, axis=-1)
+
+
+def causal_pair_reference(S: SpectralMatrix, target: int, input_: int
+                          ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Whole-grid one-sided filter response, whitened error spectrum and
+    cost of ``target`` on ``input_``, as ``causal_wiener`` computed them."""
+    phi = np.array([S.floored_autospectrum(i) for i in (target, input_)])
+    factors = spectral_factors_reference(S.grid, phi)[0]
+    response, weighted, cost = wiener_hopf_reference(
+        S, target, [input_], factors[0], factors[1:])
+    return response[0], weighted[0], float(cost[0])
+
+
+def causal_reference(S: SpectralMatrix) -> np.ndarray:
+    """``causal_distance_matrix(S).values`` by the whole-grid causal layer:
+    one factor per series, one Wiener--Hopf solve per target."""
+    phi = np.array([S.floored_autospectrum(i) for i in range(S.n)])
+    factors = spectral_factors_reference(S.grid, phi)[0]
+    out = np.zeros((S.n, S.n))
+    for j in range(S.n):
+        cost = wiener_hopf_reference(S, j, slice(None), factors[j], factors)[2]
+        out[j] = np.sqrt(np.maximum(cost, 0.0))
+        out[j, j] = 0.0
+    return out
 
 
 def project_reference(S: SpectralMatrix, target: int, support
@@ -546,7 +614,7 @@ def make_two_sparse_instance(seed: int, correlated: bool):
     m = 5
     if correlated:
         cand = generate_polytree_aln(m, seed=int(rng.integers(1 << 31)))
-        Hc = _source_transfers(cand, grid)
+        Hc = source_transfers_reference(cand, grid)
         phi_e = _noise_spectra(cand, grid)
     else:
         Hc = np.zeros((m, m, K), dtype=complex)

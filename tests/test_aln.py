@@ -214,9 +214,10 @@ class TestAnalyticSpectra:
 
     @pytest.mark.parametrize("size", [64, 256])
     def test_kernels_match_the_replaced_forms_bit_for_bit(self, size):
-        # the batched link DFT against one DFT per link and the per-point
-        # matrix product against the optimised einsum, on networks of 2 to
-        # 16 nodes (about half the links delayed) and one shaped-noise spec
+        # the per-point matrix product against the optimised einsum, bit for
+        # bit, and the half-grid transfers of one batched rfft against one
+        # whole-grid DFT per link, to rounding, on networks of 2 to 16 nodes
+        # (about half the links delayed) and one shaped-noise spec
         grid = FrequencyGrid(size)
         specs = [generate_polytree_aln(n, seed=seed)
                  for n in range(2, 17) for seed in range(3)]
@@ -229,8 +230,11 @@ class TestAnalyticSpectra:
             H = source_transfers_reference(spec, grid)
             phi = _noise_spectra(spec, grid)
             cross = cross_spectra_reference(H, phi)
-            assert np.array_equal(aln._source_transfers(spec, grid), H)
             assert np.array_equal(aln._cross_spectra(H, phi), cross)
+            half = aln._source_transfers(spec, grid)
+            assert np.max(np.abs(half - H[..., grid.half])) \
+                <= 8 * np.finfo(float).eps * np.max(np.abs(H))
+            cross = cross_spectra_reference(half, phi[:, grid.half])
             assert np.array_equal(analytic_spectra(spec, grid).values,
                                   SpectralMatrix(spec.labels, grid, cross).values)
 
@@ -329,6 +333,29 @@ class TestIdentifiability:
                 assert report.violations == violations
                 assert report.exempt_pairs == exempt
                 assert report.passed == (not violations)
+
+    @pytest.mark.parametrize("run", [3, 4])
+    def test_run_across_omega_zero(self, run, monkeypatch):
+        # |Phi_22| = 2 + 2 cos(omega) + 1e-3 peaks at omega = 0; at this
+        # level it is alive at the three points -2pi/K, 0 and 2pi/K alone, so
+        # the half grid holds two of them and the run crosses omega = 0
+        grid = FrequencyGrid(64)
+        spec = ALNSpec(["X1", "X2"], [Link(0, 1, np.array([1.0, 1.0]))],
+                       np.array([1.0, 1e-3]))
+        phi = np.abs(path_transfer_spectra(spec, grid)[1, 1])
+        m = grid.size // 2
+        rtol = (phi[m + 1] + phi[m + 2]) / (2 * phi[m])
+        assert np.flatnonzero(phi > rtol * phi.max()).tolist() == [m - 1, m, m + 1]
+        monkeypatch.setattr(aln, "IDENTIFIABILITY_RTOL", rtol)
+        monkeypatch.setattr(aln, "IDENTIFIABILITY_RUN", run)
+        report = check_identifiability(spec, grid)
+        violations, exempt = identifiability_reference(spec, grid, rtol, run)
+        assert report.violations == violations
+        assert report.exempt_pairs == exempt
+        # both noises are flat, so pair (1, 1) fails with each exactly when
+        # its three-point run is too short
+        assert [v for v in violations if v[:2] == (1, 1)] == \
+            ([] if run == 3 else [(1, 1, 0), (1, 1, 1)])
 
 
 @st.composite

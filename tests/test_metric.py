@@ -186,7 +186,7 @@ class TestCausalDistance:
         assert len(responses) == S.n
         for i, response in enumerate(responses):
             F = spectral_factorize(Spectrum(S.grid, S.floored_autospectrum(i)))
-            assert np.array_equal(response, F.response)
+            assert np.array_equal(response, F.response[S.grid.half])
 
     def test_causal_dominates_coherence(self):
         rng = np.random.default_rng(12)
@@ -232,6 +232,19 @@ class TestCausalEdgeWeights:
         assert direction.ties[0, 1] and direction.ties[1, 0]
         assert weights.values[0, 1] == 0.5
         assert events == []          # build_polytree records ties on tree edges
+
+    def test_rounding_gap_ties_and_a_real_gap_does_not(self):
+        d = np.zeros((3, 3))
+        d[0, 1], d[1, 0] = 0.5 + 1e-16, 0.5      # one ulp: rounding decides it
+        d[0, 2], d[2, 0] = 0.5 + 1e-9, 0.5       # a real gap, pointing 0 -> 2
+        weights, direction = causal_edge_weights(
+            DistanceMatrix(["a", "b", "c"], d, "causal"))
+        assert d[0, 1] != d[1, 0]
+        assert direction.ties[0, 1] and direction.ties[1, 0]
+        assert direction.values[0, 1] == 1       # upward, as an exact tie
+        assert not direction.ties[0, 2] and not direction.ties[2, 0]
+        assert direction.values[2, 0] == 1
+        assert weights.values[0, 1] == weights.values[1, 0] == 0.5
 
     def test_rejects_symmetric_kind(self):
         D = DistanceMatrix(["a", "b"], np.zeros((2, 2)), "noncausal")

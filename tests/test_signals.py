@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from polyscope import (
     DistanceMatrix,
@@ -40,6 +42,7 @@ from oracles import (
     cross_spectra_reference,
     csd_reference,
     random_psd_matrix,
+    source_transfers_reference,
     welch_reference,
 )
 
@@ -177,6 +180,30 @@ class TestFrequencyGrid:
         np.testing.assert_allclose(grid.mirror(half),
                                    np.fft.fftshift(np.fft.fft(x)),
                                    rtol=0, atol=1e-12)
+
+    @given(st.sampled_from([8, 64, 1024]), st.data())
+    def test_half_to_time_is_the_real_inverse_dft_of_the_mirror(self, size, data):
+        # any complex half, imaginary parts at -pi and 0 included: the real
+        # part of the inverse DFT ignores them too
+        grid = FrequencyGrid(size)
+        parts = data.draw(arrays(float, (2, 2, size // 2 + 1),
+                                 elements=st.floats(-1e3, 1e3)))
+        half = parts[0] + 1j * parts[1]
+        ref = grid.to_time(grid.mirror(half)).real
+        np.testing.assert_allclose(grid.half_to_time(half), ref, rtol=0,
+                                   atol=1e-12 * max(np.max(np.abs(half)), 1.0))
+
+    @given(st.sampled_from([8, 64, 1024]), st.data())
+    def test_half_from_time_is_the_dft_at_the_half_points(self, size, data):
+        grid = FrequencyGrid(size)
+        seq = data.draw(arrays(float, (2, size), elements=st.floats(-1e3, 1e3)))
+        half = grid.half_from_time(seq)
+        assert half.shape == (2, size // 2 + 1)
+        scale = max(np.sum(np.abs(seq), axis=-1).max(), 1.0)
+        np.testing.assert_allclose(half, grid.from_time(seq)[..., grid.half],
+                                   rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(grid.half_to_time(half), seq, rtol=0,
+                                   atol=1e-12 * scale)
 
     def test_mirror_rejects_a_wrong_length(self):
         with pytest.raises(InvalidParameterError):
@@ -431,11 +458,13 @@ class TestSpectralMatrix:
         for size, seg in [(64, None), (256, None), (256, 200)]:
             cfg = WelchConfig(grid_size=size, segment_length=seg)
             raw = signals._welch_matrix(values, cfg)
+            assert raw.shape == (6, 6, size // 2 + 1)
             S = SpectralMatrix([f"s{i}" for i in range(6)], FrequencyGrid(size), raw)
+            half = S.values[..., :size // 2 + 1]
             upper = np.triu_indices(6, 1)
-            assert S.values[upper].tobytes() == raw[upper].tobytes()
+            assert half[upper].tobytes() == raw[upper].tobytes()
             d = np.arange(6)
-            assert S.values[d, d].real.tobytes() == raw[d, d].real.tobytes()
+            assert half[d, d].real.tobytes() == raw[d, d].real.tobytes()
 
     def test_analytic_matrices_move_by_rounding_only(self):
         # the full-grid product computes point K - k apart from point k
@@ -444,7 +473,8 @@ class TestSpectralMatrix:
             for n, seed in [(4, 0), (9, 3), (16, 5)]:
                 spec = generate_polytree_aln(n, seed)
                 full = cross_spectra_reference(
-                    aln._source_transfers(spec, grid), aln._noise_spectra(spec, grid))
+                    source_transfers_reference(spec, grid),
+                    aln._noise_spectra(spec, grid))
                 S = analytic_spectra(spec, grid)
                 assert np.max(np.abs(S.values - full)) \
                     <= 8 * np.finfo(float).eps * np.max(np.abs(full))
@@ -476,15 +506,43 @@ class TestSpectralMatrix:
             accepted = np.allclose(twins, np.conj(values),
                                    atol=1e-9 * ref_scale, rtol=0)
             verdicts.add(accepted)
+            # half-grid values are conjugate-even by construction: of this
+            # rule only their end points are checked, with the same verdict
+            inputs = [values] + ([values[..., grid.half]] if k in (0, 4) else [])
             if accepted:
                 S = SpectralMatrix(["a", "b", "c"], grid, values)
                 assert np.array_equal(S.values[..., 5:], np.conj(S.values[..., 3:0:-1]))
                 assert np.all(S.values[..., [0, 4]].imag == 0.0)
+                for given_values in inputs[1:]:
+                    assert np.array_equal(
+                        SpectralMatrix(["a", "b", "c"], grid, given_values).values,
+                        S.values)
             else:
-                with pytest.raises(InvalidParameterError,
-                                   match="not conjugate-even in frequency"):
-                    SpectralMatrix(["a", "b", "c"], grid, values)
+                for given_values in inputs:
+                    with pytest.raises(InvalidParameterError,
+                                       match="not conjugate-even in frequency"):
+                        SpectralMatrix(["a", "b", "c"], grid, given_values)
         assert verdicts == {True, False}
+
+    def test_half_grid_input_equals_its_mirror_bit_for_bit(self):
+        # near-Hermitian values with imaginary parts at -pi and 0, all
+        # within the tolerance: the same matrix from the half as from its
+        # mirror, and a half-grid shape only of K/2 + 1 points
+        grid = FrequencyGrid(16)
+        rng = np.random.default_rng(17)
+        half = rng.standard_normal((4, 4, 9)) + 1j * rng.standard_normal((4, 4, 9))
+        half = half + np.conj(half.transpose(1, 0, 2))
+        half[..., [0, 8]] = half[..., [0, 8]].real
+        half += 1e-11 * (rng.standard_normal(half.shape)
+                         + 1j * rng.standard_normal(half.shape))
+        labels = list("abcd")
+        S = SpectralMatrix(labels, grid, half)
+        assert S.values.shape == (4, 4, 16)
+        assert S.values.tobytes() == \
+            SpectralMatrix(labels, grid, grid.mirror(half)).values.tobytes()
+        for size in (8, 10, 17):
+            with pytest.raises(InvalidParameterError, match="does not match"):
+                SpectralMatrix(labels, grid, np.ones((4, 4, size)))
 
     def test_stores_the_half_grid_and_its_mirror(self):
         # within the tolerance, point K - k is rebuilt from point k and the

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polyscope import (
+    DistanceMatrix,
     Ensemble,
     FrequencyGrid,
     IllConditionedSpectrumError,
@@ -17,6 +18,8 @@ from polyscope import (
     WelchConfig,
     analytic_spectra,
     apply_filter,
+    build_polytree,
+    causal_distance_matrix,
     causal_truncate,
     causal_wiener,
     distance_matrix,
@@ -34,6 +37,8 @@ from polyscope.diagnostics import collect
 from polyscope.wiener import CONDITION_RTOL, _clears_screen, _joint_fits
 
 from oracles import (
+    causal_pair_reference,
+    causal_reference,
     dense_wiener,
     eigenvalue_ratio_reference,
     filter_rms_reference,
@@ -41,6 +46,7 @@ from oracles import (
     ols_reference,
     project_reference,
     rooting_spectral_factor,
+    spectral_factors_reference,
     wiener_reference,
 )
 
@@ -442,6 +448,62 @@ class TestHalfGridSolvers:
             others = [b for b in range(S.n) if b != target]
             for normalize in (False, True):
                 assert_same_solution(S, target, others, normalize)
+
+
+def assert_within_rounding(got, ref, scale):
+    """``got`` agrees with ``ref`` to 1e-12 of ``scale``."""
+    assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+
+class TestHalfGridCausalLayer:
+    """The causal layer solves the half grid; the whole-grid oracles agree to
+    rounding, and the polytrees their distances build are the same."""
+
+    @pytest.mark.parametrize("size", [64, 256, 1024])
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    @pytest.mark.parametrize("producer", ["welch", "analytic"])
+    def test_match_the_full_grid_oracles(self, producer, n, size):
+        S = half_grid_matrix(producer, n, size)
+        with collect() as events:
+            DC = causal_distance_matrix(S).values
+        with collect() as ref_events:
+            ref = causal_reference(S)
+        np.testing.assert_allclose(DC, ref, rtol=1e-12, atol=0)
+        assert [e.category for e in events] == [e.category for e in ref_events]
+        phi = np.array([S.floored_autospectrum(i) for i in range(n)])
+        for target, input_ in [(0, n - 1), (n - 1, 0), (1, 0)]:
+            sol = causal_wiener(S, target, input_)
+            response, weighted, cost = causal_pair_reference(S, target, input_)
+            assert sol.cost == pytest.approx(cost, rel=1e-12, abs=0)
+            assert_within_rounding(sol.residual_spectrum.values, weighted,
+                                   np.max(np.abs(weighted)))
+            # a filter that should vanish is rounding noise on both sides, so
+            # responses compare in whitened units, where the zero filter
+            # leaves the whole target unexplained
+            whiten = np.sqrt(phi[input_] / phi[target])
+            assert_within_rounding(sol.filters[input_].response * whiten,
+                                   response * whiten, 1.0)
+        for i in (0, n - 1):
+            F = spectral_factorize(Spectrum(S.grid, phi[i]))
+            responses, taps = spectral_factors_reference(S.grid, phi[i][None])
+            assert_within_rounding(F.response, responses[0],
+                                   np.max(np.abs(responses[0])))
+            assert_within_rounding(F.impulse, taps[0], np.max(np.abs(taps[0])))
+
+    def test_polytrees_match_the_full_grid_oracle(self):
+        # networks of 4 to 16 nodes on the analytic benchmark's grid, where
+        # exact and rounding-level orientation ties are common
+        grid = FrequencyGrid(256)
+        ties = 0
+        for seed in range(1000, 1200):
+            S = analytic_spectra(generate_polytree_aln(4 + seed % 13, seed), grid)
+            tree = build_polytree(causal_distance_matrix(S))
+            ref = build_polytree(DistanceMatrix(S.labels, causal_reference(S),
+                                                "causal"))
+            assert tree.edges.keys() == ref.edges.keys()
+            assert tree.ties == ref.ties
+            ties += len(tree.ties)
+        assert ties > 0
 
 
 class TestEveryFitIsChecked:

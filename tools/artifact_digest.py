@@ -28,11 +28,12 @@ record of 24 series on a 64-point grid pins ``sparse`` at budget 2 and
 ``analyze --pipeline miso-blanket`` at the shapes of the wide benchmark,
 where every MISO filter comes from one inverse of the spectral matrix.
 ``validate`` runs in both trial modes; in analytic mode ``polytree`` and
-``miso-blanket`` recover networks of 6 to 8 nodes, and ``mst`` networks of
-14 to 16 nodes on a 256-point grid, the largest networks and the grid of
-the analytic benchmark.  Two checkouts that print the same document wrote
-the same bytes, so a refactor that must keep artifacts byte-identical is
-checked with::
+``miso-blanket`` recover networks of 6 to 8 nodes, and ``mst`` and
+``polytree`` networks of 14 to 16 nodes on a 256-point grid, the largest
+networks and the grid of the analytic benchmark, which pins the causal
+distances and their orientation ties at those shapes.  Two checkouts that
+print the same document wrote the same bytes, so a refactor that must keep
+artifacts byte-identical is checked with::
 
     PYTHONPATH=/path/to/parent/src python3 tools/artifact_digest.py > before.json
     PYTHONPATH=src python3 tools/artifact_digest.py > after.json
@@ -203,9 +204,12 @@ def _runs(root: Path):
         yield f"validate-{pipeline}", [
             "validate", "--pipeline", pipeline, "--mode", "analytic",
             "--trials", "3", "--nodes", "6-8", "--seed", "1"]
-    yield "validate-mst", [
-        "validate", "--mode", "analytic", "--pipeline", "mst", "--trials", "3",
-        "--nodes", "14-16", "--grid-size", "256", "--seed", "1"]
+    for name, pipeline in (("validate-mst", "mst"),
+                           ("validate-polytree-n14-16", "polytree")):
+        yield name, [
+            "validate", "--mode", "analytic", "--pipeline", pipeline,
+            "--trials", "3", "--nodes", "14-16", "--grid-size", "256",
+            "--seed", "1"]
     yield "validate-simulated", [
         "validate", "--mode", "simulated", "--trials", "2", "--nodes", "5",
         "--length", "4096", "--grid-size", "256", "--seed", "1"]
