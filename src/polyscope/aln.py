@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,9 +54,18 @@ IDENTIFIABILITY_RTOL = 1e-9
 IDENTIFIABILITY_RUN = 3
 
 
-@dataclass
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy of ``values``."""
+    values = np.array(values, dtype=float)
+    values.flags.writeable = False
+    return values
+
+
+@dataclass(frozen=True)
 class Link:
-    """One directed FIR edge ``source -> target`` with optional unit delay."""
+    """One directed FIR edge ``source -> target`` with optional unit delay.
+
+    Immutable: ``taps`` is the link's own read-only copy of the caller's."""
 
     source: int
     target: int
@@ -62,7 +73,7 @@ class Link:
     delay: int = 0
 
     def __post_init__(self):
-        self.taps = np.asarray(self.taps, dtype=float)
+        object.__setattr__(self, "taps", _frozen(self.taps))
         if self.taps.ndim != 1 or self.taps.size == 0:
             raise InvalidParameterError("link taps must be a non-empty vector")
         if not np.any(self.taps != 0.0):
@@ -77,55 +88,76 @@ class Link:
         return self.delay + self.taps.size - 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ALNSpec:
     """Full description of an acyclic linear network.
 
     ``noise_variances[i]`` scales the white noise driving node ``i``;
     ``noise_shaping[i]`` (optional FIR taps) colours it.  The skeleton of
     the links must be a tree.
+
+    Immutable, so one spec object always describes the same network:
+    ``labels``, ``links`` and ``noise_shaping`` are stored as tuples, and
+    ``noise_variances`` and each shaping entry as read-only copies.
     """
 
-    labels: list[str]
-    links: list[Link]
+    labels: tuple[str, ...]
+    links: tuple[Link, ...]
     noise_variances: np.ndarray
-    noise_shaping: list[np.ndarray | None] | None = None
+    noise_shaping: tuple[np.ndarray | None, ...] | None = None
     seed: int | None = None
+    #: The skeleton, validated once; :meth:`to_polytree` hands out copies.
+    _skeleton: Polytree = field(init=False, repr=False, compare=False)
+    #: Nodes in the order :meth:`topological_order` returns.
+    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        def store(name, value):
+            object.__setattr__(self, name, value)
+
+        store("labels", tuple(self.labels))
+        store("links", tuple(self.links))
         n = len(self.labels)
         if n < 2:
             raise InvalidParameterError("a network needs at least 2 nodes")
         if len(set(self.labels)) != n:
             raise InvalidParameterError("node labels must be unique")
-        self.noise_variances = np.asarray(self.noise_variances, dtype=float)
+        store("noise_variances", _frozen(self.noise_variances))
         if self.noise_variances.shape != (n,):
             raise InvalidParameterError("need one noise variance per node")
         if np.any(self.noise_variances < 0) or not np.all(
                 np.isfinite(self.noise_variances)):
             raise InvalidParameterError("noise variances must be finite and >= 0")
-        if self.noise_shaping is not None and len(self.noise_shaping) != n:
-            raise InvalidParameterError("need one shaping entry per node")
-        # the skeleton must be a tree; Polytree validates connectivity
-        self.to_polytree()
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    def to_polytree(self) -> Polytree:
+        if self.noise_shaping is not None:
+            if len(self.noise_shaping) != n:
+                raise InvalidParameterError("need one shaping entry per node")
+            store("noise_shaping", tuple(None if s is None else _frozen(s)
+                                         for s in self.noise_shaping))
         edges = {}
         for link in self.links:
             key = (link.source, link.target)
             if key in edges:
                 raise InvalidParameterError(f"duplicate link {key}")
             edges[key] = float(np.max(np.abs(link.taps)))
-        return Polytree(list(self.labels), edges)
+        # the skeleton must be a tree; Polytree validates connectivity
+        store("_skeleton", Polytree(list(self.labels), edges))
+        store("_order", self._topological_order())
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+    def to_polytree(self) -> Polytree:
+        """The skeleton with its link directions, as a new :class:`Polytree`."""
+        return Polytree(list(self.labels), dict(self._skeleton.edges))
 
     def parents_of(self, node: int) -> list[Link]:
         return [l for l in self.links if l.target == node]
 
     def topological_order(self) -> list[int]:
+        return list(self._order)
+
+    def _topological_order(self) -> tuple[int, ...]:
         pending = {i: {l.source for l in self.parents_of(i)}
                    for i in range(self.n)}
         order = []
@@ -138,7 +170,7 @@ class ALNSpec:
                 del pending[v]
             for deps in pending.values():
                 deps.difference_update(ready)
-        return order
+        return tuple(order)
 
     def to_json(self) -> str:
         payload = {
@@ -150,8 +182,7 @@ class ALNSpec:
             ],
             "noise_variances": self.noise_variances.tolist(),
             "noise_shaping": None if self.noise_shaping is None else [
-                None if s is None else np.asarray(s, dtype=float).tolist()
-                for s in self.noise_shaping
+                None if s is None else s.tolist() for s in self.noise_shaping
             ],
             "seed": self.seed,
         }
@@ -160,17 +191,12 @@ class ALNSpec:
     @classmethod
     def from_json(cls, text: str) -> "ALNSpec":
         raw = json.loads(text)
-        shaping = raw.get("noise_shaping")
-        if shaping is not None:
-            shaping = [None if s is None else np.asarray(s, dtype=float)
-                       for s in shaping]
         return cls(
-            labels=list(raw["labels"]),
-            links=[Link(l["source"], l["target"],
-                        np.asarray(l["taps"], dtype=float), l.get("delay", 0))
+            labels=raw["labels"],
+            links=[Link(l["source"], l["target"], l["taps"], l.get("delay", 0))
                    for l in raw["links"]],
-            noise_variances=np.asarray(raw["noise_variances"], dtype=float),
-            noise_shaping=shaping,
+            noise_variances=raw["noise_variances"],
+            noise_shaping=raw.get("noise_shaping"),
             seed=raw.get("seed"),
         )
 
@@ -286,7 +312,7 @@ def generate_polytree_aln(n: int, seed: int) -> ALNSpec:
 def _path_supports(spec: ALNSpec) -> int:
     """Longest total impulse support along any directed path."""
     depth = {v: 0 for v in range(spec.n)}
-    for v in spec.topological_order():
+    for v in spec._order:
         for link in spec.parents_of(v):
             depth[v] = max(depth[v], depth[link.source] + link.support)
     return max(depth.values())
@@ -313,7 +339,7 @@ def simulate(spec: ALNSpec, length: int, seed: int) -> SimResult:
             if shaping is not None:
                 noises[i] = np.convolve(noises[i], shaping)[:total]
     signals = np.zeros((spec.n, total))
-    for v in spec.topological_order():
+    for v in spec._order:
         acc = noises[v].copy()
         for link in spec.parents_of(v):
             filtered = np.convolve(signals[link.source], link.taps)[:total]
@@ -345,7 +371,7 @@ def _source_transfers(spec: ALNSpec, grid: FrequencyGrid) -> np.ndarray:
     for response, link in zip(responses, spec.links):
         parents[link.target].append((link.source, response))
     H = np.zeros((spec.n, spec.n, grid.size // 2 + 1), dtype=complex)
-    for v in spec.topological_order():
+    for v in spec._order:
         H[v, v] = 1.0
         for source, response in parents[v]:
             H[v] += response * H[source]
@@ -358,6 +384,54 @@ def _cross_spectra(H: np.ndarray, phi: np.ndarray) -> np.ndarray:
                      H.transpose(2, 1, 0)).transpose(1, 2, 0)
 
 
+class _AnalyticBuild:
+    """One network's analytic quantities on one grid, all read-only, at
+    the :attr:`FrequencyGrid.half` points: the source transfers ``H``
+    (:func:`_source_transfers`), the noise spectra ``phi`` and the raw
+    cross spectra ``cross`` (:func:`_cross_spectra`), plus the
+    :class:`SpectralMatrix` made from them on first use."""
+
+    def __init__(self, spec: ALNSpec, grid: FrequencyGrid):
+        self.labels, self.grid = spec.labels, grid
+        self.H = _source_transfers(spec, grid)
+        self.phi = _noise_spectra(spec, grid)[:, grid.half]
+        self.cross = _cross_spectra(self.H, self.phi)
+        for values in (self.H, self.phi, self.cross):
+            values.flags.writeable = False
+
+    @cached_property
+    def matrix(self) -> SpectralMatrix:
+        return SpectralMatrix(list(self.labels), self.grid, self.cross)
+
+
+#: The one memoized build: ``(weak reference to the spec, grid size,
+#: _AnalyticBuild)``, or None.  One slot, not one build per spec, so that
+#: specs held in a list do not hold their builds too.  Read once and
+#: replaced in one step, so a race between threads can only cost a rebuild.
+_last_build = None
+
+
+def _analytic_build(spec: ALNSpec, grid: FrequencyGrid) -> _AnalyticBuild:
+    """The build of ``spec`` on ``grid``, memoized in :data:`_last_build`:
+    a spec is immutable, so equal keys mean equal builds.  Another spec or
+    grid size replaces it, and the spec's collection drops it."""
+    global _last_build
+    slot = _last_build
+    if slot is not None and slot[0]() is spec and slot[1] == grid.size:
+        return slot[2]
+    build = _AnalyticBuild(spec, grid)
+    _last_build = (weakref.ref(spec, _drop_build), grid.size, build)
+    return build
+
+
+def _drop_build(ref: weakref.ref) -> None:
+    """Empty the slot when the spec it was built for is collected."""
+    global _last_build
+    slot = _last_build
+    if slot is not None and slot[0] is ref:
+        _last_build = None
+
+
 def analytic_spectra(spec: ALNSpec, grid: FrequencyGrid) -> SpectralMatrix:
     """Exact spectral matrix of the network on a grid.
 
@@ -366,10 +440,14 @@ def analytic_spectra(spec: ALNSpec, grid: FrequencyGrid) -> SpectralMatrix:
     spectra are built on the :attr:`FrequencyGrid.half` grid only, and the
     :class:`SpectralMatrix` mirrors them, as the spectra of real series are
     conjugate-even.
+
+    The network's last analytic build is kept until its spec is collected
+    or another spec or grid size is built, so repeated calls (and
+    :func:`check_identifiability` before them) share one build and return
+    the same matrix, whose ``values`` are read-only.  Its floor events
+    are therefore recorded once, by the first recovery that reads them.
     """
-    values = _cross_spectra(_source_transfers(spec, grid),
-                            _noise_spectra(spec, grid)[:, grid.half])
-    return SpectralMatrix(list(spec.labels), grid, values)
+    return _analytic_build(spec, grid).matrix
 
 
 def check_identifiability(spec: ALNSpec, grid: FrequencyGrid | None = None
@@ -392,11 +470,13 @@ def check_identifiability(spec: ALNSpec, grid: FrequencyGrid | None = None
     points before it.  The mirror image of a run of the whole grid is a run
     too, and one of the two reaches no further past ``0`` than that, so
     runs across ``omega = 0`` are found as well.
+
+    The scan reads the raw cross spectra of the network's analytic build,
+    which :func:`analytic_spectra` then shares (see there).
     """
     grid = grid or FrequencyGrid(1024)
-    H = _source_transfers(spec, grid)
-    phi = _noise_spectra(spec, grid)[:, grid.half]
-    cross = np.abs(_cross_spectra(H, phi))
+    build = _analytic_build(spec, grid)
+    H, phi, cross = build.H, build.phi, np.abs(build.cross)
     shares = (np.max(np.abs(H), axis=2) > 0.0).astype(int)
     related = (shares @ shares.T) > 0    # [a, b]: common noise source exists
     rows, cols = np.nonzero(np.triu(related))
@@ -480,4 +560,4 @@ def run_recovery(spec: ALNSpec, mode: str = "analytic",
         graph = build_polytree(causal_distance_matrix(S))
     else:
         graph = miso_blanket_topology(S, distance_matrix(S))
-    return _score(spec.to_polytree(), graph, mode, pipeline, seed)
+    return _score(spec._skeleton, graph, mode, pipeline, seed)

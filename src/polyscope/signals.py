@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.signal import get_window
@@ -243,6 +243,15 @@ class Spectrum:
                 "spectrum length does not match its grid")
 
 
+@lru_cache(maxsize=None)
+def _tril_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.tril_indices(n)``, built once per ``n`` and read-only."""
+    indices = np.tril_indices(n)
+    for index in indices:
+        index.flags.writeable = False
+    return indices
+
+
 @dataclass
 class SpectralMatrix:
     """Hermitian matrix of cross spectra, ``values[i, j, k] = Phi_{x_i x_j}(omega_k)``.
@@ -254,7 +263,7 @@ class SpectralMatrix:
     frequency, as the spectra of real series are: lower triangle the
     conjugated upper, diagonal real, grid point ``K - k`` the conjugate of
     point ``k`` (see :meth:`FrequencyGrid.mirror`), values real at
-    ``omega = -pi`` and ``0``.  Rejects non-finite values, any
+    ``omega = -pi`` and ``0``, and read-only.  Rejects non-finite values, any
     ``|v_ij - conj(v_ji)| > 1e-9 * max|v|`` and any
     ``|v[..., K - k] - conj(v[..., k])| > 1e-9 * max|v|``; half-grid values
     are conjugate-even by construction, so of the last rule only the end
@@ -275,10 +284,13 @@ class SpectralMatrix:
             raise InvalidParameterError(
                 f"spectral matrix shape {v.shape} does not match "
                 f"{n} labels on a grid of {self.grid.size}")
-        if not np.all(np.isfinite(v)):
+        top = np.max(np.abs(v))
+        # NaN or inf anywhere makes the largest magnitude NaN or inf; a
+        # finite entry whose magnitude overflows is still accepted
+        if not np.isfinite(top) and not np.all(np.isfinite(v)):
             raise InvalidParameterError("spectral matrix has non-finite values")
-        tol = 1e-9 * (np.max(np.abs(v)) or 1.0)
-        rows, cols = np.tril_indices(n)    # the upper entries mirror these
+        tol = 1e-9 * (top or 1.0)
+        rows, cols = _tril_indices(n)      # the upper entries mirror these
         if np.any(np.abs(v[rows, cols] - np.conj(v[cols, rows])) > tol):
             raise InvalidParameterError("spectral matrix is not Hermitian")
         # point K - k (frequency -omega_k) is the twin of point k; -pi (k = 0)
@@ -294,6 +306,7 @@ class SpectralMatrix:
         half[rows, cols] = np.conj(half[cols, rows])
         self.values = v = self.grid.mirror(half)
         v.imag[np.arange(n), np.arange(n)] = 0.0
+        v.flags.writeable = False
 
     @property
     def n(self) -> int:

@@ -1,3 +1,9 @@
+import dataclasses
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -61,6 +67,16 @@ class TestLink:
         with pytest.raises(InvalidParameterError):
             Link(0, 1, np.array([1.0]), delay=2)
 
+    def test_immutable_and_owns_its_taps(self):
+        taps = np.array([0.5, -0.25])
+        link = Link(0, 1, taps)
+        taps[0] = 9.0
+        assert link.taps.tolist() == [0.5, -0.25]
+        with pytest.raises(ValueError):
+            link.taps[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            link.delay = 1
+
 
 class TestALNSpec:
     def test_rejects_duplicate_labels(self):
@@ -93,6 +109,30 @@ class TestALNSpec:
         spec = collider_spec()
         assert {l.source for l in spec.parents_of(2)} == {0, 1}
         assert spec.parents_of(0) == []
+
+    def test_immutable(self):
+        variances, shaping = np.array([1.5, 0.5]), np.array([1.0, 0.9])
+        spec = ALNSpec(["a", "b"], [Link(0, 1, np.array([0.3]))], variances,
+                       noise_shaping=[shaping, None])
+        assert isinstance(spec.labels, tuple) and isinstance(spec.links, tuple)
+        assert isinstance(spec.noise_shaping, tuple)
+        variances[0], shaping[0] = 9.0, 9.0
+        assert spec.noise_variances.tolist() == [1.5, 0.5]
+        assert spec.noise_shaping[0].tolist() == [1.0, 0.9]
+        for array in (spec.noise_variances, spec.noise_shaping[0],
+                      spec.links[0].taps):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        for name, value in [("seed", 3), ("labels", ("c", "d")),
+                            ("noise_variances", np.ones(2))]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, value)
+
+    def test_polytree_copies_are_the_callers(self):
+        spec = collider_spec()
+        tree = spec.to_polytree()
+        tree.edges.clear()
+        assert set(spec.to_polytree().edges) == {(0, 2), (1, 2)}
 
     def test_json_roundtrip(self):
         spec = ALNSpec(["a", "b"],
@@ -127,7 +167,7 @@ class TestGeneratePolytree:
     def test_structure(self):
         for seed in range(5):
             spec = generate_polytree_aln(9, seed=seed)
-            assert spec.labels == [f"X{i}" for i in range(1, 10)]
+            assert spec.labels == tuple(f"X{i}" for i in range(1, 10))
             assert len(spec.links) == 8
             spec.to_polytree()          # tree shape validated inside
             assert np.all(spec.noise_variances >= 0.5)
@@ -439,3 +479,97 @@ class TestRunRecovery:
         assert payload["mode"] == "analytic"
         assert payload["true_edges"] == [[0, 1], [1, 2]]
         assert payload["tie_count"] == 0
+
+
+class TestAnalyticBuild:
+    """The identifiability check and every analytic recovery of one spec on
+    one grid share one build, which lives no longer than its spec."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = {"_source_transfers": 0, "_cross_spectra": 0}
+        for name in calls:
+            real = getattr(aln, name)
+
+            def spy(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(aln, name, spy)
+        return calls
+
+    def test_one_build_per_trial(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        spec, cfg = generate_polytree_aln(10, seed=7), WelchConfig(grid_size=256)
+        assert check_identifiability(spec, FrequencyGrid(256)).passed
+        for pipeline in ("mst-coherence", "polytree-causal"):
+            report = run_recovery(spec, mode="analytic", pipeline=pipeline, cfg=cfg)
+            assert report.precision == 1.0 and report.recall == 1.0
+        assert calls == {"_source_transfers": 1, "_cross_spectra": 1}
+
+    def test_shared_matrix_and_what_rebuilds(self, monkeypatch):
+        spec, grid = generate_polytree_aln(6, seed=3), FrequencyGrid(64)
+        S = analytic_spectra(spec, grid)
+        assert analytic_spectra(spec, FrequencyGrid(64)) is S
+        with pytest.raises(ValueError):
+            S.values[0, 0, 0] = 1.0
+        calls = self._counting(monkeypatch)
+        twin = ALNSpec.from_json(spec.to_json())
+        other = analytic_spectra(twin, grid)
+        assert other is not S and np.array_equal(other.values, S.values)
+        finer = analytic_spectra(twin, FrequencyGrid(128))
+        assert finer.values.shape[-1] == 128
+        assert calls == {"_source_transfers": 2, "_cross_spectra": 2}
+
+    def test_bytes_match_a_fresh_build(self):
+        grid = FrequencyGrid(64)
+        spec = generate_polytree_aln(8, seed=5)
+        check_identifiability(spec, grid)
+        S = analytic_spectra(spec, grid)
+        H = aln._source_transfers(spec, grid)
+        cross = aln._cross_spectra(H, _noise_spectra(spec, grid)[:, grid.half])
+        assert np.array_equal(S.values,
+                              SpectralMatrix(spec.labels, grid, cross).values)
+
+    def test_at_most_one_build_alive(self):
+        grid, specs, builds = FrequencyGrid(64), [], []
+        for seed in range(100):
+            specs.append(generate_polytree_aln(4, seed))
+            check_identifiability(specs[-1], grid)
+            builds.append(weakref.ref(aln._last_build[2]))
+        gc.collect()
+        assert sum(ref() is not None for ref in builds) == 1
+        del specs
+        assert aln._last_build is None
+        assert builds[-1]() is None
+
+    def test_threads_alternating_specs_match_a_serial_run(self):
+        grid = FrequencyGrid(64)
+        specs = [generate_polytree_aln(6, seed=1), generate_polytree_aln(9, seed=2)]
+        serial = [(analytic_spectra(spec, grid).values.copy(),
+                   check_identifiability(spec, grid)) for spec in specs]
+        failures = []
+
+        def work(offset):
+            try:
+                for i in range(200):
+                    k = (i + offset) % 2
+                    report = check_identifiability(specs[k], grid)
+                    values = analytic_spectra(specs[k], grid).values
+                    if report != serial[k][1] or \
+                            not np.array_equal(values, serial[k][0]):
+                        failures.append((offset, i))
+            except Exception as exc:       # reported by the assertion below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []

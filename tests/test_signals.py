@@ -423,6 +423,13 @@ class TestSpectralMatrix:
         assert np.array_equal(S._floored, floored)
         assert S._eigenvalue_ratio == ratio
 
+    def test_values_are_read_only(self):
+        _, S = self._matrix()
+        with pytest.raises(ValueError):
+            S.values[0, 1, 0] = 0.0
+        with pytest.raises(ValueError):
+            S.values *= 2.0
+
     def test_every_producer_stores_an_exact_hermitian_matrix(self):
         grid = FrequencyGrid(64)
         matrices = [analytic_spectra(generate_polytree_aln(n, seed), grid)

@@ -28,10 +28,11 @@ record of 24 series on a 64-point grid pins ``sparse`` at budget 2 and
 ``analyze --pipeline miso-blanket`` at the shapes of the wide benchmark,
 where every MISO filter comes from one inverse of the spectral matrix.
 ``validate`` runs in both trial modes; in analytic mode ``polytree`` and
-``miso-blanket`` recover networks of 6 to 8 nodes, and ``mst`` and
-``polytree`` networks of 14 to 16 nodes on a 256-point grid, the largest
+``miso-blanket`` recover networks of 6 to 8 nodes, and all three
+pipelines networks of 14 to 16 nodes on a 256-point grid, the largest
 networks and the grid of the analytic benchmark, which pins the causal
-distances and their orientation ties at those shapes.  Two checkouts that
+distances and their orientation ties, and the MISO blankets, at those
+shapes.  Two checkouts that
 print the same document wrote the same bytes, so a refactor that must keep
 artifacts byte-identical is checked with::
 
@@ -205,7 +206,8 @@ def _runs(root: Path):
             "validate", "--pipeline", pipeline, "--mode", "analytic",
             "--trials", "3", "--nodes", "6-8", "--seed", "1"]
     for name, pipeline in (("validate-mst", "mst"),
-                           ("validate-polytree-n14-16", "polytree")):
+                           ("validate-polytree-n14-16", "polytree"),
+                           ("validate-miso-blanket-n14-16", "miso-blanket")):
         yield name, [
             "validate", "--mode", "analytic", "--pipeline", pipeline,
             "--trials", "3", "--nodes", "14-16", "--grid-size", "256",
