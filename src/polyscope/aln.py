@@ -401,7 +401,7 @@ class _AnalyticBuild:
 
     @cached_property
     def matrix(self) -> SpectralMatrix:
-        return SpectralMatrix(list(self.labels), self.grid, self.cross)
+        return SpectralMatrix(self.labels, self.grid, self.cross)
 
 
 #: The one memoized build: ``(weak reference to the spec, grid size,
@@ -444,10 +444,14 @@ def analytic_spectra(spec: ALNSpec, grid: FrequencyGrid) -> SpectralMatrix:
     The network's last analytic build is kept until its spec is collected
     or another spec or grid size is built, so repeated calls (and
     :func:`check_identifiability` before them) share one build and return
-    the same matrix, whose ``values`` are read-only.  Its floor events
-    are therefore recorded once, by the first recovery that reads them.
+    the same immutable matrix.  Each call reports the matrix's
+    ``spectral-floor`` events, as a fresh matrix would: the first reader
+    records them when it first reads the floor, later calls when they
+    hand the matrix out.
     """
-    return _analytic_build(spec, grid).matrix
+    S = _analytic_build(spec, grid).matrix
+    S._record_floor_events()
+    return S
 
 
 def check_identifiability(spec: ALNSpec, grid: FrequencyGrid | None = None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from scipy.signal import get_window
@@ -243,16 +243,7 @@ class Spectrum:
                 "spectrum length does not match its grid")
 
 
-@lru_cache(maxsize=None)
-def _tril_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.tril_indices(n)``, built once per ``n`` and read-only."""
-    indices = np.tril_indices(n)
-    for index in indices:
-        index.flags.writeable = False
-    return indices
-
-
-@dataclass
+@dataclass(frozen=True)
 class SpectralMatrix:
     """Hermitian matrix of cross spectra, ``values[i, j, k] = Phi_{x_i x_j}(omega_k)``.
 
@@ -263,7 +254,9 @@ class SpectralMatrix:
     frequency, as the spectra of real series are: lower triangle the
     conjugated upper, diagonal real, grid point ``K - k`` the conjugate of
     point ``k`` (see :meth:`FrequencyGrid.mirror`), values real at
-    ``omega = -pi`` and ``0``, and read-only.  Rejects non-finite values, any
+    ``omega = -pi`` and ``0``.  Immutable: ``labels`` is stored as a tuple
+    and ``values`` read-only, so one matrix can be shared.  Rejects
+    non-finite values, any
     ``|v_ij - conj(v_ji)| > 1e-9 * max|v|`` and any
     ``|v[..., K - k] - conj(v[..., k])| > 1e-9 * max|v|``; half-grid values
     are conjugate-even by construction, so of the last rule only the end
@@ -271,11 +264,12 @@ class SpectralMatrix:
     :attr:`_floored_stack` therefore solves the half grid only.
     """
 
-    labels: list[str]
+    labels: tuple[str, ...]
     grid: FrequencyGrid
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(self.labels))
         v = np.asarray(self.values, dtype=complex)
         n, m = len(self.labels), self.grid.size // 2
         if n == 0:
@@ -284,13 +278,10 @@ class SpectralMatrix:
             raise InvalidParameterError(
                 f"spectral matrix shape {v.shape} does not match "
                 f"{n} labels on a grid of {self.grid.size}")
-        top = np.max(np.abs(v))
-        # NaN or inf anywhere makes the largest magnitude NaN or inf; a
-        # finite entry whose magnitude overflows is still accepted
-        if not np.isfinite(top) and not np.all(np.isfinite(v)):
+        if not np.all(np.isfinite(v)):
             raise InvalidParameterError("spectral matrix has non-finite values")
-        tol = 1e-9 * (top or 1.0)
-        rows, cols = _tril_indices(n)      # the upper entries mirror these
+        tol = 1e-9 * (np.max(np.abs(v)) or 1.0)
+        rows, cols = np.tril_indices(n)    # the upper entries mirror these
         if np.any(np.abs(v[rows, cols] - np.conj(v[cols, rows])) > tol):
             raise InvalidParameterError("spectral matrix is not Hermitian")
         # point K - k (frequency -omega_k) is the twin of point k; -pi (k = 0)
@@ -304,9 +295,10 @@ class SpectralMatrix:
         half = v[..., :m + 1].copy()
         half.imag[..., [0, m]] *= 0.0      # real; exact zeros keep their sign
         half[rows, cols] = np.conj(half[cols, rows])
-        self.values = v = self.grid.mirror(half)
+        v = self.grid.mirror(half)
         v.imag[np.arange(n), np.arange(n)] = 0.0
         v.flags.writeable = False
+        object.__setattr__(self, "values", v)
 
     @property
     def n(self) -> int:
@@ -319,18 +311,37 @@ class SpectralMatrix:
                 raise InvalidParameterError(f"index {i} out of range for n={self.n}")
 
     @cached_property
-    def _floored(self) -> np.ndarray:
-        """``(n, K)`` read-only real auto-spectra floored by :func:`_floor`;
-        every solver reads them.  Computed on first use, it records each
-        series that needed the floor once, as a ``spectral-floor`` event."""
+    def _flooring(self) -> tuple[np.ndarray, tuple[str, ...]]:
+        """``(n, K)`` read-only real auto-spectra floored by :func:`_floor`,
+        and one message per series that needed the floor.  Computed on
+        first use; records nothing (see :attr:`_floored`)."""
         phi = np.real(np.einsum("iik->ik", self.values))
         floored = _floor(phi)
-        for i in np.flatnonzero(np.any(floored > phi, axis=1)):
-            # a clipped row's smallest value is the floor itself
-            record("spectral-floor", f"auto-spectrum of {self.labels[i]!r} "
-                                     f"floored at {np.min(floored[i]):.3e}")
         floored.flags.writeable = False
+        # a clipped row's smallest value is the floor itself
+        messages = tuple(f"auto-spectrum of {self.labels[i]!r} "
+                         f"floored at {np.min(floored[i]):.3e}"
+                         for i in np.flatnonzero(np.any(floored > phi, axis=1)))
+        return floored, messages
+
+    @cached_property
+    def _floored(self) -> np.ndarray:
+        """The floored auto-spectra of :attr:`_flooring`; every solver reads
+        them.  The first use records each message as a ``spectral-floor``
+        event; :meth:`_record_floor_events` records them again for a later
+        reader of the same matrix."""
+        floored, messages = self._flooring
+        for message in messages:
+            record("spectral-floor", message)
         return floored
+
+    def _record_floor_events(self) -> None:
+        """Record the ``spectral-floor`` events again if :attr:`_floored`
+        has already recorded them, so that a matrix handed to several
+        readers reports its floors to each of them."""
+        if "_floored" in self.__dict__:
+            for message in self._flooring[1]:
+                record("spectral-floor", message)
 
     @cached_property
     def _floored_stack(self) -> np.ndarray:

@@ -80,13 +80,10 @@ def inner_product(S: SpectralMatrix, a: int, b: int) -> float:
 
     Every :class:`SpectralMatrix` is exactly conjugate-even in frequency,
     as the spectra of real processes are, so the mean is real: its
-    imaginary part is rounding and is dropped.  The row is read at the
-    :attr:`~polyscope.signals.FrequencyGrid.half` points and mirrored
-    before the mean, which is then the whole row's bit for bit.
+    imaginary part is rounding and is dropped.
     """
     S.check_index(a, b)
-    row = S.grid.mirror(S.values[a, b, S.grid.half])
-    return complex(S.grid.integrate(row)).real
+    return complex(S.grid.integrate(S.values[a, b])).real
 
 
 def project(S: SpectralMatrix, target: int, support
@@ -174,22 +171,14 @@ def matching_pursuit(S: SpectralMatrix, target: int, max_inputs: int,
     alongside a joint refit on the selected support.  ``min_gain`` gates
     every atom after the first; gains that are numerical noise relative to
     the initial power stop the pursuit regardless.
-
-    The bookkeeping runs at the :attr:`~polyscope.signals.FrequencyGrid.half`
-    points.  The matrix is exactly conjugate-even, and conjugation commutes
-    exactly with ``*``, ``/``, ``-`` and ``abs``, so each point's twin would
-    be computed as its conjugate: mirroring before every grid mean and
-    every :class:`TransferFunction` gives the whole-grid results bit for
-    bit, but for the sign an exact zero may take.
     """
     max_inputs = _check_solver_args(max_inputs, min_gain)
-    grid, half = S.grid, S.grid.half
     pool = np.array(_candidates(S, target), dtype=int)
-    floored = S._floored[pool, half]
-    cross = S.values[pool, target, half]
+    floored = S._floored[pool]
+    cross = S.values[pool, target]
     unused = np.ones(pool.size, dtype=bool)
-    phi_r = np.maximum(np.real(S.values[target, target, half]), 0.0)
-    cost = float(grid.integrate(grid.mirror(phi_r)))
+    phi_r = np.maximum(np.real(S.values[target, target]).copy(), 0.0)
+    cost = float(S.grid.integrate(phi_r))
     initial = max(cost, np.finfo(float).tiny)
     raw_filters: dict[int, TransferFunction] = {}
     stop_reason = "budget"
@@ -199,9 +188,8 @@ def matching_pursuit(S: SpectralMatrix, target: int, max_inputs: int,
         if not unused.any():
             stop_reason = "exhausted"
             break
-        gains = np.where(
-            unused, grid.integrate(grid.mirror(np.abs(cross) ** 2 / floored)),
-            -np.inf)
+        gains = np.where(unused, S.grid.integrate(np.abs(cross) ** 2 / floored),
+                         -np.inf)
         # the first maximum picks the lowest index, as the pool is sorted
         best = int(np.argmax(gains))
         stop = _greedy_stop(float(gains[best]), cost, initial, min_gain,
@@ -212,9 +200,9 @@ def matching_pursuit(S: SpectralMatrix, target: int, max_inputs: int,
         V = cross[best] / floored[best]
         phi_r = np.maximum(phi_r - np.abs(cross[best]) ** 2 / floored[best], 0.0)
         unused[best] = False
-        cross[unused] -= V * S.values[pool[unused], pool[best], half]
-        raw_filters[int(pool[best])] = TransferFunction(grid, grid.mirror(V))
-        cost = float(grid.integrate(grid.mirror(phi_r)))
+        cross[unused] -= V * S.values[pool[unused], pool[best]]
+        raw_filters[int(pool[best])] = TransferFunction(S.grid, V)
+        cost = float(S.grid.integrate(phi_r))
     support = tuple(sorted(raw_filters))
     refit_filters, refit_cost = project(S, target, support)
     if refit_cost > cost + 1e-8 * max(1.0, cost):

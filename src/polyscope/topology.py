@@ -232,7 +232,7 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
     """
     if D.kind not in SYMMETRIC_KINDS:
         raise InvalidParameterError("need a symmetric distance matrix")
-    if D.labels != S.labels:
+    if tuple(D.labels) != S.labels:
         raise InvalidParameterError("distance labels do not match the spectra")
     rtol = BLANKET_RMS_RTOL if threshold is None else float(threshold)
     if not 0 < rtol < 1:

@@ -36,6 +36,7 @@ from oracles import (
 )
 from polyscope import aln
 from polyscope.aln import IDENTIFIABILITY_RTOL, IDENTIFIABILITY_RUN, _noise_spectra
+from polyscope.diagnostics import collect
 
 
 def chain_spec(taps_a=(0.9, 0.4), taps_b=(0.7, -0.5)):
@@ -519,6 +520,27 @@ class TestAnalyticBuild:
         finer = analytic_spectra(twin, FrequencyGrid(128))
         assert finer.values.shape[-1] == 128
         assert calls == {"_source_transfers": 2, "_cross_spectra": 2}
+
+    def test_every_recovery_reports_its_floor_events(self):
+        # the zero of 1 + z^-1 at omega = -pi, with no noise of its own,
+        # takes b's auto-spectrum to zero there
+        spec = ALNSpec(["a", "b", "c"],
+                       [Link(0, 1, [1.0, 1.0]), Link(1, 2, [1.0, 0.5])],
+                       [1.0, 0.0, 1.0])
+        cfg = WelchConfig(grid_size=64)
+        analytic_spectra(spec, FrequencyGrid(64))._floored   # outside a collector
+        floor = [("spectral-floor", "auto-spectrum of 'b' floored at 1.000e-11")]
+        for pipeline in ("mst-coherence", "polytree-causal", "mst-coherence"):
+            with collect() as events:
+                run_recovery(spec, mode="analytic", pipeline=pipeline, cfg=cfg)
+            assert [(e.category, e.message) for e in events
+                    if e.category == "spectral-floor"] == floor
+        fresh = ALNSpec.from_json(spec.to_json())
+        with collect() as events:
+            S = analytic_spectra(fresh, FrequencyGrid(64))
+            assert events == []           # a new matrix records on first use
+            S._floored
+        assert [(e.category, e.message) for e in events] == floor
 
     def test_bytes_match_a_fresh_build(self):
         grid = FrequencyGrid(64)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -423,12 +424,19 @@ class TestSpectralMatrix:
         assert np.array_equal(S._floored, floored)
         assert S._eigenvalue_ratio == ratio
 
-    def test_values_are_read_only(self):
+    def test_immutable(self):
         _, S = self._matrix()
         with pytest.raises(ValueError):
             S.values[0, 1, 0] = 0.0
         with pytest.raises(ValueError):
             S.values *= 2.0
+        assert S.labels == ("s0", "s1", "s2")
+        with pytest.raises(TypeError):
+            S.labels[0] = "other"
+        for name, value in (("values", S.values.copy()), ("labels", ["a"] * 3),
+                            ("grid", FrequencyGrid(64))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(S, name, value)
 
     def test_every_producer_stores_an_exact_hermitian_matrix(self):
         grid = FrequencyGrid(64)

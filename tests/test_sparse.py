@@ -379,7 +379,7 @@ class TestOLSClosedFormSteps:
         sim = simulate(generate_polytree_aln(8, 3), 2 ** 12, seed=5)
         base = spectral_matrix(sim.ensemble, WelchConfig(grid_size=64))
         idx = list(range(base.n)) + [0]
-        S = SpectralMatrix(base.labels + ["copy"], base.grid,
+        S = SpectralMatrix([*base.labels, "copy"], base.grid,
                            base.values[np.ix_(idx, idx)])
         assert not _clears_screen(S)
         for target in range(S.n):

@@ -331,7 +331,7 @@ class TestConditioningScreen:
         sim = simulate(generate_polytree_aln(8, 3), 2 ** 12, seed=5)
         base = spectral_matrix(sim.ensemble, WelchConfig(grid_size=64))
         idx = list(range(base.n)) + [0]
-        S = SpectralMatrix(base.labels + ["copy"], base.grid,
+        S = SpectralMatrix([*base.labels, "copy"], base.grid,
                            base.values[np.ix_(idx, idx)])
         assert not S._eigenvalue_ratio >= 2 * CONDITION_RTOL
         calls = count_eigvalsh(monkeypatch)
@@ -410,7 +410,7 @@ class TestHalfGridSolvers:
     def test_screen_failing_duplicate_fails_as_the_oracles(self, producer):
         base = half_grid_matrix(producer, 8, 64)
         idx = list(range(base.n)) + [0]
-        S = SpectralMatrix(base.labels + ["copy"], base.grid,
+        S = SpectralMatrix([*base.labels, "copy"], base.grid,
                            base.values[np.ix_(idx, idx)])
         assert not _clears_screen(S)
         assert S._eigenvalue_ratio == eigenvalue_ratio_reference(S)
