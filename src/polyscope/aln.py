@@ -61,11 +61,29 @@ def _frozen(values) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
+def _values_key(values: np.ndarray) -> tuple[float, ...]:
+    """A hashable key that is equal for arrays :func:`np.array_equal`
+    calls equal: Python floats that compare equal (``0.0`` and ``-0.0``)
+    hash alike."""
+    return tuple(values.ravel().tolist())
+
+
+def _same_shaping(a, b) -> bool:
+    """Whether two ``noise_shaping`` fields are equal, entry by entry."""
+    if a is None or b is None:
+        return a is b
+    return len(a) == len(b) and all(
+        x is y if x is None or y is None else np.array_equal(x, y)
+        for x, y in zip(a, b))
+
+
+@dataclass(frozen=True, eq=False)
 class Link:
     """One directed FIR edge ``source -> target`` with optional unit delay.
 
-    Immutable: ``taps`` is the link's own read-only copy of the caller's."""
+    Immutable: ``taps`` is the link's own read-only copy of the caller's.
+    Links are values: two are equal when their endpoints, delays and taps
+    are (the taps by :func:`np.array_equal`), and equal links hash alike."""
 
     source: int
     target: int
@@ -82,13 +100,24 @@ class Link:
         if _integer(self.delay, "delay") not in (0, 1):
             raise InvalidParameterError("link delay must be 0 or 1 samples")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source, self.target, self.delay)
+                == (other.source, other.target, other.delay)
+                and np.array_equal(self.taps, other.taps))
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.delay,
+                     _values_key(self.taps)))
+
     @property
     def support(self) -> int:
         """Last time index the link's impulse response touches."""
         return self.delay + self.taps.size - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ALNSpec:
     """Full description of an acyclic linear network.
 
@@ -99,6 +128,12 @@ class ALNSpec:
     Immutable, so one spec object always describes the same network:
     ``labels``, ``links`` and ``noise_shaping`` are stored as tuples, and
     ``noise_variances`` and each shaping entry as read-only copies.
+
+    Specs are values: two are equal when their labels, links, seeds,
+    noise variances and ``noise_shaping`` fields are, arrays compared by
+    :func:`np.array_equal` and shaping entries (each None or taps) position
+    by position; equal specs hash alike.  The analytic build of
+    :func:`analytic_spectra` is still kept per spec object, not per value.
     """
 
     labels: tuple[str, ...]
@@ -142,6 +177,22 @@ class ALNSpec:
         # the skeleton must be a tree; Polytree validates connectivity
         store("_skeleton", Polytree(list(self.labels), edges))
         store("_order", self._topological_order())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.labels == other.labels and self.links == other.links
+                and self.seed == other.seed
+                and np.array_equal(self.noise_variances, other.noise_variances)
+                and _same_shaping(self.noise_shaping, other.noise_shaping))
+
+    def __hash__(self):
+        shaping = self.noise_shaping
+        if shaping is not None:
+            shaping = tuple(None if s is None else _values_key(s)
+                            for s in shaping)
+        return hash((self.labels, self.links, self.seed,
+                     _values_key(self.noise_variances), shaping))
 
     @property
     def n(self) -> int:
@@ -462,11 +513,19 @@ def check_identifiability(spec: ALNSpec, grid: FrequencyGrid | None = None
     noise source; this includes ``i == j``) and every noise ``k``, the
     product ``|Phi_ij| * phi_k`` must exceed ``IDENTIFIABILITY_RTOL`` times
     its maximum on ``IDENTIFIABILITY_RUN`` consecutive grid points, tested
-    per noise by :func:`_has_run`, never wrapping around the grid.  Pairs
-    that are exactly independent by the graph structure are exempt (their
-    distance is maximal, which cannot corrupt a spanning tree) and only
-    counted.  A dead noise fails every tuple that names it.  Violations are
-    ordered by pair ``(i, j)``, then by noise.
+    by :func:`_has_run`, never wrapping around the grid.  Pairs that are
+    exactly independent by the graph structure are exempt (their distance
+    is maximal, which cannot corrupt a spanning tree) and only counted.  A
+    dead noise fails every tuple that names it.  Violations are ordered by
+    pair ``(i, j)``, then by noise.
+
+    The rule is scale-free: a positive factor on ``phi_k`` moves neither
+    its alive runs nor their ratio to the maximum, so a noise's verdict
+    depends on its spectrum only up to a positive factor.  Each noise
+    spectrum is therefore scaled to a maximum of 1 (a dead one stays
+    zero), and the scan makes one pass per distinct scaled shape: every
+    white noise of positive variance is the shape 1, so all of them share
+    one pass over ``|Phi_ij|``.
 
     The products are even in frequency, so the scan reads only the
     :attr:`FrequencyGrid.half` points ``omega = -pi ... 0`` followed by the
@@ -480,22 +539,27 @@ def check_identifiability(spec: ALNSpec, grid: FrequencyGrid | None = None
     """
     grid = grid or FrequencyGrid(1024)
     build = _analytic_build(spec, grid)
-    H, phi, cross = build.H, build.phi, np.abs(build.cross)
-    shares = (np.max(np.abs(H), axis=2) > 0.0).astype(int)
-    related = (shares @ shares.T) > 0    # [a, b]: common noise source exists
+    # H[a, i] != 0 somewhere, tested on its real and imaginary parts
+    shares = np.any(build.H.view(float) != 0, axis=2)
+    related = shares @ shares.T    # [a, b]: common noise source exists
     rows, cols = np.nonzero(np.triu(related))
     # the points past omega = 0 are the twins of those before it
     m, past = grid.size // 2, (IDENTIFIABILITY_RUN - 1) // 2
-    scan = np.r_[:m + 1, m - 1:m - 1 - past:-1]
-    pairs, phi = cross[rows, cols][:, scan], phi[:, scan]
-    failed = np.empty((rows.size, spec.n), dtype=bool)
-    for k, noise in enumerate(phi):
-        product = pairs * noise
-        top = np.max(product, axis=-1, keepdims=True)
-        failed[:, k] = ~_has_run(product > IDENTIFIABILITY_RTOL * top,
-                                 IDENTIFIABILITY_RUN)
+    scan = np.concatenate((np.arange(m + 1), np.arange(m - 1, m - 1 - past, -1)))
+    pairs = np.abs(build.cross[rows, cols])[:, scan]
+    top = np.max(build.phi, axis=1, keepdims=True)
+    scaled = build.phi[:, scan] / np.where(top > 0.0, top, 1.0)
+    # one pass per distinct scaled shape; shape_of[k] indexes noise k's
+    distinct: dict[bytes, int] = {}
+    shape_of = [distinct.setdefault(row.tobytes(), len(distinct))
+                for row in scaled]
+    shapes = np.frombuffer(b"".join(distinct)).reshape(len(distinct), -1)
+    product = pairs[:, None, :] * shapes
+    peak = np.max(product, axis=-1, keepdims=True)
+    failed = ~_has_run(product > IDENTIFIABILITY_RTOL * peak,
+                       IDENTIFIABILITY_RUN)
     violations = [(int(rows[p]), int(cols[p]), int(k))
-                  for p, k in zip(*np.nonzero(failed))]
+                  for p, k in zip(*np.nonzero(failed[:, shape_of]))]
     exempt = spec.n * (spec.n + 1) // 2 - rows.size
     return IdentifiabilityReport(not violations, violations, exempt)
 

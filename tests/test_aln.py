@@ -46,6 +46,30 @@ def chain_spec(taps_a=(0.9, 0.4), taps_b=(0.7, -0.5)):
                    np.ones(3))
 
 
+def mixed_noise_spec(n, seed):
+    """A generated network's links driven by mixed noises, and the number
+    of distinct noise shapes among them.
+
+    The generated white noises of unequal variance stay on some nodes; others
+    get random MA shapings, the last of those twice the first's taps at the
+    first's variance (the same shape up to a factor), and one noise is dead.
+    """
+    base = generate_polytree_aln(n, seed=seed)
+    rng = np.random.default_rng([n, seed])
+    variances = base.noise_variances.copy()
+    shaping = [None] * n
+    dead, *shaped = rng.permutation(n)[:1 + max(2, n // 3)]
+    for k in shaped:
+        shaping[k] = rng.uniform(-1.0, 1.0, size=rng.integers(2, 4))
+    shaping[shaped[-1]] = 2.0 * shaping[shaped[0]]
+    variances[shaped[-1]] = variances[shaped[0]]
+    variances[dead] = 0.0
+    white = n - 1 - len(shaped) > 0
+    spec = ALNSpec(base.labels, base.links, variances, shaping, seed)
+    # the white shape, one per shaping less the shared one, the dead one
+    return spec, white + len(shaped)
+
+
 def collider_spec():
     return ALNSpec(["X1", "X2", "X3"],
                    [Link(0, 2, np.array([0.9, 0.4])),
@@ -77,6 +101,15 @@ class TestLink:
             link.taps[0] = 1.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             link.delay = 1
+
+    def test_value_equality(self):
+        link = Link(0, 1, np.array([0.5, 0.0]), delay=1)
+        same = Link(0, 1, [0.5, -0.0], delay=1)
+        assert link == same and hash(link) == hash(same)
+        for other in (Link(0, 1, [0.5, 0.1], delay=1), Link(0, 1, [0.5]),
+                      Link(0, 1, [0.5, 0.0]), Link(1, 0, [0.5, 0.0], delay=1)):
+            assert link != other
+        assert link != "link" and link != (0, 1, [0.5, 0.0], 1)
 
 
 class TestALNSpec:
@@ -152,6 +185,44 @@ class TestALNSpec:
                                       spec.noise_shaping[0])
         assert back.noise_shaping[1] is None
         assert back.to_json() == spec.to_json()
+
+    def test_value_equality(self):
+        shaped = ALNSpec(["a", "b", "c"],
+                         [Link(0, 1, [0.3, -0.2], delay=1), Link(2, 1, [0.7])],
+                         [1.5, 0.5, 2.0],
+                         noise_shaping=[[1.0, 0.9], None, [1.0, -0.4, 0.2]],
+                         seed=7)
+        for spec in (generate_polytree_aln(4, seed=1),
+                     generate_polytree_aln(9, seed=5), shaped):
+            back = ALNSpec.from_json(spec.to_json())
+            assert back is not spec and back == spec and not back != spec
+            assert hash(back) == hash(spec) and len({spec, back}) == 1
+            links, variances = list(spec.links), spec.noise_variances.copy()
+            taps = links[-1].taps.copy()
+            taps[0] += 0.125
+            links[-1] = Link(links[-1].source, links[-1].target, taps,
+                             links[-1].delay)
+            variances[1] *= 2.0
+            shaping = spec.noise_shaping
+            for other in (
+                    ALNSpec(spec.labels, links, spec.noise_variances,
+                            shaping, spec.seed),
+                    ALNSpec(spec.labels, spec.links, variances, shaping,
+                            spec.seed),
+                    ALNSpec(spec.labels, spec.links, spec.noise_variances,
+                            shaping, None if spec.seed else 1)):
+                assert other != spec and not other == spec
+        assert generate_polytree_aln(4, seed=1) == generate_polytree_aln(4, seed=1)
+        assert generate_polytree_aln(4, seed=1) != generate_polytree_aln(4, seed=2)
+        # the shaping entries are compared position by position
+        labels, links, variances = shaped.labels, shaped.links, shaped.noise_variances
+        for shaping in (None, [None, None, None], [[1.0, 0.9], None, [1.0, -0.4]],
+                        [[1.0, 0.9], [1.0], [1.0, -0.4, 0.2]],
+                        [[1.0, 0.8], None, [1.0, -0.4, 0.2]]):
+            assert ALNSpec(labels, links, variances, shaping, 7) != shaped
+        assert ALNSpec(labels, links, variances,
+                       [np.array([1.0, 0.9]), None, (1.0, -0.4, 0.2)], 7) == shaped
+        assert shaped != shaped.to_json()
 
 
 class TestGeneratePolytree:
@@ -374,6 +445,81 @@ class TestIdentifiability:
                 assert report.violations == violations
                 assert report.exempt_pairs == exempt
                 assert report.passed == (not violations)
+
+    @staticmethod
+    def _passes(monkeypatch):
+        """Record how many noise shapes each scan pass tests."""
+        shapes, real = [], aln._has_run
+
+        def spy(alive, run):
+            shapes.append(alive.shape[1])
+            return real(alive, run)
+        monkeypatch.setattr(aln, "_has_run", spy)
+        return shapes
+
+    @pytest.mark.parametrize("size", [64, 256])
+    def test_shaped_noises_match_loop_oracle(self, size, monkeypatch):
+        # shaped, white and dead noises, at the default and the strict
+        # level and run; noises of one shape share one pass
+        grid = FrequencyGrid(size)
+        passes = self._passes(monkeypatch)
+        for n in range(3, 11):
+            for seed in range(16):
+                spec, shapes = mixed_noise_spec(n, seed)
+                for rtol, run in [(IDENTIFIABILITY_RTOL, IDENTIFIABILITY_RUN),
+                                  (0.9, 4)]:
+                    monkeypatch.setattr(aln, "IDENTIFIABILITY_RTOL", rtol)
+                    monkeypatch.setattr(aln, "IDENTIFIABILITY_RUN", run)
+                    passes.clear()
+                    report = check_identifiability(spec, grid)
+                    violations, exempt = identifiability_reference(
+                        spec, grid, rtol, run)
+                    assert report.violations == violations
+                    assert report.exempt_pairs == exempt
+                    assert passes == [shapes]
+
+    @pytest.mark.parametrize("factor", [2.0 ** 10, 2.0 ** -10])
+    def test_report_ignores_a_common_noise_scale(self, factor, monkeypatch):
+        # a power of two scales every cross spectrum exactly
+        grid = FrequencyGrid(64)
+        for n in (3, 6, 10):
+            for seed in range(4):
+                for spec in (generate_polytree_aln(n, seed=seed),
+                             mixed_noise_spec(n, seed)[0]):
+                    scaled = ALNSpec(spec.labels, spec.links,
+                                     spec.noise_variances * factor,
+                                     spec.noise_shaping)
+                    for rtol, run in [(IDENTIFIABILITY_RTOL, IDENTIFIABILITY_RUN),
+                                      (0.9, 4)]:
+                        monkeypatch.setattr(aln, "IDENTIFIABILITY_RTOL", rtol)
+                        monkeypatch.setattr(aln, "IDENTIFIABILITY_RUN", run)
+                        assert check_identifiability(scaled, grid) == \
+                            check_identifiability(spec, grid)
+
+    def test_white_noises_share_one_verdict(self, monkeypatch):
+        # at the strict level pairs fail; each fails with every noise of
+        # positive variance or with none, in one pass over |Phi_ij|
+        monkeypatch.setattr(aln, "IDENTIFIABILITY_RTOL", 0.9)
+        monkeypatch.setattr(aln, "IDENTIFIABILITY_RUN", 4)
+        passes = self._passes(monkeypatch)
+        grid, failing = FrequencyGrid(64), 0
+        for n in (3, 7, 12):
+            for seed in range(6):
+                spec = generate_polytree_aln(n, seed=seed)
+                variances = spec.noise_variances.copy()
+                variances[seed % n] = 0.0
+                for case in (spec, ALNSpec(spec.labels, spec.links, variances)):
+                    passes.clear()
+                    report = check_identifiability(case, grid)
+                    alive = set(np.flatnonzero(case.noise_variances > 0))
+                    assert passes == [1 + (len(alive) < n)]
+                    by_pair = {}
+                    for i, j, k in report.violations:
+                        by_pair.setdefault((i, j), set()).add(k)
+                    for noises in by_pair.values():
+                        assert noises & alive in (set(), alive)
+                    failing += sum(noises >= alive for noises in by_pair.values())
+        assert failing > 0
 
     @pytest.mark.parametrize("run", [3, 4])
     def test_run_across_omega_zero(self, run, monkeypatch):

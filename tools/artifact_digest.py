@@ -32,7 +32,8 @@ where every MISO filter comes from one inverse of the spectral matrix.
 pipelines networks of 14 to 16 nodes on a 256-point grid, the largest
 networks and the grid of the analytic benchmark, which pins the causal
 distances and their orientation ties, and the MISO blankets, at those
-shapes.  Two checkouts that
+shapes.  The ``validate-*`` runs draw their networks through the
+identifiability check, so the document pins its verdicts too.  Two checkouts that
 print the same document wrote the same bytes, so a refactor that must keep
 artifacts byte-identical is checked with::
 
