@@ -488,9 +488,9 @@ def analytic_spectra(spec: ALNSpec, grid: FrequencyGrid) -> SpectralMatrix:
 
     Positive semi-definite at every frequency by construction (it is a
     noise-weighted Gram matrix of the source transfer rows).  The cross
-    spectra are built on the :attr:`FrequencyGrid.half` grid only, and the
-    :class:`SpectralMatrix` mirrors them, as the spectra of real series are
-    conjugate-even.
+    spectra are built on the :attr:`FrequencyGrid.half` grid only, which
+    is all the :class:`SpectralMatrix` stores, as the spectra of real series
+    are conjugate-even.
 
     The network's last analytic build is kept until its spec is collected
     or another spec or grid size is built, so repeated calls (and

@@ -179,7 +179,7 @@ def causal_distance_matrix(S: SpectralMatrix) -> DistanceMatrix:
     Wiener--Hopf solve against every input at once.
     """
     n = S.n
-    factors = _spectral_factors(S.grid, S._floored[:, S.grid.half])[0]
+    factors = _spectral_factors(S.grid, S._floored)[0]
     out = np.zeros((n, n))
     for j in range(n):
         _, _, cost = _wiener_hopf(S, j, slice(None), factors[j], factors)

@@ -229,9 +229,10 @@ class Ensemble:
         return np.stack([s.samples for s in self.series])
 
 
-@dataclass
+@dataclass(eq=False)
 class Spectrum:
-    """Complex spectral values on a :class:`FrequencyGrid`."""
+    """Complex spectral values on a :class:`FrequencyGrid`; equal only to
+    itself."""
 
     grid: FrequencyGrid
     values: np.ndarray
@@ -243,41 +244,40 @@ class Spectrum:
                 "spectrum length does not match its grid")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SpectralMatrix:
     """Hermitian matrix of cross spectra, ``values[i, j, k] = Phi_{x_i x_j}(omega_k)``.
 
     ``values`` may hold the whole grid, ``(n, n, K)``, or its
     :attr:`FrequencyGrid.half`, ``(n, n, K/2 + 1)``; either way the matrix
-    keeps its own C-ordered copy of the whole grid (so any layout sums in
-    one order), stored exactly Hermitian and exactly conjugate-even in
-    frequency, as the spectra of real series are: lower triangle the
-    conjugated upper, diagonal real, grid point ``K - k`` the conjugate of
-    point ``k`` (see :meth:`FrequencyGrid.mirror`), values real at
-    ``omega = -pi`` and ``0``.  Immutable: ``labels`` is stored as a tuple
-    and ``values`` read-only, so one matrix can be shared.  Rejects
-    non-finite values, any
+    stores only its own C-ordered copy of the half, :attr:`half`, exactly
+    Hermitian (lower triangle the conjugated upper, diagonal real) and real
+    at ``omega = -pi`` and ``0``.  The spectra of real series are
+    conjugate-even, so the half carries the whole grid: :attr:`values` is
+    its :meth:`FrequencyGrid.mirror`, built on first read.  Immutable and
+    equal only to itself: ``labels`` is a tuple and both arrays read-only,
+    so one matrix can be shared.  Rejects non-finite values, any
     ``|v_ij - conj(v_ji)| > 1e-9 * max|v|`` and any
     ``|v[..., K - k] - conj(v[..., k])| > 1e-9 * max|v|``; half-grid values
     are conjugate-even by construction, so of the last rule only the end
-    points ``-pi`` and ``0`` are checked.  Every solver that reads
-    :attr:`_floored_stack` therefore solves the half grid only.
+    points ``-pi`` and ``0`` are checked.
     """
 
     labels: tuple[str, ...]
     grid: FrequencyGrid
-    values: np.ndarray
+    half: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        v = np.asarray(self.values, dtype=complex)
-        n, m = len(self.labels), self.grid.size // 2
+    def __init__(self, labels, grid: FrequencyGrid, values):
+        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "grid", grid)
+        v = np.asarray(values, dtype=complex)
+        n, m = len(self.labels), grid.size // 2
         if n == 0:
             raise InvalidParameterError("spectral matrix needs at least one series")
-        if v.shape not in ((n, n, self.grid.size), (n, n, m + 1)):
+        if v.shape not in ((n, n, grid.size), (n, n, m + 1)):
             raise InvalidParameterError(
                 f"spectral matrix shape {v.shape} does not match "
-                f"{n} labels on a grid of {self.grid.size}")
+                f"{n} labels on a grid of {grid.size}")
         if not np.all(np.isfinite(v)):
             raise InvalidParameterError("spectral matrix has non-finite values")
         tol = 1e-9 * (np.max(np.abs(v)) or 1.0)
@@ -287,7 +287,7 @@ class SpectralMatrix:
         # point K - k (frequency -omega_k) is the twin of point k; -pi (k = 0)
         # and 0 (k = K/2) are their own
         ends = v[..., [0, m]]
-        if (v.shape[-1] == self.grid.size and np.any(
+        if (v.shape[-1] == grid.size and np.any(
                 np.abs(v[..., :m:-1] - np.conj(v[..., 1:m])) > tol)) \
                 or np.any(np.abs(ends - np.conj(ends)) > tol):
             raise InvalidParameterError(
@@ -295,10 +295,18 @@ class SpectralMatrix:
         half = v[..., :m + 1].copy()
         half.imag[..., [0, m]] *= 0.0      # real; exact zeros keep their sign
         half[rows, cols] = np.conj(half[cols, rows])
-        v = self.grid.mirror(half)
-        v.imag[np.arange(n), np.arange(n)] = 0.0
+        half.imag[np.arange(n), np.arange(n)] = 0.0
+        half.flags.writeable = False
+        object.__setattr__(self, "half", half)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """``(n, n, K)`` read-only whole grid, mirrored from :attr:`half` on
+        first read."""
+        v = self.grid.mirror(self.half)
+        v.imag[np.arange(self.n), np.arange(self.n)] = 0.0    # conj(0.0) is -0.0
         v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        return v
 
     @property
     def n(self) -> int:
@@ -312,10 +320,12 @@ class SpectralMatrix:
 
     @cached_property
     def _flooring(self) -> tuple[np.ndarray, tuple[str, ...]]:
-        """``(n, K)`` read-only real auto-spectra floored by :func:`_floor`,
-        and one message per series that needed the floor.  Computed on
-        first use; records nothing (see :attr:`_floored`)."""
-        phi = np.real(np.einsum("iik->ik", self.values))
+        """``(n, K/2+1)`` read-only real auto-spectra on the :attr:`half`
+        grid, floored by :func:`_floor`, and one message per series that
+        needed the floor.  An even spectrum has the same extremes on the
+        half as on the whole grid, so the floors are the whole grid's.
+        Computed on first use; records nothing (see :attr:`_floored`)."""
+        phi = np.real(np.einsum("iik->ik", self.half))
         floored = _floor(phi)
         floored.flags.writeable = False
         # a clipped row's smallest value is the floor itself
@@ -345,9 +355,8 @@ class SpectralMatrix:
 
     @cached_property
     def _floored_stack(self) -> np.ndarray:
-        """``(K/2+1, n, n)`` read-only stack of ``values`` per grid point of
-        the :attr:`FrequencyGrid.half` grid, with :attr:`_floored` on its
-        diagonal.
+        """``(K/2+1, n, n)`` read-only stack of :attr:`half` per grid point,
+        with :attr:`_floored` on its diagonal.
 
         The matrix at grid point ``K - k`` is the exact conjugate of the one
         at ``k``, so every per-frequency solve of the stack stands for its
@@ -355,10 +364,9 @@ class SpectralMatrix:
         Computed on first use.  The floor events are :attr:`_floored`'s,
         recorded once whichever of the two is used first.
         """
-        half = self.grid.half
-        A = self.values[..., half].transpose(2, 0, 1).copy()
+        A = self.half.transpose(2, 0, 1).copy()
         d = np.arange(self.n)
-        A[:, d, d] = self._floored[:, half].T
+        A[:, d, d] = self._floored.T
         A.flags.writeable = False
         return A
 
@@ -376,12 +384,13 @@ class SpectralMatrix:
     def floored_autospectrum(self, i: int) -> np.ndarray:
         """Real auto-spectrum of series ``i``, clipped from below at the floor."""
         self.check_index(i)
-        return self._floored[i].copy()
+        return self.grid.mirror(self._floored[i])
 
 
-@dataclass
+@dataclass(eq=False)
 class CoherenceCurve:
-    """Magnitude-squared coherence of one pair, clamped into [0, 1]."""
+    """Magnitude-squared coherence of one pair, clamped into [0, 1]; equal
+    only to itself."""
 
     grid: FrequencyGrid
     values: np.ndarray
@@ -556,9 +565,7 @@ def _coherence_row(S: SpectralMatrix, i: int, cols) -> np.ndarray:
     of a row is the whole-grid coherence bit for bit; mirror it before any
     grid mean.  Overshoot beyond ``1 + 1e-6`` is recorded per pair.
     """
-    half = S.grid.half
-    floored = S._floored[:, half]
-    raw = np.abs(S.values[i, cols, half]) ** 2 / (floored[i] * floored[cols])
+    raw = np.abs(S.half[i, cols]) ** 2 / (S._floored[i] * S._floored[cols])
     peaks = np.max(raw, axis=-1)
     over = peaks > 1.0 + 1e-6
     for j, peak in zip(np.arange(S.n)[cols][over], peaks[over]):

@@ -80,10 +80,11 @@ def inner_product(S: SpectralMatrix, a: int, b: int) -> float:
 
     Every :class:`SpectralMatrix` is exactly conjugate-even in frequency,
     as the spectra of real processes are, so the mean is real: its
-    imaginary part is rounding and is dropped.
+    imaginary part is rounding and is dropped.  The mean is taken of the
+    pair's whole-grid row, mirrored from :attr:`SpectralMatrix.half`.
     """
     S.check_index(a, b)
-    return complex(S.grid.integrate(S.values[a, b])).real
+    return complex(S.grid.integrate(S.grid.mirror(S.half[a, b]))).real
 
 
 def project(S: SpectralMatrix, target: int, support
@@ -174,7 +175,7 @@ def matching_pursuit(S: SpectralMatrix, target: int, max_inputs: int,
     """
     max_inputs = _check_solver_args(max_inputs, min_gain)
     pool = np.array(_candidates(S, target), dtype=int)
-    floored = S._floored[pool]
+    floored = S.grid.mirror(S._floored[pool])
     cross = S.values[pool, target]
     unused = np.ones(pool.size, dtype=bool)
     phi_r = np.maximum(np.real(S.values[target, target]).copy(), 0.0)

@@ -197,7 +197,7 @@ def _joint_fits(S: SpectralMatrix, target: int, inputs
     _check_orthogonality(target, A, c, W)
     explained = np.real(np.sum(np.conj(c[0]) * W[0], axis=-1))
     residual = S.grid.mirror(np.maximum(
-        np.real(S.values[target, target, S.grid.half]) - explained, 0.0))
+        np.real(S.half[target, target]) - explained, 0.0))
     return W[0], residual, float(S.grid.integrate(residual))
 
 
@@ -208,7 +208,7 @@ def _normal_equations(S: SpectralMatrix, target: int, idx: np.ndarray
     on each row of an ``(m, q)`` index array, with ``S._floored`` on the
     diagonals."""
     A = S._floored_stack[:, idx[:, :, None], idx[:, None, :]].swapaxes(0, 1)
-    c = S.values[idx, target, S.grid.half].transpose(0, 2, 1).copy()
+    c = S.half[idx, target].transpose(0, 2, 1).copy()
     return A, c
 
 
@@ -263,7 +263,7 @@ def _extension_costs(S: SpectralMatrix, target: int, support, free) -> np.ndarra
     w = r / s
     W = np.concatenate([W_S - G * w[..., None], w[..., None]], axis=-1)
     _check_orthogonality(target, A, c, W)
-    residual = np.maximum(np.real(S.values[target, target, S.grid.half])
+    residual = np.maximum(np.real(S.half[target, target])
                           - explained - np.abs(r) ** 2 / s, 0.0)
     costs = np.full(m, np.inf)
     costs[kept] = S.grid.integrate(S.grid.mirror(residual))
@@ -452,9 +452,8 @@ def _wiener_hopf(S: SpectralMatrix, target: int, inputs, target_factor: np.ndarr
     filter response and whitened error spectrum, and the error's grid mean
     (the cost), taken of its :meth:`FrequencyGrid.mirror`.
     """
-    half = S.grid.half
-    phi = S._floored[:, half]
-    cross = S.values[inputs, target, half]
+    phi = S._floored
+    cross = S.half[inputs, target]
     # the causal part of the whitened cross spectrum keeps t = 0, drops t < 0
     causal = S.grid.half_to_time(
         (1.0 / target_factor) * cross / np.conj(input_factors))
@@ -472,7 +471,7 @@ def _causal_pair(S: SpectralMatrix, target: int, input_: int
     S.check_index(target, input_)
     if target == input_:
         raise InvalidParameterError("target and input must differ")
-    factors = _spectral_factors(S.grid, S._floored[[target, input_], S.grid.half])[0]
+    factors = _spectral_factors(S.grid, S._floored[[target, input_]])[0]
     return _wiener_hopf(S, target, [input_], factors[0], factors[1:])
 
 

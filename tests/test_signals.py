@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from polyscope import (
+    CoherenceCurve,
     DistanceMatrix,
     Ensemble,
     FrequencyGrid,
@@ -15,14 +16,17 @@ from polyscope import (
     InvalidParameterError,
     Link,
     SpectralMatrix,
+    Spectrum,
     TimeSeries,
     TransferFunction,
     WelchConfig,
     analytic_spectra,
     causal_distance,
+    causal_distance_matrix,
     causal_wiener,
     coherence_distance,
     coherence_function,
+    distance_matrix,
     generate_polytree_aln,
     inner_product,
     matching_pursuit,
@@ -30,6 +34,7 @@ from polyscope import (
     noncausal_wiener,
     orthogonal_least_squares,
     project,
+    run_recovery,
     simulate,
     sparse_exhaustive,
     spectral_matrix,
@@ -430,13 +435,51 @@ class TestSpectralMatrix:
             S.values[0, 1, 0] = 0.0
         with pytest.raises(ValueError):
             S.values *= 2.0
+        with pytest.raises(ValueError):
+            S.half[0, 1, 0] = 0.0
         assert S.labels == ("s0", "s1", "s2")
         with pytest.raises(TypeError):
             S.labels[0] = "other"
-        for name, value in (("values", S.values.copy()), ("labels", ["a"] * 3),
-                            ("grid", FrequencyGrid(64))):
+        for name, value in (("values", S.values.copy()), ("half", S.half.copy()),
+                            ("labels", ["a"] * 3), ("grid", FrequencyGrid(64))):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(S, name, value)
+
+    def test_equality_is_identity(self):
+        # a matrix, a spectrum and a coherence curve equal only themselves;
+        # the frozen matrix hashes
+        grid = FrequencyGrid(64)
+        S = analytic_spectra(generate_polytree_aln(4, 1), grid)
+        copy = SpectralMatrix(S.labels, grid, S.values)
+        assert S == S and S != copy
+        assert hash(S) == hash(S) and len({S, copy, S}) == 2
+        spectrum = Spectrum(grid, S.values[0, 1])
+        assert spectrum == spectrum and spectrum != Spectrum(grid, S.values[0, 1])
+        curve = coherence_function(S, 0, 1)
+        assert curve == curve and curve != CoherenceCurve(grid, curve.values)
+
+    def test_no_solver_mirrors_the_whole_grid(self):
+        # every solver but matching_pursuit reads the stored half alone
+        cfg = WelchConfig(grid_size=64)
+        grid = FrequencyGrid(cfg.grid_size)
+        spec = generate_polytree_aln(8, 3)
+        rng = np.random.default_rng(3)
+        welch = spectral_matrix(Ensemble([TimeSeries(f"s{i}", x) for i, x in
+                                          enumerate(rng.standard_normal((5, 2048)))]),
+                                cfg)
+        for S in (analytic_spectra(spec, grid), welch):
+            D = distance_matrix(S)
+            causal_distance_matrix(S)
+            miso_blanket_topology(S, D)
+            for target in range(S.n):
+                orthogonal_least_squares(S, target, 3)
+            if S is not welch:
+                for pipeline in ("mst-coherence", "polytree-causal", "miso-blanket"):
+                    run_recovery(spec, "analytic", pipeline, cfg=cfg)
+                assert analytic_spectra(spec, grid) is S
+            assert "values" not in vars(S)
+            assert not S.half.flags.writeable and S.half.flags.c_contiguous
+            assert S.half.shape == (S.n, S.n, grid.size // 2 + 1)
 
     def test_every_producer_stores_an_exact_hermitian_matrix(self):
         grid = FrequencyGrid(64)
@@ -512,6 +555,7 @@ class TestSpectralMatrix:
                 cases.append(((0, 2, point), 0.5j * f * tol))
                 cases.append(((0, 1, point), np.nextafter(0.5 * f * tol, 0.0) * 1j))
         verdicts = set()
+        d = np.arange(3)
         for (i, j, k), delta in cases:
             values = base.copy()
             values[i, j, k] += delta
@@ -525,13 +569,17 @@ class TestSpectralMatrix:
             # rule only their end points are checked, with the same verdict
             inputs = [values] + ([values[..., grid.half]] if k in (0, 4) else [])
             if accepted:
-                S = SpectralMatrix(["a", "b", "c"], grid, values)
+                S, *from_half = [SpectralMatrix(["a", "b", "c"], grid, given_values)
+                                 for given_values in inputs]
                 assert np.array_equal(S.values[..., 5:], np.conj(S.values[..., 3:0:-1]))
                 assert np.all(S.values[..., [0, 4]].imag == 0.0)
-                for given_values in inputs[1:]:
-                    assert np.array_equal(
-                        SpectralMatrix(["a", "b", "c"], grid, given_values).values,
-                        S.values)
+                for T in from_half:
+                    assert np.array_equal(T.values, S.values)
+                # the stored half is the whole grid's first K/2 + 1 points,
+                # and the mirror leaves no -0.0 on the diagonal
+                for T in [S, *from_half]:
+                    assert T.half.tobytes() == T.values[..., grid.half].tobytes()
+                    assert not np.any(np.signbit(T.values[d, d].imag))
             else:
                 for given_values in inputs:
                     with pytest.raises(InvalidParameterError,
@@ -553,8 +601,11 @@ class TestSpectralMatrix:
         labels = list("abcd")
         S = SpectralMatrix(labels, grid, half)
         assert S.values.shape == (4, 4, 16)
-        assert S.values.tobytes() == \
-            SpectralMatrix(labels, grid, grid.mirror(half)).values.tobytes()
+        full = SpectralMatrix(labels, grid, grid.mirror(half))
+        assert S.values.tobytes() == full.values.tobytes()
+        for T in (S, full):
+            assert T.half.tobytes() == T.values[..., grid.half].tobytes()
+            assert not np.any(np.signbit(T.values[np.arange(4), np.arange(4)].imag))
         for size in (8, 10, 17):
             with pytest.raises(InvalidParameterError, match="does not match"):
                 SpectralMatrix(labels, grid, np.ones((4, 4, size)))
