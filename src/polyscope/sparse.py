@@ -16,8 +16,9 @@ Three solvers:
   scored by its jointly optimal cost (the usual accuracy/cost middle ground).
   :mod:`polyscope.wiener` scores a step's extensions in closed form from
   the current support's fit, and drops a candidate collinear with the
-  support from the rest of the run.  Only the winner is refit, so reported
-  filters and costs are joint solves.
+  support from the rest of the run.  Nothing is refit: each step reports
+  the winner's filters and cost from its scoring, which agree with a joint
+  solve to rounding.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from .errors import (
 from .signals import SpectralMatrix, _integer
 from .wiener import (
     TransferFunction,
+    _check_conditioning,
     _extension_costs,
     _filters,
-    _joint_fits,
     noncausal_wiener,
 )
 
@@ -227,9 +228,13 @@ def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
     filters against their normal equations.  A candidate collinear with the
     support is scored ``inf`` and leaves the pool for the rest of the run,
     as in the classical rule of Chen, Billings & Luo (1989); a pool left
-    empty stops on ``exhausted``.  The winner alone is refit, so its filters
-    and cost come from the same joint solve as :func:`project`.  Stopping
-    rules match :func:`matching_pursuit`.
+    empty stops on ``exhausted``.  The winner is not refit: its filters and
+    its closed-form cost, which the stopping rules read, are those its
+    scoring solved and checked, and they agree with :func:`project` on the
+    same support to rounding.  When the conditioning screen fails, the
+    winner's whole input block is still checked as :func:`project` would
+    check it, and raises the same error.  Stopping rules match
+    :func:`matching_pursuit`.
     """
     max_inputs = _check_solver_args(max_inputs, min_gain)
     pool = _candidates(S, target)
@@ -241,23 +246,25 @@ def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
             stop_reason = "budget"
             break
         if pool:
-            costs = dict(zip(pool, _extension_costs(S, target, support, pool)
-                             .tolist()))
+            costs, fits = _extension_costs(S, target, support, pool)
             # a collinear candidate scores inf and leaves the pool for good
-            pool = [b for b in pool if costs[b] < math.inf]
+            kept = costs < math.inf
+            pool, costs = [b for b, k in zip(pool, kept) if k], costs[kept]
         if not pool:
             stop_reason = "exhausted"
             break
         # the first minimum adds the lowest index, as the pool is sorted
-        best = min(pool, key=costs.get)
-        chosen = sorted(support + [best])
-        W, _, chosen_cost = _joint_fits(S, target, chosen)
-        stop = _greedy_stop(cost - chosen_cost, cost, initial, min_gain,
+        pick = int(np.argmin(costs))
+        best, best_cost = pool.pop(pick), float(costs[pick])
+        extended = support + [best]
+        chosen = sorted(extended)
+        _check_conditioning(S, chosen)
+        stop = _greedy_stop(cost - best_cost, cost, initial, min_gain,
                             first=not support)
         if stop:
             stop_reason = stop
             break
-        pool.remove(best)
-        support, filters, cost = chosen, _filters(S.grid, chosen, W), chosen_cost
+        W = fits[pick][:, np.argsort(extended)]
+        support, filters, cost = chosen, _filters(S.grid, chosen, W), best_cost
     return SparseModel(target, tuple(support), filters, cost,
                        solver="ols", stop_reason=stop_reason)

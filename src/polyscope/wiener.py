@@ -169,30 +169,43 @@ def _clears_screen(S: SpectralMatrix) -> bool:
     return S._eigenvalue_ratio >= 2 * CONDITION_RTOL
 
 
+def _check_conditioning(S: SpectralMatrix, inputs) -> None:
+    """Raise :class:`IllConditionedSpectrumError` when the fit on ``inputs``
+    is singular beyond the floor.
+
+    Nothing is computed when :func:`_clears_screen` holds.  Otherwise the
+    inputs' floored block ``(K/2+1, q, q)``, in the order given, is checked
+    at every :attr:`FrequencyGrid.half` point: the message names the
+    frequency of the smallest eigenvalue ratio when that falls below
+    :data:`CONDITION_RTOL`.
+    """
+    if _clears_screen(S):
+        return
+    idx = np.asarray(inputs)
+    eigs = np.linalg.eigvalsh(S._floored_stack[:, idx[:, None], idx[None, :]])
+    ratio = eigs[:, 0] / eigs[:, -1]
+    worst = np.argmin(ratio)
+    if eigs[worst, 0] < CONDITION_RTOL * eigs[worst, -1]:
+        raise IllConditionedSpectrumError(
+            f"input spectral matrix singular beyond the floor at "
+            f"omega={S.grid.omegas[worst]:.6f} (eigenvalue ratio "
+            f"{ratio[worst]:.3e})")
+
+
 def _joint_fits(S: SpectralMatrix, target: int, inputs
                 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Joint least-squares fit of ``target`` on one valid input set (see
     :func:`_check_inputs`).
 
     The fit is solved on the :attr:`FrequencyGrid.half` grid.  It is
-    checked for conditioning before it is solved: at once by
-    :func:`_clears_screen`, or when that fails, its blocks with their own
-    eigenvalues against :data:`CONDITION_RTOL`.  The solution is
-    always checked against its normal equations (residual orthogonal to
-    every input).  Returns the half-grid filter responses ``W (K/2+1, q)``
+    checked for conditioning by :func:`_check_conditioning` before it is
+    solved, and the solution is always checked against its normal equations
+    (residual orthogonal to every input).  Returns the half-grid filter responses ``W (K/2+1, q)``
     (column ``p`` belongs to ``inputs[p]``; :func:`_filters` mirrors them),
     the raw residual spectrum on the full grid and its grid mean.
     """
+    _check_conditioning(S, inputs)
     A, c = _normal_equations(S, target, np.asarray([inputs]))
-    if not _clears_screen(S):
-        eigs = np.linalg.eigvalsh(A[0])
-        ratio = eigs[:, 0] / eigs[:, -1]
-        worst = np.argmin(ratio)
-        if eigs[worst, 0] < CONDITION_RTOL * eigs[worst, -1]:
-            raise IllConditionedSpectrumError(
-                f"input spectral matrix singular beyond the floor at "
-                f"omega={S.grid.omegas[worst]:.6f} (eigenvalue ratio "
-                f"{ratio[worst]:.3e})")
     W = np.linalg.solve(A, c[..., None])[..., 0]
     _check_orthogonality(target, A, c, W)
     explained = np.real(np.sum(np.conj(c[0]) * W[0], axis=-1))
@@ -212,9 +225,10 @@ def _normal_equations(S: SpectralMatrix, target: int, idx: np.ndarray
     return A, c
 
 
-def _extension_costs(S: SpectralMatrix, target: int, support, free) -> np.ndarray:
-    """Costs of the joint fits of ``target`` on ``support + [b]``, one per
-    ``b`` in ``free``, from the fit on ``support`` alone.
+def _extension_costs(S: SpectralMatrix, target: int, support, free
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Costs and filters of the joint fits of ``target`` on ``support + [b]``,
+    one per ``b`` in ``free``, from the fit on ``support`` alone.
 
     This is the orthogonal least squares recursion (Chen, Billings & Luo,
     Int. J. Control 50(5), 1989).  At each frequency, with ``A_SS W_S = c_S``
@@ -238,6 +252,12 @@ def _extension_costs(S: SpectralMatrix, target: int, support, free) -> np.ndarra
     equations as :func:`_joint_fits` checks its own.  ``support`` must be a
     valid input set whose own fit is solvable, and ``free`` a non-empty
     list of inputs outside it.
+
+    Returns the ``(m,)`` costs, ``inf`` for each collinear candidate, and
+    the checked half-grid filters ``W (m_kept, K/2+1, q+1)`` of the kept
+    extensions in ``free`` order; the columns of each are in
+    ``support + [b]`` order.  A cost equals its filters' joint solve to
+    rounding, not bit for bit.
     """
     support = np.asarray(support, dtype=int)
     free = np.asarray(free, dtype=int)
@@ -267,7 +287,7 @@ def _extension_costs(S: SpectralMatrix, target: int, support, free) -> np.ndarra
                           - explained - np.abs(r) ** 2 / s, 0.0)
     costs = np.full(m, np.inf)
     costs[kept] = S.grid.integrate(S.grid.mirror(residual))
-    return costs
+    return costs, W
 
 
 def _filter_rms(S: SpectralMatrix) -> np.ndarray:

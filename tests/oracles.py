@@ -13,12 +13,14 @@ per-pair identifiability run test, the per-link source-transfer loop and
 the ``einsum`` of the analytic cross spectra that array code replaced,
 and the whole-grid floored stack, eigenvalue ratio and filter RMS that
 half-grid solvers replaced, against which tests require bit-identical
-solutions, or equal supports and events; the whole-grid cepstral factors
-and Wiener--Hopf split that the half-grid causal layer replaced, against
-which tests require agreement to rounding and equal polytrees; and the
-per-cell CSV reader and ``csv.writer`` text builders that whole-body
-parsing and joined ``repr`` rows replaced, against which tests require the
-same series, messages and bytes.
+solutions, or equal supports and events (the OLS loop's joint solves:
+equal supports and stop reasons, costs and filters within 1e-12 of the
+target's power, as OLS reports its closed-form scoring); the whole-grid
+cepstral factors and Wiener--Hopf split that the half-grid causal layer
+replaced, against which tests require agreement to rounding and equal
+polytrees; and the per-cell CSV reader and ``csv.writer`` text builders
+that whole-body parsing and joined ``repr`` rows replaced, against which
+tests require the same series, messages and bytes.
 """
 
 from __future__ import annotations

@@ -6,10 +6,13 @@ import pytest
 from polyscope import (
     ALNSpec,
     CombinatorialLimitError,
+    Ensemble,
     FrequencyGrid,
+    IllConditionedSpectrumError,
     InvalidParameterError,
     Link,
     SpectralMatrix,
+    TimeSeries,
     WelchConfig,
     analytic_spectra,
     generate_polytree_aln,
@@ -262,12 +265,26 @@ def assert_same_model(model, ref):
         assert np.array_equal(model.filters[b].response, ref.filters[b].response)
 
 
+def assert_same_ols_model(S, model, ref):
+    """OLS against a model of joint solves: supports, stop reasons and filter
+    keys are equal, costs and filter responses within 1e-12 of the target's
+    power (OLS reports its closed-form scoring, not a refit)."""
+    assert model.support == ref.support
+    assert model.stop_reason == ref.stop_reason
+    assert list(model.filters) == list(ref.filters)
+    tol = 1e-12 * inner_product(S, model.target, model.target)
+    assert abs(model.cost - ref.cost) <= tol
+    for b in ref.filters:
+        assert np.max(np.abs(model.filters[b].response
+                             - ref.filters[b].response)) <= tol
+
+
 def assert_ols_matches_loop(S, targets):
     for target in targets:
         for budget in range(4):
             for min_gain in (0.0, DEFAULT_MIN_GAIN):
-                assert_same_model(
-                    orthogonal_least_squares(S, target, budget, min_gain),
+                assert_same_ols_model(
+                    S, orthogonal_least_squares(S, target, budget, min_gain),
                     ols_reference(S, target, budget, min_gain))
 
 
@@ -300,8 +317,8 @@ class TestOLSMatchesPerCandidateLoop:
         for budget in (2, 3):
             with collect() as events:
                 model = orthogonal_least_squares(S, target, budget, min_gain=0.0)
-            assert_same_model(model,
-                              ols_reference(base, target, budget, min_gain=0.0))
+            assert_same_ols_model(
+                S, model, ols_reference(base, target, budget, min_gain=0.0))
             dropped = [re.fullmatch(r"candidate '(s\d)' of target 's4' is "
                                     r"collinear with its support "
                                     r"\(Schur ratio (\S+)\)", e.message).groups()
@@ -333,7 +350,8 @@ class TestOLSClosedFormSteps:
         for target in range(wide_record.n):
             for budget in range(6):
                 for min_gain in (0.0, DEFAULT_MIN_GAIN):
-                    assert_same_model(
+                    assert_same_ols_model(
+                        wide_record,
                         orthogonal_least_squares(wide_record, target, budget,
                                                  min_gain),
                         ols_reference(wide_record, target, budget, min_gain))
@@ -341,12 +359,16 @@ class TestOLSClosedFormSteps:
     def test_scored_costs_match_the_joint_fits(self, wide_record):
         S = wide_record
         for target in range(S.n):
+            tol = 1e-12 * inner_product(S, target, target)
             for support in step_supports(S, target, 3):
                 free = [b for b in range(S.n) if b != target and b not in support]
-                scored = _extension_costs(S, target, support, free)
-                fitted = [_joint_fits(S, target, sorted(support + [b]))[2]
-                          for b in free]
-                np.testing.assert_allclose(scored, fitted, rtol=1e-12, atol=0)
+                scored, fits = _extension_costs(S, target, support, free)
+                assert fits.shape == (len(free), S.grid.size // 2 + 1,
+                                      len(support) + 1)
+                for b, cost, W in zip(free, scored, fits):
+                    W_joint, _, cost_joint = _joint_fits(S, target, support + [b])
+                    assert cost == pytest.approx(cost_joint, rel=1e-12, abs=0)
+                    assert np.max(np.abs(W - W_joint)) <= tol
 
     def test_every_scored_extension_is_checked(self, wide_record, monkeypatch):
         S = wide_record
@@ -384,16 +406,87 @@ class TestOLSClosedFormSteps:
         assert not _clears_screen(S)
         for target in range(S.n):
             for min_gain in (0.0, DEFAULT_MIN_GAIN):
-                assert_same_model(orthogonal_least_squares(S, target, 1, min_gain),
-                                  ols_reference(S, target, 1, min_gain))
+                assert_same_ols_model(
+                    S, orthogonal_least_squares(S, target, 1, min_gain),
+                    ols_reference(S, target, 1, min_gain))
         # past one input the copy never joins X1: it leaves the pool
         # or loses the tie to it, so the model is the one without it
         for target in range(1, base.n):
             for budget in (2, 3):
                 for min_gain in (0.0, DEFAULT_MIN_GAIN):
-                    assert_same_model(
-                        orthogonal_least_squares(S, target, budget, min_gain),
+                    assert_same_ols_model(
+                        S, orthogonal_least_squares(S, target, budget, min_gain),
                         ols_reference(base, target, budget, min_gain))
+
+
+def digest_records():
+    """The first record of ``tools/artifact_digest.py`` (``simulate --nodes 8
+    --length 16384 --seed 3``) and its two variants that fail the screen:
+    ``(base, duplicated, sum)``, the second with ``X1`` repeated as ``copy``,
+    the third ``X1``, ``X2`` and their sum."""
+    noise_seed = int(np.random.SeedSequence([3, 1]).generate_state(1)[0])
+    series = simulate(generate_polytree_aln(8, 3), 16384, noise_seed).ensemble.series
+    x1, x2 = series[0].samples, series[1].samples
+    return [spectral_matrix(Ensemble(ens), WelchConfig())
+            for ens in (series,
+                        [*series, TimeSeries("copy", x1)],
+                        [*series[:2], TimeSeries("sum", x1 + x2)])]
+
+
+class TestOLSReportsItsScoredFit:
+    """OLS reports the filters and cost its scoring solved, with no refit."""
+
+    def test_fits_match_projections_of_their_support(self, wide_record):
+        base, duplicated, summed = digest_records()
+        assert not _clears_screen(duplicated) and not _clears_screen(summed)
+        for S in (wide_record, duplicated, summed):
+            for target in range(S.n):
+                tol = 1e-12 * inner_product(S, target, target)
+                for budget in range(4):
+                    for min_gain in (0.0, DEFAULT_MIN_GAIN):
+                        model = orthogonal_least_squares(S, target, budget,
+                                                         min_gain)
+                        filters, cost = project(S, target, model.support)
+                        assert abs(model.cost - cost) <= tol
+                        assert list(model.filters) == list(filters)
+                        for b in filters:
+                            assert np.max(np.abs(model.filters[b].response
+                                                 - filters[b].response)) <= tol
+                        try:
+                            ref = ols_reference(S, target, budget, min_gain)
+                        except IllConditionedSpectrumError:
+                            # the loop fits the copy beside X1, where OLS
+                            # drops it: the model is the one without it
+                            assert S is duplicated
+                            ref = ols_reference(base, target, budget, min_gain)
+                        assert (model.support, model.stop_reason) == \
+                            (ref.support, ref.stop_reason)
+
+    def test_winner_block_keeps_its_conditioning_check(self):
+        # X1 scaled by 1e5 fails the screen; for targets 1 and 3 the
+        # winner's two-input block is singular beyond the floor, which no
+        # Schur ratio of the scoring step catches
+        sim = simulate(generate_polytree_aln(8, 3), 2 ** 15, seed=5)
+        S = spectral_matrix(
+            Ensemble([TimeSeries(x.label, x.samples * 1e5) if x.label == "X1"
+                      else x for x in sim.ensemble.series]),
+            WelchConfig(grid_size=256))
+        assert not _clears_screen(S)
+        raised = {
+            1: "omega=-2.086214 (eigenvalue ratio 2.284e-11)",
+            3: "omega=-1.668971 (eigenvalue ratio 1.971e-11)",
+        }
+        supports = {0: (1, 3), 2: (1, 6), 4: (1,), 5: (1,), 6: (1, 2), 7: (6,)}
+        for target in range(S.n):
+            if target in raised:
+                with pytest.raises(IllConditionedSpectrumError) as error:
+                    orthogonal_least_squares(S, target, 2)
+                assert str(error.value) == (
+                    "input spectral matrix singular beyond the floor at "
+                    + raised[target])
+            else:
+                assert orthogonal_least_squares(S, target, 2).support \
+                    == supports[target]
 
 
 def assert_mp_matches_loop(S, targets):
