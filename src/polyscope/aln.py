@@ -81,7 +81,8 @@ def _same_shaping(a, b) -> bool:
 class Link:
     """One directed FIR edge ``source -> target`` with optional unit delay.
 
-    Immutable: ``taps`` is the link's own read-only copy of the caller's.
+    Immutable: ``taps`` is the link's own read-only copy of the caller's,
+    and ``source``, ``target`` and ``delay`` are stored as ints.
     Links are values: two are equal when their endpoints, delays and taps
     are (the taps by :func:`np.array_equal`), and equal links hash alike."""
 
@@ -91,13 +92,16 @@ class Link:
     delay: int = 0
 
     def __post_init__(self):
+        for name in ("source", "target", "delay"):
+            object.__setattr__(self, name, _integer(getattr(self, name),
+                                                    f"link {name}"))
         object.__setattr__(self, "taps", _frozen(self.taps))
         if self.taps.ndim != 1 or self.taps.size == 0:
             raise InvalidParameterError("link taps must be a non-empty vector")
         if not np.any(self.taps != 0.0):
             raise InvalidParameterError(
                 f"link {self.source}->{self.target} is identically zero")
-        if _integer(self.delay, "delay") not in (0, 1):
+        if self.delay not in (0, 1):
             raise InvalidParameterError("link delay must be 0 or 1 samples")
 
     def __eq__(self, other):

@@ -66,6 +66,8 @@ class DistanceMatrix:
         n = len(self.labels)
         if self.values.shape != (n, n):
             raise InvalidParameterError("distance matrix shape mismatch")
+        if np.any(np.isnan(self.values)):
+            raise InvalidParameterError("distances must not be NaN")
         if np.any(self.values < 0.0):
             raise InvalidParameterError("distances must be non-negative")
         if np.any(np.diag(self.values) != 0.0):
@@ -109,7 +111,7 @@ class DirectionMatrix:
 
 def _coherence_distances(S: SpectralMatrix, i: int, cols) -> np.ndarray:
     """``sqrt(mean(1 - C))`` of series ``i`` with each series in ``cols``."""
-    mean = S.grid.integrate(S.grid.mirror(1.0 - _coherence_row(S, i, cols)))
+    mean = S.grid.half_mean(1.0 - _coherence_row(S, i, cols))
     return np.sqrt(np.maximum(mean, 0.0))
 
 

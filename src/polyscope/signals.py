@@ -99,6 +99,13 @@ class FrequencyGrid:
         np.conjugate(half[..., m - 1:0:-1], out=full[..., m + 1:])
         return full
 
+    def half_mean(self, half: np.ndarray):
+        """Grid mean of a conjugate-even ``f`` from its :attr:`half` points on
+        the last axis.  Every solver computes ``f`` at those points only and
+        takes its means here: the :meth:`mirror` comes first, so the sum runs
+        over the whole grid in grid order, bit for bit a full-grid solve's."""
+        return self.integrate(self.mirror(half))
+
     def to_time(self, values: np.ndarray) -> np.ndarray:
         """Inverse DFT of grid values along the last axis: the sequence at
         times ``0 ... K-1``, where ``t >= K/2`` stands for ``t - K``."""
@@ -360,7 +367,7 @@ class SpectralMatrix:
 
         The matrix at grid point ``K - k`` is the exact conjugate of the one
         at ``k``, so every per-frequency solve of the stack stands for its
-        twin too; solvers mirror their results before any grid mean.
+        twin too (see :meth:`FrequencyGrid.half_mean`).
         Computed on first use.  The floor events are :attr:`_floored`'s,
         recorded once whichever of the two is used first.
         """
@@ -560,10 +567,9 @@ def _coherence_row(S: SpectralMatrix, i: int, cols) -> np.ndarray:
     the :attr:`FrequencyGrid.half` points.
 
     ``cols`` is an index array or slice; the result has one row per column
-    series.  Coherence is even in frequency, and each point is computed as
-    its twin would be (``|conj z| == |z|``), so the :meth:`FrequencyGrid.mirror`
-    of a row is the whole-grid coherence bit for bit; mirror it before any
-    grid mean.  Overshoot beyond ``1 + 1e-6`` is recorded per pair.
+    series, whose :meth:`FrequencyGrid.mirror` is the whole-grid coherence
+    bit for bit (``|conj z| == |z|``).  Overshoot beyond ``1 + 1e-6`` is
+    recorded per pair.
     """
     raw = np.abs(S.half[i, cols]) ** 2 / (S._floored[i] * S._floored[cols])
     peaks = np.max(raw, axis=-1)

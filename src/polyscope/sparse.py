@@ -81,11 +81,10 @@ def inner_product(S: SpectralMatrix, a: int, b: int) -> float:
 
     Every :class:`SpectralMatrix` is exactly conjugate-even in frequency,
     as the spectra of real processes are, so the mean is real: its
-    imaginary part is rounding and is dropped.  The mean is taken of the
-    pair's whole-grid row, mirrored from :attr:`SpectralMatrix.half`.
+    imaginary part is rounding and is dropped.
     """
     S.check_index(a, b)
-    return complex(S.grid.integrate(S.grid.mirror(S.half[a, b]))).real
+    return complex(S.grid.half_mean(S.half[a, b])).real
 
 
 def project(S: SpectralMatrix, target: int, support

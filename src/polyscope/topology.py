@@ -26,11 +26,14 @@ from .wiener import _filter_rms
 BLANKET_RMS_RTOL = 1e-3
 
 
-def _check_edge_nodes(n: int, a: int, b: int) -> None:
+def _check_edge_nodes(n: int, a: int, b: int) -> tuple[int, int]:
+    """The endpoints as ints, once they are integers naming two distinct nodes."""
+    a, b = _integer(a, "node index"), _integer(b, "node index")
     if not (0 <= a < n and 0 <= b < n):
         raise InvalidParameterError(f"edge ({a}, {b}) out of range for n={n}")
     if a == b:
         raise InvalidParameterError(f"self-loop on node {a}")
+    return a, b
 
 
 @dataclass
@@ -47,7 +50,7 @@ class UndirectedGraph:
     def __post_init__(self):
         canonical = {}
         for (a, b), w in self.edges.items():
-            _check_edge_nodes(len(self.nodes), a, b)
+            a, b = _check_edge_nodes(len(self.nodes), a, b)
             key = (min(a, b), max(a, b))
             if key in canonical:
                 raise InvalidParameterError(f"duplicate edge {key}")
@@ -102,7 +105,7 @@ class Polytree:
     def __post_init__(self):
         undirected = {}
         for (p, c), w in self.edges.items():
-            _check_edge_nodes(len(self.nodes), p, c)
+            p, c = _check_edge_nodes(len(self.nodes), p, c)
             undirected[(min(p, c), max(p, c))] = w
         Tree(list(self.nodes), undirected)   # validates shape + connectivity
         for edge in self.ties:
@@ -227,8 +230,8 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
     The filters are the ones :func:`noncausal_wiener` returns, and their RMS
     comes from :func:`~polyscope.wiener._filter_rms`: one inverse of the
     floored matrix when it clears the conditioning screen, else one checked
-    fit per target, the first failing one raising as
-    :func:`noncausal_wiener` would.
+    fit per target, where a singular fit leaves out each input collinear
+    with those before it (RMS 0, a ``collinear-candidate`` event).
     """
     if D.kind not in SYMMETRIC_KINDS:
         raise InvalidParameterError("need a symmetric distance matrix")

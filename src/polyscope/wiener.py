@@ -193,25 +193,23 @@ def _check_conditioning(S: SpectralMatrix, inputs) -> None:
 
 
 def _joint_fits(S: SpectralMatrix, target: int, inputs
-                ) -> tuple[np.ndarray, np.ndarray, float]:
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Joint least-squares fit of ``target`` on one valid input set (see
     :func:`_check_inputs`).
 
-    The fit is solved on the :attr:`FrequencyGrid.half` grid.  It is
-    checked for conditioning by :func:`_check_conditioning` before it is
-    solved, and the solution is always checked against its normal equations
-    (residual orthogonal to every input).  Returns the half-grid filter responses ``W (K/2+1, q)``
-    (column ``p`` belongs to ``inputs[p]``; :func:`_filters` mirrors them),
-    the raw residual spectrum on the full grid and its grid mean.
+    The fit is checked for conditioning by :func:`_check_conditioning`
+    before it is solved, and the solution is always checked against its
+    normal equations (residual orthogonal to every input).  Returns the
+    filter responses ``W (K/2+1, q)`` (column ``p`` belongs to
+    ``inputs[p]``; :func:`_filters` mirrors them) and the raw residual
+    spectrum, both on the :attr:`FrequencyGrid.half` grid.
     """
     _check_conditioning(S, inputs)
     A, c = _normal_equations(S, target, np.asarray([inputs]))
     W = np.linalg.solve(A, c[..., None])[..., 0]
     _check_orthogonality(target, A, c, W)
     explained = np.real(np.sum(np.conj(c[0]) * W[0], axis=-1))
-    residual = S.grid.mirror(np.maximum(
-        np.real(S.half[target, target]) - explained, 0.0))
-    return W[0], residual, float(S.grid.integrate(residual))
+    return W[0], np.maximum(np.real(S.half[target, target]) - explained, 0.0)
 
 
 def _normal_equations(S: SpectralMatrix, target: int, idx: np.ndarray
@@ -236,10 +234,8 @@ def _extension_costs(S: SpectralMatrix, target: int, support, free
     ``|r_b|^2 / s_b``, where ``G_b = A_SS^{-1} A_Sb``, the Schur complement
     is ``s_b = A_bb - A_bS G_b`` and ``r_b = c_b - A_bS W_S``.  One solve of
     ``A_SS`` against ``[A_S,free | c_S]`` serves every candidate, and none
-    is needed for an empty support.  Every frequency is solved on the
-    :attr:`FrequencyGrid.half` grid; the residual is clipped at zero per
-    frequency as in :func:`_joint_fits` and mirrored to the full grid before
-    its grid mean, so the costs sum as a full-grid solve's would.
+    is needed for an empty support.  Residuals are clipped at zero as in
+    :func:`_joint_fits`; costs are their :meth:`FrequencyGrid.half_mean`.
 
     A candidate whose ``s_b`` falls below :data:`CONDITION_RTOL` of its
     floored ``A_bb`` at some frequency is collinear with the support: it
@@ -286,7 +282,7 @@ def _extension_costs(S: SpectralMatrix, target: int, support, free
     residual = np.maximum(np.real(S.half[target, target])
                           - explained - np.abs(r) ** 2 / s, 0.0)
     costs = np.full(m, np.inf)
-    costs[kept] = S.grid.integrate(S.grid.mirror(residual))
+    costs[kept] = S.grid.half_mean(residual)
     return costs, W
 
 
@@ -297,21 +293,34 @@ def _filter_rms(S: SpectralMatrix) -> np.ndarray:
     When :func:`_clears_screen` holds, every filter is read from one inverse
     ``P`` of ``S._floored_stack``: the filter of target ``j`` on input ``i``
     is ``-P[i, j] / P[j, j]``.  Otherwise each target is fitted by
-    :func:`_joint_fits` in target order, and the first failing fit raises.
-    Either way the filters are solved on the :attr:`FrequencyGrid.half`
-    grid and mirrored to the full grid for their RMS.  The diagonal is 1
-    and means nothing.
+    :func:`_joint_fits` in target order.  A target whose fit is singular
+    takes its inputs in index order through :func:`_extension_costs`, as
+    OLS steps do: an input collinear with those kept before it is left out
+    (``collinear-candidate``) and gets RMS 0, the kept block must pass
+    :func:`_check_conditioning`, and the last kept extension's filters are
+    the target's.  Either way the RMS is taken by
+    :meth:`FrequencyGrid.half_mean`.  The diagonal is 1 and means nothing.
     """
     if _clears_screen(S):
         P = np.linalg.inv(S._floored_stack)
         d = np.arange(S.n)
         W = (P / P[:, d, d][:, None, :]).transpose(2, 1, 0)
-        return S.grid.rms(S.grid.mirror(W))
-    rms = np.ones((S.n, S.n))
-    for j in range(S.n):
-        inputs = [i for i in range(S.n) if i != j]
-        rms[j, inputs] = S.grid.rms(S.grid.mirror(_joint_fits(S, j, inputs)[0].T))
-    return rms
+    else:
+        W = np.ones((S.n, S.n, S.grid.size // 2 + 1), dtype=complex)
+        for j in range(S.n):
+            inputs = [i for i in range(S.n) if i != j]
+            try:
+                W[j, inputs] = _joint_fits(S, j, inputs)[0].T
+            except IllConditionedSpectrumError:
+                kept = []
+                for b in inputs:
+                    costs, fits = _extension_costs(S, j, kept, [b])
+                    if costs[0] < np.inf:
+                        kept, last = kept + [b], fits[0]
+                _check_conditioning(S, kept)
+                W[j, inputs] = 0.0
+                W[j, kept] = last.T
+    return np.sqrt(S.grid.half_mean(np.abs(W) ** 2))
 
 
 def _check_orthogonality(target: int, A: np.ndarray, c: np.ndarray,
@@ -368,12 +377,12 @@ def noncausal_wiener(S: SpectralMatrix, target: int, inputs,
     """
     inputs = tuple(inputs)
     _check_inputs(S, target, inputs)
-    W, residual, _ = _joint_fits(S, target, inputs)
+    W, residual = _joint_fits(S, target, inputs)
     if normalize:
-        residual = residual / S.floored_autospectrum(target)
+        residual = residual / S._floored[target]
     return WienerSolution(target, inputs, _filters(S.grid, inputs, W),
-                          float(S.grid.integrate(residual)),
-                          Spectrum(S.grid, residual))
+                          float(S.grid.half_mean(residual)),
+                          Spectrum(S.grid, S.grid.mirror(residual)))
 
 
 def spectral_factorize(phi: Spectrum) -> TransferFunction:
@@ -469,8 +478,8 @@ def _wiener_hopf(S: SpectralMatrix, target: int, inputs, target_factor: np.ndarr
     Everything is solved at the :attr:`FrequencyGrid.half` points: the
     whitened cross spectrum is conjugate-even, so its causal part is taken
     by the real-sequence kernels.  Returns, one row per input, the half-grid
-    filter response and whitened error spectrum, and the error's grid mean
-    (the cost), taken of its :meth:`FrequencyGrid.mirror`.
+    filter response and whitened error spectrum, and the error's
+    :meth:`FrequencyGrid.half_mean` (the cost).
     """
     phi = S._floored
     cross = S.half[inputs, target]
@@ -482,7 +491,7 @@ def _wiener_hopf(S: SpectralMatrix, target: int, inputs, target_factor: np.ndarr
     err = phi[target] + np.abs(response) ** 2 * phi[inputs] \
         - 2.0 * np.real(np.conj(response) * cross)
     weighted = np.maximum(err, 0.0) / phi[target]
-    return response, weighted, S.grid.integrate(S.grid.mirror(weighted))
+    return response, weighted, S.grid.half_mean(weighted)
 
 
 def _causal_pair(S: SpectralMatrix, target: int, input_: int

@@ -92,6 +92,22 @@ class TestLink:
         with pytest.raises(InvalidParameterError):
             Link(0, 1, np.array([1.0]), delay=2)
 
+    @pytest.mark.parametrize("bad", [0.0, 1.0, True, False])
+    def test_endpoints_and_delay_are_integers(self, bad):
+        for args in ((bad, 1, [1.0]), (0, bad, [1.0]), (0, 1, [1.0], bad)):
+            with pytest.raises(InvalidParameterError,
+                               match=f"must be an integer, not {bad!r}"):
+                Link(*args)
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            ALNSpec(["a", "b"], [Link(bad, 1, [1.0])], [1, 1])
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        link = Link(np.int64(0), np.int32(1), [1.0], delay=np.int64(1))
+        assert [type(v) for v in (link.source, link.target, link.delay)] == \
+            [int, int, int]
+        spec = ALNSpec(["a", "b"], [link], [1, 1])
+        assert ALNSpec.from_json(spec.to_json()) == spec
+
     def test_immutable_and_owns_its_taps(self):
         taps = np.array([0.5, -0.25])
         link = Link(0, 1, taps)

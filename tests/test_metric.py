@@ -46,6 +46,16 @@ class TestContainers:
             DistanceMatrix(["a", "b"], np.array([[0.0, -0.1], [-0.1, 0.0]]),
                            "noncausal")
 
+    @pytest.mark.parametrize("kind", ["noncausal", "causal"])
+    def test_distance_matrix_rejects_nan(self, kind):
+        with pytest.raises(InvalidParameterError,
+                           match="^distances must not be NaN$"):
+            DistanceMatrix(["a", "b"], np.array([[0.0, np.nan], [0.5, 0.0]]),
+                           kind)
+        # an infinite distance is a pair the tree avoids, not an error
+        DistanceMatrix(["a", "b"], np.array([[0.0, np.inf], [np.inf, 0.0]]),
+                       kind)
+
     def test_distance_matrix_rejects_nonzero_diagonal(self):
         with pytest.raises(InvalidParameterError):
             DistanceMatrix(["a", "b"], np.array([[0.1, 0.2], [0.2, 0.0]]),

@@ -199,6 +199,16 @@ class TestFrequencyGrid:
         np.testing.assert_allclose(grid.half_to_time(half), ref, rtol=0,
                                    atol=1e-12 * max(np.max(np.abs(half)), 1.0))
 
+    @given(st.integers(4, 512), st.booleans(), st.data())
+    def test_half_mean_is_the_grid_mean_of_the_mirror(self, m, complex_, data):
+        grid = FrequencyGrid(2 * m)
+        lead = data.draw(st.lists(st.integers(1, 3), max_size=2))
+        parts = data.draw(arrays(float, (2, *lead, m + 1),
+                                 elements=st.floats(-1e3, 1e3)))
+        half = parts[0] + 1j * parts[1] if complex_ else parts[0]
+        assert grid.half_mean(half).tobytes() == \
+            grid.integrate(grid.mirror(half)).tobytes()
+
     @given(st.sampled_from([8, 64, 1024]), st.data())
     def test_half_from_time_is_the_dft_at_the_half_points(self, size, data):
         grid = FrequencyGrid(size)

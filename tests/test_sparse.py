@@ -366,7 +366,8 @@ class TestOLSClosedFormSteps:
                 assert fits.shape == (len(free), S.grid.size // 2 + 1,
                                       len(support) + 1)
                 for b, cost, W in zip(free, scored, fits):
-                    W_joint, _, cost_joint = _joint_fits(S, target, support + [b])
+                    W_joint, residual = _joint_fits(S, target, support + [b])
+                    cost_joint = S.grid.half_mean(residual)
                     assert cost == pytest.approx(cost_joint, rel=1e-12, abs=0)
                     assert np.max(np.abs(W - W_joint)) <= tol
 

@@ -73,6 +73,15 @@ class TestContainers:
         with pytest.raises(InvalidParameterError):
             UndirectedGraph(["a", "b"], {(0, 2): 1.0})
 
+    @pytest.mark.parametrize("bad", [0.0, 1.0, True, False])
+    def test_node_indices_are_integers(self, bad):
+        for cls in (UndirectedGraph, Polytree):
+            with pytest.raises(InvalidParameterError,
+                               match=f"node index must be an integer, not {bad!r}"):
+                cls(["a", "b", "c"], {(bad, 2): 1.0})
+        g = UndirectedGraph(["a", "b"], {(np.int64(1), np.int64(0)): 1.0})
+        assert [type(v) for v in next(iter(g.edges))] == [int, int]
+
     def test_tree_needs_right_edge_count(self):
         with pytest.raises(InvalidParameterError):
             Tree(["a", "b", "c"], {(0, 1): 1.0})
@@ -280,6 +289,8 @@ class TestMisoBlanketTopology:
                 [(e.category, e.message) for e in ref_events]
 
     def test_singular_matrix_raises_as_the_per_target_loop(self):
+        # the per-target loop raises on the fit of b on a and its copy c;
+        # MISO leaves c out of that fit instead, and keeps the record
         rng = np.random.default_rng(9)
         x, y = rng.standard_normal((2, 1 << 12))
         S = spectral_matrix(Ensemble([TimeSeries("a", x), TimeSeries("b", y),
@@ -287,11 +298,32 @@ class TestMisoBlanketTopology:
                             WelchConfig(grid_size=64))
         assert S._eigenvalue_ratio < 2 * CONDITION_RTOL     # the per-target loop
         D = distance_matrix(S)
-        with pytest.raises(IllConditionedSpectrumError) as ours:
-            miso_blanket_topology(S, D)
-        with pytest.raises(IllConditionedSpectrumError) as ref:
+        with pytest.raises(IllConditionedSpectrumError, match="omega="):
             miso_reference(S, D)
-        assert str(ours.value) == str(ref.value)
+        with collect() as events:
+            g = miso_blanket_topology(S, D)
+        assert set(g.edges) == {(0, 1), (0, 2)}
+        assert [e.message.split(" is ")[0] for e in events
+                if e.category == "collinear-candidate"] == [
+            "candidate 'c' of target 'b'"]
+
+    @pytest.mark.parametrize("producer", ["welch", "analytic"])
+    def test_exact_copy_adds_one_edge_and_keeps_the_rest(self, producer):
+        spec = generate_polytree_aln(8, 3)
+        grid = FrequencyGrid(64)
+        base = (analytic_spectra(spec, grid) if producer == "analytic" else
+                spectral_matrix(simulate(spec, 2 ** 12, seed=5).ensemble,
+                                WelchConfig(grid_size=grid.size)))
+        idx = list(range(8)) + [0]
+        S = SpectralMatrix([*base.labels, "copy"], grid,
+                           base.values[np.ix_(idx, idx)])
+        with collect() as events:
+            g = miso_blanket_topology(S, distance_matrix(S))
+        expected = set(miso_blanket_topology(base, distance_matrix(base)).edges)
+        assert set(g.edges) == expected | {(0, 8)}
+        assert sorted(e.message.split(" is ")[0] for e in events
+                      if e.category == "collinear-candidate") == [
+            f"candidate 'copy' of target 'X{j}'" for j in range(2, 9)]
 
     def test_screen_failing_matrix_with_solvable_fits_matches_the_loop(self):
         # a + b makes the whole matrix singular, yet every target's two

@@ -23,7 +23,8 @@ fail the screen too, yet every fit on them is solvable: ``analyze
 --pipeline miso-blanket`` and ``sparse`` on them pin the fit of each MISO
 target by itself and OLS steps on a matrix that fails the screen, and
 ``analyze --pipeline miso-blanket`` on the record with the copy pins the
-exit 4 of a singular fit and the frequency its message names.  A wide
+targets whose fit is singular: each leaves the copy out as a
+``collinear-candidate``, and the graph gains the edge ``X1``--``copy``.  A wide
 record of 24 series on a 64-point grid pins ``sparse`` at budget 2 and
 ``analyze --pipeline miso-blanket`` at the shapes of the wide benchmark,
 where every MISO filter comes from one inverse of the spectral matrix.
