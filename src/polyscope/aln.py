@@ -18,7 +18,6 @@ import bisect
 import json
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -441,22 +440,19 @@ def _cross_spectra(H: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 class _AnalyticBuild:
     """One network's analytic quantities on one grid, all read-only, at
-    the :attr:`FrequencyGrid.half` points: the source transfers ``H``
-    (:func:`_source_transfers`), the noise spectra ``phi`` and the raw
-    cross spectra ``cross`` (:func:`_cross_spectra`), plus the
-    :class:`SpectralMatrix` made from them on first use."""
+    the :attr:`FrequencyGrid.half` points: ``shares[a, i]``, whether the
+    source transfer ``H[a, i]`` (:func:`_source_transfers`) is ever
+    nonzero, the noise spectra ``phi``, and the :class:`SpectralMatrix` of
+    the cross spectra (:func:`_cross_spectra`)."""
 
     def __init__(self, spec: ALNSpec, grid: FrequencyGrid):
-        self.labels, self.grid = spec.labels, grid
-        self.H = _source_transfers(spec, grid)
+        H = _source_transfers(spec, grid)
+        # tested on its real and imaginary parts
+        self.shares = np.any(H.view(float) != 0, axis=2)
         self.phi = _noise_spectra(spec, grid)[:, grid.half]
-        self.cross = _cross_spectra(self.H, self.phi)
-        for values in (self.H, self.phi, self.cross):
-            values.flags.writeable = False
-
-    @cached_property
-    def matrix(self) -> SpectralMatrix:
-        return SpectralMatrix(self.labels, self.grid, self.cross)
+        self.shares.flags.writeable = self.phi.flags.writeable = False
+        self.matrix = SpectralMatrix(spec.labels, grid,
+                                     _cross_spectra(H, self.phi))
 
 
 #: The one memoized build: ``(weak reference to the spec, grid size,
@@ -538,19 +534,18 @@ def check_identifiability(spec: ALNSpec, grid: FrequencyGrid | None = None
     too, and one of the two reaches no further past ``0`` than that, so
     runs across ``omega = 0`` are found as well.
 
-    The scan reads the raw cross spectra of the network's analytic build,
-    which :func:`analytic_spectra` then shares (see there).
+    The scan reads the cross spectra of the network's analytic build,
+    whose matrix :func:`analytic_spectra` then hands out (see there).
     """
     grid = grid or FrequencyGrid(1024)
     build = _analytic_build(spec, grid)
-    # H[a, i] != 0 somewhere, tested on its real and imaginary parts
-    shares = np.any(build.H.view(float) != 0, axis=2)
+    shares = build.shares
     related = shares @ shares.T    # [a, b]: common noise source exists
     rows, cols = np.nonzero(np.triu(related))
     # the points past omega = 0 are the twins of those before it
     m, past = grid.size // 2, (IDENTIFIABILITY_RUN - 1) // 2
     scan = np.concatenate((np.arange(m + 1), np.arange(m - 1, m - 1 - past, -1)))
-    pairs = np.abs(build.cross[rows, cols])[:, scan]
+    pairs = np.abs(build.matrix.half[rows, cols])[:, scan]
     top = np.max(build.phi, axis=1, keepdims=True)
     scaled = build.phi[:, scan] / np.where(top > 0.0, top, 1.0)
     # one pass per distinct scaled shape; shape_of[k] indexes noise k's

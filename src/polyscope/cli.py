@@ -317,9 +317,7 @@ def _loadtxt_body(fh, width: int, data: bytes) -> np.ndarray | None:
     # a body whose every row has one cell too many parses cleanly
     if len(values) == 0 or values.shape[1] != width:
         return None
-    # contiguous series, as the loop builds them: numpy may sum a strided
-    # column in another order and move its mean by an ulp
-    return np.ascontiguousarray(values.T)
+    return values.T
 
 
 def _may_hold_long_field(data: bytes) -> bool:
@@ -656,7 +654,8 @@ def cmd_compare(cfg: RunConfig, emitter: _Emitter) -> int:
     comparison = {
         "spearman_index": rho,
         "spearman_note": "" if rho is not None else
-            "not applicable: fewer than 2 series pairs",
+            "not applicable: fewer than 2 series pairs" if iu[0].size < 2 else
+            "not applicable: constant distances",
         "dominance": {
             "coherence_lower": coh_lower,
             "pairs": int(iu[0].size),

@@ -235,8 +235,9 @@ def correlation_distance_matrix(ens: Ensemble) -> DistanceMatrix:
 def spearman_index(A: DistanceMatrix, B: DistanceMatrix) -> float | None:
     """Spearman rank correlation of two symmetric matrices' upper triangles.
 
-    Ties receive average ranks.  With fewer than two off-diagonal pairs the
-    index is undefined and ``None`` is returned (recorded as a diagnostic).
+    Ties receive average ranks.  With fewer than two off-diagonal pairs, or
+    when every pair of either matrix is equal, the index is undefined and
+    ``None`` is returned (recorded as a diagnostic).
     """
     if A.kind not in SYMMETRIC_KINDS or B.kind not in SYMMETRIC_KINDS:
         raise InvalidParameterError("spearman_index needs symmetric matrices")
@@ -247,6 +248,10 @@ def spearman_index(A: DistanceMatrix, B: DistanceMatrix) -> float | None:
     if xa.size < 2:
         record("spearman-undefined",
                "fewer than two pairs; rank index undefined")
+        return None
+    if np.all(xa == xa[0]) or np.all(xb == xb[0]):
+        record("spearman-undefined",
+               "constant distances; rank index undefined")
         return None
     result = stats.spearmanr(xa, xb)
     return float(result.statistic)

@@ -214,10 +214,13 @@ class Ensemble:
         if len(set(labels)) != len(labels):
             dup = sorted({l for l in labels if labels.count(l) > 1})
             raise InvalidParameterError(f"duplicate series labels: {dup}")
+        samples = np.stack([s.samples for s in series])
         if demean:
-            series = [TimeSeries(s.label, s.samples - s.samples.mean())
-                      for s in series]
-        self.series = list(series)
+            samples -= samples.mean(axis=1, keepdims=True)
+        samples.flags.writeable = False
+        self._samples = samples
+        self.series = [TimeSeries(label, row)
+                       for label, row in zip(labels, samples)]
 
     @property
     def labels(self) -> list[str]:
@@ -232,8 +235,9 @@ class Ensemble:
         return self.series[0].length
 
     def values(self) -> np.ndarray:
-        """Stack the samples into an ``(n, length)`` array."""
-        return np.stack([s.samples for s in self.series])
+        """The samples, held once: one read-only C-ordered ``(n, length)``
+        array, the same on every call, whose rows are :attr:`series`."""
+        return self._samples
 
 
 @dataclass(eq=False)
@@ -543,8 +547,8 @@ def spectral_matrix(ens: Ensemble, cfg: WelchConfig) -> SpectralMatrix:
     """Estimate the full matrix of cross spectra for an ensemble.
 
     One streamed Gram product over chunks of real segment DFTs gives every
-    pair at once (see :func:`_welch_matrix`); memory beyond the stacked
-    samples does not grow with the record length.  The result is exactly
+    pair at once (see :func:`_welch_matrix`); memory beyond the samples
+    does not grow with the record length.  The result is exactly
     Hermitian, as every :class:`SpectralMatrix` is.
     """
     return SpectralMatrix(list(ens.labels), FrequencyGrid(cfg.grid_size),

@@ -231,8 +231,9 @@ def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
     its closed-form cost, which the stopping rules read, are those its
     scoring solved and checked, and they agree with :func:`project` on the
     same support to rounding.  When the conditioning screen fails, the
-    winner's whole input block is still checked as :func:`project` would
-    check it, and raises the same error.  Stopping rules match
+    input block of each extension the stopping rules take is still checked
+    as :func:`project` would check it, and raises the same error; a winner
+    they reject is not checked.  Stopping rules match
     :func:`matching_pursuit`.
     """
     max_inputs = _check_solver_args(max_inputs, min_gain)
@@ -255,14 +256,14 @@ def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
         # the first minimum adds the lowest index, as the pool is sorted
         pick = int(np.argmin(costs))
         best, best_cost = pool.pop(pick), float(costs[pick])
-        extended = support + [best]
-        chosen = sorted(extended)
-        _check_conditioning(S, chosen)
         stop = _greedy_stop(cost - best_cost, cost, initial, min_gain,
                             first=not support)
         if stop:
             stop_reason = stop
             break
+        extended = support + [best]
+        chosen = sorted(extended)
+        _check_conditioning(S, chosen)
         W = fits[pick][:, np.argsort(extended)]
         support, filters, cost = chosen, _filters(S.grid, chosen, W), best_cost
     return SparseModel(target, tuple(support), filters, cost,

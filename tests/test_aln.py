@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -757,3 +758,18 @@ class TestAnalyticBuild:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
+
+
+def test_analytic_build_keeps_one_copy_of_the_cross_spectra():
+    # the build retains its matrix's half grid, the noise spectra and the
+    # shared-noise mask, and no second copy of the cross spectra
+    spec, grid = generate_polytree_aln(16, seed=0), FrequencyGrid(256)
+    tracemalloc.start()
+    try:
+        check_identifiability(spec, grid)
+        S = analytic_spectra(spec, grid)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert aln._last_build[2].matrix is S
+    assert retained < 1.5 * S.half.nbytes

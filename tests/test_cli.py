@@ -162,6 +162,33 @@ class TestReadEnsembleCsv:
         cli.read_ensemble_csv(quoted)
         assert passes == [True, False]
 
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["loadtxt", "per-cell"])
+    def test_samples_are_held_once_and_read_only(self, tmp_path, monkeypatch,
+                                                 quote):
+        # quoted cells send the body to the per-cell loop
+        passes = []
+        table = cli._csv_table
+
+        def spy(path, data, whole_body):
+            passes.append(whole_body)
+            return table(path, data, whole_body)
+
+        monkeypatch.setattr(cli, "_csv_table", spy)
+        rows = ["a,b,c"] + [f"{quote}{t % 7}.5{quote},{t},{t * t % 11}"
+                            for t in range(64)]
+        ens = cli.read_ensemble_csv(write_csv(tmp_path / "x.csv",
+                                              "\n".join(rows) + "\n"))
+        assert passes == ([True] if not quote else [True, False])
+        values = ens.values()
+        assert ens.values() is values
+        assert values.flags.c_contiguous and not values.flags.writeable
+        for s in ens.series:
+            assert np.shares_memory(s.samples, values)
+            with pytest.raises(ValueError):
+                s.samples[0] = 0.0
+        with pytest.raises(ValueError):
+            values[0, 0] = 0.0
+
 
 def _read_outcome(read, path):
     """Labels and exact sample bytes, or the exception class and message."""
@@ -712,6 +739,23 @@ class TestSparseCommand:
                              r"\(Schur ratio (\S+)\)", collinear[0]).group(1)
         assert abs(float(ratio)) < 1e-14
 
+    def test_constant_series_is_not_checked_once_rejected(self, tmp_path):
+        # the flat series is a target's best remaining candidate at the second
+        # step; its gain is negligible, so its singular block is never taken
+        sim = tmp_path / "sim"
+        assert cli.main(["simulate", "--nodes", "8", "--length", "16384",
+                         "--seed", "3", "--out", str(sim)]) == 0
+        lines = (sim / "ensemble.csv").read_text("utf-8").splitlines()
+        rows = ["X1,X2,flat"] + [",".join(line.split(",")[:2]) + ",2.5"
+                                 for line in lines[1:]]
+        data = write_csv(tmp_path / "constant.csv", "\n".join(rows) + "\n")
+        out = tmp_path / "s"
+        assert cli.main(["sparse", "--input", str(data), "--out", str(out),
+                         "--budget", "2", "--min-gain", "0"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+        assert manifest["summary"]["supports"] == {
+            "X1": ["X2"], "X2": ["X1"], "flat": []}
+
     def test_floor_warnings_match_analyze(self, tmp_path):
         data = tmp_path / "floored.csv"
         data.write_text(cli.ensemble_csv_text(oracles.sinusoid_ensemble()),
@@ -729,6 +773,30 @@ class TestSparseCommand:
 
 
 class TestCompareCommand:
+    def test_identical_series_write_no_nan(self, tmp_path, capsys):
+        x = np.random.default_rng(3).standard_normal(4096)
+        rows = ["a,b,c"] + [",".join([repr(float(v))] * 3) for v in x]
+        data = write_csv(tmp_path / "same.csv", "\n".join(rows) + "\n")
+        out = tmp_path / "c"
+        assert cli.main(["compare", "--input", str(data), "--out", str(out),
+                         "--grid-size", "128"]) == 0
+        assert capsys.readouterr().err == ""
+
+        def strict(path):
+            def refuse(name):
+                raise ValueError(f"{path.name} holds {name}")
+            return json.loads(path.read_text("utf-8"), parse_constant=refuse)
+
+        comparison = strict(out / "comparison.json")
+        assert comparison["spearman_index"] is None
+        assert comparison["spearman_note"] == \
+            "not applicable: constant distances"
+        manifest = strict(out / "manifest.json")
+        assert manifest["summary"] == comparison
+        assert [w for w in manifest["warnings"]
+                if w.startswith("spearman-undefined:")] == [
+            "spearman-undefined: constant distances; rank index undefined"]
+
     def test_two_series_spearman_undefined(self, tmp_path):
         rng = np.random.default_rng(7)
         w = rng.standard_normal(8192 + 3)
@@ -741,7 +809,8 @@ class TestCompareCommand:
         assert code == 0
         comparison = json.loads((out / "comparison.json").read_text("utf-8"))
         assert comparison["spearman_index"] is None
-        assert comparison["spearman_note"].startswith("not applicable")
+        assert comparison["spearman_note"] == \
+            "not applicable: fewer than 2 series pairs"
         assert comparison["dominance"] == {"coherence_lower": 1, "pairs": 1}
 
     def test_chain_comparison_artifacts(self, tmp_path):

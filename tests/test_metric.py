@@ -316,9 +316,21 @@ class TestSpearmanIndex:
     def test_single_pair_is_undefined(self):
         A = DistanceMatrix(["a", "b"], np.array([[0.0, 0.3], [0.3, 0.0]]),
                            "noncausal")
-        with collect() as events:
-            assert spearman_index(A, A) is None
-        assert any(e.category == "spearman-undefined" for e in events)
+        off = 1.0 - np.eye(3)
+        labels = ["a", "b", "c"]
+        varied = DistanceMatrix(labels, off * [[0, 1, 2], [1, 0, 3], [2, 3, 0]],
+                                "noncausal")
+        constant = "constant distances; rank index undefined"
+        cases = [((A, A), "fewer than two pairs; rank index undefined")]
+        for value in (0.3, np.inf):
+            flat = DistanceMatrix(labels, np.where(off > 0, value, 0.0),
+                                  "correlation")
+            cases += [((flat, varied), constant), ((varied, flat), constant)]
+        for pair, message in cases:
+            with collect() as events:
+                assert spearman_index(*pair) is None
+            assert [(e.category, e.message) for e in events] == [
+                ("spearman-undefined", message)]
 
     def test_rejects_causal_kind(self):
         A = DistanceMatrix(["a", "b"], np.zeros((2, 2)), "causal")

@@ -466,7 +466,9 @@ class TestOLSReportsItsScoredFit:
     def test_winner_block_keeps_its_conditioning_check(self):
         # X1 scaled by 1e5 fails the screen; for targets 1 and 3 the
         # winner's two-input block is singular beyond the floor, which no
-        # Schur ratio of the scoring step catches
+        # Schur ratio of the scoring step catches.  The block is checked
+        # only once the stopping rules take it: at the default min_gain
+        # target 3 stops first, at min_gain 0 both targets take it
         sim = simulate(generate_polytree_aln(8, 3), 2 ** 15, seed=5)
         S = spectral_matrix(
             Ensemble([TimeSeries(x.label, x.samples * 1e5) if x.label == "X1"
@@ -477,17 +479,17 @@ class TestOLSReportsItsScoredFit:
             1: "omega=-2.086214 (eigenvalue ratio 2.284e-11)",
             3: "omega=-1.668971 (eigenvalue ratio 1.971e-11)",
         }
-        supports = {0: (1, 3), 2: (1, 6), 4: (1,), 5: (1,), 6: (1, 2), 7: (6,)}
-        for target in range(S.n):
-            if target in raised:
-                with pytest.raises(IllConditionedSpectrumError) as error:
-                    orthogonal_least_squares(S, target, 2)
-                assert str(error.value) == (
-                    "input spectral matrix singular beyond the floor at "
-                    + raised[target])
-            else:
-                assert orthogonal_least_squares(S, target, 2).support \
-                    == supports[target]
+        supports = {0: (1, 3), 2: (1, 6), 3: (0,), 4: (1,), 5: (1,),
+                    6: (1, 2), 7: (6,)}
+        for target, support in supports.items():
+            assert orthogonal_least_squares(S, target, 2).support == support
+        assert orthogonal_least_squares(S, 3, 2).stop_reason == "min-gain"
+        for target, min_gain in ((1, DEFAULT_MIN_GAIN), (1, 0.0), (3, 0.0)):
+            with pytest.raises(IllConditionedSpectrumError) as error:
+                orthogonal_least_squares(S, target, 2, min_gain=min_gain)
+            assert str(error.value) == (
+                "input spectral matrix singular beyond the floor at "
+                + raised[target])
 
 
 def assert_mp_matches_loop(S, targets):

@@ -24,7 +24,13 @@ fail the screen too, yet every fit on them is solvable: ``analyze
 target by itself and OLS steps on a matrix that fails the screen, and
 ``analyze --pipeline miso-blanket`` on the record with the copy pins the
 targets whose fit is singular: each leaves the copy out as a
-``collinear-candidate``, and the graph gains the edge ``X1``--``copy``.  A wide
+``collinear-candidate``, and the graph gains the edge ``X1``--``copy``.  The
+first record's first two series beside a constant series ``flat`` pin that
+``sparse`` at budget 2 stops before the singular block of the flat series,
+whose gain is negligible, and that ``analyze --pipeline miso-blanket``
+still exits 4 on them.  The first record's first series three times over
+pins ``compare`` on distances that are all equal: its rank index is
+undefined and written as ``null``.  A wide
 record of 24 series on a 64-point grid pins ``sparse`` at budget 2 and
 ``analyze --pipeline miso-blanket`` at the shapes of the wide benchmark,
 where every MISO filter comes from one inverse of the spectral matrix.
@@ -130,13 +136,23 @@ def _duplicated_first(text: str) -> str:
                      + [f"{row},{row.split(',', 1)[0]}" for row in rows]) + "\n"
 
 
-def _summed_first_two(text: str) -> str:
-    """The record's first two series and their float sum, as columns
-    ``X1``, ``X2`` and ``sum``."""
-    rows = ["X1,X2,sum"]
+def _beside_first_two(text: str, label: str, third) -> str:
+    """The record's first two series and a third made of ``third(a, b)``
+    for each row's cells ``a`` and ``b``, as columns ``X1``, ``X2`` and
+    ``label``."""
+    rows = [f"X1,X2,{label}"]
     for row in text.splitlines()[1:]:
         a, b = row.split(",")[:2]
-        rows.append(f"{a},{b},{float(a) + float(b)!r}")
+        rows.append(f"{a},{b},{third(a, b)}")
+    return "\n".join(rows) + "\n"
+
+
+def _first_three_times(text: str) -> str:
+    """The record's first series three times, as columns ``a``, ``b`` and
+    ``c``."""
+    rows = ["a,b,c"]
+    for row in text.splitlines()[1:]:
+        rows.append(",".join([row.split(",", 1)[0]] * 3))
     return "\n".join(rows) + "\n"
 
 
@@ -172,12 +188,25 @@ def _runs(root: Path):
     yield "analyze-miso-blanket-duplicated", [
         "analyze", "--input", str(data), "--pipeline", "miso-blanket"]
     data = root / "sum.csv"
-    data.write_text(_summed_first_two(first.read_text(encoding="utf-8")),
-                    encoding="utf-8")
+    data.write_text(_beside_first_two(
+        first.read_text(encoding="utf-8"), "sum",
+        lambda a, b: repr(float(a) + float(b))), encoding="utf-8")
     yield "analyze-miso-blanket-sum", [
         "analyze", "--input", str(data), "--pipeline", "miso-blanket"]
     yield "sparse-2-sum", [
         "sparse", "--input", str(data), "--budget", "2", "--min-gain", "0"]
+    data = root / "constant.csv"
+    data.write_text(_beside_first_two(
+        first.read_text(encoding="utf-8"), "flat", lambda a, b: "2.5"),
+        encoding="utf-8")
+    yield "sparse-2-constant", [
+        "sparse", "--input", str(data), "--budget", "2", "--min-gain", "0"]
+    yield "analyze-miso-blanket-constant", [
+        "analyze", "--input", str(data), "--pipeline", "miso-blanket"]
+    data = root / "identical.csv"
+    data.write_text(_first_three_times(first.read_text(encoding="utf-8")),
+                    encoding="utf-8")
+    yield "compare-identical", ["compare", "--input", str(data)]
     record, flags = WIDE
     yield f"simulate-{record}", ["simulate", *flags]
     data = str(root / f"simulate-{record}" / "ensemble.csv")
