@@ -270,9 +270,6 @@ class IdentifiabilityReport:
     violations: list[tuple[int, int, int]]
     exempt_pairs: int
 
-    def worst_offenders(self, limit: int = 10) -> list[tuple[int, int, int]]:
-        return self.violations[:limit]
-
 
 @dataclass
 class RecoveryReport:

@@ -26,7 +26,7 @@ from .signals import (
     SpectralMatrix,
     TimeSeries,
     WelchConfig,
-    _coherence_row,
+    _coherence,
     _integer,
     spectral_matrix,
 )
@@ -109,9 +109,9 @@ class DirectionMatrix:
             raise InvalidParameterError("direction diagonal must be zero")
 
 
-def _coherence_distances(S: SpectralMatrix, i: int, cols) -> np.ndarray:
-    """``sqrt(mean(1 - C))`` of series ``i`` with each series in ``cols``."""
-    mean = S.grid.half_mean(1.0 - _coherence_row(S, i, cols))
+def _coherence_distances(S: SpectralMatrix, rows, cols) -> np.ndarray:
+    """``sqrt(mean(1 - C))`` of each pair ``(rows[p], cols[p])``."""
+    mean = S.grid.half_mean(1.0 - _coherence(S, rows, cols))
     return np.sqrt(np.maximum(mean, 0.0))
 
 
@@ -123,7 +123,7 @@ def coherence_distance(S: SpectralMatrix, i: int, j: int) -> float:
     S.check_index(i, j)
     if i == j:
         return 0.0
-    return float(_coherence_distances(S, i, [j])[0])
+    return float(_coherence_distances(S, [i], [j])[0])
 
 
 def _log_triangle_breaches(values: np.ndarray) -> None:
@@ -147,10 +147,9 @@ def distance_matrix(S: SpectralMatrix) -> DistanceMatrix:
     triangle-inequality breaches beyond :data:`TRIANGLE_TOL` are recorded as
     diagnostics; on analytic spectra neither occurs.
     """
-    n = S.n
-    upper = np.zeros((n, n))
-    for i in range(n - 1):
-        upper[i, i + 1:] = _coherence_distances(S, i, slice(i + 1, None))
+    rows, cols = np.triu_indices(S.n, 1)
+    upper = np.zeros((S.n, S.n))
+    upper[rows, cols] = _coherence_distances(S, rows, cols)
     out = upper + upper.T
     for i, j in np.argwhere(np.triu(out < 1e-9, 1)):
         record("degenerate-pair",

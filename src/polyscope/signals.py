@@ -19,6 +19,7 @@ from scipy.signal import get_window
 
 from .diagnostics import record
 from .errors import (
+    DegenerateSeriesError,
     InsufficientDataError,
     InvalidParameterError,
 )
@@ -216,23 +217,31 @@ class Ensemble:
             raise InvalidParameterError(f"duplicate series labels: {dup}")
         samples = np.stack([s.samples for s in series])
         if demean:
-            samples -= samples.mean(axis=1, keepdims=True)
+            overflow = []
+            with np.errstate(over="call", call=lambda *_: overflow.append(1)):
+                samples -= samples.mean(axis=1, keepdims=True)
+            if overflow:        # it left a row non-finite: TimeSeries names it
+                for label, row in zip(labels, samples):
+                    TimeSeries(label, row)
         samples.flags.writeable = False
         self._samples = samples
-        self.series = [TimeSeries(label, row)
-                       for label, row in zip(labels, samples)]
+        self._labels = tuple(labels)
+        # views of rows already checked: TimeSeries' check is not run again
+        self.series = [TimeSeries.__new__(TimeSeries) for _ in labels]
+        for view, label, row in zip(self.series, labels, samples):
+            view.label, view.samples = label, row
 
     @property
     def labels(self) -> list[str]:
-        return [s.label for s in self.series]
+        return list(self._labels)
 
     @property
     def n(self) -> int:
-        return len(self.series)
+        return len(self._labels)
 
     @property
     def length(self) -> int:
-        return self.series[0].length
+        return self._samples.shape[1]
 
     def values(self) -> np.ndarray:
         """The samples, held once: one read-only C-ordered ``(n, length)``
@@ -563,23 +572,25 @@ def coherence_function(S: SpectralMatrix, i: int, j: int) -> CoherenceCurve:
     as a diagnostic rather than raised; identical series give exactly 1.
     """
     S.check_index(i, j)
-    return CoherenceCurve(S.grid, S.grid.mirror(_coherence_row(S, i, [j])[0]))
+    return CoherenceCurve(S.grid, S.grid.mirror(_coherence(S, [i], [j])[0]))
 
 
-def _coherence_row(S: SpectralMatrix, i: int, cols) -> np.ndarray:
-    """Clamped coherence of series ``i`` with each series in ``cols``, at
-    the :attr:`FrequencyGrid.half` points.
-
-    ``cols`` is an index array or slice; the result has one row per column
-    series, whose :meth:`FrequencyGrid.mirror` is the whole-grid coherence
-    bit for bit (``|conj z| == |z|``).  Overshoot beyond ``1 + 1e-6`` is
-    recorded per pair.
+def _coherence(S: SpectralMatrix, rows, cols) -> np.ndarray:
+    """Clamped coherence of each pair ``(rows[p], cols[p])`` of two
+    equal-length index arrays at the :attr:`FrequencyGrid.half` points; the
+    :meth:`FrequencyGrid.mirror` of row ``p`` is the pair's whole-grid
+    coherence bit for bit (``|conj z| == |z|``).  Overshoot beyond
+    ``1 + 1e-6`` is recorded per pair, in pair order.  Raises
+    :class:`DegenerateSeriesError` when every auto-spectrum is zero, so
+    floored at the smallest normal float, whose square is 0.
     """
-    raw = np.abs(S.half[i, cols]) ** 2 / (S._floored[i] * S._floored[cols])
+    floored = S._floored
+    if np.max(floored) == np.finfo(float).tiny:
+        raise DegenerateSeriesError(f"series {S.labels[0]!r} has zero variance")
+    raw = np.abs(S.half[rows, cols]) ** 2 / (floored[rows] * floored[cols])
     peaks = np.max(raw, axis=-1)
-    over = peaks > 1.0 + 1e-6
-    for j, peak in zip(np.arange(S.n)[cols][over], peaks[over]):
+    for p in np.flatnonzero(peaks > 1.0 + 1e-6):
         record("coherence-overshoot",
-               f"coherence of ({S.labels[i]!r}, {S.labels[j]!r}) "
-               f"peaks at {peak:.6f} before clamping")
-    return np.clip(raw, 0.0, 1.0)
+               f"coherence of ({S.labels[rows[p]]!r}, {S.labels[cols[p]]!r}) "
+               f"peaks at {peaks[p]:.6f} before clamping")
+    return np.clip(raw, 0.0, 1.0, out=raw)

@@ -171,15 +171,16 @@ def matching_pursuit(S: SpectralMatrix, target: int, max_inputs: int,
     Earlier filters are never revisited, so the raw model is reported
     alongside a joint refit on the selected support.  ``min_gain`` gates
     every atom after the first; gains that are numerical noise relative to
-    the initial power stop the pursuit regardless.
+    the initial power stop the pursuit regardless.  It runs on the
+    :attr:`FrequencyGrid.half` points and mirrors each raw filter once.
     """
     max_inputs = _check_solver_args(max_inputs, min_gain)
     pool = np.array(_candidates(S, target), dtype=int)
-    floored = S.grid.mirror(S._floored[pool])
-    cross = S.values[pool, target]
+    floored = S._floored[pool]
+    cross = S.half[pool, target]
     unused = np.ones(pool.size, dtype=bool)
-    phi_r = np.maximum(np.real(S.values[target, target]).copy(), 0.0)
-    cost = float(S.grid.integrate(phi_r))
+    phi_r = np.maximum(np.real(S.half[target, target]), 0.0)
+    cost = float(S.grid.half_mean(phi_r))
     initial = max(cost, np.finfo(float).tiny)
     raw_filters: dict[int, TransferFunction] = {}
     stop_reason = "budget"
@@ -189,8 +190,8 @@ def matching_pursuit(S: SpectralMatrix, target: int, max_inputs: int,
         if not unused.any():
             stop_reason = "exhausted"
             break
-        gains = np.where(unused, S.grid.integrate(np.abs(cross) ** 2 / floored),
-                         -np.inf)
+        gains = np.where(unused,
+                         S.grid.half_mean(np.abs(cross) ** 2 / floored), -np.inf)
         # the first maximum picks the lowest index, as the pool is sorted
         best = int(np.argmax(gains))
         stop = _greedy_stop(float(gains[best]), cost, initial, min_gain,
@@ -201,9 +202,9 @@ def matching_pursuit(S: SpectralMatrix, target: int, max_inputs: int,
         V = cross[best] / floored[best]
         phi_r = np.maximum(phi_r - np.abs(cross[best]) ** 2 / floored[best], 0.0)
         unused[best] = False
-        cross[unused] -= V * S.values[pool[unused], pool[best]]
-        raw_filters[int(pool[best])] = TransferFunction(S.grid, V)
-        cost = float(S.grid.integrate(phi_r))
+        cross[unused] -= V * S.half[pool[unused], pool[best]]
+        raw_filters[int(pool[best])] = TransferFunction(S.grid, S.grid.mirror(V))
+        cost = float(S.grid.half_mean(phi_r))
     support = tuple(sorted(raw_filters))
     refit_filters, refit_cost = project(S, target, support)
     if refit_cost > cost + 1e-8 * max(1.0, cost):

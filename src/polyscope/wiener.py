@@ -109,16 +109,6 @@ class TransferFunction:
                    f"of the energy ({support} support)")
         return TransferFunction(self.grid, self.response, kept, new_offset)
 
-    def impulse_matches_response(self, rtol: float = 1e-8) -> bool:
-        """Check the DFT of the stored impulse against the stored response."""
-        if self.impulse is None:
-            return True
-        rebuilt = self.grid.response_from_taps(self.impulse, self.support_offset)
-        scale = np.max(np.abs(self.response))
-        if scale == 0.0:
-            return bool(np.max(np.abs(rebuilt)) == 0.0)
-        return bool(np.max(np.abs(rebuilt - self.response)) <= rtol * scale)
-
 
 @dataclass
 class WienerSolution:

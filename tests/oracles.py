@@ -8,17 +8,17 @@ path-product transfer algebra instead of the topological-order recursion.
 The exceptions are the kernels that whole-matrix code replaced, kept as
 they were: the per-row Welch average that the streamed Gram product
 replaced, which tests compare at a tolerance; the per-fit Wiener
-solve, the per-candidate greedy loops, the per-target blanket loop, the
-per-pair identifiability run test, the per-link source-transfer loop and
-the ``einsum`` of the analytic cross spectra that array code replaced,
-and the whole-grid floored stack, eigenvalue ratio and filter RMS that
-half-grid solvers replaced, against which tests require bit-identical
-solutions, or equal supports and events (the OLS loop's joint solves:
-equal supports and stop reasons, costs and filters within 1e-12 of the
-target's power, as OLS reports its closed-form scoring); the whole-grid
-cepstral factors and Wiener--Hopf split that the half-grid causal layer
-replaced, against which tests require agreement to rounding and equal
-polytrees; and the per-cell CSV reader and ``csv.writer`` text builders
+solve, the per-row coherence distances, the per-candidate greedy loops,
+the per-target blanket loop, the per-pair identifiability run test, the
+per-link source-transfer loop and the ``einsum`` of the analytic cross
+spectra that array code replaced, and the whole-grid floored stack,
+eigenvalue ratio and filter RMS that half-grid solvers replaced, against
+which tests require bit-identical solutions, or equal supports and events
+(the OLS loop's joint solves: equal supports and stop reasons, costs and
+filters within 1e-12 of the target's power, as OLS reports its
+closed-form scoring); the whole-grid cepstral factors and Wiener--Hopf
+split that the half-grid causal layer replaced, against which tests
+require agreement to rounding and equal polytrees; and the per-cell CSV reader and ``csv.writer`` text builders
 that whole-body parsing and joined ``repr`` rows replaced, against which
 tests require the same series, messages and bytes.
 """
@@ -34,6 +34,7 @@ import numpy as np
 from scipy import signal as sps
 
 from polyscope import (
+    DistanceMatrix,
     Ensemble,
     FrequencyGrid,
     IllConditionedSpectrumError,
@@ -50,6 +51,7 @@ from polyscope import (
     project,
 )
 from polyscope.diagnostics import record
+from polyscope.metric import _log_triangle_breaches
 from polyscope.sparse import DEFAULT_MIN_GAIN, NEGLIGIBLE_RTOL
 from polyscope.topology import BLANKET_RMS_RTOL
 from polyscope.wiener import CONDITION_RTOL, TRUNCATION_ENERGY_TOL
@@ -176,6 +178,35 @@ def wiener_reference(S: SpectralMatrix, target: int, inputs, normalize: bool = F
     if normalize:
         residual = residual / S.floored_autospectrum(target)
     return A, c, W, residual, float(np.mean(residual))
+
+
+def distance_matrix_reference(S: SpectralMatrix) -> DistanceMatrix:
+    """``metric.distance_matrix`` as the per-row loop computed it.
+
+    Row ``i`` takes the coherence of series ``i`` with every later series
+    at once, recording each overshoot; the upper triangle is mirrored and
+    the degenerate-pair and triangle-breach events follow.
+    """
+    n = S.n
+    upper = np.zeros((n, n))
+    for i in range(n - 1):
+        cols = slice(i + 1, None)
+        raw = np.abs(S.half[i, cols]) ** 2 / (S._floored[i] * S._floored[cols])
+        peaks = np.max(raw, axis=-1)
+        over = peaks > 1.0 + 1e-6
+        for j, peak in zip(np.arange(n)[cols][over], peaks[over]):
+            record("coherence-overshoot",
+                   f"coherence of ({S.labels[i]!r}, {S.labels[j]!r}) "
+                   f"peaks at {peak:.6f} before clamping")
+        mean = S.grid.half_mean(1.0 - np.clip(raw, 0.0, 1.0))
+        upper[i, cols] = np.sqrt(np.maximum(mean, 0.0))
+    out = upper + upper.T
+    for i, j in np.argwhere(np.triu(out < 1e-9, 1)):
+        record("degenerate-pair",
+               f"{S.labels[i]!r} and {S.labels[j]!r} are at distance "
+               f"{out[i, j]:.3e}; duplicated series?")
+    _log_triangle_breaches(out)
+    return DistanceMatrix(list(S.labels), out, "noncausal")
 
 
 def floored_stack_reference(S: SpectralMatrix) -> np.ndarray:

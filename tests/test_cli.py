@@ -839,6 +839,18 @@ class TestCompareCommand:
             "correlation"
 
 
+@pytest.mark.parametrize("argv", [["analyze", "--pipeline", "mst"],
+                                  ["analyze", "--pipeline", "polytree"],
+                                  ["analyze", "--pipeline", "miso-blanket"],
+                                  ["compare"]])
+def test_all_constant_record_exits_2_naming_a_series(tmp_path, capsys, argv):
+    rows = ["a,b,c"] + ["1.0,2.0,3.0"] * 2048
+    data = write_csv(tmp_path / "constant.csv", "\n".join(rows) + "\n")
+    assert cli.main([*argv, "--input", str(data), "--grid-size", "64",
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: series 'a' has zero variance\n"
+
+
 class TestEmitter:
     def test_manifest_hashes_the_bytes_written(self, tmp_path):
         emitter = cli._Emitter(tmp_path, "simulate", cli.RunConfig())

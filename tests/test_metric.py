@@ -9,6 +9,7 @@ from polyscope import (
     FrequencyGrid,
     InsufficientDataError,
     InvalidParameterError,
+    SpectralMatrix,
     Spectrum,
     TimeSeries,
     WelchConfig,
@@ -17,6 +18,7 @@ from polyscope import (
     causal_edge_weights,
     causal_wiener,
     coherence_distance,
+    coherence_function,
     correlation_distance_matrix,
     distance_matrix,
     spearman_index,
@@ -24,11 +26,11 @@ from polyscope import (
     spectral_matrix,
     windowed_average_distance,
 )
-from polyscope import analytic_spectra, generate_polytree_aln, metric
+from polyscope import analytic_spectra, generate_polytree_aln, metric, simulate
 from polyscope.diagnostics import collect
 from polyscope.metric import _log_triangle_breaches
 
-from oracles import random_psd_matrix, sinusoid_ensemble
+from oracles import distance_matrix_reference, random_psd_matrix, sinusoid_ensemble
 
 
 def delayed_pair_spectra(grid, delay=1):
@@ -119,6 +121,27 @@ class TestCoherenceDistance:
                     ref[i, j] = ref[j, i] = np.sqrt(max(np.mean(1.0 - c), 0.0))
             assert np.array_equal(distance_matrix(S).values, ref)
 
+    def test_every_zero_auto_spectrum_raises_naming_a_series(self):
+        S = SpectralMatrix(["a", "b", "c"], FrequencyGrid(16),
+                           np.zeros((3, 3, 16)))
+        constant = Ensemble([TimeSeries(label, np.full(2048, value))
+                             for label, value in zip("abc", (1.0, 2.0, 3.0))])
+        welch = spectral_matrix(constant, WelchConfig(grid_size=64))
+        for call in (lambda: distance_matrix(S), lambda: distance_matrix(welch),
+                     lambda: coherence_distance(S, 0, 2),
+                     lambda: coherence_function(S, 1, 2)):
+            with pytest.raises(DegenerateSeriesError,
+                               match="^series 'a' has zero variance$"):
+                call()
+
+    def test_one_constant_series_is_at_distance_one(self):
+        rng = np.random.default_rng(2)
+        ens = Ensemble([TimeSeries("a", rng.standard_normal(2048)),
+                        TimeSeries("flat", np.full(2048, 2.5)),
+                        TimeSeries("c", rng.standard_normal(2048))])
+        D = distance_matrix(spectral_matrix(ens, WelchConfig(grid_size=64)))
+        assert np.array_equal(D.values[1], [1.0, 0.0, 1.0])
+
     def test_triangle_breach_checked_on_large_ensembles(self):
         n = 300
         values = np.ones((n, n))
@@ -142,6 +165,54 @@ class TestCoherenceDistance:
                 for j in range(4):
                     for k in range(4):
                         assert D[i, j] <= D[i, k] + D[k, j] + 1e-8
+
+
+def overshooting_matrix(n: int = 5, size: int = 32) -> SpectralMatrix:
+    """A random Hermitian matrix that is not positive semi-definite: most
+    pairs' coherence overshoots 1, some several times over."""
+    rng = np.random.default_rng(n)
+    half = rng.standard_normal((n, n, size // 2 + 1)) \
+        + 1j * rng.standard_normal((n, n, size // 2 + 1))
+    half = half + np.conj(half.transpose(1, 0, 2))
+    half.imag[..., [0, -1]] = 0.0
+    d = np.arange(n)
+    half[d, d] = np.abs(half[d, d]) + 0.1
+    return SpectralMatrix([f"s{i}" for i in range(n)], FrequencyGrid(size), half)
+
+
+class TestDistanceMatrixMatchesRowLoop:
+    """The pair kernel against the per-row loop it replaced: the same
+    bytes and the same events in the same order."""
+
+    @staticmethod
+    def assert_matches(S):
+        S._floored          # its first use records the spectral-floor events
+        with collect() as events:
+            D = distance_matrix(S)
+        with collect() as ref_events:
+            ref = distance_matrix_reference(S)
+        assert D.values.tobytes() == ref.values.tobytes()
+        assert events == ref_events
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_analytic_networks(self, n):
+        for seed in range(3):
+            self.assert_matches(analytic_spectra(generate_polytree_aln(n, seed),
+                                                 FrequencyGrid(256)))
+
+    def test_welch_records(self):
+        sim = simulate(generate_polytree_aln(8, 3), 2 ** 12, seed=5)
+        self.assert_matches(spectral_matrix(sim.ensemble, WelchConfig(grid_size=64)))
+        self.assert_matches(spectral_matrix(sinusoid_ensemble(),
+                                            WelchConfig(grid_size=256)))
+
+    def test_records_that_overshoot(self):
+        for n in (2, 5, 9):
+            S = overshooting_matrix(n)
+            with collect() as events:
+                distance_matrix(S)
+            assert sum(e.category == "coherence-overshoot" for e in events) >= n - 1
+            self.assert_matches(S)
 
 
 class TestDelayedPair:

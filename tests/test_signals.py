@@ -283,6 +283,29 @@ class TestSeriesContainers:
         with pytest.raises(ValueError):
             values[0, 0] = 0.0
 
+    def test_ensemble_checks_each_series_once(self, monkeypatch):
+        calls = []
+        check = TimeSeries.__post_init__
+        monkeypatch.setattr(TimeSeries, "__post_init__",
+                            lambda series: calls.append(series) or check(series))
+        rng = np.random.default_rng(5)
+        ens = Ensemble([TimeSeries(f"s{i}", x)
+                        for i, x in enumerate(rng.standard_normal((6, 512)))])
+        assert len(calls) == 6
+        assert ens.labels == [f"s{i}" for i in range(6)]
+        assert (ens.n, ens.length) == (6, 512)
+        assert all(type(s) is TimeSeries and s.label == label
+                   for s, label in zip(ens.series, ens.labels))
+
+    # the first overflows as it is demeaned, the second as its mean is taken
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_ensemble_rejects_a_series_its_demeaning_overflows(self, sign):
+        big = TimeSeries("big", np.array([1.7e308, sign * 1.7e308, sign * 1.7e308]))
+        with pytest.raises(InvalidParameterError,
+                           match="^series 'big' contains non-finite samples$"):
+            Ensemble([TimeSeries("a", np.ones(3)), big])
+        Ensemble([TimeSeries("a", np.ones(3)), big], demean=False)
+
     def test_ensemble_rejects_mismatches(self):
         a = TimeSeries("a", np.zeros(4))
         with pytest.raises(InvalidParameterError):
@@ -487,7 +510,6 @@ class TestSpectralMatrix:
         assert curve == curve and curve != CoherenceCurve(grid, curve.values)
 
     def test_no_solver_mirrors_the_whole_grid(self):
-        # every solver but matching_pursuit reads the stored half alone
         cfg = WelchConfig(grid_size=64)
         grid = FrequencyGrid(cfg.grid_size)
         spec = generate_polytree_aln(8, 3)
@@ -501,6 +523,7 @@ class TestSpectralMatrix:
             miso_blanket_topology(S, D)
             for target in range(S.n):
                 orthogonal_least_squares(S, target, 3)
+                matching_pursuit(S, target, 3)
             if S is not welch:
                 for pipeline in ("mst-coherence", "polytree-causal", "miso-blanket"):
                     run_recovery(spec, "analytic", pipeline, cfg=cfg)

@@ -30,7 +30,9 @@ first record's first two series beside a constant series ``flat`` pin that
 whose gain is negligible, and that ``analyze --pipeline miso-blanket``
 still exits 4 on them.  The first record's first series three times over
 pins ``compare`` on distances that are all equal: its rank index is
-undefined and written as ``null``.  A wide
+undefined and written as ``null``.  Three constant series pin that
+``analyze`` and ``compare`` exit 2 naming the first, with no other
+output on stderr.  A wide
 record of 24 series on a 64-point grid pins ``sparse`` at budget 2 and
 ``analyze --pipeline miso-blanket`` at the shapes of the wide benchmark,
 where every MISO filter comes from one inverse of the spectral matrix.
@@ -108,6 +110,10 @@ MALFORMED = (
     ("bad-cell-before-bad-byte",
      b"a,b\n1,x\n" + b"1.25,2.5\n" * 2000 + b"\xff\n"),
 )
+
+#: Three constant series: no coherence is defined, and the commands that
+#: need one exit 2 naming the first series.
+ALL_CONSTANT = "a,b,c\n" + "1.0,2.0,3.0\n" * 2048
 
 #: Relative tolerance of compare mode on every float.
 RTOL = 1e-12
@@ -207,6 +213,12 @@ def _runs(root: Path):
     data.write_text(_first_three_times(first.read_text(encoding="utf-8")),
                     encoding="utf-8")
     yield "compare-identical", ["compare", "--input", str(data)]
+    data = root / "all-constant.csv"
+    data.write_text(ALL_CONSTANT, encoding="utf-8")
+    yield "analyze-mst-all-constant", [
+        "analyze", "--input", str(data), "--pipeline", "mst", "--grid-size", "64"]
+    yield "compare-all-constant", [
+        "compare", "--input", str(data), "--grid-size", "64"]
     record, flags = WIDE
     yield f"simulate-{record}", ["simulate", *flags]
     data = str(root / f"simulate-{record}" / "ensemble.csv")
