@@ -16,9 +16,11 @@ Three solvers:
   scored by its jointly optimal cost (the usual accuracy/cost middle ground).
   :mod:`polyscope.wiener` scores a step's extensions in closed form from
   the current support's fit, and drops a candidate collinear with the
-  support from the rest of the run.  Nothing is refit: each step reports
-  the winner's filters and cost from its scoring, which agree with a joint
-  solve to rounding.
+  support from the rest of the run.  The first step of every target, and
+  every target's initial cost, come from one checked array pass per
+  spectral matrix.  Nothing is refit: each step reports the winner's
+  filters and cost from its scoring, which agree with a joint solve to
+  rounding.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .wiener import (
     _check_conditioning,
     _extension_costs,
     _filters,
+    _first_steps,
     noncausal_wiener,
 )
 
@@ -225,22 +228,30 @@ def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
     the best.  :func:`~polyscope.wiener._extension_costs` scores a step in
     closed form from the current support's fit (one Schur complement per
     candidate, one solve per step) and checks every scored extension's
-    filters against their normal equations.  A candidate collinear with the
+    filters against their normal equations.  The initial cost and the first
+    step need no solve: they are read from one array pass over every target
+    of ``S`` (:func:`~polyscope.wiener._first_steps`), made on the first
+    call for ``S`` and kept while ``S`` lives.  A loop over all targets
+    pays for it once; a lone call pays for every target's first step
+    (about 1.1 ms at n 32, K 64 on one Xeon core, against 0.15 ms for its
+    own).  The pass checks every first step, and a failed check raises only
+    when its target's first step is scored, with the message of a
+    per-target check.  A candidate collinear with the
     support is scored ``inf`` and leaves the pool for the rest of the run,
     as in the classical rule of Chen, Billings & Luo (1989); a pool left
     empty stops on ``exhausted``.  The winner is not refit: its filters and
     its closed-form cost, which the stopping rules read, are those its
     scoring solved and checked, and they agree with :func:`project` on the
-    same support to rounding.  When the conditioning screen fails, the
-    input block of each extension the stopping rules take is still checked
-    as :func:`project` would check it, and raises the same error; a winner
-    they reject is not checked.  Stopping rules match
-    :func:`matching_pursuit`.
+    same support to rounding; they are mirrored once, for the last step
+    taken.  When the conditioning screen fails, the input block of each
+    extension the stopping rules take is still checked as :func:`project`
+    would check it, and raises the same error; a winner they reject is not
+    checked.  Stopping rules match :func:`matching_pursuit`.
     """
     max_inputs = _check_solver_args(max_inputs, min_gain)
     pool = _candidates(S, target)
     support: list[int] = []
-    filters, cost = project(S, target, ())
+    cost = float(_first_steps(S).initial[target])
     initial = max(cost, np.finfo(float).tiny)
     while True:
         if len(support) >= max_inputs:
@@ -265,7 +276,8 @@ def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
         extended = support + [best]
         chosen = sorted(extended)
         _check_conditioning(S, chosen)
+        support, cost = chosen, best_cost
         W = fits[pick][:, np.argsort(extended)]
-        support, filters, cost = chosen, _filters(S.grid, chosen, W), best_cost
+    filters = _filters(S.grid, support, W) if support else {}
     return SparseModel(target, tuple(support), filters, cost,
                        solver="ols", stop_reason=stop_reason)

@@ -19,6 +19,8 @@ multi-input fit is computed.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,9 +225,11 @@ def _extension_costs(S: SpectralMatrix, target: int, support, free
     the support's fit, adding ``b`` lowers the residual spectrum by
     ``|r_b|^2 / s_b``, where ``G_b = A_SS^{-1} A_Sb``, the Schur complement
     is ``s_b = A_bb - A_bS G_b`` and ``r_b = c_b - A_bS W_S``.  One solve of
-    ``A_SS`` against ``[A_S,free | c_S]`` serves every candidate, and none
-    is needed for an empty support.  Residuals are clipped at zero as in
-    :func:`_joint_fits`; costs are their :meth:`FrequencyGrid.half_mean`.
+    ``A_SS`` against ``[A_S,free | c_S]`` serves every candidate.  None is
+    needed for an empty support: its costs, filters ``c_b / phi_b`` and
+    checks are read from the matrix's :func:`_first_steps`.  Residuals are
+    clipped at zero as in :func:`_joint_fits`; costs are their
+    :meth:`FrequencyGrid.half_mean`.
 
     A candidate whose ``s_b`` falls below :data:`CONDITION_RTOL` of its
     floored ``A_bb`` at some frequency is collinear with the support: it
@@ -235,9 +239,11 @@ def _extension_costs(S: SpectralMatrix, target: int, support, free
     dropped, since interlacing keeps ``s_b / A_bb`` at or above the screen's
     ratio.  Every other extension's filters, ``w_b = r_b / s_b`` for ``b``
     and ``W_S - G_b w_b`` for the support, are checked against their normal
-    equations as :func:`_joint_fits` checks its own.  ``support`` must be a
-    valid input set whose own fit is solvable, and ``free`` a non-empty
-    list of inputs outside it.
+    equations as :func:`_joint_fits` checks its own.  With an empty support
+    the checks are the pass's, and only a failed fit of ``target`` on an
+    input in ``free`` raises here.  ``support`` must be empty or a valid
+    input set whose own fit is solvable, and ``free`` a non-empty list of
+    inputs outside it.
 
     Returns the ``(m,)`` costs, ``inf`` for each collinear candidate, and
     the checked half-grid filters ``W (m_kept, K/2+1, q+1)`` of the kept
@@ -248,11 +254,20 @@ def _extension_costs(S: SpectralMatrix, target: int, support, free
     support = np.asarray(support, dtype=int)
     free = np.asarray(free, dtype=int)
     q, m = support.size, free.size
+    if not q:
+        first = _first_steps(S)
+        # the floors' first use records their events, as a solve's would
+        W = S.half[free, target] / S._floored[free]
+        failed = free[first.failed[target, free]]
+        if failed.size:
+            raise _orthogonality_error(target, first.worst[target, failed[0]],
+                                       first.scale[target, failed[0]])
+        return first.costs[target, free], W[..., None]
     A, c = _normal_equations(
         S, target, np.column_stack([np.broadcast_to(support, (m, q)), free]))
     rhs = np.concatenate([A[:, :, :q, q].transpose(1, 2, 0), c[0, :, :q, None]],
                          axis=-1)
-    solved = np.linalg.solve(A[0, :, :q, :q], rhs) if q else rhs
+    solved = np.linalg.solve(A[0, :, :q, :q], rhs)
     G, W_S = solved[..., :m].transpose(2, 0, 1), solved[..., m]
     explained = np.real(np.sum(np.conj(c[0, :, :q]) * W_S, axis=-1))
     A_bS, A_bb = A[:, :, q, :q], np.real(A[:, :, q, q])
@@ -285,10 +300,11 @@ def _filter_rms(S: SpectralMatrix) -> np.ndarray:
     is ``-P[i, j] / P[j, j]``.  Otherwise each target is fitted by
     :func:`_joint_fits` in target order.  A target whose fit is singular
     takes its inputs in index order through :func:`_extension_costs`, as
-    OLS steps do: an input collinear with those kept before it is left out
-    (``collinear-candidate``) and gets RMS 0, the kept block must pass
-    :func:`_check_conditioning`, and the last kept extension's filters are
-    the target's.  Either way the RMS is taken by
+    OLS steps do (the first from the matrix's :func:`_first_steps`, each
+    later one by the Schur recursion): an input collinear with those kept
+    before it is left out (``collinear-candidate``) and gets RMS 0, the
+    kept block must pass :func:`_check_conditioning`, and the last kept
+    extension's filters are the target's.  Either way the RMS is taken by
     :meth:`FrequencyGrid.half_mean`.  The diagonal is 1 and means nothing.
     """
     if _clears_screen(S):
@@ -313,22 +329,120 @@ def _filter_rms(S: SpectralMatrix) -> np.ndarray:
     return np.sqrt(S.grid.half_mean(np.abs(W) ** 2))
 
 
+def _orthogonality_failures(worst, c_max, A_max, W_max
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """The normal-equation rule every checked fit obeys, from its maxima.
+
+    A fit ``A W = c`` fails when its largest residual ``worst = max|c - A W|``
+    exceeds ``1e-8`` of its scale, the larger of ``max|c|`` and
+    ``max|A| * max(max|W|, 1)`` (at least the smallest normal float).  The
+    arguments are per-fit maxima of any one broadcast shape; returns the
+    failure mask and the scales.
+    """
+    scale = np.maximum(c_max, A_max * np.maximum(W_max, 1.0))
+    scale = np.maximum(scale, np.finfo(float).tiny)
+    return worst > 1e-8 * scale, scale
+
+
+def _orthogonality_error(target: int, worst, scale) -> InvalidSpectrumError:
+    return InvalidSpectrumError(
+        f"projection for target {target} violates orthogonality by "
+        f"{worst:.3e} (scale {scale:.3e})")
+
+
 def _check_orthogonality(target: int, A: np.ndarray, c: np.ndarray,
                          W: np.ndarray) -> None:
-    """Check each fit's normal equations hold: residual orthogonal to every input."""
+    """Check each fit's normal equations hold: residual orthogonal to every
+    input, by :func:`_orthogonality_failures`; the first failing fit raises."""
     lhs = np.einsum("mkab,mkb->mka", A, W)
-    scale = np.maximum(
-        np.max(np.abs(c), axis=(1, 2)),
-        np.max(np.abs(A), axis=(1, 2, 3))
-        * np.maximum(np.max(np.abs(W), axis=(1, 2)), 1.0))
-    scale = np.maximum(scale, np.finfo(float).tiny)
     worst = np.max(np.abs(c - lhs), axis=(1, 2))
-    failed = np.flatnonzero(worst > 1e-8 * scale)
-    if failed.size:
-        f = failed[0]
-        raise InvalidSpectrumError(
-            f"projection for target {target} violates orthogonality by "
-            f"{worst[f]:.3e} (scale {scale[f]:.3e})")
+    failed, scale = _orthogonality_failures(
+        worst, np.max(np.abs(c), axis=(1, 2)), np.max(np.abs(A), axis=(1, 2, 3)),
+        np.max(np.abs(W), axis=(1, 2)))
+    if failed.any():
+        f = np.flatnonzero(failed)[0]
+        raise _orthogonality_error(target, worst[f], scale[f])
+
+
+@dataclass(frozen=True)
+class _FirstSteps:
+    """Every target's first OLS step on one matrix: the fits on one input.
+
+    ``costs[t, b]`` is the cost of target ``t``'s fit on input ``b`` alone,
+    ``initial[t]`` that of its empty fit (:func:`~polyscope.sparse.project`'s
+    ``max(<x_t, x_t>, 0)``), and ``failed[t, b]`` whether the fit misses its
+    normal equations by :func:`_orthogonality_failures`, with its ``worst``
+    residual and ``scale``.  Only ``(n, n)`` arrays: the diagonal means
+    nothing, and a filter ``c_b / phi_b`` is rebuilt by its reader.
+    """
+
+    costs: np.ndarray
+    initial: np.ndarray
+    failed: np.ndarray
+    worst: np.ndarray
+    scale: np.ndarray
+
+
+#: Each live matrix's :class:`_FirstSteps`.  A :class:`SpectralMatrix` is
+#: immutable and equal only to itself, so it is its own key; its entry goes
+#: when it is freed.
+_first_step_cache: "weakref.WeakKeyDictionary[SpectralMatrix, _FirstSteps]" = \
+    weakref.WeakKeyDictionary()
+_first_step_lock = threading.Lock()
+
+
+def _first_steps(S: SpectralMatrix) -> _FirstSteps:
+    """The :func:`_first_step_pass` of ``S``, run once per matrix.
+
+    Every target's first step reads it, so an all-target loop (``cli
+    sparse``, MISO's singular targets) pays one array pass per matrix.  A
+    lone single-target call pays for every target's: at n 32, K 64 the pass
+    takes about 1.1 ms on one Xeon core, where one target's own first step
+    took about 0.15 ms.
+    """
+    with _first_step_lock:
+        first = _first_step_cache.get(S)
+        if first is None:
+            first = _first_step_cache[S] = _first_step_pass(S)
+    return first
+
+
+def _first_step_pass(S: SpectralMatrix) -> _FirstSteps:
+    """:class:`_FirstSteps` of every ``(target, input)`` pair at once.
+
+    The fit of ``t`` on ``b`` alone is ``w = c / phi_b`` with ``c = Phi_bt``
+    and ``phi`` floored, and its cost ``half_mean(max(phi_t - |c|^2 / phi_b,
+    0))``: the arithmetic of the Schur path with nothing to solve, element
+    for element, so the same bits.  Its normal equations are checked by
+    :func:`_check_orthogonality`'s rule on the same maxima (a zero in
+    ``c - A w`` may differ in sign, which its magnitude drops).  Reads the
+    floors without recording their events, which :func:`_extension_costs`
+    records, and works in place: its transient peak is about 1.5 times
+    ``S.half.nbytes``, and it keeps only ``(n, n)`` arrays.
+    """
+    half, floored = S.half, S._flooring[0]
+    phi_b = floored[:, None, :]
+    d = np.arange(S.n)
+    # axis 0 is the input b and axis 1 the target t until the transposes
+    w = half / phi_b
+    W_max = np.max(np.abs(w), axis=-1)
+    np.multiply(w, phi_b, out=w)
+    np.subtract(half, w, out=w)                 # c - A w
+    worst = np.max(np.abs(w), axis=-1)
+    del w
+    residual = np.abs(half)
+    c_max = np.max(residual, axis=-1)
+    np.square(residual, out=residual)
+    np.divide(residual, phi_b, out=residual)
+    np.subtract(np.real(half[d, d]), residual, out=residual)
+    np.maximum(residual, 0.0, out=residual)
+    costs = S.grid.half_mean(residual).T
+    del residual
+    worst = worst.T
+    failed, scale = _orthogonality_failures(
+        worst, c_max.T, np.max(floored, axis=-1)[None, :], W_max.T)
+    initial = np.maximum(np.real(S.grid.half_mean(half[d, d])), 0.0)
+    return _FirstSteps(costs, initial, failed, worst, scale)
 
 
 def _filters(grid: FrequencyGrid, inputs, W: np.ndarray) -> dict[int, TransferFunction]:

@@ -16,8 +16,9 @@ eigenvalue ratio and filter RMS that half-grid solvers replaced, against
 which tests require bit-identical solutions, or equal supports and events
 (the OLS loop's joint solves: equal supports and stop reasons, costs and
 filters within 1e-12 of the target's power, as OLS reports its
-closed-form scoring); the whole-grid cepstral factors and Wiener--Hopf
-split that the half-grid causal layer replaced, against which tests
+closed-form scoring), and the per-target first OLS step that one pass
+per matrix replaced (the same bits, checks and events); the whole-grid
+cepstral factors and Wiener--Hopf split that the half-grid causal layer replaced, against which tests
 require agreement to rounding and equal polytrees; and the per-cell CSV reader and ``csv.writer`` text builders
 that whole-body parsing and joined ``repr`` rows replaced, against which
 tests require the same series, messages and bytes.
@@ -329,6 +330,45 @@ def project_reference(S: SpectralMatrix, target: int, support
     filters = {b: TransferFunction(S.grid, W[:, pos].copy())
                for pos, b in enumerate(support)}
     return filters, cost
+
+
+def first_step_reference(S: SpectralMatrix, target: int):
+    """OLS's first step for one target as ``wiener._extension_costs`` scored
+    it before every target's first step came from one pass per matrix: the
+    general Schur path with an empty support (nothing to solve), its normal
+    equations gathered from ``S._floored_stack`` and checked per candidate.
+    With an empty support every Schur ratio is 1, so no candidate is
+    collinear and that branch is left out.
+
+    Returns, over the candidates in index order, the costs ``(m,)``, the
+    filters ``(m, K/2+1, 1)``, the normal-equation residuals ``worst`` and
+    their ``scale`` ``(m,)``, and the initial cost ``project(S, target, ())``.
+    """
+    free = np.array([b for b in range(S.n) if b != target])
+    m = free.size
+    idx = free[:, None]
+    A = S._floored_stack[:, idx[:, :, None], idx[:, None, :]].swapaxes(0, 1)
+    c = S.half[idx, target].transpose(0, 2, 1).copy()
+    rhs = np.concatenate([A[:, :, :0, 0].transpose(1, 2, 0), c[0, :, :0, None]],
+                         axis=-1)
+    G, W_S = rhs[..., :m].transpose(2, 0, 1), rhs[..., m]
+    explained = np.real(np.sum(np.conj(c[0, :, :0]) * W_S, axis=-1))
+    A_bS, A_bb = A[:, :, 0, :0], np.real(A[:, :, 0, 0])
+    s = A_bb - np.real(np.sum(A_bS * G, axis=-1))
+    r = c[:, :, 0] - np.sum(A_bS * W_S, axis=-1)
+    w = r / s
+    W = np.concatenate([W_S - G * w[..., None], w[..., None]], axis=-1)
+    lhs = np.einsum("mkab,mkb->mka", A, W)
+    scale = np.maximum(
+        np.max(np.abs(c), axis=(1, 2)),
+        np.max(np.abs(A), axis=(1, 2, 3))
+        * np.maximum(np.max(np.abs(W), axis=(1, 2)), 1.0))
+    scale = np.maximum(scale, np.finfo(float).tiny)
+    worst = np.max(np.abs(c - lhs), axis=(1, 2))
+    residual = np.maximum(np.real(S.half[target, target])
+                          - explained - np.abs(r) ** 2 / s, 0.0)
+    costs = S.grid.half_mean(residual)
+    return costs, W, worst, scale, project_reference(S, target, ())[1]
 
 
 def ols_reference(S: SpectralMatrix, target: int, max_inputs: int,

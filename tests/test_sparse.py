@@ -1,4 +1,7 @@
 import re
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from polyscope import (
     FrequencyGrid,
     IllConditionedSpectrumError,
     InvalidParameterError,
+    InvalidSpectrumError,
     Link,
     SpectralMatrix,
     TimeSeries,
@@ -28,14 +32,22 @@ from polyscope import (
 from polyscope import wiener
 from polyscope.diagnostics import collect
 from polyscope.sparse import DEFAULT_MIN_GAIN
-from polyscope.wiener import _clears_screen, _extension_costs, _joint_fits
+from polyscope.wiener import (
+    _clears_screen,
+    _extension_costs,
+    _filter_rms,
+    _first_steps,
+    _joint_fits,
+)
 
 from oracles import (
+    first_step_reference,
     make_two_sparse_instance,
     mp_reference,
     ols_reference,
     project_reference,
     random_psd_matrix,
+    sinusoid_ensemble,
     wiener_reference,
 )
 
@@ -343,6 +355,13 @@ def step_supports(S, target, steps):
             for q in range(steps)]
 
 
+def twin(S):
+    """A new matrix of ``S``'s values: its own floor events and first steps."""
+    T = SpectralMatrix(S.labels, S.grid, S.half)
+    assert T.half.tobytes() == S.half.tobytes()
+    return T
+
+
 class TestOLSClosedFormSteps:
     """Steps scored from the support's fit against fits of every extension."""
 
@@ -372,31 +391,53 @@ class TestOLSClosedFormSteps:
                     assert np.max(np.abs(W - W_joint)) <= tol
 
     def test_every_scored_extension_is_checked(self, wide_record, monkeypatch):
-        S = wide_record
-        checked = []
-        check = wiener._check_orthogonality
+        # the first steps of every target are checked by one call of the
+        # rule per matrix, each later extension by _check_orthogonality
+        S, ref = twin(wide_record), twin(wide_record)
+        steps = {target: step_supports(ref, target, 3) for target in range(S.n)}
+        checked, rules = [], []
+        check, rule = wiener._check_orthogonality, wiener._orthogonality_failures
 
         def recording(target, A, c, W):
-            checked.append(c)
+            checked.append((target, c))
             check(target, A, c, W)
 
+        def recording_rule(*maxima):
+            rules.append(np.broadcast_arrays(*maxima))
+            return rule(*maxima)
+
         monkeypatch.setattr(wiener, "_check_orthogonality", recording)
+        monkeypatch.setattr(wiener, "_orthogonality_failures", recording_rule)
         for target in range(S.n):
-            steps = step_supports(S, target, 3)
-            checked.clear()
             orthogonal_least_squares(S, target, 3, 0.0)
+        # one check of the whole first step, the rule's other calls are
+        # _check_orthogonality's
+        (first,) = [args for args in rules if args[0].shape == (S.n, S.n)]
+        assert len(rules) == len(checked) + 1
+        failed, scale = rule(*first)
+        assert not failed[~np.eye(S.n, dtype=bool)].any()
+        for target in range(S.n):
+            free = [b for b in range(S.n) if b != target]
+            _, _, worst, ref_scale, _ = first_step_reference(ref, target)
+            # row target holds the per-target check of each candidate's fit
+            assert first[0][target, free].tobytes() == worst.tobytes()
+            assert scale[target, free].tobytes() == ref_scale.tobytes()
+        seen = {target: set() for target in range(S.n)}
+        for target, c in checked:
             # each checked column is one input's cross spectrum to the target
             crosses = S.values[:, target, S.grid.half]
-            seen = set()
-            for c in checked:
-                match = np.all(c.transpose(0, 2, 1)[:, :, None, :]
-                               == crosses[None, None], axis=-1)
-                assert np.all(match.sum(axis=-1) == 1)
-                seen |= {frozenset(row) for row in np.argmax(match, axis=-1).tolist()}
-            for support in steps:
+            match = np.all(c.transpose(0, 2, 1)[:, :, None, :]
+                           == crosses[None, None], axis=-1)
+            assert np.all(match.sum(axis=-1) == 1)
+            assert c.shape[-1] >= 2
+            seen[target] |= {frozenset(row)
+                             for row in np.argmax(match, axis=-1).tolist()}
+        for target, supports in steps.items():
+            assert supports[0] == []
+            for support in supports[1:]:
                 for b in range(S.n):
                     if b != target and b not in support:
-                        assert frozenset(support + [b]) in seen
+                        assert frozenset(support + [b]) in seen[target]
 
     def test_exact_copy_leaves_the_pool(self):
         sim = simulate(generate_polytree_aln(8, 3), 2 ** 12, seed=5)
@@ -490,6 +531,197 @@ class TestOLSReportsItsScoredFit:
             assert str(error.value) == (
                 "input spectral matrix singular beyond the floor at "
                 + raised[target])
+
+
+def assert_first_steps_match(S):
+    """Every target's first step from the one pass per matrix against the
+    per-target scoring it replaced: costs, filters, checks, the winner's
+    filter and the initial cost bit for bit, with equal events."""
+    lib, ref = twin(S), twin(S)
+    # budget 0 reads only the initial cost, and records no floor events
+    for target in range(S.n):
+        with collect() as events:
+            model = orthogonal_least_squares(lib, target, 0)
+        with collect() as ref_events:
+            expected = ols_reference(ref, target, 0)
+        assert events == ref_events
+        assert np.float64(model.cost).tobytes() == \
+            np.float64(expected.cost).tobytes()
+        assert (model.support, model.filters, model.stop_reason) == \
+            ((), {}, expected.stop_reason)
+    first = _first_steps(lib)
+    for target in range(S.n):
+        free = [b for b in range(S.n) if b != target]
+        with collect() as events:
+            costs, W = _extension_costs(lib, target, [], free)
+        with collect() as ref_events:
+            ref_costs, ref_W, worst, scale, initial = \
+                first_step_reference(ref, target)
+        assert events == ref_events
+        assert costs.tobytes() == ref_costs.tobytes()
+        assert W.shape == ref_W.shape and W.tobytes() == ref_W.tobytes()
+        assert first.worst[target, free].tobytes() == worst.tobytes()
+        assert first.scale[target, free].tobytes() == scale.tobytes()
+        assert not first.failed[target, free].any()
+        assert first.initial[target].tobytes() == np.float64(initial).tobytes()
+        model = orthogonal_least_squares(lib, target, 1)
+        if model.support:
+            (b,) = model.support
+            pick = int(np.argmin(ref_costs))
+            assert b == free[pick]
+            assert np.float64(model.cost).tobytes() == ref_costs[pick].tobytes()
+            assert model.filters[b].response.tobytes() == \
+                S.grid.mirror(ref_W[pick, :, 0]).tobytes()
+
+
+def count_passes(monkeypatch):
+    """Record the matrix of every first-step pass from now on."""
+    passes = []
+    run = wiener._first_step_pass
+
+    def counting(S):
+        passes.append(S)
+        return run(S)
+
+    monkeypatch.setattr(wiener, "_first_step_pass", counting)
+    return passes
+
+
+class TestFirstStepPass:
+    """Every target's first step from one checked pass per matrix."""
+
+    def test_wide_record(self, wide_record):
+        assert_first_steps_match(wide_record)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_analytic_networks(self, n):
+        grid = FrequencyGrid(64)
+        for seed in range(3):
+            assert_first_steps_match(
+                analytic_spectra(generate_polytree_aln(n, seed), grid))
+
+    def test_random_psd_matrices(self):
+        rng = np.random.default_rng(27)
+        for n in (2, 3, 6, 11):
+            for k in (16, 64):
+                assert_first_steps_match(random_psd_matrix(rng, n, FrequencyGrid(k)))
+
+    def test_floored_sinusoids(self):
+        S = spectral_matrix(sinusoid_ensemble(), WelchConfig(grid_size=256))
+        with collect() as events:
+            S._floored
+        assert len([e for e in events if e.category == "spectral-floor"]) == S.n
+        assert_first_steps_match(S)
+
+    def test_copy_record_and_its_singular_miso_targets(self, monkeypatch):
+        duplicated = digest_records()[1]
+        assert not _clears_screen(duplicated)
+        assert_first_steps_match(duplicated)
+        # each singular target takes its first input from the one pass
+        S = twin(duplicated)
+        passes = count_passes(monkeypatch)
+        with collect() as events:
+            rms = _filter_rms(S)
+        assert passes == [S]
+        assert any(e.category == "collinear-candidate" for e in events)
+        assert rms.shape == (S.n, S.n)
+
+
+class TestFirstStepCache:
+    """The pass is kept per matrix, by identity, while the matrix lives."""
+
+    def test_one_pass_per_matrix(self, wide_record, monkeypatch):
+        S = twin(wide_record)
+        passes = count_passes(monkeypatch)
+        for target in range(S.n):
+            orthogonal_least_squares(S, target, 2)
+        assert passes == [S]
+        # equal values, yet a matrix of its own: its own pass
+        T = twin(wide_record)
+        orthogonal_least_squares(T, 0, 2)
+        assert len(passes) == 2 and passes[1] is T
+        passes.clear()
+        # the other keys are held, so the freed matrix's entry is the one to go
+        others = [key for key in wiener._first_step_cache.keys() if key is not T]
+        alive = weakref.ref(T)
+        del T
+        assert alive() is None
+        assert len(wiener._first_step_cache) == len(others)
+        assert S in wiener._first_step_cache
+
+    def test_two_threads_on_one_matrix(self, monkeypatch):
+        base = random_psd_matrix(np.random.default_rng(4), 5, FrequencyGrid(64))
+        x = orthogonal_least_squares(base, 4, 1).support[0]
+        idx = list(range(5)) + [x, x]
+        values = base.values[np.ix_(idx, idx)]
+        values[5, 5] += 1e-12 * np.max(values[x, x].real)
+        serial = SpectralMatrix([f"s{i}" for i in range(7)], base.grid, values)
+
+        def run_all(S):
+            with collect() as events:
+                models = [orthogonal_least_squares(S, target, 3, min_gain=0.0)
+                          for target in range(S.n)]
+            return models, events
+
+        S = twin(serial)
+        serial._floored, S._floored    # no thread records the floors
+        expected_models, expected_events = run_all(serial)
+        assert any(e.category == "collinear-candidate" for e in expected_events)
+        passes = count_passes(monkeypatch)
+        results = [None, None]
+
+        def worker(slot):
+            results[slot] = run_all(S)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(slot,))
+                       for slot in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert passes == [S]
+        for models, events in results:
+            assert events == expected_events
+            for model, ref in zip(models, expected_models, strict=True):
+                assert_same_model(model, ref)
+
+    def test_a_failed_first_step_raises_for_its_target_alone(
+            self, wide_record, monkeypatch):
+        S, ref = twin(wide_record), twin(wide_record)
+        target, b = 5, 17
+        expected = [orthogonal_least_squares(ref, t, 2) for t in range(S.n)]
+        # the pair's maxima name it alone among the matrix's fits on one input
+        c_max = np.max(np.abs(S.half), axis=-1).T
+        A_max = np.max(S._floored, axis=-1)[None, :]
+        key = (c_max[target, b], A_max[0, b])
+        off = ~np.eye(S.n, dtype=bool)
+        assert np.sum(off & (c_max == key[0]) & (A_max == key[1])) == 1
+        rule = wiener._orthogonality_failures
+
+        def failing(worst, c_max, A_max, W_max):
+            failed, scale = rule(worst, c_max, A_max, W_max)
+            return failed | ((c_max == key[0]) & (A_max == key[1])), scale
+
+        monkeypatch.setattr(wiener, "_orthogonality_failures", failing)
+        _, _, worst, scale, _ = first_step_reference(ref, target)
+        pos = b - (b > target)
+        message = (f"projection for target {target} violates orthogonality "
+                   f"by {worst[pos]:.3e} (scale {scale[pos]:.3e})")
+        for t in range(S.n):
+            assert_same_model(orthogonal_least_squares(S, t, 0),
+                              orthogonal_least_squares(ref, t, 0))
+            if t == target:
+                with pytest.raises(InvalidSpectrumError) as error:
+                    orthogonal_least_squares(S, t, 2)
+                assert str(error.value) == message
+            else:
+                assert_same_model(orthogonal_least_squares(S, t, 2), expected[t])
 
 
 def assert_mp_matches_loop(S, targets):
