@@ -39,6 +39,11 @@ KINDS = SYMMETRIC_KINDS + ("causal",)
 #: diagnostic event is recorded.
 TRIANGLE_TOL = 0.05
 
+#: Array values, ``targets * n * (K/2+1)``, that one block of
+#: :func:`causal_distance_matrix` solves at once; it bounds the causal
+#: layer's transient memory, whatever the number of series and the grid.
+CAUSAL_BLOCK_VALUES = 1 << 16
+
 #: Relative gap below which a pair's two causal directions count as tied:
 #: summation order alone moves causal costs by up to about 1e-14 of their
 #: size, while real orientation gaps of analytic networks start near 1e-9.
@@ -170,22 +175,29 @@ def causal_distance(S: SpectralMatrix, target: int, input_: int) -> float:
     if target == input_:
         return 0.0
     _, _, cost = _causal_pair(S, target, input_)
-    return float(np.sqrt(max(cost[0], 0.0)))
+    return float(np.sqrt(max(cost, 0.0)))
 
 
 def causal_distance_matrix(S: SpectralMatrix) -> DistanceMatrix:
     """All pairwise one-sided distances; rows are targets, columns inputs.
 
-    Spectral factors are computed once per series; each target row is one
-    Wiener--Hopf solve against every input at once.
+    Spectral factors are computed once per series.  The targets are solved
+    in blocks of ``max(1, CAUSAL_BLOCK_VALUES // (n * (K/2+1)))``, each block
+    one Wiener--Hopf pass against every input at once.  A block's arrays
+    peak at about 3.2 complex arrays of at most :data:`CAUSAL_BLOCK_VALUES`
+    values (3.4 MB), whatever ``n`` and ``K``, unless one target row alone
+    is larger; then each block is one target.  A pair's bits do not depend
+    on the blocking, so each entry is :func:`causal_distance`'s.
     """
     n = S.n
     factors = _spectral_factors(S.grid, S._floored)[0]
+    block = max(1, CAUSAL_BLOCK_VALUES // factors.size)
     out = np.zeros((n, n))
-    for j in range(n):
-        _, _, cost = _wiener_hopf(S, j, slice(None), factors[j], factors)
-        out[j] = np.sqrt(np.maximum(cost, 0.0))
-        out[j, j] = 0.0
+    for lo in range(0, n, block):
+        targets = slice(lo, lo + block)
+        _, _, cost = _wiener_hopf(S, targets, slice(None), factors[targets], factors)
+        out[targets] = np.sqrt(np.maximum(cost, 0.0))
+    np.fill_diagonal(out, 0.0)
     return DistanceMatrix(list(S.labels), out, "causal")
 
 

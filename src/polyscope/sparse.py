@@ -233,7 +233,7 @@ def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
     of ``S`` (:func:`~polyscope.wiener._first_steps`), made on the first
     call for ``S`` and kept while ``S`` lives.  A loop over all targets
     pays for it once; a lone call pays for every target's first step
-    (about 1.1 ms at n 32, K 64 on one Xeon core, against 0.15 ms for its
+    (about 0.95 ms at n 32, K 64 on one Xeon core, against 0.15 ms for its
     own).  The pass checks every first step, and a failed check raises only
     when its target's first step is scored, with the message of a
     per-target check.  A candidate collinear with the

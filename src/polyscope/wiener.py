@@ -397,7 +397,7 @@ def _first_steps(S: SpectralMatrix) -> _FirstSteps:
     Every target's first step reads it, so an all-target loop (``cli
     sparse``, MISO's singular targets) pays one array pass per matrix.  A
     lone single-target call pays for every target's: at n 32, K 64 the pass
-    takes about 1.1 ms on one Xeon core, where one target's own first step
+    takes about 0.95 ms on one Xeon core, where one target's own first step
     took about 0.15 ms.
     """
     with _first_step_lock:
@@ -411,7 +411,9 @@ def _first_step_pass(S: SpectralMatrix) -> _FirstSteps:
     """:class:`_FirstSteps` of every ``(target, input)`` pair at once.
 
     The fit of ``t`` on ``b`` alone is ``w = c / phi_b`` with ``c = Phi_bt``
-    and ``phi`` floored, and its cost ``half_mean(max(phi_t - |c|^2 / phi_b,
+    and ``phi`` floored, computed as ``c * (1 / phi_b)``: numpy divides a
+    complex number by a real one through its reciprocal, so the two give
+    the same bits.  Its cost is ``half_mean(max(phi_t - |c|^2 / phi_b,
     0))``: the arithmetic of the Schur path with nothing to solve, element
     for element, so the same bits.  Its normal equations are checked by
     :func:`_check_orthogonality`'s rule on the same maxima (a zero in
@@ -424,14 +426,14 @@ def _first_step_pass(S: SpectralMatrix) -> _FirstSteps:
     phi_b = floored[:, None, :]
     d = np.arange(S.n)
     # axis 0 is the input b and axis 1 the target t until the transposes
-    w = half / phi_b
-    W_max = np.max(np.abs(w), axis=-1)
+    w = half * (1.0 / phi_b)                    # the bits of c / phi_b
+    W_max = _grid_peak(w)
     np.multiply(w, phi_b, out=w)
     np.subtract(half, w, out=w)                 # c - A w
-    worst = np.max(np.abs(w), axis=-1)
+    worst = _grid_peak(w)
     del w
     residual = np.abs(half)
-    c_max = np.max(residual, axis=-1)
+    c_max = _grid_peak(residual)
     np.square(residual, out=residual)
     np.divide(residual, phi_b, out=residual)
     np.subtract(np.real(half[d, d]), residual, out=residual)
@@ -443,6 +445,14 @@ def _first_step_pass(S: SpectralMatrix) -> _FirstSteps:
         worst, c_max.T, np.max(floored, axis=-1)[None, :], W_max.T)
     initial = np.maximum(np.real(S.grid.half_mean(half[d, d])), 0.0)
     return _FirstSteps(costs, initial, failed, worst, scale)
+
+
+def _grid_peak(x: np.ndarray) -> np.ndarray:
+    """``max |x|`` of an ``(n, n, K/2+1)`` array over its grid axis, taken
+    from a grid-major copy of the magnitudes: numpy reduces a short
+    contiguous last axis one row at a time, and a maximum is exact in any
+    order."""
+    return np.max(np.abs(x.transpose(2, 0, 1), order="C"), axis=0)
 
 
 def _filters(grid: FrequencyGrid, inputs, W: np.ndarray) -> dict[int, TransferFunction]:
@@ -573,39 +583,57 @@ def causal_truncate(h: TransferFunction) -> TransferFunction:
     return TransferFunction.from_taps(h.grid, kept, 0)
 
 
-def _wiener_hopf(S: SpectralMatrix, target: int, inputs, target_factor: np.ndarray,
+def _wiener_hopf(S: SpectralMatrix, targets, inputs, target_factors: np.ndarray,
                  input_factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-sided Wiener filters of ``target`` on each single input in ``inputs``.
+    """One-sided Wiener filters of each of a block of ``b`` targets on each
+    of ``m`` single inputs, all in one pass.
 
-    ``inputs`` is an index array or slice, ``target_factor`` and
-    ``input_factors`` the half-grid responses of :func:`_spectral_factors`.
-    Everything is solved at the :attr:`FrequencyGrid.half` points: the
-    whitened cross spectrum is conjugate-even, so its causal part is taken
-    by the real-sequence kernels.  Returns, one row per input, the half-grid
-    filter response and whitened error spectrum, and the error's
-    :meth:`FrequencyGrid.half_mean` (the cost).
+    ``targets`` is a slice and ``inputs`` a slice or an index array, and
+    ``target_factors (b, K/2+1)`` and ``input_factors (m, K/2+1)`` their
+    half-grid responses from :func:`_spectral_factors`.  Everything is solved
+    at the :attr:`FrequencyGrid.half` points: the whitened cross spectrum is
+    conjugate-even, so its causal part is taken by the real-sequence kernels,
+    one ``irfft`` and one ``rfft`` for the whole block.  Every pair gets the
+    same elementwise operations in the same order whatever the block, so a
+    pair's bits do not depend on the targets and inputs solved beside it.
+    Returns, at ``[t, i]`` for the ``t``-th target and ``i``-th input, the
+    half-grid filter response and whitened error spectrum
+    ``(b, m, K/2+1)``, and the error's :meth:`FrequencyGrid.half_mean` (the
+    cost) ``(b, m)``.  A call's allocations peak at about 3.2 times the
+    response's bytes, of which it returns 1.5.
     """
     phi = S._floored
-    cross = S.half[inputs, target]
+    phi_t = phi[targets][:, None]
+    cross = S.half[inputs, targets].swapaxes(0, 1)    # Phi_{input -> target}
     # the causal part of the whitened cross spectrum keeps t = 0, drops t < 0
-    causal = S.grid.half_to_time(
-        (1.0 / target_factor) * cross / np.conj(input_factors))
+    white = (1.0 / target_factors)[:, None] * cross
+    white /= np.conj(input_factors)
+    causal = S.grid.half_to_time(white)
+    del white
     causal[..., S.grid.size // 2:] = 0.0
-    response = S.grid.half_from_time(causal) / input_factors * target_factor
-    err = phi[target] + np.abs(response) ** 2 * phi[inputs] \
-        - 2.0 * np.real(np.conj(response) * cross)
-    weighted = np.maximum(err, 0.0) / phi[target]
+    response = S.grid.half_from_time(causal)
+    del causal
+    response /= input_factors
+    response *= target_factors[:, None]
+    err = np.abs(response) ** 2 * phi[inputs]
+    err += phi_t
+    err -= 2.0 * np.real(np.conj(response) * cross)
+    weighted = np.maximum(err, 0.0, out=err)
+    weighted /= phi_t
     return response, weighted, S.grid.half_mean(weighted)
 
 
 def _causal_pair(S: SpectralMatrix, target: int, input_: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_wiener_hopf` of one validated pair, factoring only its two series."""
+    """:func:`_wiener_hopf` of one validated pair, a block of one target and
+    one input, factoring only its two series; returns its ``[0, 0]``."""
     S.check_index(target, input_)
     if target == input_:
         raise InvalidParameterError("target and input must differ")
     factors = _spectral_factors(S.grid, S._floored[[target, input_]])[0]
-    return _wiener_hopf(S, target, [input_], factors[0], factors[1:])
+    response, weighted, cost = _wiener_hopf(
+        S, slice(target, target + 1), [input_], factors[:1], factors[1:])
+    return response[0, 0], weighted[0, 0], cost[0, 0]
 
 
 def causal_wiener(S: SpectralMatrix, target: int, input_: int) -> WienerSolution:
@@ -630,9 +658,9 @@ def causal_wiener(S: SpectralMatrix, target: int, input_: int) -> WienerSolution
         its grid mean.
     """
     response, weighted, cost = _causal_pair(S, target, input_)
-    tf = TransferFunction(S.grid, S.grid.mirror(response[0])).with_impulse("causal")
-    return WienerSolution(target, (input_,), {input_: tf}, float(cost[0]),
-                          Spectrum(S.grid, S.grid.mirror(weighted[0])))
+    tf = TransferFunction(S.grid, S.grid.mirror(response)).with_impulse("causal")
+    return WienerSolution(target, (input_,), {input_: tf}, float(cost),
+                          Spectrum(S.grid, S.grid.mirror(weighted)))
 
 
 def apply_filter(h: TransferFunction, x: TimeSeries) -> TimeSeries:

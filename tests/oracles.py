@@ -16,8 +16,10 @@ eigenvalue ratio and filter RMS that half-grid solvers replaced, against
 which tests require bit-identical solutions, or equal supports and events
 (the OLS loop's joint solves: equal supports and stop reasons, costs and
 filters within 1e-12 of the target's power, as OLS reports its
-closed-form scoring), and the per-target first OLS step that one pass
-per matrix replaced (the same bits, checks and events); the whole-grid
+closed-form scoring), the per-target first OLS step that one pass
+per matrix replaced (the same bits, checks and events), and the per-target
+Wiener--Hopf loop that blocks of targets replaced (the same bits and
+events); the whole-grid
 cepstral factors and Wiener--Hopf split that the half-grid causal layer replaced, against which tests
 require agreement to rounding and equal polytrees; and the per-cell CSV reader and ``csv.writer`` text builders
 that whole-body parsing and joined ``repr`` rows replaced, against which
@@ -47,15 +49,18 @@ from polyscope import (
     TransferFunction,
     UndirectedGraph,
     WelchConfig,
+    analytic_spectra,
     generate_polytree_aln,
     inner_product,
     project,
+    simulate,
+    spectral_matrix,
 )
 from polyscope.diagnostics import record
 from polyscope.metric import _log_triangle_breaches
 from polyscope.sparse import DEFAULT_MIN_GAIN, NEGLIGIBLE_RTOL
 from polyscope.topology import BLANKET_RMS_RTOL
-from polyscope.wiener import CONDITION_RTOL, TRUNCATION_ENERGY_TOL
+from polyscope.wiener import CONDITION_RTOL, TRUNCATION_ENERGY_TOL, _spectral_factors
 from polyscope.aln import _noise_spectra
 
 
@@ -305,6 +310,28 @@ def causal_reference(S: SpectralMatrix) -> np.ndarray:
     for j in range(S.n):
         cost = wiener_hopf_reference(S, j, slice(None), factors[j], factors)[2]
         out[j] = np.sqrt(np.maximum(cost, 0.0))
+        out[j, j] = 0.0
+    return out
+
+
+def causal_rows_reference(S: SpectralMatrix) -> np.ndarray:
+    """``causal_distance_matrix(S).values`` as the per-target loop computed
+    it before targets were solved in blocks: half-grid factors of every
+    series, then one Wiener--Hopf solve per target row against every input,
+    with the same elementwise operations."""
+    phi = S._floored
+    factors = _spectral_factors(S.grid, phi)[0]
+    out = np.zeros((S.n, S.n))
+    for j in range(S.n):
+        cross = S.half[:, j]
+        causal = S.grid.half_to_time(
+            (1.0 / factors[j]) * cross / np.conj(factors))
+        causal[..., S.grid.size // 2:] = 0.0
+        response = S.grid.half_from_time(causal) / factors * factors[j]
+        err = phi[j] + np.abs(response) ** 2 * phi \
+            - 2.0 * np.real(np.conj(response) * cross)
+        weighted = np.maximum(err, 0.0) / phi[j]
+        out[j] = np.sqrt(np.maximum(S.grid.half_mean(weighted), 0.0))
         out[j, j] = 0.0
     return out
 
@@ -658,6 +685,15 @@ def random_psd_matrix(rng: np.random.Generator, n: int, grid: FrequencyGrid,
     values[idx, idx] = values[idx, idx].real + floor
     labels = [f"s{i}" for i in range(n)]
     return SpectralMatrix(labels, grid, values)
+
+
+def half_grid_matrix(producer: str, n: int, size: int) -> SpectralMatrix:
+    """An analytic or a Welch spectral matrix of an ``n``-node polytree."""
+    spec = generate_polytree_aln(n, seed=n)
+    if producer == "analytic":
+        return analytic_spectra(spec, FrequencyGrid(size))
+    return spectral_matrix(simulate(spec, 1 << 13, seed=n).ensemble,
+                           WelchConfig(grid_size=size))
 
 
 def sinusoid_ensemble() -> Ensemble:

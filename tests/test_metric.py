@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,13 @@ from polyscope import analytic_spectra, generate_polytree_aln, metric, simulate
 from polyscope.diagnostics import collect
 from polyscope.metric import _log_triangle_breaches
 
-from oracles import distance_matrix_reference, random_psd_matrix, sinusoid_ensemble
+from oracles import (
+    causal_rows_reference,
+    distance_matrix_reference,
+    half_grid_matrix,
+    random_psd_matrix,
+    sinusoid_ensemble,
+)
 
 
 def delayed_pair_spectra(grid, delay=1):
@@ -235,18 +243,29 @@ class TestDelayedPair:
         assert D.values[0, 1] >= 1.0
 
 
+def targets_per_block(S: SpectralMatrix, budget: int) -> int:
+    return max(1, budget // (S.n * (S.grid.size // 2 + 1)))
+
+
 class TestCausalDistance:
-    def test_matrix_matches_pairwise_solver(self):
-        S = random_psd_matrix(np.random.default_rng(11), 4, FrequencyGrid(128))
-        DC = causal_distance_matrix(S)
-        assert DC.kind == "causal"
-        for j in range(4):
-            for i in range(4):
-                if i == j:
-                    assert DC.values[j, i] == 0.0
-                else:
-                    ref = np.sqrt(max(causal_wiener(S, j, i).cost, 0.0))
-                    assert DC.values[j, i] == ref
+    def test_matrix_matches_pairwise_solver(self, monkeypatch):
+        small = random_psd_matrix(np.random.default_rng(11), 4, FrequencyGrid(128))
+        split = half_grid_matrix("analytic", 13, 256)
+        # one block of 4 targets; 13 targets in blocks of 5, 5 and 3
+        for S, budget, block in [(small, metric.CAUSAL_BLOCK_VALUES, 4),
+                                 (split, 5 * 13 * 129, 5)]:
+            monkeypatch.setattr(metric, "CAUSAL_BLOCK_VALUES", budget)
+            assert min(targets_per_block(S, budget), S.n) == block
+            DC = causal_distance_matrix(S)
+            assert DC.kind == "causal"
+            for j in range(S.n):
+                for i in range(S.n):
+                    if i == j:
+                        assert DC.values[j, i] == 0.0
+                    else:
+                        ref = np.sqrt(max(causal_wiener(S, j, i).cost, 0.0))
+                        assert DC.values[j, i] == ref
+                        assert causal_distance(S, j, i) == ref
 
     def test_factors_are_those_of_the_floored_autospectra(self, monkeypatch):
         S = spectral_matrix(sinusoid_ensemble(), WelchConfig(grid_size=256))
@@ -287,6 +306,56 @@ class TestCausalDistance:
         assert causal_distance(S, 1, 0) == pytest.approx(
             np.sqrt(causal_wiener(S, 1, 0).cost))
         assert causal_distance(S, 1, 1) == 0.0
+
+
+def causal_rows(S: SpectralMatrix, distances) -> tuple[bytes, list]:
+    """The bytes of ``distances`` on a fresh copy of ``S``, with the
+    events it records, in order."""
+    fresh = SpectralMatrix(S.labels, S.grid, S.half)
+    with collect() as events:
+        values = distances(fresh)
+    return values.tobytes(), events
+
+
+class TestCausalBlocks:
+    """Targets are solved in blocks of ``CAUSAL_BLOCK_VALUES`` array values,
+    with the bits and events of the per-target loop they replaced."""
+
+    @pytest.mark.parametrize("size", [64, 256, 1024])
+    @pytest.mark.parametrize("n", [4, 13, 16, 32])
+    @pytest.mark.parametrize("producer", ["welch", "analytic"])
+    def test_matches_the_per_target_loop(self, producer, n, size):
+        S = half_grid_matrix(producer, n, size)
+        assert causal_rows(S, lambda T: causal_distance_matrix(T).values) == \
+            causal_rows(S, causal_rows_reference)
+
+    @pytest.mark.parametrize("size", [64, 256, 1024])
+    @pytest.mark.parametrize("producer", ["welch", "analytic"])
+    def test_any_blocking_gives_the_same_bits(self, producer, size, monkeypatch):
+        S = half_grid_matrix(producer, 13, size)
+        row = 13 * (size // 2 + 1)
+        expected = causal_rows(S, causal_rows_reference)
+        for budget, block in [(1, 1), (5 * row + row // 2, 5), (13 * row, 13)]:
+            monkeypatch.setattr(metric, "CAUSAL_BLOCK_VALUES", budget)
+            assert targets_per_block(S, budget) == block
+            assert causal_rows(
+                S, lambda T: causal_distance_matrix(T).values) == expected
+
+    def test_transient_memory_is_bounded_by_the_block(self):
+        # 3 of 32 targets per block at K 1024; all 32 in one pass peak
+        # near 26 MB
+        S = half_grid_matrix("analytic", 32, 1024)
+        assert targets_per_block(S, metric.CAUSAL_BLOCK_VALUES) == 3
+        S._floored
+        tracemalloc.start()
+        try:
+            causal_distance_matrix(S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a block's kernel peaks near 3.2 complex arrays of the block; the
+        # rest of the bound is room for the factors of every series
+        assert peak < 6 * 16 * metric.CAUSAL_BLOCK_VALUES
 
 
 class TestCausalEdgeWeights:

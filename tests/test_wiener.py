@@ -38,6 +38,7 @@ from polyscope.diagnostics import collect
 from polyscope.wiener import CONDITION_RTOL, _clears_screen, _joint_fits
 
 from oracles import (
+    half_grid_matrix,
     causal_pair_reference,
     causal_reference,
     dense_wiener,
@@ -345,15 +346,6 @@ class TestConditioningScreen:
         with pytest.raises(IllConditionedSpectrumError, match="omega="):
             miso_reference(S, D)
         assert (0, base.n) in miso_blanket_topology(S, D).edges
-
-
-def half_grid_matrix(producer: str, n: int, size: int) -> SpectralMatrix:
-    """An analytic or a Welch spectral matrix of an ``n``-node polytree."""
-    spec = generate_polytree_aln(n, seed=n)
-    if producer == "analytic":
-        return analytic_spectra(spec, FrequencyGrid(size))
-    return spectral_matrix(simulate(spec, 1 << 13, seed=n).ensemble,
-                           WelchConfig(grid_size=size))
 
 
 def assert_same_solution(S, target, inputs, normalize):
