@@ -60,6 +60,15 @@ def _frozen(values) -> np.ndarray:
     return values
 
 
+def _taps(values, name: str) -> np.ndarray:
+    """``values`` as FIR taps: a :func:`_frozen` copy, once it is a
+    non-empty 1-d vector.  The one tap rule, for links and noise shaping."""
+    taps = _frozen(values)
+    if taps.ndim != 1 or taps.size == 0:
+        raise InvalidParameterError(f"{name} must be a non-empty vector")
+    return taps
+
+
 def _values_key(values: np.ndarray) -> tuple[float, ...]:
     """A hashable key that is equal for arrays :func:`np.array_equal`
     calls equal: Python floats that compare equal (``0.0`` and ``-0.0``)
@@ -81,7 +90,8 @@ class Link:
     """One directed FIR edge ``source -> target`` with optional unit delay.
 
     Immutable: ``taps`` is the link's own read-only copy of the caller's,
-    and ``source``, ``target`` and ``delay`` are stored as ints.
+    checked by :func:`_taps`, and ``source``, ``target`` and ``delay`` are
+    stored as ints.
     Links are values: two are equal when their endpoints, delays and taps
     are (the taps by :func:`np.array_equal`), and equal links hash alike."""
 
@@ -94,9 +104,7 @@ class Link:
         for name in ("source", "target", "delay"):
             object.__setattr__(self, name, _integer(getattr(self, name),
                                                     f"link {name}"))
-        object.__setattr__(self, "taps", _frozen(self.taps))
-        if self.taps.ndim != 1 or self.taps.size == 0:
-            raise InvalidParameterError("link taps must be a non-empty vector")
+        object.__setattr__(self, "taps", _taps(self.taps, "link taps"))
         if not np.any(self.taps != 0.0):
             raise InvalidParameterError(
                 f"link {self.source}->{self.target} is identically zero")
@@ -125,8 +133,10 @@ class ALNSpec:
     """Full description of an acyclic linear network.
 
     ``noise_variances[i]`` scales the white noise driving node ``i``;
-    ``noise_shaping[i]`` (optional FIR taps) colours it.  The skeleton of
-    the links must be a tree.
+    ``noise_shaping[i]`` (None or FIR taps, checked as a link's) colours
+    it.  The links must form a :class:`~polyscope.topology.Polytree`, which
+    checks their skeleton as a tree once: links ``a -> b`` and ``b -> a``
+    are its duplicate edge, and no directed cycle can occur.
 
     Immutable, so one spec object always describes the same network:
     ``labels``, ``links`` and ``noise_shaping`` are stored as tuples, and
@@ -169,15 +179,15 @@ class ALNSpec:
         if self.noise_shaping is not None:
             if len(self.noise_shaping) != n:
                 raise InvalidParameterError("need one shaping entry per node")
-            store("noise_shaping", tuple(None if s is None else _frozen(s)
-                                         for s in self.noise_shaping))
+            store("noise_shaping", tuple(
+                None if s is None else _taps(s, f"noise shaping of {label!r}")
+                for label, s in zip(self.labels, self.noise_shaping)))
         edges = {}
         for link in self.links:
             key = (link.source, link.target)
             if key in edges:
                 raise InvalidParameterError(f"duplicate link {key}")
             edges[key] = float(np.max(np.abs(link.taps)))
-        # the skeleton must be a tree; Polytree validates connectivity
         store("_skeleton", Polytree(list(self.labels), edges))
         store("_order", self._topological_order())
 
@@ -212,18 +222,16 @@ class ALNSpec:
         return list(self._order)
 
     def _topological_order(self) -> tuple[int, ...]:
+        """Nodes in waves, each wave sorted: the nodes whose parents are all
+        placed.  The links form a polytree, so every wave is non-empty."""
         pending = {i: {l.source for l in self.parents_of(i)}
                    for i in range(self.n)}
         order = []
         while pending:
             ready = sorted(v for v, deps in pending.items() if not deps)
-            if not ready:
-                raise InvalidParameterError("link graph contains a cycle")
-            for v in ready:
-                order.append(v)
-                del pending[v]
-            for deps in pending.values():
-                deps.difference_update(ready)
+            order += ready
+            pending = {v: deps.difference(ready)
+                       for v, deps in pending.items() if deps}
         return tuple(order)
 
     def to_json(self) -> str:
@@ -244,7 +252,16 @@ class ALNSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ALNSpec":
-        raw = json.loads(text)
+        """The spec :meth:`to_json` wrote.  Invalid JSON, a payload that is
+        not an object or a link that is not one, and a missing field raise
+        :class:`InvalidParameterError` naming the problem."""
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidParameterError(f"spec is not valid JSON: {exc}") from None
+        _json_object(raw, "spec", ("labels", "links", "noise_variances"))
+        for l in raw["links"]:
+            _json_object(l, "link", ("source", "target", "taps"))
         return cls(
             labels=raw["labels"],
             links=[Link(l["source"], l["target"], l["taps"], l.get("delay", 0))
@@ -253,6 +270,15 @@ class ALNSpec:
             noise_shaping=raw.get("noise_shaping"),
             seed=raw.get("seed"),
         )
+
+
+def _json_object(raw, what: str, fields) -> None:
+    """Raise unless ``raw`` is a JSON object holding every one of ``fields``."""
+    if not isinstance(raw, dict):
+        raise InvalidParameterError(f"{what} must be a JSON object")
+    missing = [name for name in fields if name not in raw]
+    if missing:
+        raise InvalidParameterError(f"{what} is missing {', '.join(missing)}")
 
 
 @dataclass

@@ -63,6 +63,15 @@ class FrequencyGrid:
             raise InvalidParameterError(
                 f"grid size must be even and >= 8, got {self.size}")
 
+    def on_grid(self, values, dtype, name: str) -> np.ndarray:
+        """``values`` as an array of ``dtype``, once it holds one value per
+        grid point: the one length rule for spectra, coherence curves and
+        filter responses."""
+        values = np.asarray(values, dtype=dtype)
+        if values.shape != (self.size,):
+            raise InvalidParameterError(f"{name} length does not match its grid")
+        return values
+
     @property
     def omegas(self) -> np.ndarray:
         return -np.pi + 2.0 * np.pi * np.arange(self.size) / self.size
@@ -158,15 +167,13 @@ class FrequencyGrid:
     def taps_from_response(self, response: np.ndarray) -> tuple[np.ndarray, int]:
         """Invert :meth:`response_from_taps` onto the centred support.
 
+        ``response`` holds one value per grid point (:meth:`on_grid`).
         Returns ``(taps, offset)`` with ``offset = -K/2``, one real tap per
         grid sample, time running over ``[-K/2, K/2)``.  A warning event is
         recorded when the response is materially non-Hermitian (complex
         impulse response).
         """
-        response = np.asarray(response, dtype=complex)
-        if response.shape != (self.size,):
-            raise InvalidParameterError("response length must match the grid")
-        seq = self.to_time(response)
+        seq = self.to_time(self.on_grid(response, complex, "response"))
         scale = np.max(np.abs(seq))
         if scale > 0 and np.max(np.abs(seq.imag)) > 1e-8 * scale:
             record("non-real-impulse",
@@ -251,17 +258,14 @@ class Ensemble:
 
 @dataclass(eq=False)
 class Spectrum:
-    """Complex spectral values on a :class:`FrequencyGrid`; equal only to
-    itself."""
+    """Complex spectral values on a :class:`FrequencyGrid`, one per grid
+    point (:meth:`FrequencyGrid.on_grid`); equal only to itself."""
 
     grid: FrequencyGrid
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.grid.size,):
-            raise InvalidParameterError(
-                "spectrum length does not match its grid")
+        self.values = self.grid.on_grid(self.values, complex, "spectrum")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -409,17 +413,15 @@ class SpectralMatrix:
 
 @dataclass(eq=False)
 class CoherenceCurve:
-    """Magnitude-squared coherence of one pair, clamped into [0, 1]; equal
-    only to itself."""
+    """Magnitude-squared coherence of one pair, clamped into [0, 1], one
+    value per grid point (:meth:`FrequencyGrid.on_grid`); equal only to
+    itself."""
 
     grid: FrequencyGrid
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.size,):
-            raise InvalidParameterError(
-                "coherence length does not match its grid")
+        self.values = self.grid.on_grid(self.values, float, "coherence")
         if np.any(self.values < 0.0) or np.any(self.values > 1.0):
             raise InvalidParameterError("coherence values outside [0, 1]")
 

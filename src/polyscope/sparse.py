@@ -40,6 +40,7 @@ from .signals import SpectralMatrix, _integer
 from .wiener import (
     TransferFunction,
     _check_conditioning,
+    _check_support,
     _extension_costs,
     _filters,
     _first_steps,
@@ -58,7 +59,11 @@ NEGLIGIBLE_RTOL = 1e-12
 
 @dataclass
 class SparseModel:
-    """Result of one sparse selection run for a single target."""
+    """Result of one sparse selection run for a single target.
+
+    ``support`` is stored sorted and checked as a fit's inputs are
+    (:func:`~polyscope.wiener._check_support`): no repeats, no target.
+    """
 
     target: int
     support: tuple[int, ...]
@@ -71,8 +76,7 @@ class SparseModel:
 
     def __post_init__(self):
         self.support = tuple(sorted(self.support))
-        if self.target in self.support:
-            raise InvalidParameterError("target cannot be in its own support")
+        _check_support(self.target, self.support)
         if set(self.filters) != set(self.support):
             raise InvalidParameterError("filters must cover the support exactly")
         if self.cost < 0:

@@ -26,31 +26,27 @@ from .wiener import _filter_rms
 BLANKET_RMS_RTOL = 1e-3
 
 
-def _check_edge_nodes(n: int, a: int, b: int) -> tuple[int, int]:
-    """The endpoints as ints, once they are integers naming two distinct nodes."""
-    a, b = _integer(a, "node index"), _integer(b, "node index")
-    if not (0 <= a < n and 0 <= b < n):
-        raise InvalidParameterError(f"edge ({a}, {b}) out of range for n={n}")
-    if a == b:
-        raise InvalidParameterError(f"self-loop on node {a}")
-    return a, b
-
-
 @dataclass
 class UndirectedGraph:
     """Weighted undirected graph over labelled nodes.
 
-    Edges are keyed by the ordered index pair ``(min, max)``; duplicate or
-    self-loop edges are rejected.
+    Edges are keyed by the ordered index pair ``(min, max)`` of two
+    integer node indices; self-loops and duplicates are rejected, ``(a, b)``
+    and ``(b, a)`` naming one edge.  The one check of edge endpoints:
+    :class:`Tree` and, through its skeleton, :class:`Polytree` read it.
     """
 
     nodes: list[str]
     edges: dict[tuple[int, int], float]
 
     def __post_init__(self):
-        canonical = {}
+        n, canonical = len(self.nodes), {}
         for (a, b), w in self.edges.items():
-            a, b = _check_edge_nodes(len(self.nodes), a, b)
+            a, b = _integer(a, "node index"), _integer(b, "node index")
+            if not (0 <= a < n and 0 <= b < n):
+                raise InvalidParameterError(f"edge ({a}, {b}) out of range for n={n}")
+            if a == b:
+                raise InvalidParameterError(f"self-loop on node {a}")
             key = (min(a, b), max(a, b))
             if key in canonical:
                 raise InvalidParameterError(f"duplicate edge {key}")
@@ -91,11 +87,13 @@ class Tree(UndirectedGraph):
 
 @dataclass
 class Polytree:
-    """A directed tree: orienting the edges of a tree, cycles impossible.
+    """A directed tree: the edges of a tree, each given one direction.
 
-    Edges are keyed ``(parent, child)``.  ``ties`` flags edges whose
-    orientation came from a deterministic tie-break rather than a strict
-    cost comparison.
+    Edges are keyed ``(parent, child)``.  The shape is checked once, as the
+    :meth:`skeleton` :class:`Tree`: an antiparallel pair is that tree's
+    duplicate edge, so no directed cycle, not even a 2-cycle, can occur.
+    ``ties`` flags edges whose orientation came from a deterministic
+    tie-break rather than a strict cost comparison.
     """
 
     nodes: list[str]
@@ -103,11 +101,7 @@ class Polytree:
     ties: set[tuple[int, int]] = field(default_factory=set)
 
     def __post_init__(self):
-        undirected = {}
-        for (p, c), w in self.edges.items():
-            p, c = _check_edge_nodes(len(self.nodes), p, c)
-            undirected[(min(p, c), max(p, c))] = w
-        Tree(list(self.nodes), undirected)   # validates shape + connectivity
+        self.skeleton()      # raises unless the skeleton is a tree
         for edge in self.ties:
             if edge not in self.edges:
                 raise InvalidParameterError(f"tie flag on unknown edge {edge}")
@@ -127,8 +121,8 @@ class Polytree:
         return {v for v in range(self.n) if not self.parents(v)}
 
     def skeleton(self) -> Tree:
-        und = {(min(p, c), max(p, c)): w for (p, c), w in self.edges.items()}
-        return Tree(list(self.nodes), und)
+        """The edges without their directions, as a new :class:`Tree`."""
+        return Tree(list(self.nodes), dict(self.edges))
 
 
 class _UnionFind:

@@ -32,7 +32,8 @@ from .errors import (
     InvalidParameterError,
     InvalidSpectrumError,
 )
-from .signals import FrequencyGrid, SpectralMatrix, Spectrum, TimeSeries, _floor
+from .signals import (FrequencyGrid, SpectralMatrix, Spectrum, TimeSeries,
+                      _floor, _integer)
 
 #: Fraction of total impulse energy that may be discarded by support
 #: truncation before a diagnostic event is recorded.
@@ -48,7 +49,9 @@ class TransferFunction:
     """A linear filter known by its grid response, optionally by its taps.
 
     ``impulse[u]`` (when present) is the real coefficient at time
-    ``support_offset + u``; a causal filter has ``support_offset >= 0``.
+    ``support_offset + u``, an integer; a causal filter has
+    ``support_offset >= 0``.  ``response`` holds one value per grid point
+    (:meth:`FrequencyGrid.on_grid`).
     Filters built from taps satisfy ``DFT(impulse) == response`` exactly;
     filters materialised from a response keep the analytic response and may
     record a truncation-energy diagnostic when the discarded tail is not
@@ -61,9 +64,8 @@ class TransferFunction:
     support_offset: int = 0
 
     def __post_init__(self):
-        self.response = np.asarray(self.response, dtype=complex)
-        if self.response.shape != (self.grid.size,):
-            raise InvalidParameterError("response length must match the grid")
+        self.response = self.grid.on_grid(self.response, complex, "response")
+        self.support_offset = _integer(self.support_offset, "support offset")
         if self.impulse is not None:
             self.impulse = np.asarray(self.impulse, dtype=float)
             if self.impulse.ndim != 1 or self.impulse.size == 0:
@@ -71,7 +73,6 @@ class TransferFunction:
 
     @classmethod
     def from_taps(cls, grid: FrequencyGrid, taps, offset: int = 0) -> "TransferFunction":
-        taps = np.asarray(taps, dtype=float)
         return cls(grid, grid.response_from_taps(taps, offset), taps, offset)
 
     @property
@@ -137,15 +138,23 @@ class WienerSolution:
                 "cost is not the grid mean of the residual spectrum")
 
 
-def _check_inputs(S: SpectralMatrix, target: int, inputs: tuple) -> None:
-    """Reject an empty, repeated, out-of-range or target-including input set."""
-    if not inputs:
-        raise InvalidParameterError("at least one input is required")
-    S.check_index(*inputs, target)
+def _check_support(target: int, inputs: tuple) -> None:
+    """Reject a fit support that repeats an input or holds the target: the
+    one rule on which inputs a fit may use, read by :func:`_check_inputs`
+    and :class:`~polyscope.sparse.SparseModel`."""
     if len(set(inputs)) != len(inputs):
         raise InvalidParameterError("duplicate inputs")
     if target in inputs:
         raise InvalidParameterError("target cannot be one of its inputs")
+
+
+def _check_inputs(S: SpectralMatrix, target: int, inputs: tuple) -> None:
+    """Reject an empty input set or an index out of range, then a support
+    that :func:`_check_support` rejects."""
+    if not inputs:
+        raise InvalidParameterError("at least one input is required")
+    S.check_index(*inputs, target)
+    _check_support(target, inputs)
 
 
 def _clears_screen(S: SpectralMatrix) -> bool:
@@ -625,11 +634,10 @@ def _wiener_hopf(S: SpectralMatrix, targets, inputs, target_factors: np.ndarray,
 
 def _causal_pair(S: SpectralMatrix, target: int, input_: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_wiener_hopf` of one validated pair, a block of one target and
-    one input, factoring only its two series; returns its ``[0, 0]``."""
-    S.check_index(target, input_)
-    if target == input_:
-        raise InvalidParameterError("target and input must differ")
+    """:func:`_wiener_hopf` of one pair, checked by :func:`_check_inputs`, as
+    a block of one target and one input, factoring only its two series;
+    returns its ``[0, 0]``."""
+    _check_inputs(S, target, (input_,))
     factors = _spectral_factors(S.grid, S._floored[[target, input_]])[0]
     response, weighted, cost = _wiener_hopf(
         S, slice(target, target + 1), [input_], factors[:1], factors[1:])
@@ -649,7 +657,8 @@ def causal_wiener(S: SpectralMatrix, target: int, input_: int) -> WienerSolution
     ----------
     S : SpectralMatrix
     target, input_ : int
-        Distinct series indices.
+        Distinct series indices, checked as a fit's inputs are
+        (:func:`noncausal_wiener`).
 
     Returns
     -------

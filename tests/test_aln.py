@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 import sys
 import threading
 import tracemalloc
@@ -84,8 +85,10 @@ class TestLink:
         assert Link(0, 1, np.array([1.0, 0.5]), delay=1).support == 2
 
     def test_rejects_empty_or_zero_taps(self):
-        with pytest.raises(InvalidParameterError):
-            Link(0, 1, np.array([]))
+        for taps in (np.array([]), np.ones((2, 2)), 1.0):
+            with pytest.raises(InvalidParameterError,
+                               match="^link taps must be a non-empty vector$"):
+                Link(0, 1, taps)
         with pytest.raises(InvalidParameterError):
             Link(0, 1, np.zeros(3))
 
@@ -148,6 +151,38 @@ class TestALNSpec:
                  Link(2, 0, np.array([1.0]))]
         with pytest.raises(InvalidParameterError):
             ALNSpec(["a", "b", "c"], links, np.ones(3))
+
+    # a 2-cycle alone, and a 2-cycle beside a valid link
+    @pytest.mark.parametrize("pairs", [[(0, 1), (1, 0)],
+                                       [(0, 1), (1, 0), (1, 2)]])
+    def test_antiparallel_links_are_a_duplicate_edge(self, pairs):
+        links = [Link(a, b, np.array([1.0])) for a, b in pairs]
+        with pytest.raises(InvalidParameterError,
+                           match=r"^duplicate edge \(0, 1\)$"):
+            ALNSpec(["a", "b", "c"][:len(pairs)], links, np.ones(len(pairs)))
+
+    @pytest.mark.parametrize("entry", [np.ones((2, 2)), [], 0.5])
+    def test_rejects_a_shaping_entry_that_is_not_a_tap_vector(self, entry):
+        with pytest.raises(InvalidParameterError, match=(
+                "^noise shaping of 'b' must be a non-empty vector$")):
+            ALNSpec(["a", "b"], [Link(0, 1, [1.0])], np.ones(2),
+                    noise_shaping=[None, entry])
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "spec is not valid JSON: "),
+        ("[1]", "spec must be a JSON object"),
+        ("{}", "spec is missing labels, links, noise_variances"),
+        ('{"labels": ["a", "b"], "links": []}', "spec is missing noise_variances"),
+        ('{"labels": ["a", "b"], "links": [7], "noise_variances": [1, 1]}',
+         "link must be a JSON object"),
+        ('{"labels": ["a", "b"], "links": [{"source": 0, "target": 1}], '
+         '"noise_variances": [1, 1]}', "link is missing taps"),
+        ('{"labels": ["a", "b"], "links": [{"taps": [1]}], '
+         '"noise_variances": [1, 1]}', "link is missing source, target"),
+    ])
+    def test_from_json_names_what_is_wrong(self, text, message):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}"):
+            ALNSpec.from_json(text)
 
     def test_topological_order_respects_links(self):
         spec = collider_spec()

@@ -125,6 +125,8 @@ SIZED = {
     "from_taps-offset": (
         lambda v: TransferFunction.from_taps(FrequencyGrid(16), [1.0, 0.5], v), 1),
     "Link-delay": (lambda v: Link(0, 1, np.array([1.0]), v), 1),
+    "TransferFunction-support_offset": (
+        lambda v: TransferFunction(FrequencyGrid(16), np.ones(16), [1.0], v), 1),
 }
 
 
@@ -239,6 +241,33 @@ class TestFrequencyGrid:
         direct = sum(t * np.exp(-1j * grid.omegas * (offset + s))
                      for s, t in enumerate(taps))
         np.testing.assert_allclose(resp, direct, atol=1e-12)
+
+    #: Every holder of one value per grid point, given ``values``.
+    ON_GRID = {
+        "Spectrum": lambda grid, values: Spectrum(grid, values),
+        "CoherenceCurve": lambda grid, values: CoherenceCurve(grid, values),
+        "TransferFunction": lambda grid, values: TransferFunction(grid, values),
+        "taps_from_response": lambda grid, values: grid.taps_from_response(values),
+    }
+
+    @pytest.mark.parametrize("shape", [(15,), (17,), (1, 16), ()])
+    @pytest.mark.parametrize("make", ON_GRID.values(), ids=ON_GRID.keys())
+    def test_one_value_per_grid_point(self, make, shape):
+        grid = FrequencyGrid(16)
+        with pytest.raises(InvalidParameterError,
+                           match="length does not match its grid$"):
+            make(grid, np.full(shape, 0.5))
+        make(grid, np.full(16, 0.5))
+
+    def test_taps_from_response_flags_a_complex_impulse(self):
+        grid = FrequencyGrid(16)
+        with collect() as events:
+            taps, _ = grid.taps_from_response(1j * np.ones(16))
+        assert [e.category for e in events] == ["non-real-impulse"]
+        assert np.all(taps == 0.0)
+        with collect() as events:
+            grid.taps_from_response(grid.response_from_taps([1.0, 0.5], -1))
+        assert events == []
 
     def test_taps_roundtrip(self):
         grid = FrequencyGrid(64)

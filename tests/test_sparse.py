@@ -15,6 +15,7 @@ from polyscope import (
     InvalidParameterError,
     InvalidSpectrumError,
     Link,
+    SparseModel,
     SpectralMatrix,
     TimeSeries,
     WelchConfig,
@@ -127,6 +128,19 @@ class TestProject:
                     assert list(sol.filters) == list(inputs)
                     for pos, b in enumerate(inputs):
                         assert np.array_equal(sol.filters[b].response, W[:, pos])
+
+
+class TestSparseModel:
+    @pytest.mark.parametrize("support, message", [
+        ((1, 1), "duplicate inputs"),
+        ((2, 0), "target cannot be one of its inputs"),
+    ])
+    def test_support_is_checked_as_a_fits_inputs(self, support, message):
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            SparseModel(0, support, {b: None for b in support}, 0.0,
+                        solver="ols", stop_reason="budget")
+        assert SparseModel(0, (2, 1), {1: None, 2: None}, 0.0, solver="ols",
+                           stop_reason="budget").support == (1, 2)
 
 
 @pytest.mark.parametrize("solver", [sparse_exhaustive, matching_pursuit,

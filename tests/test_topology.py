@@ -58,7 +58,7 @@ class TestContainers:
     def test_edges_canonicalized(self):
         g = UndirectedGraph(["a", "b", "c"], {(2, 0): 1.5})
         assert g.edges == {(0, 2): 1.5}
-        assert g.neighbors(0) == {2}
+        assert g.neighbors(0) == {2} and g.neighbors(2) == {0}
         assert g.total_weight() == 1.5
 
     def test_rejects_self_loop(self):
@@ -99,6 +99,15 @@ class TestContainers:
         assert pt.children(2) == {3}
         assert pt.roots == {0, 1}
         assert pt.skeleton().edges == {(0, 2): 1.0, (1, 2): 2.0, (2, 3): 0.5}
+
+    # a 2-cycle beside a valid tree edge, and a 2-cycle alone
+    @pytest.mark.parametrize("edges", [
+        {(0, 1): 1.0, (1, 0): 2.0, (1, 2): 1.0},
+        {(1, 2): 1.0, (2, 1): 1.0}])
+    def test_polytree_rejects_an_antiparallel_pair(self, edges):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^duplicate edge \((0, 1|1, 2)\)$"):
+            Polytree(["a", "b", "c"], edges)
 
     def test_polytree_rejects_unknown_tie(self):
         with pytest.raises(InvalidParameterError):

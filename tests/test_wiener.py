@@ -89,6 +89,8 @@ class TestTransferFunction:
         causal = tf.with_impulse("causal")
         assert causal.support_offset == 0
         assert causal.impulse[1] == pytest.approx(1.0, abs=1e-10)
+        # a filter that has its taps keeps them, whatever the support asked
+        assert causal.with_impulse("centered") is causal
 
     def test_truncation_energy_flagged(self):
         grid = FrequencyGrid(32)
@@ -629,6 +631,11 @@ class TestSpectralFactorize:
         np.testing.assert_allclose(np.abs(F.response) ** 2, 1.0, atol=1e-12)
 
 
+def response_only(tf: TransferFunction) -> TransferFunction:
+    """The same filter known only by its response."""
+    return TransferFunction(tf.grid, tf.response)
+
+
 class TestCausalTruncate:
     def test_two_sided_example(self):
         # z + 1 + z^{-1}  ->  1 + z^{-1}
@@ -638,6 +645,18 @@ class TestCausalTruncate:
         out = causal_truncate(tf)
         assert out.support_offset == 0
         np.testing.assert_allclose(out.impulse[:2], [1.0, 1.0], atol=1e-12)
+        expected = grid.response_from_taps(np.array([1.0, 1.0]))
+        np.testing.assert_allclose(out.response, expected, atol=1e-12)
+
+    def test_two_sided_example_known_by_its_response(self):
+        # expanded onto the centred support first, then truncated
+        grid = FrequencyGrid(32)
+        tf = response_only(TransferFunction.from_taps(
+            grid, np.array([1.0, 1.0, 1.0]), offset=-1))
+        out = causal_truncate(tf)
+        assert out.support_offset == 0 and out.impulse.size == 16
+        np.testing.assert_allclose(out.impulse, [1.0, 1.0] + [0.0] * 14,
+                                   rtol=0, atol=1e-15)
         expected = grid.response_from_taps(np.array([1.0, 1.0]))
         np.testing.assert_allclose(out.response, expected, atol=1e-12)
 
@@ -669,6 +688,13 @@ class TestCausalTruncate:
 
 
 class TestCausalWiener:
+    @pytest.mark.parametrize("series", [0, 1])
+    def test_rejects_the_target_as_its_input(self, series):
+        S = ar1_pair_shifted(FrequencyGrid(16))
+        with pytest.raises(InvalidParameterError,
+                           match="^target cannot be one of its inputs$"):
+            causal_wiener(S, series, series)
+
     def test_white_delay_is_exact(self):
         # y(t) = x(t-1), x white: W = z^{-1}, cost 0
         grid = FrequencyGrid(256)
@@ -759,6 +785,19 @@ class TestApplyFilter:
         tf = TransferFunction.from_taps(grid, np.array([1.0]), offset=-1)
         out = apply_filter(tf, TimeSeries("x", np.array([1.0, 2.0, 3.0])))
         np.testing.assert_array_equal(out.samples, [2.0, 3.0, 0.0])
+
+    def test_anticausal_shift_known_by_its_response(self):
+        # the filter is first expanded onto the centred support
+        grid = FrequencyGrid(16)
+        tf = response_only(TransferFunction.from_taps(grid, np.array([1.0]),
+                                                      offset=-1))
+        with collect() as events:
+            out = apply_filter(tf, TimeSeries("x", np.array([1.0, 2.0, 3.0])))
+        np.testing.assert_allclose(out.samples, [2.0, 3.0, 0.0], rtol=0,
+                                   atol=1e-15)
+        # taps on [-4, 4): 3 leading and 4 trailing samples, each capped at 3
+        assert [e.message for e in events if e.category == "transient"] == \
+            ["6 edge samples of 'x' are transient after filtering"]
 
     def test_transient_flagged(self):
         grid = FrequencyGrid(16)
