@@ -29,6 +29,7 @@ from .signals import (
     SpectralMatrix,
     TimeSeries,
     WelchConfig,
+    _array,
     _integer,
     spectral_matrix,
 )
@@ -61,12 +62,22 @@ def _frozen(values) -> np.ndarray:
 
 
 def _taps(values, name: str) -> np.ndarray:
-    """``values`` as FIR taps: a :func:`_frozen` copy, once it is a
-    non-empty 1-d vector.  The one tap rule, for links and noise shaping."""
-    taps = _frozen(values)
-    if taps.ndim != 1 or taps.size == 0:
-        raise InvalidParameterError(f"{name} must be a non-empty vector")
-    return taps
+    """``values`` as FIR taps: a :func:`_frozen` copy, once
+    :func:`~polyscope.signals._array` finds a non-empty real vector.  The
+    one tap rule, for links and noise shaping."""
+    return _frozen(_array(values, float, name, (None,)))
+
+
+def _sequence(values, name: str) -> tuple:
+    """``values`` as a tuple, once it is an iterable other than a string
+    (a string would be split into its characters)."""
+    if not isinstance(values, (str, bytes)):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise InvalidParameterError(
+        f"{name} must be a sequence, not {type(values).__name__}")
 
 
 def _values_key(values: np.ndarray) -> tuple[float, ...]:
@@ -140,7 +151,10 @@ class ALNSpec:
 
     Immutable, so one spec object always describes the same network:
     ``labels``, ``links`` and ``noise_shaping`` are stored as tuples, and
-    ``noise_variances`` and each shaping entry as read-only copies.
+    ``noise_variances`` and each shaping entry as read-only copies.  Each
+    of the three tuples must be given as a sequence other than a string,
+    ``links`` holding :class:`Link` objects; ``noise_variances`` is one real
+    number per node (:func:`~polyscope.signals._array`).
 
     Specs are values: two are equal when their labels, links, seeds,
     noise variances and ``noise_shaping`` fields are, arrays compared by
@@ -163,27 +177,30 @@ class ALNSpec:
         def store(name, value):
             object.__setattr__(self, name, value)
 
-        store("labels", tuple(self.labels))
-        store("links", tuple(self.links))
+        store("labels", _sequence(self.labels, "labels"))
+        store("links", _sequence(self.links, "links"))
         n = len(self.labels)
         if n < 2:
             raise InvalidParameterError("a network needs at least 2 nodes")
         if len(set(self.labels)) != n:
             raise InvalidParameterError("node labels must be unique")
-        store("noise_variances", _frozen(self.noise_variances))
-        if self.noise_variances.shape != (n,):
-            raise InvalidParameterError("need one noise variance per node")
+        store("noise_variances", _frozen(_array(
+            self.noise_variances, float, "noise variances", (n,))))
         if np.any(self.noise_variances < 0) or not np.all(
                 np.isfinite(self.noise_variances)):
             raise InvalidParameterError("noise variances must be finite and >= 0")
         if self.noise_shaping is not None:
-            if len(self.noise_shaping) != n:
+            shaping = _sequence(self.noise_shaping, "noise shaping")
+            if len(shaping) != n:
                 raise InvalidParameterError("need one shaping entry per node")
             store("noise_shaping", tuple(
                 None if s is None else _taps(s, f"noise shaping of {label!r}")
-                for label, s in zip(self.labels, self.noise_shaping)))
+                for label, s in zip(self.labels, shaping)))
         edges = {}
         for link in self.links:
+            if not isinstance(link, Link):
+                raise InvalidParameterError(
+                    f"links must be Link objects, not {type(link).__name__}")
             key = (link.source, link.target)
             if key in edges:
                 raise InvalidParameterError(f"duplicate link {key}")
@@ -260,7 +277,7 @@ class ALNSpec:
         except json.JSONDecodeError as exc:
             raise InvalidParameterError(f"spec is not valid JSON: {exc}") from None
         _json_object(raw, "spec", ("labels", "links", "noise_variances"))
-        for l in raw["links"]:
+        for l in _sequence(raw["links"], "links"):
             _json_object(l, "link", ("source", "target", "taps"))
         return cls(
             labels=raw["labels"],

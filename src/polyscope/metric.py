@@ -26,6 +26,7 @@ from .signals import (
     SpectralMatrix,
     TimeSeries,
     WelchConfig,
+    _array,
     _coherence,
     _integer,
     spectral_matrix,
@@ -57,7 +58,8 @@ class DistanceMatrix:
     ``kind`` states the construction: "noncausal" (coherence), "causal"
     (row = target, column = input), "correlation" (zero-lag), or
     "causal-min" (pairwise minimum of the two causal directions).  All kinds
-    except "causal" are symmetric by construction.
+    except "causal" are symmetric by construction.  ``values`` is read by
+    :func:`~polyscope.signals._array` as real numbers of shape ``(n, n)``.
     """
 
     labels: list[str]
@@ -67,10 +69,7 @@ class DistanceMatrix:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidParameterError(f"unknown distance kind {self.kind!r}")
-        self.values = np.asarray(self.values, dtype=float)
-        n = len(self.labels)
-        if self.values.shape != (n, n):
-            raise InvalidParameterError("distance matrix shape mismatch")
+        self.values = _array(self.values, float, "distance matrix", (self.n, self.n))
         if np.any(np.isnan(self.values)):
             raise InvalidParameterError("distances must not be NaN")
         if np.any(self.values < 0.0):
@@ -93,7 +92,10 @@ class DirectionMatrix:
     ``values[j, i] = +1`` means the pair's minimal one-sided cost models
     series ``j`` from input ``i`` (direction i -> j); ``-1`` means the
     opposite; the diagonal is 0.  ``ties[j, i]`` flags pairs whose two
-    directions cost the same, broken deterministically.
+    directions cost the same, broken deterministically.  Both are ``(n, n)``
+    arrays read by :func:`~polyscope.signals._array`: integers for
+    ``values`` (a fraction is refused, not truncated) and booleans for
+    ``ties``.
     """
 
     labels: list[str]
@@ -101,17 +103,13 @@ class DirectionMatrix:
     ties: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=int)
-        self.ties = np.asarray(self.ties, dtype=bool)
         n = len(self.labels)
-        if self.values.shape != (n, n) or self.ties.shape != (n, n):
-            raise InvalidParameterError("direction matrix shape mismatch")
+        self.values = _array(self.values, int, "direction matrix", (n, n))
+        self.ties = _array(self.ties, bool, "direction ties", (n, n))
         if not np.all(np.isin(self.values, (-1, 0, 1))):
             raise InvalidParameterError("direction entries must be -1, 0, +1")
-        if np.any(self.values != -self.values.T):
+        if np.any(self.values != -self.values.T):    # so the diagonal is 0
             raise InvalidParameterError("direction matrix must be antisymmetric")
-        if np.any(np.diag(self.values) != 0):
-            raise InvalidParameterError("direction diagonal must be zero")
 
 
 def _coherence_distances(S: SpectralMatrix, rows, cols) -> np.ndarray:

@@ -44,6 +44,44 @@ def _integer(value, name: str) -> int:
     raise InvalidParameterError(f"{name} must be an integer, not {value!r}")
 
 
+#: What each numpy dtype kind holds, in the words of :func:`_array`'s messages.
+_KIND_WORDS = dict(b="booleans", i="integers", u="integers", f="real numbers",
+                   c="complex numbers", m="durations", M="dates", O="objects",
+                   S="text", U="text", V="records", ragged="ragged sequences")
+
+#: The numpy kinds each field type of :func:`_array` takes: those it casts
+#: without changing a value.  The last kind names the field's values.
+_FIELD_KINDS = {float: "biuf", complex: "biufc", int: "iu", bool: "b"}
+
+
+def _array(values, dtype, name: str, shape=None) -> np.ndarray:
+    """``values`` as an array of ``dtype`` (``float``, ``complex``, ``int``
+    or ``bool``): the one rule by which a caller's numbers become an array.
+
+    The conversion is :func:`np.asarray`'s, so an array that already has
+    ``dtype`` is returned as it is, not copied.  Input whose cast would
+    change a value is refused: a real field takes booleans, integers and
+    reals, a complex field complex numbers too, an integer field integers
+    only and a boolean field booleans only; ragged nesting, text, objects
+    and None are refused everywhere.  ``shape`` is None for any shape, an
+    exact tuple, or ``(None,)`` for a non-empty vector.  Every refusal is
+    an :class:`InvalidParameterError` naming the field ``name``.
+    """
+    kinds = _FIELD_KINDS[dtype]
+    try:
+        found = (array := np.asarray(values)).dtype.kind
+    except ValueError:             # numpy's refusal of ragged nesting
+        found = "ragged"
+    if found not in kinds:
+        raise InvalidParameterError(f"{name} must hold {_KIND_WORDS[kinds[-1]]}, "
+                                    f"not {_KIND_WORDS[found]}")
+    if shape is None or array.shape == shape or (
+            shape == (None,) and array.ndim == 1 and array.size):
+        return array.astype(dtype, copy=False)
+    want = "a non-empty vector" if shape == (None,) else f"an array of shape {shape}"
+    raise InvalidParameterError(f"{name} must be {want}, not shape {array.shape}")
+
+
 def _floor(phi: np.ndarray) -> np.ndarray:
     """Real spectra ``phi`` clipped from below at ``PSD_FLOOR_RATIO`` times
     their largest value, or at the smallest normal float when that is not
@@ -64,13 +102,10 @@ class FrequencyGrid:
                 f"grid size must be even and >= 8, got {self.size}")
 
     def on_grid(self, values, dtype, name: str) -> np.ndarray:
-        """``values`` as an array of ``dtype``, once it holds one value per
-        grid point: the one length rule for spectra, coherence curves and
-        filter responses."""
-        values = np.asarray(values, dtype=dtype)
-        if values.shape != (self.size,):
-            raise InvalidParameterError(f"{name} length does not match its grid")
-        return values
+        """``values`` as an array of ``dtype`` by :func:`_array`, once it
+        holds one value per grid point: the one length rule for spectra,
+        coherence curves and filter responses."""
+        return _array(values, dtype, name, (self.size,))
 
     @property
     def omegas(self) -> np.ndarray:
@@ -151,12 +186,11 @@ class FrequencyGrid:
     def _place_taps(self, rows) -> np.ndarray:
         """Time buffer ``(len(rows), K)`` for :meth:`from_time`: for
         ``rows[r] = (taps, offset)``, row ``r`` holds ``taps[u]`` at time
-        ``(offset + u) mod K``."""
+        ``(offset + u) mod K``; each ``taps`` is a non-empty real vector
+        (:func:`_array`)."""
         buf = np.zeros((len(rows), self.size))
         for row, (taps, offset) in zip(buf, rows):
-            taps = np.asarray(taps, dtype=float)
-            if taps.ndim != 1:
-                raise InvalidParameterError("taps must be one-dimensional")
+            taps = _array(taps, float, "taps", (None,))
             if taps.size > self.size:
                 raise InvalidParameterError(
                     f"{taps.size} taps exceed the grid size {self.size}")
@@ -183,19 +217,18 @@ class FrequencyGrid:
 
 @dataclass
 class TimeSeries:
-    """A labelled, uniformly sampled, real scalar series."""
+    """A labelled, uniformly sampled, real scalar series: ``samples`` is a
+    non-empty real vector of finite values (:func:`_array`), the caller's
+    own float array when it is one."""
 
     label: str
     samples: np.ndarray
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.ndim != 1 or self.samples.size == 0:
-            raise InvalidParameterError(
-                f"series {self.label!r} must be a non-empty 1-d array")
+        name = f"series {self.label!r}"
+        self.samples = _array(self.samples, float, name, (None,))
         if not np.all(np.isfinite(self.samples)):
-            raise InvalidParameterError(
-                f"series {self.label!r} contains non-finite samples")
+            raise InvalidParameterError(f"{name} contains non-finite samples")
 
     @property
     def length(self) -> int:
@@ -284,7 +317,8 @@ class SpectralMatrix:
     ``|v_ij - conj(v_ji)| > 1e-9 * max|v|`` and any
     ``|v[..., K - k] - conj(v[..., k])| > 1e-9 * max|v|``; half-grid values
     are conjugate-even by construction, so of the last rule only the end
-    points ``-pi`` and ``0`` are checked.
+    points ``-pi`` and ``0`` are checked.  ``values`` is read as complex
+    numbers by :func:`_array`.
     """
 
     labels: tuple[str, ...]
@@ -294,7 +328,7 @@ class SpectralMatrix:
     def __init__(self, labels, grid: FrequencyGrid, values):
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "grid", grid)
-        v = np.asarray(values, dtype=complex)
+        v = _array(values, complex, "spectral matrix")
         n, m = len(self.labels), grid.size // 2
         if n == 0:
             raise InvalidParameterError("spectral matrix needs at least one series")
@@ -434,6 +468,8 @@ class WelchConfig:
     directly on the analysis grid.  ``segment_count`` is the planned number
     of averages: the estimator always uses every full segment the data
     offers and records a diagnostic when fewer than planned fit.
+    ``overlap`` is a real number in [0, 1), read as a 0-d array by
+    :func:`_array`.
     """
 
     grid_size: int = 1024
@@ -450,7 +486,7 @@ class WelchConfig:
             _integer(self.segment_length, "segment_length")
         if _integer(self.segment_count, "segment_count") < 1:
             raise InvalidParameterError("segment_count must be >= 1")
-        if not 0.0 <= self.overlap < 1.0:
+        if not 0.0 <= _array(self.overlap, float, "overlap", ()) < 1.0:
             raise InvalidParameterError("overlap must lie in [0, 1)")
         if self.effective_segment_length > self.grid_size:
             raise InvalidParameterError(

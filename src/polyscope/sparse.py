@@ -36,7 +36,7 @@ from .errors import (
     CombinatorialLimitError,
     InvalidParameterError,
 )
-from .signals import SpectralMatrix, _integer
+from .signals import SpectralMatrix, _array, _integer
 from .wiener import (
     TransferFunction,
     _check_conditioning,
@@ -110,11 +110,13 @@ def project(S: SpectralMatrix, target: int, support
 
 
 def _check_solver_args(max_inputs: int, min_gain: float) -> int:
-    """Validate the shared solver arguments; return ``max_inputs`` as an int."""
+    """Validate the shared solver arguments; return ``max_inputs`` as an int.
+    ``min_gain`` is read as a real 0-d array by
+    :func:`~polyscope.signals._array`."""
     max_inputs = _integer(max_inputs, "max_inputs")
     if max_inputs < 0:
         raise InvalidParameterError("max_inputs must be >= 0")
-    if not 0 <= min_gain < 1:
+    if not 0 <= _array(min_gain, float, "min_gain", ()) < 1:
         raise InvalidParameterError("min_gain must be in [0, 1)")
     return max_inputs
 

@@ -18,7 +18,7 @@ import numpy as np
 from .diagnostics import record
 from .errors import InvalidParameterError
 from .metric import SYMMETRIC_KINDS, DistanceMatrix, causal_edge_weights
-from .signals import SpectralMatrix, _integer
+from .signals import SpectralMatrix, _array, _integer
 from .wiener import _filter_rms
 
 #: Relative filter magnitude below which a MISO input does not count as a
@@ -214,10 +214,11 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
 
     For each target the filter over all remaining series is solved; inputs
     whose filter RMS exceeds ``threshold`` (relative to the largest RMS for
-    that target) are blanket candidates.  A candidate ``i`` is then purged
-    when some other candidate ``c`` explains it away, i.e. both legs of the
-    indirect route are shorter than the direct distance:
-    ``max(D(i,c), D(c,j)) < D(i,j)``.  In a tree this removes exactly the
+    that target; a real number in (0, 1), read as a 0-d array by
+    :func:`~polyscope.signals._array`) are blanket candidates.  A candidate
+    ``i`` is then purged when some other candidate ``c`` explains it away,
+    i.e. both legs of the indirect route are shorter than the direct
+    distance: ``max(D(i,c), D(c,j)) < D(i,j)``.  In a tree this removes exactly the
     co-parents, which sit at maximal distance from the target.  Surviving
     links are symmetrised by union over targets.
 
@@ -231,7 +232,8 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
         raise InvalidParameterError("need a symmetric distance matrix")
     if tuple(D.labels) != S.labels:
         raise InvalidParameterError("distance labels do not match the spectra")
-    rtol = BLANKET_RMS_RTOL if threshold is None else float(threshold)
+    rtol = (BLANKET_RMS_RTOL if threshold is None
+            else float(_array(threshold, float, "threshold", ())))
     if not 0 < rtol < 1:
         raise InvalidParameterError(f"threshold must lie in (0, 1), got {rtol}")
     n = S.n

@@ -33,7 +33,7 @@ from .errors import (
     InvalidSpectrumError,
 )
 from .signals import (FrequencyGrid, SpectralMatrix, Spectrum, TimeSeries,
-                      _floor, _integer)
+                      _array, _floor, _integer)
 
 #: Fraction of total impulse energy that may be discarded by support
 #: truncation before a diagnostic event is recorded.
@@ -48,7 +48,8 @@ CONDITION_RTOL = 1e-10
 class TransferFunction:
     """A linear filter known by its grid response, optionally by its taps.
 
-    ``impulse[u]`` (when present) is the real coefficient at time
+    ``impulse[u]`` (when present, a non-empty real vector by
+    :func:`~polyscope.signals._array`) is the coefficient at time
     ``support_offset + u``, an integer; a causal filter has
     ``support_offset >= 0``.  ``response`` holds one value per grid point
     (:meth:`FrequencyGrid.on_grid`).
@@ -67,9 +68,7 @@ class TransferFunction:
         self.response = self.grid.on_grid(self.response, complex, "response")
         self.support_offset = _integer(self.support_offset, "support offset")
         if self.impulse is not None:
-            self.impulse = np.asarray(self.impulse, dtype=float)
-            if self.impulse.ndim != 1 or self.impulse.size == 0:
-                raise InvalidParameterError("impulse must be a non-empty 1-d array")
+            self.impulse = _array(self.impulse, float, "impulse", (None,))
 
     @classmethod
     def from_taps(cls, grid: FrequencyGrid, taps, offset: int = 0) -> "TransferFunction":

@@ -86,8 +86,8 @@ class TestLink:
 
     def test_rejects_empty_or_zero_taps(self):
         for taps in (np.array([]), np.ones((2, 2)), 1.0):
-            with pytest.raises(InvalidParameterError,
-                               match="^link taps must be a non-empty vector$"):
+            with pytest.raises(InvalidParameterError, match=(
+                    "^link taps must be a non-empty vector, not shape ")):
                 Link(0, 1, taps)
         with pytest.raises(InvalidParameterError):
             Link(0, 1, np.zeros(3))
@@ -164,7 +164,7 @@ class TestALNSpec:
     @pytest.mark.parametrize("entry", [np.ones((2, 2)), [], 0.5])
     def test_rejects_a_shaping_entry_that_is_not_a_tap_vector(self, entry):
         with pytest.raises(InvalidParameterError, match=(
-                "^noise shaping of 'b' must be a non-empty vector$")):
+                "^noise shaping of 'b' must be a non-empty vector, not shape ")):
             ALNSpec(["a", "b"], [Link(0, 1, [1.0])], np.ones(2),
                     noise_shaping=[None, entry])
 

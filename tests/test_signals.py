@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 import tracemalloc
 
@@ -8,7 +9,9 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from polyscope import (
+    ALNSpec,
     CoherenceCurve,
+    DirectionMatrix,
     DistanceMatrix,
     Ensemble,
     FrequencyGrid,
@@ -255,7 +258,7 @@ class TestFrequencyGrid:
     def test_one_value_per_grid_point(self, make, shape):
         grid = FrequencyGrid(16)
         with pytest.raises(InvalidParameterError,
-                           match="length does not match its grid$"):
+                           match=r"must be an array of shape \(16,\), not shape \("):
             make(grid, np.full(shape, 0.5))
         make(grid, np.full(16, 0.5))
 
@@ -343,6 +346,184 @@ class TestSeriesContainers:
             Ensemble([a, TimeSeries("b", np.zeros(5))])
         with pytest.raises(InvalidParameterError):
             Ensemble([a, TimeSeries("a", np.ones(4))])
+
+
+_G16 = FrequencyGrid(16)
+_LINK = Link(0, 1, [1.0])
+
+#: Every container that reads a caller array: the call, the field its
+#: messages name, the field type, a value it accepts and its shape rule
+#: (``(None,)`` a non-empty vector; None is ``SpectralMatrix``'s own rule).
+CALLER_ARRAYS = {
+    "TimeSeries": (lambda v: TimeSeries("x", v), "series 'x'", float,
+                   np.ones(4), (None,)),
+    "Spectrum": (lambda v: Spectrum(_G16, v), "spectrum", complex,
+                 np.ones(16), (16,)),
+    "CoherenceCurve": (lambda v: CoherenceCurve(_G16, v), "coherence", float,
+                       np.full(16, 0.5), (16,)),
+    "TransferFunction-response": (lambda v: TransferFunction(_G16, v),
+                                  "response", complex, np.ones(16), (16,)),
+    "TransferFunction-impulse": (
+        lambda v: TransferFunction(_G16, np.ones(16), v), "impulse", float,
+        np.ones(2), (None,)),
+    "taps_from_response": (lambda v: _G16.taps_from_response(v), "response",
+                           complex, np.ones(16), (16,)),
+    "response_from_taps": (lambda v: _G16.response_from_taps(v), "taps",
+                           float, np.ones(2), (None,)),
+    "Link": (lambda v: Link(0, 1, v), "link taps", float, np.ones(2), (None,)),
+    "noise_shaping": (
+        lambda v: ALNSpec(["a", "b"], [_LINK], np.ones(2),
+                          noise_shaping=[None, v]),
+        "noise shaping of 'b'", float, np.ones(2), (None,)),
+    "noise_variances": (lambda v: ALNSpec(["a", "b"], [_LINK], v),
+                        "noise variances", float, np.ones(2), (2,)),
+    "DistanceMatrix": (lambda v: DistanceMatrix(["a", "b"], v, "causal"),
+                       "distance matrix", float,
+                       np.array([[0.0, 1.0], [2.0, 0.0]]), (2, 2)),
+    "DirectionMatrix-values": (
+        lambda v: DirectionMatrix(["a", "b"], v, np.zeros((2, 2), bool)),
+        "direction matrix", int, np.array([[0, 1], [-1, 0]]), (2, 2)),
+    "DirectionMatrix-ties": (
+        lambda v: DirectionMatrix(["a", "b"], [[0, 1], [-1, 0]], v),
+        "direction ties", bool, np.array([[False, True], [True, False]]),
+        (2, 2)),
+    "SpectralMatrix": (lambda v: SpectralMatrix(["a"], _G16, v),
+                       "spectral matrix", complex, np.ones((1, 1, 16)), None),
+}
+
+#: What a field of each type holds, as the messages say it.
+FIELD_WORDS = {float: "real numbers", complex: "complex numbers",
+               int: "integers", bool: "booleans"}
+
+
+def _malformed_arrays():
+    """``(reader, case, value, message)`` for each malformed input a
+    reader must refuse."""
+    for reader, (_, field, dtype, valid, shape) in CALLER_ARRAYS.items():
+        def kind(case, value, found):
+            return (reader, case, value,
+                    f"{field} must hold {FIELD_WORDS[dtype]}, not {found}")
+        yield kind("ragged", [valid.tolist(), [1]], "ragged sequences")
+        yield kind("non-numeric", np.full(valid.shape, "x"), "text")
+        yield kind("numeric-string", valid.astype(str), "text")
+        yield kind("none", np.full(valid.shape, None), "objects")
+        if dtype is not complex:
+            yield kind("complex-into-real", valid + 0.5j, "complex numbers")
+        if dtype in (int, bool):
+            yield kind("fraction-into-integer", valid + 0.5, "real numbers")
+        if dtype is bool:
+            yield kind("int-into-bool", valid.astype(int), "integers")
+        wrong = np.stack([valid, valid])
+        if shape == (None,):
+            yield (reader, "empty-vector", np.array([], dtype=valid.dtype),
+                   f"{field} must be a non-empty vector, not shape (0,)")
+            yield (reader, "wrong-shape", wrong,
+                   f"{field} must be a non-empty vector, not shape "
+                   f"{wrong.shape}")
+        elif shape is not None:
+            yield (reader, "wrong-shape", wrong,
+                   f"{field} must be an array of shape {shape}, not shape "
+                   f"{wrong.shape}")
+
+
+MALFORMED = list(_malformed_arrays())
+
+_S3 = random_psd_matrix(np.random.default_rng(0), 3, _G16)
+
+#: Every real scalar parameter read as a 0-d array, and a value it accepts.
+CALLER_SCALARS = {
+    "overlap": (lambda v: WelchConfig(grid_size=16, overlap=v), 0.5),
+    "min_gain": (lambda v: orthogonal_least_squares(_S3, 0, 1, min_gain=v),
+                 0.1),
+    "threshold": (lambda v: miso_blanket_topology(
+        _S3, DistanceMatrix(_S3.labels, 1.0 - np.eye(3), "noncausal"),
+        threshold=v), 0.5),
+}
+
+_SCALAR_CASES = [
+    ("numeric-string", "0.5", "must hold real numbers, not text"),
+    ("complex", 0.5j, "must hold real numbers, not complex numbers"),
+    ("object", object(), "must hold real numbers, not objects"),
+    ("ragged", [[0.5], [0.5, 0.5]],
+     "must hold real numbers, not ragged sequences"),
+    ("wrong-shape", [0.5], "must be an array of shape (), not shape (1,)"),
+]
+
+def _spec_json(**fields) -> str:
+    """A valid spec's JSON with ``fields`` replaced."""
+    return json.dumps({"labels": ["a", "b"], "noise_variances": [1, 1],
+                       "links": [{"source": 0, "target": 1, "taps": [1]}],
+                       **fields})
+
+
+#: ``ALNSpec`` sequence fields and the arrays of a spec's JSON, each
+#: malformed, with the message that names the field.
+SPEC_CASES = {
+    "labels-string": (lambda: ALNSpec("ab", [_LINK], np.ones(2)),
+                      "labels must be a sequence, not str"),
+    "links-int": (lambda: ALNSpec(["a", "b"], 5, np.ones(2)),
+                  "links must be a sequence, not int"),
+    "shaping-int": (lambda: ALNSpec(["a", "b"], [_LINK], np.ones(2),
+                                    noise_shaping=5),
+                    "noise shaping must be a sequence, not int"),
+    "link-not-a-Link": (lambda: ALNSpec(["a", "b"], [(0, 1)], np.ones(2)),
+                        "links must be Link objects, not tuple"),
+    "json-labels-string": (
+        lambda: ALNSpec.from_json(_spec_json(labels="ab")),
+        "labels must be a sequence, not str"),
+    "json-links-int": (lambda: ALNSpec.from_json(_spec_json(links=5)),
+                       "links must be a sequence, not int"),
+    "json-variances-text": (
+        lambda: ALNSpec.from_json(_spec_json(noise_variances=["1", "1"])),
+        "noise variances must hold real numbers, not text"),
+    "json-taps-ragged": (
+        lambda: ALNSpec.from_json(_spec_json(
+            links=[{"source": 0, "target": 1, "taps": [[1], [1, 2]]}])),
+        "link taps must hold real numbers, not ragged sequences"),
+    "json-shaping-text": (
+        lambda: ALNSpec.from_json(_spec_json(noise_shaping=[None, ["x"]])),
+        "noise shaping of 'b' must hold real numbers, not text"),
+}
+
+
+class TestCallerArrays:
+    """One rule, ``signals._array``, for every array a caller hands in:
+    ragged, non-numeric, textual, complex-into-real and fractional input
+    and wrong shapes raise :class:`InvalidParameterError` naming the
+    field."""
+
+    @pytest.mark.parametrize(
+        "reader, value, message", [(r, v, m) for r, _, v, m in MALFORMED],
+        ids=[f"{r}-{c}" for r, c, _, _ in MALFORMED])
+    def test_malformed_array_is_refused(self, reader, value, message):
+        make, _, _, valid, _ = CALLER_ARRAYS[reader]
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{re.escape(message)}$"):
+            make(value)
+        make(valid)
+
+    @pytest.mark.parametrize("case, value, message", _SCALAR_CASES,
+                             ids=[c for c, _, _ in _SCALAR_CASES])
+    @pytest.mark.parametrize("name", CALLER_SCALARS)
+    def test_malformed_scalar_is_refused(self, name, case, value, message):
+        make, valid = CALLER_SCALARS[name]
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{re.escape(f'{name} {message}')}$"):
+            make(value)
+        make(valid)
+
+    @pytest.mark.parametrize("make, message", SPEC_CASES.values(),
+                             ids=SPEC_CASES.keys())
+    def test_malformed_spec_field_is_refused(self, make, message):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{re.escape(message)}$"):
+            make()
+
+    def test_a_well_formed_array_is_held_uncopied(self):
+        x = np.ones(8)
+        assert TimeSeries("x", x).samples is x
+        v = np.ones(16, dtype=complex)
+        assert Spectrum(_G16, v).values is v
 
 
 class TestWelchConfig:
