@@ -535,14 +535,11 @@ def analytic_spectra(spec: ALNSpec, grid: FrequencyGrid) -> SpectralMatrix:
     The network's last analytic build is kept until its spec is collected
     or another spec or grid size is built, so repeated calls (and
     :func:`check_identifiability` before them) share one build and return
-    the same immutable matrix.  Each call reports the matrix's
-    ``spectral-floor`` events, as a fresh matrix would: the first reader
-    records them when it first reads the floor, later calls when they
-    hand the matrix out.
+    the same immutable matrix.  It reports its ``spectral-floor`` events
+    as a fresh matrix would: each collector records them once, from its
+    first read of the floors, whichever call computed them.
     """
-    S = _analytic_build(spec, grid).matrix
-    S._record_floor_events()
-    return S
+    return _analytic_build(spec, grid).matrix
 
 
 def check_identifiability(spec: ALNSpec, grid: FrequencyGrid | None = None

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.signal import get_window
 
-from .diagnostics import record
+from .diagnostics import memo, record
 from .errors import (
     DegenerateSeriesError,
     InsufficientDataError,
@@ -301,6 +300,15 @@ class Spectrum:
         self.values = self.grid.on_grid(self.values, complex, "spectrum")
 
 
+def _kept(compute):
+    """A read-only property of a :class:`SpectralMatrix`: ``compute(self)``
+    on first read, kept with its events in the matrix's store by
+    :func:`~polyscope.diagnostics.memo`."""
+    return property(lambda self: memo(self._memo, compute.__name__,
+                                      lambda: compute(self)),
+                    doc=compute.__doc__)
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class SpectralMatrix:
     """Hermitian matrix of cross spectra, ``values[i, j, k] = Phi_{x_i x_j}(omega_k)``.
@@ -336,11 +344,13 @@ class SpectralMatrix:
             raise InvalidParameterError(
                 f"spectral matrix shape {v.shape} does not match "
                 f"{n} labels on a grid of {grid.size}")
-        if not np.all(np.isfinite(v)):
+        peak = np.max(np.abs(v))           # nan or inf if any value is
+        if not np.isfinite(peak):
             raise InvalidParameterError("spectral matrix has non-finite values")
-        tol = 1e-9 * (np.max(np.abs(v)) or 1.0)
+        tol = 1e-9 * (peak or 1.0)
         rows, cols = np.tril_indices(n)    # the upper entries mirror these
-        if np.any(np.abs(v[rows, cols] - np.conj(v[cols, rows])) > tol):
+        mirrored = np.conj(v[cols, rows])
+        if np.any(np.abs(v[rows, cols] - mirrored) > tol):
             raise InvalidParameterError("spectral matrix is not Hermitian")
         # point K - k (frequency -omega_k) is the twin of point k; -pi (k = 0)
         # and 0 (k = K/2) are their own
@@ -351,13 +361,14 @@ class SpectralMatrix:
             raise InvalidParameterError(
                 "spectral matrix is not conjugate-even in frequency")
         half = v[..., :m + 1].copy()
+        half[rows, cols] = mirrored[..., :m + 1]
         half.imag[..., [0, m]] *= 0.0      # real; exact zeros keep their sign
-        half[rows, cols] = np.conj(half[cols, rows])
         half.imag[np.arange(n), np.arange(n)] = 0.0
         half.flags.writeable = False
         object.__setattr__(self, "half", half)
+        object.__setattr__(self, "_memo", {})
 
-    @cached_property
+    @_kept
     def values(self) -> np.ndarray:
         """``(n, n, K)`` read-only whole grid, mirrored from :attr:`half` on
         first read."""
@@ -376,42 +387,24 @@ class SpectralMatrix:
             if not 0 <= _integer(i, "series index") < self.n:
                 raise InvalidParameterError(f"index {i} out of range for n={self.n}")
 
-    @cached_property
-    def _flooring(self) -> tuple[np.ndarray, tuple[str, ...]]:
+    @_kept
+    def _floored(self) -> np.ndarray:
         """``(n, K/2+1)`` read-only real auto-spectra on the :attr:`half`
-        grid, floored by :func:`_floor`, and one message per series that
-        needed the floor.  An even spectrum has the same extremes on the
-        half as on the whole grid, so the floors are the whole grid's.
-        Computed on first use; records nothing (see :attr:`_floored`)."""
+        grid, floored by :func:`_floor`; every solver reads them.  An even
+        spectrum has the same extremes on the half as on the whole grid, so
+        the floors are the whole grid's.  Each series that needed the floor
+        is a ``spectral-floor`` event, which each collector records once,
+        from its first read of this or of a result computed from it."""
         phi = np.real(np.einsum("iik->ik", self.half))
         floored = _floor(phi)
         floored.flags.writeable = False
         # a clipped row's smallest value is the floor itself
-        messages = tuple(f"auto-spectrum of {self.labels[i]!r} "
-                         f"floored at {np.min(floored[i]):.3e}"
-                         for i in np.flatnonzero(np.any(floored > phi, axis=1)))
-        return floored, messages
-
-    @cached_property
-    def _floored(self) -> np.ndarray:
-        """The floored auto-spectra of :attr:`_flooring`; every solver reads
-        them.  The first use records each message as a ``spectral-floor``
-        event; :meth:`_record_floor_events` records them again for a later
-        reader of the same matrix."""
-        floored, messages = self._flooring
-        for message in messages:
-            record("spectral-floor", message)
+        for i in np.flatnonzero(np.any(floored > phi, axis=1)):
+            record("spectral-floor", f"auto-spectrum of {self.labels[i]!r} "
+                                     f"floored at {np.min(floored[i]):.3e}")
         return floored
 
-    def _record_floor_events(self) -> None:
-        """Record the ``spectral-floor`` events again if :attr:`_floored`
-        has already recorded them, so that a matrix handed to several
-        readers reports its floors to each of them."""
-        if "_floored" in self.__dict__:
-            for message in self._flooring[1]:
-                record("spectral-floor", message)
-
-    @cached_property
+    @_kept
     def _floored_stack(self) -> np.ndarray:
         """``(K/2+1, n, n)`` read-only stack of :attr:`half` per grid point,
         with :attr:`_floored` on its diagonal.
@@ -419,8 +412,7 @@ class SpectralMatrix:
         The matrix at grid point ``K - k`` is the exact conjugate of the one
         at ``k``, so every per-frequency solve of the stack stands for its
         twin too (see :meth:`FrequencyGrid.half_mean`).
-        Computed on first use.  The floor events are :attr:`_floored`'s,
-        recorded once whichever of the two is used first.
+        Computed on first use; its events are :attr:`_floored`'s.
         """
         A = self.half.transpose(2, 0, 1).copy()
         d = np.arange(self.n)
@@ -428,7 +420,7 @@ class SpectralMatrix:
         A.flags.writeable = False
         return A
 
-    @cached_property
+    @_kept
     def _eigenvalue_ratio(self) -> float:
         """Least over greatest eigenvalue of the floored matrix, worst grid point.
 

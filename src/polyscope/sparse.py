@@ -16,11 +16,10 @@ Three solvers:
   scored by its jointly optimal cost (the usual accuracy/cost middle ground).
   :mod:`polyscope.wiener` scores a step's extensions in closed form from
   the current support's fit, and drops a candidate collinear with the
-  support from the rest of the run.  The first step of every target, and
-  every target's initial cost, come from one checked array pass per
-  spectral matrix.  Nothing is refit: each step reports the winner's
-  filters and cost from its scoring, which agree with a joint solve to
-  rounding.
+  support from the rest of the run.  The first step of every target comes
+  from one checked array pass per spectral matrix.  Nothing is refit:
+  each step reports the winner's filters and cost from its scoring, which
+  agree with a joint solve to rounding.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .wiener import (
     _check_support,
     _extension_costs,
     _filters,
-    _first_steps,
     noncausal_wiener,
 )
 
@@ -234,18 +232,19 @@ def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
     the best.  :func:`~polyscope.wiener._extension_costs` scores a step in
     closed form from the current support's fit (one Schur complement per
     candidate, one solve per step) and checks every scored extension's
-    filters against their normal equations.  The initial cost and the first
-    step need no solve: they are read from one array pass over every target
-    of ``S`` (:func:`~polyscope.wiener._first_steps`), made on the first
-    call for ``S`` and kept while ``S`` lives.  A loop over all targets
-    pays for it once; a lone call pays for every target's first step
-    (about 0.95 ms at n 32, K 64 on one Xeon core, against 0.15 ms for its
-    own).  The pass checks every first step, and a failed check raises only
-    when its target's first step is scored, with the message of a
-    per-target check.  A candidate collinear with the
-    support is scored ``inf`` and leaves the pool for the rest of the run,
-    as in the classical rule of Chen, Billings & Luo (1989); a pool left
-    empty stops on ``exhausted``.  The winner is not refit: its filters and
+    filters against their normal equations.  The initial cost is
+    :func:`project`'s on the empty support, so a run at budget 0 reads no
+    floor.  The first step needs no solve: it is read from one array pass
+    over every target of ``S`` (:func:`~polyscope.wiener._first_steps`),
+    made on the first call for ``S`` and kept while ``S`` lives, with the
+    floor events it read.  A loop over all targets pays for it once; a lone
+    call pays for every target's first step (about 0.95 ms at n 32, K 64 on
+    one Xeon core, against 0.15 ms for its own).  The pass checks every
+    first step, and a failed check raises only when its target's first
+    step is scored, with the message of a per-target check.  A candidate
+    collinear with the support is scored ``inf`` and leaves the pool for the
+    rest of the run, as in the classical rule of Chen, Billings & Luo
+    (1989); a pool left empty stops on ``exhausted``.  The winner is not refit: its filters and
     its closed-form cost, which the stopping rules read, are those its
     scoring solved and checked, and they agree with :func:`project` on the
     same support to rounding; they are mirrored once, for the last step
@@ -257,7 +256,7 @@ def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
     max_inputs = _check_solver_args(max_inputs, min_gain)
     pool = _candidates(S, target)
     support: list[int] = []
-    cost = float(_first_steps(S).initial[target])
+    cost = project(S, target, ())[1]
     initial = max(cost, np.finfo(float).tiny)
     while True:
         if len(support) >= max_inputs:

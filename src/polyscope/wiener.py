@@ -19,13 +19,11 @@ multi-input fit is computed.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import record
+from .diagnostics import memo, record
 from .errors import (
     IllConditionedSpectrumError,
     InsufficientDataError,
@@ -264,7 +262,6 @@ def _extension_costs(S: SpectralMatrix, target: int, support, free
     q, m = support.size, free.size
     if not q:
         first = _first_steps(S)
-        # the floors' first use records their events, as a solve's would
         W = S.half[free, target] / S._floored[free]
         failed = free[first.failed[target, free]]
         if failed.size:
@@ -377,30 +374,21 @@ class _FirstSteps:
     """Every target's first OLS step on one matrix: the fits on one input.
 
     ``costs[t, b]`` is the cost of target ``t``'s fit on input ``b`` alone,
-    ``initial[t]`` that of its empty fit (:func:`~polyscope.sparse.project`'s
-    ``max(<x_t, x_t>, 0)``), and ``failed[t, b]`` whether the fit misses its
-    normal equations by :func:`_orthogonality_failures`, with its ``worst``
-    residual and ``scale``.  Only ``(n, n)`` arrays: the diagonal means
-    nothing, and a filter ``c_b / phi_b`` is rebuilt by its reader.
+    and ``failed[t, b]`` whether the fit misses its normal equations by
+    :func:`_orthogonality_failures`, with its ``worst`` residual and
+    ``scale``.  Only ``(n, n)`` arrays: the diagonal means nothing, and a
+    filter ``c_b / phi_b`` is rebuilt by its reader.
     """
 
     costs: np.ndarray
-    initial: np.ndarray
     failed: np.ndarray
     worst: np.ndarray
     scale: np.ndarray
 
 
-#: Each live matrix's :class:`_FirstSteps`.  A :class:`SpectralMatrix` is
-#: immutable and equal only to itself, so it is its own key; its entry goes
-#: when it is freed.
-_first_step_cache: "weakref.WeakKeyDictionary[SpectralMatrix, _FirstSteps]" = \
-    weakref.WeakKeyDictionary()
-_first_step_lock = threading.Lock()
-
-
 def _first_steps(S: SpectralMatrix) -> _FirstSteps:
-    """The :func:`_first_step_pass` of ``S``, run once per matrix.
+    """The :func:`_first_step_pass` of ``S``, run once per matrix and kept
+    in its store by :func:`~polyscope.diagnostics.memo` while it lives.
 
     Every target's first step reads it, so an all-target loop (``cli
     sparse``, MISO's singular targets) pays one array pass per matrix.  A
@@ -408,11 +396,7 @@ def _first_steps(S: SpectralMatrix) -> _FirstSteps:
     takes about 0.95 ms on one Xeon core, where one target's own first step
     took about 0.15 ms.
     """
-    with _first_step_lock:
-        first = _first_step_cache.get(S)
-        if first is None:
-            first = _first_step_cache[S] = _first_step_pass(S)
-    return first
+    return memo(S._memo, "_first_steps", lambda: _first_step_pass(S))
 
 
 def _first_step_pass(S: SpectralMatrix) -> _FirstSteps:
@@ -426,11 +410,11 @@ def _first_step_pass(S: SpectralMatrix) -> _FirstSteps:
     for element, so the same bits.  Its normal equations are checked by
     :func:`_check_orthogonality`'s rule on the same maxima (a zero in
     ``c - A w`` may differ in sign, which its magnitude drops).  Reads the
-    floors without recording their events, which :func:`_extension_costs`
-    records, and works in place: its transient peak is about 1.5 times
-    ``S.half.nbytes``, and it keeps only ``(n, n)`` arrays.
+    floors, so their events are the pass's too, and works in place: its
+    transient peak is about 1.5 times ``S.half.nbytes``, and it keeps only
+    ``(n, n)`` arrays.
     """
-    half, floored = S.half, S._flooring[0]
+    half, floored = S.half, S._floored
     phi_b = floored[:, None, :]
     d = np.arange(S.n)
     # axis 0 is the input b and axis 1 the target t until the transposes
@@ -451,8 +435,7 @@ def _first_step_pass(S: SpectralMatrix) -> _FirstSteps:
     worst = worst.T
     failed, scale = _orthogonality_failures(
         worst, c_max.T, np.max(floored, axis=-1)[None, :], W_max.T)
-    initial = np.maximum(np.real(S.grid.half_mean(half[d, d])), 0.0)
-    return _FirstSteps(costs, initial, failed, worst, scale)
+    return _FirstSteps(costs, failed, worst, scale)
 
 
 def _grid_peak(x: np.ndarray) -> np.ndarray:

@@ -368,8 +368,8 @@ def first_step_reference(S: SpectralMatrix, target: int):
     collinear and that branch is left out.
 
     Returns, over the candidates in index order, the costs ``(m,)``, the
-    filters ``(m, K/2+1, 1)``, the normal-equation residuals ``worst`` and
-    their ``scale`` ``(m,)``, and the initial cost ``project(S, target, ())``.
+    filters ``(m, K/2+1, 1)``, and the normal-equation residuals ``worst``
+    and their ``scale`` ``(m,)``.
     """
     free = np.array([b for b in range(S.n) if b != target])
     m = free.size
@@ -395,7 +395,7 @@ def first_step_reference(S: SpectralMatrix, target: int):
     residual = np.maximum(np.real(S.half[target, target])
                           - explained - np.abs(r) ** 2 / s, 0.0)
     costs = S.grid.half_mean(residual)
-    return costs, W, worst, scale, project_reference(S, target, ())[1]
+    return costs, W, worst, scale
 
 
 def ols_reference(S: SpectralMatrix, target: int, max_inputs: int,

@@ -194,7 +194,6 @@ class TestDistanceMatrixMatchesRowLoop:
 
     @staticmethod
     def assert_matches(S):
-        S._floored          # its first use records the spectral-floor events
         with collect() as events:
             D = distance_matrix(S)
         with collect() as ref_events:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from polyscope import (
     InsufficientDataError,
     InvalidParameterError,
     Link,
+    PolyscopeError,
     SpectralMatrix,
     Spectrum,
     TimeSeries,
@@ -927,11 +929,12 @@ class TestSpectralMatrix:
                 floored = [S.floored_autospectrum(i) for i in range(3)]
                 S.floored_autospectrum(1)
                 S._floored_stack
-            assert [(e.category, e.message) for e in events] == [
+            floor = [
                 ("spectral-floor", "auto-spectrum of 'b' floored at 2.000e-12"),
-                ("spectral-floor", "auto-spectrum of 'c' floored at 2.000e-12")
-            ], name
-            assert not later, name
+                ("spectral-floor", "auto-spectrum of 'c' floored at 2.000e-12")]
+            assert [(e.category, e.message) for e in events] == floor, name
+            # a later collector records them once, whatever its reads
+            assert [(e.category, e.message) for e in later] == floor, name
         assert np.array_equal(floored[1], np.maximum(values[1, 1].real, 2e-12))
         assert np.array_equal(floored[2], np.maximum(values[2, 2].real, 2e-12))
         assert not S._floored.flags.writeable
@@ -942,6 +945,43 @@ class TestSpectralMatrix:
         assert [e.message for e in events] == [
             "auto-spectrum of 'a' floored at 2.225e-308",
             "auto-spectrum of 'b' floored at 2.225e-308"]
+
+    @staticmethod
+    def _half_by_separate_gathers(v, n, m):
+        """The stored half as built when the Hermitian check and the
+        rebuild gathered the triangle each on their own."""
+        rows, cols = np.tril_indices(n)
+        half = v[..., :m + 1].copy()
+        half.imag[..., [0, m]] *= 0.0
+        half[rows, cols] = np.conj(half[cols, rows])
+        half.imag[np.arange(n), np.arange(n)] = 0.0
+        return half
+
+    def test_half_keeps_its_bytes(self):
+        # raw Welch and analytic cross spectra, whose lower triangles and
+        # end points carry rounding, and a perturbation inside the tolerance
+        # that leaves zeros and tiny values of either sign at -pi and 0
+        ens, _ = self._matrix(n=4)
+        cfg = WelchConfig(grid_size=64)
+        welch = signals._welch_matrix(ens.values(), cfg)
+        grid = FrequencyGrid(64)
+        spec = generate_polytree_aln(6, seed=3)
+        H = aln._source_transfers(spec, grid)
+        analytic = aln._cross_spectra(
+            H, aln._noise_spectra(spec, grid)[:, grid.half])
+        rng = np.random.default_rng(8)
+        tiny = 1e-13 * np.max(np.abs(welch))
+        nudged = welch + tiny * (rng.standard_normal(welch.shape)
+                                 + 1j * rng.standard_normal(welch.shape))
+        nudged.imag[..., [0, -1]] = rng.choice([-tiny, -0.0, 0.0, tiny],
+                                               nudged.shape[:2] + (2,))
+        m = grid.size // 2
+        for raw in (welch, analytic, nudged):
+            n = raw.shape[0]
+            for values in (raw, grid.mirror(raw)):
+                S = SpectralMatrix([f"s{i}" for i in range(n)], grid, values)
+                assert S.half.tobytes() == \
+                    self._half_by_separate_gathers(values, n, m).tobytes()
 
     def test_rejects_empty_labels(self):
         with pytest.raises(InvalidParameterError, match="at least one series"):
@@ -964,6 +1004,73 @@ class TestSpectralMatrix:
         off = np.mean([np.mean(np.abs(S.values[i, j]))
                        for i in range(3) for j in range(3) if i != j])
         assert off / diag < 0.2
+
+
+def _floored_welch() -> SpectralMatrix:
+    """Three Welch series at K 64, the third scaled by 1e-9: its
+    auto-spectrum needs the floor."""
+    samples = np.random.default_rng(12).standard_normal((3, 2048))
+    samples[2] *= 1e-9
+    return spectral_matrix(Ensemble([TimeSeries(label, row) for label, row
+                                     in zip("abc", samples)]),
+                           WelchConfig(grid_size=64))
+
+
+def _floored_analytic() -> SpectralMatrix:
+    """A network whose zero at ``omega = -pi`` floors ``b``, on a build of
+    its own."""
+    spec = ALNSpec(["a", "b", "c"],
+                   [Link(0, 1, [1.0, 1.0]), Link(1, 2, [1.0, 0.5])],
+                   [1.0, 0.0, 1.0])
+    return analytic_spectra(spec, FrequencyGrid(64))
+
+
+#: Every reader of a matrix's floored auto-spectra, and OLS at budget 0,
+#: which reads none.
+FLOOR_READERS = {
+    **FIRST_FLOOR_USES,
+    "distance_matrix": distance_matrix,
+    "causal_distance_matrix": causal_distance_matrix,
+    "coherence_function": lambda S: coherence_function(S, 0, 2),
+    "matching_pursuit": lambda S: matching_pursuit(S, 0, 2),
+    "orthogonal_least_squares-0": lambda S: orthogonal_least_squares(S, 0, 0),
+    "orthogonal_least_squares-2": lambda S: orthogonal_least_squares(S, 0, 2),
+}
+
+
+def _events_of(reader, S):
+    """The events ``reader(S)`` records under a collector of its own, and
+    the error it raises, if any."""
+    outcome = None
+    with collect() as events:
+        try:
+            reader(S)
+        except PolyscopeError as error:
+            outcome = (type(error), str(error))
+    return [(e.category, e.message) for e in events], outcome
+
+
+@pytest.mark.parametrize("make", [_floored_welch, _floored_analytic],
+                         ids=["welch", "analytic"])
+@pytest.mark.parametrize("name", FLOOR_READERS)
+def test_a_readers_events_do_not_depend_on_earlier_readers(name, make):
+    reader = FLOOR_READERS[name]
+    fresh = _events_of(reader, make())
+    floors = [event for event in fresh[0] if event[0] == "spectral-floor"]
+    assert bool(floors) == (name != "orthogonal_least_squares-0")
+    S = make()
+    for other in FLOOR_READERS.values():
+        _events_of(other, S)
+    seen = []
+    primer = threading.Thread(target=lambda: seen.append(
+        [_events_of(other, S) for other in FLOOR_READERS.values()]))
+    second = threading.Thread(target=lambda: seen.append(_events_of(reader, S)))
+    for thread in (primer, second):
+        thread.start()
+        thread.join(timeout=120)
+    assert not primer.is_alive() and not second.is_alive()
+    assert seen[1] == fresh
+    assert _events_of(reader, S) == fresh
 
 
 class TestWelchKernel:

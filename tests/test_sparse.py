@@ -432,7 +432,7 @@ class TestOLSClosedFormSteps:
         assert not failed[~np.eye(S.n, dtype=bool)].any()
         for target in range(S.n):
             free = [b for b in range(S.n) if b != target]
-            _, _, worst, ref_scale, _ = first_step_reference(ref, target)
+            _, _, worst, ref_scale = first_step_reference(ref, target)
             # row target holds the per-target check of each candidate's fit
             assert first[0][target, free].tobytes() == worst.tobytes()
             assert scale[target, free].tobytes() == ref_scale.tobytes()
@@ -550,7 +550,7 @@ class TestOLSReportsItsScoredFit:
 def assert_first_steps_match(S):
     """Every target's first step from the one pass per matrix against the
     per-target scoring it replaced: costs, filters, checks, the winner's
-    filter and the initial cost bit for bit, with equal events."""
+    filter bit for bit, and the budget-0 cost, with equal events."""
     lib, ref = twin(S), twin(S)
     # budget 0 reads only the initial cost, and records no floor events
     for target in range(S.n):
@@ -569,15 +569,13 @@ def assert_first_steps_match(S):
         with collect() as events:
             costs, W = _extension_costs(lib, target, [], free)
         with collect() as ref_events:
-            ref_costs, ref_W, worst, scale, initial = \
-                first_step_reference(ref, target)
+            ref_costs, ref_W, worst, scale = first_step_reference(ref, target)
         assert events == ref_events
         assert costs.tobytes() == ref_costs.tobytes()
         assert W.shape == ref_W.shape and W.tobytes() == ref_W.tobytes()
         assert first.worst[target, free].tobytes() == worst.tobytes()
         assert first.scale[target, free].tobytes() == scale.tobytes()
         assert not first.failed[target, free].any()
-        assert first.initial[target].tobytes() == np.float64(initial).tobytes()
         model = orthogonal_least_squares(lib, target, 1)
         if model.support:
             (b,) = model.support
@@ -655,13 +653,12 @@ class TestFirstStepCache:
         orthogonal_least_squares(T, 0, 2)
         assert len(passes) == 2 and passes[1] is T
         passes.clear()
-        # the other keys are held, so the freed matrix's entry is the one to go
-        others = [key for key in wiener._first_step_cache.keys() if key is not T]
-        alive = weakref.ref(T)
+        # the kept pass goes with its matrix, and the other matrix keeps its own
+        kept, alive = weakref.ref(_first_steps(T)), weakref.ref(T)
         del T
-        assert alive() is None
-        assert len(wiener._first_step_cache) == len(others)
-        assert S in wiener._first_step_cache
+        assert alive() is None and kept() is None
+        _first_steps(S)
+        assert passes == []
 
     def test_two_threads_on_one_matrix(self, monkeypatch):
         base = random_psd_matrix(np.random.default_rng(4), 5, FrequencyGrid(64))
@@ -678,7 +675,6 @@ class TestFirstStepCache:
             return models, events
 
         S = twin(serial)
-        serial._floored, S._floored    # no thread records the floors
         expected_models, expected_events = run_all(serial)
         assert any(e.category == "collinear-candidate" for e in expected_events)
         passes = count_passes(monkeypatch)
@@ -723,7 +719,7 @@ class TestFirstStepCache:
             return failed | ((c_max == key[0]) & (A_max == key[1])), scale
 
         monkeypatch.setattr(wiener, "_orthogonality_failures", failing)
-        _, _, worst, scale, _ = first_step_reference(ref, target)
+        _, _, worst, scale = first_step_reference(ref, target)
         pos = b - (b > target)
         message = (f"projection for target {target} violates orthogonality "
                    f"by {worst[pos]:.3e} (scale {scale[pos]:.3e})")
@@ -739,7 +735,6 @@ class TestFirstStepCache:
 
 
 def assert_mp_matches_loop(S, targets):
-    S._floored          # its first use records the spectral-floor events
     for target in targets:
         for budget in (0, 1, 2, 3, 5):
             for min_gain in (0.0, DEFAULT_MIN_GAIN):
