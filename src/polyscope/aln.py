@@ -153,8 +153,8 @@ class ALNSpec:
     ``labels``, ``links`` and ``noise_shaping`` are stored as tuples, and
     ``noise_variances`` and each shaping entry as read-only copies.  Each
     of the three tuples must be given as a sequence other than a string,
-    ``links`` holding :class:`Link` objects; ``noise_variances`` is one real
-    number per node (:func:`~polyscope.signals._array`).
+    ``links`` holding :class:`Link` objects; ``noise_variances`` is one
+    finite real number ``>= 0`` per node (:func:`~polyscope.signals._array`).
 
     Specs are values: two are equal when their labels, links, seeds,
     noise variances and ``noise_shaping`` fields are, arrays compared by
@@ -186,9 +186,8 @@ class ALNSpec:
             raise InvalidParameterError("node labels must be unique")
         store("noise_variances", _frozen(_array(
             self.noise_variances, float, "noise variances", (n,))))
-        if np.any(self.noise_variances < 0) or not np.all(
-                np.isfinite(self.noise_variances)):
-            raise InvalidParameterError("noise variances must be finite and >= 0")
+        if np.any(self.noise_variances < 0):
+            raise InvalidParameterError("noise variances must be >= 0")
         if self.noise_shaping is not None:
             shaping = _sequence(self.noise_shaping, "noise shaping")
             if len(shaping) != n:

@@ -59,7 +59,8 @@ class DistanceMatrix:
     (row = target, column = input), "correlation" (zero-lag), or
     "causal-min" (pairwise minimum of the two causal directions).  All kinds
     except "causal" are symmetric by construction.  ``values`` is read by
-    :func:`~polyscope.signals._array` as real numbers of shape ``(n, n)``.
+    :func:`~polyscope.signals._array` as finite real numbers of shape
+    ``(n, n)``.
     """
 
     labels: list[str]
@@ -70,8 +71,6 @@ class DistanceMatrix:
         if self.kind not in KINDS:
             raise InvalidParameterError(f"unknown distance kind {self.kind!r}")
         self.values = _array(self.values, float, "distance matrix", (self.n, self.n))
-        if np.any(np.isnan(self.values)):
-            raise InvalidParameterError("distances must not be NaN")
         if np.any(self.values < 0.0):
             raise InvalidParameterError("distances must be non-negative")
         if np.any(np.diag(self.values) != 0.0):

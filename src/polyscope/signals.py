@@ -48,8 +48,8 @@ _KIND_WORDS = dict(b="booleans", i="integers", u="integers", f="real numbers",
                    c="complex numbers", m="durations", M="dates", O="objects",
                    S="text", U="text", V="records", ragged="ragged sequences")
 
-#: The numpy kinds each field type of :func:`_array` takes: those it casts
-#: without changing a value.  The last kind names the field's values.
+#: The numpy kinds each field type of :func:`_array` takes.  The last kind
+#: names the field's values.
 _FIELD_KINDS = {float: "biuf", complex: "biufc", int: "iu", bool: "b"}
 
 
@@ -61,19 +61,27 @@ def _array(values, dtype, name: str, shape=None) -> np.ndarray:
     ``dtype`` is returned as it is, not copied.  Input whose cast would
     change a value is refused: a real field takes booleans, integers and
     reals, a complex field complex numbers too, an integer field integers
-    only and a boolean field booleans only; ragged nesting, text, objects
-    and None are refused everywhere.  ``shape`` is None for any shape, an
-    exact tuple, or ``(None,)`` for a non-empty vector.  Every refusal is
-    an :class:`InvalidParameterError` naming the field ``name``.
+    only and a boolean field booleans only, and none takes a dtype that
+    ``dtype`` cannot hold exactly (``uint64`` into an integer field, a real
+    wider than float64, a complex wider than complex128); ragged nesting,
+    text, objects and None are refused everywhere.  A real or complex field
+    holds finite numbers only: NaN and ±inf are refused.  ``shape`` is None
+    for any shape, an exact tuple, or ``(None,)`` for a non-empty vector.
+    Every refusal is an :class:`InvalidParameterError` naming the field
+    ``name``.
     """
     kinds = _FIELD_KINDS[dtype]
     try:
         found = (array := np.asarray(values)).dtype.kind
     except ValueError:             # numpy's refusal of ragged nesting
         found = "ragged"
+    if found in kinds and array.dtype != dtype and not np.can_cast(array.dtype, dtype):
+        found = array.dtype.name           # a kind it takes, but too wide
     if found not in kinds:
         raise InvalidParameterError(f"{name} must hold {_KIND_WORDS[kinds[-1]]}, "
-                                    f"not {_KIND_WORDS[found]}")
+                                    f"not {_KIND_WORDS.get(found, found)}")
+    if found in "fc" and np.count_nonzero(np.isfinite(array)) != array.size:
+        raise InvalidParameterError(f"{name} must hold finite numbers")
     if shape is None or array.shape == shape or (
             shape == (None,) and array.ndim == 1 and array.size):
         return array.astype(dtype, copy=False)
@@ -226,8 +234,6 @@ class TimeSeries:
     def __post_init__(self):
         name = f"series {self.label!r}"
         self.samples = _array(self.samples, float, name, (None,))
-        if not np.all(np.isfinite(self.samples)):
-            raise InvalidParameterError(f"{name} contains non-finite samples")
 
     @property
     def length(self) -> int:
@@ -321,12 +327,12 @@ class SpectralMatrix:
     conjugate-even, so the half carries the whole grid: :attr:`values` is
     its :meth:`FrequencyGrid.mirror`, built on first read.  Immutable and
     equal only to itself: ``labels`` is a tuple and both arrays read-only,
-    so one matrix can be shared.  Rejects non-finite values, any
+    so one matrix can be shared.  Rejects any
     ``|v_ij - conj(v_ji)| > 1e-9 * max|v|`` and any
     ``|v[..., K - k] - conj(v[..., k])| > 1e-9 * max|v|``; half-grid values
     are conjugate-even by construction, so of the last rule only the end
-    points ``-pi`` and ``0`` are checked.  ``values`` is read as complex
-    numbers by :func:`_array`.
+    points ``-pi`` and ``0`` are checked.  ``values`` is read as finite
+    complex numbers by :func:`_array`.
     """
 
     labels: tuple[str, ...]
@@ -344,10 +350,7 @@ class SpectralMatrix:
             raise InvalidParameterError(
                 f"spectral matrix shape {v.shape} does not match "
                 f"{n} labels on a grid of {grid.size}")
-        peak = np.max(np.abs(v))           # nan or inf if any value is
-        if not np.isfinite(peak):
-            raise InvalidParameterError("spectral matrix has non-finite values")
-        tol = 1e-9 * (peak or 1.0)
+        tol = 1e-9 * (np.max(np.abs(v)) or 1.0)
         rows, cols = np.tril_indices(n)    # the upper entries mirror these
         mirrored = np.conj(v[cols, rows])
         if np.any(np.abs(v[rows, cols] - mirrored) > tol):

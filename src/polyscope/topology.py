@@ -32,16 +32,19 @@ class UndirectedGraph:
 
     Edges are keyed by the ordered index pair ``(min, max)`` of two
     integer node indices; self-loops and duplicates are rejected, ``(a, b)``
-    and ``(b, a)`` naming one edge.  The one check of edge endpoints:
-    :class:`Tree` and, through its skeleton, :class:`Polytree` read it.
+    and ``(b, a)`` naming one edge.  The weights are read together by
+    :func:`~polyscope.signals._array` as finite real numbers and stored as
+    floats.  The one check of edges: :class:`Tree` and, through its
+    skeleton, :class:`Polytree` read it.
     """
 
     nodes: list[str]
     edges: dict[tuple[int, int], float]
 
     def __post_init__(self):
-        n, canonical = len(self.nodes), {}
-        for (a, b), w in self.edges.items():
+        n, m, canonical = len(self.nodes), len(self.edges), {}
+        weights = _array(list(self.edges.values()), float, "edge weights", (m,))
+        for (a, b), w in zip(self.edges, weights.tolist()):
             a, b = _integer(a, "node index"), _integer(b, "node index")
             if not (0 <= a < n and 0 <= b < n):
                 raise InvalidParameterError(f"edge ({a}, {b}) out of range for n={n}")
@@ -50,7 +53,7 @@ class UndirectedGraph:
             key = (min(a, b), max(a, b))
             if key in canonical:
                 raise InvalidParameterError(f"duplicate edge {key}")
-            canonical[key] = float(w)
+            canonical[key] = w
         self.edges = canonical
 
     @property
@@ -89,9 +92,11 @@ class Tree(UndirectedGraph):
 class Polytree:
     """A directed tree: the edges of a tree, each given one direction.
 
-    Edges are keyed ``(parent, child)``.  The shape is checked once, as the
-    :meth:`skeleton` :class:`Tree`: an antiparallel pair is that tree's
+    Edges are keyed ``(parent, child)``.  The edges are checked once, as
+    the :meth:`skeleton` :class:`Tree`: an antiparallel pair is that tree's
     duplicate edge, so no directed cycle, not even a 2-cycle, can occur.
+    The polytree stores the endpoints (as ints, direction kept) and the
+    weights (as floats) that tree read, and keys ``ties`` as its edges.
     ``ties`` flags edges whose orientation came from a deterministic
     tie-break rather than a strict cost comparison.
     """
@@ -101,10 +106,15 @@ class Polytree:
     ties: set[tuple[int, int]] = field(default_factory=set)
 
     def __post_init__(self):
-        self.skeleton()      # raises unless the skeleton is a tree
+        tree = self.skeleton()      # raises unless the skeleton is a tree
+        # the tree keeps the edges' order, keyed (min, max)
+        keys = {edge: (a, b) if edge[0] == a else (b, a)
+                for edge, (a, b) in zip(self.edges, tree.edges)}
         for edge in self.ties:
-            if edge not in self.edges:
+            if edge not in keys:
                 raise InvalidParameterError(f"tie flag on unknown edge {edge}")
+        self.ties = {keys[edge] for edge in self.ties}
+        self.edges = dict(zip(keys.values(), tree.edges.values()))
 
     @property
     def n(self) -> int:

@@ -59,12 +59,14 @@ class TestContainers:
     @pytest.mark.parametrize("kind", ["noncausal", "causal"])
     def test_distance_matrix_rejects_nan(self, kind):
         with pytest.raises(InvalidParameterError,
-                           match="^distances must not be NaN$"):
+                           match="^distance matrix must hold finite numbers$"):
             DistanceMatrix(["a", "b"], np.array([[0.0, np.nan], [0.5, 0.0]]),
                            kind)
-        # an infinite distance is a pair the tree avoids, not an error
-        DistanceMatrix(["a", "b"], np.array([[0.0, np.inf], [np.inf, 0.0]]),
-                       kind)
+        # no builder yields an infinite distance: it is refused as NaN is
+        with pytest.raises(InvalidParameterError,
+                           match="^distance matrix must hold finite numbers$"):
+            DistanceMatrix(["a", "b"], np.array([[0.0, np.inf], [np.inf, 0.0]]),
+                           kind)
 
     def test_distance_matrix_rejects_nonzero_diagonal(self):
         with pytest.raises(InvalidParameterError):
@@ -460,11 +462,9 @@ class TestSpearmanIndex:
         varied = DistanceMatrix(labels, off * [[0, 1, 2], [1, 0, 3], [2, 3, 0]],
                                 "noncausal")
         constant = "constant distances; rank index undefined"
-        cases = [((A, A), "fewer than two pairs; rank index undefined")]
-        for value in (0.3, np.inf):
-            flat = DistanceMatrix(labels, np.where(off > 0, value, 0.0),
-                                  "correlation")
-            cases += [((flat, varied), constant), ((varied, flat), constant)]
+        flat = DistanceMatrix(labels, 0.3 * off, "correlation")
+        cases = [((A, A), "fewer than two pairs; rank index undefined"),
+                 ((flat, varied), constant), ((varied, flat), constant)]
         for pair, message in cases:
             with collect() as events:
                 assert spearman_index(*pair) is None

@@ -1,14 +1,17 @@
+import ast
 import dataclasses
 import json
 import re
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import polyscope
 from polyscope import (
     ALNSpec,
     CoherenceCurve,
@@ -20,10 +23,12 @@ from polyscope import (
     InvalidParameterError,
     Link,
     PolyscopeError,
+    Polytree,
     SpectralMatrix,
     Spectrum,
     TimeSeries,
     TransferFunction,
+    Tree,
     WelchConfig,
     analytic_spectra,
     causal_distance,
@@ -336,7 +341,7 @@ class TestSeriesContainers:
     def test_ensemble_rejects_a_series_its_demeaning_overflows(self, sign):
         big = TimeSeries("big", np.array([1.7e308, sign * 1.7e308, sign * 1.7e308]))
         with pytest.raises(InvalidParameterError,
-                           match="^series 'big' contains non-finite samples$"):
+                           match="^series 'big' must hold finite numbers$"):
             Ensemble([TimeSeries("a", np.ones(3)), big])
         Ensemble([TimeSeries("a", np.ones(3)), big], demean=False)
 
@@ -391,7 +396,23 @@ CALLER_ARRAYS = {
         (2, 2)),
     "SpectralMatrix": (lambda v: SpectralMatrix(["a"], _G16, v),
                        "spectral matrix", complex, np.ones((1, 1, 16)), None),
+    # a graph's weights, one per edge, are read as one vector
+    "Tree-weights": (lambda v: Tree(["a", "b", "c"],
+                                    dict(zip([(0, 1), (2, 1)], v))),
+                     "edge weights", float, np.array([0.5, 1.5]), (2,)),
+    "Polytree-weights": (lambda v: Polytree(["a", "b", "c"],
+                                            dict(zip([(1, 0), (1, 2)], v))),
+                         "edge weights", float, np.array([0.5, 1.5]), (2,)),
 }
+
+#: A dtype whose cast into each field type would change values, where the
+#: platform has one.
+_WIDE_DTYPES = {int: np.uint64, float: np.longdouble, complex: np.clongdouble}
+
+#: The non-finite values each real and complex field refuses.
+_REAL_NON_FINITE = {"nan": np.nan, "inf": np.inf, "minus-inf": -np.inf}
+_NON_FINITE = {float: _REAL_NON_FINITE,
+               complex: {**_REAL_NON_FINITE, "imaginary-nan": complex(0, np.nan)}}
 
 #: What a field of each type holds, as the messages say it.
 FIELD_WORDS = {float: "real numbers", complex: "complex numbers",
@@ -415,6 +436,14 @@ def _malformed_arrays():
             yield kind("fraction-into-integer", valid + 0.5, "real numbers")
         if dtype is bool:
             yield kind("int-into-bool", valid.astype(int), "integers")
+        wide = _WIDE_DTYPES.get(dtype)
+        if wide is not None and not np.can_cast(wide, dtype):
+            yield kind("wide-dtype", valid.astype(wide), np.dtype(wide).name)
+        for case, value in _NON_FINITE.get(dtype, {}).items():
+            entry = valid.astype(dtype)           # a copy
+            entry.flat[1] = value
+            yield (reader, f"non-finite-{case}", entry,
+                   f"{field} must hold finite numbers")
         wrong = np.stack([valid, valid])
         if shape == (None,):
             yield (reader, "empty-vector", np.array([], dtype=valid.dtype),
@@ -449,6 +478,8 @@ _SCALAR_CASES = [
     ("ragged", [[0.5], [0.5, 0.5]],
      "must hold real numbers, not ragged sequences"),
     ("wrong-shape", [0.5], "must be an array of shape (), not shape (1,)"),
+    ("nan", np.nan, "must hold finite numbers"),
+    ("inf", np.inf, "must hold finite numbers"),
 ]
 
 def _spec_json(**fields) -> str:
@@ -490,9 +521,9 @@ SPEC_CASES = {
 
 class TestCallerArrays:
     """One rule, ``signals._array``, for every array a caller hands in:
-    ragged, non-numeric, textual, complex-into-real and fractional input
-    and wrong shapes raise :class:`InvalidParameterError` naming the
-    field."""
+    ragged, non-numeric, textual, complex-into-real, fractional, too wide
+    and non-finite input and wrong shapes raise
+    :class:`InvalidParameterError` naming the field."""
 
     @pytest.mark.parametrize(
         "reader, value, message", [(r, v, m) for r, _, v, m in MALFORMED],
@@ -526,6 +557,33 @@ class TestCallerArrays:
         assert TimeSeries("x", x).samples is x
         v = np.ones(16, dtype=complex)
         assert Spectrum(_G16, v).values is v
+
+
+def test_one_finite_rule_in_the_library():
+    # NaN and inf are refused by ``signals._array`` alone: no other code in
+    # the library tests for them
+    banned = {"isfinite", "isnan", "isinf"}
+    found = []
+    for path in sorted(Path(polyscope.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = set()
+        if path.stem == "signals":
+            rule = next(node for node in tree.body if isinstance(
+                node, ast.FunctionDef) and node.name == "_array")
+            owner = {id(node) for node in ast.walk(rule)}
+        for node in ast.walk(tree):
+            if id(node) in owner:
+                continue
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            found += [(path.stem, node.lineno, name) for name in names & banned]
+    assert found == []
 
 
 class TestWelchConfig:
@@ -677,7 +735,8 @@ class TestSpectralMatrix:
     def test_rejects_non_finite_values(self, entry, bad):
         values = np.ones((2, 2, 8), dtype=complex)
         values[entry] = bad
-        with pytest.raises(InvalidParameterError, match="non-finite"):
+        with pytest.raises(InvalidParameterError,
+                           match="^spectral matrix must hold finite numbers$"):
             SpectralMatrix(["a", "b"], FrequencyGrid(8), values)
 
     def test_owns_its_values(self):

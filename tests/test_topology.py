@@ -113,6 +113,18 @@ class TestContainers:
         with pytest.raises(InvalidParameterError):
             Polytree(["a", "b"], {(0, 1): 1.0}, ties={(1, 0)})
 
+    def test_polytree_stores_the_edges_its_skeleton_checked(self):
+        two, one, zero = np.int64(2), np.int64(1), np.int64(0)
+        pt = Polytree(["a", "b", "c"], {(two, one): np.float32(0.5), (one, zero): 3},
+                      ties={(two, one)})
+        assert pt.edges == {(2, 1): 0.5, (1, 0): 3.0}
+        assert pt.ties == {(2, 1)}
+        assert all(type(v) is int for edge in [*pt.edges, *pt.ties] for v in edge)
+        assert all(type(w) is float for w in pt.edges.values())
+        with pytest.raises(InvalidParameterError,
+                           match="^edge weights must hold real numbers, not text$"):
+            Polytree(["a", "b"], {(zero, one): "1.5"})
+
 
 class TestMinimumSpanningTree:
     def test_matches_bruteforce_enumeration(self):
@@ -255,8 +267,12 @@ class TestMisoBlanketTopology:
     def test_bad_threshold(self):
         S = collider_spectra()
         D = distance_matrix(S)
-        for threshold in (0.0, np.nan, np.inf, 1.0, -1.0):
+        for threshold in (0.0, 1.0, -1.0):
             with pytest.raises(InvalidParameterError, match=r"lie in \(0, 1\)"):
+                miso_blanket_topology(S, D, threshold=threshold)
+        for threshold in (np.nan, np.inf):
+            with pytest.raises(InvalidParameterError,
+                               match="^threshold must hold finite numbers$"):
                 miso_blanket_topology(S, D, threshold=threshold)
 
     def test_single_node_raises(self):
