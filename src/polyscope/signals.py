@@ -429,7 +429,8 @@ class SpectralMatrix:
 
         The matrix is :attr:`_floored_stack`, the half grid: a conjugate
         matrix has the same eigenvalues, so the other points add nothing.
-        ``wiener._clears_screen`` tests the ratio.  Computed on first use.
+        ``wiener._clears_screen`` tests the ratio when its Cholesky
+        certificate fails.  Computed on first use.
         """
         eigs = np.linalg.eigvalsh(self._floored_stack)
         return float(np.min(eigs[:, 0] / eigs[:, -1]))

@@ -16,23 +16,27 @@ Three solvers:
   scored by its jointly optimal cost (the usual accuracy/cost middle ground).
   :mod:`polyscope.wiener` scores a step's extensions in closed form from
   the current support's fit, and drops a candidate collinear with the
-  support from the rest of the run.  The first step of every target comes
-  from one checked array pass per spectral matrix.  Nothing is refit:
-  each step reports the winner's filters and cost from its scoring, which
-  agree with a joint solve to rounding.
+  support from the rest of the run.  Every target of a matrix is selected
+  at once, the targets stepping in lockstep in blocks of at most
+  :data:`OLS_BLOCK_VALUES` gathered values, and the outcomes are kept per
+  matrix and ``(max_inputs, min_gain)``; the first step of every target
+  comes from one checked array pass per matrix.  Nothing is refit: each
+  step reports the winner's filters and cost from its scoring, which agree
+  with a joint solve to rounding.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import record
+from .diagnostics import memo, record
 from .errors import (
     CombinatorialLimitError,
+    IllConditionedSpectrumError,
     InvalidParameterError,
 )
 from .signals import SpectralMatrix, _array, _integer
@@ -53,6 +57,10 @@ DEFAULT_MIN_GAIN = 0.01
 
 #: Gains below this fraction of the *initial* cost are numerical noise.
 NEGLIGIBLE_RTOL = 1e-12
+
+#: Gathered normal-equation values one block of OLS targets may hold at a
+#: step (:func:`_ols_outcomes`); 8 targets at the second step at n 32, K 64.
+OLS_BLOCK_VALUES = 1 << 15
 
 
 @dataclass
@@ -232,57 +240,137 @@ def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
     the best.  :func:`~polyscope.wiener._extension_costs` scores a step in
     closed form from the current support's fit (one Schur complement per
     candidate, one solve per step) and checks every scored extension's
-    filters against their normal equations.  The initial cost is
-    :func:`project`'s on the empty support, so a run at budget 0 reads no
-    floor.  The first step needs no solve: it is read from one array pass
-    over every target of ``S`` (:func:`~polyscope.wiener._first_steps`),
-    made on the first call for ``S`` and kept while ``S`` lives, with the
-    floor events it read.  A loop over all targets pays for it once; a lone
-    call pays for every target's first step (about 0.95 ms at n 32, K 64 on
-    one Xeon core, against 0.15 ms for its own).  The pass checks every
-    first step, and a failed check raises only when its target's first
-    step is scored, with the message of a per-target check.  A candidate
-    collinear with the support is scored ``inf`` and leaves the pool for the
-    rest of the run, as in the classical rule of Chen, Billings & Luo
-    (1989); a pool left empty stops on ``exhausted``.  The winner is not refit: its filters and
-    its closed-form cost, which the stopping rules read, are those its
-    scoring solved and checked, and they agree with :func:`project` on the
-    same support to rounding; they are mirrored once, for the last step
-    taken.  When the conditioning screen fails, the input block of each
-    extension the stopping rules take is still checked as :func:`project`
-    would check it, and raises the same error; a winner they reject is not
-    checked.  Stopping rules match :func:`matching_pursuit`.
+    filters against their normal equations.  The first step needs no
+    solve: it is read from one array pass over every target of ``S``
+    (:func:`~polyscope.wiener._first_steps`).  A candidate collinear with
+    the support is scored ``inf`` and leaves the pool for the rest of the
+    run, as in the classical rule of Chen, Billings & Luo (1989); a pool
+    left empty stops on ``exhausted``.  The winner is not refit: its
+    filters and its closed-form cost, which the stopping rules read, are
+    those its scoring solved and checked, and they agree with
+    :func:`project` on the same support to rounding.  When the conditioning
+    screen fails, the input block of each extension the stopping rules take
+    is still checked as :func:`project` would check it, and raises the same
+    error; a winner they reject is not checked.  Stopping rules match
+    :func:`matching_pursuit`.
+
+    Every target of ``S`` is selected at once (:func:`_ols_outcomes`), on
+    the first call for ``S`` with these ``max_inputs`` and ``min_gain``, and
+    the outcomes are kept while ``S`` lives by
+    :func:`~polyscope.diagnostics.memo`, with the floor events they read.
+    A loop over all targets (``cli sparse``) pays for them once; a lone call
+    on a fresh matrix pays for every target, about 7.4 ms at n 32, K 64 and
+    budget 2 on one Xeon core, against about 1.2 ms for its own target
+    alone.  Each call records its own target's ``collinear-candidate``
+    events in step order, raises only its own target's error, and returns a
+    model of its own.  At budget 0 nothing is read but the initial cost,
+    ``project``'s on the empty support, so no floor is read.
     """
     max_inputs = _check_solver_args(max_inputs, min_gain)
-    pool = _candidates(S, target)
-    support: list[int] = []
-    cost = project(S, target, ())[1]
-    initial = max(cost, np.finfo(float).tiny)
-    while True:
-        if len(support) >= max_inputs:
-            stop_reason = "budget"
-            break
-        if pool:
-            costs, fits = _extension_costs(S, target, support, pool)
-            # a collinear candidate scores inf and leaves the pool for good
-            kept = costs < math.inf
-            pool, costs = [b for b, k in zip(pool, kept) if k], costs[kept]
-        if not pool:
-            stop_reason = "exhausted"
-            break
-        # the first minimum adds the lowest index, as the pool is sorted
-        pick = int(np.argmin(costs))
-        best, best_cost = pool.pop(pick), float(costs[pick])
-        stop = _greedy_stop(cost - best_cost, cost, initial, min_gain,
-                            first=not support)
-        if stop:
-            stop_reason = stop
-            break
-        extended = support + [best]
-        chosen = sorted(extended)
+    S.check_index(target)
+    min_gain = float(min_gain)
+    outcome = memo(S._memo, ("orthogonal_least_squares", max_inputs, min_gain),
+                   lambda: _ols_outcomes(S, max_inputs, min_gain))[target]
+    for message in outcome.messages:
+        record("collinear-candidate", message)
+    if outcome.error is not None:
+        kind, message = outcome.error
+        raise kind(message)
+    filters = (_filters(S.grid, outcome.support, outcome.W)
+               if outcome.support else {})
+    return SparseModel(target, outcome.support, filters, outcome.cost,
+                       solver="ols", stop_reason=outcome.stop_reason)
+
+
+@dataclass
+class _OLSRun:
+    """One target's selection state in :func:`_ols_outcomes`, and once it
+    stops its outcome: ``support`` sorted, ``W (K/2+1, q)`` its half-grid
+    filters in that order, and ``error`` the type and message of the error
+    its run raised, if any, after its ``messages``."""
+
+    support: list
+    pool: list
+    cost: float
+    initial: float
+    W: np.ndarray | None = None
+    messages: list = field(default_factory=list)
+    stop_reason: str | None = None
+    error: tuple | None = None
+
+
+def _ols_outcomes(S: SpectralMatrix, max_inputs: int, min_gain: float
+                  ) -> tuple[_OLSRun, ...]:
+    """The OLS runs of every target of ``S``, stepped in lockstep.
+
+    Every target's initial cost comes from one :meth:`FrequencyGrid.half_mean`
+    over the diagonal of ``S.half``, clipped at 0, bit for bit
+    :func:`project`'s on the empty support.  At each step the targets still
+    running are scored by :func:`~polyscope.wiener._extension_costs` in
+    blocks of at most :data:`OLS_BLOCK_VALUES` gathered normal-equation
+    values (at least one target); a target's bits do not depend on its
+    block.  A target whose stopping rule fires, or whose check fails,
+    leaves the run.
+    """
+    half = np.einsum("iik->ik", S.half)
+    initial = np.maximum(np.real(S.grid.half_mean(half)), 0.0)
+    runs = tuple(_OLSRun([], [b for b in range(S.n) if b != t], float(cost),
+                         max(float(cost), np.finfo(float).tiny))
+                 for t, cost in enumerate(initial))
+    active = list(range(S.n))
+    for q in itertools.count():
+        scoring = []
+        for t in active:
+            if q >= max_inputs:
+                runs[t].stop_reason = "budget"
+            elif not runs[t].pool:
+                runs[t].stop_reason = "exhausted"
+            else:
+                scoring.append(t)
+        if not scoring:
+            return runs
+        size = (S.n - 1 - q) * (S.grid.size // 2 + 1) * (q + 1) ** 2
+        block = max(1, OLS_BLOCK_VALUES // size)
+        active = []
+        for lo in range(0, len(scoring), block):
+            targets = scoring[lo:lo + block]
+            scored = _extension_costs(S, targets,
+                                      [runs[t].support for t in targets],
+                                      [runs[t].pool for t in targets])
+            active += [t for t, step in zip(targets, scored)
+                       if _ols_step(S, runs[t], step, min_gain)]
+
+
+def _ols_step(S: SpectralMatrix, run: _OLSRun, scored, min_gain: float
+              ) -> bool:
+    """Take one step of ``run`` from its
+    :func:`~polyscope.wiener._extension_costs` outcome ``scored``: whether
+    the run goes on."""
+    costs, fits, messages, error = scored
+    run.messages += messages
+    if error is not None:
+        run.error = (type(error), str(error))
+        return False
+    # a collinear candidate scores inf and leaves the pool for good
+    kept = costs < math.inf
+    run.pool, costs = [b for b, k in zip(run.pool, kept) if k], costs[kept]
+    if not run.pool:
+        run.stop_reason = "exhausted"
+        return False
+    # the first minimum adds the lowest index, as the pool is sorted
+    pick = int(np.argmin(costs))
+    best, best_cost = run.pool.pop(pick), float(costs[pick])
+    run.stop_reason = _greedy_stop(run.cost - best_cost, run.cost, run.initial,
+                                   min_gain, first=not run.support)
+    if run.stop_reason:
+        return False
+    extended = run.support + [best]
+    chosen = sorted(extended)
+    try:
         _check_conditioning(S, chosen)
-        support, cost = chosen, best_cost
-        W = fits[pick][:, np.argsort(extended)]
-    filters = _filters(S.grid, support, W) if support else {}
-    return SparseModel(target, tuple(support), filters, cost,
-                       solver="ols", stop_reason=stop_reason)
+    except IllConditionedSpectrumError as failure:
+        run.error = (type(failure), str(failure))
+        return False
+    run.support, run.cost = chosen, best_cost
+    run.W = fits[pick][:, np.argsort(extended)]
+    return True

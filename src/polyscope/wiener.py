@@ -13,8 +13,10 @@ where ``Fj`` whitens the target so that the reported cost is the
 dimensionless error variance of the whitened residual (1 for the zero
 filter).  Spectral factorization uses the real-cepstrum construction, which
 is exact in magnitude on the grid by design.  This module alone reads the
-conditioning screen (:func:`_clears_screen`), so it alone decides how a
-multi-input fit is computed.
+conditioning screen (:func:`_clears_screen`, proved by one Cholesky
+certificate when it can be), so it alone decides how a multi-input fit is
+computed.  OLS steps score a block of targets at once
+(:func:`_extension_costs`).
 """
 
 from __future__ import annotations
@@ -156,15 +158,47 @@ def _check_inputs(S: SpectralMatrix, target: int, inputs: tuple) -> None:
 
 def _clears_screen(S: SpectralMatrix) -> bool:
     """Whether every fit on ``S`` is conditioned well enough to need no
-    check of its own.
+    check of its own; kept per matrix by :func:`~polyscope.diagnostics.memo`.
 
     A fit's blocks are principal submatrices of the floored spectral
     matrix, so by Cauchy interlacing their eigenvalue ratios are no smaller
     than the whole matrix's, ``S._eigenvalue_ratio``, when that is positive.
-    The factor 2 leaves :data:`CONDITION_RTOL` of the largest eigenvalue for
-    rounding, far above ``eigvalsh``'s error of a few ``n * eps``.
+    The screen holds when that ratio is at least twice
+    :data:`CONDITION_RTOL`, which leaves :data:`CONDITION_RTOL` of the
+    largest eigenvalue for rounding, far above ``eigvalsh``'s error of a few
+    ``n * eps``.  :func:`_screen_certificate` is tried first; only when it
+    fails does ``eigvalsh`` decide, so the answer is the ratio's either way.
     """
-    return S._eigenvalue_ratio >= 2 * CONDITION_RTOL
+    return memo(S._memo, "_clears_screen", lambda: _screen_certificate(S)
+                or S._eigenvalue_ratio >= 2 * CONDITION_RTOL)
+
+
+def _screen_certificate(S: SpectralMatrix) -> bool:
+    """Whether one Cholesky factorization per grid point proves the screen.
+
+    At each :attr:`FrequencyGrid.half` point the floored matrix ``A`` is
+    shifted by ``tau * b``, where ``b`` is its trace and ``tau`` is
+    ``2 * CONDITION_RTOL`` plus ``4 (n+1)^2 eps``, and the whole stack is
+    factored.  A factorization that succeeds is exact for the shifted
+    matrix plus a perturbation of norm at most about ``n (n+1) eps b``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    2002, ch. 10), so ``A`` is positive definite, ``b`` bounds its largest
+    eigenvalue, and its least eigenvalue exceeds
+    ``(2 * CONDITION_RTOL + 3 (n+1)^2 eps) b``: the rest of the margin
+    covers ``eigvalsh``'s own error, so the ratio it computes clears the
+    screen too.  A failed factorization proves nothing.  On the stack of
+    32 series at K 64 the factorization takes about 0.3 ms, ``eigvalsh``
+    about 2 ms.
+    """
+    A = S._floored_stack.copy()
+    d = np.arange(S.n)
+    tau = 2 * CONDITION_RTOL + 4 * (S.n + 1) ** 2 * np.finfo(float).eps
+    A[:, d, d] -= tau * np.sum(S._floored, axis=0)[:, None]
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _check_conditioning(S: SpectralMatrix, inputs) -> None:
@@ -210,89 +244,137 @@ def _joint_fits(S: SpectralMatrix, target: int, inputs
     return W[0], np.maximum(np.real(S.half[target, target]) - explained, 0.0)
 
 
-def _normal_equations(S: SpectralMatrix, target: int, idx: np.ndarray
+def _normal_equations(S: SpectralMatrix, target, idx: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frequency normal equations ``A (m, K/2+1, q, q)`` and
-    ``c (m, K/2+1, q)`` on the :attr:`FrequencyGrid.half` grid, of ``target``
-    on each row of an ``(m, q)`` index array, with ``S._floored`` on the
-    diagonals."""
-    A = S._floored_stack[:, idx[:, :, None], idx[:, None, :]].swapaxes(0, 1)
-    c = S.half[idx, target].transpose(0, 2, 1).copy()
+    """Per-frequency normal equations ``A (..., K/2+1, q, q)`` and
+    ``c (..., K/2+1, q)`` on the :attr:`FrequencyGrid.half` grid, of
+    ``target`` on each row of an ``(..., q)`` index array, with
+    ``S._floored`` on the diagonals; ``target`` is an index or an array that
+    broadcasts against ``idx``."""
+    A = np.moveaxis(S._floored_stack[:, idx[..., :, None], idx[..., None, :]],
+                    0, -3)
+    c = np.moveaxis(S.half[idx, target], -1, -2).copy()
     return A, c
 
 
-def _extension_costs(S: SpectralMatrix, target: int, support, free
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Costs and filters of the joint fits of ``target`` on ``support + [b]``,
-    one per ``b`` in ``free``, from the fit on ``support`` alone.
+def _extension_costs(S: SpectralMatrix, targets, supports, pools) -> list:
+    """Costs and filters of the joint fits of each of a block of targets on
+    ``support + [b]``, one per ``b`` in its pool, from the fit on its
+    ``support`` alone.
 
     This is the orthogonal least squares recursion (Chen, Billings & Luo,
     Int. J. Control 50(5), 1989).  At each frequency, with ``A_SS W_S = c_S``
     the support's fit, adding ``b`` lowers the residual spectrum by
     ``|r_b|^2 / s_b``, where ``G_b = A_SS^{-1} A_Sb``, the Schur complement
     is ``s_b = A_bb - A_bS G_b`` and ``r_b = c_b - A_bS W_S``.  One solve of
-    ``A_SS`` against ``[A_S,free | c_S]`` serves every candidate.  None is
-    needed for an empty support: its costs, filters ``c_b / phi_b`` and
-    checks are read from the matrix's :func:`_first_steps`.  Residuals are
-    clipped at zero as in :func:`_joint_fits`; costs are their
+    ``A_SS`` against ``[A_S,pool | c_S]`` serves every candidate of a
+    target.  Targets with pools of one size are solved as one stack, so
+    each target's solve has the shapes of its own and every elementwise
+    operation and reduction meets the same values in the same order: a
+    target's bits do not depend on the targets beside it.  None is needed
+    for an empty support: its costs, filters ``c_b / phi_b`` and checks are
+    read from the matrix's :func:`_first_steps`.  Residuals are clipped at
+    zero as in :func:`_joint_fits`; costs are their
     :meth:`FrequencyGrid.half_mean`.
 
     A candidate whose ``s_b`` falls below :data:`CONDITION_RTOL` of its
     floored ``A_bb`` at some frequency is collinear with the support: it
-    costs ``inf``, enters no division and no check, and is recorded as a
-    ``collinear-candidate`` event.  Its Schur complement can only shrink as
-    the support grows.  When :func:`_clears_screen` holds no candidate is
-    dropped, since interlacing keeps ``s_b / A_bb`` at or above the screen's
-    ratio.  Every other extension's filters, ``w_b = r_b / s_b`` for ``b``
-    and ``W_S - G_b w_b`` for the support, are checked against their normal
-    equations as :func:`_joint_fits` checks its own.  With an empty support
-    the checks are the pass's, and only a failed fit of ``target`` on an
-    input in ``free`` raises here.  ``support`` must be empty or a valid
-    input set whose own fit is solvable, and ``free`` a non-empty list of
-    inputs outside it.
+    costs ``inf``, its filters are not returned, its fit is not checked,
+    and it is named in a ``collinear-candidate`` message.  Its Schur
+    complement can only shrink as the support grows.  When
+    :func:`_clears_screen` holds no candidate is dropped, since interlacing
+    keeps ``s_b / A_bb`` at or above the screen's ratio.  Every other
+    extension's filters, ``w_b = r_b / s_b`` for ``b`` and ``W_S - G_b w_b``
+    for the support, are checked against their normal equations as
+    :func:`_joint_fits` checks its own; with an empty support the checks are
+    the pass's.
 
-    Returns the ``(m,)`` costs, ``inf`` for each collinear candidate, and
-    the checked half-grid filters ``W (m_kept, K/2+1, q+1)`` of the kept
-    extensions in ``free`` order; the columns of each are in
-    ``support + [b]`` order.  A cost equals its filters' joint solve to
-    rounding, not bit for bit.
+    ``targets`` are distinct indices; ``supports`` holds one support per
+    target, all of one size ``q``, each empty or a valid input set whose own
+    fit is solvable; ``pools`` holds one sorted non-empty list of inputs
+    outside its support per target.  Nothing is recorded and nothing
+    raised: each target gets ``(costs, W, messages, error)``, its ``(m,)``
+    costs (``inf`` for each collinear candidate), the checked half-grid
+    filters ``W (m_kept, K/2+1, q+1)`` of its kept extensions in pool order
+    with columns in ``support + [b]`` order, its ``collinear-candidate``
+    messages, and the error of its first failed check, or None.  A cost
+    equals its filters' joint solve to rounding, not bit for bit.
     """
-    support = np.asarray(support, dtype=int)
-    free = np.asarray(free, dtype=int)
-    q, m = support.size, free.size
+    supports = np.asarray(supports, dtype=int).reshape(len(targets), -1)
+    q = supports.shape[1]
     if not q:
         first = _first_steps(S)
-        W = S.half[free, target] / S._floored[free]
-        failed = free[first.failed[target, free]]
-        if failed.size:
-            raise _orthogonality_error(target, first.worst[target, failed[0]],
-                                       first.scale[target, failed[0]])
-        return first.costs[target, free], W[..., None]
-    A, c = _normal_equations(
-        S, target, np.column_stack([np.broadcast_to(support, (m, q)), free]))
-    rhs = np.concatenate([A[:, :, :q, q].transpose(1, 2, 0), c[0, :, :q, None]],
-                         axis=-1)
-    solved = np.linalg.solve(A[0, :, :q, :q], rhs)
-    G, W_S = solved[..., :m].transpose(2, 0, 1), solved[..., m]
-    explained = np.real(np.sum(np.conj(c[0, :, :q]) * W_S, axis=-1))
-    A_bS, A_bb = A[:, :, q, :q], np.real(A[:, :, q, q])
+        scored = []
+        for target, pool in zip(targets, pools):
+            free = np.asarray(pool, dtype=int)
+            failed = free[first.failed[target, free]]
+            error = _orthogonality_error(
+                target, first.worst[target, failed[0]],
+                first.scale[target, failed[0]]) if failed.size else None
+            W = S.half[free, target] / S._floored[free]
+            scored.append((first.costs[target, free], W[..., None], [], error))
+        return scored
+    scored = [None] * len(targets)
+    sizes = [len(pool) for pool in pools]
+    for m in sorted(set(sizes)):
+        rows = [i for i, size in enumerate(sizes) if size == m]
+        for i, result in zip(rows, _extension_stack(
+                S, [targets[i] for i in rows], supports[rows],
+                np.asarray([pools[i] for i in rows], dtype=int))):
+            scored[i] = result
+    return scored
+
+
+def _extension_stack(S: SpectralMatrix, targets, supports: np.ndarray,
+                     pools: np.ndarray) -> list:
+    """:func:`_extension_costs` of ``g`` targets with ``(g, q)`` supports,
+    ``q >= 1``, and ``(g, m)`` pools of one size, as one stack."""
+    (g, q), m = supports.shape, pools.shape[1]
+    idx = np.concatenate([np.broadcast_to(supports[:, None], (g, m, q)),
+                          pools[..., None]], axis=-1)
+    A, c = _normal_equations(S, np.asarray(targets)[:, None, None], idx)
+    rhs = np.concatenate([A[:, :, :, :q, q].transpose(0, 2, 3, 1),
+                          c[:, 0, :, :q, None]], axis=-1)
+    solved = np.linalg.solve(A[:, 0, :, :q, :q], rhs)
+    G, W_S = solved[..., :m].transpose(0, 3, 1, 2), solved[..., None, :, :, m]
+    explained = np.real(np.sum(np.conj(c[:, 0, :, :q]) * W_S[:, 0], axis=-1))
+    A_bS, A_bb = A[..., q, :q], np.real(A[..., q, q])
     s = A_bb - np.real(np.sum(A_bS * G, axis=-1))
     ratio = (s / A_bb).min(axis=-1)
     kept = ratio >= CONDITION_RTOL
-    if not kept.all():
-        for b, worst in zip(free[~kept], ratio[~kept]):
-            record("collinear-candidate",
-                   f"candidate {S.labels[b]!r} of target {S.labels[target]!r} "
-                   f"is collinear with its support (Schur ratio {worst:.3e})")
-        A, c, G, A_bS, s = A[kept], c[kept], G[kept], A_bS[kept], s[kept]
-    r = c[:, :, q] - np.sum(A_bS * W_S, axis=-1)
+    if not kept.all():      # a collinear candidate enters no division by s
+        s = np.where(kept[..., None], s, A_bb)
+    r = c[..., q] - np.sum(A_bS * W_S, axis=-1)
     w = r / s
     W = np.concatenate([W_S - G * w[..., None], w[..., None]], axis=-1)
-    _check_orthogonality(target, A, c, W)
-    residual = np.maximum(np.real(S.half[target, target])
-                          - explained - np.abs(r) ** 2 / s, 0.0)
-    costs = np.full(m, np.inf)
-    costs[kept] = S.grid.half_mean(residual)
+    failed, worst, scale = _orthogonality(A, c, W)
+    residual = np.maximum(np.real(S.half[targets, targets])[:, None]
+                          - explained[:, None] - np.abs(r) ** 2 / s, 0.0)
+    costs = np.where(kept, S.grid.half_mean(residual), np.inf)
+    scored = []
+    for i, target in enumerate(targets):
+        messages = [
+            f"candidate {S.labels[b]!r} of target {S.labels[target]!r} "
+            f"is collinear with its support (Schur ratio {low:.3e})"
+            for b, low in zip(pools[i][~kept[i]], ratio[i][~kept[i]])]
+        bad = np.flatnonzero(failed[i] & kept[i])
+        error = _orthogonality_error(target, worst[i, bad[0]],
+                                     scale[i, bad[0]]) if bad.size else None
+        scored.append((costs[i], W[i][kept[i]], messages, error))
+    return scored
+
+
+def _target_extension_costs(S: SpectralMatrix, target: int, support, free
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_extension_costs` of one target: records its
+    ``collinear-candidate`` messages, raises its error, and returns its
+    costs and filters."""
+    ((costs, W, messages, error),) = _extension_costs(S, [target], [support],
+                                                      [free])
+    for message in messages:
+        record("collinear-candidate", message)
+    if error is not None:
+        raise error
     return costs, W
 
 
@@ -304,12 +386,13 @@ def _filter_rms(S: SpectralMatrix) -> np.ndarray:
     ``P`` of ``S._floored_stack``: the filter of target ``j`` on input ``i``
     is ``-P[i, j] / P[j, j]``.  Otherwise each target is fitted by
     :func:`_joint_fits` in target order.  A target whose fit is singular
-    takes its inputs in index order through :func:`_extension_costs`, as
-    OLS steps do (the first from the matrix's :func:`_first_steps`, each
-    later one by the Schur recursion): an input collinear with those kept
-    before it is left out (``collinear-candidate``) and gets RMS 0, the
-    kept block must pass :func:`_check_conditioning`, and the last kept
-    extension's filters are the target's.  Either way the RMS is taken by
+    takes its inputs in index order through
+    :func:`_target_extension_costs`, as OLS steps do (the first from the
+    matrix's :func:`_first_steps`, each later one by the Schur recursion):
+    an input collinear with those kept before it is left out
+    (``collinear-candidate``) and gets RMS 0, the kept block must pass
+    :func:`_check_conditioning`, and the last kept extension's filters are
+    the target's.  Either way the RMS is taken by
     :meth:`FrequencyGrid.half_mean`.  The diagonal is 1 and means nothing.
     """
     if _clears_screen(S):
@@ -325,7 +408,7 @@ def _filter_rms(S: SpectralMatrix) -> np.ndarray:
             except IllConditionedSpectrumError:
                 kept = []
                 for b in inputs:
-                    costs, fits = _extension_costs(S, j, kept, [b])
+                    costs, fits = _target_extension_costs(S, j, kept, [b])
                     if costs[0] < np.inf:
                         kept, last = kept + [b], fits[0]
                 _check_conditioning(S, kept)
@@ -355,15 +438,25 @@ def _orthogonality_error(target: int, worst, scale) -> InvalidSpectrumError:
         f"{worst:.3e} (scale {scale:.3e})")
 
 
+def _orthogonality(A: np.ndarray, c: np.ndarray, W: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check each fit's normal equations hold, residual orthogonal to every
+    input, by :func:`_orthogonality_failures`: fits ``A (..., K/2+1, q, q)``,
+    ``c`` and ``W (..., K/2+1, q)``.  Returns the failure mask, the largest
+    residuals and the scales, one per fit."""
+    lhs = np.einsum("...ab,...b->...a", A, W)
+    worst = np.max(np.abs(c - lhs), axis=(-2, -1))
+    failed, scale = _orthogonality_failures(
+        worst, np.max(np.abs(c), axis=(-2, -1)),
+        np.max(np.abs(A), axis=(-3, -2, -1)), np.max(np.abs(W), axis=(-2, -1)))
+    return failed, worst, scale
+
+
 def _check_orthogonality(target: int, A: np.ndarray, c: np.ndarray,
                          W: np.ndarray) -> None:
-    """Check each fit's normal equations hold: residual orthogonal to every
-    input, by :func:`_orthogonality_failures`; the first failing fit raises."""
-    lhs = np.einsum("mkab,mkb->mka", A, W)
-    worst = np.max(np.abs(c - lhs), axis=(1, 2))
-    failed, scale = _orthogonality_failures(
-        worst, np.max(np.abs(c), axis=(1, 2)), np.max(np.abs(A), axis=(1, 2, 3)),
-        np.max(np.abs(W), axis=(1, 2)))
+    """Check each fit by :func:`_orthogonality`; the first failing fit
+    raises."""
+    failed, worst, scale = _orthogonality(A, c, W)
     if failed.any():
         f = np.flatnonzero(failed)[0]
         raise _orthogonality_error(target, worst[f], scale[f])
@@ -390,11 +483,10 @@ def _first_steps(S: SpectralMatrix) -> _FirstSteps:
     """The :func:`_first_step_pass` of ``S``, run once per matrix and kept
     in its store by :func:`~polyscope.diagnostics.memo` while it lives.
 
-    Every target's first step reads it, so an all-target loop (``cli
-    sparse``, MISO's singular targets) pays one array pass per matrix.  A
-    lone single-target call pays for every target's: at n 32, K 64 the pass
-    takes about 0.95 ms on one Xeon core, where one target's own first step
-    took about 0.15 ms.
+    Every target's first step reads it: OLS's lockstep run over all targets
+    and MISO's singular targets each pay one array pass per matrix.  At
+    n 32, K 64 the pass takes about 0.95 ms on one Xeon core, where one
+    target's own first step took about 0.15 ms.
     """
     return memo(S._memo, "_first_steps", lambda: _first_step_pass(S))
 

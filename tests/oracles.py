@@ -17,7 +17,9 @@ which tests require bit-identical solutions, or equal supports and events
 (the OLS loop's joint solves: equal supports and stop reasons, costs and
 filters within 1e-12 of the target's power, as OLS reports its
 closed-form scoring), the per-target first OLS step that one pass
-per matrix replaced (the same bits, checks and events), and the per-target
+per matrix replaced (the same bits, checks and events), the per-target OLS
+runs that lockstep blocks of targets replaced (the same bits, events and
+errors), and the per-target
 Wiener--Hopf loop that blocks of targets replaced (the same bits and
 events); the whole-grid
 cepstral factors and Wiener--Hopf split that the half-grid causal layer replaced, against which tests
@@ -52,6 +54,7 @@ from polyscope import (
     analytic_spectra,
     generate_polytree_aln,
     inner_product,
+    orthogonal_least_squares,
     project,
     simulate,
     spectral_matrix,
@@ -428,6 +431,155 @@ def ols_reference(S: SpectralMatrix, target: int, max_inputs: int,
         filters, cost = best_filters, best_cost
     return SparseModel(target, tuple(support), filters, cost,
                        solver="ols", stop_reason=stop_reason)
+
+
+def ols_per_target_reference(S: SpectralMatrix, target: int, max_inputs: int,
+                             min_gain: float = DEFAULT_MIN_GAIN) -> SparseModel:
+    """``sparse.orthogonal_least_squares`` as it ran before targets stepped
+    in lockstep: one target at a time, its first step read from
+    :func:`first_step_reference`, each later step scored by the Schur
+    recursion on that target alone, each collinear candidate recorded as it
+    is dropped, each failed normal-equation check raised at once, and each
+    block the stopping rules take checked for conditioning behind the
+    whole-matrix eigenvalue screen.  The same bits, events and errors."""
+    pool = [b for b in range(S.n) if b != target]
+    support: list[int] = []
+    cost = max(inner_product(S, target, target), 0.0)
+    initial = max(cost, np.finfo(float).tiny)
+    while True:
+        if len(support) >= max_inputs:
+            stop_reason = "budget"
+            break
+        if pool:
+            costs, fits = _schur_step_reference(S, target, support, pool)
+            kept = costs < np.inf
+            pool, costs = [b for b, k in zip(pool, kept) if k], costs[kept]
+        if not pool:
+            stop_reason = "exhausted"
+            break
+        pick = int(np.argmin(costs))
+        best, best_cost = pool.pop(pick), float(costs[pick])
+        gain = cost - best_cost
+        if gain <= NEGLIGIBLE_RTOL * initial:
+            stop_reason = "negligible-gain"
+            break
+        if support and gain < min_gain * max(cost, np.finfo(float).tiny):
+            stop_reason = "min-gain"
+            break
+        extended = support + [best]
+        support, cost = sorted(extended), best_cost
+        _block_conditioning_reference(S, support)
+        W = fits[pick][:, np.argsort(extended)]
+    filters = {b: TransferFunction(S.grid, S.grid.mirror(W[:, pos]))
+               for pos, b in enumerate(support)}
+    return SparseModel(target, tuple(support), filters, cost,
+                       solver="ols", stop_reason=stop_reason)
+
+
+def _schur_step_reference(S: SpectralMatrix, target: int, support, pool
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """One target's OLS step: costs ``(m,)`` (``inf`` when collinear) and the
+    kept extensions' filters ``(m_kept, K/2+1, q+1)``."""
+    if not support:
+        costs, W, worst, scale = first_step_reference(S, target)
+        others = [b for b in range(S.n) if b != target]
+        free = [others.index(b) for b in pool]
+        _raise_first_failure(target, worst[free], scale[free])
+        return costs[free], W[free]
+    support, free = np.asarray(support), np.asarray(pool)
+    q, m = support.size, free.size
+    idx = np.column_stack([np.broadcast_to(support, (m, q)), free])
+    A = S._floored_stack[:, idx[:, :, None], idx[:, None, :]].swapaxes(0, 1)
+    c = S.half[idx, target].transpose(0, 2, 1).copy()
+    rhs = np.concatenate([A[:, :, :q, q].transpose(1, 2, 0), c[0, :, :q, None]],
+                         axis=-1)
+    solved = np.linalg.solve(A[0, :, :q, :q], rhs)
+    G, W_S = solved[..., :m].transpose(2, 0, 1), solved[..., m]
+    explained = np.real(np.sum(np.conj(c[0, :, :q]) * W_S, axis=-1))
+    A_bS, A_bb = A[:, :, q, :q], np.real(A[:, :, q, q])
+    s = A_bb - np.real(np.sum(A_bS * G, axis=-1))
+    ratio = (s / A_bb).min(axis=-1)
+    kept = ratio >= CONDITION_RTOL
+    for b, worst in zip(free[~kept], ratio[~kept]):
+        record("collinear-candidate",
+               f"candidate {S.labels[b]!r} of target {S.labels[target]!r} "
+               f"is collinear with its support (Schur ratio {worst:.3e})")
+    A, c, G, A_bS, s = A[kept], c[kept], G[kept], A_bS[kept], s[kept]
+    r = c[:, :, q] - np.sum(A_bS * W_S, axis=-1)
+    w = r / s
+    W = np.concatenate([W_S - G * w[..., None], w[..., None]], axis=-1)
+    lhs = np.einsum("mkab,mkb->mka", A, W)
+    scale = np.maximum(
+        np.max(np.abs(c), axis=(1, 2)),
+        np.max(np.abs(A), axis=(1, 2, 3))
+        * np.maximum(np.max(np.abs(W), axis=(1, 2)), 1.0))
+    _raise_first_failure(target, np.max(np.abs(c - lhs), axis=(1, 2)),
+                         np.maximum(scale, np.finfo(float).tiny))
+    residual = np.maximum(np.real(S.half[target, target])
+                          - explained - np.abs(r) ** 2 / s, 0.0)
+    costs = np.full(m, np.inf)
+    costs[kept] = S.grid.half_mean(residual)
+    return costs, W
+
+
+def _raise_first_failure(target: int, worst: np.ndarray, scale: np.ndarray) -> None:
+    failed = np.flatnonzero(worst > 1e-8 * scale)
+    if failed.size:
+        f = failed[0]
+        raise InvalidSpectrumError(
+            f"projection for target {target} violates orthogonality by "
+            f"{worst[f]:.3e} (scale {scale[f]:.3e})")
+
+
+def _block_conditioning_reference(S: SpectralMatrix, inputs) -> None:
+    """The conditioning check of one input block behind the whole-matrix
+    eigenvalue screen, on the half grid."""
+    if S._eigenvalue_ratio >= 2 * CONDITION_RTOL:
+        return
+    idx = np.asarray(inputs)
+    eigs = np.linalg.eigvalsh(S._floored_stack[:, idx[:, None], idx[None, :]])
+    ratio = eigs[:, 0] / eigs[:, -1]
+    worst = np.argmin(ratio)
+    if eigs[worst, 0] < CONDITION_RTOL * eigs[worst, -1]:
+        raise IllConditionedSpectrumError(
+            f"input spectral matrix singular beyond the floor at "
+            f"omega={S.grid.omegas[worst]:.6f} (eigenvalue ratio "
+            f"{ratio[worst]:.3e})")
+
+
+def digest_records() -> list[SpectralMatrix]:
+    """The first record of ``tools/artifact_digest.py`` (``simulate --nodes 8
+    --length 16384 --seed 3``) and its two variants that fail the screen:
+    ``(base, duplicated, sum)``, the second with ``X1`` repeated as ``copy``,
+    the third ``X1``, ``X2`` and their sum."""
+    noise_seed = int(np.random.SeedSequence([3, 1]).generate_state(1)[0])
+    series = simulate(generate_polytree_aln(8, 3), 16384, noise_seed).ensemble.series
+    x1, x2 = series[0].samples, series[1].samples
+    return [spectral_matrix(Ensemble(ens), WelchConfig())
+            for ens in (series,
+                        [*series, TimeSeries("copy", x1)],
+                        [*series[:2], TimeSeries("sum", x1 + x2)])]
+
+
+def scaled_record():
+    """A record whose ``X1`` is scaled by 1e5: it fails the screen, and the
+    winning two-input block of targets 1 and 3 is singular beyond the floor."""
+    sim = simulate(generate_polytree_aln(8, 3), 2 ** 15, seed=5)
+    return spectral_matrix(
+        Ensemble([TimeSeries(x.label, x.samples * 1e5) if x.label == "X1"
+                  else x for x in sim.ensemble.series]),
+        WelchConfig(grid_size=256))
+
+
+def copies_record():
+    """Seven series: five random ones, then a faint copy and an exact copy
+    of target 4's first pick, which leave its pool at the second step."""
+    base = random_psd_matrix(np.random.default_rng(4), 5, FrequencyGrid(64))
+    x = orthogonal_least_squares(base, 4, 1).support[0]
+    idx = list(range(5)) + [x, x]
+    values = base.values[np.ix_(idx, idx)]
+    values[5, 5] += 1e-12 * np.max(values[x, x].real)
+    return SpectralMatrix([f"s{i}" for i in range(7)], base.grid, values)
 
 
 def mp_reference(S: SpectralMatrix, target: int, max_inputs: int,

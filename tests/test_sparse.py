@@ -1,6 +1,7 @@
 import re
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -30,24 +31,30 @@ from polyscope import (
     sparse_exhaustive,
     spectral_matrix,
 )
-from polyscope import wiener
+from polyscope import sparse, wiener
 from polyscope.diagnostics import collect
+from polyscope.errors import PolyscopeError
 from polyscope.sparse import DEFAULT_MIN_GAIN
 from polyscope.wiener import (
     _clears_screen,
-    _extension_costs,
     _filter_rms,
     _first_steps,
     _joint_fits,
+    _target_extension_costs,
 )
 
 from oracles import (
+    copies_record,
+    digest_records,
     first_step_reference,
+    half_grid_matrix,
     make_two_sparse_instance,
     mp_reference,
+    ols_per_target_reference,
     ols_reference,
     project_reference,
     random_psd_matrix,
+    scaled_record,
     sinusoid_ensemble,
     wiener_reference,
 )
@@ -395,7 +402,7 @@ class TestOLSClosedFormSteps:
             tol = 1e-12 * inner_product(S, target, target)
             for support in step_supports(S, target, 3):
                 free = [b for b in range(S.n) if b != target and b not in support]
-                scored, fits = _extension_costs(S, target, support, free)
+                scored, fits = _target_extension_costs(S, target, support, free)
                 assert fits.shape == (len(free), S.grid.size // 2 + 1,
                                       len(support) + 1)
                 for b, cost, W in zip(free, scored, fits):
@@ -406,26 +413,26 @@ class TestOLSClosedFormSteps:
 
     def test_every_scored_extension_is_checked(self, wide_record, monkeypatch):
         # the first steps of every target are checked by one call of the
-        # rule per matrix, each later extension by _check_orthogonality
+        # rule per matrix, each later extension by wiener._orthogonality
         S, ref = twin(wide_record), twin(wide_record)
         steps = {target: step_supports(ref, target, 3) for target in range(S.n)}
         checked, rules = [], []
-        check, rule = wiener._check_orthogonality, wiener._orthogonality_failures
+        check, rule = wiener._orthogonality, wiener._orthogonality_failures
 
-        def recording(target, A, c, W):
-            checked.append((target, c))
-            check(target, A, c, W)
+        def recording(A, c, W):
+            checked.append(c)
+            return check(A, c, W)
 
         def recording_rule(*maxima):
             rules.append(np.broadcast_arrays(*maxima))
             return rule(*maxima)
 
-        monkeypatch.setattr(wiener, "_check_orthogonality", recording)
+        monkeypatch.setattr(wiener, "_orthogonality", recording)
         monkeypatch.setattr(wiener, "_orthogonality_failures", recording_rule)
         for target in range(S.n):
             orthogonal_least_squares(S, target, 3, 0.0)
         # one check of the whole first step, the rule's other calls are
-        # _check_orthogonality's
+        # wiener._orthogonality's
         (first,) = [args for args in rules if args[0].shape == (S.n, S.n)]
         assert len(rules) == len(checked) + 1
         failed, scale = rule(*first)
@@ -436,16 +443,19 @@ class TestOLSClosedFormSteps:
             # row target holds the per-target check of each candidate's fit
             assert first[0][target, free].tobytes() == worst.tobytes()
             assert scale[target, free].tobytes() == ref_scale.tobytes()
+        # each cross spectrum names its input and target
+        pairs = {S.half[b, t].tobytes(): (b, t)
+                 for b in range(S.n) for t in range(S.n) if b != t}
+        assert len(pairs) == S.n * (S.n - 1)
         seen = {target: set() for target in range(S.n)}
-        for target, c in checked:
-            # each checked column is one input's cross spectrum to the target
-            crosses = S.values[:, target, S.grid.half]
-            match = np.all(c.transpose(0, 2, 1)[:, :, None, :]
-                           == crosses[None, None], axis=-1)
-            assert np.all(match.sum(axis=-1) == 1)
+        for c in checked:
             assert c.shape[-1] >= 2
-            seen[target] |= {frozenset(row)
-                             for row in np.argmax(match, axis=-1).tolist()}
+            for fit in c.reshape(-1, *c.shape[-2:]):
+                # each checked column is one input's cross spectrum to the
+                # fit's one target
+                inputs, targets = zip(*(pairs[col.tobytes()] for col in fit.T))
+                assert len(set(targets)) == 1
+                seen[targets[0]].add(frozenset(inputs))
         for target, supports in steps.items():
             assert supports[0] == []
             for support in supports[1:]:
@@ -473,20 +483,6 @@ class TestOLSClosedFormSteps:
                     assert_same_ols_model(
                         S, orthogonal_least_squares(S, target, budget, min_gain),
                         ols_reference(base, target, budget, min_gain))
-
-
-def digest_records():
-    """The first record of ``tools/artifact_digest.py`` (``simulate --nodes 8
-    --length 16384 --seed 3``) and its two variants that fail the screen:
-    ``(base, duplicated, sum)``, the second with ``X1`` repeated as ``copy``,
-    the third ``X1``, ``X2`` and their sum."""
-    noise_seed = int(np.random.SeedSequence([3, 1]).generate_state(1)[0])
-    series = simulate(generate_polytree_aln(8, 3), 16384, noise_seed).ensemble.series
-    x1, x2 = series[0].samples, series[1].samples
-    return [spectral_matrix(Ensemble(ens), WelchConfig())
-            for ens in (series,
-                        [*series, TimeSeries("copy", x1)],
-                        [*series[:2], TimeSeries("sum", x1 + x2)])]
 
 
 class TestOLSReportsItsScoredFit:
@@ -524,11 +520,7 @@ class TestOLSReportsItsScoredFit:
         # Schur ratio of the scoring step catches.  The block is checked
         # only once the stopping rules take it: at the default min_gain
         # target 3 stops first, at min_gain 0 both targets take it
-        sim = simulate(generate_polytree_aln(8, 3), 2 ** 15, seed=5)
-        S = spectral_matrix(
-            Ensemble([TimeSeries(x.label, x.samples * 1e5) if x.label == "X1"
-                      else x for x in sim.ensemble.series]),
-            WelchConfig(grid_size=256))
+        S = scaled_record()
         assert not _clears_screen(S)
         raised = {
             1: "omega=-2.086214 (eigenvalue ratio 2.284e-11)",
@@ -567,7 +559,7 @@ def assert_first_steps_match(S):
     for target in range(S.n):
         free = [b for b in range(S.n) if b != target]
         with collect() as events:
-            costs, W = _extension_costs(lib, target, [], free)
+            costs, W = _target_extension_costs(lib, target, [], free)
         with collect() as ref_events:
             ref_costs, ref_W, worst, scale = first_step_reference(ref, target)
         assert events == ref_events
@@ -732,6 +724,145 @@ class TestFirstStepCache:
                 assert str(error.value) == message
             else:
                 assert_same_model(orthogonal_least_squares(S, t, 2), expected[t])
+
+
+def ols_calls(S, select, targets, budget, min_gain):
+    """Each target's model bytes, or error type and message, with the events
+    of its own collector, from ``select(S, target, budget, min_gain)``."""
+    rows = {}
+    for target in targets:
+        with collect() as events:
+            try:
+                model = select(S, target, budget, min_gain)
+                got = (model.support, np.float64(model.cost).tobytes(),
+                       model.stop_reason,
+                       [(b, f.response.tobytes()) for b, f in model.filters.items()])
+            except PolyscopeError as error:
+                got = (type(error), str(error))
+        rows[target] = (got, [(e.category, e.message) for e in events])
+    return rows
+
+
+def all_ols_calls(S, select, budgets, targets=None):
+    targets = range(S.n) if targets is None else targets
+    return {(budget, min_gain): ols_calls(S, select, targets, budget, min_gain)
+            for budget in budgets for min_gain in (0.0, DEFAULT_MIN_GAIN)}
+
+
+def count_blocks(monkeypatch):
+    """Record ``(q, targets)`` of every block OLS scores from now on."""
+    blocks = []
+    score = sparse._extension_costs
+
+    def counting(S, targets, supports, pools):
+        blocks.append((len(supports[0]), len(targets)))
+        return score(S, targets, supports, pools)
+
+    monkeypatch.setattr(sparse, "_extension_costs", counting)
+    return blocks
+
+
+class TestOLSLockstep:
+    """Every target steps in lockstep, in blocks of ``OLS_BLOCK_VALUES``
+    gathered values, with the bits, events and errors of the per-target
+    runs they replaced, whatever the blocking and the call order."""
+
+    @pytest.fixture(scope="class")
+    def records(self, wide_record):
+        base, duplicated, summed = digest_records()
+        return {"wide": wide_record, "duplicated": duplicated,
+                "summed": summed, "scaled": scaled_record()}
+
+    @pytest.mark.parametrize("name", ["wide", "duplicated", "summed", "scaled"])
+    def test_matches_the_per_target_runs_at_any_blocking(self, records, name,
+                                                         monkeypatch):
+        S = records[name]
+        assert _clears_screen(S) == (name == "wide")
+        budgets = range(5) if name == "wide" else range(S.n + 1)
+        expected = all_ols_calls(twin(S), ols_per_target_reference, budgets)
+        second = (S.n - 2) * (S.grid.size // 2 + 1) * 4    # one target at q 1
+        blocks = count_blocks(monkeypatch)
+        for values, block in [(1, 1), (3 * second + second // 2, 3),
+                              (1 << 40, S.n)]:
+            monkeypatch.setattr(sparse, "OLS_BLOCK_VALUES", values)
+            blocks.clear()
+            assert all_ols_calls(twin(S), orthogonal_least_squares,
+                                 budgets) == expected
+            # every target scores a second step in some run, in full blocks
+            assert max(size for q, size in blocks if q == 1) == min(block, S.n)
+        if name == "scaled":
+            errors = [got for rows in expected.values()
+                      for got, _ in rows.values() if len(got) == 2]
+            assert errors and {kind for kind, _ in errors} == \
+                {IllConditionedSpectrumError}
+        if name == "duplicated":
+            assert any(category == "collinear-candidate"
+                       for rows in expected.values()
+                       for _, events in rows.values()
+                       for category, _ in events)
+
+    def test_default_block_is_eight_targets_on_the_wide_record(
+            self, wide_record, monkeypatch):
+        S = twin(wide_record)
+        blocks = count_blocks(monkeypatch)
+        for target in range(S.n):
+            orthogonal_least_squares(S, target, 2)
+        assert blocks == [(0, 32)] + [(1, 8)] * 4
+
+    def test_initial_costs_are_those_of_the_empty_projection(self, records):
+        for S in (*records.values(),
+                  analytic_spectra(generate_polytree_aln(8, 2), FrequencyGrid(64)),
+                  random_psd_matrix(np.random.default_rng(3), 6, FrequencyGrid(16))):
+            for target in range(S.n):
+                cost = orthogonal_least_squares(S, target, 0).cost
+                assert np.float64(cost).tobytes() == \
+                    np.float64(project(S, target, ())[1]).tobytes()
+
+    def test_call_order_and_threads_do_not_change_models_or_events(self):
+        # reverse order on one matrix, and three threads sharing another
+        for S, budget in ((copies_record(), 3), (digest_records()[1], 2)):
+            forward = all_ols_calls(twin(S), orthogonal_least_squares, [budget])
+            assert any(category == "collinear-candidate"
+                       for rows in forward.values()
+                       for _, events in rows.values() for category, _ in events)
+            assert all_ols_calls(twin(S), orthogonal_least_squares, [budget],
+                                 range(S.n - 1, -1, -1)) == forward
+            shared, results = twin(S), [None, None, None]
+
+            def worker(slot):
+                results[slot] = all_ols_calls(shared, orthogonal_least_squares,
+                                              [budget])
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=worker, args=(slot,))
+                           for slot in range(3)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [forward] * 3
+
+    def test_transient_memory_is_bounded_by_the_block(self):
+        # one target's second step alone exceeds OLS_BLOCK_VALUES at n 64,
+        # K 1024, so each block is one target; all 64 in one block would
+        # gather about 130 MB
+        S = half_grid_matrix("analytic", 64, 1024)
+        block = max(sparse.OLS_BLOCK_VALUES, (S.n - 2) * (S.grid.size // 2 + 1) * 4)
+        _first_steps(S), _clears_screen(S)       # per-matrix passes
+        tracemalloc.start()
+        try:
+            for target in range(S.n):
+                orthogonal_least_squares(S, target, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a block's arrays peak near 5.4 complex arrays of its gathered values
+        assert peak < 8 * 16 * block
 
 
 def assert_mp_matches_loop(S, targets):

@@ -38,6 +38,8 @@ from polyscope.diagnostics import collect
 from polyscope.wiener import CONDITION_RTOL, _clears_screen, _joint_fits
 
 from oracles import (
+    copies_record,
+    digest_records,
     half_grid_matrix,
     causal_pair_reference,
     causal_reference,
@@ -48,6 +50,7 @@ from oracles import (
     ols_reference,
     project_reference,
     rooting_spectral_factor,
+    scaled_record,
     spectral_factors_reference,
     wiener_reference,
 )
@@ -313,16 +316,22 @@ class TestConditioningScreen:
                 wiener_reference(S, 2, inputs)
             assert str(got.value) == str(ref.value)
 
-    def test_well_conditioned_matrix_takes_one_eigensolve(self, monkeypatch):
+    def test_well_conditioned_matrix_takes_one_factorization(self, monkeypatch):
         sim = simulate(generate_polytree_aln(12, 1), 2 ** 13, seed=2)
         S = spectral_matrix(sim.ensemble, WelchConfig(grid_size=64))
         D = distance_matrix(S)
         calls = count_eigvalsh(monkeypatch)
+        factored = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a, *args, **kwargs: (
+            factored.append(np.shape(a)) or cholesky(a, *args, **kwargs)))
         miso_blanket_topology(S, D)
         for target in range(S.n):
             orthogonal_least_squares(S, target, S.n - 1, min_gain=0.0)
-        assert calls == [(33, 12, 12)]      # the half grid
+        # the certificate's one factorization of the half grid, no eigensolve
+        assert factored == [(33, 12, 12)] and calls == []
         assert S._eigenvalue_ratio >= 2 * CONDITION_RTOL
+        assert calls == [(33, 12, 12)]
 
     def test_screen_records_no_event(self):
         S = conditioned_matrix(3, 6, FrequencyGrid(16), 1e-6)
@@ -348,6 +357,84 @@ class TestConditioningScreen:
         with pytest.raises(IllConditionedSpectrumError, match="omega="):
             miso_reference(S, D)
         assert (0, base.n) in miso_blanket_topology(S, D).edges
+
+
+def screen_records() -> dict:
+    """Every matrix the screen tests of this module, ``test_sparse.py`` and
+    ``test_topology.py`` read, by name, each a fresh matrix."""
+    records = {f"conditioned-{ratio}": conditioned_matrix(
+        int(ratio * 1e12), 6, FrequencyGrid(16), ratio)
+        for ratio in (1e-11, 1e-10, 1.5e-10, 2e-10, 3e-10, 1e-6)}
+    records["conditioned-3"] = conditioned_matrix(3, 6, FrequencyGrid(16), 1e-6)
+    grid = FrequencyGrid(8)
+    values = np.zeros((3, 3, grid.size), dtype=complex)
+    values[[0, 1, 2], [0, 1, 2]] = 1.0
+    values[0, 1], values[1, 0] = 1.0 - 1e-10, 1.0 - 6e-10
+    records["near-hermitian"] = SpectralMatrix(["a", "b", "t"], grid, values)
+
+    def welch(spec, length, seed, size=64):
+        return spectral_matrix(simulate(spec, length, seed=seed).ensemble,
+                               WelchConfig(grid_size=size))
+
+    def with_copy(base, i=0):
+        idx = list(range(base.n)) + [i]
+        return SpectralMatrix([*base.labels, "copy"], base.grid,
+                              base.values[np.ix_(idx, idx)])
+
+    def ensemble(*columns):
+        return spectral_matrix(Ensemble([TimeSeries(label, x) for label, x
+                                         in zip("abcdef", columns)]),
+                               WelchConfig(grid_size=64))
+
+    records["simulated-12"] = welch(generate_polytree_aln(12, 1), 2 ** 13, 2)
+    base = welch(generate_polytree_aln(8, 3), 2 ** 12, 5)
+    records["simulated-8-copy"] = with_copy(base)
+    for producer in ("welch", "analytic"):
+        for n in (4, 8, 16, 32):
+            for size in (64, 256):
+                records[f"{producer}-{n}-{size}"] = half_grid_matrix(producer, n, size)
+        records[f"{producer}-8-copy"] = with_copy(half_grid_matrix(producer, 8, 64))
+    records["analytic-polytree-8-copy"] = with_copy(
+        analytic_spectra(generate_polytree_aln(8, 3), FrequencyGrid(64)))
+    a, b = np.random.default_rng(9).standard_normal((2, 1 << 12))
+    records["sum"] = ensemble(a, b, a + b)
+    records["copy"] = ensemble(a, b, a.copy())
+    records["wide-7"] = welch(generate_polytree_aln(32, 7), 2 ** 13, 11)
+    records["wide-4"] = welch(generate_polytree_aln(32, 4), 1 << 13, 4)
+    for name, S in zip(("digest", "digest-copy", "digest-sum"), digest_records()):
+        records[name] = S
+    records["scaled"] = scaled_record()
+    records["copies"] = copies_record()
+    return records
+
+
+class TestScreenCertificate:
+    """A Cholesky factorization per grid point clears the screen when it
+    can; otherwise the eigenvalue ratio decides, so the answer is the ratio's."""
+
+    def test_every_screen_record_gets_the_ratios_answer(self):
+        certified = []
+        for name, S in screen_records().items():
+            T = SpectralMatrix(S.labels, S.grid, S.half)
+            clears = S._eigenvalue_ratio >= 2 * CONDITION_RTOL
+            assert _clears_screen(T) == clears, name
+            if wiener._screen_certificate(S):
+                assert clears, name
+                certified.append(name)
+        # the certificate serves every wide record
+        assert {"wide-7", "wide-4", "welch-32-64", "simulated-12"} <= set(certified)
+
+    def test_near_the_threshold_the_ratio_decides(self, monkeypatch):
+        # ratio 3e-10 clears the screen, though its trace bound is too loose
+        # for the certificate; 1.5e-10 fails both
+        for ratio, clears in ((3e-10, True), (1.5e-10, False)):
+            S = conditioned_matrix(int(ratio * 1e12), 6, FrequencyGrid(16), ratio)
+            assert not wiener._screen_certificate(S)
+            calls = count_eigvalsh(monkeypatch)
+            assert _clears_screen(S) is clears
+            assert calls == [(9, 6, 6)]
+            assert (S._eigenvalue_ratio >= 2 * CONDITION_RTOL) is clears
+            assert _clears_screen(S) is clears and len(calls) == 1   # kept
 
 
 def assert_same_solution(S, target, inputs, normalize):
