@@ -61,7 +61,8 @@ from .metric import (
     spearman_index,
     windowed_average_distance,
 )
-from .signals import Ensemble, FrequencyGrid, TimeSeries, WelchConfig, spectral_matrix
+from .signals import (Ensemble, FrequencyGrid, TimeSeries, WelchConfig, _array,
+                      spectral_matrix)
 from .sparse import orthogonal_least_squares
 from .topology import (
     build_polytree,
@@ -219,9 +220,9 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
 def read_ensemble_csv(path: Path) -> Ensemble:
     """Load a label-headed CSV of series columns; reject anything malformed.
 
-    The first row names the series; every later row must supply one decimal
-    number per column.  Errors carry the line and column (and label) of the
-    offending cell.  Each series is demeaned.
+    The first row names the series; every later row must supply one finite
+    decimal number per column.  Errors carry the line and column (and label)
+    of the offending cell.  Each series is demeaned.
     """
     return _parse_ensemble_csv(path, Path(path).read_bytes())
 
@@ -233,23 +234,35 @@ def _parse_ensemble_csv(path: Path, data: bytes) -> Ensemble:
     differ, the per-cell loop reads the bytes again and decides: it raises
     its line/column message, or returns what ``csv`` and ``float()`` accept
     but loadtxt does not, such as quoted numbers, ``1_0`` and non-ASCII
-    digits.  The whole input is decoded first, so a byte that is not UTF-8
-    is reported wherever it lies.
+    digits.  Where the loop fails, or its table holds a ``nan`` or
+    infinite value that the number rule (:func:`~polyscope.signals._array`)
+    refuses, the loop reads the bytes once more, checking each cell by that
+    rule too, and raises at the first cell either refuses.  The whole input
+    is decoded first, so a byte that is not UTF-8 is reported wherever it
+    lies.
     """
     _utf8_text(path, data)
     header, table = _csv_table(path, data, whole_body=True)
     if table is None:
-        header, table = _csv_table(path, data, whole_body=False)
+        try:
+            header, table = _csv_table(path, data, whole_body=False)
+        except InputFormatError:
+            table = None
+    if table is None:
+        _csv_table(path, data, whole_body=None)     # raises at the bad cell
     return Ensemble([TimeSeries(label, samples)
                      for label, samples in zip(header, table)])
 
 
-def _csv_table(path: Path, data: bytes, whole_body: bool):
+def _csv_table(path: Path, data: bytes, whole_body: bool | None):
     """The header and the ``(series, samples)`` values of a CSV's bytes,
     which :func:`_utf8_text` has accepted.
 
-    With ``whole_body`` the values come from :func:`_loadtxt_body`, or are
-    None where it cannot vouch for them; otherwise from the per-cell loop.
+    With ``whole_body`` True the values come from :func:`_loadtxt_body`, or
+    are None where it cannot vouch for them; otherwise from the per-cell
+    loop, which raises at the first cell it cannot read.  With False a
+    table that the number rule refuses is None; with None each cell is
+    checked by that rule as it is read.
     """
     # decoded again as _utf8_text decodes: loadtxt reads the lines of this
     # wrapper faster than those of a StringIO of the decoded text
@@ -282,17 +295,34 @@ def _csv_table(path: Path, data: bytes, whole_body: bool):
                         f"{path}: line {line_no}, column {col + 1} "
                         f"({header[col]!r}): missing value")
                 try:
-                    columns[col].append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise InputFormatError(
                         f"{path}: line {line_no}, column {col + 1} "
                         f"({header[col]!r}): cannot parse {cell!r} as a "
                         f"number") from None
+                if whole_body is None and not _all_finite(value):
+                    raise InputFormatError(
+                        f"{path}: line {line_no}, column {col + 1} "
+                        f"({header[col]!r}): {cell!r} is not a finite "
+                        f"number")
+                columns[col].append(value)
     except csv.Error as exc:
         raise InputFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not columns[0]:
         raise InputFormatError(f"{path}: no data rows")
-    return header, np.array(columns, dtype=float)
+    table = np.array(columns, dtype=float)
+    return header, table if _all_finite(table) else None
+
+
+def _all_finite(values) -> bool:
+    """Whether the number rule, :func:`~polyscope.signals._array`, takes
+    ``values`` as real numbers: ``nan`` and infinities are refused."""
+    try:
+        _array(values, float, "samples")
+    except InvalidParameterError:
+        return False
+    return True
 
 
 def _loadtxt_body(fh, width: int, data: bytes) -> np.ndarray | None:
@@ -302,7 +332,7 @@ def _loadtxt_body(fh, width: int, data: bytes) -> np.ndarray | None:
     loadtxt accepts no cell the loop refuses (it takes no quotes, underscores
     or non-ASCII digits, and splits lines where ``csv`` does), except a cell
     longer than the ``csv`` field limit, which :func:`_may_hold_long_field`
-    screens out.
+    screens out, and a ``nan`` or infinite one, which the loop names.
     """
     if _may_hold_long_field(data):
         return None
@@ -315,7 +345,7 @@ def _loadtxt_body(fh, width: int, data: bytes) -> np.ndarray | None:
     except (StopIteration, ValueError):
         return None
     # a body whose every row has one cell too many parses cleanly
-    if len(values) == 0 or values.shape[1] != width:
+    if len(values) == 0 or values.shape[1] != width or not _all_finite(values):
         return None
     return values.T
 

@@ -50,6 +50,15 @@ CAUSAL_BLOCK_VALUES = 1 << 16
 #: size, while real orientation gaps of analytic networks start near 1e-9.
 TIE_RTOL = 1e-12
 
+#: Causal cost at or below which a direction is explained exactly, so that
+#: a pair with both directions there is tied.  Such a cost ``1 - sum c^2``
+#: is 1 less a sum that rounds near 1, so it lands a few ``eps`` either side
+#: of 0 (at most 8 ``eps``, 1.8e-15, on copies of simulated series at K 64
+#: to 4096), and its root, the distance, near 1e-8: far apart in relative
+#: terms, yet neither direction is better.  The bound leaves a factor of
+#: about 50 above that; its root is 3.2e-7.
+ZERO_COST_ATOL = 1e-13
+
 
 @dataclass
 class DistanceMatrix:
@@ -166,33 +175,44 @@ def causal_distance(S: SpectralMatrix, target: int, input_: int) -> float:
 
     Asymmetric: ``causal_distance(S, j, i)`` measures how well the past of
     series ``i`` explains series ``j``.  Lies in [0, 1] up to numerical
-    tolerance because the zero filter already costs 1.
+    tolerance because the zero filter already costs 1; a cost that rounding
+    takes below 0 reads as 0.  Bit for bit ``causal_distance_matrix(S)``'s
+    entry and the root of ``causal_wiener(S, target, input_).cost``.
     """
     S.check_index(target, input_)
     if target == input_:
         return 0.0
-    _, _, cost = _causal_pair(S, target, input_)
+    cost = _causal_pair(S, target, input_)[1]
     return float(np.sqrt(max(cost, 0.0)))
 
 
 def causal_distance_matrix(S: SpectralMatrix) -> DistanceMatrix:
     """All pairwise one-sided distances; rows are targets, columns inputs.
 
-    Spectral factors are computed once per series.  The targets are solved
-    in blocks of ``max(1, CAUSAL_BLOCK_VALUES // (n * (K/2+1)))``, each block
-    one Wiener--Hopf pass against every input at once.  A block's arrays
-    peak at about 3.2 complex arrays of at most :data:`CAUSAL_BLOCK_VALUES`
-    values (3.4 MB), whatever ``n`` and ``K``, unless one target row alone
-    is larger; then each block is one target.  A pair's bits do not depend
-    on the blocking, so each entry is :func:`causal_distance`'s.
+    Spectral factors, and their reciprocals, are computed once per series.
+    The targets are solved in blocks of ``max(1, CAUSAL_BLOCK_VALUES // (n *
+    (K/2+1)))``, each block one Wiener--Hopf pass against every input at
+    once, whose cost is ``1 - sum_{tau < K/2} c_tau^2`` of the whitened
+    cross spectra's sequences ``c`` (:func:`~polyscope.wiener._wiener_hopf`).
+    A block's kernel peaks near three times its sequences' bytes, about
+    ``48 * CAUSAL_BLOCK_VALUES`` bytes whatever ``n`` and ``K``, unless one
+    target row alone is larger; then each block is one target.  With the
+    factors and their reciprocals the layer's traced peak was 3.16 MB at
+    n 32, K 1024 (3 targets a block).  A pair's bits do not depend on the
+    blocking, so each entry is :func:`causal_distance`'s.  A caller-built
+    matrix that is not positive semidefinite overshoots coherence 1, which
+    can make a cost negative: its distance reads 0.
     """
     n = S.n
     factors = _spectral_factors(S.grid, S._floored)[0]
+    inverses = 1.0 / factors
+    input_inverses = np.conj(inverses)
     block = max(1, CAUSAL_BLOCK_VALUES // factors.size)
     out = np.zeros((n, n))
     for lo in range(0, n, block):
         targets = slice(lo, lo + block)
-        _, _, cost = _wiener_hopf(S, targets, slice(None), factors[targets], factors)
+        cost = _wiener_hopf(S, targets, slice(None), inverses[targets],
+                            input_inverses)[1]
         out[targets] = np.sqrt(np.maximum(cost, 0.0))
     np.fill_diagonal(out, 0.0)
     return DistanceMatrix(list(S.labels), out, "causal")
@@ -204,15 +224,19 @@ def causal_edge_weights(DC: DistanceMatrix) -> tuple[DistanceMatrix, DirectionMa
     The weight of a pair is the cheaper of its two modelling directions; the
     direction matrix marks which direction won, ``+1`` at ``[j, i]`` meaning
     i -> j.  A pair is tied when its two directions differ by at most
-    :data:`TIE_RTOL` times the larger, so a rounding-level gap never picks
-    an orientation; ties are broken toward ``+1`` on the upper triangle
-    (the edge points from the higher to the lower index) and flagged.
+    :data:`TIE_RTOL` times the larger, or when both costs, the squared
+    distances, are at most :data:`ZERO_COST_ATOL` (a series and its copy),
+    so a rounding-level gap never picks an orientation; ties are broken
+    toward ``+1`` on the upper triangle (the edge points from the higher to
+    the lower index) and flagged.
     """
     if DC.kind != "causal":
         raise InvalidParameterError("causal_edge_weights needs a causal matrix")
     d = DC.values
     weights = np.minimum(d, d.T)
-    tied = np.triu(np.abs(d - d.T) <= TIE_RTOL * np.maximum(d, d.T), 1)
+    larger = np.maximum(d, d.T)
+    tied = np.triu((np.abs(d - d.T) <= TIE_RTOL * larger)
+                   | (larger ** 2 <= ZERO_COST_ATOL), 1)
     upper = np.triu(np.where((d <= d.T) | tied, 1, -1), 1)
     direction = upper - upper.T
     return (DistanceMatrix(list(DC.labels), weights, "causal-min"),

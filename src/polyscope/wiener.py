@@ -4,19 +4,21 @@ The non-causal filter is the per-frequency least-squares solution
 ``W(omega) = Phi_x(omega)^{-1} c(omega)`` with ``c_a = Phi_{x_a -> y}``; it
 is weighting-independent.  The causal filter solves the one-sided problem
 through the classical Wiener--Hopf split: factor the input spectrum as
-``Phi = G * conj(G)`` with ``G`` minimum phase, keep the causal part of the
-whitened cross spectrum, and undo the whitening,
+``Phi = G * conj(G)`` and the target's as ``F * conj(F)``, both minimum
+phase, keep the causal part of the whitened cross spectrum, and undo the
+whitening,
 
-    W_c = Fj_inv_factor * { Fj * Phi_xy / conj(G) }_causal / G,
+    W_c = F * { Phi_xy / (F * conj(G)) }_causal / G.
 
-where ``Fj`` whitens the target so that the reported cost is the
-dimensionless error variance of the whitened residual (1 for the zero
-filter).  Spectral factorization uses the real-cepstrum construction, which
-is exact in magnitude on the grid by design.  This module alone reads the
-conditioning screen (:func:`_clears_screen`, proved by one Cholesky
-certificate when it can be), so it alone decides how a multi-input fit is
-computed.  OLS steps score a block of targets at once
-(:func:`_extension_costs`).
+Whitening the target makes the cost the dimensionless error variance of the
+whitened residual (1 for the zero filter), which by Parseval is 1 less the
+energy of the causal part: ``1 - sum_{tau < K/2} c_tau^2``, where ``c`` is
+the whitened cross spectrum's real sequence.  Spectral factorization uses
+the real-cepstrum construction, which is exact in magnitude on the grid by
+design.  This module alone reads the conditioning screen
+(:func:`_clears_screen`, proved by one Cholesky certificate when it can
+be), so it alone decides how a multi-input fit is computed.  OLS steps
+score a block of targets at once (:func:`_extension_costs`).
 """
 
 from __future__ import annotations
@@ -116,9 +118,13 @@ class TransferFunction:
 class WienerSolution:
     """Optimal filters for one target, with the residual error spectrum.
 
-    ``cost`` equals the grid mean of ``residual_spectrum`` (the
-    ``(1/2pi) d omega`` integral); whether that spectrum is raw or whitened
-    by the target factor depends on the operation that produced it.
+    ``cost`` is non-negative and equals the grid mean of
+    ``residual_spectrum`` (the ``(1/2pi) d omega`` integral) within ``1e-8``
+    of ``max(1, cost)``: :func:`noncausal_wiener` takes it as that mean,
+    :func:`causal_wiener` by Parseval from the whitened cross spectrum's
+    sequence, which its spectrum matches to rounding.  Whether that
+    spectrum is raw or whitened by the target factor depends on the
+    operation that produced it.
     """
 
     target: int
@@ -666,70 +672,70 @@ def causal_truncate(h: TransferFunction) -> TransferFunction:
     return TransferFunction.from_taps(h.grid, kept, 0)
 
 
-def _wiener_hopf(S: SpectralMatrix, targets, inputs, target_factors: np.ndarray,
-                 input_factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-sided Wiener filters of each of a block of ``b`` targets on each
-    of ``m`` single inputs, all in one pass.
+def _wiener_hopf(S: SpectralMatrix, targets, inputs, target_inverses: np.ndarray,
+                 input_inverses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whitened one-sided Wiener costs of each of a block of ``b`` targets on
+    each of ``m`` single inputs, all in one pass.
 
-    ``targets`` is a slice and ``inputs`` a slice or an index array, and
-    ``target_factors (b, K/2+1)`` and ``input_factors (m, K/2+1)`` their
-    half-grid responses from :func:`_spectral_factors`.  Everything is solved
-    at the :attr:`FrequencyGrid.half` points: the whitened cross spectrum is
-    conjugate-even, so its causal part is taken by the real-sequence kernels,
-    one ``irfft`` and one ``rfft`` for the whole block.  Every pair gets the
-    same elementwise operations in the same order whatever the block, so a
-    pair's bits do not depend on the targets and inputs solved beside it.
-    Returns, at ``[t, i]`` for the ``t``-th target and ``i``-th input, the
-    half-grid filter response and whitened error spectrum
-    ``(b, m, K/2+1)``, and the error's :meth:`FrequencyGrid.half_mean` (the
-    cost) ``(b, m)``.  A call's allocations peak at about 3.2 times the
-    response's bytes, of which it returns 1.5.
+    ``targets`` is a slice and ``inputs`` a slice or an index array;
+    ``target_inverses (b, K/2+1)`` holds ``1 / F_t`` and ``input_inverses
+    (m, K/2+1)`` holds ``1 / conj(G_i)``, of the half-grid responses of
+    :func:`_spectral_factors`, each taken once per matrix by its caller.  The
+    whitened cross spectrum ``Phi_{i -> t} / (F_t conj(G_i))`` is
+    conjugate-even, so one ``irfft`` of the block gives its real sequence
+    ``c (b, m, K)`` (:meth:`FrequencyGrid.half_to_time`).  The optimal
+    causal filter keeps ``c`` at times ``0 ... K/2 - 1``, so by Parseval its
+    whitened error variance is ``1 - sum_{tau < K/2} c_tau^2`` (Wiener 1949;
+    Kailath, Sayed & Hassibi, *Linear Estimation*, 2000, ch. 7): the cost
+    of ``[t, i]``, ``(b, m)``, exact when ``S`` is positive semidefinite and
+    below 0 by rounding alone.  Every pair gets the same elementwise
+    operations and the same row reduction in the same order whatever the
+    block, so a pair's bits do not depend on the targets and inputs solved
+    beside it.  Returns ``c`` and the costs; a call's allocations peak at
+    about three times ``c``'s bytes, which it returns.
     """
-    phi = S._floored
-    phi_t = phi[targets][:, None]
     cross = S.half[inputs, targets].swapaxes(0, 1)    # Phi_{input -> target}
-    # the causal part of the whitened cross spectrum keeps t = 0, drops t < 0
-    white = (1.0 / target_factors)[:, None] * cross
-    white /= np.conj(input_factors)
-    causal = S.grid.half_to_time(white)
+    white = target_inverses[:, None] * cross
+    white *= input_inverses
+    c = S.grid.half_to_time(white)
     del white
-    causal[..., S.grid.size // 2:] = 0.0
-    response = S.grid.half_from_time(causal)
-    del causal
-    response /= input_factors
-    response *= target_factors[:, None]
-    err = np.abs(response) ** 2 * phi[inputs]
-    err += phi_t
-    err -= 2.0 * np.real(np.conj(response) * cross)
-    weighted = np.maximum(err, 0.0, out=err)
-    weighted /= phi_t
-    return response, weighted, S.grid.half_mean(weighted)
+    return c, 1.0 - np.sum(np.square(c[..., :S.grid.size // 2]), axis=-1)
 
 
 def _causal_pair(S: SpectralMatrix, target: int, input_: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 ) -> tuple[np.ndarray, float, np.ndarray]:
     """:func:`_wiener_hopf` of one pair, checked by :func:`_check_inputs`, as
     a block of one target and one input, factoring only its two series;
-    returns its ``[0, 0]``."""
+    returns its sequence ``c (K,)``, its cost and the half-grid factors
+    ``(2, K/2+1)`` of the target and the input."""
     _check_inputs(S, target, (input_,))
     factors = _spectral_factors(S.grid, S._floored[[target, input_]])[0]
-    response, weighted, cost = _wiener_hopf(
-        S, slice(target, target + 1), [input_], factors[:1], factors[1:])
-    return response[0, 0], weighted[0, 0], cost[0, 0]
+    inverses = 1.0 / factors
+    c, cost = _wiener_hopf(S, slice(target, target + 1), [input_],
+                           inverses[:1], np.conj(inverses[1:]))
+    return c[0, 0], cost[0, 0], factors
 
 
 def causal_wiener(S: SpectralMatrix, target: int, input_: int) -> WienerSolution:
     """One-sided (causal) Wiener filter of ``target`` on a single input.
 
-    The target is whitened by its inverse spectral factor before the causal
-    truncation, so the reported cost is dimensionless: the zero filter costs
-    exactly 1 and the optimum can only be smaller.  The filter itself is
-    causal; its cost is never below the non-causal whitened cost of the same
-    pair.
+    The target is whitened by its inverse spectral factor and the input by
+    its own, so the reported cost is dimensionless: the zero filter costs
+    exactly 1 and the optimum can only be smaller.  The cost is
+    :func:`_wiener_hopf`'s, ``1 - sum_{tau < K/2} c_tau^2`` of the whitened
+    cross spectrum's sequence ``c``, clipped at 0, so
+    :func:`~polyscope.metric.causal_distance` is its square root bit for
+    bit.  The filter is ``F_t C / G_i``, where ``C`` is the transform of the
+    causal part of ``c``; it is causal, and its cost is never below the
+    non-causal whitened cost of the same pair.
 
     Parameters
     ----------
     S : SpectralMatrix
+        Positive semidefinite at every grid point, as every estimate is.  A
+        caller-built matrix whose pair coherence overshoots 1 can make the
+        cost negative; beyond ``1e-8`` that raises
+        :class:`InvalidSpectrumError`.
     target, input_ : int
         Distinct series indices, checked as a fit's inputs are
         (:func:`noncausal_wiener`).
@@ -737,12 +743,25 @@ def causal_wiener(S: SpectralMatrix, target: int, input_: int) -> WienerSolution
     Returns
     -------
     WienerSolution
-        ``residual_spectrum`` is the whitened error spectrum; ``cost`` is
-        its grid mean.
+        ``residual_spectrum`` is the whitened error spectrum
+        ``1 - |W|^2 + |A|^2``, where ``W`` is the whitened cross spectrum
+        and ``A`` the transform of ``c``'s anti-causal part: what no filter
+        explains plus what causality forgoes.  Its grid mean is the cost
+        to rounding.
     """
-    response, weighted, cost = _causal_pair(S, target, input_)
+    c, cost, factors = _causal_pair(S, target, input_)
+    if cost < -1e-8:
+        raise InvalidSpectrumError(
+            f"causal cost of {S.labels[target]!r} on {S.labels[input_]!r} is "
+            f"{cost:.3e}: the spectral matrix is not positive semidefinite")
+    k = S.grid.size
+    parts = np.zeros((2, k))
+    parts[0, :k // 2], parts[1, k // 2:] = c[:k // 2], c[k // 2:]
+    causal, anti = S.grid.half_from_time(parts)
+    weighted = 1.0 - np.abs(causal + anti) ** 2 + np.abs(anti) ** 2
+    response = causal * factors[0] / factors[1]
     tf = TransferFunction(S.grid, S.grid.mirror(response)).with_impulse("causal")
-    return WienerSolution(target, (input_,), {input_: tf}, float(cost),
+    return WienerSolution(target, (input_,), {input_: tf}, float(max(cost, 0.0)),
                           Spectrum(S.grid, S.grid.mirror(weighted)))
 
 

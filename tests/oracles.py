@@ -21,7 +21,9 @@ per matrix replaced (the same bits, checks and events), the per-target OLS
 runs that lockstep blocks of targets replaced (the same bits, events and
 errors), and the per-target
 Wiener--Hopf loop that blocks of targets replaced (the same bits and
-events); the whole-grid
+events); the error-spectrum Wiener--Hopf kernel that the Parseval cost
+replaced, against which tests require costs within a stated absolute
+tolerance; the whole-grid
 cepstral factors and Wiener--Hopf split that the half-grid causal layer replaced, against which tests
 require agreement to rounding and equal polytrees; and the per-cell CSV reader and ``csv.writer`` text builders
 that whole-body parsing and joined ``repr`` rows replaced, against which
@@ -33,6 +35,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -279,9 +282,10 @@ def spectral_factors_reference(grid: FrequencyGrid, phi: np.ndarray
 def wiener_hopf_reference(S: SpectralMatrix, target: int, inputs,
                           target_factor: np.ndarray, input_factors: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``wiener._wiener_hopf`` on the whole grid, with the whole-grid
-    factors of :func:`spectral_factors_reference`: per input the filter
-    response, the whitened error spectrum and its grid mean."""
+    """The error-spectrum Wiener--Hopf kernel on the whole grid, with the
+    whole-grid factors of :func:`spectral_factors_reference`: per input the
+    filter response, the whitened error spectrum clipped at 0 per
+    frequency, and its grid mean."""
     phi = np.array([S.floored_autospectrum(i) for i in range(S.n)])
     cross = S.values[inputs, target]
     causal = S.grid.to_time((1.0 / target_factor) * cross / np.conj(input_factors))
@@ -318,10 +322,28 @@ def causal_reference(S: SpectralMatrix) -> np.ndarray:
 
 
 def causal_rows_reference(S: SpectralMatrix) -> np.ndarray:
-    """``causal_distance_matrix(S).values`` as the per-target loop computed
-    it before targets were solved in blocks: half-grid factors of every
-    series, then one Wiener--Hopf solve per target row against every input,
-    with the same elementwise operations."""
+    """``causal_distance_matrix(S).values`` as a per-target loop with the
+    kernel's elementwise operations: half-grid factors of every series and
+    their reciprocals, then per target row one whitening of the cross
+    spectra from every input, one ``irfft`` and the cost ``1 - sum c^2``
+    over the causal times."""
+    factors = _spectral_factors(S.grid, S._floored)[0]
+    inverses = 1.0 / factors
+    out = np.zeros((S.n, S.n))
+    for j in range(S.n):
+        c = S.grid.half_to_time(inverses[j] * S.half[:, j] * np.conj(inverses))
+        cost = 1.0 - np.sum(np.square(c[:, :S.grid.size // 2]), axis=-1)
+        out[j] = np.sqrt(np.maximum(cost, 0.0))
+        out[j, j] = 0.0
+    return out
+
+
+def causal_error_costs_reference(S: SpectralMatrix) -> np.ndarray:
+    """Whitened causal costs ``(n, n)`` as the error-spectrum kernel computed
+    them before the Parseval cost: per target row, the causal part of the
+    whitened cross spectra, the filter responses it gives, the whitened
+    error spectrum of each filter clipped at 0 per frequency, and its
+    half-grid mean.  The diagonal means nothing."""
     phi = S._floored
     factors = _spectral_factors(S.grid, phi)[0]
     out = np.zeros((S.n, S.n))
@@ -333,9 +355,7 @@ def causal_rows_reference(S: SpectralMatrix) -> np.ndarray:
         response = S.grid.half_from_time(causal) / factors * factors[j]
         err = phi[j] + np.abs(response) ** 2 * phi \
             - 2.0 * np.real(np.conj(response) * cross)
-        weighted = np.maximum(err, 0.0) / phi[j]
-        out[j] = np.sqrt(np.maximum(S.grid.half_mean(weighted), 0.0))
-        out[j, j] = 0.0
+        out[j] = S.grid.half_mean(np.maximum(err, 0.0) / phi[j])
     return out
 
 
@@ -904,7 +924,8 @@ def make_two_sparse_instance(seed: int, correlated: bool):
 
 def read_csv_reference(path: Path) -> Ensemble:
     """``cli.read_ensemble_csv`` as it was: ``csv.reader`` and ``float()``
-    cell by cell.  A ``csv.Error`` (a cell over the field limit) escapes."""
+    cell by cell, and a ``nan`` or infinite cell refused where it stands.
+    A ``csv.Error`` (a cell over the field limit) escapes."""
     try:
         # utf-8-sig drops the byte-order mark spreadsheet exports often write
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -939,6 +960,11 @@ def read_csv_reference(path: Path) -> Ensemble:
                             f"{path}: line {line_no}, column {col + 1} "
                             f"({header[col]!r}): cannot parse {cell!r} as a "
                             f"number") from None
+                    if not math.isfinite(columns[col][-1]):
+                        raise InputFormatError(
+                            f"{path}: line {line_no}, column {col + 1} "
+                            f"({header[col]!r}): {cell!r} is not a finite "
+                            f"number")
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not columns[0]:

@@ -103,6 +103,33 @@ class TestReadEnsembleCsv:
         with pytest.raises(InputFormatError, match="cannot parse 'two'"):
             cli.read_ensemble_csv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999", "NaN"])
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["loadtxt", "per-cell"])
+    def test_non_finite_cell_names_line_column_label(self, tmp_path, capsys,
+                                                     cell, quote):
+        # quoted cells send the body to the per-cell loop
+        p = write_csv(tmp_path / "d.csv",
+                      f"a,b\n{quote}1{quote},2\n3,{cell}\n4,5\n")
+        message = f"{p}: line 3, column 2 ('b'): {cell!r} is not a finite number"
+        with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
+            cli.read_ensemble_csv(p)
+        assert cli.main(["analyze", "--input", str(p),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("rows, place, complaint", [
+        ("nan,2\n3,x\n", "line 2, column 1 ('a')", "'nan' is not a finite number"),
+        ("1,x\n3,inf\n", "line 2, column 2 ('b')", "cannot parse 'x' as a number"),
+        ('"1",2\n1e999,2\n3,\n', "line 3, column 1 ('a')",
+         "'1e999' is not a finite number"),
+    ])
+    def test_the_first_bad_cell_is_named_whatever_its_fault(
+            self, tmp_path, rows, place, complaint):
+        p = write_csv(tmp_path / "d.csv", "a,b\n" + rows)
+        with pytest.raises(InputFormatError,
+                           match=f"^{re.escape(f'{p}: {place}: {complaint}')}$"):
+            cli.read_ensemble_csv(p)
+
     def test_header_only(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "a,b\n")
         with pytest.raises(InputFormatError, match="no data rows"):
@@ -258,6 +285,11 @@ INGEST_CORPUS = {
     "nan": b"a,b\nnan,1\n2,3\n",
     "inf": b"a,b\ninf,1\n",
     "overflow": b"a,b\n1e999,1\n",
+    "quoted-nan": b'a,b\n"1",2\n3,nan\n',
+    "quoted-overflow": b'a,b\n"1",2\n-1e999,4\n',
+    "nan-before-bad-cell": b"a,b\n1,nan\nx,2\n",
+    "bad-cell-before-nan": b"a,b\n1,x\nnan,2\n",
+    "nan-before-short-row": b"a,b\n1,inf\n3\n",
     "byte-order-mark": b"\xef\xbb\xbfa,b\n1,2\n3,4\n",
     "long-number": b"a,b\n1,2\n3," + b"4" * _LONG + b"\n",
     "long-padding": b"a,b\n1,2\n3," + b" " * _LONG + b"5\n",

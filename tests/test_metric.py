@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from polyscope import (
     FrequencyGrid,
     InsufficientDataError,
     InvalidParameterError,
+    InvalidSpectrumError,
     SpectralMatrix,
     Spectrum,
     TimeSeries,
@@ -28,11 +30,13 @@ from polyscope import (
     spectral_matrix,
     windowed_average_distance,
 )
-from polyscope import analytic_spectra, generate_polytree_aln, metric, simulate
+from polyscope import (analytic_spectra, build_polytree, generate_polytree_aln,
+                       metric, simulate)
 from polyscope.diagnostics import collect
 from polyscope.metric import _log_triangle_breaches
 
 from oracles import (
+    causal_error_costs_reference,
     causal_rows_reference,
     distance_matrix_reference,
     half_grid_matrix,
@@ -318,9 +322,58 @@ def causal_rows(S: SpectralMatrix, distances) -> tuple[bytes, list]:
     return values.tobytes(), events
 
 
+#: Absolute tolerance between the Parseval cost ``1 - sum c^2`` and the
+#: grid mean of the clipped error spectrum: both are within a few ``eps`` of
+#: the exact cost of a positive semidefinite matrix (the largest measured
+#: gap over the cases below is 2.6 ``eps``), and costs lie in [0, 1].
+PARSEVAL_COST_ATOL = 8 * np.finfo(float).eps
+
+
+class TestParsevalCost:
+    """The cost ``1 - sum_{tau < K/2} c_tau^2`` against the error-spectrum
+    kernel it replaced."""
+
+    @pytest.mark.parametrize("size", [64, 256, 1024])
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    @pytest.mark.parametrize("producer", ["welch", "analytic"])
+    def test_matches_the_error_spectrum_kernel(self, producer, n, size):
+        S = half_grid_matrix(producer, n, size)
+        with collect() as events:
+            DC = causal_distance_matrix(S).values
+        with collect() as ref_events:
+            ref = causal_error_costs_reference(S)
+        off = ~np.eye(n, dtype=bool)
+        # the root and its square round by an ulp of the cost at most
+        gap = np.abs(DC ** 2 - ref)[off]
+        assert gap.max() <= PARSEVAL_COST_ATOL
+        assert [e.category for e in events] == [e.category for e in ref_events]
+
+    def test_residual_spectrum_mean_is_the_cost(self):
+        for producer in ("welch", "analytic"):
+            S = half_grid_matrix(producer, 8, 256)
+            for target, input_ in [(0, 7), (7, 0), (1, 0), (3, 5)]:
+                sol = causal_wiener(S, target, input_)
+                mean = np.mean(sol.residual_spectrum.values.real)
+                assert abs(mean - sol.cost) <= PARSEVAL_COST_ATOL
+
+    def test_a_matrix_that_is_not_psd_is_refused_by_the_filter(self):
+        S = overshooting_matrix(5)
+        costs = np.array([[metric._causal_pair(S, j, i)[1] if i != j else 0.0
+                           for i in range(5)] for j in range(5)])
+        assert costs.min() < -1e-8
+        DC = causal_distance_matrix(S).values
+        assert np.array_equal(DC, np.sqrt(np.maximum(costs, 0.0)))
+        j, i = np.unravel_index(np.argmin(costs), costs.shape)
+        message = (f"causal cost of 's{j}' on 's{i}' is {costs[j, i]:.3e}: "
+                   f"the spectral matrix is not positive semidefinite")
+        with pytest.raises(InvalidSpectrumError, match=f"^{re.escape(message)}$"):
+            causal_wiener(S, j, i)
+
+
 class TestCausalBlocks:
     """Targets are solved in blocks of ``CAUSAL_BLOCK_VALUES`` array values,
-    with the bits and events of the per-target loop they replaced."""
+    with the bits and events of a per-target loop of the kernel's
+    elementwise operations."""
 
     @pytest.mark.parametrize("size", [64, 256, 1024])
     @pytest.mark.parametrize("n", [4, 13, 16, 32])
@@ -354,8 +407,9 @@ class TestCausalBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a block's kernel peaks near 3.2 complex arrays of the block; the
-        # rest of the bound is room for the factors of every series
+        # a block's kernel peaks near three times its sequences' bytes (the
+        # layer near 3.2 MB here); the rest of the bound is room for the
+        # factors of every series and their reciprocals
         assert peak < 6 * 16 * metric.CAUSAL_BLOCK_VALUES
 
 
@@ -396,6 +450,44 @@ class TestCausalEdgeWeights:
         assert not direction.ties[0, 2] and not direction.ties[2, 0]
         assert direction.values[2, 0] == 1
         assert weights.values[0, 1] == weights.values[1, 0] == 0.5
+
+    def test_rounding_level_zero_costs_tie(self):
+        d = np.zeros((3, 3))
+        # costs of 6 and 7 eps: a series and its copy, far apart relatively
+        d[0, 1], d[1, 0] = np.sqrt([6, 7]) * np.sqrt(np.finfo(float).eps)
+        # both costs just above the bound: a real, if small, gap
+        above = np.sqrt(metric.ZERO_COST_ATOL) * 1.01
+        d[0, 2], d[2, 0] = above * 1.5, above
+        _, direction = causal_edge_weights(
+            DistanceMatrix(["a", "b", "c"], d, "causal"))
+        assert abs(d[0, 1] - d[1, 0]) > metric.TIE_RTOL * d[1, 0]
+        assert direction.ties[0, 1] and direction.ties[1, 0]
+        assert direction.values[0, 1] == 1       # upward, as an exact tie
+        assert not direction.ties[0, 2]
+        assert direction.values[2, 0] == 1
+
+    @pytest.mark.parametrize("size", [64, 256])
+    def test_a_series_and_its_copy_are_a_flagged_tie(self, size):
+        sim = simulate(generate_polytree_aln(8, 3), 2 ** 14, seed=5)
+        x = sim.ensemble.values()
+        ens = Ensemble([TimeSeries(label, row) for label, row
+                        in zip(sim.ensemble.labels, x)]
+                       + [TimeSeries("copy", x[0])])
+        S = spectral_matrix(ens, WelchConfig(grid_size=size))
+        DC = causal_distance_matrix(S)
+        costs = DC.values[[0, 8], [8, 0]] ** 2
+        assert costs.max() <= metric.ZERO_COST_ATOL
+        for j, i in [(0, 8), (8, 0)]:
+            # a cost that rounds below 0 is clipped, not refused
+            assert causal_distance(S, j, i) == DC.values[j, i] == \
+                np.sqrt(causal_wiener(S, j, i).cost)
+        _, direction = causal_edge_weights(DC)
+        assert direction.ties[0, 8] and direction.values[0, 8] == 1
+        with collect() as events:
+            tree = build_polytree(DC)
+        assert (8, 0) in tree.ties
+        assert any(e.category == "tie" and "'X1' and 'copy'" in e.message
+                   for e in events)
 
     def test_rejects_symmetric_kind(self):
         D = DistanceMatrix(["a", "b"], np.zeros((2, 2)), "noncausal")

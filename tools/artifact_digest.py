@@ -24,7 +24,10 @@ fail the screen too, yet every fit on them is solvable: ``analyze
 target by itself and OLS steps on a matrix that fails the screen, and
 ``analyze --pipeline miso-blanket`` on the record with the copy pins the
 targets whose fit is singular: each leaves the copy out as a
-``collinear-candidate``, and the graph gains the edge ``X1``--``copy``.  The
+``collinear-candidate``, and the graph gains the edge ``X1``--``copy``.
+``analyze --pipeline polytree`` on that record pins a pair that each
+direction explains exactly: both causal costs round to a few ``eps``, and
+the edge ``X1``--``copy`` is a flagged orientation tie.  The
 first record's first two series beside a constant series ``flat`` pin that
 ``sparse`` at budget 2 stops before the singular block of the flat series,
 whose gain is negligible, and that ``analyze --pipeline miso-blanket``
@@ -193,6 +196,8 @@ def _runs(root: Path):
             "sparse", "--input", str(data), "--budget", budget, "--min-gain", "0"]
     yield "analyze-miso-blanket-duplicated", [
         "analyze", "--input", str(data), "--pipeline", "miso-blanket"]
+    yield "analyze-polytree-duplicated", [
+        "analyze", "--input", str(data), "--pipeline", "polytree"]
     data = root / "sum.csv"
     data.write_text(_beside_first_two(
         first.read_text(encoding="utf-8"), "sum",
