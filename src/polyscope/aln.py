@@ -31,6 +31,7 @@ from .signals import (
     WelchConfig,
     _array,
     _integer,
+    _sequence,
     spectral_matrix,
 )
 from .topology import Polytree, build_polytree, minimum_spanning_tree, miso_blanket_topology
@@ -66,18 +67,6 @@ def _taps(values, name: str) -> np.ndarray:
     :func:`~polyscope.signals._array` finds a non-empty real vector.  The
     one tap rule, for links and noise shaping."""
     return _frozen(_array(values, float, name, (None,)))
-
-
-def _sequence(values, name: str) -> tuple:
-    """``values`` as a tuple, once it is an iterable other than a string
-    (a string would be split into its characters)."""
-    if not isinstance(values, (str, bytes)):
-        try:
-            return tuple(values)
-        except TypeError:
-            pass
-    raise InvalidParameterError(
-        f"{name} must be a sequence, not {type(values).__name__}")
 
 
 def _values_key(values: np.ndarray) -> tuple[float, ...]:
@@ -204,7 +193,7 @@ class ALNSpec:
             if key in edges:
                 raise InvalidParameterError(f"duplicate link {key}")
             edges[key] = float(np.max(np.abs(link.taps)))
-        store("_skeleton", Polytree(list(self.labels), edges))
+        store("_skeleton", Polytree(self.labels, edges))
         store("_order", self._topological_order())
 
     def __eq__(self, other):
@@ -229,7 +218,7 @@ class ALNSpec:
 
     def to_polytree(self) -> Polytree:
         """The skeleton with its link directions, as a new :class:`Polytree`."""
-        return Polytree(list(self.labels), dict(self._skeleton.edges))
+        return Polytree(self.labels, dict(self._skeleton.edges))
 
     def parents_of(self, node: int) -> list[Link]:
         return [l for l in self.links if l.target == node]

@@ -29,6 +29,7 @@ from .signals import (
     _array,
     _coherence,
     _integer,
+    _sequence,
     spectral_matrix,
 )
 from .wiener import _causal_pair, _spectral_factors, _wiener_hopf
@@ -72,11 +73,12 @@ class DistanceMatrix:
     ``(n, n)``.
     """
 
-    labels: list[str]
+    labels: tuple[str, ...]
     values: np.ndarray
     kind: str
 
     def __post_init__(self):
+        self.labels = _sequence(self.labels, "labels")
         if self.kind not in KINDS:
             raise InvalidParameterError(f"unknown distance kind {self.kind!r}")
         self.values = _array(self.values, float, "distance matrix", (self.n, self.n))
@@ -106,11 +108,12 @@ class DirectionMatrix:
     ``ties``.
     """
 
-    labels: list[str]
+    labels: tuple[str, ...]
     values: np.ndarray
     ties: np.ndarray
 
     def __post_init__(self):
+        self.labels = _sequence(self.labels, "labels")
         n = len(self.labels)
         self.values = _array(self.values, int, "direction matrix", (n, n))
         self.ties = _array(self.ties, bool, "direction ties", (n, n))
@@ -167,7 +170,7 @@ def distance_matrix(S: SpectralMatrix) -> DistanceMatrix:
                f"{S.labels[i]!r} and {S.labels[j]!r} are at distance "
                f"{out[i, j]:.3e}; duplicated series?")
     _log_triangle_breaches(out)
-    return DistanceMatrix(list(S.labels), out, "noncausal")
+    return DistanceMatrix(S.labels, out, "noncausal")
 
 
 def causal_distance(S: SpectralMatrix, target: int, input_: int) -> float:
@@ -215,7 +218,7 @@ def causal_distance_matrix(S: SpectralMatrix) -> DistanceMatrix:
                             input_inverses)[1]
         out[targets] = np.sqrt(np.maximum(cost, 0.0))
     np.fill_diagonal(out, 0.0)
-    return DistanceMatrix(list(S.labels), out, "causal")
+    return DistanceMatrix(S.labels, out, "causal")
 
 
 def causal_edge_weights(DC: DistanceMatrix) -> tuple[DistanceMatrix, DirectionMatrix]:
@@ -239,8 +242,8 @@ def causal_edge_weights(DC: DistanceMatrix) -> tuple[DistanceMatrix, DirectionMa
                    | (larger ** 2 <= ZERO_COST_ATOL), 1)
     upper = np.triu(np.where((d <= d.T) | tied, 1, -1), 1)
     direction = upper - upper.T
-    return (DistanceMatrix(list(DC.labels), weights, "causal-min"),
-            DirectionMatrix(list(DC.labels), direction, tied | tied.T))
+    return (DistanceMatrix(DC.labels, weights, "causal-min"),
+            DirectionMatrix(DC.labels, direction, tied | tied.T))
 
 
 def correlation_distance_matrix(ens: Ensemble) -> DistanceMatrix:
@@ -261,7 +264,7 @@ def correlation_distance_matrix(ens: Ensemble) -> DistanceMatrix:
     out = np.sqrt(2.0 * (1.0 - rho))
     out = 0.5 * (out + out.T)
     np.fill_diagonal(out, 0.0)
-    return DistanceMatrix(list(ens.labels), out, "correlation")
+    return DistanceMatrix(ens.labels, out, "correlation")
 
 
 def spearman_index(A: DistanceMatrix, B: DistanceMatrix) -> float | None:
@@ -310,7 +313,7 @@ def _windowed_average(ens: Ensemble, window_length: int,
         window = distances(Ensemble([TimeSeries(label, row)
                                      for label, row in zip(ens.labels, chunk)]))
         total += window.values
-    return DistanceMatrix(list(ens.labels), total / count, window.kind)
+    return DistanceMatrix(ens.labels, total / count, window.kind)
 
 
 def windowed_average_distance(ens: Ensemble, window_length: int,

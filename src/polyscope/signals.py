@@ -43,6 +43,19 @@ def _integer(value, name: str) -> int:
     raise InvalidParameterError(f"{name} must be an integer, not {value!r}")
 
 
+def _sequence(values, name: str) -> tuple:
+    """``values`` as a tuple, once it is an iterable other than a string
+    (a string would be split into its characters): the one rule on the
+    labels of every container and on the sequence fields of a spec."""
+    if not isinstance(values, (str, bytes)):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise InvalidParameterError(
+        f"{name} must be a sequence, not {type(values).__name__}")
+
+
 #: What each numpy dtype kind holds, in the words of :func:`_array`'s messages.
 _KIND_WORDS = dict(b="booleans", i="integers", u="integers", f="real numbers",
                    c="complex numbers", m="durations", M="dates", O="objects",
@@ -340,7 +353,7 @@ class SpectralMatrix:
     half: np.ndarray
 
     def __init__(self, labels, grid: FrequencyGrid, values):
-        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "labels", _sequence(labels, "labels"))
         object.__setattr__(self, "grid", grid)
         v = _array(values, complex, "spectral matrix")
         n, m = len(self.labels), grid.size // 2
@@ -594,7 +607,7 @@ def spectral_matrix(ens: Ensemble, cfg: WelchConfig) -> SpectralMatrix:
     does not grow with the record length.  The result is exactly
     Hermitian, as every :class:`SpectralMatrix` is.
     """
-    return SpectralMatrix(list(ens.labels), FrequencyGrid(cfg.grid_size),
+    return SpectralMatrix(ens.labels, FrequencyGrid(cfg.grid_size),
                           _welch_matrix(ens.values(), cfg))
 
 

@@ -18,11 +18,10 @@ Three solvers:
   the current support's fit, and drops a candidate collinear with the
   support from the rest of the run.  Every target of a matrix is selected
   at once, the targets stepping in lockstep in blocks of at most
-  :data:`OLS_BLOCK_VALUES` gathered values, and the outcomes are kept per
-  matrix and ``(max_inputs, min_gain)``; the first step of every target
-  comes from one checked array pass per matrix.  Nothing is refit: each
-  step reports the winner's filters and cost from its scoring, which agree
-  with a joint solve to rounding.
+  :data:`OLS_BLOCK_VALUES` gathered values, the first step included, and
+  the outcomes are kept per matrix and ``(max_inputs, min_gain)``.
+  Nothing is refit: each step reports the winner's filters and cost from
+  its scoring, which agree with a joint solve to rounding.
 """
 
 from __future__ import annotations
@@ -240,14 +239,13 @@ def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
     the best.  :func:`~polyscope.wiener._extension_costs` scores a step in
     closed form from the current support's fit (one Schur complement per
     candidate, one solve per step) and checks every scored extension's
-    filters against their normal equations.  The first step needs no
-    solve: it is read from one array pass over every target of ``S``
-    (:func:`~polyscope.wiener._first_steps`).  A candidate collinear with
-    the support is scored ``inf`` and leaves the pool for the rest of the
-    run, as in the classical rule of Chen, Billings & Luo (1989); a pool
-    left empty stops on ``exhausted``.  The winner is not refit: its
-    filters and its closed-form cost, which the stopping rules read, are
-    those its scoring solved and checked, and they agree with
+    filters against their normal equations.  The first step is the same
+    recursion on the empty support, with nothing to solve.  A candidate
+    collinear with the support is scored ``inf`` and leaves the pool for
+    the rest of the run, as in the classical rule of Chen, Billings & Luo
+    (1989); a pool left empty stops on ``exhausted``.  The winner is not
+    refit: its filters and its closed-form cost, which the stopping rules
+    read, are those its scoring solved and checked, and they agree with
     :func:`project` on the same support to rounding.  When the conditioning
     screen fails, the input block of each extension the stopping rules take
     is still checked as :func:`project` would check it, and raises the same

@@ -18,7 +18,7 @@ import numpy as np
 from .diagnostics import record
 from .errors import InvalidParameterError
 from .metric import SYMMETRIC_KINDS, DistanceMatrix, causal_edge_weights
-from .signals import SpectralMatrix, _array, _integer
+from .signals import SpectralMatrix, _array, _integer, _sequence
 from .wiener import _filter_rms
 
 #: Relative filter magnitude below which a MISO input does not count as a
@@ -38,10 +38,11 @@ class UndirectedGraph:
     skeleton, :class:`Polytree` read it.
     """
 
-    nodes: list[str]
+    nodes: tuple[str, ...]
     edges: dict[tuple[int, int], float]
 
     def __post_init__(self):
+        self.nodes = _sequence(self.nodes, "nodes")
         n, m, canonical = len(self.nodes), len(self.edges), {}
         weights = _array(list(self.edges.values()), float, "edge weights", (m,))
         for (a, b), w in zip(self.edges, weights.tolist()):
@@ -101,11 +102,12 @@ class Polytree:
     tie-break rather than a strict cost comparison.
     """
 
-    nodes: list[str]
+    nodes: tuple[str, ...]
     edges: dict[tuple[int, int], float]
     ties: set[tuple[int, int]] = field(default_factory=set)
 
     def __post_init__(self):
+        self.nodes = _sequence(self.nodes, "nodes")
         tree = self.skeleton()      # raises unless the skeleton is a tree
         # the tree keeps the edges' order, keyed (min, max)
         keys = {edge: (a, b) if edge[0] == a else (b, a)
@@ -132,7 +134,7 @@ class Polytree:
 
     def skeleton(self) -> Tree:
         """The edges without their directions, as a new :class:`Tree`."""
-        return Tree(list(self.nodes), dict(self.edges))
+        return Tree(self.nodes, dict(self.edges))
 
 
 class _UnionFind:
@@ -176,7 +178,7 @@ def minimum_spanning_tree(W: DistanceMatrix) -> Tree:
             chosen[(a, b)] = w
             if len(chosen) == n - 1:
                 break
-    return Tree(list(W.labels), chosen)
+    return Tree(W.labels, chosen)
 
 
 def build_polytree(DC: DistanceMatrix) -> Polytree:
@@ -202,7 +204,7 @@ def build_polytree(DC: DistanceMatrix) -> Polytree:
             ties.add(key)
             record("tie", f"causal tie between {DC.labels[a]!r} and "
                           f"{DC.labels[b]!r} at {DC.values[a, b]:.6f}")
-    return Polytree(list(DC.labels), edges, ties)
+    return Polytree(DC.labels, edges, ties)
 
 
 def markov_blanket(tree: Polytree, node: int) -> set[int]:
@@ -274,7 +276,7 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
         for i in kept:
             key = (min(i, j), max(i, j))
             edges.setdefault(key, float(D.values[i, j]))
-    return UndirectedGraph(list(S.labels), edges)
+    return UndirectedGraph(S.labels, edges)
 
 
 def _quote(label: str) -> str:

@@ -243,24 +243,13 @@ def _joint_fits(S: SpectralMatrix, target: int, inputs
     spectrum, both on the :attr:`FrequencyGrid.half` grid.
     """
     _check_conditioning(S, inputs)
-    A, c = _normal_equations(S, target, np.asarray([inputs]))
+    idx = np.asarray(inputs)
+    A = S._floored_stack[:, idx[:, None], idx][None]
+    c = S.half[idx, target].T[None].copy()
     W = np.linalg.solve(A, c[..., None])[..., 0]
     _check_orthogonality(target, A, c, W)
     explained = np.real(np.sum(np.conj(c[0]) * W[0], axis=-1))
     return W[0], np.maximum(np.real(S.half[target, target]) - explained, 0.0)
-
-
-def _normal_equations(S: SpectralMatrix, target, idx: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frequency normal equations ``A (..., K/2+1, q, q)`` and
-    ``c (..., K/2+1, q)`` on the :attr:`FrequencyGrid.half` grid, of
-    ``target`` on each row of an ``(..., q)`` index array, with
-    ``S._floored`` on the diagonals; ``target`` is an index or an array that
-    broadcasts against ``idx``."""
-    A = np.moveaxis(S._floored_stack[:, idx[..., :, None], idx[..., None, :]],
-                    0, -3)
-    c = np.moveaxis(S.half[idx, target], -1, -2).copy()
-    return A, c
 
 
 def _extension_costs(S: SpectralMatrix, targets, supports, pools) -> list:
@@ -277,11 +266,10 @@ def _extension_costs(S: SpectralMatrix, targets, supports, pools) -> list:
     target.  Targets with pools of one size are solved as one stack, so
     each target's solve has the shapes of its own and every elementwise
     operation and reduction meets the same values in the same order: a
-    target's bits do not depend on the targets beside it.  None is needed
-    for an empty support: its costs, filters ``c_b / phi_b`` and checks are
-    read from the matrix's :func:`_first_steps`.  Residuals are clipped at
-    zero as in :func:`_joint_fits`; costs are their
-    :meth:`FrequencyGrid.half_mean`.
+    target's bits do not depend on the targets beside it.  An empty support
+    is the case ``q = 0`` of the same steps, with nothing to solve: its
+    filters are ``c_b / A_bb``.  Residuals are clipped at zero as in
+    :func:`_joint_fits`; costs are their :meth:`FrequencyGrid.half_mean`.
 
     A candidate whose ``s_b`` falls below :data:`CONDITION_RTOL` of its
     floored ``A_bb`` at some frequency is collinear with the support: it
@@ -292,8 +280,8 @@ def _extension_costs(S: SpectralMatrix, targets, supports, pools) -> list:
     keeps ``s_b / A_bb`` at or above the screen's ratio.  Every other
     extension's filters, ``w_b = r_b / s_b`` for ``b`` and ``W_S - G_b w_b``
     for the support, are checked against their normal equations as
-    :func:`_joint_fits` checks its own; with an empty support the checks are
-    the pass's.
+    :func:`_joint_fits` checks its own, by :func:`_orthogonality` on the
+    extension's ``(q+1, q+1)`` block.
 
     ``targets`` are distinct indices; ``supports`` holds one support per
     target, all of one size ``q``, each empty or a valid input set whose own
@@ -307,19 +295,6 @@ def _extension_costs(S: SpectralMatrix, targets, supports, pools) -> list:
     equals its filters' joint solve to rounding, not bit for bit.
     """
     supports = np.asarray(supports, dtype=int).reshape(len(targets), -1)
-    q = supports.shape[1]
-    if not q:
-        first = _first_steps(S)
-        scored = []
-        for target, pool in zip(targets, pools):
-            free = np.asarray(pool, dtype=int)
-            failed = free[first.failed[target, free]]
-            error = _orthogonality_error(
-                target, first.worst[target, failed[0]],
-                first.scale[target, failed[0]]) if failed.size else None
-            W = S.half[free, target] / S._floored[free]
-            scored.append((first.costs[target, free], W[..., None], [], error))
-        return scored
     scored = [None] * len(targets)
     sizes = [len(pool) for pool in pools]
     for m in sorted(set(sizes)):
@@ -333,41 +308,59 @@ def _extension_costs(S: SpectralMatrix, targets, supports, pools) -> list:
 
 def _extension_stack(S: SpectralMatrix, targets, supports: np.ndarray,
                      pools: np.ndarray) -> list:
-    """:func:`_extension_costs` of ``g`` targets with ``(g, q)`` supports,
-    ``q >= 1``, and ``(g, m)`` pools of one size, as one stack."""
+    """:func:`_extension_costs` of ``g`` targets with ``(g, q)`` supports and
+    ``(g, m)`` pools of one size, as one stack.
+
+    Each part of the normal equations is read from ``S`` once, ``A_SS`` and
+    ``c_S`` per target, ``A_Sb``, ``A_bS``, the floored ``A_bb`` and ``c_b``
+    per candidate, straight into each extension's ``A (q+1, q+1)`` and
+    ``c (q+1)``, which the recursion reads in place and the normal-equation
+    check reads whole.  An empty support solves nothing: its ``G_b`` and
+    ``W_S`` are empty.  The residuals and Schur complements are freed
+    before the check, whose temporaries take their place."""
     (g, q), m = supports.shape, pools.shape[1]
-    idx = np.concatenate([np.broadcast_to(supports[:, None], (g, m, q)),
-                          pools[..., None]], axis=-1)
-    A, c = _normal_equations(S, np.asarray(targets)[:, None, None], idx)
-    rhs = np.concatenate([A[:, :, :, :q, q].transpose(0, 2, 3, 1),
-                          c[:, 0, :, :q, None]], axis=-1)
-    solved = np.linalg.solve(A[:, 0, :, :q, :q], rhs)
-    G, W_S = solved[..., :m].transpose(0, 3, 1, 2), solved[..., None, :, :, m]
-    explained = np.real(np.sum(np.conj(c[:, 0, :, :q]) * W_S[:, 0], axis=-1))
-    A_bS, A_bb = A[..., q, :q], np.real(A[..., q, q])
+    t, inputs = np.asarray(targets)[:, None], supports[:, :, None]
+    A_SS = np.moveaxis(S._floored_stack[:, inputs, supports[:, None, :]], 0, 1)
+    c_S = np.moveaxis(S.half[supports, t], -1, 1)           # (g, K/2+1, q)
+    A = np.empty((g, m, S.grid.size // 2 + 1, q + 1, q + 1), complex)
+    c = np.empty(A.shape[:-1], complex)
+    A[..., :q, :q], c[..., :q] = A_SS[:, None], c_S[:, None]
+    A[..., :q, q] = S.half[inputs, pools[:, None, :]].transpose(0, 2, 3, 1)
+    A[..., q, :q] = S.half[pools[:, :, None], supports[:, None, :]
+                           ].transpose(0, 1, 3, 2)
+    A[..., q, q], c[..., q] = S._floored[pools], S.half[pools, t]
+    A_bS, A_bb, c_b = A[..., q, :q], A[..., q, q].real, c[..., q]
+    rhs = np.concatenate([A[..., :q, q].transpose(0, 2, 3, 1), c_S[..., None]],
+                         axis=-1)
+    solved = np.linalg.solve(A_SS, rhs) if q else rhs
+    G, W_S = solved[..., :m].transpose(0, 3, 1, 2), solved[:, None, :, :, m]
+    explained = np.real(np.sum(np.conj(c_S) * W_S[:, 0], axis=-1))
     s = A_bb - np.real(np.sum(A_bS * G, axis=-1))
     ratio = (s / A_bb).min(axis=-1)
     kept = ratio >= CONDITION_RTOL
     if not kept.all():      # a collinear candidate enters no division by s
         s = np.where(kept[..., None], s, A_bb)
-    r = c[..., q] - np.sum(A_bS * W_S, axis=-1)
-    w = r / s
-    W = np.concatenate([W_S - G * w[..., None], w[..., None]], axis=-1)
-    failed, worst, scale = _orthogonality(A, c, W)
+    r = c_b - np.sum(A_bS * W_S, axis=-1)
+    W = np.empty_like(c)
+    w = np.divide(r, s, out=W[..., q])
+    W[..., :q] = W_S - G * w[..., None]
     residual = np.maximum(np.real(S.half[targets, targets])[:, None]
                           - explained[:, None] - np.abs(r) ** 2 / s, 0.0)
     costs = np.where(kept, S.grid.half_mean(residual), np.inf)
-    scored = []
-    for i, target in enumerate(targets):
-        messages = [
-            f"candidate {S.labels[b]!r} of target {S.labels[target]!r} "
-            f"is collinear with its support (Schur ratio {low:.3e})"
-            for b, low in zip(pools[i][~kept[i]], ratio[i][~kept[i]])]
-        bad = np.flatnonzero(failed[i] & kept[i])
-        error = _orthogonality_error(target, worst[i, bad[0]],
-                                     scale[i, bad[0]]) if bad.size else None
-        scored.append((costs[i], W[i][kept[i]], messages, error))
-    return scored
+    del r, s, residual      # the check's temporaries take their place
+    failed, worst, scale = _orthogonality(A, c, W)
+    messages, errors = [[] for _ in targets], [None] * g
+    for i, j in zip(*np.nonzero(~kept)):
+        messages[i].append(
+            f"candidate {S.labels[pools[i, j]]!r} of target "
+            f"{S.labels[targets[i]]!r} is collinear with its support "
+            f"(Schur ratio {ratio[i, j]:.3e})")
+    for i, j in zip(*np.nonzero(failed & kept)):
+        if errors[i] is None:       # target i's first failed fit
+            errors[i] = _orthogonality_error(targets[i], worst[i, j],
+                                             scale[i, j])
+    return [(costs[i], W[i] if kept[i].all() else W[i][kept[i]], messages[i],
+             errors[i]) for i in range(g)]
 
 
 def _target_extension_costs(S: SpectralMatrix, target: int, support, free
@@ -393,9 +386,8 @@ def _filter_rms(S: SpectralMatrix) -> np.ndarray:
     is ``-P[i, j] / P[j, j]``.  Otherwise each target is fitted by
     :func:`_joint_fits` in target order.  A target whose fit is singular
     takes its inputs in index order through
-    :func:`_target_extension_costs`, as OLS steps do (the first from the
-    matrix's :func:`_first_steps`, each later one by the Schur recursion):
-    an input collinear with those kept before it is left out
+    :func:`_target_extension_costs`, as OLS steps do, the first on the empty
+    support: an input collinear with those kept before it is left out
     (``collinear-candidate``) and gets RMS 0, the kept block must pass
     :func:`_check_conditioning`, and the last kept extension's filters are
     the target's.  Either way the RMS is taken by
@@ -451,7 +443,7 @@ def _orthogonality(A: np.ndarray, c: np.ndarray, W: np.ndarray
     ``c`` and ``W (..., K/2+1, q)``.  Returns the failure mask, the largest
     residuals and the scales, one per fit."""
     lhs = np.einsum("...ab,...b->...a", A, W)
-    worst = np.max(np.abs(c - lhs), axis=(-2, -1))
+    worst = np.max(np.abs(np.subtract(c, lhs, out=lhs)), axis=(-2, -1))
     failed, scale = _orthogonality_failures(
         worst, np.max(np.abs(c), axis=(-2, -1)),
         np.max(np.abs(A), axis=(-3, -2, -1)), np.max(np.abs(W), axis=(-2, -1)))
@@ -466,82 +458,6 @@ def _check_orthogonality(target: int, A: np.ndarray, c: np.ndarray,
     if failed.any():
         f = np.flatnonzero(failed)[0]
         raise _orthogonality_error(target, worst[f], scale[f])
-
-
-@dataclass(frozen=True)
-class _FirstSteps:
-    """Every target's first OLS step on one matrix: the fits on one input.
-
-    ``costs[t, b]`` is the cost of target ``t``'s fit on input ``b`` alone,
-    and ``failed[t, b]`` whether the fit misses its normal equations by
-    :func:`_orthogonality_failures`, with its ``worst`` residual and
-    ``scale``.  Only ``(n, n)`` arrays: the diagonal means nothing, and a
-    filter ``c_b / phi_b`` is rebuilt by its reader.
-    """
-
-    costs: np.ndarray
-    failed: np.ndarray
-    worst: np.ndarray
-    scale: np.ndarray
-
-
-def _first_steps(S: SpectralMatrix) -> _FirstSteps:
-    """The :func:`_first_step_pass` of ``S``, run once per matrix and kept
-    in its store by :func:`~polyscope.diagnostics.memo` while it lives.
-
-    Every target's first step reads it: OLS's lockstep run over all targets
-    and MISO's singular targets each pay one array pass per matrix.  At
-    n 32, K 64 the pass takes about 0.95 ms on one Xeon core, where one
-    target's own first step took about 0.15 ms.
-    """
-    return memo(S._memo, "_first_steps", lambda: _first_step_pass(S))
-
-
-def _first_step_pass(S: SpectralMatrix) -> _FirstSteps:
-    """:class:`_FirstSteps` of every ``(target, input)`` pair at once.
-
-    The fit of ``t`` on ``b`` alone is ``w = c / phi_b`` with ``c = Phi_bt``
-    and ``phi`` floored, computed as ``c * (1 / phi_b)``: numpy divides a
-    complex number by a real one through its reciprocal, so the two give
-    the same bits.  Its cost is ``half_mean(max(phi_t - |c|^2 / phi_b,
-    0))``: the arithmetic of the Schur path with nothing to solve, element
-    for element, so the same bits.  Its normal equations are checked by
-    :func:`_check_orthogonality`'s rule on the same maxima (a zero in
-    ``c - A w`` may differ in sign, which its magnitude drops).  Reads the
-    floors, so their events are the pass's too, and works in place: its
-    transient peak is about 1.5 times ``S.half.nbytes``, and it keeps only
-    ``(n, n)`` arrays.
-    """
-    half, floored = S.half, S._floored
-    phi_b = floored[:, None, :]
-    d = np.arange(S.n)
-    # axis 0 is the input b and axis 1 the target t until the transposes
-    w = half * (1.0 / phi_b)                    # the bits of c / phi_b
-    W_max = _grid_peak(w)
-    np.multiply(w, phi_b, out=w)
-    np.subtract(half, w, out=w)                 # c - A w
-    worst = _grid_peak(w)
-    del w
-    residual = np.abs(half)
-    c_max = _grid_peak(residual)
-    np.square(residual, out=residual)
-    np.divide(residual, phi_b, out=residual)
-    np.subtract(np.real(half[d, d]), residual, out=residual)
-    np.maximum(residual, 0.0, out=residual)
-    costs = S.grid.half_mean(residual).T
-    del residual
-    worst = worst.T
-    failed, scale = _orthogonality_failures(
-        worst, c_max.T, np.max(floored, axis=-1)[None, :], W_max.T)
-    return _FirstSteps(costs, failed, worst, scale)
-
-
-def _grid_peak(x: np.ndarray) -> np.ndarray:
-    """``max |x|`` of an ``(n, n, K/2+1)`` array over its grid axis, taken
-    from a grid-major copy of the magnitudes: numpy reduces a short
-    contiguous last axis one row at a time, and a maximum is exact in any
-    order."""
-    return np.max(np.abs(x.transpose(2, 0, 1), order="C"), axis=0)
 
 
 def _filters(grid: FrequencyGrid, inputs, W: np.ndarray) -> dict[int, TransferFunction]:

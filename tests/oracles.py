@@ -383,9 +383,8 @@ def project_reference(S: SpectralMatrix, target: int, support
 
 
 def first_step_reference(S: SpectralMatrix, target: int):
-    """OLS's first step for one target as ``wiener._extension_costs`` scored
-    it before every target's first step came from one pass per matrix: the
-    general Schur path with an empty support (nothing to solve), its normal
+    """OLS's first step for one target by the general Schur path with an
+    empty support (nothing to solve), one target at a time: its normal
     equations gathered from ``S._floored_stack`` and checked per candidate.
     With an empty support every Schur ratio is 1, so no candidate is
     collinear and that branch is left out.

@@ -29,6 +29,7 @@ from polyscope import (
     TimeSeries,
     TransferFunction,
     Tree,
+    UndirectedGraph,
     WelchConfig,
     analytic_spectra,
     causal_distance,
@@ -489,8 +490,9 @@ def _spec_json(**fields) -> str:
                        **fields})
 
 
-#: ``ALNSpec`` sequence fields and the arrays of a spec's JSON, each
-#: malformed, with the message that names the field.
+#: ``ALNSpec`` sequence fields, the arrays of a spec's JSON and the labels
+#: or nodes of every container, each malformed, with the message that names
+#: the field.
 SPEC_CASES = {
     "labels-string": (lambda: ALNSpec("ab", [_LINK], np.ones(2)),
                       "labels must be a sequence, not str"),
@@ -516,6 +518,29 @@ SPEC_CASES = {
     "json-shaping-text": (
         lambda: ALNSpec.from_json(_spec_json(noise_shaping=[None, ["x"]])),
         "noise shaping of 'b' must hold real numbers, not text"),
+    "SpectralMatrix-labels-string": (
+        lambda: SpectralMatrix("ab", _G16, np.ones((2, 2, 16))),
+        "labels must be a sequence, not str"),
+    "SpectralMatrix-labels-int": (
+        lambda: SpectralMatrix(2, _G16, np.ones((2, 2, 16))),
+        "labels must be a sequence, not int"),
+    "DistanceMatrix-labels-string": (
+        lambda: DistanceMatrix("ab", 1.0 - np.eye(2), "noncausal"),
+        "labels must be a sequence, not str"),
+    "DistanceMatrix-labels-int": (
+        lambda: DistanceMatrix(2, 1.0 - np.eye(2), "noncausal"),
+        "labels must be a sequence, not int"),
+    "DirectionMatrix-labels-string": (
+        lambda: DirectionMatrix("ab", np.zeros((2, 2), int),
+                                np.zeros((2, 2), bool)),
+        "labels must be a sequence, not str"),
+    "UndirectedGraph-nodes-string": (
+        lambda: UndirectedGraph("ab", {(0, 1): 1.0}),
+        "nodes must be a sequence, not str"),
+    "Tree-nodes-string": (lambda: Tree("ab", {(0, 1): 1.0}),
+                          "nodes must be a sequence, not str"),
+    "Polytree-nodes-string": (lambda: Polytree("ab", {(0, 1): 1.0}),
+                              "nodes must be a sequence, not str"),
 }
 
 

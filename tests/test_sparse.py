@@ -3,6 +3,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from polyscope.sparse import DEFAULT_MIN_GAIN
 from polyscope.wiener import (
     _clears_screen,
     _filter_rms,
-    _first_steps,
     _joint_fits,
     _target_extension_costs,
 )
@@ -377,7 +377,7 @@ def step_supports(S, target, steps):
 
 
 def twin(S):
-    """A new matrix of ``S``'s values: its own floor events and first steps."""
+    """A new matrix of ``S``'s values: its own floor events and kept results."""
     T = SpectralMatrix(S.labels, S.grid, S.half)
     assert T.half.tobytes() == S.half.tobytes()
     return T
@@ -412,56 +412,40 @@ class TestOLSClosedFormSteps:
                     assert np.max(np.abs(W - W_joint)) <= tol
 
     def test_every_scored_extension_is_checked(self, wide_record, monkeypatch):
-        # the first steps of every target are checked by one call of the
-        # rule per matrix, each later extension by wiener._orthogonality
+        # every scored extension of every step, the first included, is
+        # checked by wiener._orthogonality once
         S, ref = twin(wide_record), twin(wide_record)
         steps = {target: step_supports(ref, target, 3) for target in range(S.n)}
-        checked, rules = [], []
-        check, rule = wiener._orthogonality, wiener._orthogonality_failures
+        checked = []
+        check = wiener._orthogonality
 
         def recording(A, c, W):
             checked.append(c)
             return check(A, c, W)
 
-        def recording_rule(*maxima):
-            rules.append(np.broadcast_arrays(*maxima))
-            return rule(*maxima)
-
         monkeypatch.setattr(wiener, "_orthogonality", recording)
-        monkeypatch.setattr(wiener, "_orthogonality_failures", recording_rule)
         for target in range(S.n):
             orthogonal_least_squares(S, target, 3, 0.0)
-        # one check of the whole first step, the rule's other calls are
-        # wiener._orthogonality's
-        (first,) = [args for args in rules if args[0].shape == (S.n, S.n)]
-        assert len(rules) == len(checked) + 1
-        failed, scale = rule(*first)
-        assert not failed[~np.eye(S.n, dtype=bool)].any()
-        for target in range(S.n):
-            free = [b for b in range(S.n) if b != target]
-            _, _, worst, ref_scale = first_step_reference(ref, target)
-            # row target holds the per-target check of each candidate's fit
-            assert first[0][target, free].tobytes() == worst.tobytes()
-            assert scale[target, free].tobytes() == ref_scale.tobytes()
         # each cross spectrum names its input and target
         pairs = {S.half[b, t].tobytes(): (b, t)
                  for b in range(S.n) for t in range(S.n) if b != t}
         assert len(pairs) == S.n * (S.n - 1)
-        seen = {target: set() for target in range(S.n)}
+        fits = Counter()
         for c in checked:
-            assert c.shape[-1] >= 2
             for fit in c.reshape(-1, *c.shape[-2:]):
                 # each checked column is one input's cross spectrum to the
                 # fit's one target
                 inputs, targets = zip(*(pairs[col.tobytes()] for col in fit.T))
                 assert len(set(targets)) == 1
-                seen[targets[0]].add(frozenset(inputs))
+                fits[targets[0], frozenset(inputs)] += 1
+        expected = Counter()
         for target, supports in steps.items():
-            assert supports[0] == []
-            for support in supports[1:]:
+            assert supports[0] == [] and len(supports) == 3
+            for support in supports:
                 for b in range(S.n):
                     if b != target and b not in support:
-                        assert frozenset(support + [b]) in seen[target]
+                        expected[target, frozenset(support + [b])] += 1
+        assert fits == expected
 
     def test_exact_copy_leaves_the_pool(self):
         sim = simulate(generate_polytree_aln(8, 3), 2 ** 12, seed=5)
@@ -539,9 +523,10 @@ class TestOLSReportsItsScoredFit:
                 + raised[target])
 
 
-def assert_first_steps_match(S):
-    """Every target's first step from the one pass per matrix against the
-    per-target scoring it replaced: costs, filters, checks, the winner's
+def assert_first_steps_match(S, monkeypatch):
+    """Every target's first step, scored by the one OLS step kernel with an
+    empty support, against the per-target scoring of
+    :func:`first_step_reference`: costs, filters, checks, the winner's
     filter bit for bit, and the budget-0 cost, with equal events."""
     lib, ref = twin(S), twin(S)
     # budget 0 reads only the initial cost, and records no floor events
@@ -555,20 +540,36 @@ def assert_first_steps_match(S):
             np.float64(expected.cost).tobytes()
         assert (model.support, model.filters, model.stop_reason) == \
             ((), {}, expected.stop_reason)
-    first = _first_steps(lib)
+    # the lockstep first step checks every target's fits by one rule call
+    # per block, its rows the targets in order
+    rules = []
+    rule = wiener._orthogonality_failures
+
+    def recording_rule(worst, *maxima):
+        failed, scale = rule(worst, *maxima)
+        rules.append((failed, worst, scale))
+        return failed, scale
+
+    with monkeypatch.context() as patch:
+        patch.setattr(wiener, "_orthogonality_failures", recording_rule)
+        models = [orthogonal_least_squares(lib, target, 1)
+                  for target in range(S.n)]
+    failed, worst, scale = (np.concatenate(parts) for parts in zip(*rules))
+    assert worst.shape == (S.n, S.n - 1)
     for target in range(S.n):
         free = [b for b in range(S.n) if b != target]
         with collect() as events:
             costs, W = _target_extension_costs(lib, target, [], free)
         with collect() as ref_events:
-            ref_costs, ref_W, worst, scale = first_step_reference(ref, target)
+            ref_costs, ref_W, ref_worst, ref_scale = first_step_reference(
+                ref, target)
         assert events == ref_events
         assert costs.tobytes() == ref_costs.tobytes()
         assert W.shape == ref_W.shape and W.tobytes() == ref_W.tobytes()
-        assert first.worst[target, free].tobytes() == worst.tobytes()
-        assert first.scale[target, free].tobytes() == scale.tobytes()
-        assert not first.failed[target, free].any()
-        model = orthogonal_least_squares(lib, target, 1)
+        assert worst[target].tobytes() == ref_worst.tobytes()
+        assert scale[target].tobytes() == ref_scale.tobytes()
+        assert not failed[target].any()
+        model = models[target]
         if model.support:
             (b,) = model.support
             pick = int(np.argmin(ref_costs))
@@ -576,81 +577,109 @@ def assert_first_steps_match(S):
             assert np.float64(model.cost).tobytes() == ref_costs[pick].tobytes()
             assert model.filters[b].response.tobytes() == \
                 S.grid.mirror(ref_W[pick, :, 0]).tobytes()
+    assert "_first_steps" not in lib._memo
 
 
-def count_passes(monkeypatch):
-    """Record the matrix of every first-step pass from now on."""
-    passes = []
-    run = wiener._first_step_pass
+def count_runs(monkeypatch):
+    """Record ``(S, max_inputs, min_gain)`` of every all-target OLS run
+    from now on."""
+    runs = []
+    run = sparse._ols_outcomes
 
-    def counting(S):
-        passes.append(S)
-        return run(S)
+    def counting(S, max_inputs, min_gain):
+        runs.append((S, max_inputs, min_gain))
+        return run(S, max_inputs, min_gain)
 
-    monkeypatch.setattr(wiener, "_first_step_pass", counting)
-    return passes
+    monkeypatch.setattr(sparse, "_ols_outcomes", counting)
+    return runs
 
 
 class TestFirstStepPass:
-    """Every target's first step from one checked pass per matrix."""
+    """Every target's first step is the OLS step kernel's empty support."""
 
-    def test_wide_record(self, wide_record):
-        assert_first_steps_match(wide_record)
+    def test_wide_record(self, wide_record, monkeypatch):
+        assert_first_steps_match(wide_record, monkeypatch)
 
     @pytest.mark.parametrize("n", range(2, 17))
-    def test_analytic_networks(self, n):
+    def test_analytic_networks(self, n, monkeypatch):
         grid = FrequencyGrid(64)
         for seed in range(3):
             assert_first_steps_match(
-                analytic_spectra(generate_polytree_aln(n, seed), grid))
+                analytic_spectra(generate_polytree_aln(n, seed), grid),
+                monkeypatch)
 
-    def test_random_psd_matrices(self):
+    def test_random_psd_matrices(self, monkeypatch):
         rng = np.random.default_rng(27)
         for n in (2, 3, 6, 11):
             for k in (16, 64):
-                assert_first_steps_match(random_psd_matrix(rng, n, FrequencyGrid(k)))
+                assert_first_steps_match(
+                    random_psd_matrix(rng, n, FrequencyGrid(k)), monkeypatch)
 
-    def test_floored_sinusoids(self):
+    def test_floored_sinusoids(self, monkeypatch):
         S = spectral_matrix(sinusoid_ensemble(), WelchConfig(grid_size=256))
         with collect() as events:
             S._floored
         assert len([e for e in events if e.category == "spectral-floor"]) == S.n
-        assert_first_steps_match(S)
+        assert_first_steps_match(S, monkeypatch)
 
     def test_copy_record_and_its_singular_miso_targets(self, monkeypatch):
         duplicated = digest_records()[1]
         assert not _clears_screen(duplicated)
-        assert_first_steps_match(duplicated)
-        # each singular target takes its first input from the one pass
+        assert_first_steps_match(duplicated, monkeypatch)
+        # each singular target takes its first input through the kernel,
+        # as a stack of one target on the empty support
         S = twin(duplicated)
-        passes = count_passes(monkeypatch)
+        singular = []
+        for j in range(S.n):
+            try:
+                _joint_fits(S, j, [i for i in range(S.n) if i != j])
+            except IllConditionedSpectrumError:
+                singular.append(j)
+        assert singular
+        stacks = []
+        stack = wiener._extension_stack
+
+        def counting(S, targets, supports, pools):
+            stacks.append((list(targets), supports.shape[1]))
+            return stack(S, targets, supports, pools)
+
+        monkeypatch.setattr(wiener, "_extension_stack", counting)
         with collect() as events:
             rms = _filter_rms(S)
-        assert passes == [S]
+        assert [targets for targets, q in stacks if q == 0] == \
+            [[j] for j in singular]
         assert any(e.category == "collinear-candidate" for e in events)
         assert rms.shape == (S.n, S.n)
 
 
 class TestFirstStepCache:
-    """The pass is kept per matrix, by identity, while the matrix lives."""
+    """The OLS outcomes, first steps included, are computed once per matrix
+    and ``(max_inputs, min_gain)``, by identity, and kept while the matrix
+    lives."""
 
     def test_one_pass_per_matrix(self, wide_record, monkeypatch):
         S = twin(wide_record)
-        passes = count_passes(monkeypatch)
+        runs = count_runs(monkeypatch)
         for target in range(S.n):
             orthogonal_least_squares(S, target, 2)
-        assert passes == [S]
-        # equal values, yet a matrix of its own: its own pass
+        assert runs == [(S, 2, DEFAULT_MIN_GAIN)]
+        # another budget or gain is a run of its own
+        orthogonal_least_squares(S, 0, 1)
+        orthogonal_least_squares(S, 0, 2, 0.0)
+        assert runs[1:] == [(S, 1, DEFAULT_MIN_GAIN), (S, 2, 0.0)]
+        # equal values, yet a matrix of its own: its own run
         T = twin(wide_record)
         orthogonal_least_squares(T, 0, 2)
-        assert len(passes) == 2 and passes[1] is T
-        passes.clear()
-        # the kept pass goes with its matrix, and the other matrix keeps its own
-        kept, alive = weakref.ref(_first_steps(T)), weakref.ref(T)
+        assert len(runs) == 4 and runs[3][0] is T
+        runs.clear()
+        # the kept runs go with their matrix, and the other matrix keeps its own
+        key = ("orthogonal_least_squares", 2, DEFAULT_MIN_GAIN)
+        kept, alive = weakref.ref(T._memo[key][0][0]), weakref.ref(T)
         del T
         assert alive() is None and kept() is None
-        _first_steps(S)
-        assert passes == []
+        orthogonal_least_squares(S, 5, 2)
+        assert runs == []
+        assert "_first_steps" not in S._memo
 
     def test_two_threads_on_one_matrix(self, monkeypatch):
         base = random_psd_matrix(np.random.default_rng(4), 5, FrequencyGrid(64))
@@ -669,7 +698,7 @@ class TestFirstStepCache:
         S = twin(serial)
         expected_models, expected_events = run_all(serial)
         assert any(e.category == "collinear-candidate" for e in expected_events)
-        passes = count_passes(monkeypatch)
+        runs = count_runs(monkeypatch)
         results = [None, None]
 
         def worker(slot):
@@ -687,7 +716,7 @@ class TestFirstStepCache:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert passes == [S]
+        assert runs == [(S, 3, 0.0)]
         for models, events in results:
             assert events == expected_events
             for model, ref in zip(models, expected_models, strict=True):
@@ -853,7 +882,7 @@ class TestOLSLockstep:
         # gather about 130 MB
         S = half_grid_matrix("analytic", 64, 1024)
         block = max(sparse.OLS_BLOCK_VALUES, (S.n - 2) * (S.grid.size // 2 + 1) * 4)
-        _first_steps(S), _clears_screen(S)       # per-matrix passes
+        _clears_screen(S)                       # a per-matrix pass
         tracemalloc.start()
         try:
             for target in range(S.n):
@@ -861,7 +890,7 @@ class TestOLSLockstep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a block's arrays peak near 5.4 complex arrays of its gathered values
+        # the run peaks near 4.5 complex arrays of one block's gathered values
         assert peak < 8 * 16 * block
 
 
