@@ -14,6 +14,7 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import get_window
 
 from .diagnostics import memo, record
@@ -530,7 +531,8 @@ def _welch_matrix(values: np.ndarray, cfg: WelchConfig) -> np.ndarray:
     """Welch cross spectra of every pair of rows of ``values`` at the
     :attr:`FrequencyGrid.half` points, ``(n, n, K/2+1)``.
 
-    A streamed Gram product: the windowed segments are real-transformed
+    A streamed Gram product: the segments, windowed from a strided view of
+    the record (no index array gathers them), are real-transformed
     (``rfft``) :data:`WELCH_CHUNK_SEGMENTS` at a time, and each chunk adds
     its per-frequency ``X^H X`` to one ``(K/2+1, n, n)`` accumulator, so the
     segment DFTs held at once do not grow with the record.  The bins give
@@ -553,12 +555,11 @@ def _welch_matrix(values: np.ndarray, cfg: WelchConfig) -> np.ndarray:
                f"only {available} segments fit, {cfg.segment_count} planned")
     win = cfg.window_taps
     n, k = values.shape[0], cfg.grid_size
-    offsets = np.arange(seg)
+    # (n, available, seg): every segment as a view of the record
+    windows = sliding_window_view(values, seg, axis=-1)[:, ::cfg.hop]
     gram = np.zeros((k // 2 + 1, n, n), dtype=complex)
     for first in range(0, available, WELCH_CHUNK_SEGMENTS):
-        last = min(first + WELCH_CHUNK_SEGMENTS, available)
-        starts = np.arange(first, last) * cfg.hop
-        segments = values[:, starts[:, None] + offsets] * win    # (n, m, seg)
+        segments = windows[:, first:first + WELCH_CHUNK_SEGMENTS] * win
         # (K/2+1, m, n): one matrix of segment DFTs per frequency
         X = np.fft.rfft(segments, n=k, axis=-1).transpose(2, 1, 0)
         gram += np.conj(X.transpose(0, 2, 1)) @ X

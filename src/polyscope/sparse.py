@@ -18,8 +18,9 @@ Three solvers:
   the current support's fit, and drops a candidate collinear with the
   support from the rest of the run.  Every target of a matrix is selected
   at once, the targets stepping in lockstep in blocks of at most
-  :data:`OLS_BLOCK_VALUES` gathered values, the first step included, and
-  the outcomes are kept per matrix and ``(max_inputs, min_gain)``.
+  :data:`OLS_BLOCK_VALUES` normal-equation values, the first step
+  included, and the outcomes are kept per matrix and ``(max_inputs,
+  min_gain)``.
   Nothing is refit: each step reports the winner's filters and cost from
   its scoring, which agree with a joint solve to rounding.
 """
@@ -57,8 +58,11 @@ DEFAULT_MIN_GAIN = 0.01
 #: Gains below this fraction of the *initial* cost are numerical noise.
 NEGLIGIBLE_RTOL = 1e-12
 
-#: Gathered normal-equation values one block of OLS targets may hold at a
-#: step (:func:`_ols_outcomes`); 8 targets at the second step at n 32, K 64.
+#: Normal-equation values, ``(q+1)^2`` per extension and grid point, that one
+#: block of OLS targets may span at a step (:func:`_ols_outcomes`); 8 targets
+#: at the second step at n 32, K 64.  No block is gathered: the kernel reads
+#: the parts, and its transient peak is about 40 bytes per counted value at
+#: q = 1 and 22 at q = 3, where 16 is one complex array of them.
 OLS_BLOCK_VALUES = 1 << 15
 
 
@@ -257,12 +261,13 @@ def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
     the outcomes are kept while ``S`` lives by
     :func:`~polyscope.diagnostics.memo`, with the floor events they read.
     A loop over all targets (``cli sparse``) pays for them once; a lone call
-    on a fresh matrix pays for every target, about 7.4 ms at n 32, K 64 and
-    budget 2 on one Xeon core, against about 1.2 ms for its own target
-    alone.  Each call records its own target's ``collinear-candidate``
-    events in step order, raises only its own target's error, and returns a
-    model of its own.  At budget 0 nothing is read but the initial cost,
-    ``project``'s on the empty support, so no floor is read.
+    on a fresh matrix pays for every target, about 5.5 ms at n 32, K 64 and
+    budget 2 on one Xeon core, against about 0.55 ms for its own target's
+    two steps through the same kernel.  Each call records its own target's
+    ``collinear-candidate`` events in step order, raises only its own
+    target's error, and returns a model of its own.  At budget 0 nothing is
+    read but the initial cost, ``project``'s on the empty support, so no
+    floor is read.
     """
     max_inputs = _check_solver_args(max_inputs, min_gain)
     S.check_index(target)
@@ -305,10 +310,9 @@ def _ols_outcomes(S: SpectralMatrix, max_inputs: int, min_gain: float
     over the diagonal of ``S.half``, clipped at 0, bit for bit
     :func:`project`'s on the empty support.  At each step the targets still
     running are scored by :func:`~polyscope.wiener._extension_costs` in
-    blocks of at most :data:`OLS_BLOCK_VALUES` gathered normal-equation
-    values (at least one target); a target's bits do not depend on its
-    block.  A target whose stopping rule fires, or whose check fails,
-    leaves the run.
+    blocks of at most :data:`OLS_BLOCK_VALUES` normal-equation values (at
+    least one target); a target's bits do not depend on its block.  A
+    target whose stopping rule fires, or whose check fails, leaves the run.
     """
     half = np.einsum("iik->ik", S.half)
     initial = np.maximum(np.real(S.grid.half_mean(half)), 0.0)

@@ -25,6 +25,10 @@ from .wiener import _filter_rms
 #: blanket candidate.
 BLANKET_RMS_RTOL = 1e-3
 
+#: Route values one block of MISO targets may hold while its candidates are
+#: purged (:func:`_blanket_edges`); all 32 targets at n 32.
+PURGE_BLOCK_VALUES = 1 << 15
+
 
 @dataclass
 class UndirectedGraph:
@@ -238,7 +242,8 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
     comes from :func:`~polyscope.wiener._filter_rms`: one inverse of the
     floored matrix when it clears the conditioning screen, else one checked
     fit per target, where a singular fit leaves out each input collinear
-    with those before it (RMS 0, a ``collinear-candidate`` event).
+    with those before it (RMS 0, a ``collinear-candidate`` event).  Every
+    target is purged in one array pass by :func:`_blanket_edges`.
     """
     if D.kind not in SYMMETRIC_KINDS:
         raise InvalidParameterError("need a symmetric distance matrix")
@@ -248,35 +253,47 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
             else float(_array(threshold, float, "threshold", ())))
     if not 0 < rtol < 1:
         raise InvalidParameterError(f"threshold must lie in (0, 1), got {rtol}")
-    n = S.n
-    if n < 2:
+    if S.n < 2:
         raise InvalidParameterError("need at least two nodes")
-    rms_all = _filter_rms(S)
+    return UndirectedGraph(S.labels, _blanket_edges(S.labels, _filter_rms(S),
+                                                    D.values, rtol))
+
+
+def _blanket_edges(labels, rms: np.ndarray, D: np.ndarray, rtol: float
+                   ) -> dict[tuple[int, int], float]:
+    """The edges of :func:`miso_blanket_topology` from the ``(n, n)`` filter
+    RMS ``rms[j, i]`` (its diagonal ignored) and the values ``D`` of a
+    :class:`~polyscope.metric.DistanceMatrix` (non-negative, zero diagonal).
+
+    Every target's candidates and purges are marked in one boolean array
+    pass, :data:`PURGE_BLOCK_VALUES` route values (targets times ``n^2``,
+    at least one target) at a time, so the temporaries never grow as
+    ``n^3``.  Purges are recorded and edges inserted in target order, then
+    candidate order; each edge keeps the distance of its first target.
+    """
+    n = len(labels)
+    off = ~np.eye(n, dtype=bool)
+    top = np.max(rms, axis=1, where=off, initial=-np.inf)
+    # a target whose largest RMS is 0 has no candidate: no RMS exceeds 0
+    candidates = off & (rms > rtol * top[:, None])
     edges: dict[tuple[int, int], float] = {}
-    for j in range(n):
-        inputs = [i for i in range(n) if i != j]
-        rms = rms_all[j, inputs].tolist()
-        top = max(rms)
-        if top == 0.0:
-            continue
-        candidates = [i for i, r in zip(inputs, rms) if r > rtol * top]
-        to_target = D.values[candidates, j]
-        # [i, c]: candidate c explains candidate i away
-        routes = np.maximum(D.values[np.ix_(candidates, candidates)],
-                            to_target[None, :]) < to_target[:, None]
-        np.fill_diagonal(routes, False)
-        kept = []
-        for i, explained in zip(candidates, routes.any(axis=1)):
-            if explained:
-                record("blanket-purge",
-                       f"candidate {S.labels[i]!r} of target {S.labels[j]!r} "
-                       f"explained by an indirect route")
-            else:
-                kept.append(i)
-        for i in kept:
-            key = (min(i, j), max(i, j))
-            edges.setdefault(key, float(D.values[i, j]))
-    return UndirectedGraph(S.labels, edges)
+    block = max(1, PURGE_BLOCK_VALUES // n ** 2)
+    for lo in range(0, n, block):
+        chosen = candidates[lo:lo + block]
+        to_target = D[:, lo:lo + block].T           # [j, i] = D(i, j)
+        # [j, i, c]: candidate c of target j explains candidate i away; c = i
+        # never does, as D(i, i) = 0 leaves the leg D(i, j) itself
+        routes = np.maximum(D, to_target[:, None, :]) < to_target[:, :, None]
+        routes &= chosen[:, None, :]
+        purged = chosen & routes.any(axis=-1)
+        for j, i in np.argwhere(purged).tolist():
+            record("blanket-purge",
+                   f"candidate {labels[i]!r} of target {labels[lo + j]!r} "
+                   f"explained by an indirect route")
+        for j, i in np.argwhere(chosen & ~purged).tolist():
+            edges.setdefault((min(i, lo + j), max(i, lo + j)),
+                             float(D[i, lo + j]))
+    return edges
 
 
 def _quote(label: str) -> str:

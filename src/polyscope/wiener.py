@@ -180,28 +180,35 @@ def _clears_screen(S: SpectralMatrix) -> bool:
 
 
 def _screen_certificate(S: SpectralMatrix) -> bool:
-    """Whether one Cholesky factorization per grid point proves the screen.
+    """Whether :func:`_certified` proves the screen for the whole floored
+    stack, its trace the sum of :attr:`SpectralMatrix._floored`.  On the
+    stack of 32 series at K 64 the factorization takes about 0.3 ms,
+    ``eigvalsh`` about 2 ms."""
+    return _certified(S._floored_stack, np.sum(S._floored, axis=0))
 
-    At each :attr:`FrequencyGrid.half` point the floored matrix ``A`` is
-    shifted by ``tau * b``, where ``b`` is its trace and ``tau`` is
-    ``2 * CONDITION_RTOL`` plus ``4 (n+1)^2 eps``, and the whole stack is
-    factored.  A factorization that succeeds is exact for the shifted
-    matrix plus a perturbation of norm at most about ``n (n+1) eps b``
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    2002, ch. 10), so ``A`` is positive definite, ``b`` bounds its largest
-    eigenvalue, and its least eigenvalue exceeds
-    ``(2 * CONDITION_RTOL + 3 (n+1)^2 eps) b``: the rest of the margin
-    covers ``eigvalsh``'s own error, so the ratio it computes clears the
-    screen too.  A failed factorization proves nothing.  On the stack of
-    32 series at K 64 the factorization takes about 0.3 ms, ``eigvalsh``
-    about 2 ms.
+
+def _certified(A: np.ndarray, trace: np.ndarray) -> bool:
+    """Whether one Cholesky factorization per grid point proves that each
+    matrix of the stack ``A (K/2+1, q, q)`` has an eigenvalue ratio of at
+    least ``2 * CONDITION_RTOL``, as ``eigvalsh`` computes it; ``trace``
+    holds their ``(K/2+1,)`` traces.
+
+    Each matrix is shifted by ``tau * b``, where ``b`` is its trace and
+    ``tau`` is ``2 * CONDITION_RTOL`` plus ``4 (q+1)^2 eps``, and the whole
+    stack is factored.  A factorization that succeeds is exact for the
+    shifted matrix plus a perturbation of norm at most about ``q (q+1) eps
+    b`` (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    2002, ch. 10), so the matrix is positive definite, ``b`` bounds its
+    largest eigenvalue, and its least eigenvalue exceeds ``(2 *
+    CONDITION_RTOL + 3 (q+1)^2 eps) b``: the rest of the margin covers
+    ``eigvalsh``'s own error, so the ratio it computes clears ``2 *
+    CONDITION_RTOL`` too.  A failed factorization proves nothing.
     """
-    A = S._floored_stack.copy()
-    d = np.arange(S.n)
-    tau = 2 * CONDITION_RTOL + 4 * (S.n + 1) ** 2 * np.finfo(float).eps
-    A[:, d, d] -= tau * np.sum(S._floored, axis=0)[:, None]
+    shifted, d = A.copy(), np.arange(A.shape[-1])
+    tau = 2 * CONDITION_RTOL + 4 * (d.size + 1) ** 2 * np.finfo(float).eps
+    shifted[:, d, d] -= tau * trace[:, None]
     try:
-        np.linalg.cholesky(A)
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -212,15 +219,20 @@ def _check_conditioning(S: SpectralMatrix, inputs) -> None:
     is singular beyond the floor.
 
     Nothing is computed when :func:`_clears_screen` holds.  Otherwise the
-    inputs' floored block ``(K/2+1, q, q)``, in the order given, is checked
-    at every :attr:`FrequencyGrid.half` point: the message names the
-    frequency of the smallest eigenvalue ratio when that falls below
-    :data:`CONDITION_RTOL`.
+    inputs' floored block ``(K/2+1, q, q)``, in the order given, is first
+    tried by :func:`_certified`, which clears it when it can, and then
+    checked by ``eigvalsh`` at every :attr:`FrequencyGrid.half` point: the
+    message names the frequency of the smallest eigenvalue ratio when that
+    falls below :data:`CONDITION_RTOL`.  The certificate proves a ratio the
+    check would pass, so the outcome is the check's either way.
     """
     if _clears_screen(S):
         return
     idx = np.asarray(inputs)
-    eigs = np.linalg.eigvalsh(S._floored_stack[:, idx[:, None], idx[None, :]])
+    block = S._floored_stack[:, idx[:, None], idx[None, :]]
+    if _certified(block, np.sum(S._floored[idx], axis=0)):
+        return
+    eigs = np.linalg.eigvalsh(block)
     ratio = eigs[:, 0] / eigs[:, -1]
     worst = np.argmin(ratio)
     if eigs[worst, 0] < CONDITION_RTOL * eigs[worst, -1]:
@@ -268,7 +280,8 @@ def _extension_costs(S: SpectralMatrix, targets, supports, pools) -> list:
     operation and reduction meets the same values in the same order: a
     target's bits do not depend on the targets beside it.  An empty support
     is the case ``q = 0`` of the same steps, with nothing to solve: its
-    filters are ``c_b / A_bb``.  Residuals are clipped at zero as in
+    filters are ``c_b / A_bb``; a 1 x 1 support divides
+    (:func:`_support_solve`).  Residuals are clipped at zero as in
     :func:`_joint_fits`; costs are their :meth:`FrequencyGrid.half_mean`.
 
     A candidate whose ``s_b`` falls below :data:`CONDITION_RTOL` of its
@@ -279,9 +292,10 @@ def _extension_costs(S: SpectralMatrix, targets, supports, pools) -> list:
     :func:`_clears_screen` holds no candidate is dropped, since interlacing
     keeps ``s_b / A_bb`` at or above the screen's ratio.  Every other
     extension's filters, ``w_b = r_b / s_b`` for ``b`` and ``W_S - G_b w_b``
-    for the support, are checked against their normal equations as
-    :func:`_joint_fits` checks its own, by :func:`_orthogonality` on the
-    extension's ``(q+1, q+1)`` block.
+    for the support, are checked against their normal equations by
+    :func:`_extension_orthogonality`, from the parts of the extension's
+    ``(q+1, q+1)`` block, under :func:`_orthogonality_failures`, the rule
+    :func:`_joint_fits` checks its own fit by.
 
     ``targets`` are distinct indices; ``supports`` holds one support per
     target, all of one size ``q``, each empty or a valid input set whose own
@@ -311,29 +325,24 @@ def _extension_stack(S: SpectralMatrix, targets, supports: np.ndarray,
     """:func:`_extension_costs` of ``g`` targets with ``(g, q)`` supports and
     ``(g, m)`` pools of one size, as one stack.
 
-    Each part of the normal equations is read from ``S`` once, ``A_SS`` and
-    ``c_S`` per target, ``A_Sb``, ``A_bS``, the floored ``A_bb`` and ``c_b``
-    per candidate, straight into each extension's ``A (q+1, q+1)`` and
-    ``c (q+1)``, which the recursion reads in place and the normal-equation
-    check reads whole.  An empty support solves nothing: its ``G_b`` and
-    ``W_S`` are empty.  The residuals and Schur complements are freed
-    before the check, whose temporaries take their place."""
+    Each part of the normal equations is read from ``S`` once and kept
+    apart, ``A_SS (g, K/2+1, q, q)`` and ``c_S (g, K/2+1, q)`` per target,
+    ``A_Sb (g, K/2+1, q, m)``, ``A_bS (g, m, K/2+1, q)``, the floored
+    ``A_bb`` and ``c_b (g, m, K/2+1)`` per candidate: no extension's block
+    is gathered, neither for the recursion nor for the normal-equation
+    check, which reads the same parts.  An empty support solves nothing:
+    its ``G_b`` and ``W_S`` are empty.  The residuals, Schur complements and
+    ``G`` are freed before the check, whose temporaries take their place."""
     (g, q), m = supports.shape, pools.shape[1]
     t, inputs = np.asarray(targets)[:, None], supports[:, :, None]
-    A_SS = np.moveaxis(S._floored_stack[:, inputs, supports[:, None, :]], 0, 1)
+    F = S._floored_stack
+    A_SS = np.moveaxis(F[:, inputs, supports[:, None, :]], 0, 1)
     c_S = np.moveaxis(S.half[supports, t], -1, 1)           # (g, K/2+1, q)
-    A = np.empty((g, m, S.grid.size // 2 + 1, q + 1, q + 1), complex)
-    c = np.empty(A.shape[:-1], complex)
-    A[..., :q, :q], c[..., :q] = A_SS[:, None], c_S[:, None]
-    A[..., :q, q] = S.half[inputs, pools[:, None, :]].transpose(0, 2, 3, 1)
-    A[..., q, :q] = S.half[pools[:, :, None], supports[:, None, :]
-                           ].transpose(0, 1, 3, 2)
-    A[..., q, q], c[..., q] = S._floored[pools], S.half[pools, t]
-    A_bS, A_bb, c_b = A[..., q, :q], A[..., q, q].real, c[..., q]
-    rhs = np.concatenate([A[..., :q, q].transpose(0, 2, 3, 1), c_S[..., None]],
-                         axis=-1)
-    solved = np.linalg.solve(A_SS, rhs) if q else rhs
-    G, W_S = solved[..., :m].transpose(0, 3, 1, 2), solved[:, None, :, :, m]
+    A_Sb = np.moveaxis(F[:, inputs, pools[:, None, :]], 0, 1)
+    A_bS = np.moveaxis(F[:, pools[:, :, None], supports[:, None, :]], 0, 2)
+    A_bb, c_b = S._floored[pools], S.half[pools, t]         # (g, m, K/2+1)
+    G, W_S = _support_solve(A_SS, A_Sb, c_S)
+    G, W_S = G.transpose(0, 3, 1, 2), W_S[:, None]     # (g, m | 1, K/2+1, q)
     explained = np.real(np.sum(np.conj(c_S) * W_S[:, 0], axis=-1))
     s = A_bb - np.real(np.sum(A_bS * G, axis=-1))
     ratio = (s / A_bb).min(axis=-1)
@@ -341,14 +350,15 @@ def _extension_stack(S: SpectralMatrix, targets, supports: np.ndarray,
     if not kept.all():      # a collinear candidate enters no division by s
         s = np.where(kept[..., None], s, A_bb)
     r = c_b - np.sum(A_bS * W_S, axis=-1)
-    W = np.empty_like(c)
+    W = np.empty(A_bS.shape[:-1] + (q + 1,), complex)
     w = np.divide(r, s, out=W[..., q])
     W[..., :q] = W_S - G * w[..., None]
     residual = np.maximum(np.real(S.half[targets, targets])[:, None]
                           - explained[:, None] - np.abs(r) ** 2 / s, 0.0)
     costs = np.where(kept, S.grid.half_mean(residual), np.inf)
-    del r, s, residual      # the check's temporaries take their place
-    failed, worst, scale = _orthogonality(A, c, W)
+    del G, r, s, residual   # the check's temporaries take their place
+    failed, worst, scale = _extension_orthogonality(A_SS, A_Sb, A_bS, A_bb,
+                                                    c_S, c_b, W)
     messages, errors = [[] for _ in targets], [None] * g
     for i, j in zip(*np.nonzero(~kept)):
         messages[i].append(
@@ -361,6 +371,30 @@ def _extension_stack(S: SpectralMatrix, targets, supports: np.ndarray,
                                              scale[i, j])
     return [(costs[i], W[i] if kept[i].all() else W[i][kept[i]], messages[i],
              errors[i]) for i in range(g)]
+
+
+def _support_solve(A_SS: np.ndarray, A_Sb: np.ndarray, c_S: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """``G = A_SS^{-1} A_Sb`` and ``W_S = A_SS^{-1} c_S`` of each target's
+    support, ``A_SS (g, K/2+1, q, q)``, ``A_Sb (g, K/2+1, q, m)`` and ``c_S
+    (g, K/2+1, q)``, in their layouts.
+
+    An empty support solves nothing.  A 1 x 1 support, every support at
+    budget 2, is its floored auto-spectrum, real and positive: its systems
+    are multiplied by its reciprocal, where ``np.linalg.solve`` pays a
+    LAPACK call for each; the result agrees with LAPACK's within ``2 eps``
+    of its magnitude, and often bit for bit.  Larger supports go to
+    ``np.linalg.solve`` as one stack.
+    """
+    q, m = A_Sb.shape[-2:]
+    if q == 1:
+        inverse = 1.0 / A_SS.real
+        return A_Sb * inverse, c_S * inverse[..., 0]
+    if q:
+        solved = np.linalg.solve(
+            A_SS, np.concatenate([A_Sb, c_S[..., None]], axis=-1))
+        return solved[..., :m], solved[..., m]
+    return A_Sb, c_S
 
 
 def _target_extension_costs(S: SpectralMatrix, target: int, support, free
@@ -436,25 +470,53 @@ def _orthogonality_error(target: int, worst, scale) -> InvalidSpectrumError:
         f"{worst:.3e} (scale {scale:.3e})")
 
 
-def _orthogonality(A: np.ndarray, c: np.ndarray, W: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Check each fit's normal equations hold, residual orthogonal to every
-    input, by :func:`_orthogonality_failures`: fits ``A (..., K/2+1, q, q)``,
-    ``c`` and ``W (..., K/2+1, q)``.  Returns the failure mask, the largest
-    residuals and the scales, one per fit."""
-    lhs = np.einsum("...ab,...b->...a", A, W)
-    worst = np.max(np.abs(np.subtract(c, lhs, out=lhs)), axis=(-2, -1))
+def _extension_orthogonality(A_SS, A_Sb, A_bS, A_bb, c_S, c_b, W
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The normal-equation check of each extension of a stack by
+    :func:`_orthogonality_failures`, as :func:`_check_orthogonality` checks
+    a gathered fit, read from the parts :func:`_extension_stack` holds:
+    ``A_SS (g, K/2+1, q, q)``, ``A_Sb (g, K/2+1, q, m)``, ``A_bS (g, m,
+    K/2+1, q)``, ``A_bb`` and ``c_b (g, m, K/2+1)``, ``c_S (g, K/2+1, q)``
+    and the filters ``W (g, m, K/2+1, q+1)``.
+
+    The support's rows are ``A_SS W_S + A_Sb w`` and the candidate's row is
+    ``A_bS W_S + A_bb w``.  The maxima ``c_max``, ``A_max`` and ``W_max``
+    are taken over the same values as the block's (``|A_bS| = |A_Sb|``
+    exactly, the matrix being exactly Hermitian), so they keep its bits, and
+    so does ``worst`` at ``q = 0``; at ``q >= 1`` its rows sum in another
+    order, so it may differ by rounding.  Returns the failure mask, the
+    largest residuals and the scales, ``(g, m)`` each."""
+    W_S, w = W[..., :-1], W[..., -1]
+    lhs = A_bb * w                                      # the candidate's row
+    c_max, A_max = np.max(np.abs(c_b), axis=-1), np.max(A_bb, axis=-1)
+    rows = 0.0
+    if W_S.shape[-1]:
+        lhs += np.sum(A_bS * W_S, axis=-1)
+        support = np.einsum("gkab,gmkb->gmka", A_SS, W_S)
+        support += A_Sb.transpose(0, 3, 1, 2) * w[..., None]
+        rows = np.max(np.abs(np.subtract(c_S[:, None], support, out=support)),
+                      axis=(-2, -1))
+        c_max = np.maximum(c_max, np.max(np.abs(c_S), axis=(-2, -1))[:, None])
+        A_max = np.maximum(A_max, np.maximum(
+            np.max(np.abs(A_SS), axis=(-3, -2, -1))[:, None],
+            np.max(np.abs(A_Sb), axis=(-3, -2))))
+    worst = np.maximum(
+        np.max(np.abs(np.subtract(c_b, lhs, out=lhs)), axis=-1), rows)
     failed, scale = _orthogonality_failures(
-        worst, np.max(np.abs(c), axis=(-2, -1)),
-        np.max(np.abs(A), axis=(-3, -2, -1)), np.max(np.abs(W), axis=(-2, -1)))
+        worst, c_max, A_max, np.max(np.abs(W), axis=(-2, -1)))
     return failed, worst, scale
 
 
 def _check_orthogonality(target: int, A: np.ndarray, c: np.ndarray,
                          W: np.ndarray) -> None:
-    """Check each fit by :func:`_orthogonality`; the first failing fit
-    raises."""
-    failed, worst, scale = _orthogonality(A, c, W)
+    """Check each fit's normal equations hold, residual orthogonal to every
+    input, by :func:`_orthogonality_failures`: fits ``A (..., K/2+1, q,
+    q)``, ``c`` and ``W (..., K/2+1, q)``.  The first failing fit raises."""
+    lhs = np.einsum("...ab,...b->...a", A, W)
+    worst = np.max(np.abs(np.subtract(c, lhs, out=lhs)), axis=(-2, -1))
+    failed, scale = _orthogonality_failures(
+        worst, np.max(np.abs(c), axis=(-2, -1)),
+        np.max(np.abs(A), axis=(-3, -2, -1)), np.max(np.abs(W), axis=(-2, -1)))
     if failed.any():
         f = np.flatnonzero(failed)[0]
         raise _orthogonality_error(target, worst[f], scale[f])

@@ -27,7 +27,11 @@ tolerance; the whole-grid
 cepstral factors and Wiener--Hopf split that the half-grid causal layer replaced, against which tests
 require agreement to rounding and equal polytrees; and the per-cell CSV reader and ``csv.writer`` text builders
 that whole-body parsing and joined ``repr`` rows replaced, against which
-tests require the same series, messages and bytes.
+tests require the same series, messages and bytes; and the index-array
+Welch gather that a strided view replaced and the per-target blanket purge
+that one array pass replaced, against which tests require the same bits,
+or the same edges, edge order and events.  The per-target OLS runs divide
+at a 1 x 1 support, as the kernel does.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from polyscope import (
 )
 from polyscope.diagnostics import record
 from polyscope.metric import _log_triangle_breaches
+from polyscope.signals import WELCH_CHUNK_SEGMENTS
 from polyscope.sparse import DEFAULT_MIN_GAIN, NEGLIGIBLE_RTOL
 from polyscope.topology import BLANKET_RMS_RTOL
 from polyscope.wiener import CONDITION_RTOL, TRUNCATION_ENERGY_TOL, _spectral_factors
@@ -98,6 +103,28 @@ def welch_reference(values: np.ndarray, cfg: WelchConfig) -> np.ndarray:
         out[i, i:] = np.fft.fftshift(cross, axes=-1)
         out[i + 1:, i] = np.conj(out[i, i + 1:])
     return out
+
+
+def welch_gather_reference(values: np.ndarray, cfg: WelchConfig) -> np.ndarray:
+    """``signals._welch_matrix`` as it gathered each chunk of segments
+    through an index array, ``values[:, starts[:, None] + offsets]``: the
+    half-grid ``(n, n, K/2+1)``, without its events."""
+    seg = cfg.effective_segment_length
+    available = cfg.segments_available(values.shape[-1])
+    win = cfg.window_taps
+    n, k = values.shape[0], cfg.grid_size
+    offsets = np.arange(seg)
+    gram = np.zeros((k // 2 + 1, n, n), dtype=complex)
+    for first in range(0, available, WELCH_CHUNK_SEGMENTS):
+        last = min(first + WELCH_CHUNK_SEGMENTS, available)
+        starts = np.arange(first, last) * cfg.hop
+        segments = values[:, starts[:, None] + offsets] * win
+        X = np.fft.rfft(segments, n=k, axis=-1).transpose(2, 1, 0)
+        gram += np.conj(X.transpose(0, 2, 1)) @ X
+    gram /= available * float(np.sum(win ** 2))
+    m = k // 2
+    half = np.concatenate([gram[m:], np.conj(gram[m - 1:0:-1]), gram[:1]])
+    return half.transpose(1, 2, 0)
 
 
 def covariance_sequence(phi: np.ndarray, grid: FrequencyGrid, order: int) -> np.ndarray:
@@ -512,7 +539,9 @@ def _schur_step_reference(S: SpectralMatrix, target: int, support, pool
     c = S.half[idx, target].transpose(0, 2, 1).copy()
     rhs = np.concatenate([A[:, :, :q, q].transpose(1, 2, 0), c[0, :, :q, None]],
                          axis=-1)
-    solved = np.linalg.solve(A[0, :, :q, :q], rhs)
+    # a 1 x 1 support divides by its reciprocal, as the kernel does
+    solved = (rhs * (1.0 / A[0, :, :1, :1].real) if q == 1
+              else np.linalg.solve(A[0, :, :q, :q], rhs))
     G, W_S = solved[..., :m].transpose(2, 0, 1), solved[..., m]
     explained = np.real(np.sum(np.conj(c[0, :, :q]) * W_S, axis=-1))
     A_bS, A_bb = A[:, :, q, :q], np.real(A[:, :, q, q])
@@ -685,6 +714,38 @@ def miso_reference(S: SpectralMatrix, D, threshold: float | None = None
         for i in kept:
             edges.setdefault((min(i, j), max(i, j)), float(D.values[i, j]))
     return UndirectedGraph(list(S.labels), edges)
+
+
+def blanket_edges_reference(labels, rms: np.ndarray, D: np.ndarray,
+                            rtol: float) -> dict[tuple[int, int], float]:
+    """``topology._blanket_edges`` as ``miso_blanket_topology`` ran it, one
+    target at a time: its candidates from Python floats, its purges from
+    one ``np.ix_`` block of distances, its events and edges in candidate
+    order."""
+    n = len(labels)
+    edges: dict[tuple[int, int], float] = {}
+    for j in range(n):
+        inputs = [i for i in range(n) if i != j]
+        row = rms[j, inputs].tolist()
+        top = max(row)
+        if top == 0.0:
+            continue
+        candidates = [i for i, r in zip(inputs, row) if r > rtol * top]
+        to_target = D[candidates, j]
+        routes = np.maximum(D[np.ix_(candidates, candidates)],
+                            to_target[None, :]) < to_target[:, None]
+        np.fill_diagonal(routes, False)
+        kept = []
+        for i, explained in zip(candidates, routes.any(axis=1)):
+            if explained:
+                record("blanket-purge",
+                       f"candidate {labels[i]!r} of target {labels[j]!r} "
+                       f"explained by an indirect route")
+            else:
+                kept.append(i)
+        for i in kept:
+            edges.setdefault((min(i, j), max(i, j)), float(D[i, j]))
+    return edges
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> frozenset:

@@ -60,6 +60,7 @@ from oracles import (
     csd_reference,
     random_psd_matrix,
     source_transfers_reference,
+    welch_gather_reference,
     welch_reference,
 )
 
@@ -1201,6 +1202,37 @@ class TestWelchKernel:
                 tracemalloc.stop()
             peaks.append(peak)
         assert abs(peaks[1] - peaks[0]) < 2e6
+
+
+class TestWelchWindowView:
+    """Each chunk is windowed from a strided view of the record, bit for bit
+    the index-array gather it replaced."""
+
+    @pytest.mark.parametrize("segments", [63, 64, 65, 129])
+    @pytest.mark.parametrize("segment_length, overlap", [
+        (None, 0.3), (None, 0.75), (50, 0.3), (50, 0.75)])
+    def test_matches_the_index_gather(self, segment_length, overlap, segments):
+        # hops 45, 16, 35 and 12 samples; 35 and 12 divide no segment of 50,
+        # which the DFT pads to the grid of 64
+        cfg = WelchConfig(grid_size=64, segment_length=segment_length,
+                          overlap=overlap)
+        # a partial hop at the end fits no further segment
+        length = cfg.effective_segment_length + (segments - 1) * cfg.hop \
+            + cfg.hop - 1
+        assert cfg.segments_available(length) == segments
+        rng = np.random.default_rng(segments)
+        rows = rng.standard_normal((3, length))
+        ens = Ensemble([TimeSeries(f"s{i}", x) for i, x in enumerate(rows)])
+        values = ens.values()
+        ref = welch_gather_reference(values, cfg)
+        assert signals._welch_matrix(values, cfg).tobytes() == ref.tobytes()
+        assert spectral_matrix(ens, cfg).half.tobytes() == SpectralMatrix(
+            ens.labels, FrequencyGrid(64), ref).half.tobytes()
+        # the cross spectrum of one pair is the stacked pair's matrix
+        x, y = ens.series[:2]
+        pair = welch_gather_reference(values[:2], cfg)[0, 1]
+        assert welch_cross_spectrum(x, y, cfg).values.tobytes() == \
+            FrequencyGrid(64).mirror(pair).tobytes()
 
 
 def _analytic_pair(grid, phi_x, phi_y, cross):

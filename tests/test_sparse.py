@@ -413,17 +413,17 @@ class TestOLSClosedFormSteps:
 
     def test_every_scored_extension_is_checked(self, wide_record, monkeypatch):
         # every scored extension of every step, the first included, is
-        # checked by wiener._orthogonality once
+        # checked by wiener._extension_orthogonality once, from its parts
         S, ref = twin(wide_record), twin(wide_record)
         steps = {target: step_supports(ref, target, 3) for target in range(S.n)}
         checked = []
-        check = wiener._orthogonality
+        check = wiener._extension_orthogonality
 
-        def recording(A, c, W):
-            checked.append(c)
-            return check(A, c, W)
+        def recording(A_SS, A_Sb, A_bS, A_bb, c_S, c_b, W):
+            checked.append((c_S, c_b))
+            return check(A_SS, A_Sb, A_bS, A_bb, c_S, c_b, W)
 
-        monkeypatch.setattr(wiener, "_orthogonality", recording)
+        monkeypatch.setattr(wiener, "_extension_orthogonality", recording)
         for target in range(S.n):
             orthogonal_least_squares(S, target, 3, 0.0)
         # each cross spectrum names its input and target
@@ -431,13 +431,15 @@ class TestOLSClosedFormSteps:
                  for b in range(S.n) for t in range(S.n) if b != t}
         assert len(pairs) == S.n * (S.n - 1)
         fits = Counter()
-        for c in checked:
-            for fit in c.reshape(-1, *c.shape[-2:]):
-                # each checked column is one input's cross spectrum to the
-                # fit's one target
-                inputs, targets = zip(*(pairs[col.tobytes()] for col in fit.T))
-                assert len(set(targets)) == 1
-                fits[targets[0], frozenset(inputs)] += 1
+        for c_S, c_b in checked:
+            for support, candidates in zip(c_S, c_b):
+                for candidate in candidates:
+                    # each checked column is one input's cross spectrum to
+                    # the fit's one target
+                    inputs, targets = zip(*(pairs[col.tobytes()] for col in
+                                            (*support.T, candidate)))
+                    assert len(set(targets)) == 1
+                    fits[targets[0], frozenset(inputs)] += 1
         expected = Counter()
         for target, supports in steps.items():
             assert supports[0] == [] and len(supports) == 3
@@ -793,8 +795,9 @@ def count_blocks(monkeypatch):
 
 class TestOLSLockstep:
     """Every target steps in lockstep, in blocks of ``OLS_BLOCK_VALUES``
-    gathered values, with the bits, events and errors of the per-target
-    runs they replaced, whatever the blocking and the call order."""
+    normal-equation values, with the bits, events and errors of the
+    per-target runs they replaced, whatever the blocking and the call
+    order."""
 
     @pytest.fixture(scope="class")
     def records(self, wide_record):
@@ -890,8 +893,56 @@ class TestOLSLockstep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the run peaks near 4.5 complex arrays of one block's gathered values
+        # the run peaks near 3.6 complex arrays of one block's counted
+        # values, 7.3 MB
         assert peak < 8 * 16 * block
+
+
+class TestOLSSmallSupports:
+    """A 1 x 1 support divides where LAPACK would pay a call per system."""
+
+    @pytest.mark.parametrize("name", ["wide", "summed", "scaled"])
+    def test_one_by_one_division_is_lapacks_within_two_eps(
+            self, name, wide_record, monkeypatch):
+        records = {"wide": lambda: wide_record, "scaled": scaled_record,
+                   "summed": lambda: digest_records()[2]}
+        S = twin(records[name]())
+        solves = []
+        solve = wiener._support_solve
+
+        def recording(A_SS, A_Sb, c_S):
+            solved = solve(A_SS, A_Sb, c_S)
+            solves.append(((A_SS, A_Sb, c_S), solved))
+            return solved
+
+        monkeypatch.setattr(wiener, "_support_solve", recording)
+        for target in range(S.n):
+            try:
+                orthogonal_least_squares(S, target, 2, 0.0)
+            except IllConditionedSpectrumError:
+                assert name == "scaled"     # its winner blocks of targets 1, 3
+        ones = [call for call in solves if call[0][0].shape[-1] == 1]
+        assert ones
+        for (A_SS, A_Sb, c_S), (G, W_S) in ones:
+            lapack = np.linalg.solve(
+                A_SS, np.concatenate([A_Sb, c_S[..., None]], axis=-1))
+            for got, ref in ((G, lapack[..., :-1]), (W_S, lapack[..., -1])):
+                assert got.shape == ref.shape
+                assert np.all(np.abs(got - ref)
+                              <= 2 * np.finfo(float).eps * np.abs(ref))
+
+    def test_budget_two_makes_no_lapack_solve(self, wide_record, monkeypatch):
+        S = twin(wide_record)
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args, **kwargs: (
+            calls.append(np.shape(args[0])) or solve(*args, **kwargs)))
+        models = [orthogonal_least_squares(S, target, 2)
+                  for target in range(S.n)]
+        # every target scored its second step, on a 1 x 1 support
+        assert all(model.support for model in models)
+        assert any(len(model.support) == 2 for model in models)
+        assert calls == []
 
 
 def assert_mp_matches_loop(S, targets):

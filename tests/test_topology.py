@@ -1,5 +1,9 @@
+import tracemalloc
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from polyscope import (
     ALNSpec,
@@ -29,10 +33,17 @@ from polyscope import (
     simulate,
     spectral_matrix,
 )
+from polyscope import topology
 from polyscope.diagnostics import collect
+from polyscope.topology import BLANKET_RMS_RTOL
 from polyscope.wiener import CONDITION_RTOL, _clears_screen
 
-from oracles import blanket_reference, miso_reference, min_tree_bruteforce
+from oracles import (
+    blanket_edges_reference,
+    blanket_reference,
+    miso_reference,
+    min_tree_bruteforce,
+)
 
 
 def collider_spectra(grid=None):
@@ -367,6 +378,63 @@ class TestMisoBlanketTopology:
         assert g.edges == ref.edges
         assert [(e.category, e.message) for e in events] == \
             [(e.category, e.message) for e in ref_events]
+
+
+@st.composite
+def purge_cases(draw):
+    """Symmetric distances and filter RMS drawn from a few values, so ties
+    are common, with one target whose RMS row is all zero."""
+    n = draw(st.integers(2, 9))
+    levels = st.sampled_from([0.25, 0.5, 0.75, 1.0])
+    upper = np.array(draw(st.lists(levels, min_size=n * n, max_size=n * n)))
+    D = np.triu(upper.reshape(n, n), 1)
+    D = D + D.T
+    rms = np.array(draw(st.lists(st.sampled_from([0.0, 1e-4, 0.3, 1.0]),
+                                 min_size=n * n, max_size=n * n))).reshape(n, n)
+    rms[draw(st.integers(0, n - 1))] = 0.0
+    rtol = draw(st.sampled_from([BLANKET_RMS_RTOL, 0.5]))
+    return [f"v{i}" for i in range(n)], rms, D, rtol
+
+
+class TestOnePassPurge:
+    """Every target's purge in one array pass, in blocks of targets, gives
+    the per-target loop's edges, edge order and events."""
+
+    @given(purge_cases(), st.integers(1, 3))
+    def test_matches_the_per_target_loop(self, case, targets_per_block):
+        labels, rms, D, rtol = case
+        with collect() as ref_events:
+            expected = blanket_edges_reference(labels, rms, D, rtol)
+        n = len(labels)
+        # the default block holds every target at these sizes; the others
+        # put a block boundary after every first, second or third target
+        for values in (topology.PURGE_BLOCK_VALUES, targets_per_block * n * n):
+            with patch.object(topology, "PURGE_BLOCK_VALUES", values):
+                with collect() as events:
+                    edges = topology._blanket_edges(labels, rms, D, rtol)
+            assert list(edges.items()) == list(expected.items())
+            assert all(type(i) is int for edge in edges for i in edge)
+            assert [(e.category, e.message) for e in events] == \
+                [(e.category, e.message) for e in ref_events]
+
+    def test_transient_memory_is_bounded_by_the_block(self):
+        n = 128
+        rng = np.random.default_rng(5)
+        points = rng.random((n, 3))
+        D = np.sqrt(np.sum((points[:, None] - points[None]) ** 2, axis=-1))
+        rms = rng.random((n, n))
+        labels = [f"v{i}" for i in range(n)]
+        tracemalloc.start()
+        try:
+            edges = topology._blanket_edges(labels, rms, D, BLANKET_RMS_RTOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert edges
+        # two targets a block, 32768 route values: about 0.48 MB, mostly
+        # one float and two boolean arrays of them; all 128 targets in one
+        # block peak at about 19 MB
+        assert peak < 24 * topology.PURGE_BLOCK_VALUES
 
 
 def permuted(S, perm):

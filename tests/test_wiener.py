@@ -38,6 +38,7 @@ from polyscope.diagnostics import collect
 from polyscope.wiener import CONDITION_RTOL, _clears_screen, _joint_fits
 
 from oracles import (
+    _block_conditioning_reference,
     copies_record,
     digest_records,
     half_grid_matrix,
@@ -435,6 +436,41 @@ class TestScreenCertificate:
             assert calls == [(9, 6, 6)]
             assert (S._eigenvalue_ratio >= 2 * CONDITION_RTOL) is clears
             assert _clears_screen(S) is clears and len(calls) == 1   # kept
+
+
+class TestBlockCertificate:
+    """Behind a failed screen, each fit's block is tried by the Cholesky
+    certificate before ``eigvalsh``, and gets the eigenvalue check's
+    outcome either way."""
+
+    def test_every_block_gets_the_checks_outcome(self, monkeypatch):
+        certified = raised = 0
+        for name, S in screen_records().items():
+            if _clears_screen(S):
+                continue
+            n = S.n
+            blocks = [list(b) for q in (1, 2)
+                      for b in itertools.combinations(range(n), q)]
+            blocks += [[i for i in range(n) if i != j] for j in range(n)]
+            blocks += [list(range(n)), list(range(n))[::-1]]
+            for inputs in blocks:
+                idx = np.asarray(inputs)
+                proved = wiener._certified(
+                    S._floored_stack[:, idx[:, None], idx[None, :]],
+                    np.sum(S._floored[idx], axis=0))
+                calls = count_eigvalsh(monkeypatch)
+                error, _ = outcome(wiener._check_conditioning, S, inputs)
+                monkeypatch.undo()
+                assert (error, None) == outcome(
+                    _block_conditioning_reference, S, inputs), (name, inputs)
+                # a proved block takes no eigensolve, any other one; a
+                # 1 x 1 block, a positive floored auto-spectrum, is proved
+                assert len(calls) == (0 if proved else 1), (name, inputs)
+                assert not (proved and error), (name, inputs)
+                assert proved or len(inputs) > 1, (name, inputs)
+                certified += proved
+                raised += error is not None
+        assert certified and raised
 
 
 def assert_same_solution(S, target, inputs, normalize):
