@@ -77,8 +77,6 @@ from .topology import (
 from .wiener import (
     TransferFunction,
     WienerSolution,
-    apply_filter,
-    causal_truncate,
     causal_wiener,
     noncausal_wiener,
     spectral_factorize,
@@ -117,12 +115,10 @@ __all__ = [
     "WelchConfig",
     "WienerSolution",
     "analytic_spectra",
-    "apply_filter",
     "build_polytree",
     "causal_distance",
     "causal_distance_matrix",
     "causal_edge_weights",
-    "causal_truncate",
     "causal_wiener",
     "check_identifiability",
     "coherence_distance",

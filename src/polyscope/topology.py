@@ -65,15 +65,6 @@ class UndirectedGraph:
     def n(self) -> int:
         return len(self.nodes)
 
-    def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
-
     def total_weight(self) -> float:
         return float(sum(self.edges.values()))
 

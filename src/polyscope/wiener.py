@@ -30,12 +30,11 @@ import numpy as np
 from .diagnostics import memo, record
 from .errors import (
     IllConditionedSpectrumError,
-    InsufficientDataError,
     InvalidParameterError,
     InvalidSpectrumError,
 )
-from .signals import (FrequencyGrid, SpectralMatrix, Spectrum, TimeSeries,
-                      _array, _floor, _integer)
+from .signals import (FrequencyGrid, SpectralMatrix, Spectrum, _array, _floor,
+                      _integer)
 
 #: Fraction of total impulse energy that may be discarded by support
 #: truncation before a diagnostic event is recorded.
@@ -56,8 +55,9 @@ class TransferFunction:
     ``support_offset >= 0``.  ``response`` holds one value per grid point
     (:meth:`FrequencyGrid.on_grid`).
     Filters built from taps satisfy ``DFT(impulse) == response`` exactly;
-    filters materialised from a response keep the analytic response and may
-    record a truncation-energy diagnostic when the discarded tail is not
+    filters materialised from a response (:meth:`with_impulse`) keep the
+    analytic response, take the causal taps and may record a
+    truncation-energy diagnostic when the discarded anti-causal part is not
     negligible.
     """
 
@@ -76,42 +76,28 @@ class TransferFunction:
     def from_taps(cls, grid: FrequencyGrid, taps, offset: int = 0) -> "TransferFunction":
         return cls(grid, grid.response_from_taps(taps, offset), taps, offset)
 
-    @property
-    def is_causal(self) -> bool:
-        return self.impulse is not None and self.support_offset >= 0
-
     def rms(self) -> float:
         """Root mean square response magnitude over the grid."""
         return float(self.grid.rms(self.response))
 
-    def with_impulse(self, support: str = "centered") -> "TransferFunction":
-        """Materialise an impulse response of length K/2 from the response.
+    def with_impulse(self) -> "TransferFunction":
+        """Materialise the causal impulse response, the taps at times
+        ``[0, K/2)``, from the response.
 
-        ``support="centered"`` keeps taps on ``[-K/4, K/4)`` (non-causal
-        filters), ``support="causal"`` keeps ``[0, K/2)``.  The discarded
-        energy fraction is checked against :data:`TRUNCATION_ENERGY_TOL`.
+        A filter that has its taps keeps them.  The discarded energy
+        fraction is checked against :data:`TRUNCATION_ENERGY_TOL`.
         """
         if self.impulse is not None:
             return self
-        k = self.grid.size
-        taps, offset = self.grid.taps_from_response(self.response)
-        if support == "centered":
-            lo = k // 4            # tap index of time -K/4
-            kept = taps[lo:lo + k // 2]
-            new_offset = -(k // 4)
-        elif support == "causal":
-            lo = k // 2            # tap index of time 0
-            kept = taps[lo:]
-            new_offset = 0
-        else:
-            raise InvalidParameterError(f"unknown support {support!r}")
+        taps = self.grid.taps_from_response(self.response)[0]
+        kept = taps[self.grid.size // 2:]        # tap index of time 0 onwards
         total = float(np.sum(taps ** 2))
         lost = total - float(np.sum(kept ** 2))
         if total > 0 and lost > TRUNCATION_ENERGY_TOL * total:
             record("truncation-energy",
                    f"impulse truncation discards {lost / total:.2e} "
-                   f"of the energy ({support} support)")
-        return TransferFunction(self.grid, self.response, kept, new_offset)
+                   "of the energy (causal support)")
+        return TransferFunction(self.grid, self.response, kept, 0)
 
 
 @dataclass
@@ -630,26 +616,6 @@ def _spectral_factors(grid: FrequencyGrid, phi: np.ndarray
     return responses, taps_full[:, :k // 2]
 
 
-def causal_truncate(h: TransferFunction) -> TransferFunction:
-    """Zero every strictly anti-causal tap of a filter.
-
-    The tap at time zero is kept.  Already-causal filters are returned
-    unchanged; a filter known only by its response is first expanded onto
-    the full centred support.  The response of the result is recomputed from
-    the surviving taps, so truncation is idempotent.
-    """
-    if h.impulse is None:
-        taps, offset = h.grid.taps_from_response(h.response)
-    else:
-        taps, offset = h.impulse, h.support_offset
-    if offset >= 0:
-        return h
-    kept = taps[-offset:]
-    if kept.size == 0:
-        kept = np.zeros(1)
-    return TransferFunction.from_taps(h.grid, kept, 0)
-
-
 def _wiener_hopf(S: SpectralMatrix, targets, inputs, target_inverses: np.ndarray,
                  input_inverses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whitened one-sided Wiener costs of each of a block of ``b`` targets on
@@ -738,35 +704,7 @@ def causal_wiener(S: SpectralMatrix, target: int, input_: int) -> WienerSolution
     causal, anti = S.grid.half_from_time(parts)
     weighted = 1.0 - np.abs(causal + anti) ** 2 + np.abs(anti) ** 2
     response = causal * factors[0] / factors[1]
-    tf = TransferFunction(S.grid, S.grid.mirror(response)).with_impulse("causal")
+    tf = TransferFunction(S.grid, S.grid.mirror(response)).with_impulse()
     return WienerSolution(target, (input_,), {input_: tf}, float(max(cost, 0.0)),
                           Spectrum(S.grid, S.grid.mirror(weighted)))
 
-
-def apply_filter(h: TransferFunction, x: TimeSeries) -> TimeSeries:
-    """Convolve a series with a filter's impulse response.
-
-    The output has the same length as the input; samples that would need
-    data beyond either end are computed against zero padding and their count
-    is recorded as a ``transient`` diagnostic.  A filter without a stored
-    impulse is materialised on the centred support first.
-    """
-    if h.impulse is None:
-        h = h.with_impulse("centered")
-    if x.length < 1:
-        raise InsufficientDataError("empty input series")
-    taps = h.impulse
-    full = np.convolve(x.samples, taps)
-    n = x.length
-    out = np.zeros(n)
-    # y[t] = full[t - offset] where that index exists
-    t_lo = max(0, h.support_offset)
-    t_hi = min(n, full.size + h.support_offset)
-    if t_lo < t_hi:
-        out[t_lo:t_hi] = full[t_lo - h.support_offset:t_hi - h.support_offset]
-    leading = min(n, max(0, h.support_offset + taps.size - 1))
-    trailing = min(n, max(0, -h.support_offset))
-    transient = leading + trailing
-    record("transient", f"{transient} edge samples of {x.label!r} are "
-                        f"transient after filtering")
-    return TimeSeries(x.label, out)

@@ -1,0 +1,64 @@
+"""The package's public surface and its private helpers.
+
+Every exported name resolves and is exported once; the filter utilities
+that no pipeline read stay deleted; and every private function, method or
+class in the package has a reader besides its own definition, so a helper
+orphaned by a deletion fails here rather than lingering.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import polyscope
+from polyscope import wiener
+
+PACKAGE = Path(polyscope.__file__).parent
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text(), str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in polyscope.__all__
+               if not hasattr(polyscope, name)]
+    assert missing == []
+
+
+def test_no_exported_name_is_listed_twice():
+    twice = [name for name, count in Counter(polyscope.__all__).items()
+             if count > 1]
+    assert twice == []
+
+
+def test_deleted_filter_utilities_stay_gone():
+    for name in ("apply_filter", "causal_truncate"):
+        assert name not in polyscope.__all__
+        assert not hasattr(polyscope, name)
+        assert not hasattr(wiener, name)
+    assert not hasattr(wiener.TransferFunction, "is_causal")
+
+
+def test_every_private_definition_has_a_reader():
+    defined, read = {}, set()
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) and _is_private(node.name):
+                defined.setdefault(node.name, f"{module}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.asname or node.name)
+                read.add(node.name)
+    unread = sorted(f"{where} {name}" for name, where in defined.items()
+                    if name not in read)
+    assert unread == []

@@ -2,7 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from polyscope import (
     DistanceMatrix,
@@ -17,10 +16,8 @@ from polyscope import (
     TransferFunction,
     WelchConfig,
     analytic_spectra,
-    apply_filter,
     build_polytree,
     causal_distance_matrix,
-    causal_truncate,
     causal_wiener,
     distance_matrix,
     generate_polytree_aln,
@@ -82,26 +79,23 @@ class TestTransferFunction:
         direct = (np.exp(1j * grid.omegas)
                   - 0.3 * np.ones(64))
         np.testing.assert_allclose(tf.response, direct, atol=1e-12)
-        assert not tf.is_causal
+        assert tf.support_offset == -1
 
-    def test_with_impulse_centered_and_causal(self):
+    def test_with_impulse_causal(self):
         grid = FrequencyGrid(32)
         tf = TransferFunction(grid, np.exp(-1j * grid.omegas))  # pure z^{-1}
-        centered = tf.with_impulse("centered")
-        idx = 1 - centered.support_offset
-        assert centered.impulse[idx] == pytest.approx(1.0, abs=1e-10)
-        causal = tf.with_impulse("causal")
+        causal = tf.with_impulse()
         assert causal.support_offset == 0
         assert causal.impulse[1] == pytest.approx(1.0, abs=1e-10)
-        # a filter that has its taps keeps them, whatever the support asked
-        assert causal.with_impulse("centered") is causal
+        # a filter that has its taps keeps them
+        assert causal.with_impulse() is causal
 
     def test_truncation_energy_flagged(self):
         grid = FrequencyGrid(32)
         # anticausal content cannot fit a causal support: energy is lost
         tf = TransferFunction(grid, np.exp(2j * grid.omegas))
         with collect() as events:
-            tf.with_impulse("causal")
+            tf.with_impulse()
         assert any(e.category == "truncation-energy" for e in events)
 
     def test_rms(self):
@@ -687,7 +681,7 @@ class TestSpectralFactorize:
         z = np.exp(-1j * grid.omegas)
         phi = np.abs(1 + 0.5 * z) ** 2
         F = spectral_factorize(Spectrum(grid, phi))
-        assert F.is_causal
+        assert F.impulse is not None and F.support_offset == 0
         np.testing.assert_allclose(F.impulse[:2], [1.0, 0.5], atol=1e-9)
         np.testing.assert_allclose(np.abs(F.response) ** 2, phi, rtol=1e-9)
 
@@ -752,62 +746,6 @@ class TestSpectralFactorize:
         grid = FrequencyGrid(32)
         F = spectral_factorize(Spectrum(grid, np.full(32, 1.0 + 0.8e-10j)))
         np.testing.assert_allclose(np.abs(F.response) ** 2, 1.0, atol=1e-12)
-
-
-def response_only(tf: TransferFunction) -> TransferFunction:
-    """The same filter known only by its response."""
-    return TransferFunction(tf.grid, tf.response)
-
-
-class TestCausalTruncate:
-    def test_two_sided_example(self):
-        # z + 1 + z^{-1}  ->  1 + z^{-1}
-        grid = FrequencyGrid(32)
-        tf = TransferFunction.from_taps(grid, np.array([1.0, 1.0, 1.0]),
-                                        offset=-1)
-        out = causal_truncate(tf)
-        assert out.support_offset == 0
-        np.testing.assert_allclose(out.impulse[:2], [1.0, 1.0], atol=1e-12)
-        expected = grid.response_from_taps(np.array([1.0, 1.0]))
-        np.testing.assert_allclose(out.response, expected, atol=1e-12)
-
-    def test_two_sided_example_known_by_its_response(self):
-        # expanded onto the centred support first, then truncated
-        grid = FrequencyGrid(32)
-        tf = response_only(TransferFunction.from_taps(
-            grid, np.array([1.0, 1.0, 1.0]), offset=-1))
-        out = causal_truncate(tf)
-        assert out.support_offset == 0 and out.impulse.size == 16
-        np.testing.assert_allclose(out.impulse, [1.0, 1.0] + [0.0] * 14,
-                                   rtol=0, atol=1e-15)
-        expected = grid.response_from_taps(np.array([1.0, 1.0]))
-        np.testing.assert_allclose(out.response, expected, atol=1e-12)
-
-    def test_causal_filter_unchanged_bit_exact(self):
-        grid = FrequencyGrid(32)
-        tf = TransferFunction.from_taps(grid, np.array([0.5, 0.25]), offset=2)
-        out = causal_truncate(tf)
-        np.testing.assert_array_equal(out.impulse, tf.impulse)
-        np.testing.assert_array_equal(out.response, tf.response)
-
-    def test_anticausal_becomes_zero(self):
-        grid = FrequencyGrid(32)
-        tf = TransferFunction.from_taps(grid, np.array([1.0, -2.0]), offset=-5)
-        out = causal_truncate(tf)
-        np.testing.assert_allclose(out.response, 0.0, atol=1e-12)
-
-    @given(st.integers(min_value=-6, max_value=6),
-           st.lists(st.floats(-2, 2), min_size=1, max_size=5))
-    def test_idempotent(self, offset, taps):
-        grid = FrequencyGrid(32)
-        taps = np.asarray(taps)
-        if not np.any(taps):
-            taps = taps + 1.0
-        tf = TransferFunction.from_taps(grid, taps, offset=offset)
-        once = causal_truncate(tf)
-        twice = causal_truncate(once)
-        np.testing.assert_array_equal(once.impulse, twice.impulse)
-        np.testing.assert_array_equal(once.response, twice.response)
 
 
 class TestCausalWiener:
@@ -879,52 +817,6 @@ class TestCausalWiener:
         rng = np.random.default_rng(78)
         S = random_psd_matrix(rng, 2, FrequencyGrid(128))
         sol = causal_wiener(S, 0, 1)
-        assert sol.filters[1].is_causal
+        tf = sol.filters[1]
+        assert tf.impulse is not None and tf.support_offset == 0
 
-
-class TestApplyFilter:
-    def test_identity(self):
-        grid = FrequencyGrid(16)
-        tf = TransferFunction.from_taps(grid, np.array([1.0]))
-        x = TimeSeries("x", np.array([3.0, -1.0, 2.0, 0.5]))
-        out = apply_filter(tf, x)
-        np.testing.assert_array_equal(out.samples, x.samples)
-
-    def test_unit_delay(self):
-        grid = FrequencyGrid(16)
-        tf = TransferFunction.from_taps(grid, np.array([1.0]), offset=1)
-        out = apply_filter(tf, TimeSeries("x", np.array([1.0, 2.0, 3.0])))
-        np.testing.assert_array_equal(out.samples, [0.0, 1.0, 2.0])
-
-    def test_fir_on_unit_impulse(self):
-        grid = FrequencyGrid(16)
-        tf = TransferFunction.from_taps(grid, np.array([1.0, 0.5]))
-        x = TimeSeries("x", np.array([1.0, 0.0, 0.0, 0.0]))
-        out = apply_filter(tf, x)
-        np.testing.assert_allclose(out.samples, [1.0, 0.5, 0.0, 0.0])
-
-    def test_anticausal_shift(self):
-        grid = FrequencyGrid(16)
-        tf = TransferFunction.from_taps(grid, np.array([1.0]), offset=-1)
-        out = apply_filter(tf, TimeSeries("x", np.array([1.0, 2.0, 3.0])))
-        np.testing.assert_array_equal(out.samples, [2.0, 3.0, 0.0])
-
-    def test_anticausal_shift_known_by_its_response(self):
-        # the filter is first expanded onto the centred support
-        grid = FrequencyGrid(16)
-        tf = response_only(TransferFunction.from_taps(grid, np.array([1.0]),
-                                                      offset=-1))
-        with collect() as events:
-            out = apply_filter(tf, TimeSeries("x", np.array([1.0, 2.0, 3.0])))
-        np.testing.assert_allclose(out.samples, [2.0, 3.0, 0.0], rtol=0,
-                                   atol=1e-15)
-        # taps on [-4, 4): 3 leading and 4 trailing samples, each capped at 3
-        assert [e.message for e in events if e.category == "transient"] == \
-            ["6 edge samples of 'x' are transient after filtering"]
-
-    def test_transient_flagged(self):
-        grid = FrequencyGrid(16)
-        tf = TransferFunction.from_taps(grid, np.array([1.0, 0.2]), offset=1)
-        with collect() as events:
-            apply_filter(tf, TimeSeries("x", np.arange(8.0)))
-        assert any(e.category == "transient" for e in events)
