@@ -232,42 +232,41 @@ def _parse_ensemble_csv(path: Path, data: bytes) -> Ensemble:
 
     One ``np.loadtxt`` parses the body.  Where it fails, or its result could
     differ, the per-cell loop reads the bytes again and decides: it raises
-    its line/column message, or returns what ``csv`` and ``float()`` accept
+    its line/column message at the first cell that ``float()`` or the
+    number rule (:func:`~polyscope.signals._array`, which refuses ``nan``
+    and infinities) refuses, or returns what ``csv`` and ``float()`` accept
     but loadtxt does not, such as quoted numbers, ``1_0`` and non-ASCII
-    digits.  Where the loop fails, or its table holds a ``nan`` or
-    infinite value that the number rule (:func:`~polyscope.signals._array`)
-    refuses, the loop reads the bytes once more, checking each cell by that
-    rule too, and raises at the first cell either refuses.  The whole input
-    is decoded first, so a byte that is not UTF-8 is reported wherever it
-    lies.
+    digits.  The whole input is decoded first, so a byte that is not UTF-8
+    is reported wherever it lies.
     """
     _utf8_text(path, data)
     header, table = _csv_table(path, data, whole_body=True)
     if table is None:
-        try:
-            header, table = _csv_table(path, data, whole_body=False)
-        except InputFormatError:
-            table = None
-    if table is None:
-        _csv_table(path, data, whole_body=None)     # raises at the bad cell
+        header, table = _csv_table(path, data, whole_body=False)
     return Ensemble([TimeSeries(label, samples)
                      for label, samples in zip(header, table)])
 
 
-def _csv_table(path: Path, data: bytes, whole_body: bool | None):
+def _csv_table(path: Path, data: bytes, whole_body: bool):
     """The header and the ``(series, samples)`` values of a CSV's bytes,
     which :func:`_utf8_text` has accepted.
 
-    With ``whole_body`` True the values come from :func:`_loadtxt_body`, or
-    are None where it cannot vouch for them; otherwise from the per-cell
-    loop, which raises at the first cell it cannot read.  With False a
-    table that the number rule refuses is None; with None each cell is
-    checked by that rule as it is read.
+    With ``whole_body`` the values come from :func:`_loadtxt_body`, or are
+    None where it cannot vouch for them; otherwise from the per-cell loop,
+    which raises at the first cell that ``float()`` or the number rule
+    refuses.  The loop parses each row's cells in order up to the first
+    that ``float()`` refuses, and hands the values to the number rule a
+    block of rows at a time (:func:`_screened`), so a value it refuses is
+    named before any later fault: a cell that stopped its row, a row of
+    the wrong length or a ``csv`` error.
     """
     # decoded again as _utf8_text decodes: loadtxt reads the lines of this
     # wrapper faster than those of a StringIO of the decoded text
     fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
     reader = csv.reader(fh)
+    # values: those of the rows read since the last screen, row after row;
+    # cells: the line and the cells of each of those rows
+    header, tables, cells, values, fault = [], [], [], [], None
     try:
         try:
             header = [cell.strip() for cell in next(reader)]
@@ -280,39 +279,53 @@ def _csv_table(path: Path, data: bytes, whole_body: bool | None):
             raise InputFormatError(f"{path}: line 1: blank series label")
         if whole_body:
             return header, _loadtxt_body(fh, len(header), data)
-        columns: list[list[float]] = [[] for _ in header]
         for line_no, row in enumerate(reader, 2):
             if not row:
                 continue
             if len(row) != len(header):
-                raise InputFormatError(
-                    f"{path}: line {line_no}: expected {len(header)} values, "
-                    f"found {len(row)}")
-            for col, cell in enumerate(row):
-                cell = cell.strip()
-                if not cell:
-                    raise InputFormatError(
-                        f"{path}: line {line_no}, column {col + 1} "
-                        f"({header[col]!r}): missing value")
+                fault = (f"{path}: line {line_no}: expected {len(header)} "
+                         f"values, found {len(row)}")
+                break
+            cells.append((line_no, row))
+            for cell in row:
                 try:
-                    value = float(cell)
+                    values.append(float(cell.strip()))
                 except ValueError:
-                    raise InputFormatError(
-                        f"{path}: line {line_no}, column {col + 1} "
-                        f"({header[col]!r}): cannot parse {cell!r} as a "
-                        f"number") from None
-                if whole_body is None and not _all_finite(value):
-                    raise InputFormatError(
-                        f"{path}: line {line_no}, column {col + 1} "
-                        f"({header[col]!r}): {cell!r} is not a finite "
-                        f"number")
-                columns[col].append(value)
+                    col, cell = len(values) % len(header), cell.strip()
+                    fault = (f"{path}: line {line_no}, column {col + 1} "
+                             f"({header[col]!r}): " + (
+                                 f"cannot parse {cell!r} as a number" if cell
+                                 else "missing value"))
+                    break
+            if fault:
+                break
+            if len(cells) == 1024:      # so few cells are held for a message
+                tables.append(_screened(path, header, cells, values))
+                cells, values = [], []
     except csv.Error as exc:
-        raise InputFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not columns[0]:
-        raise InputFormatError(f"{path}: no data rows")
-    table = np.array(columns, dtype=float)
-    return header, table if _all_finite(table) else None
+        fault = f"{path}: line {reader.line_num}: {exc}"
+    table = np.concatenate(tables + [_screened(path, header, cells, values)])
+    if fault or not table.size:
+        raise InputFormatError(fault or f"{path}: no data rows")
+    return header, table.reshape(-1, len(header)).T
+
+
+def _screened(path: Path, header: list, cells: list, values: list
+              ) -> np.ndarray:
+    """``values``, read row after row from ``cells`` (the line and the
+    cells of each row, the last of which may have stopped early), as one
+    array once the number rule takes them all; else raises at the first
+    value it refuses."""
+    table = np.array(values, dtype=float)
+    if _all_finite(table):
+        return table
+    for k, value in enumerate(values):
+        if not _all_finite(value):
+            (line_no, row), col = cells[k // len(header)], k % len(header)
+            raise InputFormatError(
+                f"{path}: line {line_no}, column {col + 1} "
+                f"({header[col]!r}): {row[col].strip()!r} is not a finite "
+                f"number")
 
 
 def _all_finite(values) -> bool:

@@ -27,12 +27,14 @@ from .signals import (
     TimeSeries,
     WelchConfig,
     _array,
+    _blocks,
     _coherence,
     _integer,
     _sequence,
     spectral_matrix,
 )
-from .wiener import _causal_pair, _spectral_factors, _wiener_hopf
+from .wiener import (_causal_overshoots, _causal_pair, _spectral_factors,
+                     _wiener_hopf)
 
 SYMMETRIC_KINDS = ("noncausal", "correlation", "causal-min")
 KINDS = SYMMETRIC_KINDS + ("causal",)
@@ -40,11 +42,6 @@ KINDS = SYMMETRIC_KINDS + ("causal",)
 #: Triangle-inequality slack tolerated on estimated spectra before a
 #: diagnostic event is recorded.
 TRIANGLE_TOL = 0.05
-
-#: Array values, ``targets * n * (K/2+1)``, that one block of
-#: :func:`causal_distance_matrix` solves at once; it bounds the causal
-#: layer's transient memory, whatever the number of series and the grid.
-CAUSAL_BLOCK_VALUES = 1 << 16
 
 #: Relative gap below which a pair's two causal directions count as tied:
 #: summation order alone moves causal costs by up to about 1e-14 of their
@@ -180,12 +177,16 @@ def causal_distance(S: SpectralMatrix, target: int, input_: int) -> float:
     series ``i`` explains series ``j``.  Lies in [0, 1] up to numerical
     tolerance because the zero filter already costs 1; a cost that rounding
     takes below 0 reads as 0.  Bit for bit ``causal_distance_matrix(S)``'s
-    entry and the root of ``causal_wiener(S, target, input_).cost``.
+    entry and the root of ``causal_wiener(S, target, input_).cost``, and
+    records the matrix's ``causal-overshoot`` event for the pair where
+    ``causal_wiener`` raises.
     """
     S.check_index(target, input_)
     if target == input_:
         return 0.0
     cost = _causal_pair(S, target, input_)[1]
+    for message in _causal_overshoots(S, [target], [input_], cost):
+        record("causal-overshoot", message)
     return float(np.sqrt(max(cost, 0.0)))
 
 
@@ -193,29 +194,33 @@ def causal_distance_matrix(S: SpectralMatrix) -> DistanceMatrix:
     """All pairwise one-sided distances; rows are targets, columns inputs.
 
     Spectral factors, and their reciprocals, are computed once per series.
-    The targets are solved in blocks of ``max(1, CAUSAL_BLOCK_VALUES // (n *
-    (K/2+1)))``, each block one Wiener--Hopf pass against every input at
-    once, whose cost is ``1 - sum_{tau < K/2} c_tau^2`` of the whitened
+    The targets are solved in blocks by
+    :func:`~polyscope.signals._blocks`, each target counting its ``n
+    (K/2+1)`` values, each block one Wiener--Hopf pass against every input
+    at once, whose cost is ``1 - sum_{tau < K/2} c_tau^2`` of the whitened
     cross spectra's sequences ``c`` (:func:`~polyscope.wiener._wiener_hopf`).
     A block's kernel peaks near three times its sequences' bytes, about
-    ``48 * CAUSAL_BLOCK_VALUES`` bytes whatever ``n`` and ``K``, unless one
-    target row alone is larger; then each block is one target.  With the
-    factors and their reciprocals the layer's traced peak was 3.16 MB at
-    n 32, K 1024 (3 targets a block).  A pair's bits do not depend on the
+    ``48 * BLOCK_VALUES`` bytes whatever ``n`` and ``K``, unless one target
+    row alone is larger; then each block is one target.  With the factors
+    and their reciprocals the layer's traced peak was 3.16 MB at n 32,
+    K 1024 (3 targets a block).  A pair's bits do not depend on the
     blocking, so each entry is :func:`causal_distance`'s.  A caller-built
     matrix that is not positive semidefinite overshoots coherence 1, which
-    can make a cost negative: its distance reads 0.
+    can make a cost negative: its distance reads 0, and each cost below
+    ``-1e-8``, where :func:`~polyscope.wiener.causal_wiener` raises, is
+    recorded as a ``causal-overshoot`` event, in target-then-input order.
     """
     n = S.n
     factors = _spectral_factors(S.grid, S._floored)[0]
     inverses = 1.0 / factors
     input_inverses = np.conj(inverses)
-    block = max(1, CAUSAL_BLOCK_VALUES // factors.size)
     out = np.zeros((n, n))
-    for lo in range(0, n, block):
-        targets = slice(lo, lo + block)
+    for targets in _blocks(n, factors.size):
         cost = _wiener_hopf(S, targets, slice(None), inverses[targets],
                             input_inverses)[1]
+        for message in _causal_overshoots(S, range(n)[targets], range(n),
+                                          cost):
+            record("causal-overshoot", message)
         out[targets] = np.sqrt(np.maximum(cost, 0.0))
     np.fill_diagonal(out, 0.0)
     return DistanceMatrix(S.labels, out, "causal")

@@ -32,6 +32,28 @@ PSD_FLOOR_RATIO = 1e-12
 #: bounds the segment DFTs held at once, whatever the record length.
 WELCH_CHUNK_SEGMENTS = 64
 
+#: Array values that one block of targets may span in a layer that solves
+#: its targets a block at a time (:func:`_blocks`), so that layer's
+#: transient memory does not grow with the number of series or the grid.
+#: Per target an OLS step counts ``(n-1-q)(K/2+1)(q+1)^2`` normal-equation
+#: values, about 40 bytes each at q = 1
+#: (:func:`~polyscope.sparse._ols_outcomes`); the causal distances count
+#: ``n (K/2+1)`` values, about 48 bytes each
+#: (:func:`~polyscope.metric.causal_distance_matrix`); a MISO purge counts
+#: ``n^2`` route values, about 12 bytes each
+#: (:func:`~polyscope.topology._blanket_edges`).
+BLOCK_VALUES = 1 << 16
+
+
+def _blocks(count: int, values_each: int) -> list[slice]:
+    """The consecutive slices of ``range(count)`` that each hold
+    ``max(1, BLOCK_VALUES // values_each)`` items, the last one fewer when
+    they do not divide ``count``: the one block rule of every layer that
+    solves a block of targets, each target counting ``values_each`` array
+    values."""
+    step = max(1, BLOCK_VALUES // values_each)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
 
 def _integer(value, name: str) -> int:
     """``value`` as an int; any integer type but ``bool`` passes, anything

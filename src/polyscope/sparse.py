@@ -17,10 +17,9 @@ Three solvers:
   :mod:`polyscope.wiener` scores a step's extensions in closed form from
   the current support's fit, and drops a candidate collinear with the
   support from the rest of the run.  Every target of a matrix is selected
-  at once, the targets stepping in lockstep in blocks of at most
-  :data:`OLS_BLOCK_VALUES` normal-equation values, the first step
-  included, and the outcomes are kept per matrix and ``(max_inputs,
-  min_gain)``.
+  at once, the targets stepping in lockstep in blocks by the one block
+  rule, :func:`~polyscope.signals._blocks`, the first step included, and
+  the outcomes are kept per matrix and ``(max_inputs, min_gain)``.
   Nothing is refit: each step reports the winner's filters and cost from
   its scoring, which agree with a joint solve to rounding.
 """
@@ -39,7 +38,7 @@ from .errors import (
     IllConditionedSpectrumError,
     InvalidParameterError,
 )
-from .signals import SpectralMatrix, _array, _integer
+from .signals import SpectralMatrix, _array, _blocks, _integer
 from .wiener import (
     TransferFunction,
     _check_conditioning,
@@ -57,13 +56,6 @@ DEFAULT_MIN_GAIN = 0.01
 
 #: Gains below this fraction of the *initial* cost are numerical noise.
 NEGLIGIBLE_RTOL = 1e-12
-
-#: Normal-equation values, ``(q+1)^2`` per extension and grid point, that one
-#: block of OLS targets may span at a step (:func:`_ols_outcomes`); 8 targets
-#: at the second step at n 32, K 64.  No block is gathered: the kernel reads
-#: the parts, and its transient peak is about 40 bytes per counted value at
-#: q = 1 and 22 at q = 3, where 16 is one complex array of them.
-OLS_BLOCK_VALUES = 1 << 15
 
 
 @dataclass
@@ -310,9 +302,14 @@ def _ols_outcomes(S: SpectralMatrix, max_inputs: int, min_gain: float
     over the diagonal of ``S.half``, clipped at 0, bit for bit
     :func:`project`'s on the empty support.  At each step the targets still
     running are scored by :func:`~polyscope.wiener._extension_costs` in
-    blocks of at most :data:`OLS_BLOCK_VALUES` normal-equation values (at
-    least one target); a target's bits do not depend on its block.  A
-    target whose stopping rule fires, or whose check fails, leaves the run.
+    blocks by :func:`~polyscope.signals._blocks`, each target counting its
+    ``(n-1-q)(K/2+1)(q+1)^2`` normal-equation values, ``(q+1)^2`` per
+    extension and grid point: 16 targets at the second step at n 32, K 64.
+    No block is gathered: the kernel reads the parts, and its transient
+    peak is about 40 bytes per counted value at q = 1 and 22 at q = 3,
+    where 16 is one complex array of them.  A target's bits do not depend
+    on its block.  A target whose stopping rule fires, or whose check
+    fails, leaves the run.
     """
     half = np.einsum("iik->ik", S.half)
     initial = np.maximum(np.real(S.grid.half_mean(half)), 0.0)
@@ -332,10 +329,9 @@ def _ols_outcomes(S: SpectralMatrix, max_inputs: int, min_gain: float
         if not scoring:
             return runs
         size = (S.n - 1 - q) * (S.grid.size // 2 + 1) * (q + 1) ** 2
-        block = max(1, OLS_BLOCK_VALUES // size)
         active = []
-        for lo in range(0, len(scoring), block):
-            targets = scoring[lo:lo + block]
+        for block in _blocks(len(scoring), size):
+            targets = scoring[block]
             scored = _extension_costs(S, targets,
                                       [runs[t].support for t in targets],
                                       [runs[t].pool for t in targets])

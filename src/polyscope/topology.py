@@ -18,16 +18,12 @@ import numpy as np
 from .diagnostics import record
 from .errors import InvalidParameterError
 from .metric import SYMMETRIC_KINDS, DistanceMatrix, causal_edge_weights
-from .signals import SpectralMatrix, _array, _integer, _sequence
+from .signals import SpectralMatrix, _array, _blocks, _integer, _sequence
 from .wiener import _filter_rms
 
 #: Relative filter magnitude below which a MISO input does not count as a
 #: blanket candidate.
 BLANKET_RMS_RTOL = 1e-3
-
-#: Route values one block of MISO targets may hold while its candidates are
-#: purged (:func:`_blanket_edges`); all 32 targets at n 32.
-PURGE_BLOCK_VALUES = 1 << 15
 
 
 @dataclass
@@ -257,10 +253,11 @@ def _blanket_edges(labels, rms: np.ndarray, D: np.ndarray, rtol: float
     :class:`~polyscope.metric.DistanceMatrix` (non-negative, zero diagonal).
 
     Every target's candidates and purges are marked in one boolean array
-    pass, :data:`PURGE_BLOCK_VALUES` route values (targets times ``n^2``,
-    at least one target) at a time, so the temporaries never grow as
-    ``n^3``.  Purges are recorded and edges inserted in target order, then
-    candidate order; each edge keeps the distance of its first target.
+    pass, in blocks by :func:`~polyscope.signals._blocks`, each target
+    counting its ``n^2`` route values (all 32 targets at n 32), so the
+    temporaries never grow as ``n^3``.  Purges are recorded and edges
+    inserted in target order, then candidate order; each edge keeps the
+    distance of its first target.
     """
     n = len(labels)
     off = ~np.eye(n, dtype=bool)
@@ -268,10 +265,10 @@ def _blanket_edges(labels, rms: np.ndarray, D: np.ndarray, rtol: float
     # a target whose largest RMS is 0 has no candidate: no RMS exceeds 0
     candidates = off & (rms > rtol * top[:, None])
     edges: dict[tuple[int, int], float] = {}
-    block = max(1, PURGE_BLOCK_VALUES // n ** 2)
-    for lo in range(0, n, block):
-        chosen = candidates[lo:lo + block]
-        to_target = D[:, lo:lo + block].T           # [j, i] = D(i, j)
+    for block in _blocks(n, n ** 2):
+        lo = block.start
+        chosen = candidates[block]
+        to_target = D[:, block].T                   # [j, i] = D(i, j)
         # [j, i, c]: candidate c of target j explains candidate i away; c = i
         # never does, as D(i, i) = 0 leaves the leg D(i, j) itself
         routes = np.maximum(D, to_target[:, None, :]) < to_target[:, :, None]

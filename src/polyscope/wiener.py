@@ -660,6 +660,20 @@ def _causal_pair(S: SpectralMatrix, target: int, input_: int
     return c[0, 0], cost[0, 0], factors
 
 
+def _causal_overshoots(S: SpectralMatrix, targets, inputs, costs) -> list[str]:
+    """One message for each causal cost ``costs[t, i]``, of series
+    ``targets[t]`` on ``inputs[i]`` (index sequences), that is below
+    ``-1e-8``, in target-then-input order.  No positive semidefinite matrix
+    gives such a cost, whose coherence overshoots 1; rounding alone leaves
+    a cost a few ``eps`` from 0."""
+    costs = np.reshape(costs, (len(targets), len(inputs)))
+    rows, cols = np.nonzero(costs < -1e-8)
+    return [f"causal cost of {S.labels[targets[t]]!r} on "
+            f"{S.labels[inputs[i]]!r} is {costs[t, i]:.3e}: the spectral "
+            f"matrix is not positive semidefinite"
+            for t, i in zip(rows.tolist(), cols.tolist())]
+
+
 def causal_wiener(S: SpectralMatrix, target: int, input_: int) -> WienerSolution:
     """One-sided (causal) Wiener filter of ``target`` on a single input.
 
@@ -678,8 +692,8 @@ def causal_wiener(S: SpectralMatrix, target: int, input_: int) -> WienerSolution
     S : SpectralMatrix
         Positive semidefinite at every grid point, as every estimate is.  A
         caller-built matrix whose pair coherence overshoots 1 can make the
-        cost negative; beyond ``1e-8`` that raises
-        :class:`InvalidSpectrumError`.
+        cost negative; beyond ``1e-8`` (:func:`_causal_overshoots`) that
+        raises :class:`InvalidSpectrumError`.
     target, input_ : int
         Distinct series indices, checked as a fit's inputs are
         (:func:`noncausal_wiener`).
@@ -694,10 +708,9 @@ def causal_wiener(S: SpectralMatrix, target: int, input_: int) -> WienerSolution
         to rounding.
     """
     c, cost, factors = _causal_pair(S, target, input_)
-    if cost < -1e-8:
-        raise InvalidSpectrumError(
-            f"causal cost of {S.labels[target]!r} on {S.labels[input_]!r} is "
-            f"{cost:.3e}: the spectral matrix is not positive semidefinite")
+    overshoots = _causal_overshoots(S, [target], [input_], cost)
+    if overshoots:
+        raise InvalidSpectrumError(overshoots[0])
     k = S.grid.size
     parts = np.zeros((2, k))
     parts[0, :k // 2], parts[1, k // 2:] = c[:k // 2], c[k // 2:]

@@ -188,6 +188,12 @@ class TestReadEnsembleCsv:
         quoted = write_csv(tmp_path / "quoted.csv", 'a,b\n"1",2\n3,4\n')
         cli.read_ensemble_csv(quoted)
         assert passes == [True, False]
+        passes.clear()
+        # a file that fails is read by loadtxt and the loop, not once more
+        failing = write_csv(tmp_path / "failing.csv", 'a,b\n"1",2\n3,inf\n')
+        with pytest.raises(InputFormatError, match="is not a finite number"):
+            cli.read_ensemble_csv(failing)
+        assert passes == [True, False]
 
     @pytest.mark.parametrize("quote", ["", '"'], ids=["loadtxt", "per-cell"])
     def test_samples_are_held_once_and_read_only(self, tmp_path, monkeypatch,
@@ -290,6 +296,10 @@ INGEST_CORPUS = {
     "nan-before-bad-cell": b"a,b\n1,nan\nx,2\n",
     "bad-cell-before-nan": b"a,b\n1,x\nnan,2\n",
     "nan-before-short-row": b"a,b\n1,inf\n3\n",
+    "inf-before-bad-cell-in-row": b"a,b\ninf,x\n",
+    "bad-cell-before-inf-in-row": b"a,b\nx,inf\n",
+    "inf-before-missing-value": b"a,b\ninf,\n",
+    "finite-values-whose-sum-overflows": b'a,b\n"1e308","1e308"\n',
     "byte-order-mark": b"\xef\xbb\xbfa,b\n1,2\n3,4\n",
     "long-number": b"a,b\n1,2\n3," + b"4" * _LONG + b"\n",
     "long-padding": b"a,b\n1,2\n3," + b" " * _LONG + b"5\n",

@@ -31,7 +31,7 @@ from polyscope import (
     windowed_average_distance,
 )
 from polyscope import (analytic_spectra, build_polytree, generate_polytree_aln,
-                       metric, simulate)
+                       metric, signals, simulate)
 from polyscope.diagnostics import collect
 from polyscope.metric import _log_triangle_breaches
 
@@ -257,9 +257,9 @@ class TestCausalDistance:
         small = random_psd_matrix(np.random.default_rng(11), 4, FrequencyGrid(128))
         split = half_grid_matrix("analytic", 13, 256)
         # one block of 4 targets; 13 targets in blocks of 5, 5 and 3
-        for S, budget, block in [(small, metric.CAUSAL_BLOCK_VALUES, 4),
+        for S, budget, block in [(small, signals.BLOCK_VALUES, 4),
                                  (split, 5 * 13 * 129, 5)]:
-            monkeypatch.setattr(metric, "CAUSAL_BLOCK_VALUES", budget)
+            monkeypatch.setattr(signals, "BLOCK_VALUES", budget)
             assert min(targets_per_block(S, budget), S.n) == block
             DC = causal_distance_matrix(S)
             assert DC.kind == "causal"
@@ -356,22 +356,39 @@ class TestParsevalCost:
                 mean = np.mean(sol.residual_spectrum.values.real)
                 assert abs(mean - sol.cost) <= PARSEVAL_COST_ATOL
 
-    def test_a_matrix_that_is_not_psd_is_refused_by_the_filter(self):
+    def test_a_matrix_that_is_not_psd_is_refused_by_the_filter(
+            self, monkeypatch):
         S = overshooting_matrix(5)
         costs = np.array([[metric._causal_pair(S, j, i)[1] if i != j else 0.0
                            for i in range(5)] for j in range(5)])
         assert costs.min() < -1e-8
-        DC = causal_distance_matrix(S).values
-        assert np.array_equal(DC, np.sqrt(np.maximum(costs, 0.0)))
+        messages = {(j, i): f"causal cost of 's{j}' on 's{i}' is "
+                            f"{costs[j, i]:.3e}: the spectral matrix is not "
+                            f"positive semidefinite"
+                    for j, i in np.argwhere(costs < -1e-8).tolist()}
+        assert len(messages) > 1
+        # the distances read 0, and every blocking flags each overshoot in
+        # target-then-input order
+        row = 5 * (S.grid.size // 2 + 1)
+        for budget in (signals.BLOCK_VALUES, 1, 2 * row):
+            monkeypatch.setattr(signals, "BLOCK_VALUES", budget)
+            with collect() as events:
+                DC = causal_distance_matrix(S).values
+            assert np.array_equal(DC, np.sqrt(np.maximum(costs, 0.0)))
+            assert [e.message for e in events
+                    if e.category == "causal-overshoot"] == list(messages.values())
         j, i = np.unravel_index(np.argmin(costs), costs.shape)
-        message = (f"causal cost of 's{j}' on 's{i}' is {costs[j, i]:.3e}: "
-                   f"the spectral matrix is not positive semidefinite")
+        message = messages[j, i]
+        with collect() as events:
+            assert causal_distance(S, j, i) == 0.0
+        assert [e.message for e in events
+                if e.category == "causal-overshoot"] == [message]
         with pytest.raises(InvalidSpectrumError, match=f"^{re.escape(message)}$"):
             causal_wiener(S, j, i)
 
 
 class TestCausalBlocks:
-    """Targets are solved in blocks of ``CAUSAL_BLOCK_VALUES`` array values,
+    """Targets are solved in blocks of ``signals.BLOCK_VALUES`` array values,
     with the bits and events of a per-target loop of the kernel's
     elementwise operations."""
 
@@ -390,7 +407,7 @@ class TestCausalBlocks:
         row = 13 * (size // 2 + 1)
         expected = causal_rows(S, causal_rows_reference)
         for budget, block in [(1, 1), (5 * row + row // 2, 5), (13 * row, 13)]:
-            monkeypatch.setattr(metric, "CAUSAL_BLOCK_VALUES", budget)
+            monkeypatch.setattr(signals, "BLOCK_VALUES", budget)
             assert targets_per_block(S, budget) == block
             assert causal_rows(
                 S, lambda T: causal_distance_matrix(T).values) == expected
@@ -399,7 +416,7 @@ class TestCausalBlocks:
         # 3 of 32 targets per block at K 1024; all 32 in one pass peak
         # near 26 MB
         S = half_grid_matrix("analytic", 32, 1024)
-        assert targets_per_block(S, metric.CAUSAL_BLOCK_VALUES) == 3
+        assert targets_per_block(S, signals.BLOCK_VALUES) == 3
         S._floored
         tracemalloc.start()
         try:
@@ -410,7 +427,7 @@ class TestCausalBlocks:
         # a block's kernel peaks near three times its sequences' bytes (the
         # layer near 3.2 MB here); the rest of the bound is room for the
         # factors of every series and their reciprocals
-        assert peak < 6 * 16 * metric.CAUSAL_BLOCK_VALUES
+        assert peak < 6 * 16 * signals.BLOCK_VALUES
 
 
 class TestCausalEdgeWeights:

@@ -1,9 +1,11 @@
 """The package's public surface and its private helpers.
 
 Every exported name resolves and is exported once; the filter utilities
-that no pipeline read stay deleted; and every private function, method or
-class in the package has a reader besides its own definition, so a helper
-orphaned by a deletion fails here rather than lingering.
+that no pipeline read, and the per-layer block budgets that one block rule
+replaced, stay deleted; and every private function, method or class, and
+every module-level upper-case constant, in the package has a reader besides
+its own definition, so a helper or a constant orphaned by a deletion fails
+here rather than lingering.
 """
 
 import ast
@@ -11,7 +13,7 @@ from collections import Counter
 from pathlib import Path
 
 import polyscope
-from polyscope import wiener
+from polyscope import metric, sparse, topology, wiener
 
 PACKAGE = Path(polyscope.__file__).parent
 
@@ -62,3 +64,29 @@ def test_every_private_definition_has_a_reader():
     unread = sorted(f"{where} {name}" for name, where in defined.items()
                     if name not in read)
     assert unread == []
+
+
+def test_the_per_layer_block_budgets_stay_gone():
+    # signals.BLOCK_VALUES replaced one budget per blocked layer
+    for module in (polyscope, sparse, metric, topology):
+        for layer in ("OLS", "CAUSAL", "PURGE"):
+            assert not hasattr(module, f"{layer}_BLOCK_VALUES")
+
+
+def test_every_constant_has_a_reader():
+    defined, read = {}, set()
+    for module, tree in _modules().items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    defined.setdefault(target.id, f"{module}:{node.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = sorted(f"{where} {name}" for name, where in defined.items()
+                    if name not in read)
+    assert defined and unread == []

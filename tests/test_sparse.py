@@ -32,7 +32,7 @@ from polyscope import (
     sparse_exhaustive,
     spectral_matrix,
 )
-from polyscope import sparse, wiener
+from polyscope import signals, sparse, wiener
 from polyscope.diagnostics import collect
 from polyscope.errors import PolyscopeError
 from polyscope.sparse import DEFAULT_MIN_GAIN
@@ -794,7 +794,7 @@ def count_blocks(monkeypatch):
 
 
 class TestOLSLockstep:
-    """Every target steps in lockstep, in blocks of ``OLS_BLOCK_VALUES``
+    """Every target steps in lockstep, in blocks of ``signals.BLOCK_VALUES``
     normal-equation values, with the bits, events and errors of the
     per-target runs they replaced, whatever the blocking and the call
     order."""
@@ -816,7 +816,7 @@ class TestOLSLockstep:
         blocks = count_blocks(monkeypatch)
         for values, block in [(1, 1), (3 * second + second // 2, 3),
                               (1 << 40, S.n)]:
-            monkeypatch.setattr(sparse, "OLS_BLOCK_VALUES", values)
+            monkeypatch.setattr(signals, "BLOCK_VALUES", values)
             blocks.clear()
             assert all_ols_calls(twin(S), orthogonal_least_squares,
                                  budgets) == expected
@@ -833,13 +833,13 @@ class TestOLSLockstep:
                        for _, events in rows.values()
                        for category, _ in events)
 
-    def test_default_block_is_eight_targets_on_the_wide_record(
+    def test_default_block_is_sixteen_targets_on_the_wide_record(
             self, wide_record, monkeypatch):
         S = twin(wide_record)
         blocks = count_blocks(monkeypatch)
         for target in range(S.n):
             orthogonal_least_squares(S, target, 2)
-        assert blocks == [(0, 32)] + [(1, 8)] * 4
+        assert blocks == [(0, 32)] + [(1, 16)] * 2
 
     def test_initial_costs_are_those_of_the_empty_projection(self, records):
         for S in (*records.values(),
@@ -880,11 +880,11 @@ class TestOLSLockstep:
             assert results == [forward] * 3
 
     def test_transient_memory_is_bounded_by_the_block(self):
-        # one target's second step alone exceeds OLS_BLOCK_VALUES at n 64,
+        # one target's second step alone exceeds BLOCK_VALUES at n 64,
         # K 1024, so each block is one target; all 64 in one block would
         # gather about 130 MB
         S = half_grid_matrix("analytic", 64, 1024)
-        block = max(sparse.OLS_BLOCK_VALUES, (S.n - 2) * (S.grid.size // 2 + 1) * 4)
+        block = max(signals.BLOCK_VALUES, (S.n - 2) * (S.grid.size // 2 + 1) * 4)
         _clears_screen(S)                       # a per-matrix pass
         tracemalloc.start()
         try:

@@ -33,7 +33,7 @@ from polyscope import (
     simulate,
     spectral_matrix,
 )
-from polyscope import topology
+from polyscope import signals, topology
 from polyscope.diagnostics import collect
 from polyscope.topology import BLANKET_RMS_RTOL
 from polyscope.wiener import CONDITION_RTOL, _clears_screen
@@ -407,8 +407,8 @@ class TestOnePassPurge:
         n = len(labels)
         # the default block holds every target at these sizes; the others
         # put a block boundary after every first, second or third target
-        for values in (topology.PURGE_BLOCK_VALUES, targets_per_block * n * n):
-            with patch.object(topology, "PURGE_BLOCK_VALUES", values):
+        for values in (signals.BLOCK_VALUES, targets_per_block * n * n):
+            with patch.object(signals, "BLOCK_VALUES", values):
                 with collect() as events:
                     edges = topology._blanket_edges(labels, rms, D, rtol)
             assert list(edges.items()) == list(expected.items())
@@ -430,10 +430,10 @@ class TestOnePassPurge:
         finally:
             tracemalloc.stop()
         assert edges
-        # two targets a block, 32768 route values: about 0.48 MB, mostly
+        # four targets a block, 65536 route values: about 0.78 MB, mostly
         # one float and two boolean arrays of them; all 128 targets in one
         # block peak at about 19 MB
-        assert peak < 24 * topology.PURGE_BLOCK_VALUES
+        assert peak < 24 * signals.BLOCK_VALUES
 
 
 def permuted(S, perm):
