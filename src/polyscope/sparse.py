@@ -16,7 +16,8 @@ Three solvers:
   scored by its jointly optimal cost (the usual accuracy/cost middle ground).
   :mod:`polyscope.wiener` scores a step's extensions in closed form from
   the current support's fit, and drops a candidate collinear with the
-  support from the rest of the run.  Every target of a matrix is selected
+  support from the rest of the run, by the one conditioning rule every
+  Wiener fit obeys, so OLS checks no block of its own.  Every target of a matrix is selected
   at once, the targets stepping in lockstep in blocks by the one block
   rule, :func:`~polyscope.signals._blocks`, the first step included, and
   the outcomes are kept per matrix and ``(max_inputs, min_gain)``.
@@ -33,15 +34,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import memo, record
-from .errors import (
-    CombinatorialLimitError,
-    IllConditionedSpectrumError,
-    InvalidParameterError,
-)
+from .errors import CombinatorialLimitError, InvalidParameterError
 from .signals import SpectralMatrix, _array, _blocks, _integer
 from .wiener import (
     TransferFunction,
-    _check_conditioning,
     _check_support,
     _extension_costs,
     _filters,
@@ -242,11 +238,15 @@ def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
     (1989); a pool left empty stops on ``exhausted``.  The winner is not
     refit: its filters and its closed-form cost, which the stopping rules
     read, are those its scoring solved and checked, and they agree with
-    :func:`project` on the same support to rounding.  When the conditioning
-    screen fails, the input block of each extension the stopping rules take
-    is still checked as :func:`project` would check it, and raises the same
-    error; a winner they reject is not checked.  Stopping rules match
-    :func:`matching_pursuit`.
+    :func:`project` on the same support to rounding.  No block is checked
+    beyond that: each pick cleared the one conditioning rule
+    (:func:`~polyscope.wiener._usable`) against the support before it when
+    it was scored, so OLS never raises
+    :class:`~polyscope.errors.IllConditionedSpectrumError`.  Its verdict on
+    a support is the step-order one; :func:`project` takes the sorted
+    order, and the two agree for supports of at most two inputs only, where
+    the Schur ratio is ``1 - |C_ab|^2`` either way (``C_ab`` the pair's
+    coherence).  Stopping rules match :func:`matching_pursuit`.
 
     Every target of ``S`` is selected at once (:func:`_ols_outcomes`), on
     the first call for ``S`` with these ``max_inputs`` and ``min_gain``, and
@@ -336,11 +336,10 @@ def _ols_outcomes(S: SpectralMatrix, max_inputs: int, min_gain: float
                                       [runs[t].support for t in targets],
                                       [runs[t].pool for t in targets])
             active += [t for t, step in zip(targets, scored)
-                       if _ols_step(S, runs[t], step, min_gain)]
+                       if _ols_step(runs[t], step, min_gain)]
 
 
-def _ols_step(S: SpectralMatrix, run: _OLSRun, scored, min_gain: float
-              ) -> bool:
+def _ols_step(run: _OLSRun, scored, min_gain: float) -> bool:
     """Take one step of ``run`` from its
     :func:`~polyscope.wiener._extension_costs` outcome ``scored``: whether
     the run goes on."""
@@ -363,12 +362,6 @@ def _ols_step(S: SpectralMatrix, run: _OLSRun, scored, min_gain: float
     if run.stop_reason:
         return False
     extended = run.support + [best]
-    chosen = sorted(extended)
-    try:
-        _check_conditioning(S, chosen)
-    except IllConditionedSpectrumError as failure:
-        run.error = (type(failure), str(failure))
-        return False
-    run.support, run.cost = chosen, best_cost
+    run.support, run.cost = sorted(extended), best_cost
     run.W = fits[pick][:, np.argsort(extended)]
     return True

@@ -228,9 +228,11 @@ def miso_blanket_topology(S: SpectralMatrix, D: DistanceMatrix,
     The filters are the ones :func:`noncausal_wiener` returns, and their RMS
     comes from :func:`~polyscope.wiener._filter_rms`: one inverse of the
     floored matrix when it clears the conditioning screen, else one checked
-    fit per target, where a singular fit leaves out each input collinear
-    with those before it (RMS 0, a ``collinear-candidate`` event).  Every
-    target is purged in one array pass by :func:`_blanket_edges`.
+    fit per target, which leaves out each input collinear with those kept
+    before it by the one conditioning rule of every Wiener fit (RMS 0, a
+    ``collinear-candidate`` event), so no record makes it raise
+    :class:`~polyscope.errors.IllConditionedSpectrumError`.  Every target
+    is purged in one array pass by :func:`_blanket_edges`.
     """
     if D.kind not in SYMMETRIC_KINDS:
         raise InvalidParameterError("need a symmetric distance matrix")

@@ -17,8 +17,11 @@ the whitened cross spectrum's real sequence.  Spectral factorization uses
 the real-cepstrum construction, which is exact in magnitude on the grid by
 design.  This module alone reads the conditioning screen
 (:func:`_clears_screen`, proved by one Cholesky certificate when it can
-be), so it alone decides how a multi-input fit is computed.  OLS steps
-score a block of targets at once (:func:`_extension_costs`).
+be), so it alone decides how a multi-input fit is computed, and it owns
+the one rule on whether a fit's inputs are usable: each input's Schur
+ratio against the inputs taken before it (:func:`_schur_ratios`) must
+pass :func:`_usable`.  OLS steps score a block of targets at once
+(:func:`_extension_costs`).
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from .signals import (FrequencyGrid, SpectralMatrix, Spectrum, _array, _floor,
 #: truncation before a diagnostic event is recorded.
 TRUNCATION_ENERGY_TOL = 1e-6
 
-#: Relative eigenvalue ratio below which an input spectral matrix is
-#: declared singular beyond the floor.
+#: Least Schur ratio of a usable input (:func:`_usable`); the conditioning
+#: screen asks twice it of the whole floored matrix's eigenvalue ratio.
 CONDITION_RTOL = 1e-10
 
 
@@ -154,12 +157,14 @@ def _clears_screen(S: SpectralMatrix) -> bool:
 
     A fit's blocks are principal submatrices of the floored spectral
     matrix, so by Cauchy interlacing their eigenvalue ratios are no smaller
-    than the whole matrix's, ``S._eigenvalue_ratio``, when that is positive.
-    The screen holds when that ratio is at least twice
+    than the whole matrix's, ``S._eigenvalue_ratio``, when that is positive,
+    and no Schur ratio of a block is smaller than its eigenvalue ratio (see
+    :func:`_certified`).  The screen holds when that ratio is at least twice
     :data:`CONDITION_RTOL`, which leaves :data:`CONDITION_RTOL` of the
-    largest eigenvalue for rounding, far above ``eigvalsh``'s error of a few
-    ``n * eps``.  :func:`_screen_certificate` is tried first; only when it
-    fails does ``eigvalsh`` decide, so the answer is the ratio's either way.
+    largest eigenvalue for rounding, far above the eigensolver's error of a
+    few ``n * eps``.  :func:`_screen_certificate` is tried first; only when
+    it fails does the ratio's eigensolve decide, so the answer is the
+    ratio's either way.
     """
     return memo(S._memo, "_clears_screen", lambda: _screen_certificate(S)
                 or S._eigenvalue_ratio >= 2 * CONDITION_RTOL)
@@ -168,15 +173,15 @@ def _clears_screen(S: SpectralMatrix) -> bool:
 def _screen_certificate(S: SpectralMatrix) -> bool:
     """Whether :func:`_certified` proves the screen for the whole floored
     stack, its trace the sum of :attr:`SpectralMatrix._floored`.  On the
-    stack of 32 series at K 64 the factorization takes about 0.3 ms,
-    ``eigvalsh`` about 2 ms."""
+    stack of 32 series at K 64 the factorization takes about 0.3 ms, the
+    eigensolve about 2 ms."""
     return _certified(S._floored_stack, np.sum(S._floored, axis=0))
 
 
 def _certified(A: np.ndarray, trace: np.ndarray) -> bool:
     """Whether one Cholesky factorization per grid point proves that each
     matrix of the stack ``A (K/2+1, q, q)`` has an eigenvalue ratio of at
-    least ``2 * CONDITION_RTOL``, as ``eigvalsh`` computes it; ``trace``
+    least ``2 * CONDITION_RTOL``, as an eigensolver computes it; ``trace``
     holds their ``(K/2+1,)`` traces.
 
     Each matrix is shifted by ``tau * b``, where ``b`` is its trace and
@@ -186,9 +191,16 @@ def _certified(A: np.ndarray, trace: np.ndarray) -> bool:
     b`` (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
     2002, ch. 10), so the matrix is positive definite, ``b`` bounds its
     largest eigenvalue, and its least eigenvalue exceeds ``(2 *
-    CONDITION_RTOL + 3 (q+1)^2 eps) b``: the rest of the margin covers
-    ``eigvalsh``'s own error, so the ratio it computes clears ``2 *
+    CONDITION_RTOL + 3 (q+1)^2 eps) b``: the rest of the margin covers the
+    eigensolver's own error, so the ratio it computes clears ``2 *
     CONDITION_RTOL`` too.  A failed factorization proves nothing.
+
+    A proved block keeps every input by the conditioning rule, so
+    :func:`_eliminated` eliminates nothing: an eigenvalue ratio of at least
+    ``2 * CONDITION_RTOL`` bounds every Schur ratio from below, since a
+    Schur complement ``s_b`` is at least the least eigenvalue and ``A_bb``
+    at most the greatest, and the margin beyond ``CONDITION_RTOL`` covers
+    an elimination's rounding.
     """
     shifted, d = A.copy(), np.arange(A.shape[-1])
     tau = 2 * CONDITION_RTOL + 4 * (d.size + 1) ** 2 * np.finfo(float).eps
@@ -200,47 +212,94 @@ def _certified(A: np.ndarray, trace: np.ndarray) -> bool:
     return True
 
 
-def _check_conditioning(S: SpectralMatrix, inputs) -> None:
-    """Raise :class:`IllConditionedSpectrumError` when the fit on ``inputs``
-    is singular beyond the floor.
+def _schur_ratios(s: np.ndarray, A_bb: np.ndarray) -> np.ndarray:
+    """The Schur ratio of an input at each half-grid point: its Schur
+    complement ``s`` against the inputs taken before it over its floored
+    auto-spectrum ``A_bb``, 1 for the first input.  The input is usable
+    when its worst ratio over the grid passes :func:`_usable`; the
+    ratio does not change when a series is multiplied by a constant."""
+    return s / A_bb
 
-    Nothing is computed when :func:`_clears_screen` holds.  Otherwise the
-    inputs' floored block ``(K/2+1, q, q)``, in the order given, is first
-    tried by :func:`_certified`, which clears it when it can, and then
-    checked by ``eigvalsh`` at every :attr:`FrequencyGrid.half` point: the
-    message names the frequency of the smallest eigenvalue ratio when that
-    falls below :data:`CONDITION_RTOL`.  The certificate proves a ratio the
-    check would pass, so the outcome is the check's either way.
+
+def _usable(ratio):
+    """The one conditioning rule of every fit: whether an input's worst
+    Schur ratio is at least :data:`CONDITION_RTOL`.  A non-positive or NaN
+    ratio fails."""
+    return ratio >= CONDITION_RTOL
+
+
+def _collinear(S: SpectralMatrix, candidate: int, target: int, ratio) -> str:
+    """The ``collinear-candidate`` text of an input ``candidate`` that
+    :func:`_usable` leaves out of ``target``'s fit at worst ratio
+    ``ratio``."""
+    return (f"candidate {S.labels[candidate]!r} of target "
+            f"{S.labels[target]!r} is collinear with its support "
+            f"(Schur ratio {ratio:.3e})")
+
+
+def _eliminated(S: SpectralMatrix, inputs) -> tuple[list, list]:
+    """One elimination of the inputs' floored block ``(K/2+1, q, q)`` in the
+    order given, leaving out each input whose worst Schur ratio
+    (:func:`_schur_ratios`) against the inputs kept before it fails
+    :func:`_usable`.
+
+    The pivots of the elimination are those Schur complements; a left-out
+    input is not eliminated, so it changes no later pivot.  When
+    :func:`_certified` proves the block, nothing is eliminated and every
+    input is kept.  Returns the kept inputs in order and, for each input
+    left out, ``(input, point, ratio)``: its worst :attr:`FrequencyGrid.half`
+    point and its ratio there.
+    """
+    idx = np.asarray(inputs)
+    M = S._floored_stack[:, idx[:, None], idx[None, :]]
+    A_bb = S._floored[idx]
+    if _certified(M, np.sum(A_bb, axis=0)):
+        return list(inputs), []
+    kept, dropped = [], []
+    for p, b in enumerate(inputs):
+        pivot = M[:, p, p].real
+        ratios = _schur_ratios(pivot, A_bb[p])
+        point = int(np.argmin(ratios))
+        if not _usable(ratios[point]):
+            dropped.append((b, point, float(ratios[point])))
+            continue
+        kept.append(b)
+        column = M[:, p + 1:, p]
+        M[:, p + 1:, p + 1:] -= (column[:, :, None]
+                                 * (np.conj(column) / pivot[:, None])[:, None])
+    return kept, dropped
+
+
+def _check_conditioning(S: SpectralMatrix, inputs) -> None:
+    """Raise :class:`IllConditionedSpectrumError` when :func:`_eliminated`
+    leaves out any of ``inputs``, taken in index order, naming the first
+    input it leaves out, the frequency of its worst Schur ratio and that
+    ratio.  Nothing is computed when :func:`_clears_screen` holds.
     """
     if _clears_screen(S):
         return
-    idx = np.asarray(inputs)
-    block = S._floored_stack[:, idx[:, None], idx[None, :]]
-    if _certified(block, np.sum(S._floored[idx], axis=0)):
-        return
-    eigs = np.linalg.eigvalsh(block)
-    ratio = eigs[:, 0] / eigs[:, -1]
-    worst = np.argmin(ratio)
-    if eigs[worst, 0] < CONDITION_RTOL * eigs[worst, -1]:
+    dropped = _eliminated(S, sorted(inputs))[1]
+    if dropped:
+        b, point, ratio = dropped[0]
         raise IllConditionedSpectrumError(
             f"input spectral matrix singular beyond the floor at "
-            f"omega={S.grid.omegas[worst]:.6f} (eigenvalue ratio "
-            f"{ratio[worst]:.3e})")
+            f"omega={S.grid.omegas[point]:.6f} (input {S.labels[b]!r}, "
+            f"Schur ratio {ratio:.3e})")
 
 
 def _joint_fits(S: SpectralMatrix, target: int, inputs
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Joint least-squares fit of ``target`` on one valid input set (see
-    :func:`_check_inputs`).
+    :func:`_check_inputs`) that the conditioning rule keeps whole (its
+    caller checks that, by :func:`_check_conditioning` or
+    :func:`_eliminated`).
 
-    The fit is checked for conditioning by :func:`_check_conditioning`
-    before it is solved, and the solution is always checked against its
-    normal equations (residual orthogonal to every input).  Returns the
-    filter responses ``W (K/2+1, q)`` (column ``p`` belongs to
-    ``inputs[p]``; :func:`_filters` mirrors them) and the raw residual
-    spectrum, both on the :attr:`FrequencyGrid.half` grid.
+    The solution is always checked against its normal equations (residual
+    orthogonal to every input).  Returns the filter responses ``W (K/2+1,
+    q)`` (column ``p`` belongs to ``inputs[p]``; :func:`_filters` mirrors
+    them) and the raw residual spectrum, both on the
+    :attr:`FrequencyGrid.half` grid.
     """
-    _check_conditioning(S, inputs)
     idx = np.asarray(inputs)
     A = S._floored_stack[:, idx[:, None], idx][None]
     c = S.half[idx, target].T[None].copy()
@@ -270,10 +329,11 @@ def _extension_costs(S: SpectralMatrix, targets, supports, pools) -> list:
     (:func:`_support_solve`).  Residuals are clipped at zero as in
     :func:`_joint_fits`; costs are their :meth:`FrequencyGrid.half_mean`.
 
-    A candidate whose ``s_b`` falls below :data:`CONDITION_RTOL` of its
-    floored ``A_bb`` at some frequency is collinear with the support: it
-    costs ``inf``, its filters are not returned, its fit is not checked,
-    and it is named in a ``collinear-candidate`` message.  Its Schur
+    A candidate whose Schur ratio ``s_b / A_bb`` (:func:`_schur_ratios`)
+    fails :func:`_usable` is collinear with the support, by the rule
+    :func:`_eliminated` applies to every other fit: it costs ``inf``, its
+    filters are not returned, its fit is not checked, and it is named in a
+    ``collinear-candidate`` message (:func:`_collinear`).  Its Schur
     complement can only shrink as the support grows.  When
     :func:`_clears_screen` holds no candidate is dropped, since interlacing
     keeps ``s_b / A_bb`` at or above the screen's ratio.  Every other
@@ -331,8 +391,8 @@ def _extension_stack(S: SpectralMatrix, targets, supports: np.ndarray,
     G, W_S = G.transpose(0, 3, 1, 2), W_S[:, None]     # (g, m | 1, K/2+1, q)
     explained = np.real(np.sum(np.conj(c_S) * W_S[:, 0], axis=-1))
     s = A_bb - np.real(np.sum(A_bS * G, axis=-1))
-    ratio = (s / A_bb).min(axis=-1)
-    kept = ratio >= CONDITION_RTOL
+    ratio = _schur_ratios(s, A_bb).min(axis=-1)
+    kept = _usable(ratio)
     if not kept.all():      # a collinear candidate enters no division by s
         s = np.where(kept[..., None], s, A_bb)
     r = c_b - np.sum(A_bS * W_S, axis=-1)
@@ -347,10 +407,7 @@ def _extension_stack(S: SpectralMatrix, targets, supports: np.ndarray,
                                                     c_S, c_b, W)
     messages, errors = [[] for _ in targets], [None] * g
     for i, j in zip(*np.nonzero(~kept)):
-        messages[i].append(
-            f"candidate {S.labels[pools[i, j]]!r} of target "
-            f"{S.labels[targets[i]]!r} is collinear with its support "
-            f"(Schur ratio {ratio[i, j]:.3e})")
+        messages[i].append(_collinear(S, pools[i, j], targets[i], ratio[i, j]))
     for i, j in zip(*np.nonzero(failed & kept)):
         if errors[i] is None:       # target i's first failed fit
             errors[i] = _orthogonality_error(targets[i], worst[i, j],
@@ -383,35 +440,19 @@ def _support_solve(A_SS: np.ndarray, A_Sb: np.ndarray, c_S: np.ndarray
     return A_Sb, c_S
 
 
-def _target_extension_costs(S: SpectralMatrix, target: int, support, free
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_extension_costs` of one target: records its
-    ``collinear-candidate`` messages, raises its error, and returns its
-    costs and filters."""
-    ((costs, W, messages, error),) = _extension_costs(S, [target], [support],
-                                                      [free])
-    for message in messages:
-        record("collinear-candidate", message)
-    if error is not None:
-        raise error
-    return costs, W
-
-
 def _filter_rms(S: SpectralMatrix) -> np.ndarray:
     """``(n, n)`` filter RMS: ``[j, i]`` for input ``i`` of target ``j``'s
     :func:`noncausal_wiener` filter over all other series.
 
     When :func:`_clears_screen` holds, every filter is read from one inverse
     ``P`` of ``S._floored_stack``: the filter of target ``j`` on input ``i``
-    is ``-P[i, j] / P[j, j]``.  Otherwise each target is fitted by
-    :func:`_joint_fits` in target order.  A target whose fit is singular
-    takes its inputs in index order through
-    :func:`_target_extension_costs`, as OLS steps do, the first on the empty
-    support: an input collinear with those kept before it is left out
-    (``collinear-candidate``) and gets RMS 0, the kept block must pass
-    :func:`_check_conditioning`, and the last kept extension's filters are
-    the target's.  Either way the RMS is taken by
-    :meth:`FrequencyGrid.half_mean`.  The diagonal is 1 and means nothing.
+    is ``-P[i, j] / P[j, j]``.  Otherwise each target takes one
+    :func:`_eliminated` pass over the other series in index order: each
+    input it leaves out is recorded (``collinear-candidate``) and gets RMS
+    0, and the kept inputs' filters are their joint solve by
+    :func:`_joint_fits`, which a block :func:`_certified` proves keeps
+    whole.  Either way the RMS is taken by :meth:`FrequencyGrid.half_mean`.
+    The diagonal is 1 and means nothing.
     """
     if _clears_screen(S):
         P = np.linalg.inv(S._floored_stack)
@@ -420,18 +461,11 @@ def _filter_rms(S: SpectralMatrix) -> np.ndarray:
     else:
         W = np.ones((S.n, S.n, S.grid.size // 2 + 1), dtype=complex)
         for j in range(S.n):
-            inputs = [i for i in range(S.n) if i != j]
-            try:
-                W[j, inputs] = _joint_fits(S, j, inputs)[0].T
-            except IllConditionedSpectrumError:
-                kept = []
-                for b in inputs:
-                    costs, fits = _target_extension_costs(S, j, kept, [b])
-                    if costs[0] < np.inf:
-                        kept, last = kept + [b], fits[0]
-                _check_conditioning(S, kept)
-                W[j, inputs] = 0.0
-                W[j, kept] = last.T
+            kept, dropped = _eliminated(S, [i for i in range(S.n) if i != j])
+            for b, _, ratio in dropped:
+                record("collinear-candidate", _collinear(S, b, j, ratio))
+                W[j, b] = 0.0
+            W[j, kept] = _joint_fits(S, j, kept)[0].T
     return np.sqrt(S.grid.half_mean(np.abs(W) ** 2))
 
 
@@ -544,6 +578,7 @@ def noncausal_wiener(S: SpectralMatrix, target: int, inputs,
     """
     inputs = tuple(inputs)
     _check_inputs(S, target, inputs)
+    _check_conditioning(S, inputs)
     W, residual = _joint_fits(S, target, inputs)
     if normalize:
         residual = residual / S._floored[target]

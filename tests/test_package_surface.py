@@ -2,7 +2,9 @@
 
 Every exported name resolves and is exported once; the filter utilities
 that no pipeline read, and the per-layer block budgets that one block rule
-replaced, stay deleted; and every private function, method or class, and
+replaced, stay deleted; every fit's inputs are judged by one conditioning
+rule, so the eigenvalue ratio is read only as the whole-matrix screen;
+and every private function, method or class, and
 every module-level upper-case constant, in the package has a reader besides
 its own definition, so a helper or a constant orphaned by a deletion fails
 here rather than lingering.
@@ -71,6 +73,36 @@ def test_the_per_layer_block_budgets_stay_gone():
     for module in (polyscope, sparse, metric, topology):
         for layer in ("OLS", "CAUSAL", "PURGE"):
             assert not hasattr(module, f"{layer}_BLOCK_VALUES")
+
+
+def _readers(name: str) -> set:
+    """``(module, function)`` of every read of ``name`` as a name or an
+    attribute in the package, by its innermost enclosing function."""
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Name, ast.Attribute)) and \
+                    getattr(child, "id", getattr(child, "attr", None)) == name:
+                found.add((module, scope))
+            visit(child, module, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    for module, tree in _modules().items():
+        visit(tree, module, None)
+    return found
+
+
+def test_one_conditioning_rule_judges_every_fit():
+    # the Schur ratio decides whether a fit's inputs are usable; the
+    # eigenvalue ratio is only the whole-matrix screen, OLS alone reads the
+    # step kernel (MISO's per-input fallback through a one-target wrapper
+    # of it stays gone), and OLS checks no block of its own
+    assert _readers("eigvalsh") == {("signals.py", "_eigenvalue_ratio")}
+    assert _readers("_extension_costs") == {("sparse.py", "_ols_outcomes")}
+    assert not hasattr(sparse, "_check_conditioning")
+    assert all(module != "sparse.py"
+               for module, _ in _readers("_check_conditioning"))
 
 
 def test_every_constant_has_a_reader():

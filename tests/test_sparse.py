@@ -22,9 +22,11 @@ from polyscope import (
     TimeSeries,
     WelchConfig,
     analytic_spectra,
+    distance_matrix,
     generate_polytree_aln,
     inner_product,
     matching_pursuit,
+    miso_blanket_topology,
     noncausal_wiener,
     orthogonal_least_squares,
     project,
@@ -36,16 +38,15 @@ from polyscope import signals, sparse, wiener
 from polyscope.diagnostics import collect
 from polyscope.errors import PolyscopeError
 from polyscope.sparse import DEFAULT_MIN_GAIN
-from polyscope.wiener import (
-    _clears_screen,
-    _filter_rms,
-    _joint_fits,
-    _target_extension_costs,
-)
+from polyscope.wiener import _clears_screen, _filter_rms, _joint_fits
 
 from oracles import (
+    PRINTED_RTOL,
+    SCHUR_RATIO_ATOL,
+    assert_same_drops,
     copies_record,
     digest_records,
+    filter_rms_reference,
     first_step_reference,
     half_grid_matrix,
     make_two_sparse_instance,
@@ -55,6 +56,7 @@ from oracles import (
     project_reference,
     random_psd_matrix,
     scaled_record,
+    schur_reference,
     sinusoid_ensemble,
     wiener_reference,
 )
@@ -402,7 +404,9 @@ class TestOLSClosedFormSteps:
             tol = 1e-12 * inner_product(S, target, target)
             for support in step_supports(S, target, 3):
                 free = [b for b in range(S.n) if b != target and b not in support]
-                scored, fits = _target_extension_costs(S, target, support, free)
+                ((scored, fits, messages, error),) = wiener._extension_costs(
+                    S, [target], [support], [free])
+                assert messages == [] and error is None
                 assert fits.shape == (len(free), S.grid.size // 2 + 1,
                                       len(support) + 1)
                 for b, cost, W in zip(free, scored, fits):
@@ -500,29 +504,22 @@ class TestOLSReportsItsScoredFit:
                         assert (model.support, model.stop_reason) == \
                             (ref.support, ref.stop_reason)
 
-    def test_winner_block_keeps_its_conditioning_check(self):
-        # X1 scaled by 1e5 fails the screen; for targets 1 and 3 the
-        # winner's two-input block is singular beyond the floor, which no
-        # Schur ratio of the scoring step catches.  The block is checked
-        # only once the stopping rules take it: at the default min_gain
-        # target 3 stops first, at min_gain 0 both targets take it
-        S = scaled_record()
-        assert not _clears_screen(S)
-        raised = {
-            1: "omega=-2.086214 (eigenvalue ratio 2.284e-11)",
-            3: "omega=-1.668971 (eigenvalue ratio 1.971e-11)",
-        }
-        supports = {0: (1, 3), 2: (1, 6), 3: (0,), 4: (1,), 5: (1,),
-                    6: (1, 2), 7: (6,)}
-        for target, support in supports.items():
-            assert orthogonal_least_squares(S, target, 2).support == support
-        assert orthogonal_least_squares(S, 3, 2).stop_reason == "min-gain"
-        for target, min_gain in ((1, DEFAULT_MIN_GAIN), (1, 0.0), (3, 0.0)):
-            with pytest.raises(IllConditionedSpectrumError) as error:
-                orthogonal_least_squares(S, target, 2, min_gain=min_gain)
-            assert str(error.value) == (
-                "input spectral matrix singular beyond the floor at "
-                + raised[target])
+    def test_a_series_scale_leaves_every_fit_usable(self):
+        # X1 multiplied by 1e4 or 1e5 fails the screen, which reads the
+        # matrix in its units, and the winner blocks of targets 1 and 3 have
+        # eigenvalue ratios near 2e-11 at 1e5; the conditioning rule reads
+        # each input's Schur ratio, which a scale does not change, so every
+        # OLS support at budget 2 is the unscaled one, and neither the fit
+        # of X2 on every other series nor the MISO graph raises (the graph
+        # itself may change: its candidate rule compares raw filter RMS)
+        supports = [(1, 3), (0, 6), (1, 6), (0,), (1,), (1,), (1, 2), (6,)]
+        for scale in (1.0, 1e4, 1e5):
+            S = scaled_record(scale)
+            assert _clears_screen(S) == (scale == 1.0)
+            assert [orthogonal_least_squares(S, target, 2).support
+                    for target in range(S.n)] == supports
+            noncausal_wiener(S, 1, [0, *range(2, S.n)])
+            miso_blanket_topology(S, distance_matrix(S))
 
 
 def assert_first_steps_match(S, monkeypatch):
@@ -561,7 +558,9 @@ def assert_first_steps_match(S, monkeypatch):
     for target in range(S.n):
         free = [b for b in range(S.n) if b != target]
         with collect() as events:
-            costs, W = _target_extension_costs(lib, target, [], free)
+            ((costs, W, messages, error),) = wiener._extension_costs(
+                lib, [target], [[]], [free])
+        assert messages == [] and error is None
         with collect() as ref_events:
             ref_costs, ref_W, ref_worst, ref_scale = first_step_reference(
                 ref, target)
@@ -628,30 +627,39 @@ class TestFirstStepPass:
         duplicated = digest_records()[1]
         assert not _clears_screen(duplicated)
         assert_first_steps_match(duplicated, monkeypatch)
-        # each singular target takes its first input through the kernel,
-        # as a stack of one target on the empty support
+        # MISO takes no OLS step: each target's fit on all other series is
+        # one elimination in index order, which leaves out what the Schur
+        # reference leaves out, records it, and solves the rest jointly
         S = twin(duplicated)
-        singular = []
-        for j in range(S.n):
-            try:
-                _joint_fits(S, j, [i for i in range(S.n) if i != j])
-            except IllConditionedSpectrumError:
-                singular.append(j)
-        assert singular
-        stacks = []
-        stack = wiener._extension_stack
-
-        def counting(S, targets, supports, pools):
-            stacks.append((list(targets), supports.shape[1]))
-            return stack(S, targets, supports, pools)
-
-        monkeypatch.setattr(wiener, "_extension_stack", counting)
+        stacks, eliminations = [], []
+        stack, eliminate = wiener._extension_stack, wiener._eliminated
+        monkeypatch.setattr(wiener, "_extension_stack", lambda *args: (
+            stacks.append(args) or stack(*args)))
+        monkeypatch.setattr(wiener, "_eliminated", lambda S, inputs: (
+            eliminations.append((list(inputs), eliminate(S, inputs)))
+            or eliminations[-1][1]))
         with collect() as events:
             rms = _filter_rms(S)
-        assert [targets for targets, q in stacks if q == 0] == \
-            [[j] for j in singular]
-        assert any(e.category == "collinear-candidate" for e in events)
-        assert rms.shape == (S.n, S.n)
+        assert stacks == []
+        expected = []
+        for j, (inputs, (kept, dropped)) in enumerate(eliminations):
+            assert inputs == [i for i in range(S.n) if i != j]
+            ref_kept, ref_dropped = schur_reference(duplicated, inputs)
+            assert kept == ref_kept
+            assert_same_drops(dropped, ref_dropped)
+            expected += [(j, b, ratio) for b, _, ratio in ref_dropped]
+        assert len(eliminations) == S.n
+        assert {b for _, b, _ in expected} == {S.n - 1}     # the copy alone
+        collinear = [e.message for e in events
+                     if e.category == "collinear-candidate"]
+        assert len(collinear) == len(expected)
+        for message, (j, b, ratio) in zip(collinear, expected):
+            text, printed = message[:-1].split(" (Schur ratio ")
+            assert text == (f"candidate {S.labels[b]!r} of target "
+                            f"{S.labels[j]!r} is collinear with its support")
+            assert abs(float(printed) - ratio) <= \
+                SCHUR_RATIO_ATOL + PRINTED_RTOL * abs(ratio)
+        assert np.array_equal(rms, filter_rms_reference(duplicated))
 
 
 class TestFirstStepCache:
@@ -823,10 +831,10 @@ class TestOLSLockstep:
             # every target scores a second step in some run, in full blocks
             assert max(size for q, size in blocks if q == 1) == min(block, S.n)
         if name == "scaled":
-            errors = [got for rows in expected.values()
-                      for got, _ in rows.values() if len(got) == 2]
-            assert errors and {kind for kind, _ in errors} == \
-                {IllConditionedSpectrumError}
+            # the one conditioning rule refuses no target of the scaled
+            # record, whose screen fails
+            assert not [got for rows in expected.values()
+                        for got, _ in rows.values() if len(got) == 2]
         if name == "duplicated":
             assert any(category == "collinear-candidate"
                        for rows in expected.values()
@@ -917,10 +925,7 @@ class TestOLSSmallSupports:
 
         monkeypatch.setattr(wiener, "_support_solve", recording)
         for target in range(S.n):
-            try:
-                orthogonal_least_squares(S, target, 2, 0.0)
-            except IllConditionedSpectrumError:
-                assert name == "scaled"     # its winner blocks of targets 1, 3
+            orthogonal_least_squares(S, target, 2, 0.0)
         ones = [call for call in solves if call[0][0].shape[-1] == 1]
         assert ones
         for (A_SS, A_Sb, c_S), (G, W_S) in ones:

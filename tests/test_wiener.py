@@ -35,7 +35,9 @@ from polyscope.diagnostics import collect
 from polyscope.wiener import CONDITION_RTOL, _clears_screen, _joint_fits
 
 from oracles import (
-    _block_conditioning_reference,
+    assert_same_drops,
+    assert_same_outcome,
+    conditioning_reference,
     copies_record,
     digest_records,
     half_grid_matrix,
@@ -49,6 +51,7 @@ from oracles import (
     project_reference,
     rooting_spectral_factor,
     scaled_record,
+    schur_reference,
     spectral_factors_reference,
     wiener_reference,
 )
@@ -227,6 +230,17 @@ def conditioned_matrix(seed: int, n: int, grid: FrequencyGrid,
                           grid.mirror(half.transpose(1, 2, 0)))
 
 
+def near_hermitian_matrix() -> SpectralMatrix:
+    """Two unit series ``a`` and ``b`` whose stored cross spectrum is
+    ``1 - 2e-11`` and a target ``t`` independent of both; the lower
+    triangle given is ``1 - 1e-10``."""
+    grid = FrequencyGrid(8)
+    values = np.zeros((3, 3, grid.size), dtype=complex)
+    values[[0, 1, 2], [0, 1, 2]] = 1.0
+    values[0, 1], values[1, 0] = 1.0 - 2e-11, 1.0 - 1e-10
+    return SpectralMatrix(["a", "b", "t"], grid, values)
+
+
 def outcome(fit, *args):
     """``(error, result)``: the raised class and message, or None and the result."""
     try:
@@ -248,7 +262,8 @@ def count_eigvalsh(monkeypatch) -> list:
 
 
 class TestConditioningScreen:
-    """One whole-matrix eigenvalue ratio stands in for every fit's own check."""
+    """One whole-matrix eigenvalue ratio stands in for every fit's own check,
+    the one conditioning rule (each input's Schur ratio)."""
 
     @pytest.mark.parametrize("ratio", [1e-11, 1e-10, 1.5e-10, 2e-10, 3e-10, 1e-6])
     def test_screen_and_fallback_match_per_fit_oracle(self, ratio):
@@ -259,18 +274,18 @@ class TestConditioningScreen:
             others = [b for b in range(S.n) if b != target]
             for q in range(1, S.n):
                 for row in itertools.combinations(others, q):
-                    error, got = outcome(_joint_fits, S, target, row)
+                    error, _ = outcome(wiener._check_conditioning, S, row)
                     ref_error, ref = outcome(wiener_reference, S, target, row)
-                    assert error == ref_error
+                    assert_same_outcome(error, ref_error)
                     raised += ref_error is not None
                     if not ref_error:
-                        W, residual = got
+                        W, residual = _joint_fits(S, target, row)
                         assert np.array_equal(S.grid.mirror(W.T).T, ref[2])
                         assert np.array_equal(S.grid.mirror(residual), ref[3])
                         assert S.grid.half_mean(residual) == ref[4]
                     error, got = outcome(project, S, target, row)
                     ref_error, ref = outcome(project_reference, S, target, row)
-                    assert error == ref_error
+                    assert_same_outcome(error, ref_error)
                     if not ref_error:
                         assert got[1] == ref[1]
                         for b in row:
@@ -280,13 +295,14 @@ class TestConditioningScreen:
                     # one, which the screen covers because the matrix is exact
                     error, got = outcome(noncausal_wiener, S, target, row[::-1])
                     ref_error, ref = outcome(wiener_reference, S, target, row[::-1])
-                    assert error == ref_error
+                    assert_same_outcome(error, ref_error)
                     if not ref_error:
                         assert got.cost == ref[4]
                         for pos, b in enumerate(row[::-1]):
                             assert np.array_equal(got.filters[b].response,
                                                   ref[2][:, pos])
-        # interlacing: no block is worse conditioned than the whole matrix
+        # interlacing: no block is worse conditioned than the whole matrix,
+        # and no Schur ratio is below its block's eigenvalue ratio
         if ratio > CONDITION_RTOL:
             assert raised == 0
         elif ratio < CONDITION_RTOL:
@@ -294,22 +310,20 @@ class TestConditioningScreen:
 
     def test_near_hermitian_input_is_stored_from_its_upper_triangle(self):
         # Hermitian within the constructor's tolerance only: the lower
-        # triangle alone would give the eigenvalue ratio 3e-10, the upper
-        # one gives 5e-11, and the stored matrix is the upper one's
-        grid = FrequencyGrid(8)
-        values = np.zeros((3, 3, grid.size), dtype=complex)
-        values[[0, 1, 2], [0, 1, 2]] = 1.0
-        values[0, 1] = 1.0 - 1e-10
-        values[1, 0] = 1.0 - 6e-10
-        S = SpectralMatrix(["a", "b", "t"], grid, values)
+        # triangle alone would give b the Schur ratio 2e-10, which the rule
+        # passes, the upper one gives 4e-11, which it fails, and the stored
+        # matrix is the upper one's
+        S = near_hermitian_matrix()
         assert np.array_equal(S.values[1, 0], np.conj(S.values[0, 1]))
-        assert S._eigenvalue_ratio == pytest.approx(5e-11, rel=1e-3)
+        assert S._eigenvalue_ratio == pytest.approx(1e-11, rel=1e-3)
         for inputs in ([0, 1], [1, 0]):
             with pytest.raises(IllConditionedSpectrumError) as got:
                 noncausal_wiener(S, 2, inputs)
             with pytest.raises(IllConditionedSpectrumError) as ref:
                 wiener_reference(S, 2, inputs)
-            assert str(got.value) == str(ref.value)
+            assert_same_outcome((got.type, str(got.value)),
+                                (ref.type, str(ref.value)))
+            assert "(input 'b', Schur ratio 4.000e-11)" in str(got.value)
 
     def test_well_conditioned_matrix_takes_one_factorization(self, monkeypatch):
         sim = simulate(generate_polytree_aln(12, 1), 2 ** 13, seed=2)
@@ -340,18 +354,26 @@ class TestConditioningScreen:
         idx = list(range(base.n)) + [0]
         S = SpectralMatrix([*base.labels, "copy"], base.grid,
                            base.values[np.ix_(idx, idx)])
-        assert not S._eigenvalue_ratio >= 2 * CONDITION_RTOL
         calls = count_eigvalsh(monkeypatch)
+        assert not S._eigenvalue_ratio >= 2 * CONDITION_RTOL
         for target in range(S.n):
             assert_ols_within_rounding(S, orthogonal_least_squares(S, target, 1),
                                        ols_reference(S, target, 1))
-        assert len(calls) > 1
-        # the per-fit loop aborts on the first singular target; MISO leaves
-        # the copy out of that target's fit and links it to X1
+        # the per-fit loop aborts on the first singular target; MISO checks
+        # each target's fit by one elimination, leaves the copy out of the
+        # singular ones and links it to X1
         D = distance_matrix(S)
         with pytest.raises(IllConditionedSpectrumError, match="omega="):
             miso_reference(S, D)
+        eliminated = []
+        eliminate = wiener._eliminated
+        monkeypatch.setattr(wiener, "_eliminated", lambda S, inputs: (
+            eliminated.append(list(inputs)) or eliminate(S, inputs)))
         assert (0, base.n) in miso_blanket_topology(S, D).edges
+        assert eliminated == [[i for i in range(S.n) if i != j]
+                              for j in range(S.n)]
+        # no fit takes an eigensolve: the screen's ratio is the only one
+        assert calls == [(33, S.n, S.n)]
 
 
 def screen_records() -> dict:
@@ -361,11 +383,7 @@ def screen_records() -> dict:
         int(ratio * 1e12), 6, FrequencyGrid(16), ratio)
         for ratio in (1e-11, 1e-10, 1.5e-10, 2e-10, 3e-10, 1e-6)}
     records["conditioned-3"] = conditioned_matrix(3, 6, FrequencyGrid(16), 1e-6)
-    grid = FrequencyGrid(8)
-    values = np.zeros((3, 3, grid.size), dtype=complex)
-    values[[0, 1, 2], [0, 1, 2]] = 1.0
-    values[0, 1], values[1, 0] = 1.0 - 1e-10, 1.0 - 6e-10
-    records["near-hermitian"] = SpectralMatrix(["a", "b", "t"], grid, values)
+    records["near-hermitian"] = near_hermitian_matrix()
 
     def welch(spec, length, seed, size=64):
         return spectral_matrix(simulate(spec, length, seed=seed).ensemble,
@@ -434,11 +452,12 @@ class TestScreenCertificate:
 
 class TestBlockCertificate:
     """Behind a failed screen, each fit's block is tried by the Cholesky
-    certificate before ``eigvalsh``, and gets the eigenvalue check's
+    certificate before it is eliminated, and gets the elimination's
     outcome either way."""
 
     def test_every_block_gets_the_checks_outcome(self, monkeypatch):
         certified = raised = 0
+        eliminate = wiener._eliminated
         for name, S in screen_records().items():
             if _clears_screen(S):
                 continue
@@ -454,13 +473,22 @@ class TestBlockCertificate:
                     np.sum(S._floored[idx], axis=0))
                 calls = count_eigvalsh(monkeypatch)
                 error, _ = outcome(wiener._check_conditioning, S, inputs)
+                kept, dropped = eliminate(S, inputs)
+                # the whole elimination, with the certificate out of play
+                monkeypatch.setattr(wiener, "_certified", lambda *args: False)
+                forced = eliminate(S, inputs)
                 monkeypatch.undo()
-                assert (error, None) == outcome(
-                    _block_conditioning_reference, S, inputs), (name, inputs)
-                # a proved block takes no eigensolve, any other one; a
-                # 1 x 1 block, a positive floored auto-spectrum, is proved
-                assert len(calls) == (0 if proved else 1), (name, inputs)
-                assert not (proved and error), (name, inputs)
+                assert_same_outcome(error, outcome(
+                    conditioning_reference, S, inputs)[0])
+                ref_kept, ref_dropped = schur_reference(S, inputs)
+                assert kept == forced[0] == ref_kept, (name, inputs)
+                assert_same_drops(dropped, ref_dropped)
+                assert_same_drops(forced[1], ref_dropped)
+                # no block takes an eigensolve; a proved one drops nothing,
+                # eliminated or not; a 1 x 1 block, a positive floored
+                # auto-spectrum, is proved
+                assert calls == [], (name, inputs)
+                assert not (proved and (error or dropped or forced[1]))
                 assert proved or len(inputs) > 1, (name, inputs)
                 certified += proved
                 raised += error is not None
@@ -471,7 +499,7 @@ def assert_same_solution(S, target, inputs, normalize):
     """``noncausal_wiener`` equals :func:`wiener_reference`, errors included."""
     error, got = outcome(noncausal_wiener, S, target, inputs, normalize)
     ref_error, ref = outcome(wiener_reference, S, target, inputs, normalize)
-    assert error == ref_error
+    assert_same_outcome(error, ref_error)
     if not ref_error:
         _, _, W, residual, cost = ref
         assert got.cost == cost
@@ -531,12 +559,12 @@ class TestHalfGridSolvers:
                            base.values[np.ix_(idx, idx)])
         assert not _clears_screen(S)
         assert S._eigenvalue_ratio == eigenvalue_ratio_reference(S)
-        with pytest.raises(IllConditionedSpectrumError, match="omega="):
-            filter_rms_reference(S)
+        rms = wiener._filter_rms(S)
+        assert np.array_equal(rms, filter_rms_reference(S))
         # targets 1 .. n-1 hold both copies among their inputs: the copy is
         # left out with RMS 0, and the rest is the fit without it, which the
         # record without the copy solves by the oracle's inverse
-        rms, ref = wiener._filter_rms(S), filter_rms_reference(base)
+        ref = filter_rms_reference(base)
         assert np.all(rms[1:n, n] == 0.0)
         assert np.max(np.abs(rms[1:n, :n] - ref[1:])) <= 1e-12 * np.max(ref)
         # X1 and the copy explain each other exactly

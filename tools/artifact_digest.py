@@ -29,9 +29,11 @@ targets whose fit is singular: each leaves the copy out as a
 direction explains exactly: both causal costs round to a few ``eps``, and
 the edge ``X1``--``copy`` is a flagged orientation tie.  The
 first record's first two series beside a constant series ``flat`` pin that
-``sparse`` at budget 2 stops before the singular block of the flat series,
-whose gain is negligible, and that ``analyze --pipeline miso-blanket``
-still exits 4 on them.  The first record's first series three times over
+``sparse`` at budget 2 stops before the flat series, whose gain is
+negligible, and that ``analyze --pipeline miso-blanket`` keeps every input
+of each target: the flat series' floored auto-spectrum is tiny beside the
+others, but its Schur ratio, which no scale changes, clears the
+conditioning rule.  The first record's first series three times over
 pins ``compare`` on distances that are all equal: its rank index is
 undefined and written as ``null``.  Three constant series pin that
 ``analyze`` and ``compare`` exit 2 naming the first, with no other
