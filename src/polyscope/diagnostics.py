@@ -34,12 +34,19 @@ class Event:
     message: str
 
 
-def record(category: str, message: str) -> None:
-    """Record a diagnostic event on every active collector."""
-    event = Event(category, message)
-    logger.debug("%s: %s", category, message)
+def record(category: str, *messages: str) -> None:
+    """Record one diagnostic event per message, in the order given, on
+    every active collector, each with a DEBUG line of its own.
+
+    A loop that finds several events passes them in one call: the
+    collectors are read, the logger checked and each collector extended
+    once.  No message records nothing."""
+    events = [Event(category, message) for message in messages]
+    if logger.isEnabledFor(logging.DEBUG):
+        for message in messages:
+            logger.debug("%s: %s", category, message)
     for sink, _ in _sinks.get():
-        sink.append(event)
+        sink.extend(events)
 
 
 @contextmanager

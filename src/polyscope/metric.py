@@ -162,10 +162,10 @@ def distance_matrix(S: SpectralMatrix) -> DistanceMatrix:
     upper = np.zeros((S.n, S.n))
     upper[rows, cols] = _coherence_distances(S, rows, cols)
     out = upper + upper.T
-    for i, j in np.argwhere(np.triu(out < 1e-9, 1)):
-        record("degenerate-pair",
-               f"{S.labels[i]!r} and {S.labels[j]!r} are at distance "
-               f"{out[i, j]:.3e}; duplicated series?")
+    record("degenerate-pair", *(
+        f"{S.labels[i]!r} and {S.labels[j]!r} are at distance "
+        f"{out[i, j]:.3e}; duplicated series?"
+        for i, j in np.argwhere(np.triu(out < 1e-9, 1))))
     _log_triangle_breaches(out)
     return DistanceMatrix(S.labels, out, "noncausal")
 
@@ -185,8 +185,7 @@ def causal_distance(S: SpectralMatrix, target: int, input_: int) -> float:
     if target == input_:
         return 0.0
     cost = _causal_pair(S, target, input_)[1]
-    for message in _causal_overshoots(S, [target], [input_], cost):
-        record("causal-overshoot", message)
+    record("causal-overshoot", *_causal_overshoots(S, [target], [input_], cost))
     return float(np.sqrt(max(cost, 0.0)))
 
 
@@ -218,9 +217,8 @@ def causal_distance_matrix(S: SpectralMatrix) -> DistanceMatrix:
     for targets in _blocks(n, factors.size):
         cost = _wiener_hopf(S, targets, slice(None), inverses[targets],
                             input_inverses)[1]
-        for message in _causal_overshoots(S, range(n)[targets], range(n),
-                                          cost):
-            record("causal-overshoot", message)
+        record("causal-overshoot", *_causal_overshoots(
+            S, range(n)[targets], range(n), cost))
         out[targets] = np.sqrt(np.maximum(cost, 0.0))
     np.fill_diagonal(out, 0.0)
     return DistanceMatrix(S.labels, out, "causal")

@@ -438,9 +438,10 @@ class SpectralMatrix:
         floored = _floor(phi)
         floored.flags.writeable = False
         # a clipped row's smallest value is the floor itself
-        for i in np.flatnonzero(np.any(floored > phi, axis=1)):
-            record("spectral-floor", f"auto-spectrum of {self.labels[i]!r} "
-                                     f"floored at {np.min(floored[i]):.3e}")
+        record("spectral-floor", *(
+            f"auto-spectrum of {self.labels[i]!r} floored at "
+            f"{np.min(floored[i]):.3e}"
+            for i in np.flatnonzero(np.any(floored > phi, axis=1))))
         return floored
 
     @_kept
@@ -659,8 +660,8 @@ def _coherence(S: SpectralMatrix, rows, cols) -> np.ndarray:
         raise DegenerateSeriesError(f"series {S.labels[0]!r} has zero variance")
     raw = np.abs(S.half[rows, cols]) ** 2 / (floored[rows] * floored[cols])
     peaks = np.max(raw, axis=-1)
-    for p in np.flatnonzero(peaks > 1.0 + 1e-6):
-        record("coherence-overshoot",
-               f"coherence of ({S.labels[rows[p]]!r}, {S.labels[cols[p]]!r}) "
-               f"peaks at {peaks[p]:.6f} before clamping")
+    record("coherence-overshoot", *(
+        f"coherence of ({S.labels[rows[p]]!r}, {S.labels[cols[p]]!r}) "
+        f"peaks at {peaks[p]:.6f} before clamping"
+        for p in np.flatnonzero(peaks > 1.0 + 1e-6)))
     return np.clip(raw, 0.0, 1.0, out=raw)

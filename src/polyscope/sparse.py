@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,18 +118,18 @@ def _check_solver_args(max_inputs: int, min_gain: float) -> int:
     return max_inputs
 
 
-def _greedy_stop(gain: float, cost: float, initial: float, min_gain: float,
-                 first: bool) -> str | None:
-    """Why a greedy step of ``gain`` from ``cost`` stops, or None to take it.
+def _greedy_stop(gain, cost, initial, min_gain: float, first: bool
+                 ) -> np.ndarray:
+    """Why each greedy step of ``gain`` from ``cost`` stops, or None to take
+    it, elementwise over arrays (a 0-d array for numbers).
 
     Gains that are numerical noise relative to the ``initial`` cost always
     stop; ``min_gain`` gates every step after the ``first``.
     """
-    if gain <= NEGLIGIBLE_RTOL * initial:
-        return "negligible-gain"
-    if not first and gain < min_gain * max(cost, np.finfo(float).tiny):
-        return "min-gain"
-    return None
+    late = np.logical_and(not first, np.less(
+        gain, min_gain * np.maximum(cost, np.finfo(float).tiny)))
+    return np.where(np.less_equal(gain, NEGLIGIBLE_RTOL * initial),
+                    "negligible-gain", np.where(late, "min-gain", None))
 
 
 def _candidates(S: SpectralMatrix, target: int) -> list[int]:
@@ -200,8 +200,8 @@ def matching_pursuit(S: SpectralMatrix, target: int, max_inputs: int,
                          S.grid.half_mean(np.abs(cross) ** 2 / floored), -np.inf)
         # the first maximum picks the lowest index, as the pool is sorted
         best = int(np.argmax(gains))
-        stop = _greedy_stop(float(gains[best]), cost, initial, min_gain,
-                            first=not raw_filters)
+        stop = _greedy_stop(gains[best], cost, initial, min_gain,
+                            first=not raw_filters).item()
         if stop:
             stop_reason = stop
             break
@@ -253,8 +253,8 @@ def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
     the outcomes are kept while ``S`` lives by
     :func:`~polyscope.diagnostics.memo`, with the floor events they read.
     A loop over all targets (``cli sparse``) pays for them once; a lone call
-    on a fresh matrix pays for every target, about 5.5 ms at n 32, K 64 and
-    budget 2 on one Xeon core, against about 0.55 ms for its own target's
+    on a fresh matrix pays for every target, about 4.8 ms at n 32, K 64 and
+    budget 2 on one Xeon core, against about 0.53 ms for its own target's
     two steps through the same kernel.  Each call records its own target's
     ``collinear-candidate`` events in step order, raises only its own
     target's error, and returns a model of its own.  At budget 0 nothing is
@@ -264,104 +264,125 @@ def orthogonal_least_squares(S: SpectralMatrix, target: int, max_inputs: int,
     max_inputs = _check_solver_args(max_inputs, min_gain)
     S.check_index(target)
     min_gain = float(min_gain)
-    outcome = memo(S._memo, ("orthogonal_least_squares", max_inputs, min_gain),
-                   lambda: _ols_outcomes(S, max_inputs, min_gain))[target]
-    for message in outcome.messages:
-        record("collinear-candidate", message)
-    if outcome.error is not None:
-        kind, message = outcome.error
+    runs = memo(S._memo, ("orthogonal_least_squares", max_inputs, min_gain),
+                lambda: _ols_outcomes(S, max_inputs, min_gain))
+    record("collinear-candidate", *runs.messages[target])
+    if runs.error[target] is not None:
+        kind, message = runs.error[target]
         raise kind(message)
-    filters = (_filters(S.grid, outcome.support, outcome.W)
-               if outcome.support else {})
-    return SparseModel(target, outcome.support, filters, outcome.cost,
-                       solver="ols", stop_reason=outcome.stop_reason)
+    size = runs.size[target]
+    support = tuple(runs.support[target, :size].tolist())
+    filters = _filters(S.grid, support, runs.W[target, :size].T)
+    return SparseModel(target, support, filters, float(runs.cost[target]),
+                       solver="ols", stop_reason=runs.stop[target])
 
 
 @dataclass
-class _OLSRun:
-    """One target's selection state in :func:`_ols_outcomes`, and once it
-    stops its outcome: ``support`` sorted, ``W (K/2+1, q)`` its half-grid
-    filters in that order, and ``error`` the type and message of the error
-    its run raised, if any, after its ``messages``."""
+class _OLSRuns:
+    """The OLS runs of every target in :func:`_ols_outcomes`, as arrays
+    over the ``n`` targets, and once they stop their outcomes; ``w`` is the
+    largest support, ``min(max_inputs, n - 1)``.
 
-    support: list
-    pool: list
-    cost: float
-    initial: float
-    W: np.ndarray | None = None
-    messages: list = field(default_factory=list)
-    stop_reason: str | None = None
-    error: tuple | None = None
+    Row ``t`` of ``support (n, w)`` holds target ``t``'s support sorted in
+    its first ``size[t]`` places, and the same rows of ``W[t] (w, K/2+1)``
+    that support's half-grid filters in its order.  ``cost`` and
+    ``initial`` are its running and initial costs, ``free (n, n)`` marks
+    its pool and ``stop`` holds its stop reason, None while it runs or once
+    it fails.  ``messages`` and ``error`` hold per target its
+    ``collinear-candidate`` messages and the type and message of the error
+    its run raised, if any, after them."""
+
+    support: np.ndarray
+    size: np.ndarray
+    cost: np.ndarray
+    initial: np.ndarray
+    free: np.ndarray
+    stop: np.ndarray
+    W: np.ndarray
+    messages: list
+    error: list
 
 
 def _ols_outcomes(S: SpectralMatrix, max_inputs: int, min_gain: float
-                  ) -> tuple[_OLSRun, ...]:
+                  ) -> _OLSRuns:
     """The OLS runs of every target of ``S``, stepped in lockstep.
 
     Every target's initial cost comes from one :meth:`FrequencyGrid.half_mean`
     over the diagonal of ``S.half``, clipped at 0, bit for bit
     :func:`project`'s on the empty support.  At each step the targets still
-    running are scored by :func:`~polyscope.wiener._extension_costs` in
-    blocks by :func:`~polyscope.signals._blocks`, each target counting its
-    ``(n-1-q)(K/2+1)(q+1)^2`` normal-equation values, ``(q+1)^2`` per
-    extension and grid point: 16 targets at the second step at n 32, K 64.
-    No block is gathered: the kernel reads the parts, and its transient
-    peak is about 40 bytes per counted value at q = 1 and 22 at q = 3,
-    where 16 is one complex array of them.  A target's bits do not depend
-    on its block.  A target whose stopping rule fires, or whose check
-    fails, leaves the run.
+    running are scored by :func:`~polyscope.wiener._extension_costs`, those
+    whose pools have one size ``m`` together, in blocks by
+    :func:`~polyscope.signals._blocks`, each target counting its
+    ``m(K/2+1)(q+1)^2`` normal-equation values, ``(q+1)^2`` per extension
+    and grid point: 16 targets at the second step at n 32, K 64.  No block
+    is gathered: the kernel reads the parts, and its transient peak is
+    about 40 bytes per counted value at q = 1 and 22 at q = 3, where 16 is
+    one complex array of them.  A target's bits do not depend on its block.
+    Each block's step is taken on its arrays by :func:`_ols_step`; a target
+    whose stopping rule fires, or whose check fails, leaves the run.  At
+    n 32, K 64 and budget 2 the run takes about 4.5 ms on one Xeon core,
+    4.0 ms of it in the kernel.
     """
-    half = np.einsum("iik->ik", S.half)
-    initial = np.maximum(np.real(S.grid.half_mean(half)), 0.0)
-    runs = tuple(_OLSRun([], [b for b in range(S.n) if b != t], float(cost),
-                         max(float(cost), np.finfo(float).tiny))
-                 for t, cost in enumerate(initial))
-    active = list(range(S.n))
+    n, points = S.n, S.grid.size // 2 + 1
+    cost = np.maximum(np.real(S.grid.half_mean(np.einsum("iik->ik", S.half))),
+                      0.0)
+    width = min(max_inputs, n - 1)
+    runs = _OLSRuns(np.zeros((n, width), dtype=int), np.zeros(n, dtype=int),
+                    cost, np.maximum(cost, np.finfo(float).tiny),
+                    ~np.eye(n, dtype=bool), np.full(n, None, dtype=object),
+                    np.empty((n, width, points), complex),
+                    [[] for _ in range(n)], [None] * n)
+    active = np.arange(n)
     for q in itertools.count():
-        scoring = []
-        for t in active:
-            if q >= max_inputs:
-                runs[t].stop_reason = "budget"
-            elif not runs[t].pool:
-                runs[t].stop_reason = "exhausted"
-            else:
-                scoring.append(t)
-        if not scoring:
+        if q >= max_inputs:
+            runs.stop[active] = "budget"
             return runs
-        size = (S.n - 1 - q) * (S.grid.size // 2 + 1) * (q + 1) ** 2
-        active = []
-        for block in _blocks(len(scoring), size):
-            targets = scoring[block]
-            scored = _extension_costs(S, targets,
-                                      [runs[t].support for t in targets],
-                                      [runs[t].pool for t in targets])
-            active += [t for t, step in zip(targets, scored)
-                       if _ols_step(runs[t], step, min_gain)]
+        pooled = np.count_nonzero(runs.free[active], axis=1)
+        runs.stop[active[pooled == 0]] = "exhausted"
+        going = []
+        for m in np.unique(pooled[pooled > 0]).tolist():
+            scoring = active[pooled == m]
+            for block in _blocks(scoring.size, m * points * (q + 1) ** 2):
+                targets = scoring[block]
+                pools = np.nonzero(runs.free[targets])[1].reshape(-1, m)
+                scored = _extension_costs(S, targets,
+                                          runs.support[targets, :q], pools)
+                going.append(_ols_step(runs, q, targets, pools, scored,
+                                       min_gain))
+        if not going:
+            return runs
+        active = np.sort(np.concatenate(going))
 
 
-def _ols_step(run: _OLSRun, scored, min_gain: float) -> bool:
-    """Take one step of ``run`` from its
-    :func:`~polyscope.wiener._extension_costs` outcome ``scored``: whether
-    the run goes on."""
-    costs, fits, messages, error = scored
-    run.messages += messages
-    if error is not None:
-        run.error = (type(error), str(error))
-        return False
+def _ols_step(runs: _OLSRuns, q: int, targets: np.ndarray, pools: np.ndarray,
+              scored, min_gain: float) -> np.ndarray:
+    """Take step ``q`` of the runs of a block of ``targets`` with ``(g, m)``
+    ``pools`` from the block's :func:`~polyscope.wiener._extension_costs`
+    outcome ``scored``, in array passes over its ``(g, m)`` costs and
+    ``(g, m, K/2+1, q+1)`` filters: returns the targets that go on."""
+    costs, W, messages, errors = scored
+    for t, text, error in zip(targets.tolist(), messages, errors):
+        runs.messages[t] += text
+        if error is not None:
+            runs.error[t] = (type(error), str(error))
+    rows = np.flatnonzero([error is None for error in errors])
+    t, costs = targets[rows], costs[rows]
     # a collinear candidate scores inf and leaves the pool for good
-    kept = costs < math.inf
-    run.pool, costs = [b for b, k in zip(run.pool, kept) if k], costs[kept]
-    if not run.pool:
-        run.stop_reason = "exhausted"
-        return False
+    runs.free[t[:, None], pools[rows]] = costs < math.inf
     # the first minimum adds the lowest index, as the pool is sorted
-    pick = int(np.argmin(costs))
-    best, best_cost = run.pool.pop(pick), float(costs[pick])
-    run.stop_reason = _greedy_stop(run.cost - best_cost, run.cost, run.initial,
-                                   min_gain, first=not run.support)
-    if run.stop_reason:
-        return False
-    extended = run.support + [best]
-    run.support, run.cost = sorted(extended), best_cost
-    run.W = fits[pick][:, np.argsort(extended)]
-    return True
+    pick = np.argmin(costs, axis=1)
+    best = costs[np.arange(t.size), pick]
+    stop = _greedy_stop(runs.cost[t] - best, runs.cost[t], runs.initial[t],
+                        min_gain, first=q == 0)
+    stop[best == math.inf] = "exhausted"        # every candidate collinear
+    runs.stop[t] = stop
+    go = np.equal(stop, None)
+    t, rows, pick = t[go], rows[go], pick[go]
+    b = pools[rows, pick]
+    runs.free[t, b], runs.size[t], runs.cost[t] = False, q + 1, best[go]
+    # the support stays sorted, and its filters in its order
+    extended = np.column_stack([runs.support[t, :q], b])
+    columns = np.argsort(extended, axis=1)
+    runs.support[t, :q + 1] = extended[np.arange(t.size)[:, None], columns]
+    runs.W[t, :q + 1] = W[rows[:, None], pick[:, None], :, columns]
+    return t

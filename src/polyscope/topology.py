@@ -150,8 +150,9 @@ def minimum_spanning_tree(W: DistanceMatrix) -> Tree:
     """Kruskal's minimum spanning tree over the complete distance graph.
 
     Candidate edges are processed in lexicographic ``(weight, min index,
-    max index)`` order, which makes the result deterministic under ties.
-    Requires a symmetric distance kind.
+    max index)`` order, which makes the result deterministic under ties;
+    one :func:`numpy.lexsort` over the upper triangle gives it.  Requires a
+    symmetric distance kind.
     """
     if W.kind == "causal":
         raise InvalidParameterError(
@@ -160,11 +161,14 @@ def minimum_spanning_tree(W: DistanceMatrix) -> Tree:
     n = W.n
     if n < 2:
         raise InvalidParameterError("need at least two nodes")
-    candidates = sorted(
-        (W.values[a, b], a, b) for a in range(n) for b in range(a + 1, n))
+    index = np.arange(n)
+    rows, cols = np.nonzero(index[:, None] < index)     # the upper triangle
+    weights = W.values[rows, cols]
+    order = np.lexsort((cols, rows, weights))
     uf = _UnionFind(n)
     chosen: dict[tuple[int, int], float] = {}
-    for w, a, b in candidates:
+    for w, a, b in zip(weights[order].tolist(), rows[order].tolist(),
+                       cols[order].tolist()):
         if uf.union(a, b):
             chosen[(a, b)] = w
             if len(chosen) == n - 1:
@@ -184,6 +188,7 @@ def build_polytree(DC: DistanceMatrix) -> Polytree:
     tree = minimum_spanning_tree(weights)
     edges: dict[tuple[int, int], float] = {}
     ties: set[tuple[int, int]] = set()
+    messages = []
     for (a, b), w in tree.edges.items():
         # +1 at [a, b] reads: modelling a from input b won, i.e. b -> a.
         if directions.values[a, b] == 1:
@@ -193,8 +198,9 @@ def build_polytree(DC: DistanceMatrix) -> Polytree:
         edges[key] = w
         if directions.ties[a, b]:
             ties.add(key)
-            record("tie", f"causal tie between {DC.labels[a]!r} and "
-                          f"{DC.labels[b]!r} at {DC.values[a, b]:.6f}")
+            messages.append(f"causal tie between {DC.labels[a]!r} and "
+                            f"{DC.labels[b]!r} at {DC.values[a, b]:.6f}")
+    record("tie", *messages)
     return Polytree(DC.labels, edges, ties)
 
 
@@ -257,11 +263,11 @@ def _blanket_edges(labels, rms: np.ndarray, D: np.ndarray, rtol: float
     Every target's candidates and purges are marked in one boolean array
     pass, in blocks by :func:`~polyscope.signals._blocks`, each target
     counting its ``n^2`` route values (all 32 targets at n 32), so the
-    temporaries never grow as ``n^3``.  Purges are recorded and edges
-    inserted in target order, then candidate order; each edge keeps the
-    distance of its first target.
+    temporaries never grow as ``n^3``.  Purges are recorded, one call a
+    block, and edges inserted in target order, then candidate order; each
+    edge keeps the distance of its first target.
     """
-    n = len(labels)
+    n, names = len(labels), [repr(label) for label in labels]
     off = ~np.eye(n, dtype=bool)
     top = np.max(rms, axis=1, where=off, initial=-np.inf)
     # a target whose largest RMS is 0 has no candidate: no RMS exceeds 0
@@ -276,10 +282,9 @@ def _blanket_edges(labels, rms: np.ndarray, D: np.ndarray, rtol: float
         routes = np.maximum(D, to_target[:, None, :]) < to_target[:, :, None]
         routes &= chosen[:, None, :]
         purged = chosen & routes.any(axis=-1)
-        for j, i in np.argwhere(purged).tolist():
-            record("blanket-purge",
-                   f"candidate {labels[i]!r} of target {labels[lo + j]!r} "
-                   f"explained by an indirect route")
+        record("blanket-purge", *(
+            f"candidate {names[i]} of target {names[lo + j]} explained by an "
+            f"indirect route" for j, i in np.argwhere(purged).tolist()))
         for j, i in np.argwhere(chosen & ~purged).tolist():
             edges.setdefault((min(i, lo + j), max(i, lo + j)),
                              float(D[i, lo + j]))

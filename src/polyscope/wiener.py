@@ -309,10 +309,10 @@ def _joint_fits(S: SpectralMatrix, target: int, inputs
     return W[0], np.maximum(np.real(S.half[target, target]) - explained, 0.0)
 
 
-def _extension_costs(S: SpectralMatrix, targets, supports, pools) -> list:
-    """Costs and filters of the joint fits of each of a block of targets on
-    ``support + [b]``, one per ``b`` in its pool, from the fit on its
-    ``support`` alone.
+def _extension_costs(S: SpectralMatrix, targets, supports, pools) -> tuple:
+    """Costs and filters of the joint fits of each of a block of ``g``
+    targets on ``support + [b]``, one per ``b`` in its pool, from the fit on
+    its ``support`` alone.
 
     This is the orthogonal least squares recursion (Chen, Billings & Luo,
     Int. J. Control 50(5), 1989).  At each frequency, with ``A_SS W_S = c_S``
@@ -320,19 +320,29 @@ def _extension_costs(S: SpectralMatrix, targets, supports, pools) -> list:
     ``|r_b|^2 / s_b``, where ``G_b = A_SS^{-1} A_Sb``, the Schur complement
     is ``s_b = A_bb - A_bS G_b`` and ``r_b = c_b - A_bS W_S``.  One solve of
     ``A_SS`` against ``[A_S,pool | c_S]`` serves every candidate of a
-    target.  Targets with pools of one size are solved as one stack, so
+    target (:func:`_support_solve`).  The block is solved as one stack, so
     each target's solve has the shapes of its own and every elementwise
     operation and reduction meets the same values in the same order: a
-    target's bits do not depend on the targets beside it.  An empty support
-    is the case ``q = 0`` of the same steps, with nothing to solve: its
-    filters are ``c_b / A_bb``; a 1 x 1 support divides
-    (:func:`_support_solve`).  Residuals are clipped at zero as in
-    :func:`_joint_fits`; costs are their :meth:`FrequencyGrid.half_mean`.
+    target's bits do not depend on the targets beside it.  An empty
+    support, ``q = 0``, computes none of the recursion: ``s_b = A_bb``,
+    every ratio is 1, ``r_b = c_b`` and nothing is explained, the values
+    the general steps give exactly, so its filters are ``c_b / A_bb``.
+    Residuals are clipped at zero as in :func:`_joint_fits`; costs are
+    their :meth:`FrequencyGrid.half_mean`.
+
+    Each part of the normal equations is read from ``S`` once and kept
+    apart, ``A_SS (g, K/2+1, q, q)`` and ``c_S (g, K/2+1, q)`` per target,
+    ``A_Sb (g, K/2+1, q, m)``, ``A_bS (g, m, K/2+1, q)``, the floored
+    ``A_bb`` and ``c_b (g, m, K/2+1)`` per candidate: no extension's block
+    is gathered, neither for the recursion nor for the normal-equation
+    check, which reads the same parts.  The residuals, Schur complements
+    and ``G`` are freed before the check, whose temporaries take their
+    place.
 
     A candidate whose Schur ratio ``s_b / A_bb`` (:func:`_schur_ratios`)
     fails :func:`_usable` is collinear with the support, by the rule
     :func:`_eliminated` applies to every other fit: it costs ``inf``, its
-    filters are not returned, its fit is not checked, and it is named in a
+    filters are no fit and are not checked, and it is named in a
     ``collinear-candidate`` message (:func:`_collinear`).  Its Schur
     complement can only shrink as the support grows.  When
     :func:`_clears_screen` holds no candidate is dropped, since interlacing
@@ -343,42 +353,19 @@ def _extension_costs(S: SpectralMatrix, targets, supports, pools) -> list:
     ``(q+1, q+1)`` block, under :func:`_orthogonality_failures`, the rule
     :func:`_joint_fits` checks its own fit by.
 
-    ``targets`` are distinct indices; ``supports`` holds one support per
-    target, all of one size ``q``, each empty or a valid input set whose own
-    fit is solvable; ``pools`` holds one sorted non-empty list of inputs
-    outside its support per target.  Nothing is recorded and nothing
-    raised: each target gets ``(costs, W, messages, error)``, its ``(m,)``
-    costs (``inf`` for each collinear candidate), the checked half-grid
-    filters ``W (m_kept, K/2+1, q+1)`` of its kept extensions in pool order
-    with columns in ``support + [b]`` order, its ``collinear-candidate``
-    messages, and the error of its first failed check, or None.  A cost
-    equals its filters' joint solve to rounding, not bit for bit.
+    ``targets`` are ``g`` distinct indices; ``supports (g, q)`` holds one
+    support per target, each empty or a valid input set whose own fit is
+    solvable; ``pools (g, m)`` one sorted non-empty row of inputs outside
+    its support per target.  Nothing is recorded and nothing raised: returns
+    ``(costs, W, messages, errors)``, the ``(g, m)`` costs (``inf`` for
+    each collinear candidate), the half-grid filters ``W (g, m, K/2+1,
+    q+1)`` with columns in ``support + [b]`` order, and per target its
+    ``collinear-candidate`` messages and the error of its first failed
+    check, or None.  A cost equals its filters' joint solve to rounding,
+    not bit for bit.
     """
     supports = np.asarray(supports, dtype=int).reshape(len(targets), -1)
-    scored = [None] * len(targets)
-    sizes = [len(pool) for pool in pools]
-    for m in sorted(set(sizes)):
-        rows = [i for i, size in enumerate(sizes) if size == m]
-        for i, result in zip(rows, _extension_stack(
-                S, [targets[i] for i in rows], supports[rows],
-                np.asarray([pools[i] for i in rows], dtype=int))):
-            scored[i] = result
-    return scored
-
-
-def _extension_stack(S: SpectralMatrix, targets, supports: np.ndarray,
-                     pools: np.ndarray) -> list:
-    """:func:`_extension_costs` of ``g`` targets with ``(g, q)`` supports and
-    ``(g, m)`` pools of one size, as one stack.
-
-    Each part of the normal equations is read from ``S`` once and kept
-    apart, ``A_SS (g, K/2+1, q, q)`` and ``c_S (g, K/2+1, q)`` per target,
-    ``A_Sb (g, K/2+1, q, m)``, ``A_bS (g, m, K/2+1, q)``, the floored
-    ``A_bb`` and ``c_b (g, m, K/2+1)`` per candidate: no extension's block
-    is gathered, neither for the recursion nor for the normal-equation
-    check, which reads the same parts.  An empty support solves nothing:
-    its ``G_b`` and ``W_S`` are empty.  The residuals, Schur complements and
-    ``G`` are freed before the check, whose temporaries take their place."""
+    pools = np.asarray(pools, dtype=int)
     (g, q), m = supports.shape, pools.shape[1]
     t, inputs = np.asarray(targets)[:, None], supports[:, :, None]
     F = S._floored_stack
@@ -387,42 +374,47 @@ def _extension_stack(S: SpectralMatrix, targets, supports: np.ndarray,
     A_Sb = np.moveaxis(F[:, inputs, pools[:, None, :]], 0, 1)
     A_bS = np.moveaxis(F[:, pools[:, :, None], supports[:, None, :]], 0, 2)
     A_bb, c_b = S._floored[pools], S.half[pools, t]         # (g, m, K/2+1)
-    G, W_S = _support_solve(A_SS, A_Sb, c_S)
-    G, W_S = G.transpose(0, 3, 1, 2), W_S[:, None]     # (g, m | 1, K/2+1, q)
-    explained = np.real(np.sum(np.conj(c_S) * W_S[:, 0], axis=-1))
-    s = A_bb - np.real(np.sum(A_bS * G, axis=-1))
-    ratio = _schur_ratios(s, A_bb).min(axis=-1)
-    kept = _usable(ratio)
-    if not kept.all():      # a collinear candidate enters no division by s
-        s = np.where(kept[..., None], s, A_bb)
-    r = c_b - np.sum(A_bS * W_S, axis=-1)
-    W = np.empty(A_bS.shape[:-1] + (q + 1,), complex)
-    w = np.divide(r, s, out=W[..., q])
-    W[..., :q] = W_S - G * w[..., None]
-    residual = np.maximum(np.real(S.half[targets, targets])[:, None]
-                          - explained[:, None] - np.abs(r) ** 2 / s, 0.0)
+    unexplained = np.real(S.half[targets, targets])[:, None]
+    W = np.empty((g, m, S.grid.size // 2 + 1, q + 1), complex)
+    if q:
+        G, W_S = _support_solve(A_SS, A_Sb, c_S)
+        G, W_S = G.transpose(0, 3, 1, 2), W_S[:, None]  # (g, m | 1, K/2+1, q)
+        unexplained = unexplained - np.real(
+            np.sum(np.conj(c_S) * W_S[:, 0], axis=-1))[:, None]
+        s = A_bb - np.real(np.sum(A_bS * G, axis=-1))
+        ratio = _schur_ratios(s, A_bb).min(axis=-1)
+        kept = _usable(ratio)
+        if not kept.all():  # a collinear candidate enters no division by s
+            s = np.where(kept[..., None], s, A_bb)
+        r = c_b - np.sum(A_bS * W_S, axis=-1)
+        w = np.divide(r, s, out=W[..., q])
+        W[..., :q] = W_S - G * w[..., None]
+        del G
+    else:                   # the empty support: nothing solved or explained
+        s, r, kept = A_bb, c_b, np.ones((g, m), dtype=bool)
+        np.divide(r, s, out=W[..., 0])
+    residual = np.maximum(unexplained - np.abs(r) ** 2 / s, 0.0)
     costs = np.where(kept, S.grid.half_mean(residual), np.inf)
-    del G, r, s, residual   # the check's temporaries take their place
+    del r, s, residual      # the check's temporaries take their place
     failed, worst, scale = _extension_orthogonality(A_SS, A_Sb, A_bS, A_bb,
                                                     c_S, c_b, W)
-    messages, errors = [[] for _ in targets], [None] * g
+    messages, errors = [[] for _ in range(g)], [None] * g
     for i, j in zip(*np.nonzero(~kept)):
         messages[i].append(_collinear(S, pools[i, j], targets[i], ratio[i, j]))
     for i, j in zip(*np.nonzero(failed & kept)):
         if errors[i] is None:       # target i's first failed fit
             errors[i] = _orthogonality_error(targets[i], worst[i, j],
                                              scale[i, j])
-    return [(costs[i], W[i] if kept[i].all() else W[i][kept[i]], messages[i],
-             errors[i]) for i in range(g)]
+    return costs, W, messages, errors
 
 
 def _support_solve(A_SS: np.ndarray, A_Sb: np.ndarray, c_S: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """``G = A_SS^{-1} A_Sb`` and ``W_S = A_SS^{-1} c_S`` of each target's
-    support, ``A_SS (g, K/2+1, q, q)``, ``A_Sb (g, K/2+1, q, m)`` and ``c_S
-    (g, K/2+1, q)``, in their layouts.
+    support of ``q >= 1`` inputs, ``A_SS (g, K/2+1, q, q)``, ``A_Sb (g,
+    K/2+1, q, m)`` and ``c_S (g, K/2+1, q)``, in their layouts.
 
-    An empty support solves nothing.  A 1 x 1 support, every support at
+    A 1 x 1 support, every support at
     budget 2, is its floored auto-spectrum, real and positive: its systems
     are multiplied by its reciprocal, where ``np.linalg.solve`` pays a
     LAPACK call for each; the result agrees with LAPACK's within ``2 eps``
@@ -433,11 +425,9 @@ def _support_solve(A_SS: np.ndarray, A_Sb: np.ndarray, c_S: np.ndarray
     if q == 1:
         inverse = 1.0 / A_SS.real
         return A_Sb * inverse, c_S * inverse[..., 0]
-    if q:
-        solved = np.linalg.solve(
-            A_SS, np.concatenate([A_Sb, c_S[..., None]], axis=-1))
-        return solved[..., :m], solved[..., m]
-    return A_Sb, c_S
+    solved = np.linalg.solve(
+        A_SS, np.concatenate([A_Sb, c_S[..., None]], axis=-1))
+    return solved[..., :m], solved[..., m]
 
 
 def _filter_rms(S: SpectralMatrix) -> np.ndarray:
@@ -462,9 +452,9 @@ def _filter_rms(S: SpectralMatrix) -> np.ndarray:
         W = np.ones((S.n, S.n, S.grid.size // 2 + 1), dtype=complex)
         for j in range(S.n):
             kept, dropped = _eliminated(S, [i for i in range(S.n) if i != j])
-            for b, _, ratio in dropped:
-                record("collinear-candidate", _collinear(S, b, j, ratio))
-                W[j, b] = 0.0
+            record("collinear-candidate", *(_collinear(S, b, j, ratio)
+                                            for b, _, ratio in dropped))
+            W[j, [b for b, _, _ in dropped]] = 0.0
             W[j, kept] = _joint_fits(S, j, kept)[0].T
     return np.sqrt(S.grid.half_mean(np.abs(W) ** 2))
 
@@ -494,7 +484,7 @@ def _extension_orthogonality(A_SS, A_Sb, A_bS, A_bb, c_S, c_b, W
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The normal-equation check of each extension of a stack by
     :func:`_orthogonality_failures`, as :func:`_check_orthogonality` checks
-    a gathered fit, read from the parts :func:`_extension_stack` holds:
+    a gathered fit, read from the parts :func:`_extension_costs` holds:
     ``A_SS (g, K/2+1, q, q)``, ``A_Sb (g, K/2+1, q, m)``, ``A_bS (g, m,
     K/2+1, q)``, ``A_bb`` and ``c_b (g, m, K/2+1)``, ``c_S (g, K/2+1, q)``
     and the filters ``W (g, m, K/2+1, q+1)``.
@@ -643,11 +633,10 @@ def _spectral_factors(grid: FrequencyGrid, phi: np.ndarray
     taps_full = grid.half_to_time(responses)
     tail = np.sum(taps_full[:, k // 2:] ** 2, axis=-1)
     total = np.sum(taps_full ** 2, axis=-1)
-    for row in range(phi.shape[0]):
-        if total[row] > 0 and tail[row] > TRUNCATION_ENERGY_TOL * total[row]:
-            record("truncation-energy",
-                   f"spectral factor tail holds {tail[row] / total[row]:.2e} "
-                   f"of the energy")
+    lossy = (total > 0) & (tail > TRUNCATION_ENERGY_TOL * total)
+    record("truncation-energy", *(
+        f"spectral factor tail holds {tail[row] / total[row]:.2e} of the energy"
+        for row in np.flatnonzero(lossy)))
     return responses, taps_full[:, :k // 2]
 
 

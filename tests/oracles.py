@@ -28,9 +28,10 @@ cepstral factors and Wiener--Hopf split that the half-grid causal layer replaced
 require agreement to rounding and equal polytrees; and the per-cell CSV reader and ``csv.writer`` text builders
 that whole-body parsing and joined ``repr`` rows replaced, against which
 tests require the same series, messages and bytes; and the index-array
-Welch gather that a strided view replaced and the per-target blanket purge
-that one array pass replaced, against which tests require the same bits,
-or the same edges, edge order and events.  The per-target OLS runs divide
+Welch gather that a strided view replaced, the per-target blanket purge
+that one array pass replaced and the tuple-sorting Kruskal that one
+lexsort replaced, against which tests require the same bits, or the same
+edges, edge order and events.  The per-target OLS runs divide
 at a 1 x 1 support, as the kernel does.
 """
 
@@ -57,6 +58,7 @@ from polyscope import (
     SpectralMatrix,
     TimeSeries,
     TransferFunction,
+    Tree,
     UndirectedGraph,
     WelchConfig,
     analytic_spectra,
@@ -687,6 +689,20 @@ def scaled_record(scale: float = 1e5):
         WelchConfig(grid_size=256))
 
 
+def disconnected_record():
+    """Two analytic networks of four series on one K = 64 grid, the second
+    in units 1e5 times larger: every cross spectrum between them is exactly
+    zero, so a candidate of the other network explains nothing, and the
+    scale fails the screen."""
+    grid = FrequencyGrid(64)
+    parts = [analytic_spectra(generate_polytree_aln(4, seed), grid)
+             for seed in (1, 2)]
+    values = np.zeros((8, 8, grid.size), dtype=complex)
+    values[:4, :4], values[4:, 4:] = parts[0].values, 1e10 * parts[1].values
+    return SpectralMatrix([f"{network}{i}" for network in "AB"
+                           for i in range(4)], grid, values)
+
+
 def copies_record():
     """Seven series: five random ones, then a faint copy and an exact copy
     of target 4's first pick, which leave its pool at the second step."""
@@ -861,6 +877,32 @@ def min_tree_bruteforce(values: np.ndarray) -> list[frozenset]:
         elif weight <= best + 1e-12:
             minima.append(tree)
     return minima
+
+
+def kruskal_reference(W: DistanceMatrix) -> Tree:
+    """Kruskal's spanning tree as ``minimum_spanning_tree`` built it before
+    one lexsort gave its order: every upper-triangle edge as a ``(weight,
+    min index, max index)`` tuple of a numpy weight and two ints, sorted by
+    Python, then joined by a union-find of its own."""
+    n = W.n
+    candidates = sorted(
+        (W.values[a, b], a, b) for a in range(n) for b in range(a + 1, n))
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    chosen = {}
+    for w, a, b in candidates:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[rb] = ra
+            chosen[(a, b)] = w
+            if len(chosen) == n - 1:
+                break
+    return Tree(W.labels, chosen)
 
 
 def blanket_reference(directed_edges, node: int) -> set[int]:

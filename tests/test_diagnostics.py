@@ -1,11 +1,12 @@
 import ast
 import contextvars
+import logging
 import sys
 import threading
 from pathlib import Path
 
 import polyscope
-from polyscope.diagnostics import collect, memo, record
+from polyscope.diagnostics import Event, collect, memo, record
 
 
 def test_nested_empty_collectors_stay_separate():
@@ -128,3 +129,45 @@ def test_threads_sharing_a_collector_get_each_kept_event_once():
     assert runs == list(range(10))
     assert [e.message for e in events] == [
         f"{key}-{i}" for key in range(10) for i in range(300)]
+
+
+class TestBatchRecord:
+    """``record(category, *messages)``: one event per message, in order."""
+
+    def test_one_event_per_message_in_every_collector(self):
+        store = {}
+
+        def compute():
+            record("probe", "kept 1", "kept 2")
+            return 0
+
+        with collect() as outer:
+            with collect() as inner:
+                record("probe", "a", "b", "c")
+                memo(store, "key", compute)
+        expected = [("probe", m) for m in ("a", "b", "c", "kept 1", "kept 2")]
+        for events in (outer, inner):
+            assert [(e.category, e.message) for e in events] == expected
+        assert store["key"][1] == [Event("probe", "kept 1"),
+                                   Event("probe", "kept 2")]
+
+    def test_one_debug_line_per_message(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="polyscope"):
+            record("probe", "first", "second")
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] \
+            == [("polyscope", logging.DEBUG, "probe: first"),
+                ("polyscope", logging.DEBUG, "probe: second")]
+
+    def test_no_message_records_nothing(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="polyscope"):
+            with collect() as events:
+                record("probe")
+                record("probe", *[])
+        assert events == [] and caplog.records == []
+
+    def test_single_message_form_is_unchanged(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="polyscope"):
+            with collect() as events:
+                record("probe", "alone")
+        assert events == [Event("probe", "alone")]
+        assert [r.getMessage() for r in caplog.records] == ["probe: alone"]

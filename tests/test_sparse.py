@@ -46,6 +46,7 @@ from oracles import (
     assert_same_drops,
     copies_record,
     digest_records,
+    disconnected_record,
     filter_rms_reference,
     first_step_reference,
     half_grid_matrix,
@@ -363,15 +364,6 @@ class TestOLSMatchesPerCandidateLoop:
             assert abs(float(dropped[1][1])) < 1e-14
 
 
-@pytest.fixture(scope="module")
-def wide_record():
-    """A 32-series simulated record whose spectral matrix clears the screen."""
-    sim = simulate(generate_polytree_aln(32, 7), 2 ** 13, seed=11)
-    S = spectral_matrix(sim.ensemble, WelchConfig(grid_size=64))
-    assert _clears_screen(S)
-    return S
-
-
 def step_supports(S, target, steps):
     """The supports OLS scores its first ``steps`` steps from, in order."""
     return [list(orthogonal_least_squares(S, target, q, 0.0).support)
@@ -404,8 +396,8 @@ class TestOLSClosedFormSteps:
             tol = 1e-12 * inner_product(S, target, target)
             for support in step_supports(S, target, 3):
                 free = [b for b in range(S.n) if b != target and b not in support]
-                ((scored, fits, messages, error),) = wiener._extension_costs(
-                    S, [target], [support], [free])
+                (scored,), (fits,), (messages,), (error,) = \
+                    wiener._extension_costs(S, [target], [support], [free])
                 assert messages == [] and error is None
                 assert fits.shape == (len(free), S.grid.size // 2 + 1,
                                       len(support) + 1)
@@ -558,7 +550,7 @@ def assert_first_steps_match(S, monkeypatch):
     for target in range(S.n):
         free = [b for b in range(S.n) if b != target]
         with collect() as events:
-            ((costs, W, messages, error),) = wiener._extension_costs(
+            (costs,), (W,), (messages,), (error,) = wiener._extension_costs(
                 lib, [target], [[]], [free])
         assert messages == [] and error is None
         with collect() as ref_events:
@@ -632,8 +624,8 @@ class TestFirstStepPass:
         # reference leaves out, records it, and solves the rest jointly
         S = twin(duplicated)
         stacks, eliminations = [], []
-        stack, eliminate = wiener._extension_stack, wiener._eliminated
-        monkeypatch.setattr(wiener, "_extension_stack", lambda *args: (
+        stack, eliminate = wiener._extension_costs, wiener._eliminated
+        monkeypatch.setattr(wiener, "_extension_costs", lambda *args: (
             stacks.append(args) or stack(*args)))
         monkeypatch.setattr(wiener, "_eliminated", lambda S, inputs: (
             eliminations.append((list(inputs), eliminate(S, inputs)))
@@ -684,7 +676,7 @@ class TestFirstStepCache:
         runs.clear()
         # the kept runs go with their matrix, and the other matrix keeps its own
         key = ("orthogonal_least_squares", 2, DEFAULT_MIN_GAIN)
-        kept, alive = weakref.ref(T._memo[key][0][0]), weakref.ref(T)
+        kept, alive = weakref.ref(T._memo[key][0]), weakref.ref(T)
         del T
         assert alive() is None and kept() is None
         orthogonal_least_squares(S, 5, 2)
@@ -811,9 +803,11 @@ class TestOLSLockstep:
     def records(self, wide_record):
         base, duplicated, summed = digest_records()
         return {"wide": wide_record, "duplicated": duplicated,
-                "summed": summed, "scaled": scaled_record()}
+                "summed": summed, "scaled": scaled_record(),
+                "disconnected": disconnected_record()}
 
-    @pytest.mark.parametrize("name", ["wide", "duplicated", "summed", "scaled"])
+    @pytest.mark.parametrize("name", ["wide", "duplicated", "summed", "scaled",
+                                      "disconnected"])
     def test_matches_the_per_target_runs_at_any_blocking(self, records, name,
                                                          monkeypatch):
         S = records[name]

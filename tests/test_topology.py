@@ -41,6 +41,7 @@ from polyscope.wiener import CONDITION_RTOL, _clears_screen
 from oracles import (
     blanket_edges_reference,
     blanket_reference,
+    kruskal_reference,
     miso_reference,
     min_tree_bruteforce,
 )
@@ -136,6 +137,21 @@ class TestContainers:
             Polytree(["a", "b"], {(zero, one): "1.5"})
 
 
+@st.composite
+def tied_distances(draw):
+    """Symmetric distances drawn from a few values, signed zeros among them,
+    so most edges tie with another; sums of 0.1, 0.2 and 0.3 round by
+    their order."""
+    n = draw(st.integers(2, 9))
+    levels = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 0.7])
+    upper = np.array(draw(st.lists(levels, min_size=n * n, max_size=n * n)))
+    upper = upper.reshape(n, n)
+    above = np.triu(np.ones((n, n), dtype=bool), 1)
+    values = np.where(above, upper, upper.T)
+    np.fill_diagonal(values, 0.0)
+    return DistanceMatrix([f"N{i}" for i in range(n)], values, "noncausal")
+
+
 class TestMinimumSpanningTree:
     def test_matches_bruteforce_enumeration(self):
         rng = np.random.default_rng(31)
@@ -168,6 +184,15 @@ class TestMinimumSpanningTree:
         D = distance_matrix(chain_spectra())
         tree = minimum_spanning_tree(D)
         assert set(tree.edges) == {(0, 1), (1, 2)}
+
+    @given(tied_distances())
+    def test_matches_the_tuple_sorting_kruskal(self, W):
+        def bits(tree):
+            return ([(edge, np.float64(w).tobytes())
+                     for edge, w in tree.edges.items()],
+                    np.float64(tree.total_weight()).tobytes())
+
+        assert bits(minimum_spanning_tree(W)) == bits(kruskal_reference(W))
 
 
 class TestBuildPolytree:
@@ -322,6 +347,35 @@ class TestMisoBlanketTopology:
             assert g.edges == ref.edges
             assert [(e.category, e.message) for e in events] == \
                 [(e.category, e.message) for e in ref_events]
+
+    def test_purges_are_recorded_a_block_at_a_time(self, wide_record,
+                                                   monkeypatch):
+        # one record call per purge block, never one per purged candidate,
+        # and every purge event still reaches the collector
+        S, calls = wide_record, []
+        D = distance_matrix(S)
+        spy = topology.record
+
+        def counting(category, *messages):
+            calls.append(category)
+            spy(category, *messages)
+
+        monkeypatch.setattr(topology, "record", counting)
+        with collect() as ref_events:
+            miso_reference(S, D)
+        expected = [(e.category, e.message) for e in ref_events]
+        purges = [text for category, text in expected
+                  if category == "blanket-purge"]
+        assert len(purges) > S.n
+        for targets_per_block in (S.n, 5):
+            monkeypatch.setattr(signals, "BLOCK_VALUES",
+                                targets_per_block * S.n ** 2)
+            calls.clear()
+            with collect() as events:
+                miso_blanket_topology(S, D)
+            assert [(e.category, e.message) for e in events] == expected
+            assert set(calls) == {"blanket-purge"}
+            assert len(calls) <= len(signals._blocks(S.n, S.n ** 2))
 
     def test_singular_matrix_raises_as_the_per_target_loop(self):
         # the per-target loop raises on the fit of b on a and its copy c;
